@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -287,27 +286,13 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     setup = _setup_from_args(args)
     dims = [int(d) for d in args.dims.split(",")]
-    thread_counts = [1]
-    if args.max_threads > 1:
-        thread_counts.append(args.max_threads)
     print(f"channels: {setup.bank.n_r}, steps per measurement: {args.steps}")
-    base = {}
     for N in dims:
-        for workers in thread_counts:
-            pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-            t0 = time.perf_counter()
-            run_encrypted_mode(setup, args.steps, seed=args.seed, lwe_dim=N,
-                               cross_check=False, pool=pool)
-            dt = (time.perf_counter() - t0) / args.steps
-            if pool is not None:
-                pool.shutdown()
-            label = f"N={N} threads={workers}"
-            if workers == 1:
-                base[N] = dt
-                print(f"{label}: {dt * 1000:.1f} ms/step")
-            else:
-                print(f"{label}: {dt * 1000:.1f} ms/step "
-                      f"(speedup {base[N] / dt:.2f}x)")
+        t0 = time.perf_counter()
+        run_encrypted_mode(setup, args.steps, seed=args.seed, lwe_dim=N,
+                           cross_check=False)
+        dt = (time.perf_counter() - t0) / args.steps
+        print(f"N={N}: {dt * 1000:.1f} ms/step")
     return 0
 
 
@@ -356,7 +341,6 @@ def main(argv=None) -> int:
     add_common(p_bench)
     p_bench.add_argument("--dims", default="64,1024,4096")
     p_bench.add_argument("--steps", type=int, default=5)
-    p_bench.add_argument("--max-threads", type=int, default=4)
     p_bench.set_defaults(fn=cmd_bench)
 
     args = parser.parse_args(argv)

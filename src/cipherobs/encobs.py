@@ -1,12 +1,14 @@
-"""Encrypted observer: the modified encryption scheme, the per-channel
+"""Encrypted observer: the modified encryption scheme, the batched
 ciphertext recursion, residue disclosure, and encrypted state recovery.
 
 One residue channel is run per row of the residue map.  All channels share
 each step's randomness block and masking term; they differ only in the
 cancellation column derived from their own zero-dynamics, which forces the
-mask contribution of every residue's first column to zero.  The observer
-state is therefore stored as one shared middle block plus per-channel first
-and last columns; materialized ciphertexts keep the full logical width.
+mask contribution of every residue's first column to zero.  Each input
+batch and the observer state are therefore stored as one matrix
+`[firsts | shared | lasts]`: every channel's first column, the shared middle
+block once, then every channel's last column.  One step of the observer is
+one application of `Z' = Fbar Z + Gbar V` to that whole matrix.
 """
 
 from __future__ import annotations
@@ -22,11 +24,18 @@ from .lwe import (
     NoiseParams,
     SecretKey,
     SecureRng,
+    decrypt,
     encrypt_with_artifacts,
 )
 from .modring import ModMatrix, Modulus
-from .quantobs import ModularMaps, QuantParams, _shift_column
-from .zerodyn import CancellationState, ChannelTransform, build_transform
+from .quantobs import ModularMaps, QuantParams, observer_update
+from .zerodyn import (
+    CancellationState,
+    ChannelTransform,
+    build_transform,
+    cancellation_init,
+    cancellation_step,
+)
 
 __all__ = [
     "EncObsError",
@@ -40,7 +49,6 @@ __all__ = [
     "encrypted_residue",
     "disclose_residue",
     "decrypt_channel_state",
-    "decrypt_all_channels",
     "recover_encrypted_state",
     "build_fbar",
 ]
@@ -64,20 +72,6 @@ def build_fbar(block_sizes: Sequence[int], q: Modulus) -> ModMatrix:
             rows[o + h][o + h - 1] = 1
         o += li
     return ModMatrix(rows, q, ncols=l, _reduced=True)
-
-
-def _shift_matrix_rows(rows: Tuple[Tuple[int, ...], ...],
-                       block_sizes: Sequence[int],
-                       ncols: int) -> Tuple[Tuple[int, ...], ...]:
-    """Row shift inside each block: the state matrix acting on a matrix."""
-    zero = (0,) * ncols
-    out: List[Tuple[int, ...]] = []
-    o = 0
-    for li in block_sizes:
-        out.append(zero)
-        out.extend(rows[o:o + li - 1])
-        o += li
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -112,38 +106,61 @@ class ObserverPublic:
         return len(self.transforms)
 
 
+def _channel_row(row: Tuple[int, ...], n_ch: int, j: int) -> Tuple[int, ...]:
+    """Channel j's columns of one `[firsts | shared | lasts]` row."""
+    return (row[j],) + row[n_ch:len(row) - n_ch] + (row[len(row) - n_ch + j],)
+
+
 @dataclass(frozen=True)
-class EncryptedBatch:
+class _ChannelBody:
+    """A matrix over all channels laid out as `[firsts | shared | lasts]`.
+
+    Column j and column n_ch + N + j are channel j's first and last
+    columns; the N shared middle columns are common to every channel.  The
+    layout stays inside this module: other modules read a channel only
+    through `channel(j)`.
+    """
+
+    body: ModMatrix     # rows x (n_ch + N + n_ch)
+    n_channels: int
+
+    @property
+    def N(self) -> int:
+        return self.body.ncols - 2 * self.n_channels
+
+    def channel(self, j: int) -> Ciphertext:
+        """Channel j's modified ciphertext: [first | shared | last]."""
+        if not 0 <= j < self.n_channels:
+            raise EncObsError(f"no channel {j} among {self.n_channels}")
+        rows = tuple(_channel_row(row, self.n_channels, j)
+                     for row in self.body.rows)
+        return Ciphertext(
+            body=ModMatrix(rows, self.body.modulus, ncols=self.N + 2,
+                           _reduced=True),
+            kind=CiphertextKind.MODIFIED, N=self.N)
+
+
+@dataclass(frozen=True)
+class EncryptedBatch(_ChannelBody):
     """Per-step modified ciphertexts for all channels.
 
     The randomness block is shared; channels differ only in the first
     (message + mask - cancellation) and last (cancellation) columns.
-    `ciphertext(j)` materializes the full h x (N+2) matrix for channel j.
     """
 
-    shared_block: ModMatrix                 # h x N
-    firsts: Tuple[Tuple[int, ...], ...]     # per channel, length-h column
-    lasts: Tuple[Tuple[int, ...], ...]
-
-    @property
-    def h(self) -> int:
-        return self.shared_block.nrows
-
-    @property
-    def n_channels(self) -> int:
-        return len(self.firsts)
-
-    def ciphertext(self, j: int) -> Ciphertext:
-        q = self.shared_block.modulus
+    @classmethod
+    def from_standard(cls, std_ct: Ciphertext,
+                      cancels: Sequence[Tuple[int, ...]]) -> "EncryptedBatch":
+        """Split a standard ciphertext into one modified ciphertext per
+        cancellation column: first = (message + mask) - cancel."""
+        q = std_ct.body.modulus
         rows = tuple(
-            (first,) + mid + (last,)
-            for first, mid, last in zip(self.firsts[j], self.shared_block.rows,
-                                        self.lasts[j])
-        )
-        body = ModMatrix(rows, q, ncols=self.shared_block.ncols + 2,
-                         _reduced=True)
-        return Ciphertext(body=body, kind=CiphertextKind.MODIFIED,
-                          N=self.shared_block.ncols)
+            tuple(q.cmod(row[0] - c[i]) for c in cancels) + row[1:]
+            + tuple(c[i] for c in cancels)
+            for i, row in enumerate(std_ct.body.rows))
+        return cls(body=ModMatrix(rows, q, ncols=std_ct.N + 2 * len(cancels),
+                                  _reduced=True),
+                   n_channels=len(cancels))
 
 
 @dataclass
@@ -195,148 +212,70 @@ class EncryptorSession:
 
     # -- encryption --------------------------------------------------------
 
-    def _lift(self, v: ModMatrix) -> ModMatrix:
-        return v.scale(self.params.lift)
+    def _encrypt(self, v: ModMatrix):
+        return encrypt_with_artifacts(v.scale(self.params.lift), self.sk,
+                                      self.noise, self.rng)
+
+    def _record(self, std_ct, mask, err, rand, cancel_terms):
+        if self.record_artifacts:
+            self.artifacts.append(StepArtifacts(
+                mask=mask, error=err, randomness=rand, standard_ct=std_ct,
+                cancel_terms=tuple(cancel_terms)))
 
     def enc_initial(self, zbar_ini: ModMatrix) -> EncryptedBatch:
         """Encrypt the lifted initial state once for every channel."""
         if self.step != -1:
             raise SessionNotFresh("enc_initial may only be called once")
-        message = self._lift(zbar_ini)
-        std_ct, mask, err, rand = encrypt_with_artifacts(
-            message, self.sk, self.noise, self.rng)
-        std_first = std_ct.first_column()
-        firsts = []
-        lasts = []
-        cancel_terms = []
-        self.cancel_states = []
-        for ct in self.public.transforms:
-            tilde_ini, state = ct.T2 @ mask, ct.initial_state(mask)
-            cancel_col = ct.V2 @ tilde_ini
-            cancel = cancel_col.column_entries()
-            q = self.public.q
-            firsts.append(tuple(q.cmod(a - c) for a, c in zip(std_first, cancel)))
-            lasts.append(cancel)
-            cancel_terms.append(tilde_ini)
-            self.cancel_states.append(state)
+        std_ct, mask, err, rand = self._encrypt(zbar_ini)
+        inits = [cancellation_init(ct, mask) for ct in self.public.transforms]
+        cancels = [(ct.V2 @ tilde).column_entries()
+                   for ct, (tilde, _) in zip(self.public.transforms, inits)]
+        self.cancel_states = [state for _, state in inits]
         self.step = 0
-        if self.record_artifacts:
-            self.artifacts.append(StepArtifacts(
-                mask=mask, error=err, randomness=rand, standard_ct=std_ct,
-                cancel_terms=tuple(cancel_terms)))
-        return EncryptedBatch(shared_block=rand, firsts=tuple(firsts),
-                              lasts=tuple(lasts))
+        self._record(std_ct, mask, err, rand, [tilde for tilde, _ in inits])
+        return EncryptedBatch.from_standard(std_ct, cancels)
 
     def enc_input(self, vbar: ModMatrix) -> EncryptedBatch:
         """Encrypt the lifted input for every channel and advance the
         cancellation states."""
         if self.step < 0:
             raise EncObsError("call enc_initial before enc_input")
-        message = self._lift(vbar)
-        std_ct, mask, err, rand = encrypt_with_artifacts(
-            message, self.sk, self.noise, self.rng)
-        std_first = std_ct.first_column()
-        q = self.public.q
-        firsts = []
-        lasts = []
-        tilde_vals = []
-        next_states = []
-        for ct, state in zip(self.public.transforms, self.cancel_states):
-            tilde, nxt = _cancel_step(ct, state, mask)
-            cancel = (ct.SigmaDag.scale(tilde)).column_entries()
-            firsts.append(tuple(q.cmod(a - c) for a, c in zip(std_first, cancel)))
-            lasts.append(cancel)
-            tilde_vals.append(tilde)
-            next_states.append(nxt)
-        self.cancel_states = next_states
+        std_ct, mask, err, rand = self._encrypt(vbar)
+        steps = [cancellation_step(ct, state, mask) for ct, state in
+                 zip(self.public.transforms, self.cancel_states)]
+        cancels = [ct.SigmaDag.scale(tilde).column_entries()
+                   for ct, (tilde, _) in zip(self.public.transforms, steps)]
+        self.cancel_states = [state for _, state in steps]
         self.step += 1
-        if self.record_artifacts:
-            self.artifacts.append(StepArtifacts(
-                mask=mask, error=err, randomness=rand, standard_ct=std_ct,
-                cancel_terms=tuple(tilde_vals)))
-        return EncryptedBatch(shared_block=rand, firsts=tuple(firsts),
-                              lasts=tuple(lasts))
-
-
-def _cancel_step(ct: ChannelTransform, state: CancellationState,
-                 b_v: ModMatrix) -> Tuple[int, CancellationState]:
-    tilde = (ct.Sigma @ b_v + ct.Psi @ state.b_xi).rows[0][0]
-    nxt = ct.S @ state.b_xi + ct.S3 @ (ct.input_projector @ b_v)
-    return tilde, CancellationState(j=state.j, b_xi=nxt, step=state.step + 1)
+        self._record(std_ct, mask, err, rand, [tilde for tilde, _ in steps])
+        return EncryptedBatch.from_standard(std_ct, cancels)
 
 
 @dataclass(frozen=True)
-class EncObserverState:
+class EncObserverState(_ChannelBody):
     """Encrypted observer state for all channels at one step.
 
-    The logical per-channel state is l x (N+2); the shared randomness-driven
-    middle block is stored once.  `channel_matrix(j)` materializes the full
-    shape.
+    Channel j's logical state is the l x (N+2) matrix `channel(j).body`;
+    its decryption is the lifted plaintext state plus the encryption error.
     """
 
-    mid: ModMatrix                          # l x N, common to all channels
-    firsts: Tuple[Tuple[int, ...], ...]     # per channel, length-l
-    lasts: Tuple[Tuple[int, ...], ...]
     step: int
 
     @classmethod
     def from_initial(cls, batch: EncryptedBatch) -> "EncObserverState":
-        return cls(mid=batch.shared_block, firsts=batch.firsts,
-                   lasts=batch.lasts, step=0)
-
-    @property
-    def n_channels(self) -> int:
-        return len(self.firsts)
-
-    def channel_matrix(self, j: int) -> ModMatrix:
-        rows = tuple(
-            (f,) + mid + (la,)
-            for f, mid, la in zip(self.firsts[j], self.mid.rows, self.lasts[j])
-        )
-        return ModMatrix(rows, self.mid.modulus, ncols=self.mid.ncols + 2,
-                         _reduced=True)
-
-
-def _advance_column(col: Tuple[int, ...], drive_col: Tuple[int, ...],
-                    Gbar: ModMatrix, block_sizes) -> Tuple[int, ...]:
-    shifted = _shift_column(col, block_sizes)
-    drive = Gbar @ ModMatrix.column(drive_col, Gbar.modulus)
-    q = Gbar.modulus
-    return tuple(q.cmod(a + b)
-                 for a, b in zip(shifted, drive.column_entries()))
+        return cls(body=batch.body, n_channels=batch.n_channels, step=0)
 
 
 def step_encrypted(state: EncObserverState, batch: EncryptedBatch,
-                   public: ObserverPublic, pool=None) -> EncObserverState:
-    """One encrypted observer update for every channel.
-
-    Channels are independent given the shared middle block; with `pool`
-    (any concurrent.futures executor) the per-channel columns are updated
-    in parallel.
-    """
-    if batch.n_channels != state.n_channels:
-        raise EncObsError("channel counts differ between state and batch")
-    shifted_mid = _shift_matrix_rows(state.mid.rows, public.block_sizes,
-                                     state.mid.ncols)
-    drive_mid = public.Gbar @ batch.shared_block
-    mid = ModMatrix(shifted_mid, public.q, ncols=state.mid.ncols,
-                    _reduced=True) + drive_mid
-
-    def one(j: int):
-        return (
-            _advance_column(state.firsts[j], batch.firsts[j], public.Gbar,
-                            public.block_sizes),
-            _advance_column(state.lasts[j], batch.lasts[j], public.Gbar,
-                            public.block_sizes),
-        )
-
-    if pool is None:
-        results = [one(j) for j in range(state.n_channels)]
-    else:
-        results = list(pool.map(one, range(state.n_channels)))
-    firsts = tuple(r[0] for r in results)
-    lasts = tuple(r[1] for r in results)
-    return EncObserverState(mid=mid, firsts=firsts, lasts=lasts,
+                   public: ObserverPublic) -> EncObserverState:
+    """One encrypted observer update for every channel: the observer
+    recursion applied to the whole `[firsts | shared | lasts]` body."""
+    if (batch.n_channels, batch.N) != (state.n_channels, state.N):
+        raise EncObsError("channel counts or widths differ between state "
+                          "and batch")
+    body = observer_update(state.body, batch.body, public.block_sizes,
+                           public.Gbar)
+    return EncObserverState(body=body, n_channels=state.n_channels,
                             step=state.step + 1)
 
 
@@ -344,29 +283,22 @@ def encrypted_residue(state: EncObserverState,
                       public: ObserverPublic) -> Tuple[ModMatrix, ModMatrix]:
     """Stacked per-channel residue rows and their first column.
 
-    Row j applies channel j's residue row to that channel's state; the
-    middle block is shared, so its contribution is one matrix product.
+    Row j applies channel j's residue row to that channel's state.
     """
-    q = public.q
-    mid_part = public.Hbar @ state.mid  # n_r x N
-    rows = []
-    r1 = []
-    for j in range(state.n_channels):
-        hrow = public.Hbar.rows[j]
-        first = q.cmod(sum(map(mul, hrow, state.firsts[j])))
-        last = q.cmod(sum(map(mul, hrow, state.lasts[j])))
-        rows.append((first,) + mid_part.rows[j] + (last,))
-        r1.append(first)
-    R = ModMatrix(tuple(rows), q, ncols=public.N + 2, _reduced=True)
-    return R, ModMatrix.column(r1, q)
+    full = public.Hbar @ state.body
+    rows = tuple(_channel_row(row, state.n_channels, j)
+                 for j, row in enumerate(full.rows))
+    R = ModMatrix(rows, public.q, ncols=state.N + 2, _reduced=True)
+    return R, ModMatrix.column(R.column_entries(0), public.q)
 
 
 def residue_first_column(state: EncObserverState,
                          public: ObserverPublic) -> ModMatrix:
-    """First column of the encrypted residue only (cheap per-step path)."""
+    """First column of the encrypted residue only (cheap per-step path):
+    channel j's residue row applied to column j, O(n_ch * l)."""
     q = public.q
-    r1 = [q.cmod(sum(map(mul, public.Hbar.rows[j], state.firsts[j])))
-          for j in range(state.n_channels)]
+    r1 = [q.cmod(sum(map(mul, hrow, state.body.column_entries(j))))
+          for j, hrow in enumerate(public.Hbar.rows)]
     return ModMatrix.column(r1, q)
 
 
@@ -381,25 +313,8 @@ def disclose_residue(r1: ModMatrix, params: QuantParams) -> ModMatrix:
 
 def decrypt_channel_state(state: EncObserverState, j: int,
                           sk: SecretKey) -> ModMatrix:
-    """Dec' of channel j's state: first - mid @ sk + last, reduced."""
-    mid_sk = state.mid @ sk.as_column()
-    q = state.mid.modulus
-    entries = [q.cmod(f - ms + la) for f, ms, la in
-               zip(state.firsts[j], mid_sk.column_entries(), state.lasts[j])]
-    return ModMatrix.column(entries, q)
-
-
-def decrypt_all_channels(state: EncObserverState,
-                         sk: SecretKey) -> List[ModMatrix]:
-    """Dec' of every channel, sharing the mid-block key product."""
-    mid_sk = (state.mid @ sk.as_column()).column_entries()
-    q = state.mid.modulus
-    out = []
-    for j in range(state.n_channels):
-        entries = [q.cmod(f - ms + la) for f, ms, la in
-                   zip(state.firsts[j], mid_sk, state.lasts[j])]
-        out.append(ModMatrix.column(entries, q))
-    return out
+    """Dec' of channel j's state: first - shared @ sk + last, reduced."""
+    return decrypt(state.channel(j), sk)
 
 
 def recover_encrypted_state(state: EncObserverState, j: int, sk: SecretKey,

@@ -64,36 +64,34 @@ class NoiseParams:
         return int(self.Delta)
 
 
-class SecureRng:
+class _RandomSource:
+    """Uniform and error draws from an injected `random.Random`."""
+
+    def __init__(self, rng: random.Random):
+        self._rng = rng
+
+    def uniform_centered(self, q: Modulus) -> int:
+        return q.cmod(self._rng.randrange(q.q))
+
+    def error(self, noise: NoiseParams) -> int:
+        while True:
+            e = round(self._rng.gauss(0.0, noise.sigma))
+            if abs(e) <= noise.bound:
+                return int(e)
+
+
+class SecureRng(_RandomSource):
     """Cryptographically seeded randomness (system entropy)."""
 
     def __init__(self):
-        self._rng = random.SystemRandom()
-
-    def uniform_centered(self, q: Modulus) -> int:
-        return q.cmod(self._rng.randrange(q.q))
-
-    def error(self, noise: NoiseParams) -> int:
-        while True:
-            e = round(self._rng.gauss(0.0, noise.sigma))
-            if abs(e) <= noise.bound:
-                return int(e)
+        super().__init__(random.SystemRandom())
 
 
-class TestRng:
+class TestRng(_RandomSource):
     """Seedable deterministic randomness; insecure, for tests and replays."""
 
     def __init__(self, seed: int):
-        self._rng = random.Random(seed)
-
-    def uniform_centered(self, q: Modulus) -> int:
-        return q.cmod(self._rng.randrange(q.q))
-
-    def error(self, noise: NoiseParams) -> int:
-        while True:
-            e = round(self._rng.gauss(0.0, noise.sigma))
-            if abs(e) <= noise.bound:
-                return int(e)
+        super().__init__(random.Random(seed))
 
 
 _KEY_MAGIC = b"COSK"
@@ -135,17 +133,21 @@ class SecretKey:
         self._entries = [q.cmod(int(v)) for v in entries]
         self.q = q
 
-    @property
-    def N(self) -> int:
-        return len(self._entries)
-
-    def entries(self) -> Tuple[int, ...]:
+    def _live(self) -> list:
         if self._entries is None:
             raise LweError("secret key has been zeroized")
-        return tuple(self._entries)
+        return self._entries
+
+    @property
+    def N(self) -> int:
+        return len(self._live())
+
+    def entries(self) -> Tuple[int, ...]:
+        return tuple(self._live())
 
     def as_column(self) -> ModMatrix:
-        return ModMatrix.column(self.entries(), self.q)
+        return ModMatrix(((v,) for v in self._live()), self.q, ncols=1,
+                         _reduced=True)
 
     def zeroize(self):
         if self._entries is not None:
@@ -272,10 +274,12 @@ def decrypt(ct: Ciphertext, sk: SecretKey) -> ModMatrix:
     """Recover m + e mod q; modified ciphertexts re-sum their extra column."""
     if ct.N != sk.N:
         raise DimensionMismatch("ciphertext and key disagree on N")
+    # key entries are centered, and the centered range is symmetric
     key = [1] + [-v for v in sk.entries()]
     if ct.kind is CiphertextKind.MODIFIED:
         key.append(1)
-    return ct.body @ ModMatrix.column(key, sk.q)
+    return ct.body @ ModMatrix(((k,) for k in key), sk.q, ncols=1,
+                               _reduced=True)
 
 
 def ct_add(c1: Ciphertext, c2: Ciphertext) -> Ciphertext:

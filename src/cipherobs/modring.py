@@ -154,9 +154,11 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
 
 
 def _reduce_rows(rows, q: int):
+    """Convert every entry with int() and reduce it to the centered range."""
     twoq = 2 * q
     return tuple(
-        tuple(a - ((2 * a + q) // twoq) * q for a in row) for row in rows
+        tuple((a := int(x)) - ((2 * a + q) // twoq) * q for x in row)
+        for row in rows
     )
 
 
@@ -172,7 +174,12 @@ class ModMatrix:
 
     def __init__(self, rows: Iterable[Iterable[int]], modulus: Modulus,
                  ncols: int | None = None, _reduced: bool = False):
-        rows = tuple(tuple(int(a) for a in row) for row in rows)
+        # Rows built inside the library with _reduced=True already hold
+        # centered ints; everything else is converted and reduced here.
+        if _reduced:
+            rows = tuple(map(tuple, rows))
+        else:
+            rows = _reduce_rows(rows, modulus.q)
         if rows:
             ncols_found = len(rows[0])
             if any(len(r) != ncols_found for r in rows):
@@ -182,8 +189,6 @@ class ModMatrix:
             ncols = ncols_found
         elif ncols is None:
             ncols = 0
-        if not _reduced:
-            rows = _reduce_rows(rows, modulus.q)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
@@ -205,11 +210,11 @@ class ModMatrix:
 
     @classmethod
     def column(cls, entries: Iterable[int], modulus: Modulus) -> "ModMatrix":
-        return cls(tuple((int(a),) for a in entries), modulus, ncols=1)
+        return cls(((a,) for a in entries), modulus, ncols=1)
 
     @classmethod
     def row_vector(cls, entries: Iterable[int], modulus: Modulus) -> "ModMatrix":
-        return cls((tuple(int(a) for a in entries),), modulus)
+        return cls((entries,), modulus)
 
     # -- shape helpers -----------------------------------------------------
 

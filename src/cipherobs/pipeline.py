@@ -119,13 +119,6 @@ def records_to_csv(records: List[StepRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _threshold(params: QuantParams, t: int) -> float:
-    thr = params.eps
-    if t < params.l_max:
-        thr += 2.0 * params.kappa * params.init_error
-    return thr
-
-
 def run_reference_mode(setup: SystemSetup, steps: int) -> List[StepRecord]:
     """Real-arithmetic observer run (the oracle mode)."""
     traj = run_closed_loop(setup.bundle.model, setup.bundle.attacks, steps)
@@ -135,7 +128,7 @@ def run_reference_mode(setup: SystemSetup, steps: int) -> List[StepRecord]:
     for t in range(steps):
         rn = float(np.max(np.abs(ref.rhat[t]))) if ref.rhat[t].size else 0.0
         err = float(np.max(np.abs(traj.x[t] - ref.xhat[t])))
-        thr = _threshold(setup.params, t)
+        thr = quantobs.threshold_at(setup.params, t)
         out.append(StepRecord(step=t, time_s=t * Ts, residue_norm=rn,
                               threshold=thr, detected=rn > thr,
                               est_error_norm=err, mode="reference"))
@@ -204,8 +197,7 @@ def run_encrypted_mode(setup: SystemSetup, steps: int, *,
                        record_views: bool = False,
                        record_artifacts: bool = False,
                        keep_states: bool = False,
-                       cross_check: bool = True,
-                       pool=None) -> EncryptedRun:
+                       cross_check: bool = True) -> EncryptedRun:
     """Full encrypted observer run.
 
     With cross_check enabled the run aborts on the first step where the
@@ -257,7 +249,7 @@ def run_encrypted_mode(setup: SystemSetup, steps: int, *,
         in_batch = session.enc_input(qrun.vbars[t])
         if record_views:
             input_batches.append(in_batch)
-        state = encobs.step_encrypted(state, in_batch, public, pool=pool)
+        state = encobs.step_encrypted(state, in_batch, public)
     if keep_states:
         run.states.append(state)
     # residues one step past the final input, for transcript completeness
@@ -272,15 +264,13 @@ def run_encrypted_mode(setup: SystemSetup, steps: int, *,
             residues=tuple(run.disclosed + run.final_residues),
         )
         view2 = secviews.View2(
-            init_cts=_initial_batch_cts(batch),
-            input_cts=tuple(tuple(b.ciphertext(j)
-                                  for j in range(b.n_channels))
-                            for b in input_batches),
+            init_cts=_channel_cts(batch),
+            input_cts=tuple(_channel_cts(b) for b in input_batches),
         )
         run.view1 = view1
         run.view2 = view2
     return run
 
 
-def _initial_batch_cts(batch: encobs.EncryptedBatch):
-    return tuple(batch.ciphertext(j) for j in range(batch.n_channels))
+def _channel_cts(batch: encobs.EncryptedBatch):
+    return tuple(batch.channel(j) for j in range(batch.n_channels))

@@ -27,8 +27,10 @@ __all__ = [
     "ModularMaps",
     "quantize_initial",
     "quantize_input",
+    "observer_update",
     "step_quantized",
     "residue_quantized",
+    "threshold_at",
     "detect",
     "DetectResult",
     "recover_plain_estimate",
@@ -119,31 +121,33 @@ def quantize_input(u: Sequence[float], y: Sequence[float],
     return ModMatrix.column(entries, params.q)
 
 
-def _shift_column(entries: Tuple[int, ...],
-                  block_sizes: Sequence[int]) -> list:
-    """Downward shift inside each block: the action of the error matrix."""
-    out = [0] * len(entries)
+def observer_update(Z: ModMatrix, V: ModMatrix, block_sizes: Sequence[int],
+                    Gbar: ModMatrix) -> ModMatrix:
+    """Z' = Fbar Z + Gbar V over Z_q for an l x w state and an h x w input.
+
+    Fbar is the block lower shift, so its action is a row shift inside each
+    block; the result is identical to a dense product.  Every column runs the
+    same recursion: one column in quantized mode, every channel's columns at
+    once in encrypted mode.
+    """
+    if (Gbar.nrows != Z.nrows or Gbar.ncols != V.nrows
+            or Z.ncols != V.ncols or sum(block_sizes) != Z.nrows):
+        raise QuantError("dimension mismatch in observer update")
+    zero = (0,) * Z.ncols
+    shifted = []
     o = 0
     for li in block_sizes:
-        out[o + 1:o + li] = entries[o:o + li - 1]
+        shifted.append(zero)
+        shifted.extend(Z.rows[o:o + li - 1])
         o += li
-    return out
+    return ModMatrix(shifted, Z.modulus, ncols=Z.ncols, _reduced=True) + Gbar @ V
 
 
 def step_quantized(state: QuantState, vbar: ModMatrix,
                    block_sizes: Sequence[int], Gbar: ModMatrix) -> QuantState:
-    """One observer update over Z_q.
-
-    The state matrix is a block lower shift, so its action is a row shift
-    inside each block; the result is identical to a dense product.
-    """
-    if Gbar.nrows != state.zbar.nrows or Gbar.ncols != vbar.nrows:
-        raise QuantError("dimension mismatch in quantized step")
-    q = state.zbar.modulus
-    shifted = _shift_column(state.zbar.column_entries(), block_sizes)
-    drive = Gbar @ vbar
-    entries = [q.cmod(a + b) for a, b in zip(shifted, drive.column_entries())]
-    return QuantState(zbar=ModMatrix.column(entries, q), step=state.step + 1)
+    """One observer update over Z_q."""
+    return QuantState(zbar=observer_update(state.zbar, vbar, block_sizes, Gbar),
+                      step=state.step + 1)
 
 
 def residue_quantized(state: QuantState, Hbar: ModMatrix) -> ModMatrix:
@@ -158,17 +162,24 @@ class DetectResult:
     threshold: float
 
 
-def detect(rbar: ModMatrix, t: int, params: QuantParams) -> DetectResult:
-    """Attack test: flag when the scaled residue norm exceeds the threshold.
+def threshold_at(params: QuantParams, t: int) -> float:
+    """Residue threshold at step t.
 
-    The threshold keeps a transient allowance of 2 * kappa * init_error
-    while the deadbeat observer is still flushing (t < l_max) and drops to
-    eps afterwards.  Equality does not flag; only strict violation does.
+    It keeps a transient allowance of 2 * kappa * init_error while the
+    deadbeat observer is still flushing (t < l_max) and drops to eps
+    afterwards.
     """
-    lhs = params.resolution * rbar.max_abs()
     threshold = params.eps
     if t < params.l_max:
         threshold += 2.0 * params.kappa * params.init_error
+    return threshold
+
+
+def detect(rbar: ModMatrix, t: int, params: QuantParams) -> DetectResult:
+    """Attack test: flag when the scaled residue norm exceeds the threshold
+    at step t.  Equality does not flag; only strict violation does."""
+    lhs = params.resolution * rbar.max_abs()
+    threshold = threshold_at(params, t)
     return DetectResult(flag=lhs > threshold, lhs=lhs, threshold=threshold)
 
 

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from operator import mul
 from typing import List, Sequence, Tuple
 
-from .encobs import ObserverPublic
+from .encobs import EncryptedBatch, ObserverPublic
 from .lwe import Ciphertext, CiphertextKind
 from .modring import ModMatrix
-from .quantobs import QuantParams, _shift_column
+from .quantobs import QuantParams, observer_update
 
 __all__ = [
     "ViewError",
@@ -162,21 +162,23 @@ def f2_view2_to_view1(v2: View2, public: ObserverPublic,
 
     q = public.q
     inv_lift = q.inv(params.lift)
-    cols = [list(ct.first_column()) for ct in v2.init_cts]
-    residues: List[ModMatrix] = []
-    steps = len(v2.input_cts)
-    for t in range(steps + 1):
-        r = [q.cmod(inv_lift * sum(map(mul, public.Hbar.rows[j], cols[j])))
-             for j in range(n_ch)]
-        residues.append(ModMatrix.column(r, q))
-        if t == steps:
-            break
-        for j in range(n_ch):
-            drive = public.Gbar @ ModMatrix.column(
-                v2.input_cts[t][j].first_column(), q)
-            shifted = _shift_column(tuple(cols[j]), public.block_sizes)
-            cols[j] = [q.cmod(a + b) for a, b in
-                       zip(shifted, drive.column_entries())]
+
+    def firsts(cts: Sequence[Ciphertext]) -> ModMatrix:
+        """The channels' first columns side by side."""
+        return ModMatrix(zip(*(ct.first_column() for ct in cts)), q,
+                         ncols=n_ch, _reduced=True)
+
+    def residue(Z: ModMatrix) -> ModMatrix:
+        """Channel j's residue row on column j, without the lift."""
+        return ModMatrix.column(
+            [q.cmod(inv_lift * sum(map(mul, hrow, Z.column_entries(j))))
+             for j, hrow in enumerate(public.Hbar.rows)], q)
+
+    Z = firsts(v2.init_cts)
+    residues = [residue(Z)]
+    for step in v2.input_cts:
+        Z = observer_update(Z, firsts(step), public.block_sizes, public.Gbar)
+        residues.append(residue(Z))
     return View1(init_ct=init_std, input_cts=input_std,
                  residues=tuple(residues))
 
@@ -203,14 +205,15 @@ def f1_view1_to_view2(v1: View1, public: ObserverPublic,
         raise HorizonTooShort(
             f"need residues through step {needed} to reconstruct all "
             f"{steps} input steps (have {len(v1.residues)})")
+    if any(c.N != public.N for c in (v1.init_ct,) + v1.input_cts):
+        raise ViewError("ciphertext dimension does not match the public maps")
 
     init_first = ModMatrix.column(v1.init_ct.first_column(), q)
     input_firsts = [ModMatrix.column(ct.first_column(), q)
                     for ct in v1.input_cts]
 
-    init_cts: List[Ciphertext] = []
-    per_step_cols: List[List[Tuple[Tuple[int, ...], Tuple[int, ...]]]] = [
-        [] for _ in range(steps)]
+    init_cancels: List[Tuple[int, ...]] = []
+    step_cancels: List[List[Tuple[int, ...]]] = [[] for _ in range(steps)]
 
     for j, ct in enumerate(public.transforms):
         lifted = [q.cmod(lift * v1.residues[t].rows[j][0])
@@ -221,14 +224,7 @@ def f1_view1_to_view2(v1: View1, public: ObserverPublic,
         # message cancellation: chain start is the first nu lifted residues
         msg_tilde_ini = ModMatrix.column(lifted[:ct.nu], q)
         b_tilde_ini = comb_tilde_ini - msg_tilde_ini
-        cancel_col = (ct.V2 @ b_tilde_ini).column_entries()
-        first = tuple(q.cmod(a - c) for a, c in
-                      zip(init_first.column_entries(), cancel_col))
-        rows = tuple((f,) + mid + (c,) for f, mid, c in
-                     zip(first, v1.init_ct.randomness_block().rows, cancel_col))
-        init_cts.append(Ciphertext(
-            body=ModMatrix(rows, q, ncols=public.N + 2, _reduced=True),
-            kind=CiphertextKind.MODIFIED, N=public.N))
+        init_cancels.append((ct.V2 @ b_tilde_ini).column_entries())
 
         delta = ModMatrix.zeros(ct.l - ct.nu, 1, q)
         for t in range(steps):
@@ -239,25 +235,16 @@ def f1_view1_to_view2(v1: View1, public: ObserverPublic,
                                - (ct.Gamma @ w_t).rows[0][0]
                                - (ct.Psi @ delta).rows[0][0])
             b_tilde = q.cmod(comb_tilde - msg_tilde)
-            cancel = (ct.SigmaDag.scale(b_tilde)).column_entries()
-            first_col = tuple(
-                q.cmod(a - c) for a, c in
-                zip(input_firsts[t].column_entries(), cancel))
-            per_step_cols[t].append((first_col, cancel))
+            step_cancels[t].append(ct.SigmaDag.scale(b_tilde).column_entries())
             # advance both recursions
             c_xi = ct.S @ c_xi + ct.S3 @ (ct.input_projector @ input_firsts[t])
             delta = (ct.S1 @ delta + ct.S2 @ w_t
                      + ct.S3 @ ct.SigmaDag.scale(msg_tilde))
 
-    input_cts = []
-    for t in range(steps):
-        rand_rows = v1.input_cts[t].randomness_block().rows
-        step_cts = []
-        for first_col, cancel in per_step_cols[t]:
-            rows = tuple((f,) + mid + (c,) for f, mid, c in
-                         zip(first_col, rand_rows, cancel))
-            step_cts.append(Ciphertext(
-                body=ModMatrix(rows, q, ncols=public.N + 2, _reduced=True),
-                kind=CiphertextKind.MODIFIED, N=public.N))
-        input_cts.append(tuple(step_cts))
-    return View2(init_cts=tuple(init_cts), input_cts=tuple(input_cts))
+    def channels(std_ct: Ciphertext, cancels) -> Tuple[Ciphertext, ...]:
+        batch = EncryptedBatch.from_standard(std_ct, cancels)
+        return tuple(batch.channel(j) for j in range(batch.n_channels))
+
+    return View2(init_cts=channels(v1.init_ct, init_cancels),
+                 input_cts=tuple(channels(std_ct, cancels) for std_ct, cancels
+                                 in zip(v1.input_cts, step_cancels)))

@@ -1,5 +1,4 @@
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from cipherobs.encobs import (
     ObserverPublic,
     SessionNotFresh,
     build_fbar,
-    decrypt_all_channels,
     decrypt_channel_state,
     disclose_residue,
     encrypted_residue,
@@ -19,7 +17,8 @@ from cipherobs.encobs import (
     residue_first_column,
     step_encrypted,
 )
-from cipherobs.lwe import NoiseParams, SecretKey, decrypt, encrypt, keygen
+from cipherobs.lwe import LweError, NoiseParams, SecretKey, decrypt, encrypt, \
+    keygen
 from cipherobs.lwe import TestRng as SeededRng
 from cipherobs.modring import ModMatrix
 from cipherobs.pipeline import run_quantized_mode
@@ -58,6 +57,11 @@ class ReplayRng:
         kind, val = self._draws.pop(0)
         assert kind == "e"
         return val
+
+
+def firsts(batch):
+    return tuple(batch.channel(j).first_column()
+                 for j in range(batch.n_channels))
 
 
 @pytest.fixture(scope="module")
@@ -144,10 +148,16 @@ class TestSessionBasics:
         s2.rng = ReplayRng(list(tail)[6 * 64 + 6:])
         out2.append(s2.enc_input(vbar))
         for a, b in zip(full, out2):
-            assert a.firsts == b.firsts
-            assert a.lasts == b.lasts
-            assert a.shared_block == b.shared_block
-        assert wasted.firsts == full[3].firsts
+            # firsts, shared block and lasts all at once
+            assert a.body == b.body
+        assert firsts(wasted) == firsts(full[3])
+
+    def test_zeroized_key_rejected_typed(self, bench_setup, public64):
+        params = dataclasses.replace(bench_setup.params, N=64)
+        sk = keygen(64, params.q, SeededRng(2))
+        sk.zeroize()
+        with pytest.raises(LweError):
+            EncryptorSession(sk, params, public64, rng=SeededRng(3))
 
 
 class TestModifiedCompatibility:
@@ -165,7 +175,7 @@ class TestModifiedCompatibility:
         for art, batch in zip(session.artifacts, batches):
             std_plain = decrypt(art.standard_ct, sk)
             for j in (0, 7, 59):
-                assert decrypt(batch.ciphertext(j), sk) == std_plain
+                assert decrypt(batch.channel(j), sk) == std_plain
 
     def test_construction_identity_columns(self, bench_setup, public64):
         params = dataclasses.replace(bench_setup.params, N=64)
@@ -177,7 +187,7 @@ class TestModifiedCompatibility:
         std_first = session.artifacts[0].standard_ct.first_column()
         q = params.q
         for j in (0, 31):
-            ct = batch.ciphertext(j)
+            ct = batch.channel(j)
             merged = tuple(q.cmod(a + b) for a, b in
                            zip(ct.first_column(), ct.cancel_column()))
             assert merged == std_first
@@ -190,11 +200,11 @@ class TestModifiedCompatibility:
         batch = session.enc_initial(z0)
         lifted = z0.scale(params.lift).column_entries()
         for j in (0, 42):
-            assert batch.firsts[j] == lifted
-            assert all(v == 0 for v in batch.lasts[j])
+            assert batch.channel(j).first_column() == lifted
+            assert all(v == 0 for v in batch.channel(j).cancel_column())
         nxt = session.enc_input(ModMatrix.column([1, 0, 0, 2, 0, 0], params.q))
         for j in (0, 42):
-            assert all(v == 0 for v in nxt.lasts[j])
+            assert all(v == 0 for v in nxt.channel(j).cancel_column())
 
     def test_cancel_column_matches_independent_zerodyn(self, bench_setup,
                                                        public64):
@@ -214,28 +224,39 @@ class TestModifiedCompatibility:
             tilde_ini, state = zerodyn.cancellation_init(
                 ct, session.artifacts[0].mask)
             expect = (ct.V2 @ tilde_ini).column_entries()
-            assert batches[0].lasts[j] == expect
+            assert batches[0].channel(j).cancel_column() == expect
             for t in range(1, 5):
                 tilde, state = zerodyn.cancellation_step(
                     ct, state, session.artifacts[t].mask)
                 expect = ct.SigmaDag.scale(tilde).column_entries()
-                assert batches[t].lasts[j] == expect
+                assert batches[t].channel(j).cancel_column() == expect
 
 
 class TestEncryptedObserver:
     def test_zero_ciphertexts_keep_zero_state(self, bench_setup, public64):
         q = public64.q
+        # [firsts | shared | lasts]: 60 + 64 + 60 columns
         zero_batch = encobs.EncryptedBatch(
-            shared_block=ModMatrix.zeros(6, 64, q),
-            firsts=tuple((0,) * 6 for _ in range(60)),
-            lasts=tuple((0,) * 6 for _ in range(60)))
+            body=ModMatrix.zeros(6, 60 + 64 + 60, q), n_channels=60)
         state = EncObserverState(
-            mid=ModMatrix.zeros(24, 64, q),
-            firsts=tuple((0,) * 24 for _ in range(60)),
-            lasts=tuple((0,) * 24 for _ in range(60)), step=0)
+            body=ModMatrix.zeros(24, 60 + 64 + 60, q), n_channels=60, step=0)
         nxt = step_encrypted(state, zero_batch, public64)
-        assert nxt.mid.is_zero()
-        assert all(all(v == 0 for v in f) for f in nxt.firsts)
+        assert nxt.channel(0).randomness_block().is_zero()
+        assert all(v == 0 for j in range(60)
+                   for v in nxt.channel(j).first_column())
+
+    def test_channel_index_checked(self, bench_enc):
+        state = bench_enc.states[0]
+        for j in (-1, state.n_channels):
+            with pytest.raises(encobs.EncObsError):
+                state.channel(j)
+
+    def test_batch_width_checked(self, public64, bench_enc):
+        q = public64.q
+        narrow = encobs.EncryptedBatch(
+            body=ModMatrix.zeros(6, 60 + 32 + 60, q), n_channels=60)
+        with pytest.raises(encobs.EncObsError):
+            step_encrypted(bench_enc.states[0], narrow, public64)
 
     def test_step_matches_dense_channel_product(self, bench_setup, public64,
                                                  bench_enc):
@@ -250,26 +271,9 @@ class TestEncryptedObserver:
         in_batch = session.enc_input(qrun.vbars[0])
         nxt = step_encrypted(state, in_batch, public64)
         for j in (0, 29):
-            dense = (public64.Fbar @ state.channel_matrix(j)
-                     + public64.Gbar @ in_batch.ciphertext(j).body)
-            assert nxt.channel_matrix(j) == dense
-
-    def test_thread_pool_matches_serial(self, bench_setup, public64,
-                                        bench_enc):
-        state = bench_enc.states[2]
-        params = dataclasses.replace(bench_setup.params, N=64)
-        rng = SeededRng(10)
-        sk = keygen(64, params.q, rng)
-        session = EncryptorSession(sk, params, public64, rng=rng)
-        session.enc_initial(ModMatrix.zeros(24, 1, params.q))
-        qrun = run_quantized_mode(bench_setup, 1)
-        batch = session.enc_input(qrun.vbars[0])
-        serial = step_encrypted(state, batch, public64)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            parallel = step_encrypted(state, batch, public64, pool=pool)
-        assert serial.firsts == parallel.firsts
-        assert serial.lasts == parallel.lasts
-        assert serial.mid == parallel.mid
+            dense = (public64.Fbar @ state.channel(j).body
+                     + public64.Gbar @ in_batch.channel(j).body)
+            assert nxt.channel(j).body == dense
 
     def test_residue_first_column_consistency(self, public64, bench_enc):
         for t in (0, 10, 49):
@@ -282,9 +286,7 @@ class TestEncryptedObserver:
     def test_zero_state_zero_residue(self, public64):
         q = public64.q
         state = EncObserverState(
-            mid=ModMatrix.zeros(24, 64, q),
-            firsts=tuple((0,) * 24 for _ in range(60)),
-            lasts=tuple((0,) * 24 for _ in range(60)), step=0)
+            body=ModMatrix.zeros(24, 60 + 64 + 60, q), n_channels=60, step=0)
         R, r1 = encrypted_residue(state, public64)
         assert r1.is_zero()
 
@@ -346,18 +348,12 @@ class TestDisclosureAndRecovery:
             # with zero masks and zero errors the first column is exactly
             # the lifted plaintext state
             lifted = qrun.zbars[t].scale(params.lift).column_entries()
-            assert state.firsts[0] == lifted
+            assert state.channel(0).first_column() == lifted
             rec = recover_encrypted_state(state, 0, sk, params,
                                           bench_setup.mod_maps.PhiPinvBar)
             assert rec == qrun.xbars[t]
             state = step_encrypted(state, session.enc_input(qrun.vbars[t]),
                                    public64)
-
-    def test_decrypt_all_channels_matches_single(self, bench_enc):
-        state = bench_enc.states[9]
-        all_dec = decrypt_all_channels(state, bench_enc.sk)
-        for j in (0, 44):
-            assert all_dec[j] == decrypt_channel_state(state, j, bench_enc.sk)
 
 
 class TestWhiteBoxErrorBudget:

@@ -239,6 +239,12 @@ class TestSerialization:
         sk.zeroize()
         with pytest.raises(LweError):
             sk.entries()
+        with pytest.raises(LweError):
+            sk.N
+        with pytest.raises(LweError):
+            sk.to_bytes()
+        with pytest.raises(LweError):
+            sk.as_column()
 
     def test_bad_magic_rejected(self):
         with pytest.raises(LweError):

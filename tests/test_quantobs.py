@@ -4,7 +4,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cipherobs.encobs import build_fbar
 from cipherobs.modring import ModMatrix, Modulus
 from cipherobs.obsdesign import build_bank, residue_map
 from cipherobs.pipeline import BENCH_LIFT, BENCH_Q, SystemSetup, \
@@ -13,11 +16,13 @@ from cipherobs.plantsim import AttackScenario, run_closed_loop
 from cipherobs.quantobs import (
     CalibrationReport,
     ModularMaps,
+    QuantError,
     QuantParams,
     QuantState,
     calibrate_quantization,
     detect,
     make_params,
+    observer_update,
     quantize_initial,
     quantize_input,
     recover_plain_estimate,
@@ -93,7 +98,6 @@ class TestStepQuantized:
         assert nxt.zbar.column_entries() == (6, 7 + 8)
 
     def test_matches_dense_product(self, bench_setup):
-        from cipherobs.encobs import build_fbar
         maps = bench_setup.mod_maps
         q = bench_setup.params.q
         Fbar = build_fbar(maps.block_sizes, q)
@@ -104,6 +108,39 @@ class TestStepQuantized:
         fast = step_quantized(state, v, maps.block_sizes, maps.Gbar)
         dense = Fbar @ z + maps.Gbar @ v
         assert fast.zbar == dense
+
+
+class TestObserverUpdate:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_dense_product(self, data):
+        q = Modulus(101)
+        sizes = data.draw(st.lists(st.integers(1, 4), min_size=0, max_size=4),
+                          label="other blocks")
+        sizes.insert(data.draw(st.integers(0, len(sizes))), 1)
+        l = sum(sizes)
+        h = data.draw(st.integers(1, 3), label="h")
+        n_ch = data.draw(st.integers(1, 3), label="n_ch")
+        N = data.draw(st.integers(1, 5), label="N")
+        w = data.draw(st.sampled_from([1, 2, n_ch + N + n_ch]), label="width")
+
+        def matrix(nrows, ncols):
+            flat = data.draw(st.lists(st.integers(-150, 150),
+                                      min_size=nrows * ncols,
+                                      max_size=nrows * ncols))
+            return ModMatrix([flat[i * ncols:(i + 1) * ncols]
+                              for i in range(nrows)], q, ncols=ncols)
+
+        Z, V, Gbar = matrix(l, w), matrix(h, w), matrix(l, h)
+        dense = build_fbar(sizes, q) @ Z + Gbar @ V
+        assert observer_update(Z, V, sizes, Gbar) == dense
+
+    def test_block_sizes_must_cover_the_state(self):
+        q = Modulus(101)
+        Z = ModMatrix.zeros(3, 2, q)
+        with pytest.raises(QuantError):
+            observer_update(Z, ModMatrix.zeros(1, 2, q), (1, 1),
+                            ModMatrix.zeros(3, 1, q))
 
 
 class TestResidueAndDetect:

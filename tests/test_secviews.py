@@ -70,9 +70,9 @@ def _run_tiny_session(public, params, sk, rng, zbar_ini, vbars):
         input_cts=tuple(a.standard_ct for a in session.artifacts[1:]),
         residues=tuple(disclosed))
     view2 = View2(
-        init_cts=tuple(init_batch.ciphertext(j)
+        init_cts=tuple(init_batch.channel(j)
                        for j in range(init_batch.n_channels)),
-        input_cts=tuple(tuple(b.ciphertext(j) for j in range(b.n_channels))
+        input_cts=tuple(tuple(b.channel(j) for j in range(b.n_channels))
                         for b in input_batches))
     return view1, view2
 
@@ -232,6 +232,11 @@ class TestConsistencyChecks:
                          input_cts=view2.input_cts)
         with pytest.raises(InconsistentChannels):
             f2_view2_to_view1(bad_view, bench_enc.public, bench_setup.params)
+
+    def test_dimension_checked(self, bench_setup, bench_enc):
+        other = dataclasses.replace(bench_enc.public, N=32)
+        with pytest.raises(secviews.ViewError):
+            f1_view1_to_view2(bench_enc.view1, other, bench_setup.params)
 
 
 class TestTranscriptSerialization:
