@@ -288,11 +288,10 @@ def cmd_bench(args) -> int:
     dims = [int(d) for d in args.dims.split(",")]
     print(f"channels: {setup.bank.n_r}, steps per measurement: {args.steps}")
     for N in dims:
-        t0 = time.perf_counter()
-        run_encrypted_mode(setup, args.steps, seed=args.seed, lwe_dim=N,
-                           cross_check=False)
-        dt = (time.perf_counter() - t0) / args.steps
-        print(f"N={N}: {dt * 1000:.1f} ms/step")
+        run = run_encrypted_mode(setup, args.steps, seed=args.seed, lwe_dim=N,
+                                 cross_check=False)
+        print(f"N={N}: setup {run.setup_s * 1000:.1f} ms, "
+              f"{run.steps_s / args.steps * 1000:.1f} ms/step")
     return 0
 
 

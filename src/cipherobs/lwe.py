@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, Tuple
 
-from .modring import DimensionMismatch, ModMatrix, Modulus
+from .modring import DimensionMismatch, ModMatrix, Modulus, PrimalityError
 
 __all__ = [
     "LweError",
@@ -110,16 +110,49 @@ def _pack_ints(values: Sequence[int]) -> bytes:
 
 
 def _unpack_ints(buf: bytes, offset: int) -> Tuple[list, int]:
+    """Strict inverse of `_pack_ints`: LweError on truncated input, a sign
+    byte other than 0 or 1, a magnitude with leading zero bytes, or -0."""
+    if offset + 4 > len(buf):
+        raise LweError("truncated integer list")
     (count,) = struct.unpack_from("<I", buf, offset)
     offset += 4
+    if 6 * count > len(buf) - offset:
+        raise LweError("truncated integer list")
     values = []
     for _ in range(count):
+        if offset + 5 > len(buf):
+            raise LweError("truncated integer")
         sign, nbytes = struct.unpack_from("<BI", buf, offset)
         offset += 5
-        mag = int.from_bytes(buf[offset:offset + nbytes], "little")
-        offset += nbytes
+        end = offset + nbytes
+        if end > len(buf):
+            raise LweError("truncated integer")
+        mag = int.from_bytes(buf[offset:end], "little")
+        if sign > 1 or nbytes != ((mag.bit_length() + 7) // 8 or 1) or (
+                sign and not mag):
+            raise LweError("non-canonical integer encoding")
+        offset = end
         values.append(-mag if sign else mag)
     return values, offset
+
+
+def _parse_body(buf: bytes, header_len: int):
+    """Magic-stripped blob -> (header ints, modulus, payload ints), checking
+    that nothing trails the payload and every entry is centred mod q."""
+    header, offset = _unpack_ints(buf, 4)
+    if len(header) != header_len:
+        raise LweError("malformed header")
+    try:
+        q = Modulus(header[0])
+    except PrimalityError as exc:
+        raise LweError(f"blob modulus is not a prime: {exc}") from exc
+    payload, offset = _unpack_ints(buf, offset)
+    if offset != len(buf):
+        raise LweError(f"{len(buf) - offset} trailing bytes")
+    half = (q.q - 1) // 2
+    if not all(-half <= v <= half for v in payload):
+        raise LweError("entry outside the centred range of q")
+    return header, q, payload
 
 
 class SecretKey:
@@ -162,12 +195,10 @@ class SecretKey:
     def from_bytes(cls, buf: bytes) -> "SecretKey":
         if buf[:4] != _KEY_MAGIC:
             raise LweError("not a secret key blob")
-        header, offset = _unpack_ints(buf, 4)
-        q_val, n = header
-        entries, _ = _unpack_ints(buf, offset)
+        (_, n), q, entries = _parse_body(buf, 2)
         if len(entries) != n:
             raise LweError("secret key length mismatch")
-        return cls(entries, Modulus(q_val))
+        return cls(entries, q)
 
     def save(self, path):
         Path(path).write_bytes(self.to_bytes())
@@ -219,15 +250,16 @@ class Ciphertext:
     def from_bytes(cls, buf: bytes) -> "Ciphertext":
         if buf[:4] != _CT_MAGIC:
             raise LweError("not a ciphertext blob")
-        header, offset = _unpack_ints(buf, 4)
-        q_val, n, kind_flag, h = header
-        flat, _ = _unpack_ints(buf, offset)
+        (_, n, kind_flag, h), q, flat = _parse_body(buf, 4)
+        if kind_flag not in (0, 1) or n < 0 or h < 1:
+            raise LweError("malformed ciphertext header")
         kind = CiphertextKind.MODIFIED if kind_flag else CiphertextKind.STANDARD
         width = n + (2 if kind_flag else 1)
         if len(flat) != h * width:
             raise LweError("ciphertext payload size mismatch")
         rows = tuple(tuple(flat[i * width:(i + 1) * width]) for i in range(h))
-        return cls(body=ModMatrix(rows, Modulus(q_val)), kind=kind, N=n)
+        return cls(body=ModMatrix(rows, q, ncols=width, _reduced=True),
+                   kind=kind, N=n)
 
 
 def keygen(N: int, q: Modulus, rng) -> SecretKey:

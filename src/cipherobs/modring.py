@@ -8,14 +8,20 @@ values can be shared freely between threads.
 Elimination routines use a fixed pivot rule (first nonzero entry scanning
 top-to-bottom, left-to-right) so that ranks, basis completions and inverses
 are bit-reproducible across runs.
+
+`split_limbs` and `join_limbs` convert between Python ints and exact signed
+int64 limbs, the form in which numpy kernels compute over Z_q.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, List, Sequence
+
+import numpy as np
 
 __all__ = [
     "ModRingError",
@@ -34,6 +40,8 @@ __all__ = [
     "complete_basis",
     "right_inverse_row",
     "centered_difference_check",
+    "split_limbs",
+    "join_limbs",
 ]
 
 
@@ -68,8 +76,13 @@ class ZeroRow(ModRingError):
 _MILLER_RABIN_ROUNDS = 64
 
 
+@lru_cache(maxsize=1024)
 def _is_probable_prime(n: int, rounds: int = _MILLER_RABIN_ROUNDS) -> bool:
-    """Miller-Rabin with `rounds` random bases (plus small trial division)."""
+    """Miller-Rabin with `rounds` random bases (plus small trial division).
+
+    The bases are seeded from n, so the verdict is a pure function of its
+    arguments and is cached: parsers build a Modulus for every blob.
+    """
     if n < 2:
         return False
     small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -476,3 +489,44 @@ def centered_difference_check(a: int, b: int, mod: Modulus) -> bool:
         raise ModRingError(
             f"centered difference property violated for a={a}, b={b}, q={mod.q}")
     return True
+
+
+# values converted per pass of `split_limbs`; bounds its temporary bytes
+_SPLIT_CHUNK = 4096
+
+
+def split_limbs(values: Sequence[int], width: int, count: int) -> np.ndarray:
+    """Exact signed base-2^width digits of each value as a (count, n) int64
+    array: value == sum(out[k] * 2**(width * k)).
+
+    Lower limbs lie in [0, 2^width) and the top limb in
+    [-2^(width-1), 2^(width-1)), so every limb is below 2^width in absolute
+    value.  Each value must lie in [-2^(width*count-1), 2^(width*count-1));
+    `int.to_bytes` raises OverflowError otherwise.  1 <= width <= 62.
+    """
+    nwords = -(-width * count // 64)
+    mask = np.uint64((1 << width) - 1)
+    out = np.empty((count, len(values)), dtype=np.int64)
+    for start in range(0, len(values), _SPLIT_CHUNK):
+        part = values[start:start + _SPLIT_CHUNK]
+        buf = b"".join([v.to_bytes(8 * nwords, "little", signed=True)
+                        for v in part])
+        words = np.frombuffer(buf, dtype="<u8").reshape(len(part), nwords)
+        for k in range(count):
+            i, o = divmod(width * k, 64)
+            field = words[:, i] >> np.uint64(o)
+            if o + width > 64:
+                field |= words[:, i + 1] << np.uint64(64 - o)
+            out[k, start:start + len(part)] = (field & mask).view(np.int64)
+    top = out[count - 1]
+    top -= (top >> (width - 1)) << width
+    return out
+
+
+def join_limbs(limbs: np.ndarray, width: int) -> List[int]:
+    """Exact inverse of `split_limbs` for a (count, n) stack: the Python ints
+    sum(limbs[k] * 2**(width * k)).  Limbs may hold any int64 value."""
+    acc = limbs[-1].tolist()
+    for k in range(limbs.shape[0] - 2, -1, -1):
+        acc = [(a << width) + b for a, b in zip(acc, limbs[k].tolist())]
+    return acc

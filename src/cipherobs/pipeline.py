@@ -6,6 +6,7 @@ bookkeeping used by the verification suites.
 from __future__ import annotations
 
 import importlib.resources
+import time
 from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
@@ -189,6 +190,8 @@ class EncryptedRun:
     view1: Optional[secviews.View1] = None
     view2: Optional[secviews.View2] = None
     final_residues: List[ModMatrix] = field(default_factory=list)
+    setup_s: float = 0.0    # wall time up to the encrypted initial state
+    steps_s: float = 0.0    # wall time of the step loop
 
 
 def run_encrypted_mode(setup: SystemSetup, steps: int, *,
@@ -205,6 +208,7 @@ def run_encrypted_mode(setup: SystemSetup, steps: int, *,
     never happens when the implementation is correct; the check guards the
     pipeline against regressions).
     """
+    t0 = time.perf_counter()
     qrun = run_quantized_mode(setup, steps)
     traj = qrun.trajectory
     params = setup.params
@@ -226,6 +230,8 @@ def run_encrypted_mode(setup: SystemSetup, steps: int, *,
     run = EncryptedRun(records=[], trajectory=traj, public=public, sk=sk,
                        states=[], r1s=[], disclosed=[], recovered=[],
                        session=session)
+    t1 = time.perf_counter()
+    run.setup_s = t1 - t0
     for t in range(steps):
         if keep_states:
             run.states.append(state)
@@ -250,6 +256,7 @@ def run_encrypted_mode(setup: SystemSetup, steps: int, *,
         if record_views:
             input_batches.append(in_batch)
         state = encobs.step_encrypted(state, in_batch, public)
+    run.steps_s = time.perf_counter() - t1
     if keep_states:
         run.states.append(state)
     # residues one step past the final input, for transcript completeness

@@ -15,7 +15,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .modring import ModMatrix, Modulus
+from .modring import ModMatrix, Modulus, join_limbs, split_limbs
 from .obsdesign import ObserverBank, ResidueMaps, round_half_up, calibrate_M
 from .plantsim import AttackScenario, run_closed_loop
 from .obsdesign import run_reference_observer
@@ -27,6 +27,7 @@ __all__ = [
     "ModularMaps",
     "quantize_initial",
     "quantize_input",
+    "LimbKernel",
     "observer_update",
     "step_quantized",
     "residue_quantized",
@@ -121,33 +122,91 @@ def quantize_input(u: Sequence[float], y: Sequence[float],
     return ModMatrix.column(entries, params.q)
 
 
-def observer_update(Z: ModMatrix, V: ModMatrix, block_sizes: Sequence[int],
-                    Gbar: ModMatrix) -> ModMatrix:
-    """Z' = Fbar Z + Gbar V over Z_q for an l x w state and an h x w input.
+def observer_update(Z: np.ndarray, V: np.ndarray, block_sizes: Sequence[int],
+                    gain: np.ndarray) -> np.ndarray:
+    """Z' = Fbar Z + Gbar V on limb stacks: Z is (L, l, w), V is (L, h, w)
+    and `gain` is Gbar as an l x h int64 array.
 
     Fbar is the block lower shift, so its action is a row shift inside each
-    block; the result is identical to a dense product.  Every column runs the
-    same recursion: one column in quantized mode, every channel's columns at
-    once in encrypted mode.
+    block; the result is identical to a dense product, limb by limb.  Limbs
+    are added without carry or reduction (`LimbKernel` bounds them).  Every
+    column runs the same recursion: one column in quantized mode, every
+    channel's columns at once in encrypted mode.
     """
-    if (Gbar.nrows != Z.nrows or Gbar.ncols != V.nrows
-            or Z.ncols != V.ncols or sum(block_sizes) != Z.nrows):
+    if (Z.shape[0] != V.shape[0] or Z.shape[2] != V.shape[2]
+            or gain.shape != (Z.shape[1], V.shape[1])
+            or sum(block_sizes) != Z.shape[1]):
         raise QuantError("dimension mismatch in observer update")
-    zero = (0,) * Z.ncols
-    shifted = []
+    out = np.matmul(gain, V)
     o = 0
     for li in block_sizes:
-        shifted.append(zero)
-        shifted.extend(Z.rows[o:o + li - 1])
+        out[:, o + 1:o + li] += Z[:, o:o + li - 1]
         o += li
-    return ModMatrix(shifted, Z.modulus, ncols=Z.ncols, _reduced=True) + Gbar @ V
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class LimbKernel:
+    """The observer recursion over Z_q on exact int64 limbs.
+
+    An entry x is held as L limbs of width W with x = sum_k limb_k 2^(W k)
+    (mod q).  Fbar is nilpotent, so every state entry is a sum of at most
+    b_max (the largest block size) Gbar V terms plus one initial entry.  With
+    input limbs below 2^W in absolute value, every state limb therefore stays
+    within (b_max ||Gbar||_inf + 1) 2^W for any number of steps.  W is the
+    largest width that keeps this bound under 2^63, so the recursion never
+    carries between limbs or reduces; values are reduced mod q only when
+    joined.  This holds for every q.
+    """
+
+    q: Modulus
+    block_sizes: Tuple[int, ...]
+    gain: np.ndarray    # Gbar, l x h int64
+    width: int          # W
+    count: int          # L = ceil(q.bit_length() / W)
+
+    @classmethod
+    def build(cls, block_sizes: Sequence[int], Gbar: ModMatrix) -> "LimbKernel":
+        if sum(block_sizes) != Gbar.nrows:
+            raise QuantError("block sizes do not cover the observer state")
+        growth = max(block_sizes, default=0) * Gbar.inf_norm() + 1
+        width = 63 - growth.bit_length()
+        if width < 1:
+            raise QuantError(
+                f"no int64 limb width fits Gbar (infinity norm "
+                f"{Gbar.inf_norm()}, largest block {max(block_sizes)})")
+        q = Gbar.modulus
+        gain = np.array(Gbar.rows, dtype=np.int64).reshape(Gbar.shape)
+        return cls(q=q, block_sizes=tuple(block_sizes), gain=gain, width=width,
+                   count=-(-q.q.bit_length() // width))
+
+    def split(self, rows: Sequence[Sequence[int]]) -> np.ndarray:
+        """Limb stack (L, rows, cols) of a matrix of centred entries."""
+        ncols = len(rows[0]) if rows else 0
+        flat = [a for row in rows for a in row]
+        return split_limbs(flat, self.width, self.count).reshape(
+            self.count, len(rows), ncols)
+
+    def join(self, limbs: np.ndarray) -> Tuple[Tuple[int, ...], ...]:
+        """Rows of Python ints congruent mod q to the matrix a limb stack
+        (L, rows, cols) holds; not reduced, so reduce before comparing."""
+        _, nrows, ncols = limbs.shape
+        flat = join_limbs(limbs.reshape(self.count, -1), self.width)
+        return tuple(tuple(flat[i * ncols:(i + 1) * ncols])
+                     for i in range(nrows))
+
+    def update(self, Z: ModMatrix, V: ModMatrix) -> ModMatrix:
+        """`observer_update` for ModMatrix operands: split, update, join."""
+        out = observer_update(self.split(Z.rows), self.split(V.rows),
+                              self.block_sizes, self.gain)
+        return ModMatrix(self.join(out), self.q, ncols=Z.ncols)
 
 
 def step_quantized(state: QuantState, vbar: ModMatrix,
                    block_sizes: Sequence[int], Gbar: ModMatrix) -> QuantState:
     """One observer update over Z_q."""
-    return QuantState(zbar=observer_update(state.zbar, vbar, block_sizes, Gbar),
-                      step=state.step + 1)
+    return QuantState(zbar=LimbKernel.build(block_sizes, Gbar).update(
+        state.zbar, vbar), step=state.step + 1)
 
 
 def residue_quantized(state: QuantState, Hbar: ModMatrix) -> ModMatrix:

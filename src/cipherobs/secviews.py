@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from operator import mul
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from .encobs import EncryptedBatch, ObserverPublic
 from .lwe import Ciphertext, CiphertextKind
 from .modring import ModMatrix
@@ -162,22 +164,23 @@ def f2_view2_to_view1(v2: View2, public: ObserverPublic,
 
     q = public.q
     inv_lift = q.inv(params.lift)
+    kernel = public.kernel
 
-    def firsts(cts: Sequence[Ciphertext]) -> ModMatrix:
-        """The channels' first columns side by side."""
-        return ModMatrix(zip(*(ct.first_column() for ct in cts)), q,
-                         ncols=n_ch, _reduced=True)
+    def firsts(cts: Sequence[Ciphertext]) -> np.ndarray:
+        """Limbs of the channels' first columns side by side."""
+        return kernel.split(tuple(zip(*(ct.first_column() for ct in cts))))
 
-    def residue(Z: ModMatrix) -> ModMatrix:
+    def residue(Z: np.ndarray) -> ModMatrix:
         """Channel j's residue row on column j, without the lift."""
+        cols = zip(*kernel.join(Z))
         return ModMatrix.column(
-            [q.cmod(inv_lift * sum(map(mul, hrow, Z.column_entries(j))))
-             for j, hrow in enumerate(public.Hbar.rows)], q)
+            [q.cmod(inv_lift * sum(map(mul, hrow, col)))
+             for hrow, col in zip(public.Hbar.rows, cols)], q)
 
     Z = firsts(v2.init_cts)
     residues = [residue(Z)]
     for step in v2.input_cts:
-        Z = observer_update(Z, firsts(step), public.block_sizes, public.Gbar)
+        Z = observer_update(Z, firsts(step), kernel.block_sizes, kernel.gain)
         residues.append(residue(Z))
     return View1(init_ct=init_std, input_cts=input_std,
                  residues=tuple(residues))

@@ -1,4 +1,5 @@
 import json
+import re
 
 from cipherobs.cli import main
 from cipherobs.pipeline import bundled_scenario_path
@@ -114,5 +115,7 @@ class TestBench:
         assert main(["bench", "--dims", "16", "--steps", "1",
                      "--seed", "0"]) == 0
         out = capsys.readouterr().out
-        assert "N=16: " in out
-        assert "ms/step" in out
+        line = next(l for l in out.splitlines() if l.startswith("N=16: "))
+        setup_ms, step_ms = re.fullmatch(
+            r"N=16: setup ([0-9.]+) ms, ([0-9.]+) ms/step", line).groups()
+        assert float(setup_ms) > 0 and float(step_ms) > 0

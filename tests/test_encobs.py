@@ -21,7 +21,7 @@ from cipherobs.lwe import LweError, NoiseParams, SecretKey, decrypt, encrypt, \
     keygen
 from cipherobs.lwe import TestRng as SeededRng
 from cipherobs.modring import ModMatrix
-from cipherobs.pipeline import run_quantized_mode
+from cipherobs.pipeline import run_encrypted_mode, run_quantized_mode
 from .helpers import error_trajectory
 
 
@@ -238,8 +238,8 @@ class TestEncryptedObserver:
         # [firsts | shared | lasts]: 60 + 64 + 60 columns
         zero_batch = encobs.EncryptedBatch(
             body=ModMatrix.zeros(6, 60 + 64 + 60, q), n_channels=60)
-        state = EncObserverState(
-            body=ModMatrix.zeros(24, 60 + 64 + 60, q), n_channels=60, step=0)
+        state = EncObserverState.from_initial(encobs.EncryptedBatch(
+            body=ModMatrix.zeros(24, 60 + 64 + 60, q), n_channels=60))
         nxt = step_encrypted(state, zero_batch, public64)
         assert nxt.channel(0).randomness_block().is_zero()
         assert all(v == 0 for j in range(60)
@@ -285,8 +285,8 @@ class TestEncryptedObserver:
 
     def test_zero_state_zero_residue(self, public64):
         q = public64.q
-        state = EncObserverState(
-            body=ModMatrix.zeros(24, 60 + 64 + 60, q), n_channels=60, step=0)
+        state = EncObserverState.from_initial(encobs.EncryptedBatch(
+            body=ModMatrix.zeros(24, 60 + 64 + 60, q), n_channels=60))
         R, r1 = encrypted_residue(state, public64)
         assert r1.is_zero()
 
@@ -328,6 +328,47 @@ class TestDisclosureAndRecovery:
                     bench_enc.states[t], j, bench_enc.sk, bench_setup.params,
                     bench_setup.mod_maps.PhiPinvBar)
                 assert rec == bench_qrun.xbars[t]
+
+    @pytest.mark.parametrize("N", [64, 4096])
+    def test_recovery_equals_rounded_decryption(self, bench_setup, N):
+        # states 0..3: the initial batch form and the resident limb form
+        run = run_encrypted_mode(bench_setup, 3, seed=21, lwe_dim=N,
+                                 keep_states=True, cross_check=False)
+        params = bench_setup.params
+        phi = bench_setup.mod_maps.PhiPinvBar
+        q, lift = params.q, params.lift
+        for state in run.states:
+            for j in (0, 31, 59):
+                scaled = phi @ decrypt_channel_state(state, j, run.sk)
+                expect = ModMatrix.column(
+                    [q.cmod((2 * v + lift) // (2 * lift))
+                     for v in scaled.column_entries()], q)
+                assert recover_encrypted_state(state, j, run.sk, params,
+                                               phi) == expect
+
+    def test_recovery_exact_at_the_digit_bound(self, bench_setup, public64):
+        # every ciphertext and key entry at (q-1)/2 drives the d-bit digit
+        # products of the recovery to their largest sums
+        params = bench_setup.params
+        q, N = params.q, 4096
+        top = (q.q - 1) // 2
+        phi = bench_setup.mod_maps.PhiPinvBar
+
+        def batch(nrows):
+            return encobs.EncryptedBatch(
+                body=ModMatrix(((top,) * (N + 120),) * nrows, q), n_channels=60)
+
+        sk = SecretKey([top] * N, q)
+        state = EncObserverState.from_initial(batch(24))
+        for _ in range(3):
+            for j in (0, 59):
+                scaled = phi @ decrypt_channel_state(state, j, sk)
+                expect = ModMatrix.column(
+                    [q.cmod((2 * v + params.lift) // (2 * params.lift))
+                     for v in scaled.column_entries()], q)
+                assert recover_encrypted_state(state, j, sk, params,
+                                               phi) == expect
+            state = step_encrypted(state, batch(6), public64)
 
     def test_channel_agreement(self, bench_setup, bench_enc):
         t = 31

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cipherobs.lwe import (
     Ciphertext,
@@ -17,6 +19,7 @@ from cipherobs.lwe import (
     keygen,
 )
 from cipherobs.lwe import TestRng as SeededRng
+from cipherobs.lwe import _CT_MAGIC, _KEY_MAGIC, _pack_ints
 from cipherobs.modring import DimensionMismatch, ModMatrix, Modulus
 
 Q97 = Modulus(97)
@@ -251,3 +254,61 @@ class TestSerialization:
             Ciphertext.from_bytes(b"XXXX123")
         with pytest.raises(LweError):
             SecretKey.from_bytes(b"bogus")
+
+
+def _small_ct_blob():
+    rng = SeededRng(17)
+    sk = keygen(3, QBIG, rng)
+    return encrypt(ModMatrix.column([5, -(QBIG.q - 1) // 2], QBIG), sk,
+                   NOISE, rng).to_bytes()
+
+
+class TestStrictParsing:
+    def test_every_truncation_rejected(self):
+        ct_blob = _small_ct_blob()
+        key_blob = keygen(3, QBIG, SeededRng(18)).to_bytes()
+        for blob, parse in ((ct_blob, Ciphertext.from_bytes),
+                            (key_blob, SecretKey.from_bytes)):
+            for cut in range(len(blob)):
+                with pytest.raises(LweError):
+                    parse(blob[:cut])
+
+    def test_short_blob_is_typed(self):
+        with pytest.raises(LweError):
+            Ciphertext.from_bytes(_small_ct_blob()[:10])
+
+    def test_trailing_bytes_rejected(self):
+        with pytest.raises(LweError):
+            Ciphertext.from_bytes(_small_ct_blob() + b"\x00")
+        with pytest.raises(LweError):
+            SecretKey.from_bytes(keygen(3, QBIG, SeededRng(19)).to_bytes()
+                                 + b"\x00")
+
+    def test_non_canonical_entries_rejected(self):
+        q = QBIG.q
+        head = _pack_ints([q, 1, 0, 1])
+        assert Ciphertext.from_bytes(
+            _CT_MAGIC + head + _pack_ints([3, 4])).body.rows == ((3, 4),)
+        with pytest.raises(LweError):
+            Ciphertext.from_bytes(_CT_MAGIC + head + _pack_ints([3 + q, 4]))
+        with pytest.raises(LweError):
+            SecretKey.from_bytes(_KEY_MAGIC + _pack_ints([q, 2])
+                                 + _pack_ints([1, q - 1]))
+
+    def test_composite_modulus_rejected(self):
+        with pytest.raises(LweError):
+            SecretKey.from_bytes(_KEY_MAGIC + _pack_ints([91, 1])
+                                 + _pack_ints([1]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_mutated_blob_is_rejected_or_canonical(self, data):
+        blob = bytearray(_small_ct_blob())
+        for _ in range(data.draw(st.integers(1, 3))):
+            i = data.draw(st.integers(0, len(blob) - 1))
+            blob[i] = data.draw(st.integers(0, 255))
+        try:
+            ct = Ciphertext.from_bytes(bytes(blob))
+        except LweError:
+            return
+        assert ct.to_bytes() == bytes(blob)

@@ -22,6 +22,7 @@ from cipherobs.modring import (
     rank_mod,
     right_inverse_row,
 )
+from cipherobs.modring import _is_probable_prime
 from .helpers import egcd_inverse, random_mod_matrix
 
 Q5 = Modulus(5)
@@ -46,6 +47,15 @@ class TestModulus:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             Q5.q = 7
+
+    def test_primality_verdict_computed_once_per_modulus(self):
+        _is_probable_prime.cache_clear()
+        for _ in range(3):
+            Modulus(2 ** 107 - 1)
+            with pytest.raises(PrimalityError):
+                Modulus(2 ** 107 + 1)
+        info = _is_probable_prime.cache_info()
+        assert (info.misses, info.hits) == (2, 4)
 
 
 class TestCmod:

@@ -15,6 +15,7 @@ from cipherobs.pipeline import BENCH_LIFT, BENCH_Q, SystemSetup, \
 from cipherobs.plantsim import AttackScenario, run_closed_loop
 from cipherobs.quantobs import (
     CalibrationReport,
+    LimbKernel,
     ModularMaps,
     QuantError,
     QuantParams,
@@ -110,11 +111,26 @@ class TestStepQuantized:
         assert fast.zbar == dense
 
 
+MODULI = (Modulus(101), Modulus(2 ** 61 - 1), Modulus(BENCH_Q))
+
+
+def _edge_values(q: Modulus, kernel: LimbKernel):
+    """0, +-1, +-(q-1)/2 and the values at and next to +-2^(kW), where a
+    limb would carry, all reduced into the centred range."""
+    half = (q.q - 1) // 2
+    edges = {0, 1, -1, half, -half}
+    for k in range(1, kernel.count + 1):
+        for v in ((1 << (kernel.width * k)) + e for e in (-1, 0, 1)):
+            edges |= {v, -v}
+    return sorted({q.cmod(v) for v in edges})
+
+
 class TestObserverUpdate:
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_matches_dense_product(self, data):
-        q = Modulus(101)
+        q = data.draw(st.sampled_from(MODULI), label="q")
+        half = (q.q - 1) // 2
         sizes = data.draw(st.lists(st.integers(1, 4), min_size=0, max_size=4),
                           label="other blocks")
         sizes.insert(data.draw(st.integers(0, len(sizes))), 1)
@@ -123,24 +139,78 @@ class TestObserverUpdate:
         n_ch = data.draw(st.integers(1, 3), label="n_ch")
         N = data.draw(st.integers(1, 5), label="N")
         w = data.draw(st.sampled_from([1, 2, n_ch + N + n_ch]), label="width")
+        g = data.draw(st.lists(st.integers(-2 ** 20, 2 ** 20),
+                               min_size=l * h, max_size=l * h), label="Gbar")
+        Gbar = ModMatrix([g[i * h:(i + 1) * h] for i in range(l)], q, ncols=h)
+        kernel = LimbKernel.build(sizes, Gbar)
+        entry = st.one_of(st.sampled_from(_edge_values(q, kernel)),
+                          st.integers(-half, half))
 
         def matrix(nrows, ncols):
-            flat = data.draw(st.lists(st.integers(-150, 150),
-                                      min_size=nrows * ncols,
+            flat = data.draw(st.lists(entry, min_size=nrows * ncols,
                                       max_size=nrows * ncols))
             return ModMatrix([flat[i * ncols:(i + 1) * ncols]
                               for i in range(nrows)], q, ncols=ncols)
 
-        Z, V, Gbar = matrix(l, w), matrix(h, w), matrix(l, h)
-        dense = build_fbar(sizes, q) @ Z + Gbar @ V
-        assert observer_update(Z, V, sizes, Gbar) == dense
+        Z = matrix(l, w)
+        assert kernel.join(kernel.split(Z.rows)) == Z.rows
+        Fbar = build_fbar(sizes, q)
+        limbs = kernel.split(Z.rows)
+        for _ in range(data.draw(st.integers(1, 3), label="steps")):
+            V = matrix(h, w)
+            dense = Fbar @ Z + Gbar @ V
+            assert kernel.update(Z, V) == dense
+            limbs = observer_update(limbs, kernel.split(V.rows), sizes,
+                                    kernel.gain)
+            Z = dense
+        assert ModMatrix(kernel.join(limbs), q, ncols=w) == Z
+
+    @pytest.mark.parametrize("q", MODULI[1:], ids=["2^61-1", "2^109-31"])
+    def test_worst_case_limbs_stay_under_the_bound(self, q):
+        sizes, h, width = (6, 4, 1), 3, 42
+        b_max = max(sizes)
+        # the largest row sum that still leaves a limb width of 42 bits
+        g = (2 ** (63 - width) - 2) // b_max
+        row = [g // h] * (h - 1) + [g - (g // h) * (h - 1)]
+        Gbar = ModMatrix([row] * sum(sizes), q)
+        kernel = LimbKernel.build(sizes, Gbar)
+        assert kernel.width == width
+        assert kernel.count == -(-q.q.bit_length() // width)
+        bigger = ModMatrix([row[:-1] + [row[-1] + 1]] * sum(sizes), q)
+        assert LimbKernel.build(sizes, bigger).width == width - 1
+
+        bound = (b_max * g + 1) * 2 ** width
+        assert bound < 2 ** 63
+        top = (q.q - 1) // 2
+        Z = ModMatrix([[top]] * sum(sizes), q)
+        V = ModMatrix([[top]] * h, q)
+        Fbar = build_fbar(sizes, q)
+        limbs = kernel.split(Z.rows)
+        v_limbs = kernel.split(V.rows)
+        for _ in range(3 * b_max):
+            limbs = observer_update(limbs, v_limbs, sizes, kernel.gain)
+            Z = Fbar @ Z + Gbar @ V
+            assert int(np.abs(limbs).max()) < bound
+        assert ModMatrix(kernel.join(limbs), q) == Z
+
+    def test_gain_without_a_limb_width_raises(self):
+        q = Modulus(BENCH_Q)
+        Gbar = ModMatrix([[2 ** 62]], q)
+        with pytest.raises(QuantError):
+            LimbKernel.build((1,), Gbar)
+        state = QuantState(zbar=ModMatrix.zeros(1, 1, q), step=0)
+        with pytest.raises(QuantError):
+            step_quantized(state, ModMatrix.zeros(1, 1, q), (1,), Gbar)
 
     def test_block_sizes_must_cover_the_state(self):
         q = Modulus(101)
-        Z = ModMatrix.zeros(3, 2, q)
+        zeros = np.zeros
         with pytest.raises(QuantError):
-            observer_update(Z, ModMatrix.zeros(1, 2, q), (1, 1),
-                            ModMatrix.zeros(3, 1, q))
+            observer_update(zeros((1, 3, 2), np.int64),
+                            zeros((1, 1, 2), np.int64), (1, 1),
+                            zeros((3, 1), np.int64))
+        with pytest.raises(QuantError):
+            LimbKernel.build((1, 1), ModMatrix.zeros(3, 1, q))
 
 
 class TestResidueAndDetect:
