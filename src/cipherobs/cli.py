@@ -134,13 +134,12 @@ def _suite_lwe(rng_seed: int, q: Modulus) -> list:
     sk = keygen(16, q, rng)
     for trial in range(60):
         h = 1 + trial % 4
-        m1 = ModMatrix.column([rng.uniform_centered(q) for _ in range(h)], q)
-        m2 = ModMatrix.column([rng.uniform_centered(q) for _ in range(h)], q)
+        m1 = ModMatrix.column(rng.uniforms(q, h), q)
+        m2 = ModMatrix.column(rng.uniforms(q, h), q)
         c1, c2 = encrypt(m1, sk, noise, rng), encrypt(m2, sk, noise, rng)
         if decrypt(ct_add(c1, c2), sk) != decrypt(c1, sk) + decrypt(c2, sk):
             failures.append(f"additive identity broke on trial {trial}")
-        Kmat = ModMatrix([[rng.uniform_centered(Modulus(97)) for _ in range(h)]
-                          for _ in range(2)], q)
+        Kmat = ModMatrix([rng.uniforms(Modulus(97), h) for _ in range(2)], q)
         if decrypt(ct_matmul(Kmat, c1), sk) != Kmat @ decrypt(c1, sk):
             failures.append(f"matmul identity broke on trial {trial}")
         err = decrypt(c1, sk) - m1

@@ -8,7 +8,11 @@ re-sums that column, so both kinds decrypt to m + e mod q.
 
 Randomness comes from an injected source: `SecureRng` (system entropy, the
 default) or the seedable `TestRng` for reproducible runs; the latter is
-explicitly not for production use.
+explicitly not for production use.  Uniform vectors are drawn in bulk from
+the source's `randbytes` (`os.urandom` under `SecureRng`), at most 4096
+values per request: each value takes ceil(bits / 8) bytes masked to the
+bit length of q, values >= q are rejected and redrawn, and the survivors are
+centred, so every entry is exactly uniform on Z_q.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import enum
 import random
 import struct
 from dataclasses import dataclass
+from operator import mul
 from pathlib import Path
 from typing import Sequence, Tuple
 
@@ -64,14 +69,31 @@ class NoiseParams:
         return int(self.Delta)
 
 
+_UNIFORM_CHUNK = 4096
+
+
 class _RandomSource:
     """Uniform and error draws from an injected `random.Random`."""
 
     def __init__(self, rng: random.Random):
         self._rng = rng
 
-    def uniform_centered(self, q: Modulus) -> int:
-        return q.cmod(self._rng.randrange(q.q))
+    def uniforms(self, q: Modulus, count: int) -> list:
+        """`count` values exactly uniform on centred Z_q, drawn in bulk as
+        masked bytes with rejection (never a biased `% q` of a wide draw)."""
+        modulus, half = q.q, (q.q - 1) // 2
+        bits = modulus.bit_length()
+        width, mask = (bits + 7) // 8, (1 << bits) - 1
+        from_bytes = int.from_bytes
+        out = []
+        while len(out) < count:
+            need = min(count - len(out), _UNIFORM_CHUNK) * width
+            raw = self._rng.randbytes(need)
+            out += [v - modulus if v > half else v
+                    for i in range(0, need, width)
+                    if (v := from_bytes(raw[i:i + width], "little") & mask)
+                    < modulus]
+        return out
 
     def error(self, noise: NoiseParams) -> int:
         while True:
@@ -266,12 +288,11 @@ def keygen(N: int, q: Modulus, rng) -> SecretKey:
     """Uniform secret key over centered Z_q^N from the supplied source."""
     if N < 1:
         raise LweError("N must be >= 1")
-    return SecretKey([rng.uniform_centered(q) for _ in range(N)], q)
+    return SecretKey(rng.uniforms(q, N), q)
 
 
 def _sample_matrix(h: int, N: int, q: Modulus, rng) -> ModMatrix:
-    rows = tuple(tuple(rng.uniform_centered(q) for _ in range(N))
-                 for _ in range(h))
+    rows = tuple(tuple(rng.uniforms(q, N)) for _ in range(h))
     return ModMatrix(rows, q, ncols=N, _reduced=True)
 
 
@@ -291,7 +312,9 @@ def encrypt_with_artifacts(m: ModMatrix, sk: SecretKey, noise: NoiseParams,
     q = sk.q
     A = _sample_matrix(h, sk.N, q, rng)
     e = ModMatrix.column([rng.error(noise) for _ in range(h)], q)
-    b = A @ sk.as_column() + e
+    key = sk.entries()
+    b = ModMatrix.column([sum(map(mul, row, key)) + ei
+                          for row, (ei,) in zip(A.rows, e.rows)], q)
     body = (m + b).hstack(A)
     return Ciphertext(body=body, kind=CiphertextKind.STANDARD, N=sk.N), b, e, A
 

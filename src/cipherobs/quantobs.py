@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Dict, Sequence, Tuple
 
@@ -221,25 +222,41 @@ class DetectResult:
     threshold: float
 
 
-def threshold_at(params: QuantParams, t: int) -> float:
-    """Residue threshold at step t.
+def threshold_at(params: QuantParams, t: int, number=float):
+    """Residue threshold at step t, computed in `number` arithmetic
+    (`Fraction` gives the exact value of the float parameters).
 
     It keeps a transient allowance of 2 * kappa * init_error while the
     deadbeat observer is still flushing (t < l_max) and drops to eps
     afterwards.
     """
-    threshold = params.eps
+    threshold = number(params.eps)
     if t < params.l_max:
-        threshold += 2.0 * params.kappa * params.init_error
+        threshold += 2 * number(params.kappa) * number(params.init_error)
     return threshold
+
+
+@lru_cache(maxsize=1024)
+def _flag_cutoff(params: QuantParams, t: int) -> int:
+    """Largest max|r| that does not flag at step t: the threshold over
+    s1^2 s2, both exact rationals of the float parameters, rounded down."""
+    resolution = Fraction(params.s1) ** 2 * Fraction(params.s2)
+    return threshold_at(params, t, Fraction) // resolution
 
 
 def detect(rbar: ModMatrix, t: int, params: QuantParams) -> DetectResult:
     """Attack test: flag when the scaled residue norm exceeds the threshold
-    at step t.  Equality does not flag; only strict violation does."""
-    lhs = params.resolution * rbar.max_abs()
-    threshold = threshold_at(params, t)
-    return DetectResult(flag=lhs > threshold, lhs=lhs, threshold=threshold)
+    at step t.  Equality does not flag; only strict violation does.
+
+    The verdict is exact: s1^2 s2 max|r| is compared with the threshold in
+    rational arithmetic over the float parameters.  `lhs` and `threshold`
+    report the same comparison in floats.
+    """
+    max_abs = rbar.max_abs()
+    # the threshold changes only at l_max, so later steps share one cutoff
+    flag = max_abs > _flag_cutoff(params, min(t, params.l_max))
+    return DetectResult(flag=flag, lhs=params.resolution * max_abs,
+                        threshold=threshold_at(params, t))
 
 
 def recover_plain_estimate(state: QuantState, PhiPinvBar: ModMatrix,

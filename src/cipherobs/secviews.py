@@ -18,7 +18,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .encobs import EncryptedBatch, ObserverPublic
-from .lwe import Ciphertext, CiphertextKind
+from .lwe import Ciphertext, CiphertextKind, LweError, _pack_ints, \
+    _unpack_ints
 from .modring import ModMatrix
 from .quantobs import QuantParams, observer_update
 
@@ -45,6 +46,42 @@ class HorizonTooShort(ViewError):
     pass
 
 
+_HEADER_LEN = 13   # 5-byte magic, then two uint32 counts
+
+
+def _read_header(buf: bytes, magic: bytes) -> Tuple[int, int]:
+    if buf[:5] != magic:
+        raise ViewError(f"not a {magic.decode()} transcript")
+    if len(buf) < _HEADER_LEN:
+        raise ViewError("truncated transcript header")
+    return struct.unpack_from("<II", buf, 5)
+
+
+def _read_ciphertexts(buf: bytes, count: int):
+    """`count` size-prefixed ciphertext blobs after the header ->
+    (ciphertexts, offset past the last one)."""
+    offset = _HEADER_LEN
+    cts = []
+    for _ in range(count):
+        if offset + 4 > len(buf):
+            raise ViewError("truncated ciphertext size field")
+        (size,) = struct.unpack_from("<I", buf, offset)
+        offset += 4
+        if offset + size > len(buf):
+            raise ViewError("ciphertext size runs past the transcript")
+        try:
+            cts.append(Ciphertext.from_bytes(buf[offset:offset + size]))
+        except LweError as exc:
+            raise ViewError(f"malformed ciphertext: {exc}") from exc
+        offset += size
+    return cts, offset
+
+
+def _check_end(buf: bytes, offset: int):
+    if offset != len(buf):
+        raise ViewError(f"{len(buf) - offset} trailing bytes")
+
+
 @dataclass(frozen=True)
 class View1:
     """Standard ciphertexts plus the disclosed residues.
@@ -64,28 +101,25 @@ class View1:
                                                  for c in self.input_cts]:
             parts.append(struct.pack("<I", len(blob)))
             parts.append(blob)
-        from .lwe import _pack_ints
         for r in self.residues:
             parts.append(_pack_ints(r.column_entries()))
         return b"".join(parts)
 
     @classmethod
     def from_bytes(cls, buf: bytes, q) -> "View1":
-        if buf[:5] != b"VIEW1":
-            raise ViewError("not a view-1 transcript")
-        n_inputs, n_res = struct.unpack_from("<II", buf, 5)
-        offset = 13
-        cts = []
-        for _ in range(n_inputs + 1):
-            (size,) = struct.unpack_from("<I", buf, offset)
-            offset += 4
-            cts.append(Ciphertext.from_bytes(buf[offset:offset + size]))
-            offset += size
-        from .lwe import _unpack_ints
+        n_inputs, n_res = _read_header(buf, b"VIEW1")
+        cts, offset = _read_ciphertexts(buf, n_inputs + 1)
         residues = []
-        for _ in range(n_res):
-            vals, offset = _unpack_ints(buf, offset)
-            residues.append(ModMatrix.column(vals, q))
+        try:
+            for _ in range(n_res):
+                vals, offset = _unpack_ints(buf, offset)
+                if not all(map(q.contains, vals)):
+                    raise ViewError("residue entry outside the centred range")
+                residues.append(ModMatrix(((v,) for v in vals), q, ncols=1,
+                                          _reduced=True))
+        except LweError as exc:
+            raise ViewError(f"malformed residue: {exc}") from exc
+        _check_end(buf, offset)
         return cls(init_ct=cts[0], input_cts=tuple(cts[1:]),
                    residues=tuple(residues))
 
@@ -110,16 +144,9 @@ class View2:
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "View2":
-        if buf[:5] != b"VIEW2":
-            raise ViewError("not a view-2 transcript")
-        n_ch, n_steps = struct.unpack_from("<II", buf, 5)
-        offset = 13
-        blobs = []
-        for _ in range(n_ch * (n_steps + 1)):
-            (size,) = struct.unpack_from("<I", buf, offset)
-            offset += 4
-            blobs.append(Ciphertext.from_bytes(buf[offset:offset + size]))
-            offset += size
+        n_ch, n_steps = _read_header(buf, b"VIEW2")
+        blobs, offset = _read_ciphertexts(buf, n_ch * (n_steps + 1))
+        _check_end(buf, offset)
         init = tuple(blobs[:n_ch])
         steps = tuple(tuple(blobs[n_ch * (1 + t):n_ch * (2 + t)])
                       for t in range(n_steps))

@@ -241,8 +241,8 @@ def test_criterion_7_lwe_properties(bench_setup, bench_qrun, bench_enc):
     mul_ok = True
     pyrng = random.Random(778)
     for _ in range(500):
-        m1 = ModMatrix.column([rng.uniform_centered(q) for _ in range(2)], q)
-        m2 = ModMatrix.column([rng.uniform_centered(q) for _ in range(2)], q)
+        m1 = ModMatrix.column(rng.uniforms(q, 2), q)
+        m2 = ModMatrix.column(rng.uniforms(q, 2), q)
         c1 = encrypt(m1, sk, noise, rng)
         c2 = encrypt(m2, sk, noise, rng)
         if (decrypt(c1, sk) - m1).max_abs() > 19:

@@ -28,8 +28,8 @@ from .helpers import error_trajectory
 class ZeroMaskRng:
     """All uniforms zero, all errors zero: masks vanish entirely."""
 
-    def uniform_centered(self, q):
-        return 0
+    def uniforms(self, q, count):
+        return [0] * count
 
     def error(self, noise):
         return 0
@@ -41,17 +41,13 @@ class ReplayRng:
     def __init__(self, draws):
         self._draws = list(draws)
 
-    def record_from(self, seed, count_uniform, count_error, noise, q):
-        rng = SeededRng(seed)
-        for _ in range(count_uniform):
-            self._draws.append(("u", rng.uniform_centered(q)))
-        for _ in range(count_error):
-            self._draws.append(("e", rng.error(noise)))
-
-    def uniform_centered(self, q):
-        kind, val = self._draws.pop(0)
-        assert kind == "u"
-        return val
+    def uniforms(self, q, count):
+        out = []
+        for _ in range(count):
+            kind, val = self._draws.pop(0)
+            assert kind == "u"
+            out.append(val)
+        return out
 
     def error(self, noise):
         kind, val = self._draws.pop(0)
@@ -117,13 +113,11 @@ class TestSessionBasics:
         # record enough draws for one initial and four input encryptions
         recorder = SeededRng(5)
         seq = []
-        for _ in range(24 * 64):
-            seq.append(("u", recorder.uniform_centered(q)))
+        seq.extend(("u", v) for v in recorder.uniforms(q, 24 * 64))
         for _ in range(24):
             seq.append(("e", recorder.error(noise)))
         for _ in range(4):
-            for _ in range(6 * 64):
-                seq.append(("u", recorder.uniform_centered(q)))
+            seq.extend(("u", v) for v in recorder.uniforms(q, 6 * 64))
             for _ in range(6):
                 seq.append(("e", recorder.error(noise)))
         vbar = ModMatrix.column([3, -1, 4, 1, -5, 9], q)

@@ -19,11 +19,12 @@ from cipherobs.lwe import (
     keygen,
 )
 from cipherobs.lwe import TestRng as SeededRng
-from cipherobs.lwe import _CT_MAGIC, _KEY_MAGIC, _pack_ints
+from cipherobs.lwe import _CT_MAGIC, _KEY_MAGIC, _RandomSource, _pack_ints
 from cipherobs.modring import DimensionMismatch, ModMatrix, Modulus
 
 Q97 = Modulus(97)
 QBIG = Modulus(2 ** 61 - 1)
+Q109 = Modulus(2 ** 109 - 31)
 NOISE = NoiseParams(19.2)
 
 
@@ -34,8 +35,8 @@ class StubRng:
         self._uniforms = list(uniforms)
         self._error = error_value
 
-    def uniform_centered(self, q):
-        return q.cmod(self._uniforms.pop(0))
+    def uniforms(self, q, count):
+        return [q.cmod(self._uniforms.pop(0)) for _ in range(count)]
 
     def error(self, noise):
         return self._error
@@ -55,6 +56,94 @@ class TestNoise:
         rng = SecureRng()
         for _ in range(200):
             assert abs(rng.error(NOISE)) <= 19
+
+
+class ScriptedRandom(random.Random):
+    """`randbytes` replays fixed byte strings and records each request."""
+
+    def __init__(self, chunks):
+        super().__init__(0)
+        self._chunks = list(chunks)
+        self.requests = []
+
+    def randbytes(self, n):
+        self.requests.append(n)
+        chunk = self._chunks.pop(0)
+        assert len(chunk) == n
+        return chunk
+
+
+class CountingRandom(random.Random):
+    """Seeded `randbytes` that records each request size."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.requests = []
+
+    def randbytes(self, n):
+        self.requests.append(n)
+        return super().randbytes(n)
+
+
+class TestUniforms:
+    @pytest.mark.parametrize("q", [Q97, QBIG, Q109])
+    def test_values_in_centred_range(self, q):
+        values = SeededRng(20).uniforms(q, 5000)
+        assert len(values) == 5000
+        assert all(q.contains(v) for v in values)
+
+    def test_every_residue_of_q97_appears(self):
+        # 97 needs a 7-bit mask, so about a quarter of the draws are rejected
+        values = SeededRng(21).uniforms(Q97, 20_000)
+        assert set(values) == set(range(-48, 49))
+
+    def test_rejected_values_never_appear(self):
+        # masked to 7 bits: 97 and 127 (from 0xff) are >= q; 0x80 | 48 is 48
+        source = _RandomSource(ScriptedRandom(
+            [bytes([97, 0xff, 10, 96]), bytes([0x80 | 48, 110]), bytes([49])]))
+        assert source.uniforms(Q97, 4) == [10, -1, 48, -48]
+        assert source._rng.requests == [4, 2, 1]
+
+    def test_requests_at_most_4096_values(self):
+        source = _RandomSource(CountingRandom(22))
+        values = source.uniforms(Q109, 10_000)
+        assert len(values) == 10_000
+        # 14 bytes per 109-bit value; a rejection here has odds 31 / 2^109
+        assert source._rng.requests == [4096 * 14, 4096 * 14, 1808 * 14]
+
+    def test_seeded_draws_are_reproducible(self):
+        a, b = SeededRng(23), SeededRng(23)
+        assert a.uniforms(Q109, 5000) == b.uniforms(Q109, 5000)
+        assert [a.error(NOISE) for _ in range(10)] == \
+            [b.error(NOISE) for _ in range(10)]
+
+    def test_secure_rng_reads_os_urandom(self, monkeypatch):
+        calls = []
+
+        def fake_urandom(n):
+            calls.append(n)
+            return bytes(n)
+
+        monkeypatch.setattr(random, "_urandom", fake_urandom)
+        assert SecureRng().uniforms(QBIG, 5000) == [0] * 5000
+        assert calls == [4096 * 8, 904 * 8]
+
+    @settings(max_examples=30, deadline=None)
+    @given(q=st.sampled_from([Q97, QBIG, Q109]),
+           N=st.sampled_from([1, 64, 4096]),
+           h=st.integers(1, 6),
+           key=st.sampled_from(["random", "max", "min"]),
+           seed=st.integers(0, 2 ** 32))
+    def test_mask_matches_dense_oracle(self, q, N, h, key, seed):
+        rng = SeededRng(seed)
+        half = (q.q - 1) // 2
+        sk = {"random": lambda: keygen(N, q, rng),
+              "max": lambda: SecretKey([half] * N, q),
+              "min": lambda: SecretKey([-half] * N, q)}[key]()
+        m = ModMatrix.column(rng.uniforms(q, h), q)
+        ct, b, e, A = encrypt_with_artifacts(m, sk, NOISE, rng)
+        assert b == A @ sk.as_column() + e
+        assert ct.body == (m + b).hstack(A)
 
 
 class TestKeygen:
@@ -87,8 +176,7 @@ class TestEncryptDecrypt:
         rng = SeededRng(1)
         sk = keygen(16, QBIG, rng)
         for _ in range(50):
-            m = ModMatrix.column(
-                [rng.uniform_centered(QBIG) for _ in range(3)], QBIG)
+            m = ModMatrix.column(rng.uniforms(QBIG, 3), QBIG)
             ct = encrypt(m, sk, NOISE, rng)
             err = decrypt(ct, sk) - m
             assert err.max_abs() <= 19
@@ -128,10 +216,9 @@ class TestModifiedDecrypt:
         # leaves the modified decryption unchanged
         rng = SeededRng(2)
         sk = keygen(6, QBIG, rng)
-        m = ModMatrix.column([rng.uniform_centered(QBIG) for _ in range(4)],
-                             QBIG)
+        m = ModMatrix.column(rng.uniforms(QBIG, 4), QBIG)
         std = encrypt(m, sk, NOISE, rng)
-        w = [rng.uniform_centered(QBIG) for _ in range(4)]
+        w = rng.uniforms(QBIG, 4)
         rows = tuple(
             (QBIG.cmod(row[0] - wv),) + row[1:] + (wv,)
             for row, wv in zip(std.body.rows, w))
@@ -172,10 +259,8 @@ class TestHomomorphism:
         sk = keygen(8, QBIG, rng)
         for _ in range(250):
             h = 2
-            m1 = ModMatrix.column(
-                [rng.uniform_centered(QBIG) for _ in range(h)], QBIG)
-            m2 = ModMatrix.column(
-                [rng.uniform_centered(QBIG) for _ in range(h)], QBIG)
+            m1 = ModMatrix.column(rng.uniforms(QBIG, h), QBIG)
+            m2 = ModMatrix.column(rng.uniforms(QBIG, h), QBIG)
             c1, c2 = encrypt(m1, sk, NOISE, rng), encrypt(m2, sk, NOISE, rng)
             lhs = decrypt(ct_add(c1, c2), sk)
             rhs = decrypt(c1, sk) + decrypt(c2, sk)
@@ -187,8 +272,7 @@ class TestHomomorphism:
         pyrng = random.Random(10)
         for _ in range(250):
             h, d = 3, 2
-            m = ModMatrix.column(
-                [rng.uniform_centered(QBIG) for _ in range(h)], QBIG)
+            m = ModMatrix.column(rng.uniforms(QBIG, h), QBIG)
             Kmat = ModMatrix([[pyrng.randrange(-50, 50) for _ in range(h)]
                               for _ in range(d)], QBIG)
             ct = encrypt(m, sk, NOISE, rng)

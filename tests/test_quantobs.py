@@ -1,6 +1,7 @@
 import dataclasses
 import decimal
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from cipherobs.quantobs import (
     recover_plain_estimate,
     residue_quantized,
     step_quantized,
+    threshold_at,
     validate_params,
 )
 from .helpers import random_stable_plant
@@ -254,6 +256,37 @@ class TestResidueAndDetect:
         res = detect(r, p.l_max, p)
         if res.lhs == p.eps:
             assert not res.flag
+
+    def test_exact_verdict_where_float_product_rounds(self, bench_setup):
+        # s1^2 s2 * 3 rounds down in floats; with eps set to that float the
+        # exact product still exceeds the threshold, so the residue flags
+        p = dataclasses.replace(bench_setup.params,
+                                eps=bench_setup.params.resolution * 3)
+        assert Fraction(p.s1) ** 2 * Fraction(p.s2) * 3 > Fraction(p.eps)
+        for t in (p.l_max, p.l_max + 7):
+            res = detect(ModMatrix.column([-3] + [0] * 59, p.q), t, p)
+            assert res.lhs == res.threshold == p.eps
+            assert res.flag
+
+    def test_exact_verdict_where_float_product_rounds_up(self, bench_setup):
+        # s1^2 s2 rounds up: at eps equal to that float, r = 1 is not above
+        p = dataclasses.replace(bench_setup.params,
+                                eps=bench_setup.params.resolution)
+        assert Fraction(p.s1) ** 2 * Fraction(p.s2) < Fraction(p.eps)
+        res = detect(ModMatrix.column([1] + [0] * 59, p.q), p.l_max, p)
+        assert res.lhs == res.threshold
+        assert not res.flag
+
+    def test_exact_equality_does_not_flag(self, bench_setup):
+        # dyadic parameters: the transient threshold 0.25 + 2 * 0.5 * 0.125
+        # equals 0.125 * 3 exactly, and one step more flags
+        p = dataclasses.replace(bench_setup.params, s1=0.5, s2=0.5, eps=0.25,
+                                kappa=0.5, init_error=0.125)
+        assert threshold_at(p, 0, Fraction) == Fraction(3, 8)
+        for r, flag in ((3, False), (4, True)):
+            res = detect(ModMatrix.column([r] + [0] * 59, p.q), 0, p)
+            assert res.flag is flag
+            assert res.threshold == threshold_at(p, 0) == 0.375
 
     def test_benchmark_attack_free_run_never_flags(self, bench_noattack):
         run = run_quantized_mode(bench_noattack, 50)

@@ -1,11 +1,14 @@
 import dataclasses
 import itertools
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cipherobs import encobs, secviews
 from cipherobs.encobs import EncObserverState, EncryptorSession, ObserverPublic
-from cipherobs.lwe import SecretKey
+from cipherobs.lwe import LweError, SecretKey, _pack_ints
 from cipherobs.lwe import TestRng as SeededRng
 from cipherobs.modring import ModMatrix, Modulus
 from cipherobs.quantobs import QuantParams
@@ -14,6 +17,7 @@ from cipherobs.secviews import (
     InconsistentChannels,
     View1,
     View2,
+    ViewError,
     f1_view1_to_view2,
     f2_view2_to_view1,
 )
@@ -43,8 +47,8 @@ class ZeroErrorRng:
     def __init__(self, seed):
         self._rng = SeededRng(seed)
 
-    def uniform_centered(self, q):
-        return self._rng.uniform_centered(q)
+    def uniforms(self, q, count):
+        return self._rng.uniforms(q, count)
 
     def error(self, noise):
         return 0
@@ -256,3 +260,89 @@ class TestTranscriptSerialization:
                                      ModMatrix.column([1, 2, 3], q), vbars)
         back = View2.from_bytes(view2.to_bytes())
         assert _views_equal(back, view2)
+
+
+Q11 = Modulus(11)
+
+
+@pytest.fixture(scope="module")
+def tiny_views():
+    """Views of a 2-step run on the q = 11, N = 1 observer."""
+    public = _tiny_public(Q11, (3,), [[1], [0], [1]], [[2, 0, 1]],
+                          N=1, lift=2)
+    params = _tiny_params(Q11, N=1, lift=2)
+    vbars = [ModMatrix.column([v], Q11) for v in (4, 7)]
+    return _run_tiny_session(public, params, SecretKey([3], Q11),
+                             ZeroErrorRng(2), ModMatrix.column([1, 2, 3], Q11),
+                             vbars)
+
+
+def _parsers():
+    return (lambda b: View1.from_bytes(b, Q11), View2.from_bytes)
+
+
+class TestStrictTranscriptParsing:
+    def test_valid_transcripts_roundtrip_byte_for_byte(self, tiny_views):
+        for view, parse in zip(tiny_views, _parsers()):
+            blob = view.to_bytes()
+            assert parse(blob).to_bytes() == blob
+
+    def test_every_truncation_rejected(self, tiny_views):
+        for view, parse in zip(tiny_views, _parsers()):
+            blob = view.to_bytes()
+            for cut in range(len(blob)):
+                with pytest.raises(ViewError):
+                    parse(blob[:cut])
+
+    def test_truncated_header_and_size_field(self, tiny_views):
+        for view, parse in zip(tiny_views, _parsers()):
+            blob = view.to_bytes()
+            for cut in (9, 15):
+                with pytest.raises(ViewError):
+                    parse(blob[:cut])
+
+    def test_size_past_buffer_rejected(self, tiny_views):
+        for view, parse in zip(tiny_views, _parsers()):
+            blob = bytearray(view.to_bytes())
+            struct.pack_into("<I", blob, 13, len(blob))
+            with pytest.raises(ViewError):
+                parse(bytes(blob))
+
+    def test_trailing_bytes_rejected(self, tiny_views):
+        for view, parse in zip(tiny_views, _parsers()):
+            with pytest.raises(ViewError):
+                parse(view.to_bytes() + b"\x00")
+
+    def test_residue_outside_centred_range_rejected(self, tiny_views):
+        view1 = tiny_views[0]
+        head = View1(init_ct=view1.init_ct, input_cts=view1.input_cts,
+                     residues=view1.residues[:-1]).to_bytes()
+        head = head[:9] + struct.pack("<I", len(view1.residues)) + head[13:]
+        assert View1.from_bytes(head + _pack_ints([5]), Q11).to_bytes() \
+            == head + _pack_ints([5])
+        for bad in (6, -6, 16):
+            with pytest.raises(ViewError):
+                View1.from_bytes(head + _pack_ints([bad]), Q11)
+
+    def test_inner_lwe_error_is_chained(self, tiny_views):
+        for view, parse in zip(tiny_views, _parsers()):
+            blob = bytearray(view.to_bytes())
+            blob[17:21] = b"XXXX"   # magic of the first ciphertext
+            with pytest.raises(ViewError) as info:
+                parse(bytes(blob))
+            assert isinstance(info.value.__cause__, LweError)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_mutated_transcript_is_rejected_or_canonical(self, tiny_views,
+                                                         data):
+        which = data.draw(st.integers(0, 1))
+        blob = bytearray(tiny_views[which].to_bytes())
+        for _ in range(data.draw(st.integers(1, 3))):
+            i = data.draw(st.integers(0, len(blob) - 1))
+            blob[i] = data.draw(st.integers(0, 255))
+        try:
+            view = _parsers()[which](bytes(blob))
+        except ViewError:
+            return
+        assert view.to_bytes() == bytes(blob)
