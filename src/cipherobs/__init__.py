@@ -19,8 +19,9 @@ from .quantobs import QuantParams, QuantState, detect, make_params, \
     residue_quantized, step_quantized, validate_params
 from .lwe import Ciphertext, CiphertextKind, NoiseParams, SecretKey, \
     SecureRng, TestRng, ct_add, ct_matmul, decrypt, encrypt, keygen
-from .zerodyn import ChannelTransform, build_transform, cancellation_init, \
-    cancellation_step, relative_degree, simulate_channel
+from .zerodyn import ChannelMaps, ChannelTransform, build_transform, \
+    cancellation_init, cancellation_step, channel_maps, relative_degree, \
+    simulate_channel
 from .encobs import EncryptorSession, EncObserverState, ObserverPublic, \
     disclose_residue, encrypted_residue, recover_encrypted_state, \
     step_encrypted

@@ -38,7 +38,7 @@ from .lwe import (
 from .modring import DimensionMismatch, ModMatrix, Modulus, join_limbs, \
     split_limbs
 from .quantobs import LimbKernel, ModularMaps, QuantParams, observer_update
-from .zerodyn import ChannelTransform, build_transform
+from .zerodyn import ChannelMaps, channel_maps
 
 __all__ = [
     "EncObsError",
@@ -80,7 +80,7 @@ def build_fbar(block_sizes: Sequence[int], q: Modulus) -> ModMatrix:
 @dataclass(frozen=True)
 class ObserverPublic:
     """Everything public the encrypted observer needs: the observer maps
-    over Z_q plus one zero-dynamics transform per residue channel."""
+    over Z_q plus each residue channel's closed-form cancellation maps."""
 
     q: Modulus
     N: int
@@ -89,24 +89,22 @@ class ObserverPublic:
     Fbar: ModMatrix
     Gbar: ModMatrix
     Hbar: ModMatrix
-    transforms: Tuple[ChannelTransform, ...]
+    channels: Tuple[ChannelMaps, ...]
 
     @classmethod
     def build(cls, maps: ModularMaps, params: QuantParams,
               N: Optional[int] = None) -> "ObserverPublic":
         q = maps.Gbar.modulus
         Fbar = build_fbar(maps.block_sizes, q)
-        transforms = tuple(
-            build_transform(maps.Hbar.row(j), Fbar, maps.Gbar, j=j)
-            for j in range(maps.Hbar.nrows)
-        )
+        channels = tuple(channel_maps(maps.Hbar.row(j), Fbar, maps.Gbar, j=j)
+                         for j in range(maps.Hbar.nrows))
         return cls(q=q, N=params.N if N is None else N, lift=params.lift,
                    block_sizes=maps.block_sizes, Fbar=Fbar, Gbar=maps.Gbar,
-                   Hbar=maps.Hbar, transforms=transforms)
+                   Hbar=maps.Hbar, channels=channels)
 
     @property
     def n_channels(self) -> int:
-        return len(self.transforms)
+        return len(self.channels)
 
     @cached_property
     def kernel(self) -> LimbKernel:
@@ -215,9 +213,8 @@ class EncryptorSession:
         self.artifacts: List[StepArtifacts] = []
         # per channel: (H_j F^nu_j, Sigma_j, SigmaDag_j) as int tuples
         self._cancel_maps = tuple(
-            ((ct.T2.row(ct.nu - 1) @ public.Fbar).rows[0], ct.Sigma.rows[0],
-             ct.SigmaDag.column_entries())
-            for ct in public.transforms)
+            (m.HFnu.rows[0], m.Sigma.rows[0], m.SigmaDag.column_entries())
+            for m in public.channels)
 
     # -- checkpointing -----------------------------------------------------
 
@@ -253,9 +250,9 @@ class EncryptorSession:
         if self.step != -1:
             raise SessionNotFresh("enc_initial may only be called once")
         std_ct, mask, err, rand = self._encrypt(zbar_ini)
-        tildes = [ct.T2 @ mask for ct in self.public.transforms]
-        cancels = [(ct.V2 @ tilde).column_entries()
-                   for ct, tilde in zip(self.public.transforms, tildes)]
+        tildes = [m.T2 @ mask for m in self.public.channels]
+        cancels = [(m.V2 @ tilde).column_entries()
+                   for m, tilde in zip(self.public.channels, tildes)]
         self.cancel_state = self._cancelled(mask, cancels)
         self.step = 0
         self._record(std_ct, mask, err, rand, tildes)

@@ -37,6 +37,7 @@ __all__ = [
     "mat_mul_mod",
     "inverse_mod",
     "rank_mod",
+    "pivot_columns",
     "complete_basis",
     "right_inverse_row",
     "centered_difference_check",
@@ -434,6 +435,16 @@ def inverse_mod(A: ModMatrix) -> ModMatrix:
     return ModMatrix(tuple(tuple(row[n:]) for row in red), A.modulus)
 
 
+def pivot_columns(T2: ModMatrix) -> List[int]:
+    """Pivot columns of a full-row-rank T2, ascending: one per row, and T2
+    restricted to them is invertible."""
+    _, pivots = _echelon(T2.rows, T2.modulus.q, reduce_up=False)
+    if len(pivots) < T2.nrows:
+        raise NotFullRowRank(
+            f"rank {len(pivots)} < {T2.nrows} rows; cannot complete basis")
+    return pivots
+
+
 def complete_basis(T2: ModMatrix) -> ModMatrix:
     """Standard-basis completion of a full-row-rank T2 to a basis of Z_q^l.
 
@@ -441,11 +452,7 @@ def complete_basis(T2: ModMatrix) -> ModMatrix:
     column order, so that [T1; T2] is invertible.
     """
     l = T2.ncols
-    _, pivots = _echelon(T2.rows, T2.modulus.q, reduce_up=False)
-    if len(pivots) < T2.nrows:
-        raise NotFullRowRank(
-            f"rank {len(pivots)} < {T2.nrows} rows; cannot complete basis")
-    pivot_set = set(pivots)
+    pivot_set = set(pivot_columns(T2))
     rows = tuple(
         tuple(1 if j == c else 0 for j in range(l))
         for c in range(l) if c not in pivot_set

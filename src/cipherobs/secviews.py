@@ -2,7 +2,7 @@
 
 View 1 is what an eavesdropper on the standard scheme plus the residue
 disclosure sees; view 2 is what an eavesdropper on the modified scheme
-sees.  Both transformations below use only public transforms, ciphertexts
+sees.  Both transformations below use only the public maps, ciphertexts
 and disclosed residues (never the secret key), and reproduce the other
 view bit for bit, which is the operational content of the equivalence
 claim: neither party learns more than the other.
@@ -13,7 +13,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from operator import mul
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -164,6 +164,20 @@ def _merge_to_standard(ct: Ciphertext) -> Ciphertext:
     return Ciphertext(body=body, kind=CiphertextKind.STANDARD, N=ct.N)
 
 
+def _check_ciphertexts(cts: Sequence[Ciphertext], nrows: int,
+                       public: ObserverPublic):
+    """Every ciphertext must be over the public modulus and dimension and
+    have `nrows` rows."""
+    for ct in cts:
+        if ct.body.modulus != public.q:
+            raise ViewError("ciphertext modulus does not match the public maps")
+        if ct.N != public.N:
+            raise ViewError(
+                "ciphertext dimension does not match the public maps")
+        if ct.body.nrows != nrows:
+            raise ViewError("ciphertext rows do not match the public maps")
+
+
 def f2_view2_to_view1(v2: View2, public: ObserverPublic,
                       params: QuantParams,
                       verify_consistency: bool = True) -> View1:
@@ -176,6 +190,9 @@ def f2_view2_to_view1(v2: View2, public: ObserverPublic,
     n_ch = public.n_channels
     if len(v2.init_cts) != n_ch or any(len(s) != n_ch for s in v2.input_cts):
         raise InconsistentChannels("channel count does not match the public maps")
+    _check_ciphertexts(v2.init_cts, public.Gbar.nrows, public)
+    _check_ciphertexts([ct for step in v2.input_cts for ct in step],
+                       public.Gbar.ncols, public)
 
     def fold_all(cts: Sequence[Ciphertext]) -> Ciphertext:
         std = _merge_to_standard(cts[0])
@@ -217,64 +234,76 @@ def f1_view1_to_view2(v1: View1, public: ObserverPublic,
                       params: QuantParams) -> View2:
     """Reconstruct the modified ciphertexts from the standard view.
 
-    Per channel, the cancellation applied by the encryptor splits into a
-    combined part (computable from the observed message+mask columns by the
-    same zero-dynamics recursion the encryptor runs) minus a message part.
-    The message part is recovered from the disclosed residues: the chain
-    coordinates of the message system are lifted residues, the bottom chain
-    row exposes the current input term, and a small deviation state tracks
-    how far the running trajectory has drifted from the zero-dynamics
-    solution so the two stay aligned.
+    The encryptor's cancellation is linear in its mask, and the mask is the
+    observed first column f_t minus the lifted message.  So each channel's
+    cancellation splits into a combined part, the encryptor's recursion
+    driven by f_t, minus a message part, the same recursion driven by the
+    message.  The message part needs only the disclosed residues: lifted,
+    they are H_j of the message state, and the first nu_j of them are its
+    chain coordinates.
+
+    Both recursions run for all channels as one l x 2 n_ch state [C | D]
+    through the observer kernel, with C the encryptor's cancelled state
+    driven by f_t and D the message state minus its cancelled state:
+
+        C_0 = f_0 - V2 T2 f_0,          D_0 = V2 lifted[0:nu],
+        comb = H F^nu C + Sigma f_t,    msg = lifted[t + nu] - H F^nu D,
+        cancel = SigmaDag (comb - msg),
+        C' = F C + G (f_t - SigmaDag comb),   D' = F D + G SigmaDag msg.
     """
     steps = len(v1.input_cts)
     q = public.q
     lift = params.lift
-    nu_max = max(ct.nu for ct in public.transforms)
+    channels = public.channels
+    n_ch = len(channels)
+    nu_max = max(m.nu for m in channels)
     if len(v1.residues) < steps + nu_max:
         needed = steps - 1 + nu_max
         raise HorizonTooShort(
             f"need residues through step {needed} to reconstruct all "
             f"{steps} input steps (have {len(v1.residues)})")
-    if any(c.N != public.N for c in (v1.init_ct,) + v1.input_cts):
-        raise ViewError("ciphertext dimension does not match the public maps")
+    _check_ciphertexts((v1.init_ct,), public.Gbar.nrows, public)
+    _check_ciphertexts(v1.input_cts, public.Gbar.ncols, public)
+    if any(r.modulus != q or r.shape != (n_ch, 1) for r in v1.residues):
+        raise ViewError("residues do not match the public maps")
 
-    init_first = ModMatrix.column(v1.init_ct.first_column(), q)
-    input_firsts = [ModMatrix.column(ct.first_column(), q)
-                    for ct in v1.input_cts]
+    # lifted[t][j] = lift * residue of channel j at step t
+    lifted = [[q.cmod(lift * a) for a in r.column_entries()]
+              for r in v1.residues]
+    f0 = ModMatrix.column(v1.init_ct.first_column(), q)
+    init_cancels = []
+    C, D = [], []
+    for j, m in enumerate(channels):
+        comb = m.V2 @ (m.T2 @ f0)
+        msg = m.V2 @ ModMatrix.column([lifted[t][j] for t in range(m.nu)], q)
+        init_cancels.append((comb - msg).column_entries())
+        C.append((f0 - comb).column_entries())
+        D.append(msg.column_entries())
+    Z = ModMatrix(tuple(zip(*C, *D)), q, ncols=2 * n_ch, _reduced=True)
 
-    init_cancels: List[Tuple[int, ...]] = []
-    step_cancels: List[List[Tuple[int, ...]]] = [[] for _ in range(steps)]
+    kernel = public.kernel
+    step_cancels = []
+    for t, ct in enumerate(v1.input_cts):
+        f = ct.first_column()
+        cols = tuple(zip(*Z.rows))
+        cancels, drive_c, drive_d = [], [], []
+        for j, m in enumerate(channels):
+            p = m.HFnu.rows[0]
+            comb = sum(map(mul, p, cols[j])) + sum(map(mul, m.Sigma.rows[0], f))
+            msg = lifted[t + m.nu][j] - sum(map(mul, p, cols[n_ch + j]))
+            dag = m.SigmaDag.column_entries()
+            cancels.append(tuple(q.cmod(a * (comb - msg)) for a in dag))
+            drive_c.append(tuple(q.cmod(x - a * comb) for x, a in zip(f, dag)))
+            drive_d.append(tuple(q.cmod(a * msg) for a in dag))
+        step_cancels.append(cancels)
+        Z = kernel.update(Z, ModMatrix(tuple(zip(*drive_c, *drive_d)), q,
+                                       ncols=2 * n_ch, _reduced=True))
 
-    for j, ct in enumerate(public.transforms):
-        lifted = [q.cmod(lift * v1.residues[t].rows[j][0])
-                  for t in range(len(v1.residues))]
-        # combined cancellation from the observed first columns
-        comb_tilde_ini = ct.T2 @ init_first
-        c_xi = ct.T1 @ init_first
-        # message cancellation: chain start is the first nu lifted residues
-        msg_tilde_ini = ModMatrix.column(lifted[:ct.nu], q)
-        b_tilde_ini = comb_tilde_ini - msg_tilde_ini
-        init_cancels.append((ct.V2 @ b_tilde_ini).column_entries())
-
-        delta = ModMatrix.zeros(ct.l - ct.nu, 1, q)
-        for t in range(steps):
-            w_t = ModMatrix.column(lifted[t:t + ct.nu], q)
-            comb_tilde = (ct.Sigma @ input_firsts[t]
-                          + ct.Psi @ c_xi).rows[0][0]
-            msg_tilde = q.cmod(lifted[t + ct.nu]
-                               - (ct.Gamma @ w_t).rows[0][0]
-                               - (ct.Psi @ delta).rows[0][0])
-            b_tilde = q.cmod(comb_tilde - msg_tilde)
-            step_cancels[t].append(ct.SigmaDag.scale(b_tilde).column_entries())
-            # advance both recursions
-            c_xi = ct.S @ c_xi + ct.S3 @ (ct.input_projector @ input_firsts[t])
-            delta = (ct.S1 @ delta + ct.S2 @ w_t
-                     + ct.S3 @ ct.SigmaDag.scale(msg_tilde))
-
-    def channels(std_ct: Ciphertext, cancels) -> Tuple[Ciphertext, ...]:
+    def channels_of(std_ct: Ciphertext, cancels) -> Tuple[Ciphertext, ...]:
         batch = EncryptedBatch.from_standard(std_ct, cancels)
         return tuple(batch.channel(j) for j in range(batch.n_channels))
 
-    return View2(init_cts=channels(v1.init_ct, init_cancels),
-                 input_cts=tuple(channels(std_ct, cancels) for std_ct, cancels
+    return View2(init_cts=channels_of(v1.init_ct, init_cancels),
+                 input_cts=tuple(channels_of(std_ct, cancels)
+                                 for std_ct, cancels
                                  in zip(v1.input_cts, step_cancels)))

@@ -7,6 +7,11 @@ zero-dynamics).  From that recursion one can compute, for any initial
 condition and input sequence, exactly which portions must be subtracted so
 the channel output vanishes identically; the encrypted observer uses those
 cancellation terms to null the masking contribution of its residue.
+
+`channel_maps` is what a deployment builds: the chain rows, H F^nu, Sigma,
+its right inverse and V2, all in closed form.  `build_transform` completes
+them to the full normal form, which the tests and `cipherobs verify` use as
+the oracle for the encrypted observer's cancellation.
 """
 
 from __future__ import annotations
@@ -18,17 +23,19 @@ from .modring import (
     DimensionMismatch,
     ModMatrix,
     Modulus,
-    complete_basis,
     inverse_mod,
+    pivot_columns,
     right_inverse_row,
 )
 
 __all__ = [
     "ZeroDynError",
     "RelativeDegreeUndefined",
+    "ChannelMaps",
     "ChannelTransform",
     "CancellationState",
     "relative_degree",
+    "channel_maps",
     "build_transform",
     "simulate_channel",
     "cancellation_init",
@@ -44,23 +51,79 @@ class RelativeDegreeUndefined(ZeroDynError):
     """Raised when every Markov parameter of the channel vanishes."""
 
 
-def relative_degree(Hj: ModMatrix, Fbar: ModMatrix, Gbar: ModMatrix,
-                    q: Modulus | None = None) -> int:
-    """Smallest nu >= 1 with H F^(nu-1) G nonzero and all earlier ones zero.
+def _output_chain(Hj: ModMatrix, Fbar: ModMatrix,
+                  Gbar: ModMatrix) -> Tuple[List[ModMatrix], ModMatrix]:
+    """The rows H F^k for k < nu and the first nonzero Markov parameter
+    Sigma = H F^(nu-1) G.
 
     The search stops at the state dimension: by Cayley-Hamilton, once the
     first l Markov parameters vanish they vanish forever.
     """
     if Hj.nrows != 1:
         raise DimensionMismatch("channel output map must be a single row")
-    l = Fbar.nrows
-    row = Hj
-    for h in range(l):
-        if not (row @ Gbar).is_zero():
-            return h + 1
-        row = row @ Fbar
+    rows = [Hj]
+    for _ in range(Fbar.nrows):
+        sigma = rows[-1] @ Gbar
+        if not sigma.is_zero():
+            return rows, sigma
+        rows.append(rows[-1] @ Fbar)
     raise RelativeDegreeUndefined(
         "all Markov parameters vanish; the channel never sees the input")
+
+
+def relative_degree(Hj: ModMatrix, Fbar: ModMatrix, Gbar: ModMatrix,
+                    q: Modulus | None = None) -> int:
+    """Smallest nu >= 1 with H F^(nu-1) G nonzero and all earlier ones zero."""
+    return len(_output_chain(Hj, Fbar, Gbar)[0])
+
+
+@dataclass(frozen=True)
+class ChannelMaps:
+    """The part of one channel's normal form the encrypted observer uses.
+
+    T2 stacks H, HF, ..., HF^(nu-1); V2 is the last nu columns of the
+    inverse of [T1; T2], so V2 T2 projects a state onto its chain part.
+    """
+
+    j: int
+    nu: int
+    T2: ModMatrix        # nu x l
+    HFnu: ModMatrix      # 1 x l: H F^nu
+    Sigma: ModMatrix     # 1 x h: H F^(nu-1) G
+    SigmaDag: ModMatrix  # h x 1, Sigma @ SigmaDag == [[1]]
+    V2: ModMatrix        # l x nu
+
+
+def _maps_and_pivots(Hj: ModMatrix, Fbar: ModMatrix, Gbar: ModMatrix,
+                     j: int) -> Tuple[ChannelMaps, List[int]]:
+    """Channel maps plus the pivot columns of T2.
+
+    T1 (from the basis completion) is the unit rows of the non-pivot
+    columns, so with P = T2 restricted to the pivot columns, the inverse of
+    [T1; T2] has P^-1 on the pivot rows of its last nu columns and zeros on
+    the other rows: V2 needs one nu x nu inverse, not an l x l one.
+    """
+    rows, Sigma = _output_chain(Hj, Fbar, Gbar)
+    q = Gbar.modulus
+    l, nu = Fbar.nrows, len(rows)
+    T2 = ModMatrix(tuple(r.rows[0] for r in rows), q, ncols=l, _reduced=True)
+    pivots = pivot_columns(T2)
+    Pinv = inverse_mod(ModMatrix(tuple(tuple(row[c] for c in pivots)
+                                       for row in T2.rows), q, ncols=nu,
+                                 _reduced=True))
+    at = {c: k for k, c in enumerate(pivots)}
+    V2 = ModMatrix(tuple(Pinv.rows[at[i]] if i in at else (0,) * nu
+                         for i in range(l)), q, ncols=nu, _reduced=True)
+    maps = ChannelMaps(j=j, nu=nu, T2=T2, HFnu=rows[-1] @ Fbar, Sigma=Sigma,
+                       SigmaDag=right_inverse_row(Sigma), V2=V2)
+    return maps, pivots
+
+
+def channel_maps(Hj: ModMatrix, Fbar: ModMatrix, Gbar: ModMatrix,
+                 j: int = 0) -> ChannelMaps:
+    """Closed-form cancellation maps of channel j; requires a defined
+    relative degree."""
+    return _maps_and_pivots(Hj, Fbar, Gbar, j)[0]
 
 
 @dataclass(frozen=True)
@@ -108,36 +171,31 @@ class ChannelTransform:
 
 def build_transform(Hj: ModMatrix, Fbar: ModMatrix, Gbar: ModMatrix,
                     q: Modulus | None = None, j: int = 0) -> ChannelTransform:
-    """Construct the channel transform; requires a defined relative degree."""
-    nu = relative_degree(Hj, Fbar, Gbar)
-    l = Fbar.nrows
-    rows = [Hj]
-    for _ in range(nu - 1):
-        rows.append(rows[-1] @ Fbar)
-    T2 = rows[0]
-    for r in rows[1:]:
-        T2 = T2.vstack(r)
-    T1 = complete_basis(T2)
-    V = inverse_mod(T1.vstack(T2))
-    V1 = ModMatrix(tuple(r[:l - nu] for r in V.rows), V.modulus,
-                   ncols=l - nu, _reduced=True)
-    V2 = ModMatrix(tuple(r[l - nu:] for r in V.rows), V.modulus,
-                   ncols=nu, _reduced=True)
+    """Construct the channel transform; requires a defined relative degree.
+
+    Starts from `channel_maps`.  T1 is the unit rows of the non-pivot
+    columns of T2 and V1 the same columns of I - V2 T2, so [V1, V2] inverts
+    [T1; T2] without an elimination.
+    """
+    m, pivots = _maps_and_pivots(Hj, Fbar, Gbar, j)
+    q = Gbar.modulus
+    l, nu = Fbar.nrows, m.nu
+    free = [c for c in range(l) if c not in pivots]
+    eye = ModMatrix.identity(l, q)
+    T1 = eye.submatrix(free)
+    V1 = ModMatrix(tuple(tuple(row[c] for c in free)
+                         for row in (eye - m.V2 @ m.T2).rows),
+                   q, ncols=l - nu, _reduced=True)
     T1F = T1 @ Fbar
-    HFnu = rows[-1] @ Fbar
     S1 = T1F @ V1
-    S2 = T1F @ V2
     S3 = T1 @ Gbar
-    Psi = HFnu @ V1
-    Gamma = HFnu @ V2
-    Sigma = rows[-1] @ Gbar
-    SigmaDag = right_inverse_row(Sigma)
-    S = S1 - S3 @ SigmaDag @ Psi
-    eye = ModMatrix.identity(Gbar.ncols, Gbar.modulus)
+    Psi = m.HFnu @ V1
     return ChannelTransform(
-        j=j, nu=nu, T1=T1, T2=T2, V1=V1, V2=V2, S1=S1, S2=S2, S3=S3,
-        Psi=Psi, Gamma=Gamma, Sigma=Sigma, SigmaDag=SigmaDag, S=S,
-        input_projector=eye - SigmaDag @ Sigma,
+        j=j, nu=nu, T1=T1, T2=m.T2, V1=V1, V2=m.V2, S1=S1, S2=T1F @ m.V2,
+        S3=S3, Psi=Psi, Gamma=m.HFnu @ m.V2, Sigma=m.Sigma,
+        SigmaDag=m.SigmaDag, S=S1 - S3 @ m.SigmaDag @ Psi,
+        input_projector=(ModMatrix.identity(Gbar.ncols, q)
+                         - m.SigmaDag @ m.Sigma),
     )
 
 

@@ -5,8 +5,12 @@ import random
 
 import numpy as np
 
-from cipherobs.modring import ModMatrix, Modulus
+from cipherobs.encobs import EncryptedBatch
+from cipherobs.modring import ModMatrix, Modulus, complete_basis, \
+    inverse_mod, right_inverse_row
 from cipherobs.plantsim import PlantModel
+from cipherobs.secviews import View2
+from cipherobs.zerodyn import RelativeDegreeUndefined, build_transform
 
 
 def egcd_inverse(a: int, q: int) -> int:
@@ -90,3 +94,74 @@ def error_trajectory(artifacts, gbar_rows, block_sizes, steps: int):
              for s, grow in zip(shifted, gbar_rows)]
         out.append(tuple(e))
     return out
+
+
+def dense_normal_form(Hj: ModMatrix, Fbar: ModMatrix, Gbar: ModMatrix):
+    """nu, T1, T2, V1, V2, H F^nu, Sigma and SigmaDag of a channel from the
+    dense inverse of [T1; T2] (test oracle for the closed-form maps)."""
+    rows = [Hj]
+    while (rows[-1] @ Gbar).is_zero():
+        if len(rows) == Fbar.nrows:
+            raise RelativeDegreeUndefined("all Markov parameters vanish")
+        rows.append(rows[-1] @ Fbar)
+    nu = len(rows)
+    T2 = rows[0]
+    for r in rows[1:]:
+        T2 = T2.vstack(r)
+    T1 = complete_basis(T2)
+    V = inverse_mod(T1.vstack(T2))
+    l = Fbar.nrows
+    V1 = ModMatrix(tuple(r[:l - nu] for r in V.rows), V.modulus,
+                   ncols=l - nu)
+    V2 = ModMatrix(tuple(r[l - nu:] for r in V.rows), V.modulus, ncols=nu)
+    Sigma = rows[-1] @ Gbar
+    return dict(nu=nu, T1=T1, T2=T2, V1=V1, V2=V2, HFnu=rows[-1] @ Fbar,
+                Sigma=Sigma, SigmaDag=right_inverse_row(Sigma))
+
+
+def f1_zero_dynamics(v1, public, params):
+    """View 1 -> View 2 one channel at a time in zero-dynamics coordinates
+    (test oracle for `secviews.f1_view1_to_view2`).
+
+    The combined cancellation runs the zero-dynamics recursion on the
+    observed first columns; the message part comes from the lifted residues
+    plus a deviation state that tracks the message trajectory's drift from
+    the zero-dynamics solution.
+    """
+    steps = len(v1.input_cts)
+    q = public.q
+    lift = params.lift
+    init_first = ModMatrix.column(v1.init_ct.first_column(), q)
+    input_firsts = [ModMatrix.column(ct.first_column(), q)
+                    for ct in v1.input_cts]
+    init_cancels = []
+    step_cancels = [[] for _ in range(steps)]
+    for j in range(public.n_channels):
+        ct = build_transform(public.Hbar.row(j), public.Fbar, public.Gbar,
+                             j=j)
+        lifted = [q.cmod(lift * r.rows[j][0]) for r in v1.residues]
+        c_xi = ct.T1 @ init_first
+        msg_tilde_ini = ModMatrix.column(lifted[:ct.nu], q)
+        init_cancels.append(
+            (ct.V2 @ (ct.T2 @ init_first - msg_tilde_ini)).column_entries())
+        delta = ModMatrix.zeros(ct.l - ct.nu, 1, q)
+        for t in range(steps):
+            w_t = ModMatrix.column(lifted[t:t + ct.nu], q)
+            comb_tilde = (ct.Sigma @ input_firsts[t]
+                          + ct.Psi @ c_xi).rows[0][0]
+            msg_tilde = q.cmod(lifted[t + ct.nu]
+                               - (ct.Gamma @ w_t).rows[0][0]
+                               - (ct.Psi @ delta).rows[0][0])
+            b_tilde = q.cmod(comb_tilde - msg_tilde)
+            step_cancels[t].append(ct.SigmaDag.scale(b_tilde).column_entries())
+            c_xi = ct.S @ c_xi + ct.S3 @ (ct.input_projector @ input_firsts[t])
+            delta = (ct.S1 @ delta + ct.S2 @ w_t
+                     + ct.S3 @ ct.SigmaDag.scale(msg_tilde))
+
+    def channels(std_ct, cancels):
+        batch = EncryptedBatch.from_standard(std_ct, cancels)
+        return tuple(batch.channel(j) for j in range(batch.n_channels))
+
+    return View2(init_cts=channels(v1.init_ct, init_cancels),
+                 input_cts=tuple(channels(std_ct, cancels) for std_ct, cancels
+                                 in zip(v1.input_cts, step_cancels)))

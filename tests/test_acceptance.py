@@ -205,7 +205,9 @@ def test_criterion_6_output_zeroing(bench_setup, bench_enc):
     b_vs = [ModMatrix.column([qq.cmod(rng2.randrange(qq.q))
                               for _ in range(public.Gbar.ncols)], qq)
             for _ in range(horizon)]
-    for ct in public.transforms:
+    for j in range(public.n_channels):
+        ct = zerodyn.build_transform(public.Hbar.row(j), public.Fbar,
+                                     public.Gbar, j=j)
         tilde_ini, state = zerodyn.cancellation_init(ct, b_ini)
         mod_vs = []
         for v in b_vs:

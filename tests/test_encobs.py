@@ -22,7 +22,7 @@ from cipherobs.lwe import LweError, NoiseParams, SecretKey, decrypt, encrypt, \
 from cipherobs.lwe import TestRng as SeededRng
 from cipherobs.modring import ModMatrix
 from cipherobs.pipeline import run_encrypted_mode, run_quantized_mode
-from .helpers import error_trajectory
+from .helpers import dense_normal_form, error_trajectory
 
 
 class ZeroMaskRng:
@@ -69,7 +69,15 @@ def public64(bench_setup):
 class TestObserverPublic:
     def test_channel_count_and_degrees(self, public64):
         assert public64.n_channels == 60
-        assert all(t.nu >= 1 for t in public64.transforms)
+        assert all(m.nu >= 1 for m in public64.channels)
+
+    def test_channel_maps_equal_dense_normal_form(self, public64):
+        for j, maps in enumerate(public64.channels):
+            dense = dense_normal_form(public64.Hbar.row(j), public64.Fbar,
+                                      public64.Gbar)
+            assert maps.j == j
+            for name in ("nu", "T2", "V2", "HFnu", "Sigma", "SigmaDag"):
+                assert getattr(maps, name) == dense[name], (j, name)
 
     def test_fbar_matches_block_structure(self, bench_setup, public64):
         Fbar = public64.Fbar
@@ -214,7 +222,8 @@ class TestModifiedCompatibility:
         for t in range(4):
             batches.append(session.enc_input(qrun.vbars[t]))
         for j in (0, 17, 59):
-            ct = public64.transforms[j]
+            ct = zerodyn.build_transform(public64.Hbar.row(j), public64.Fbar,
+                                         public64.Gbar, j=j)
             tilde_ini, state = zerodyn.cancellation_init(
                 ct, session.artifacts[0].mask)
             expect = (ct.V2 @ tilde_ini).column_entries()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cipherobs import encobs, secviews
 from cipherobs.encobs import EncObserverState, EncryptorSession, ObserverPublic
-from cipherobs.lwe import LweError, SecretKey, _pack_ints
+from cipherobs.lwe import Ciphertext, LweError, SecretKey, _pack_ints
 from cipherobs.lwe import TestRng as SeededRng
 from cipherobs.modring import ModMatrix, Modulus
 from cipherobs.quantobs import QuantParams
@@ -21,18 +21,19 @@ from cipherobs.secviews import (
     f1_view1_to_view2,
     f2_view2_to_view1,
 )
-from cipherobs.zerodyn import build_transform
+from cipherobs.zerodyn import channel_maps
+
+from .helpers import f1_zero_dynamics
 
 
 def _tiny_public(q: Modulus, block_sizes, Gr, Hr, N, lift):
     Gbar = ModMatrix(Gr, q)
     Hbar = ModMatrix(Hr, q)
     Fbar = encobs.build_fbar(block_sizes, q)
-    transforms = tuple(build_transform(Hbar.row(j), Fbar, Gbar, j=j)
-                       for j in range(Hbar.nrows))
+    channels = tuple(channel_maps(Hbar.row(j), Fbar, Gbar, j=j)
+                     for j in range(Hbar.nrows))
     return ObserverPublic(q=q, N=N, lift=lift, block_sizes=tuple(block_sizes),
-                          Fbar=Fbar, Gbar=Gbar, Hbar=Hbar,
-                          transforms=transforms)
+                          Fbar=Fbar, Gbar=Gbar, Hbar=Hbar, channels=channels)
 
 
 def _tiny_params(q: Modulus, N: int, lift: int) -> QuantParams:
@@ -121,7 +122,7 @@ class TestTinyExhaustive:
         public = _tiny_public(self.Q11, (3,), [[1], [0], [1]], [[2, 0, 1]],
                               N=1, lift=lift)
         params = _tiny_params(self.Q11, N=1, lift=lift)
-        assert public.transforms[0].nu == 1
+        assert public.channels[0].nu == 1
         return public, params
 
     def test_roundtrip_over_all_initial_states(self):
@@ -170,17 +171,24 @@ class TestTinyExhaustive:
         assert _views_equal(v2_rt, view2)
 
 
+Q13 = Modulus(13)
+
+
+def _nu2_observer(N=1):
+    # output reads the middle of a depth-3 chain: the input needs two
+    # steps to reach it
+    public = _tiny_public(Q13, (3,), [[1, 0], [0, 0], [0, 1]],
+                          [[0, 1, 0]], N=N, lift=2)
+    params = _tiny_params(Q13, N=N, lift=2)
+    assert public.channels[0].nu == 2
+    return public, params
+
+
 class TestHigherRelativeDegree:
-    Q13 = Modulus(13)
+    Q13 = Q13
 
     def _make(self):
-        # output reads the middle of a depth-3 chain: the input needs two
-        # steps to reach it
-        public = _tiny_public(self.Q13, (3,), [[1, 0], [0, 0], [0, 1]],
-                              [[0, 1, 0]], N=1, lift=2)
-        params = _tiny_params(self.Q13, N=1, lift=2)
-        assert public.transforms[0].nu == 2
-        return public, params
+        return _nu2_observer()
 
     def test_full_reconstruction_needs_more_residues(self):
         public, params = self._make()
@@ -346,3 +354,114 @@ class TestStrictTranscriptParsing:
         except ViewError:
             return
         assert view.to_bytes() == bytes(blob)
+
+
+def _nu2_views(z0, pairs, key, seed, N=1):
+    """Views of a run of the nu = 2 observer, with View 1 cut to the input
+    steps its residues cover."""
+    public, params = _nu2_observer(N)
+    vbars = [ModMatrix.column(p, Q13) for p in pairs]
+    view1, view2 = _run_tiny_session(public, params, SecretKey(key, Q13),
+                                     ZeroErrorRng(seed),
+                                     ModMatrix.column(z0, Q13), vbars)
+    view1 = View1(init_ct=view1.init_ct, input_cts=view1.input_cts[:-1],
+                  residues=view1.residues)
+    view2 = View2(init_cts=view2.init_cts, input_cts=view2.input_cts[:-1])
+    return public, params, view1, view2
+
+
+class TestF1MatchesZeroDynamicsOracle:
+    def test_benchmark_run_across_both_attack_windows(self, bench_setup,
+                                                      bench_enc):
+        v1 = bench_enc.view1
+        assert len(v1.input_cts) == 50 and len(v1.residues) == 51
+        assert bench_enc.records[26].detected and bench_enc.records[44].detected
+        got = f1_view1_to_view2(v1, bench_enc.public, bench_setup.params)
+        oracle = f1_zero_dynamics(v1, bench_enc.public, bench_setup.params)
+        assert _views_equal(got, oracle)
+        assert _views_equal(got, bench_enc.view2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(z0=st.lists(st.integers(-6, 6), min_size=3, max_size=3),
+           pairs=st.lists(st.lists(st.integers(-6, 6), min_size=2,
+                                   max_size=2), min_size=2, max_size=8),
+           key=st.integers(-6, 6), seed=st.integers(0, 2 ** 16))
+    def test_random_sessions_of_the_nu2_observer(self, z0, pairs, key, seed):
+        public, params, view1, view2 = _nu2_views(z0, pairs, [key], seed)
+        got = f1_view1_to_view2(view1, public, params)
+        assert _views_equal(got, f1_zero_dynamics(view1, public, params))
+        assert _views_equal(got, view2)
+
+
+def _remod(ct: Ciphertext, q: Modulus) -> Ciphertext:
+    """The same centred entries as a ciphertext over another modulus."""
+    return Ciphertext(body=ModMatrix(ct.body.rows, q), kind=ct.kind, N=ct.N)
+
+
+class TestPublicMapChecks:
+    Q17 = Modulus(17)
+
+    @pytest.fixture(scope="class")
+    def nu2_views(self):
+        return _nu2_views([3, 1, 4], [[1, 12], [5, 2], [9, 1], [2, 6]],
+                          [2], 5)
+
+    def test_f1_rejects_another_modulus(self, nu2_views):
+        public, params, view1, _ = nu2_views
+        assert _views_equal(f1_view1_to_view2(view1, public, params),
+                            nu2_views[3])
+        remodded = View1(init_ct=_remod(view1.init_ct, self.Q17),
+                         input_cts=tuple(_remod(c, self.Q17)
+                                         for c in view1.input_cts),
+                         residues=view1.residues)
+        one_input = dataclasses.replace(
+            view1, input_cts=view1.input_cts[:-1]
+            + (_remod(view1.input_cts[-1], self.Q17),))
+        for bad in (remodded, one_input):
+            with pytest.raises(ViewError, match="modulus"):
+                f1_view1_to_view2(bad, public, params)
+
+    def test_f1_rejects_residues_of_another_modulus(self, nu2_views):
+        public, params, view1, _ = nu2_views
+        bad = dataclasses.replace(view1, residues=tuple(
+            ModMatrix(r.rows, self.Q17) for r in view1.residues))
+        with pytest.raises(ViewError, match="residues"):
+            f1_view1_to_view2(bad, public, params)
+
+    def test_f2_rejects_another_modulus(self, nu2_views):
+        public, params, view1, view2 = nu2_views
+        assert _views_equal(f2_view2_to_view1(view2, public, params),
+                            dataclasses.replace(view1,
+                                                residues=view1.residues[:-1]))
+        bad = View2(init_cts=tuple(_remod(c, self.Q17)
+                                   for c in view2.init_cts),
+                    input_cts=tuple(tuple(_remod(c, self.Q17) for c in step)
+                                    for step in view2.input_cts))
+        with pytest.raises(ViewError, match="modulus"):
+            f2_view2_to_view1(bad, public, params)
+
+    def test_both_reject_ciphertexts_of_another_height(self, nu2_views):
+        public, params, view1, view2 = nu2_views
+
+        def taller(ct):
+            rows = ct.body.rows + ((0,) * ct.body.ncols,)
+            return Ciphertext(body=ModMatrix(rows, Q13), kind=ct.kind,
+                              N=ct.N)
+
+        bad1 = dataclasses.replace(view1, input_cts=(taller(
+            view1.input_cts[0]),) + view1.input_cts[1:])
+        with pytest.raises(ViewError, match="rows"):
+            f1_view1_to_view2(bad1, public, params)
+        bad2 = View2(init_cts=view2.init_cts,
+                     input_cts=((taller(view2.input_cts[0][0]),),)
+                     + view2.input_cts[1:])
+        with pytest.raises(ViewError, match="rows"):
+            f2_view2_to_view1(bad2, public, params)
+
+    def test_f2_rejects_another_dimension(self, nu2_views):
+        public, params = nu2_views[:2]
+        _, _, _, wide = _nu2_views([3, 1, 4], [[1, 12], [5, 2], [9, 1]],
+                                   [2, 7], 5, N=2)
+        assert wide.init_cts[0].N == 2 and public.N == 1
+        with pytest.raises(ViewError, match="dimension"):
+            f2_view2_to_view1(wide, public, params)

@@ -2,17 +2,21 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cipherobs.encobs import build_fbar
 from cipherobs.modring import ModMatrix, Modulus
 from cipherobs.zerodyn import (
     RelativeDegreeUndefined,
     build_transform,
     cancellation_init,
     cancellation_step,
+    channel_maps,
     relative_degree,
     simulate_channel,
 )
-from .helpers import random_channel, random_mod_matrix
+from .helpers import dense_normal_form, random_channel, random_mod_matrix
 
 Q101 = Modulus(101)
 Q5 = Modulus(5)
@@ -144,6 +148,78 @@ class TestBuildTransform:
             assert (row @ maps.Gbar).is_zero()
             row = row @ Fbar
         assert not (row @ maps.Gbar).is_zero()
+
+
+MODULI = (Modulus(13), Modulus(2 ** 61 - 1), Modulus(2 ** 109 - 31))
+MAP_FIELDS = ("nu", "T2", "V2", "HFnu", "Sigma", "SigmaDag")
+TRANSFORM_FIELDS = ("nu", "T1", "T2", "V1", "V2", "Sigma", "SigmaDag")
+
+
+@st.composite
+def observer_channels(draw):
+    """(Fbar, Gbar, H) over a random block structure; Gbar reaches only a
+    random subset of the state and H is sparse, so the output often needs
+    several steps to see the input (or never sees it)."""
+    q = draw(st.sampled_from(MODULI))
+    blocks = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    l = sum(blocks)
+    h = draw(st.integers(1, 3))
+    entry = st.one_of(st.just(0), st.just(1), st.integers(0, q.q - 1))
+    live = draw(st.sets(st.integers(0, l - 1), max_size=l))
+    G = [draw(st.lists(entry, min_size=h, max_size=h)) if i in live
+         else [0] * h for i in range(l)]
+    H = [draw(st.lists(st.one_of(st.just(0), entry), min_size=l,
+                       max_size=l))]
+    return build_fbar(blocks, q), ModMatrix(G, q), ModMatrix(H, q)
+
+
+def _assert_matches_dense(H, F, G):
+    dense = dense_normal_form(H, F, G)
+    maps = channel_maps(H, F, G, j=7)
+    assert maps.j == 7
+    for name in MAP_FIELDS:
+        assert getattr(maps, name) == dense[name], name
+    ct = build_transform(H, F, G)
+    for name in TRANSFORM_FIELDS:
+        assert getattr(ct, name) == dense[name], name
+    return dense["nu"]
+
+
+class TestClosedFormMaps:
+    @settings(max_examples=300, deadline=None)
+    @given(observer_channels())
+    def test_equal_dense_oracle(self, channel):
+        F, G, H = channel
+        try:
+            dense_normal_form(H, F, G)
+        except RelativeDegreeUndefined:
+            for build in (channel_maps, build_transform):
+                with pytest.raises(RelativeDegreeUndefined):
+                    build(H, F, G)
+            return
+        _assert_matches_dense(H, F, G)
+
+    @pytest.mark.parametrize("q", MODULI)
+    def test_higher_degrees_on_every_modulus(self, q):
+        # Gbar reaches the top of a block of 5; H reads further down it
+        rng = random.Random(q.q)
+        F = build_fbar((5, 2), q)
+        for nu in (1, 2, 3, 4, 5):
+            G = ModMatrix([[rng.randrange(1, q.q), 0]] + [[0, 0]] * 4
+                          + [[0, 1], [0, 0]], q)
+            H = ModMatrix([[0] * (nu - 1)
+                           + [rng.randrange(1, q.q) for _ in range(6 - nu)]
+                           + [0, 0]], q)
+            assert _assert_matches_dense(H, F, G) == nu
+
+    @pytest.mark.parametrize("q", MODULI)
+    def test_no_relative_degree_raises(self, q):
+        F = build_fbar((3, 2), q)
+        G = ModMatrix([[0], [0], [0], [1], [0]], q)
+        H = ModMatrix([[1, 1, 1, 0, 0]], q)
+        for build in (relative_degree, channel_maps, build_transform):
+            with pytest.raises(RelativeDegreeUndefined):
+                build(H, F, G)
 
 
 class TestSimulateChannel:
