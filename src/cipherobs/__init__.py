@@ -4,10 +4,8 @@ from .modring import (
     ModMatrix,
     Modulus,
     cmod,
-    complete_basis,
     inverse_mod,
     mat_mul_mod,
-    rank_mod,
     right_inverse_row,
 )
 from .plantsim import AttackScenario, AttackSegment, PlantModel, Trajectory, \
@@ -15,15 +13,13 @@ from .plantsim import AttackScenario, AttackSegment, PlantModel, Trajectory, \
 from .obsdesign import ObserverBank, build_bank, canonical_decomposition, \
     observability_index, residue_map, run_reference_observer
 from .quantobs import QuantParams, QuantState, detect, make_params, \
-    quantize_initial, quantize_input, recover_plain_estimate, \
-    residue_quantized, step_quantized, validate_params
+    quantize_initial, quantize_input, residue_quantized, step_quantized, \
+    validate_params
 from .lwe import Ciphertext, CiphertextKind, NoiseParams, SecretKey, \
     SecureRng, TestRng, ct_add, ct_matmul, decrypt, encrypt, keygen
-from .zerodyn import ChannelMaps, ChannelTransform, build_transform, \
-    cancellation_init, cancellation_step, channel_maps, relative_degree, \
-    simulate_channel
+from .zerodyn import ChannelMaps, channel_maps, relative_degree
 from .encobs import EncryptorSession, EncObserverState, ObserverPublic, \
-    disclose_residue, encrypted_residue, recover_encrypted_state, \
+    disclose_residue, recover_encrypted_state, residue_first_column, \
     step_encrypted
 from .secviews import View1, View2, f1_view1_to_view2, f2_view2_to_view1
 from .pipeline import SystemSetup, bundled_scenario_path, run_encrypted_mode, \

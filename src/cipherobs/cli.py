@@ -7,9 +7,11 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -79,14 +81,8 @@ def _run_lwe_dim(args) -> int:
 def cmd_design(args) -> int:
     setup = _setup_from_args(args)
     print(design_report(setup.bank))
-    degrees = []
-    fbar = encobs.build_fbar(setup.mod_maps.block_sizes, setup.params.q)
-    for j in range(setup.mod_maps.Hbar.nrows):
-        degrees.append(zerodyn.relative_degree(
-            setup.mod_maps.Hbar.row(j), fbar, setup.mod_maps.Gbar))
-    counts = {}
-    for nu in degrees:
-        counts[nu] = counts.get(nu, 0) + 1
+    public = encobs.ObserverPublic.build(setup.mod_maps, setup.params)
+    counts = Counter(m.nu for m in public.channels)
     summary = ", ".join(f"nu={k}: {v} channels" for k, v in sorted(counts.items()))
     print(f"relative degrees: {summary}")
     print(f"init_error={setup.params.init_error:.9g}  "
@@ -166,63 +162,62 @@ def _suite_deadbeat(setup: SystemSetup) -> list:
     return failures
 
 
+def _zeroing_failures(name: str, public: encobs.ObserverPublic,
+                      setup: SystemSetup, seed: int,
+                      gbar_corrupt: bool) -> list:
+    """Encrypt zero messages with the deployed encryptor and run them
+    through the encrypted observer: every channel's residue first column
+    must be exactly 0 for 4 l steps.  With `gbar_corrupt` the observer
+    steps with Gbar[0][0] + 1."""
+    q = public.q
+    l, h = public.Gbar.shape
+    run = public
+    if gbar_corrupt:
+        rows = [list(r) for r in public.Gbar.rows]
+        rows[0][0] += 1
+        run = dataclasses.replace(public, Gbar=ModMatrix(rows, q))
+    rng = TestRng(seed)
+    params = dataclasses.replace(setup.params, q=q, N=public.N)
+    session = encobs.EncryptorSession(keygen(public.N, q, rng), params,
+                                      public, rng=rng)
+    state = encobs.EncObserverState.from_initial(
+        session.enc_initial(ModMatrix.zeros(l, 1, q)))
+    for t in range(4 * l + 1):
+        if t:
+            batch = session.enc_input(ModMatrix.zeros(h, 1, q))
+            state = encobs.step_encrypted(state, batch, run)
+        if not encobs.residue_first_column(state, run).is_zero():
+            return [f"{name}: the mask reached the residue at step {t}"]
+    return []
+
+
 def _suite_zeroing(seed: int, gbar_corrupt: bool, setup: SystemSetup) -> list:
+    """Output zeroing of the deployed cancellation on random block-shift
+    observers over q = 101 (sparse gains and residue rows, so some channels
+    have nu > 1) and on the benchmark observer."""
     import random as pyrandom
     failures = []
     q = Modulus(101)
     rng = pyrandom.Random(seed)
     for trial in range(20):
-        l = rng.choice([2, 3, 4, 5, 6])
-        mp = rng.choice([2, 3])
-        F = ModMatrix([[rng.randrange(101) for _ in range(l)]
+        blocks = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 3)))
+        l, h = sum(blocks), rng.choice([2, 3])
+        G = ModMatrix([[rng.randrange(101) for _ in range(h)]
+                       if rng.random() < 0.5 else [0] * h
                        for _ in range(l)], q)
-        G = ModMatrix([[rng.randrange(101) for _ in range(mp)]
-                       for _ in range(l)], q)
-        H = ModMatrix([[rng.randrange(101) for _ in range(l)]], q)
+        H = ModMatrix([[rng.choice([0, rng.randrange(101)]) for _ in range(l)]
+                       for _ in range(rng.randint(1, 3))], q)
+        maps = dataclasses.replace(setup.mod_maps, Gbar=G, Hbar=H,
+                                   block_sizes=blocks)
         try:
-            ct = zerodyn.build_transform(H, F, G)
+            public = encobs.ObserverPublic.build(maps, setup.params, N=8)
         except zerodyn.RelativeDegreeUndefined:
             continue
-        if gbar_corrupt:
-            rows = [list(r) for r in G.rows]
-            rows[0][0] = q.cmod(rows[0][0] + 1)
-            G_run = ModMatrix(rows, q)
-        else:
-            G_run = G
-        b_ini = ModMatrix.column([rng.randrange(101) for _ in range(l)], q)
-        b_vs = [ModMatrix.column([rng.randrange(101) for _ in range(mp)], q)
-                for _ in range(4 * l)]
-        tilde_ini, state = zerodyn.cancellation_init(ct, b_ini)
-        mod_ini = b_ini - ct.V2 @ tilde_ini
-        mod_vs = []
-        for v in b_vs:
-            tilde, state = zerodyn.cancellation_step(ct, state, v)
-            mod_vs.append(v - ct.SigmaDag.scale(tilde))
-        outputs = zerodyn.simulate_channel(H, F, G_run, mod_ini, mod_vs)
-        if any(o != 0 for o in outputs):
-            failures.append(f"cancellation left a nonzero output (trial {trial})")
-    # one channel of the real system
-    fbar = encobs.build_fbar(setup.mod_maps.block_sizes, setup.params.q)
-    ct = zerodyn.build_transform(setup.mod_maps.Hbar.row(0), fbar,
-                                 setup.mod_maps.Gbar)
-    qq = setup.params.q
-    rng2 = pyrandom.Random(seed + 1)
-    b_ini = ModMatrix.column(
-        [qq.cmod(rng2.randrange(qq.q)) for _ in range(setup.bank.l_total)], qq)
-    b_vs = [ModMatrix.column(
-        [qq.cmod(rng2.randrange(qq.q)) for _ in range(setup.mod_maps.Gbar.ncols)],
-        qq) for _ in range(12)]
-    tilde_ini, state = zerodyn.cancellation_init(ct, b_ini)
-    mod_ini = b_ini - ct.V2 @ tilde_ini
-    mod_vs = []
-    for v in b_vs:
-        tilde, state = zerodyn.cancellation_step(ct, state, v)
-        mod_vs.append(v - ct.SigmaDag.scale(tilde))
-    outputs = zerodyn.simulate_channel(setup.mod_maps.Hbar.row(0), fbar,
-                                       setup.mod_maps.Gbar, mod_ini, mod_vs)
-    if any(o != 0 for o in outputs):
-        failures.append("cancellation failed on the benchmark channel")
-    return failures
+        failures += _zeroing_failures(f"trial {trial}", public, setup,
+                                      seed + trial, gbar_corrupt)
+    public = encobs.ObserverPublic.build(setup.mod_maps, setup.params, N=16)
+    return failures + _zeroing_failures("benchmark", public, setup, seed,
+                                        gbar_corrupt)
 
 
 def _suite_encrypted(setup: SystemSetup, seed: int) -> list:

@@ -4,8 +4,9 @@ ciphertext recursion, residue disclosure, and encrypted state recovery.
 One residue channel is run per row of the residue map.  All channels share
 each step's randomness block and masking term; they differ only in the
 cancellation column derived from their own zero-dynamics, which forces the
-mask contribution of every residue's first column to zero.  Each input
-batch and the observer state are therefore stored as one matrix
+mask contribution of every residue's first column to zero.  That recursion
+is written once, as `ObserverPublic.cancel_initial` and `cancel_step`.
+Each input batch and the observer state are therefore stored as one matrix
 `[firsts | shared | lasts]`: every channel's first column, the shared middle
 block once, then every channel's last column.  One step of the observer is
 one application of `Z' = Fbar Z + Gbar V` to that whole matrix.
@@ -32,7 +33,6 @@ from .lwe import (
     NoiseParams,
     SecretKey,
     SecureRng,
-    decrypt,
     encrypt_with_artifacts,
 )
 from .modring import DimensionMismatch, ModMatrix, Modulus, join_limbs, \
@@ -49,9 +49,8 @@ __all__ = [
     "EncryptorSession",
     "EncObserverState",
     "step_encrypted",
-    "encrypted_residue",
+    "residue_first_column",
     "disclose_residue",
-    "decrypt_channel_state",
     "recover_encrypted_state",
     "build_fbar",
 ]
@@ -111,10 +110,49 @@ class ObserverPublic:
         """The observer recursion on int64 limbs for these maps."""
         return LimbKernel.build(self.block_sizes, self.Gbar)
 
+    @cached_property
+    def _step_maps(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+        """Per channel: (H_j F^nu_j, Sigma_j, SigmaDag_j) as int tuples."""
+        return tuple((m.HFnu.rows[0], m.Sigma.rows[0],
+                      m.SigmaDag.column_entries()) for m in self.channels)
 
-def _channel_row(row: Tuple[int, ...], n_ch: int, j: int) -> Tuple[int, ...]:
-    """Channel j's columns of one `[firsts | shared | lasts]` row."""
-    return (row[j],) + row[n_ch:len(row) - n_ch] + (row[len(row) - n_ch + j],)
+    def _cancelled(self, x: ModMatrix, cancels) -> ModMatrix:
+        """x 1^T - [cancel columns]: x with each channel's cancellation."""
+        q = self.q
+        return ModMatrix(
+            (tuple(q.cmod(a - c[i]) for c in cancels)
+             for i, a in enumerate(x.column_entries())),
+            q, ncols=len(cancels), _reduced=True)
+
+    def cancel_initial(self, x: ModMatrix):
+        """Every channel's initial cancellation of the column x.
+
+        Channel j's term is tilde_j = T2_j x, the chain coordinates of x,
+        and its cancel column is V2_j tilde_j, so x minus that column has
+        zero chain coordinates.  Returns (tildes, cancels, B) with B the
+        l x n_ch cancelled state x 1^T - [cancels].
+        """
+        tildes = [m.T2 @ x for m in self.channels]
+        cancels = [(m.V2 @ tilde).column_entries()
+                   for m, tilde in zip(self.channels, tildes)]
+        return tildes, cancels, self._cancelled(x, cancels)
+
+    def cancel_step(self, B: ModMatrix, x: ModMatrix):
+        """One step of every channel's cancellation of the input column x.
+
+        Column j of B is channel j's cancelled state; its chain coordinates
+        are zero, so channel j's term is tilde_j = H_j F^nu_j B[:, j]
+        + Sigma_j x and its cancel column SigmaDag_j tilde_j.  Returns
+        (tildes, cancels, B') with B' = Fbar B + Gbar (x 1^T - [cancels]).
+        """
+        q = self.q
+        xs = x.column_entries()
+        tildes = [q.cmod(sum(map(mul, p, b)) + sum(map(mul, sigma, xs)))
+                  for (p, sigma, _), b in zip(self._step_maps, zip(*B.rows))]
+        cancels = [tuple(q.cmod(a * t) for a in dag)
+                   for (_, _, dag), t in zip(self._step_maps, tildes)]
+        return tildes, cancels, self.kernel.update(
+            B, self._cancelled(x, cancels))
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,10 +173,11 @@ class _ChannelBody:
         return self.body.shape[-1] - 2 * self.n_channels
 
     def _channel_body(self, j: int) -> ModMatrix:
+        n_ch, N = self.n_channels, self.N
         return ModMatrix(
-            tuple(_channel_row(row, self.n_channels, j)
+            tuple((row[j],) + row[n_ch:n_ch + N] + (row[n_ch + N + j],)
                   for row in self.body.rows),
-            self.body.modulus, ncols=self.N + 2, _reduced=True)
+            self.body.modulus, ncols=N + 2, _reduced=True)
 
     def channel(self, j: int) -> Ciphertext:
         """Channel j's modified ciphertext: [first | shared | last]."""
@@ -189,12 +228,9 @@ class EncryptorSession:
 
     Holds every channel's cancelled mask state as one l x n_ch matrix B:
     column j is the mask part of channel j's observer state once its
-    cancellation is applied.  Its chain coordinates stay zero, so channel
-    j's next cancellation is `H_j F^nu_j B[:, j] + Sigma_j mask`, the same
-    value `zerodyn.cancellation_step` computes from the zero-dynamics state
-    `T1_j B[:, j]`.  All channels then advance through one observer update.
-    Losing a step invalidates the session, so B can be checkpointed and
-    restored.
+    cancellation is applied, as `ObserverPublic.cancel_initial` and
+    `cancel_step` compute it with the mask as their input.  Losing a step
+    invalidates the session, so B can be checkpointed and restored.
     """
 
     def __init__(self, sk: SecretKey, params: QuantParams,
@@ -211,10 +247,6 @@ class EncryptorSession:
         self.step = -1  # -1 = fresh, >= 0 after enc_initial
         self.cancel_state: Optional[ModMatrix] = None   # B, l x n_ch
         self.artifacts: List[StepArtifacts] = []
-        # per channel: (H_j F^nu_j, Sigma_j, SigmaDag_j) as int tuples
-        self._cancel_maps = tuple(
-            (m.HFnu.rows[0], m.Sigma.rows[0], m.SigmaDag.column_entries())
-            for m in public.channels)
 
     # -- checkpointing -----------------------------------------------------
 
@@ -237,23 +269,12 @@ class EncryptorSession:
                 mask=mask, error=err, randomness=rand, standard_ct=std_ct,
                 cancel_terms=tuple(cancel_terms)))
 
-    def _cancelled(self, mask: ModMatrix, cancels) -> ModMatrix:
-        """mask 1^T - [cancel columns]: each channel's cancelled mask."""
-        q = self.public.q
-        return ModMatrix(
-            (tuple(q.cmod(m - c[i]) for c in cancels)
-             for i, m in enumerate(mask.column_entries())),
-            q, ncols=len(cancels), _reduced=True)
-
     def enc_initial(self, zbar_ini: ModMatrix) -> EncryptedBatch:
         """Encrypt the lifted initial state once for every channel."""
         if self.step != -1:
             raise SessionNotFresh("enc_initial may only be called once")
         std_ct, mask, err, rand = self._encrypt(zbar_ini)
-        tildes = [m.T2 @ mask for m in self.public.channels]
-        cancels = [(m.V2 @ tilde).column_entries()
-                   for m, tilde in zip(self.public.channels, tildes)]
-        self.cancel_state = self._cancelled(mask, cancels)
+        tildes, cancels, self.cancel_state = self.public.cancel_initial(mask)
         self.step = 0
         self._record(std_ct, mask, err, rand, tildes)
         return EncryptedBatch.from_standard(std_ct, cancels)
@@ -264,15 +285,8 @@ class EncryptorSession:
         if self.step < 0:
             raise EncObsError("call enc_initial before enc_input")
         std_ct, mask, err, rand = self._encrypt(vbar)
-        q = self.public.q
-        m = mask.column_entries()
-        tildes = [q.cmod(sum(map(mul, p, b)) + sum(map(mul, sigma, m)))
-                  for (p, sigma, _), b in
-                  zip(self._cancel_maps, zip(*self.cancel_state.rows))]
-        cancels = [tuple(q.cmod(a * t) for a in dag)
-                   for (_, _, dag), t in zip(self._cancel_maps, tildes)]
-        self.cancel_state = self.public.kernel.update(
-            self.cancel_state, self._cancelled(mask, cancels))
+        tildes, cancels, self.cancel_state = self.public.cancel_step(
+            self.cancel_state, mask)
         self.step += 1
         self._record(std_ct, mask, err, rand, tildes)
         return EncryptedBatch.from_standard(std_ct, cancels)
@@ -364,21 +378,6 @@ def step_encrypted(state: EncObserverState, batch: EncryptedBatch,
                             step=state.step + 1, kernel=kernel)
 
 
-def encrypted_residue(state: EncObserverState,
-                      public: ObserverPublic) -> Tuple[ModMatrix, ModMatrix]:
-    """Stacked per-channel residue rows and their first column.
-
-    Row j applies channel j's residue row to that channel's state.
-    """
-    width = state.N + 2 * state.n_channels
-    body = ModMatrix(state._rows(range(width)), public.q, ncols=width)
-    full = public.Hbar @ body
-    rows = tuple(_channel_row(row, state.n_channels, j)
-                 for j, row in enumerate(full.rows))
-    R = ModMatrix(rows, public.q, ncols=state.N + 2, _reduced=True)
-    return R, ModMatrix.column(R.column_entries(0), public.q)
-
-
 def residue_first_column(state: EncObserverState,
                          public: ObserverPublic) -> ModMatrix:
     """First column of the encrypted residue only (cheap per-step path):
@@ -404,21 +403,15 @@ def disclose_residue(r1: ModMatrix, params: QuantParams) -> ModMatrix:
     return r1.scale(inv)
 
 
-def decrypt_channel_state(state: EncObserverState, j: int,
-                          sk: SecretKey) -> ModMatrix:
-    """Dec' of channel j's state: first - shared @ sk + last, reduced."""
-    return decrypt(state.channel(j), sk)
-
-
 def recover_encrypted_state(state: EncObserverState, j: int, sk: SecretKey,
                             params: QuantParams,
                             phi_pinv_bar: ModMatrix) -> ModMatrix:
     """Decrypt channel j and strip the lift factor by exact rounding.
 
-    The decryption is `decrypt_channel_state`, computed without joining the
-    shared block: it and the key are cut into signed d-bit digits with
-    N 2^(2d) < 2^63, so every digit product sums exactly in int64, and only
-    the l sums are joined as Python ints.
+    The decryption is Dec' of channel j (first - shared @ sk + last),
+    computed without joining the shared block: it and the key are cut into
+    signed d-bit digits with N 2^(2d) < 2^63, so every digit product sums
+    exactly in int64, and only the l sums are joined as Python ints.
 
     When the detection criterion held at this step (and the parameter
     bounds are valid) the result equals the plaintext observer's scaled

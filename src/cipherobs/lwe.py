@@ -344,8 +344,6 @@ def ct_add(c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
     return Ciphertext(body=c1.body + c2.body, kind=c1.kind, N=c1.N)
 
 
-def ct_matmul(Kmat, c: Ciphertext) -> Ciphertext:
-    """Left multiplication by an integer matrix, evaluated on the body."""
-    if not isinstance(Kmat, ModMatrix):
-        Kmat = ModMatrix(Kmat, c.body.modulus)
+def ct_matmul(Kmat: ModMatrix, c: Ciphertext) -> Ciphertext:
+    """Left multiplication by a Z_q matrix, evaluated on the body."""
     return Ciphertext(body=Kmat @ c.body, kind=c.kind, N=c.N)

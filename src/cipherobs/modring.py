@@ -6,8 +6,8 @@ Matrices are immutable after construction and all operations are pure, so
 values can be shared freely between threads.
 
 Elimination routines use a fixed pivot rule (first nonzero entry scanning
-top-to-bottom, left-to-right) so that ranks, basis completions and inverses
-are bit-reproducible across runs.
+top-to-bottom, left-to-right) so that pivot columns and inverses are
+bit-reproducible across runs.
 
 `split_limbs` and `join_limbs` convert between Python ints and exact signed
 int64 limbs, the form in which numpy kernels compute over Z_q.
@@ -36,11 +36,8 @@ __all__ = [
     "cmod",
     "mat_mul_mod",
     "inverse_mod",
-    "rank_mod",
     "pivot_columns",
-    "complete_basis",
     "right_inverse_row",
-    "centered_difference_check",
     "split_limbs",
     "join_limbs",
 ]
@@ -226,10 +223,6 @@ class ModMatrix:
     def column(cls, entries: Iterable[int], modulus: Modulus) -> "ModMatrix":
         return cls(((a,) for a in entries), modulus, ncols=1)
 
-    @classmethod
-    def row_vector(cls, entries: Iterable[int], modulus: Modulus) -> "ModMatrix":
-        return cls((entries,), modulus)
-
     # -- shape helpers -----------------------------------------------------
 
     @property
@@ -267,10 +260,6 @@ class ModMatrix:
             raise DimensionMismatch("vstack needs equal column counts")
         return ModMatrix(self.rows + other.rows, self.modulus,
                          ncols=self.ncols, _reduced=True)
-
-    def transpose(self) -> "ModMatrix":
-        return ModMatrix(tuple(zip(*self.rows)), self.modulus,
-                         ncols=self.nrows, _reduced=True)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -410,12 +399,6 @@ def _echelon(rows, q: int, reduce_up: bool):
     return rows, pivots
 
 
-def rank_mod(A: ModMatrix) -> int:
-    """Rank of A over the field Z_q."""
-    _, pivots = _echelon(A.rows, A.modulus.q, reduce_up=False)
-    return len(pivots)
-
-
 def inverse_mod(A: ModMatrix) -> ModMatrix:
     """Inverse over Z_q by Gauss-Jordan elimination.
 
@@ -445,21 +428,6 @@ def pivot_columns(T2: ModMatrix) -> List[int]:
     return pivots
 
 
-def complete_basis(T2: ModMatrix) -> ModMatrix:
-    """Standard-basis completion of a full-row-rank T2 to a basis of Z_q^l.
-
-    Returns T1 with one row e_i per non-pivot column i of T2, in ascending
-    column order, so that [T1; T2] is invertible.
-    """
-    l = T2.ncols
-    pivot_set = set(pivot_columns(T2))
-    rows = tuple(
-        tuple(1 if j == c else 0 for j in range(l))
-        for c in range(l) if c not in pivot_set
-    )
-    return ModMatrix(rows, T2.modulus, ncols=l, _reduced=True)
-
-
 def right_inverse_row(sigma: ModMatrix) -> ModMatrix:
     """Right inverse of a nonzero row vector: sigma @ result == [[1]].
 
@@ -477,25 +445,6 @@ def right_inverse_row(sigma: ModMatrix) -> ModMatrix:
             entries[k] = inv
             return ModMatrix.column(entries, sigma.modulus)
     raise ZeroRow("zero row has no right inverse")
-
-
-def centered_difference_check(a: int, b: int, mod: Modulus) -> bool:
-    """Check the centered-difference property for a, b in the centered range.
-
-    When |a| + |cmod(a - b)| < q/2 the plain difference and the reduced
-    difference agree in absolute value.  Returns True when the hypothesis
-    held (and the conclusion was verified), False when the hypothesis did
-    not apply.
-    """
-    if not (mod.contains(a) and mod.contains(b)):
-        raise ModRingError("inputs must already lie in the centered range")
-    red = mod.cmod(a - b)
-    if Fraction(abs(a) + abs(red)) >= mod.half:
-        return False
-    if abs(a - b) != abs(red):
-        raise ModRingError(
-            f"centered difference property violated for a={a}, b={b}, q={mod.q}")
-    return True
 
 
 # values converted per pass of `split_limbs`; bounds its temporary bytes

@@ -1,6 +1,7 @@
 """End-to-end orchestration: scenario loading, the three execution modes
-(reference, quantized, encrypted), CSV emission, and the white-box error
-bookkeeping used by the verification suites.
+(reference, quantized, encrypted) and CSV emission.  On request an encrypted
+run also keeps its per-step states, its two adversary views and the
+encryptor's artifacts, which the tests and `cipherobs verify` check.
 """
 
 from __future__ import annotations

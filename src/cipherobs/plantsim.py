@@ -119,10 +119,6 @@ class AttackScenario:
             a = a + np.asarray(self.signal(t), dtype=float)
         return a
 
-    def attacked_sensors(self, t: int) -> set:
-        out = {seg.sensor for seg in self.segments if seg.start <= t <= seg.end}
-        return out
-
     def sparsity_report(self, horizon: int, p: int) -> dict:
         """Worst simultaneous sensor count vs. the declared k_max (advisory)."""
         worst = 0

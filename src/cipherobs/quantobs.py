@@ -1,5 +1,5 @@
 """Quantized observer over Z_q: scaling, state recursion, residue, the
-detection criterion, plaintext state recovery and parameter validation.
+detection criterion and parameter validation.
 
 The observer state lives in the centered range of a large prime q.  All
 parameter inequalities are evaluated with exact rational arithmetic so that
@@ -18,8 +18,6 @@ import numpy as np
 
 from .modring import ModMatrix, Modulus, join_limbs, split_limbs
 from .obsdesign import ObserverBank, ResidueMaps, round_half_up, calibrate_M
-from .plantsim import AttackScenario, run_closed_loop
-from .obsdesign import run_reference_observer
 
 __all__ = [
     "QuantError",
@@ -35,13 +33,10 @@ __all__ = [
     "threshold_at",
     "detect",
     "DetectResult",
-    "recover_plain_estimate",
     "validate_params",
     "ParamReport",
     "BoundCheck",
     "make_params",
-    "calibrate_quantization",
-    "CalibrationReport",
 ]
 
 
@@ -259,13 +254,6 @@ def detect(rbar: ModMatrix, t: int, params: QuantParams) -> DetectResult:
                         threshold=threshold_at(params, t))
 
 
-def recover_plain_estimate(state: QuantState, PhiPinvBar: ModMatrix,
-                           params: QuantParams) -> np.ndarray:
-    """Physical-scale state estimate s1^2 s2 * (PhiPinvBar @ zbar mod q)."""
-    xbar = PhiPinvBar @ state.zbar
-    return np.array([params.resolution * v for v in xbar.column_entries()])
-
-
 @dataclass(frozen=True)
 class BoundCheck:
     name: str
@@ -295,10 +283,6 @@ class ParamReport:
         return (self.modulus_bound.passed and self.lift_bound.passed
                 and self.modulus_lift_bound.passed and self.lift_coprime)
 
-    @property
-    def strict_all_pass(self) -> bool:
-        return self.all_pass and self.lift_bound_strict.passed
-
     def lines(self):
         out = []
         for chk in (self.modulus_bound, self.lift_bound,
@@ -326,8 +310,10 @@ def _lift_rhs(params: QuantParams, kappa: Fraction, noise: Fraction,
             * (1 + params.l_max * gbar_norm) * noise)
 
 
-def validate_params(params: QuantParams, Gbar) -> ParamReport:
-    """Exact rational evaluation of the three parameter inequalities.
+def validate_params(params: QuantParams,
+                    Gbar: Sequence[Sequence[int]]) -> ParamReport:
+    """Exact rational evaluation of the three parameter inequalities for
+    the integer gain rows `ResidueMaps.Gbar`.
 
     The modulus bounds use the worst-case pseudo-inverse gain (infinity
     norm).  The lift bound is reported twice: the strict worst-case form
@@ -335,10 +321,7 @@ def validate_params(params: QuantParams, Gbar) -> ParamReport:
     calibrated form (spectral gain, one-sigma error scale) is the one the
     benchmark parameters were selected against and the one that gates runs.
     """
-    if isinstance(Gbar, ModMatrix):
-        gnorm = Gbar.inf_norm()
-    else:
-        gnorm = max(sum(abs(int(a)) for a in row) for row in Gbar)
+    gnorm = max(sum(abs(a) for a in row) for row in Gbar)
     kappa_inf = Fraction(params.kappa)
     kappa_2 = Fraction(params.kappa_spectral)
     delta = Fraction(params.Delta)
@@ -396,57 +379,3 @@ def make_params(bank: ObserverBank, *, s1: float, s2: float, lift: int,
         init_error=init_error,
         signal_bound=signal_bound, l_max=bank.l_max, l_total=bank.l_total,
     )
-
-
-@dataclass(frozen=True)
-class CalibrationReport:
-    max_residue_dev: float
-    max_subset_dev: float
-    eps: float
-
-    @property
-    def ok(self) -> bool:
-        return self.max_residue_dev <= self.eps and self.max_subset_dev <= self.eps
-
-
-def calibrate_quantization(bank: ObserverBank, maps: ModularMaps,
-                           params: QuantParams,
-                           zhat_ini: np.ndarray | None = None,
-                           horizon: int | None = None) -> CalibrationReport:
-    """Empirical adequacy check for the scale factors.
-
-    Runs the attack-free loop in both arithmetics and measures how far the
-    rescaled Z_q residue and subset estimates drift from the real-valued
-    reference.  If either deviation exceeds eps, the scales are too coarse:
-    decrease s1/s2 (and re-check the modulus bounds).
-    """
-    if zhat_ini is None:
-        zhat_ini = np.zeros(bank.l_total)
-    if horizon is None:
-        horizon = 10 * bank.l_max
-    traj = run_closed_loop(bank.model, AttackScenario(), horizon)
-    ref = run_reference_observer(bank, traj, zhat_ini)
-    state = QuantState(zbar=quantize_initial(zhat_ini, params), step=0)
-    res = params.resolution
-    max_res_dev = 0.0
-    max_sub_dev = 0.0
-    for t in range(horizon):
-        rbar = residue_quantized(state, maps.Hbar)
-        dev = max(
-            (abs(res * v - rv) for v, rv in
-             zip(rbar.column_entries(), ref.rhat[t])),
-            default=0.0)
-        max_res_dev = max(max_res_dev, dev)
-        for subset in bank.subsets:
-            idx = bank.subset_indices(subset)
-            zsub = ModMatrix.column(
-                [state.zbar.rows[i][0] for i in idx], params.q)
-            xsub = maps.subset_pinv_bars[subset] @ zsub
-            ref_sub = ref.subset_estimates[t][subset]
-            dev = max(abs(res * v - rv) for v, rv in
-                      zip(xsub.column_entries(), ref_sub))
-            max_sub_dev = max(max_sub_dev, dev)
-        vbar = quantize_input(traj.u[t], traj.y[t], params)
-        state = step_quantized(state, vbar, maps.block_sizes, maps.Gbar)
-    return CalibrationReport(max_residue_dev=max_res_dev,
-                             max_subset_dev=max_sub_dev, eps=params.eps)

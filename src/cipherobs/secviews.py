@@ -179,8 +179,7 @@ def _check_ciphertexts(cts: Sequence[Ciphertext], nrows: int,
 
 
 def f2_view2_to_view1(v2: View2, public: ObserverPublic,
-                      params: QuantParams,
-                      verify_consistency: bool = True) -> View1:
+                      params: QuantParams) -> View1:
     """Reconstruct the standard-plus-residue view from modified ciphertexts.
 
     Standard ciphertexts follow from the construction identity (message and
@@ -196,11 +195,10 @@ def f2_view2_to_view1(v2: View2, public: ObserverPublic,
 
     def fold_all(cts: Sequence[Ciphertext]) -> Ciphertext:
         std = _merge_to_standard(cts[0])
-        if verify_consistency:
-            for other in cts[1:]:
-                if _merge_to_standard(other).body != std.body:
-                    raise InconsistentChannels(
-                        "channels disagree on the underlying standard ciphertext")
+        for other in cts[1:]:
+            if _merge_to_standard(other).body != std.body:
+                raise InconsistentChannels(
+                    "channels disagree on the underlying standard ciphertext")
         return std
 
     init_std = fold_all(v2.init_cts)
@@ -236,20 +234,18 @@ def f1_view1_to_view2(v1: View1, public: ObserverPublic,
 
     The encryptor's cancellation is linear in its mask, and the mask is the
     observed first column f_t minus the lifted message.  So each channel's
-    cancellation splits into a combined part, the encryptor's recursion
-    driven by f_t, minus a message part, the same recursion driven by the
-    message.  The message part needs only the disclosed residues: lifted,
-    they are H_j of the message state, and the first nu_j of them are its
-    chain coordinates.
+    cancellation splits into a combined part C, the encryptor's recursion
+    (`ObserverPublic.cancel_initial` and `cancel_step`) driven by f_t, minus
+    a message part D, the same recursion driven by the message.  The
+    message part needs only the disclosed residues: lifted, they are H_j of
+    the message state, and the first nu_j of them are its chain
+    coordinates.  D runs for all channels as one l x n_ch state, the
+    message state minus its cancelled state, through the observer kernel:
 
-    Both recursions run for all channels as one l x 2 n_ch state [C | D]
-    through the observer kernel, with C the encryptor's cancelled state
-    driven by f_t and D the message state minus its cancelled state:
+        D_0 = V2 lifted[0:nu],      msg = lifted[t + nu] - H F^nu D,
+        cancel = SigmaDag (comb - msg),   D' = F D + G SigmaDag msg,
 
-        C_0 = f_0 - V2 T2 f_0,          D_0 = V2 lifted[0:nu],
-        comb = H F^nu C + Sigma f_t,    msg = lifted[t + nu] - H F^nu D,
-        cancel = SigmaDag (comb - msg),
-        C' = F C + G (f_t - SigmaDag comb),   D' = F D + G SigmaDag msg.
+    with comb the combined term `cancel_step` returns.
     """
     steps = len(v1.input_cts)
     q = public.q
@@ -271,33 +267,29 @@ def f1_view1_to_view2(v1: View1, public: ObserverPublic,
     lifted = [[q.cmod(lift * a) for a in r.column_entries()]
               for r in v1.residues]
     f0 = ModMatrix.column(v1.init_ct.first_column(), q)
-    init_cancels = []
-    C, D = [], []
-    for j, m in enumerate(channels):
-        comb = m.V2 @ (m.T2 @ f0)
-        msg = m.V2 @ ModMatrix.column([lifted[t][j] for t in range(m.nu)], q)
-        init_cancels.append((comb - msg).column_entries())
-        C.append((f0 - comb).column_entries())
-        D.append(msg.column_entries())
-    Z = ModMatrix(tuple(zip(*C, *D)), q, ncols=2 * n_ch, _reduced=True)
+    _, combs, C = public.cancel_initial(f0)
+    init_cancels, D = [], []
+    for j, (m, comb) in enumerate(zip(channels, combs)):
+        msg = (m.V2 @ ModMatrix.column([lifted[t][j] for t in range(m.nu)],
+                                        q)).column_entries()
+        init_cancels.append(tuple(q.cmod(c - a) for c, a in zip(comb, msg)))
+        D.append(msg)
+    D = ModMatrix(tuple(zip(*D)), q, ncols=n_ch, _reduced=True)
 
     kernel = public.kernel
     step_cancels = []
     for t, ct in enumerate(v1.input_cts):
-        f = ct.first_column()
-        cols = tuple(zip(*Z.rows))
-        cancels, drive_c, drive_d = [], [], []
-        for j, m in enumerate(channels):
-            p = m.HFnu.rows[0]
-            comb = sum(map(mul, p, cols[j])) + sum(map(mul, m.Sigma.rows[0], f))
-            msg = lifted[t + m.nu][j] - sum(map(mul, p, cols[n_ch + j]))
+        combs, _, C = public.cancel_step(
+            C, ModMatrix.column(ct.first_column(), q))
+        cancels, drive = [], []
+        for j, (m, comb, d) in enumerate(zip(channels, combs, zip(*D.rows))):
+            msg = lifted[t + m.nu][j] - sum(map(mul, m.HFnu.rows[0], d))
             dag = m.SigmaDag.column_entries()
             cancels.append(tuple(q.cmod(a * (comb - msg)) for a in dag))
-            drive_c.append(tuple(q.cmod(x - a * comb) for x, a in zip(f, dag)))
-            drive_d.append(tuple(q.cmod(a * msg) for a in dag))
+            drive.append(tuple(q.cmod(a * msg) for a in dag))
         step_cancels.append(cancels)
-        Z = kernel.update(Z, ModMatrix(tuple(zip(*drive_c, *drive_d)), q,
-                                       ncols=2 * n_ch, _reduced=True))
+        D = kernel.update(D, ModMatrix(tuple(zip(*drive)), q, ncols=n_ch,
+                                       _reduced=True))
 
     def channels_of(std_ct: Ciphertext, cancels) -> Tuple[Ciphertext, ...]:
         batch = EncryptedBatch.from_standard(std_ct, cancels)

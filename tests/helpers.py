@@ -2,15 +2,22 @@
 library, plus random problem generators."""
 
 import random
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from cipherobs.encobs import EncryptedBatch
-from cipherobs.modring import ModMatrix, Modulus, complete_basis, \
-    inverse_mod, right_inverse_row
-from cipherobs.plantsim import PlantModel
+from cipherobs.lwe import decrypt
+from cipherobs.modring import DimensionMismatch, ModMatrix, ModRingError, \
+    Modulus, _echelon, inverse_mod, pivot_columns, right_inverse_row
+from cipherobs.obsdesign import run_reference_observer
+from cipherobs.plantsim import AttackScenario, PlantModel, run_closed_loop
+from cipherobs.quantobs import QuantState, quantize_initial, quantize_input, \
+    residue_quantized, step_quantized
 from cipherobs.secviews import View2
-from cipherobs.zerodyn import RelativeDegreeUndefined, build_transform
+from cipherobs.zerodyn import RelativeDegreeUndefined, channel_maps
 
 
 def egcd_inverse(a: int, q: int) -> int:
@@ -165,3 +172,237 @@ def f1_zero_dynamics(v1, public, params):
     return View2(init_cts=channels(v1.init_ct, init_cancels),
                  input_cts=tuple(channels(std_ct, cancels) for std_ct, cancels
                                  in zip(v1.input_cts, step_cancels)))
+
+
+# -- linear algebra over Z_q --------------------------------------------------
+
+def rank_mod(A: ModMatrix) -> int:
+    """Rank of A over the field Z_q."""
+    _, pivots = _echelon(A.rows, A.modulus.q, reduce_up=False)
+    return len(pivots)
+
+
+def complete_basis(T2: ModMatrix) -> ModMatrix:
+    """Standard-basis completion of a full-row-rank T2 to a basis of Z_q^l.
+
+    Returns T1 with one row e_i per non-pivot column i of T2, in ascending
+    column order, so that [T1; T2] is invertible.
+    """
+    l = T2.ncols
+    pivot_set = set(pivot_columns(T2))
+    rows = tuple(
+        tuple(1 if j == c else 0 for j in range(l))
+        for c in range(l) if c not in pivot_set
+    )
+    return ModMatrix(rows, T2.modulus, ncols=l, _reduced=True)
+
+
+def centered_difference_check(a: int, b: int, mod: Modulus) -> bool:
+    """Check the centered-difference property for a, b in the centered range.
+
+    When |a| + |cmod(a - b)| < q/2 the plain difference and the reduced
+    difference agree in absolute value.  Returns True when the hypothesis
+    held (and the conclusion was verified), False when the hypothesis did
+    not apply.
+    """
+    if not (mod.contains(a) and mod.contains(b)):
+        raise ModRingError("inputs must already lie in the centered range")
+    red = mod.cmod(a - b)
+    if Fraction(abs(a) + abs(red)) >= mod.half:
+        return False
+    if abs(a - b) != abs(red):
+        raise ModRingError(
+            f"centered difference property violated for a={a}, b={b}, q={mod.q}")
+    return True
+
+
+# -- zero-dynamics normal form: the oracle for the deployed cancellation -----
+
+@dataclass(frozen=True)
+class CancellationState:
+    """Zero-dynamics state of one channel's mask cancellation."""
+
+    j: int
+    b_xi: ModMatrix  # (l - nu) x 1
+    step: int
+
+
+@dataclass(frozen=True)
+class ChannelTransform:
+    """Per-channel normal-form data over Z_q.
+
+    T2 stacks H, HF, ..., HF^(nu-1); T1 completes it to a basis, and
+    [V1, V2] is the inverse of the stacked transform.  The S/Psi/Gamma/Sigma
+    blocks are the normal-form coefficients, SigmaDag a right inverse of
+    Sigma, and S the zero-dynamics state matrix S1 - S3 SigmaDag Psi.
+    """
+
+    j: int
+    nu: int
+    T1: ModMatrix
+    T2: ModMatrix
+    V1: ModMatrix
+    V2: ModMatrix
+    S1: ModMatrix
+    S2: ModMatrix
+    S3: ModMatrix
+    Psi: ModMatrix
+    Gamma: ModMatrix
+    Sigma: ModMatrix
+    SigmaDag: ModMatrix
+    S: ModMatrix
+    input_projector: ModMatrix  # I - SigmaDag Sigma
+
+    @property
+    def l(self) -> int:
+        return self.T2.ncols
+
+    def initial_state(self, b_ini: ModMatrix) -> CancellationState:
+        return CancellationState(j=self.j, b_xi=self.T1 @ b_ini, step=0)
+
+
+def build_transform(Hj: ModMatrix, Fbar: ModMatrix, Gbar: ModMatrix,
+                    j: int = 0) -> ChannelTransform:
+    """Construct the channel transform; requires a defined relative degree.
+
+    Starts from `channel_maps`.  T1 is the unit rows of the non-pivot
+    columns of T2 and V1 the same columns of I - V2 T2, so [V1, V2] inverts
+    [T1; T2] without an elimination.
+    """
+    m = channel_maps(Hj, Fbar, Gbar, j)
+    q = Gbar.modulus
+    l, nu = Fbar.nrows, m.nu
+    pivots = pivot_columns(m.T2)
+    free = [c for c in range(l) if c not in pivots]
+    eye = ModMatrix.identity(l, q)
+    T1 = eye.submatrix(free)
+    V1 = ModMatrix(tuple(tuple(row[c] for c in free)
+                         for row in (eye - m.V2 @ m.T2).rows),
+                   q, ncols=l - nu, _reduced=True)
+    T1F = T1 @ Fbar
+    S1 = T1F @ V1
+    S3 = T1 @ Gbar
+    Psi = m.HFnu @ V1
+    return ChannelTransform(
+        j=j, nu=nu, T1=T1, T2=m.T2, V1=V1, V2=m.V2, S1=S1, S2=T1F @ m.V2,
+        S3=S3, Psi=Psi, Gamma=m.HFnu @ m.V2, Sigma=m.Sigma,
+        SigmaDag=m.SigmaDag, S=S1 - S3 @ m.SigmaDag @ Psi,
+        input_projector=(ModMatrix.identity(Gbar.ncols, q)
+                         - m.SigmaDag @ m.Sigma),
+    )
+
+
+def simulate_channel(Hj: ModMatrix, Fbar: ModMatrix, Gbar: ModMatrix,
+                     b_ini: ModMatrix,
+                     b_v: Sequence[ModMatrix]) -> List[int]:
+    """Reference channel simulation; returns the output at steps 0..len(b_v).
+
+    Used as the independent oracle for every zero-dynamics test.
+    """
+    state = b_ini
+    outputs = [(Hj @ state).rows[0][0]]
+    for v in b_v:
+        state = Fbar @ state + Gbar @ v
+        outputs.append((Hj @ state).rows[0][0])
+    return outputs
+
+
+def cancellation_init(ct: ChannelTransform,
+                      b_ini: ModMatrix) -> Tuple[ModMatrix, CancellationState]:
+    """Initial cancellation: the chain part of b_ini plus the starting
+    zero-dynamics state."""
+    if not b_ini.is_column() or b_ini.nrows != ct.l:
+        raise DimensionMismatch(f"b_ini must be a {ct.l}-vector column")
+    return ct.T2 @ b_ini, ct.initial_state(b_ini)
+
+
+def cancellation_step(ct: ChannelTransform, state: CancellationState,
+                      b_v: ModMatrix) -> Tuple[int, CancellationState]:
+    """One cancellation update.
+
+    Emits the scalar input-cancellation term for the current step and
+    advances the zero-dynamics state driven by the same input.
+    """
+    if not b_v.is_column() or b_v.nrows != ct.Sigma.ncols:
+        raise DimensionMismatch("input vector has wrong length")
+    tilde = (ct.Sigma @ b_v + ct.Psi @ state.b_xi).rows[0][0]
+    nxt = ct.S @ state.b_xi + ct.S3 @ (ct.input_projector @ b_v)
+    return tilde, CancellationState(j=state.j, b_xi=nxt, step=state.step + 1)
+
+
+# -- whole-state oracles of the encrypted and quantized observers ------------
+
+def encrypted_residue(state, public) -> Tuple[ModMatrix, ModMatrix]:
+    """Stacked per-channel residue rows and their first column.
+
+    Row j applies channel j's residue row to that channel's materialized
+    state (oracle for `encobs.residue_first_column`).
+    """
+    R = ModMatrix(tuple((public.Hbar.row(j) @ state.channel(j).body).rows[0]
+                        for j in range(state.n_channels)),
+                  public.q, ncols=state.N + 2)
+    return R, ModMatrix.column(R.column_entries(0), public.q)
+
+
+def decrypt_channel_state(state, j: int, sk) -> ModMatrix:
+    """Dec' of channel j's state: first - shared @ sk + last, reduced."""
+    return decrypt(state.channel(j), sk)
+
+
+def recover_plain_estimate(state: QuantState, PhiPinvBar: ModMatrix,
+                           params) -> np.ndarray:
+    """Physical-scale state estimate s1^2 s2 * (PhiPinvBar @ zbar mod q)."""
+    xbar = PhiPinvBar @ state.zbar
+    return np.array([params.resolution * v for v in xbar.column_entries()])
+
+
+@dataclass(frozen=True)
+class CalibrationReport:
+    max_residue_dev: float
+    max_subset_dev: float
+    eps: float
+
+    @property
+    def ok(self) -> bool:
+        return self.max_residue_dev <= self.eps and self.max_subset_dev <= self.eps
+
+
+def calibrate_quantization(bank, maps, params, zhat_ini=None,
+                           horizon=None) -> CalibrationReport:
+    """Empirical adequacy check for the scale factors.
+
+    Runs the attack-free loop in both arithmetics and measures how far the
+    rescaled Z_q residue and subset estimates drift from the real-valued
+    reference.  If either deviation exceeds eps, the scales are too coarse:
+    decrease s1/s2 (and re-check the modulus bounds).
+    """
+    if zhat_ini is None:
+        zhat_ini = np.zeros(bank.l_total)
+    if horizon is None:
+        horizon = 10 * bank.l_max
+    traj = run_closed_loop(bank.model, AttackScenario(), horizon)
+    ref = run_reference_observer(bank, traj, zhat_ini)
+    state = QuantState(zbar=quantize_initial(zhat_ini, params), step=0)
+    res = params.resolution
+    max_res_dev = 0.0
+    max_sub_dev = 0.0
+    for t in range(horizon):
+        rbar = residue_quantized(state, maps.Hbar)
+        dev = max(
+            (abs(res * v - rv) for v, rv in
+             zip(rbar.column_entries(), ref.rhat[t])),
+            default=0.0)
+        max_res_dev = max(max_res_dev, dev)
+        for subset in bank.subsets:
+            idx = bank.subset_indices(subset)
+            zsub = ModMatrix.column(
+                [state.zbar.rows[i][0] for i in idx], params.q)
+            xsub = maps.subset_pinv_bars[subset] @ zsub
+            ref_sub = ref.subset_estimates[t][subset]
+            dev = max(abs(res * v - rv) for v, rv in
+                      zip(xsub.column_entries(), ref_sub))
+            max_sub_dev = max(max_sub_dev, dev)
+        vbar = quantize_input(traj.u[t], traj.y[t], params)
+        state = step_quantized(state, vbar, maps.block_sizes, maps.Gbar)
+    return CalibrationReport(max_residue_dev=max_res_dev,
+                             max_subset_dev=max_sub_dev, eps=params.eps)

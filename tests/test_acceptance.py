@@ -6,13 +6,14 @@ session (LWE dimension 64 for speed; every exactness property is dimension
 independent) and share the results across criteria.
 """
 
+import dataclasses
 import random
 
 import numpy as np
 import pytest
 
-from cipherobs import encobs, zerodyn
-from cipherobs.encobs import decrypt_channel_state, recover_encrypted_state
+from cipherobs.encobs import EncObserverState, EncryptorSession, \
+    recover_encrypted_state, residue_first_column, step_encrypted
 from cipherobs.lwe import NoiseParams, ct_add, ct_matmul, decrypt, encrypt, \
     keygen
 from cipherobs.lwe import TestRng as SeededRng
@@ -23,7 +24,10 @@ from cipherobs.plantsim import AttackScenario, run_closed_loop
 from cipherobs.obsdesign import run_reference_observer
 from cipherobs.quantobs import validate_params
 from cipherobs.secviews import f1_view1_to_view2, f2_view2_to_view1
-from .helpers import error_trajectory, random_channel, random_stable_plant
+from cipherobs.zerodyn import RelativeDegreeUndefined
+from .helpers import build_transform, cancellation_init, cancellation_step, \
+    decrypt_channel_state, error_trajectory, random_channel, \
+    random_stable_plant, simulate_channel
 from .test_secviews import ZeroErrorRng, _run_tiny_session, _tiny_params, \
     _tiny_public, _views_equal
 
@@ -168,7 +172,9 @@ def test_criterion_5_deadbeat_error_decay(bench_setup):
 
 
 def test_criterion_6_output_zeroing(bench_setup, bench_enc):
-    """Cancellation zeroes the channel output exactly, everywhere."""
+    """Cancellation zeroes the channel output exactly, everywhere: the
+    normal-form oracle on random channels and the benchmark channels, and
+    the deployed encryptor and observer on every benchmark channel."""
     q101 = Modulus(101)
     rng = random.Random(31337)
     random_ok = 0
@@ -177,19 +183,18 @@ def test_criterion_6_output_zeroing(bench_setup, bench_enc):
         mp = rng.choice([2, 3])
         H, F, G = random_channel(rng, q101, l, mp)
         try:
-            ct = zerodyn.build_transform(H, F, G)
-        except zerodyn.RelativeDegreeUndefined:
+            ct = build_transform(H, F, G)
+        except RelativeDegreeUndefined:
             continue
         b_ini = ModMatrix.column([rng.randrange(101) for _ in range(l)], q101)
         b_vs = [ModMatrix.column([rng.randrange(101) for _ in range(mp)],
                                  q101) for _ in range(4 * l)]
-        tilde_ini, state = zerodyn.cancellation_init(ct, b_ini)
+        tilde_ini, state = cancellation_init(ct, b_ini)
         mod_vs = []
         for v in b_vs:
-            tilde, state = zerodyn.cancellation_step(ct, state, v)
+            tilde, state = cancellation_step(ct, state, v)
             mod_vs.append(v - ct.SigmaDag.scale(tilde))
-        outs = zerodyn.simulate_channel(H, F, G, b_ini - ct.V2 @ tilde_ini,
-                                        mod_vs)
+        outs = simulate_channel(H, F, G, b_ini - ct.V2 @ tilde_ini, mod_vs)
         if any(o != 0 for o in outs):
             _report(6, "output zeroing", False, "random channel leaked")
         random_ok += 1
@@ -206,21 +211,35 @@ def test_criterion_6_output_zeroing(bench_setup, bench_enc):
                               for _ in range(public.Gbar.ncols)], qq)
             for _ in range(horizon)]
     for j in range(public.n_channels):
-        ct = zerodyn.build_transform(public.Hbar.row(j), public.Fbar,
-                                     public.Gbar, j=j)
-        tilde_ini, state = zerodyn.cancellation_init(ct, b_ini)
+        ct = build_transform(public.Hbar.row(j), public.Fbar, public.Gbar,
+                             j=j)
+        tilde_ini, state = cancellation_init(ct, b_ini)
         mod_vs = []
         for v in b_vs:
-            tilde, state = zerodyn.cancellation_step(ct, state, v)
+            tilde, state = cancellation_step(ct, state, v)
             mod_vs.append(v - ct.SigmaDag.scale(tilde))
-        outs = zerodyn.simulate_channel(
-            public.Hbar.row(ct.j), public.Fbar, public.Gbar,
-            b_ini - ct.V2 @ tilde_ini, mod_vs)
+        outs = simulate_channel(public.Hbar.row(ct.j), public.Fbar,
+                                public.Gbar, b_ini - ct.V2 @ tilde_ini, mod_vs)
         if any(o != 0 for o in outs):
             bench_ok = False
             break
-    _report(6, "output zeroing: 100 random + all 60 benchmark channels",
-            bench_ok and random_ok >= 100,
+
+    # the deployed path: zero messages through the encryptor and observer
+    params = dataclasses.replace(bench_setup.params, N=public.N)
+    rng3 = SeededRng(99)
+    session = EncryptorSession(keygen(public.N, qq, rng3), params, public,
+                               rng=rng3)
+    state = EncObserverState.from_initial(
+        session.enc_initial(ModMatrix.zeros(l, 1, qq)))
+    deployed_ok = residue_first_column(state, public).is_zero()
+    for _ in range(horizon):
+        batch = session.enc_input(ModMatrix.zeros(public.Gbar.ncols, 1, qq))
+        state = step_encrypted(state, batch, public)
+        deployed_ok = (deployed_ok
+                       and residue_first_column(state, public).is_zero())
+    _report(6, "output zeroing: 100 random + all 60 benchmark channels, "
+            "oracle and deployed",
+            bench_ok and deployed_ok and random_ok >= 100,
             f"horizon 4l, exact zeros; converse covered by the exhaustive "
             f"small-field sweep in the zero-dynamics tests")
 

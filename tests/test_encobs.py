@@ -3,16 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cipherobs import encobs, zerodyn
+from cipherobs import encobs
 from cipherobs.encobs import (
     EncObserverState,
     EncryptorSession,
     ObserverPublic,
     SessionNotFresh,
     build_fbar,
-    decrypt_channel_state,
     disclose_residue,
-    encrypted_residue,
     recover_encrypted_state,
     residue_first_column,
     step_encrypted,
@@ -22,7 +20,9 @@ from cipherobs.lwe import LweError, NoiseParams, SecretKey, decrypt, encrypt, \
 from cipherobs.lwe import TestRng as SeededRng
 from cipherobs.modring import ModMatrix
 from cipherobs.pipeline import run_encrypted_mode, run_quantized_mode
-from .helpers import dense_normal_form, error_trajectory
+from .helpers import build_transform, cancellation_init, cancellation_step, \
+    decrypt_channel_state, dense_normal_form, encrypted_residue, \
+    error_trajectory
 
 
 class ZeroMaskRng:
@@ -222,15 +222,14 @@ class TestModifiedCompatibility:
         for t in range(4):
             batches.append(session.enc_input(qrun.vbars[t]))
         for j in (0, 17, 59):
-            ct = zerodyn.build_transform(public64.Hbar.row(j), public64.Fbar,
-                                         public64.Gbar, j=j)
-            tilde_ini, state = zerodyn.cancellation_init(
-                ct, session.artifacts[0].mask)
+            ct = build_transform(public64.Hbar.row(j), public64.Fbar,
+                                 public64.Gbar, j=j)
+            tilde_ini, state = cancellation_init(ct, session.artifacts[0].mask)
             expect = (ct.V2 @ tilde_ini).column_entries()
             assert batches[0].channel(j).cancel_column() == expect
             for t in range(1, 5):
-                tilde, state = zerodyn.cancellation_step(
-                    ct, state, session.artifacts[t].mask)
+                tilde, state = cancellation_step(ct, state,
+                                                 session.artifacts[t].mask)
                 expect = ct.SigmaDag.scale(tilde).column_entries()
                 assert batches[t].channel(j).cancel_column() == expect
 

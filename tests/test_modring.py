@@ -14,16 +14,14 @@ from cipherobs.modring import (
     PrimalityError,
     SingularMatrix,
     ZeroRow,
-    centered_difference_check,
     cmod,
-    complete_basis,
     inverse_mod,
     mat_mul_mod,
-    rank_mod,
     right_inverse_row,
 )
 from cipherobs.modring import _is_probable_prime
-from .helpers import egcd_inverse, random_mod_matrix
+from .helpers import centered_difference_check, complete_basis, \
+    egcd_inverse, random_mod_matrix, rank_mod
 
 Q5 = Modulus(5)
 Q7 = Modulus(7)

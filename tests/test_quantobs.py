@@ -15,25 +15,23 @@ from cipherobs.pipeline import BENCH_LIFT, BENCH_Q, SystemSetup, \
     bundled_scenario_path, run_quantized_mode, run_reference_mode
 from cipherobs.plantsim import AttackScenario, run_closed_loop
 from cipherobs.quantobs import (
-    CalibrationReport,
     LimbKernel,
     ModularMaps,
     QuantError,
     QuantParams,
     QuantState,
-    calibrate_quantization,
     detect,
     make_params,
     observer_update,
     quantize_initial,
     quantize_input,
-    recover_plain_estimate,
     residue_quantized,
     step_quantized,
     threshold_at,
     validate_params,
 )
-from .helpers import random_stable_plant
+from .helpers import CalibrationReport, calibrate_quantization, \
+    random_stable_plant, recover_plain_estimate
 
 
 class TestQuantize:

@@ -9,14 +9,11 @@ from cipherobs.encobs import build_fbar
 from cipherobs.modring import ModMatrix, Modulus
 from cipherobs.zerodyn import (
     RelativeDegreeUndefined,
-    build_transform,
-    cancellation_init,
-    cancellation_step,
     channel_maps,
     relative_degree,
-    simulate_channel,
 )
-from .helpers import dense_normal_form, random_channel, random_mod_matrix
+from .helpers import build_transform, cancellation_init, cancellation_step, \
+    dense_normal_form, random_channel, random_mod_matrix, simulate_channel
 
 Q101 = Modulus(101)
 Q5 = Modulus(5)
