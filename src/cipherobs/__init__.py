@@ -17,7 +17,7 @@ from .quantobs import QuantParams, QuantState, detect, make_params, \
     validate_params
 from .lwe import Ciphertext, CiphertextKind, NoiseParams, SecretKey, \
     SecureRng, TestRng, ct_add, ct_matmul, decrypt, encrypt, keygen
-from .zerodyn import ChannelMaps, channel_maps, relative_degree
+from .zerodyn import ChannelMaps, channel_maps
 from .encobs import EncryptorSession, EncObserverState, ObserverPublic, \
     disclose_residue, recover_encrypted_state, residue_first_column, \
     step_encrypted

@@ -53,29 +53,23 @@ def _load_config(path):
 
 
 def _setup_from_args(args) -> SystemSetup:
+    """Flags beat the run config, which beats DEFAULTS."""
     scenario, overrides = _load_config(args.config)
-    kw = dict(DEFAULTS)
-    kw.pop("lwe_dim")
-    kw.update(overrides)
-    for name in ("s1", "s2", "eps"):
-        val = getattr(args, name, None)
-        if val is not None:
-            kw[name] = val
-    if getattr(args, "lift", None) is not None:
-        kw["lift"] = args.lift
-    if getattr(args, "q", None) is not None:
-        kw["q"] = args.q
-    if getattr(args, "delta", None) is not None:
-        kw["Delta"] = args.delta
+    kw = {**DEFAULTS, **overrides}
+    flags = {"s1": args.s1, "s2": args.s2, "lift": args.lift, "q": args.q,
+             "Delta": args.delta, "eps": args.eps,
+             "N": getattr(args, "N", None)}
+    kw.update((name, val) for name, val in flags.items() if val is not None)
+    if type(kw["N"]) is not int or kw["N"] < 1:
+        raise DesignError(f"LWE dimension N must be an integer >= 1, "
+                          f"got {kw['N']!r}")
     return SystemSetup.from_scenario(scenario, **kw)
 
 
-def _run_lwe_dim(args) -> int:
-    if getattr(args, "full_lwe", False):
-        return DEFAULTS["N"]
-    if getattr(args, "lwe_dim", None) is not None:
-        return args.lwe_dim
-    return DEFAULTS["lwe_dim"]
+def _at_dim(setup: SystemSetup, N: int) -> SystemSetup:
+    """The same set-up with its params built at LWE dimension N."""
+    return dataclasses.replace(
+        setup, params=dataclasses.replace(setup.params, N=N))
 
 
 def cmd_design(args) -> int:
@@ -106,9 +100,7 @@ def cmd_simulate(args) -> int:
     elif args.mode == "quantized":
         records = run_quantized_mode(setup, args.steps).records
     else:
-        run = run_encrypted_mode(setup, args.steps, seed=args.seed,
-                                 lwe_dim=_run_lwe_dim(args))
-        records = run.records
+        records = run_encrypted_mode(setup, args.steps, seed=args.seed).records
     csv_text = records_to_csv(records)
     if args.out:
         Path(args.out).write_text(csv_text)
@@ -162,13 +154,13 @@ def _suite_deadbeat(setup: SystemSetup) -> list:
     return failures
 
 
-def _zeroing_failures(name: str, public: encobs.ObserverPublic,
-                      setup: SystemSetup, seed: int,
+def _zeroing_failures(name: str, maps, params, seed: int,
                       gbar_corrupt: bool) -> list:
     """Encrypt zero messages with the deployed encryptor and run them
-    through the encrypted observer: every channel's residue first column
-    must be exactly 0 for 4 l steps.  With `gbar_corrupt` the observer
-    steps with Gbar[0][0] + 1."""
+    through the encrypted observer of `maps`: every channel's residue first
+    column must be exactly 0 for 4 l steps.  With `gbar_corrupt` the
+    observer steps with Gbar[0][0] + 1."""
+    public = encobs.ObserverPublic.build(maps, params)
     q = public.q
     l, h = public.Gbar.shape
     run = public
@@ -177,7 +169,6 @@ def _zeroing_failures(name: str, public: encobs.ObserverPublic,
         rows[0][0] += 1
         run = dataclasses.replace(public, Gbar=ModMatrix(rows, q))
     rng = TestRng(seed)
-    params = dataclasses.replace(setup.params, q=q, N=public.N)
     session = encobs.EncryptorSession(keygen(public.N, q, rng), params,
                                       public, rng=rng)
     state = encobs.EncObserverState.from_initial(
@@ -193,11 +184,14 @@ def _zeroing_failures(name: str, public: encobs.ObserverPublic,
 
 def _suite_zeroing(seed: int, gbar_corrupt: bool, setup: SystemSetup) -> list:
     """Output zeroing of the deployed cancellation on random block-shift
-    observers over q = 101 (sparse gains and residue rows, so some channels
-    have nu > 1) and on the benchmark observer."""
+    observers over q = 101 at N = 8 (sparse gains and residue rows, so some
+    channels have nu > 1) and on the benchmark observer at N = 16.  Residue
+    rows without a relative degree are dropped; a draw is skipped only
+    when no row is left."""
     import random as pyrandom
     failures = []
     q = Modulus(101)
+    params = dataclasses.replace(setup.params, q=q, N=8)
     rng = pyrandom.Random(seed)
     for trial in range(20):
         blocks = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 3)))
@@ -207,23 +201,28 @@ def _suite_zeroing(seed: int, gbar_corrupt: bool, setup: SystemSetup) -> list:
                        for _ in range(l)], q)
         H = ModMatrix([[rng.choice([0, rng.randrange(101)]) for _ in range(l)]
                        for _ in range(rng.randint(1, 3))], q)
-        maps = dataclasses.replace(setup.mod_maps, Gbar=G, Hbar=H,
-                                   block_sizes=blocks)
-        try:
-            public = encobs.ObserverPublic.build(maps, setup.params, N=8)
-        except zerodyn.RelativeDegreeUndefined:
-            continue
-        failures += _zeroing_failures(f"trial {trial}", public, setup,
-                                      seed + trial, gbar_corrupt)
-    public = encobs.ObserverPublic.build(setup.mod_maps, setup.params, N=16)
-    return failures + _zeroing_failures("benchmark", public, setup, seed,
-                                        gbar_corrupt)
+        Fbar, rows = encobs.build_fbar(blocks, q), []
+        for row in H.rows:
+            try:
+                zerodyn.channel_maps(ModMatrix([row], q), Fbar, G)
+            except zerodyn.RelativeDegreeUndefined:
+                continue
+            rows.append(row)
+        if rows:
+            maps = dataclasses.replace(setup.mod_maps, Gbar=G,
+                                       Hbar=ModMatrix(rows, q),
+                                       block_sizes=blocks)
+            failures += _zeroing_failures(f"trial {trial}", maps, params,
+                                          seed + trial, gbar_corrupt)
+    return failures + _zeroing_failures(
+        "benchmark", setup.mod_maps, _at_dim(setup, 16).params, seed,
+        gbar_corrupt)
 
 
 def _suite_encrypted(setup: SystemSetup, seed: int) -> list:
     failures = []
     steps = 12
-    run = run_encrypted_mode(setup, steps, seed=seed, lwe_dim=32,
+    run = run_encrypted_mode(_at_dim(setup, 32), steps, seed=seed,
                              record_views=True, keep_states=True,
                              cross_check=False)
     qrun = run_quantized_mode(setup, steps)
@@ -282,8 +281,8 @@ def cmd_bench(args) -> int:
     dims = [int(d) for d in args.dims.split(",")]
     print(f"channels: {setup.bank.n_r}, steps per measurement: {args.steps}")
     for N in dims:
-        run = run_encrypted_mode(setup, args.steps, seed=args.seed, lwe_dim=N,
-                                 cross_check=False)
+        run = run_encrypted_mode(_at_dim(setup, N), args.steps,
+                                 seed=args.seed, cross_check=False)
         print(f"N={N}: setup {run.setup_s * 1000:.1f} ms, "
               f"{run.steps_s / args.steps * 1000:.1f} ms/step")
     return 0
@@ -305,7 +304,6 @@ def main(argv=None) -> int:
         sp.add_argument("--q", type=int, default=None)
         sp.add_argument("--delta", type=float, default=None)
         sp.add_argument("--eps", type=float, default=None)
-        sp.add_argument("--seed", type=int, default=0)
 
     p_design = sub.add_parser("design", help="print the observer design report")
     add_common(p_design)
@@ -317,10 +315,9 @@ def main(argv=None) -> int:
                        default="quantized")
     p_sim.add_argument("--steps", type=int, default=50)
     p_sim.add_argument("--out", default=None)
-    p_sim.add_argument("--full-lwe", action="store_true",
-                       help="use the full security dimension instead of the "
-                            "fast test dimension")
-    p_sim.add_argument("--lwe-dim", type=int, default=None)
+    p_sim.add_argument("--lwe-dim", dest="N", type=int, default=None,
+                       help="LWE dimension N (default 64; the security "
+                            "dimension is 4096)")
     p_sim.set_defaults(fn=cmd_simulate)
 
     p_ver = sub.add_parser("verify", help="run the property suites")
@@ -335,6 +332,8 @@ def main(argv=None) -> int:
     p_bench.add_argument("--dims", default="64,1024,4096")
     p_bench.add_argument("--steps", type=int, default=5)
     p_bench.set_defaults(fn=cmd_bench)
+    for sp in (p_sim, p_ver, p_bench):
+        sp.add_argument("--seed", type=int, default=0)
 
     args = parser.parse_args(argv)
     try:

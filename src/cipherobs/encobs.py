@@ -83,7 +83,6 @@ class ObserverPublic:
 
     q: Modulus
     N: int
-    lift: int
     block_sizes: Tuple[int, ...]
     Fbar: ModMatrix
     Gbar: ModMatrix
@@ -91,15 +90,14 @@ class ObserverPublic:
     channels: Tuple[ChannelMaps, ...]
 
     @classmethod
-    def build(cls, maps: ModularMaps, params: QuantParams,
-              N: Optional[int] = None) -> "ObserverPublic":
+    def build(cls, maps: ModularMaps, params: QuantParams) -> "ObserverPublic":
+        """The public data for `maps` at the LWE dimension `params.N`."""
         q = maps.Gbar.modulus
         Fbar = build_fbar(maps.block_sizes, q)
-        channels = tuple(channel_maps(maps.Hbar.row(j), Fbar, maps.Gbar, j=j)
+        channels = tuple(channel_maps(maps.Hbar.row(j), Fbar, maps.Gbar)
                          for j in range(maps.Hbar.nrows))
-        return cls(q=q, N=params.N if N is None else N, lift=params.lift,
-                   block_sizes=maps.block_sizes, Fbar=Fbar, Gbar=maps.Gbar,
-                   Hbar=maps.Hbar, channels=channels)
+        return cls(q=q, N=params.N, block_sizes=maps.block_sizes, Fbar=Fbar,
+                   Gbar=maps.Gbar, Hbar=maps.Hbar, channels=channels)
 
     @property
     def n_channels(self) -> int:
@@ -309,13 +307,11 @@ class EncObserverState(_ChannelBody):
 
     body: Union[ModMatrix, np.ndarray]
     n_channels: int
-    step: int
     kernel: Optional[LimbKernel]
 
     @classmethod
     def from_initial(cls, batch: EncryptedBatch) -> "EncObserverState":
-        return cls(body=batch.body, n_channels=batch.n_channels, step=0,
-                   kernel=None)
+        return cls(body=batch.body, n_channels=batch.n_channels, kernel=None)
 
     def _rows(self, cols: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
         """Rows of the body restricted to the given columns, as ints
@@ -375,7 +371,7 @@ def step_encrypted(state: EncObserverState, batch: EncryptedBatch,
     body = observer_update(Z, kernel.split(batch.body.rows),
                            kernel.block_sizes, kernel.gain)
     return EncObserverState(body=body, n_channels=state.n_channels,
-                            step=state.step + 1, kernel=kernel)
+                            kernel=kernel)
 
 
 def residue_first_column(state: EncObserverState,

@@ -200,10 +200,6 @@ class SecretKey:
     def entries(self) -> Tuple[int, ...]:
         return tuple(self._live())
 
-    def as_column(self) -> ModMatrix:
-        return ModMatrix(((v,) for v in self._live()), self.q, ncols=1,
-                         _reduced=True)
-
     def zeroize(self):
         if self._entries is not None:
             for i in range(len(self._entries)):
@@ -252,10 +248,6 @@ class Ciphertext:
 
     def first_column(self) -> Tuple[int, ...]:
         return self.body.column_entries(0)
-
-    def randomness_block(self) -> ModMatrix:
-        rows = tuple(r[1:1 + self.N] for r in self.body.rows)
-        return ModMatrix(rows, self.body.modulus, ncols=self.N, _reduced=True)
 
     def cancel_column(self) -> Tuple[int, ...]:
         if self.kind is not CiphertextKind.MODIFIED:

@@ -75,11 +75,11 @@ _MILLER_RABIN_ROUNDS = 64
 
 
 @lru_cache(maxsize=1024)
-def _is_probable_prime(n: int, rounds: int = _MILLER_RABIN_ROUNDS) -> bool:
-    """Miller-Rabin with `rounds` random bases (plus small trial division).
+def _is_probable_prime(n: int) -> bool:
+    """Miller-Rabin with _MILLER_RABIN_ROUNDS random bases plus trial division.
 
-    The bases are seeded from n, so the verdict is a pure function of its
-    arguments and is cached: parsers build a Modulus for every blob.
+    The bases are seeded from n, so the verdict is a pure function of n and
+    is cached: parsers build a Modulus for every blob.
     """
     if n < 2:
         return False
@@ -95,7 +95,7 @@ def _is_probable_prime(n: int, rounds: int = _MILLER_RABIN_ROUNDS) -> bool:
         d //= 2
         r += 1
     rng = random.Random(0x5EED ^ n)
-    for _ in range(rounds):
+    for _ in range(_MILLER_RABIN_ROUNDS):
         a = rng.randrange(2, n - 1)
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -240,10 +240,6 @@ class ModMatrix:
 
     def row(self, i: int) -> "ModMatrix":
         return ModMatrix((self.rows[i],), self.modulus,
-                         ncols=self.ncols, _reduced=True)
-
-    def submatrix(self, rows: Sequence[int]) -> "ModMatrix":
-        return ModMatrix(tuple(self.rows[i] for i in rows), self.modulus,
                          ncols=self.ncols, _reduced=True)
 
     def hstack(self, other: "ModMatrix") -> "ModMatrix":

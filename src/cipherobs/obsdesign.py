@@ -41,6 +41,7 @@ __all__ = [
 
 RANK_TOL = 1e-9
 CONSISTENCY_TOL = 1e-6
+M_SAFETY = 1.2      # calibrated signal bound over the largest observed signal
 
 
 class DesignError(Exception):
@@ -64,10 +65,10 @@ def _round_matrix(M: np.ndarray) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(round_half_up(v) for v in row) for row in np.atleast_2d(M))
 
 
-def observability_index(A: np.ndarray, Ci: np.ndarray, rel_tol: float = RANK_TOL) -> int:
+def observability_index(A: np.ndarray, Ci: np.ndarray) -> int:
     """Rank of the stacked observability matrix of (A, Ci).
 
-    Rank is decided by singular values above rel_tol times the largest one.
+    Rank is decided by singular values above RANK_TOL times the largest one.
     """
     A = np.asarray(A, dtype=float)
     Ci = np.asarray(Ci, dtype=float).reshape(1, -1)
@@ -79,7 +80,7 @@ def observability_index(A: np.ndarray, Ci: np.ndarray, rel_tol: float = RANK_TOL
     s = np.linalg.svd(O, compute_uv=False)
     if s[0] == 0.0:
         return 0
-    return int(np.sum(s > rel_tol * s[0]))
+    return int(np.sum(s > RANK_TOL * s[0]))
 
 
 @dataclass(frozen=True)
@@ -197,14 +198,6 @@ class ObserverBank:
             idx.extend(range(self.offsets[i], self.offsets[i] + self.block_sizes[i]))
         return tuple(idx)
 
-    def selector(self, subset: Tuple[int, ...]) -> np.ndarray:
-        """0/1 matrix extracting the subset blocks from a stacked vector."""
-        idx = self.subset_indices(subset)
-        P = np.zeros((len(idx), self.l_total), dtype=int)
-        for r, c in enumerate(idx):
-            P[r, c] = 1
-        return P
-
     def apply_shift(self, z: np.ndarray) -> np.ndarray:
         """Fbar @ z for stacked vectors: a downward shift inside each block."""
         out = np.zeros_like(z)
@@ -288,9 +281,6 @@ class ResidueMaps:
     PhiPinvBar: Tuple[Tuple[int, ...], ...]
     subset_pinv_bars: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]
 
-    def gbar_inf_norm(self) -> int:
-        return max(sum(abs(a) for a in row) for row in self.Gbar)
-
 
 def residue_map(bank: ObserverBank, s1: float) -> ResidueMaps:
     """Scale the real observer matrices by 1/s1 and round to integers."""
@@ -349,27 +339,24 @@ def run_reference_observer(bank: ObserverBank, trajectory: Trajectory,
     return run
 
 
-def calibrate_M(bank: ObserverBank, model: PlantModel, horizon: int,
-                zhat_ini: np.ndarray | None = None,
-                safety: float = 1.2) -> float:
+def calibrate_M(bank: ObserverBank, model: PlantModel, horizon: int) -> float:
     """Attack-free supremum of the residue and observer-state norms.
 
-    Runs the closed loop without attacks and returns `safety` times the
-    largest observed infinity norm; `horizon` must cover the transient
-    (at least ten times the deadbeat settling length).
+    Runs the closed loop without attacks, with the observer started at
+    zhat = 0, and returns M_SAFETY times the largest observed infinity norm;
+    `horizon` must cover the transient (at least ten times the deadbeat
+    settling length).
     """
     if horizon < 10 * bank.l_max:
         raise DesignError(f"horizon {horizon} < 10 * l_max = {10 * bank.l_max}")
-    if zhat_ini is None:
-        zhat_ini = np.zeros(bank.l_total)
     traj = run_closed_loop(model, AttackScenario(), horizon)
-    run = run_reference_observer(bank, traj, zhat_ini)
+    run = run_reference_observer(bank, traj, np.zeros(bank.l_total))
     worst = 0.0
     for rh, zh in zip(run.rhat, run.zhat):
         worst = max(worst,
                     float(np.max(np.abs(rh))) if rh.size else 0.0,
                     float(np.max(np.abs(zh))) if zh.size else 0.0)
-    return safety * worst
+    return M_SAFETY * worst
 
 
 def design_report(bank: ObserverBank) -> str:

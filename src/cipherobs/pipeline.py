@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import importlib.resources
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -39,15 +39,16 @@ __all__ = [
 BENCH_Q = 2 ** 109 - 31
 BENCH_LIFT = 2 ** 44
 
+# The benchmark parameter set.  N, the LWE dimension, sets only the masking
+# strength and the cost; the security dimension is 4096.
 DEFAULTS = {
     "s1": 1e-5,
     "s2": 1e-5,
     "lift": BENCH_LIFT,
     "q": BENCH_Q,
-    "N": 4096,
+    "N": 64,
     "Delta": 19.2,
     "eps": 0.3,
-    "lwe_dim": 64,   # run-time LWE dimension unless --full-lwe
 }
 
 
@@ -65,7 +66,7 @@ class SystemSetup:
     maps: ResidueMaps
     params: QuantParams
     mod_maps: ModularMaps
-    zhat_ini: np.ndarray
+    zhat_ini: np.ndarray    # the observer's initial value: zeros
 
     @classmethod
     def from_scenario(cls, path, *, s1: float = DEFAULTS["s1"],
@@ -73,29 +74,22 @@ class SystemSetup:
                       lift: int = DEFAULTS["lift"],
                       q: int = DEFAULTS["q"], N: int = DEFAULTS["N"],
                       Delta: float = DEFAULTS["Delta"],
-                      eps: float = DEFAULTS["eps"],
-                      zhat_ini=None,
-                      signal_bound: Optional[float] = None) -> "SystemSetup":
+                      eps: float = DEFAULTS["eps"]) -> "SystemSetup":
         bundle = load_scenario(path)
         return cls.from_bundle(bundle, s1=s1, s2=s2, lift=lift, q=q, N=N,
-                               Delta=Delta, eps=eps, zhat_ini=zhat_ini,
-                               signal_bound=signal_bound)
+                               Delta=Delta, eps=eps)
 
     @classmethod
     def from_bundle(cls, bundle: ScenarioBundle, *, s1, s2, lift, q, N,
-                    Delta, eps, zhat_ini=None,
-                    signal_bound: Optional[float] = None) -> "SystemSetup":
+                    Delta, eps) -> "SystemSetup":
         bank = build_bank(bundle.model, bundle.k)
         maps = residue_map(bank, s1)
         modulus = Modulus(q)
-        if zhat_ini is None:
-            zhat_ini = np.zeros(bank.l_total)
         params = make_params(bank, s1=s1, s2=s2, lift=lift, q=modulus, N=N,
-                             Delta=Delta, eps=eps, zhat_ini=zhat_ini,
-                             signal_bound=signal_bound)
+                             Delta=Delta, eps=eps)
         mod_maps = ModularMaps.from_integer(maps, bank, modulus)
         return cls(bundle=bundle, bank=bank, maps=maps, params=params,
-                   mod_maps=mod_maps, zhat_ini=np.asarray(zhat_ini, dtype=float))
+                   mod_maps=mod_maps, zhat_ini=np.zeros(bank.l_total))
 
 @dataclass(frozen=True)
 class StepRecord:
@@ -197,14 +191,12 @@ class EncryptedRun:
 
 def run_encrypted_mode(setup: SystemSetup, steps: int, *,
                        seed: Optional[int] = None,
-                       lwe_dim: Optional[int] = None,
                        record_views: bool = False,
-                       record_artifacts: bool = False,
                        keep_states: bool = False,
                        cross_check: bool = True) -> EncryptedRun:
-    """Full encrypted observer run.
+    """Full encrypted observer run at the LWE dimension `setup.params.N`.
 
-    With cross_check enabled the run aborts on the first step where the
+    `record_views` also keeps the encryptor's artifacts.  With cross_check enabled the run aborts on the first step where the
     disclosed residue deviates from the plaintext quantized observer (this
     never happens when the implementation is correct; the check guards the
     pipeline against regressions).
@@ -213,14 +205,11 @@ def run_encrypted_mode(setup: SystemSetup, steps: int, *,
     qrun = run_quantized_mode(setup, steps)
     traj = qrun.trajectory
     params = setup.params
-    if lwe_dim is not None and lwe_dim != params.N:
-        params = replace(params, N=lwe_dim)
     rng = TestRng(seed) if seed is not None else SecureRng()
     sk = keygen(params.N, params.q, rng)
     public = encobs.ObserverPublic.build(setup.mod_maps, params)
-    record = record_artifacts or record_views
     session = encobs.EncryptorSession(sk, params, public, rng=rng,
-                                      record_artifacts=record)
+                                      record_artifacts=record_views)
 
     zbar_ini = quantobs.quantize_initial(setup.zhat_ini, params)
     batch = session.enc_initial(zbar_ini)

@@ -119,22 +119,6 @@ class AttackScenario:
             a = a + np.asarray(self.signal(t), dtype=float)
         return a
 
-    def sparsity_report(self, horizon: int, p: int) -> dict:
-        """Worst simultaneous sensor count vs. the declared k_max (advisory)."""
-        worst = 0
-        worst_t = None
-        for t in range(horizon):
-            a = self.vector_at(t, p)
-            count = int(np.count_nonzero(a))
-            if count > worst:
-                worst, worst_t = count, t
-        return {
-            "max_attacked": worst,
-            "at_step": worst_t,
-            "k_max": self.k_max,
-            "violated": worst > self.k_max,
-        }
-
 
 @dataclass
 class Trajectory:

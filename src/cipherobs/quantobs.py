@@ -354,28 +354,18 @@ def validate_params(params: QuantParams,
 
 
 def make_params(bank: ObserverBank, *, s1: float, s2: float, lift: int,
-                q: Modulus, N: int, Delta: float, eps: float,
-                zhat_ini: np.ndarray | None = None,
-                horizon: int | None = None,
-                signal_bound: float | None = None,
-                init_error: float | None = None) -> QuantParams:
-    """Fill a QuantParams from a bank, calibrating the signal bound if needed.
+                q: Modulus, N: int, Delta: float, eps: float) -> QuantParams:
+    """Fill a QuantParams from a bank for an observer started at zhat = 0.
 
-    In simulation the initial estimation error is computed exactly from the
-    known plant initial state; a deployment passes `init_error` as a supplied
-    bound instead.
+    The signal bound is calibrated over 10 l_max attack-free steps, and the
+    initial estimation error is computed exactly from the known plant
+    initial state.
     """
-    if zhat_ini is None:
-        zhat_ini = np.zeros(bank.l_total)
-    if signal_bound is None:
-        if horizon is None:
-            horizon = 10 * bank.l_max
-        signal_bound = calibrate_M(bank, bank.model, horizon, zhat_ini=zhat_ini)
-    if init_error is None:
-        init_error = bank.ztilde_ini(bank.model.x_ini, zhat_ini)
+    zhat_ini = np.zeros(bank.l_total)
     return QuantParams(
         s1=s1, s2=s2, lift=lift, q=q, N=N, Delta=Delta, eps=eps,
         kappa=bank.kappa, kappa_spectral=bank.kappa_spectral,
-        init_error=init_error,
-        signal_bound=signal_bound, l_max=bank.l_max, l_total=bank.l_total,
+        init_error=bank.ztilde_ini(bank.model.x_ini, zhat_ini),
+        signal_bound=calibrate_M(bank, bank.model, 10 * bank.l_max),
+        l_max=bank.l_max, l_total=bank.l_total,
     )

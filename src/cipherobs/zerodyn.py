@@ -30,7 +30,6 @@ __all__ = [
     "ZeroDynError",
     "RelativeDegreeUndefined",
     "ChannelMaps",
-    "relative_degree",
     "channel_maps",
 ]
 
@@ -63,20 +62,16 @@ def _output_chain(Hj: ModMatrix, Fbar: ModMatrix,
         "all Markov parameters vanish; the channel never sees the input")
 
 
-def relative_degree(Hj: ModMatrix, Fbar: ModMatrix, Gbar: ModMatrix) -> int:
-    """Smallest nu >= 1 with H F^(nu-1) G nonzero and all earlier ones zero."""
-    return len(_output_chain(Hj, Fbar, Gbar)[0])
-
-
 @dataclass(frozen=True)
 class ChannelMaps:
     """The part of one channel's normal form the encrypted observer uses.
 
     T2 stacks H, HF, ..., HF^(nu-1); V2 is the last nu columns of the
     inverse of [T1; T2], so V2 T2 projects a state onto its chain part.
+    nu is the relative degree: the smallest nu >= 1 with H F^(nu-1) G
+    nonzero.
     """
 
-    j: int
     nu: int
     T2: ModMatrix        # nu x l
     HFnu: ModMatrix      # 1 x l: H F^nu
@@ -85,10 +80,9 @@ class ChannelMaps:
     V2: ModMatrix        # l x nu
 
 
-def channel_maps(Hj: ModMatrix, Fbar: ModMatrix, Gbar: ModMatrix,
-                 j: int = 0) -> ChannelMaps:
-    """Closed-form cancellation maps of channel j; requires a defined
-    relative degree.
+def channel_maps(Hj: ModMatrix, Fbar: ModMatrix, Gbar: ModMatrix) -> ChannelMaps:
+    """Closed-form cancellation maps of the channel (Hj, Fbar, Gbar); raises
+    RelativeDegreeUndefined when it has no relative degree.
 
     T1 (from the basis completion) is the unit rows of the non-pivot
     columns of T2, so with P = T2 restricted to its pivot columns, the
@@ -107,5 +101,5 @@ def channel_maps(Hj: ModMatrix, Fbar: ModMatrix, Gbar: ModMatrix,
     at = {c: k for k, c in enumerate(pivots)}
     V2 = ModMatrix(tuple(Pinv.rows[at[i]] if i in at else (0,) * nu
                          for i in range(l)), q, ncols=nu, _reduced=True)
-    return ChannelMaps(j=j, nu=nu, T2=T2, HFnu=rows[-1] @ Fbar, Sigma=Sigma,
+    return ChannelMaps(nu=nu, T2=T2, HFnu=rows[-1] @ Fbar, Sigma=Sigma,
                        SigmaDag=right_inverse_row(Sigma), V2=V2)

@@ -26,7 +26,8 @@ def q5():
 
 @pytest.fixture(scope="session")
 def bench_setup():
-    """Three-inertia benchmark with the published parameter set."""
+    """Three-inertia benchmark with the published parameter set, at the
+    default LWE dimension N = 64."""
     return SystemSetup.from_scenario(bundled_scenario_path())
 
 
@@ -44,8 +45,7 @@ def bench_enc(bench_setup):
     """
     t0 = time.perf_counter()
     run = run_encrypted_mode(bench_setup, BENCH_STEPS, seed=BENCH_SEED,
-                             lwe_dim=64, record_views=True,
-                             record_artifacts=True, keep_states=True)
+                             record_views=True, keep_states=True)
     run.elapsed_s = time.perf_counter() - t0
     return run
 

@@ -269,13 +269,14 @@ def build_transform(Hj: ModMatrix, Fbar: ModMatrix, Gbar: ModMatrix,
     columns of T2 and V1 the same columns of I - V2 T2, so [V1, V2] inverts
     [T1; T2] without an elimination.
     """
-    m = channel_maps(Hj, Fbar, Gbar, j)
+    m = channel_maps(Hj, Fbar, Gbar)
     q = Gbar.modulus
     l, nu = Fbar.nrows, m.nu
     pivots = pivot_columns(m.T2)
     free = [c for c in range(l) if c not in pivots]
     eye = ModMatrix.identity(l, q)
-    T1 = eye.submatrix(free)
+    T1 = ModMatrix(tuple(eye.rows[c] for c in free), q, ncols=l,
+                   _reduced=True)
     V1 = ModMatrix(tuple(tuple(row[c] for c in free)
                          for row in (eye - m.V2 @ m.T2).rows),
                    q, ncols=l - nu, _reduced=True)

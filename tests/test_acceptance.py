@@ -305,7 +305,7 @@ def test_criterion_8_view_roundtrips(bench_setup, bench_enc):
     import itertools
     q11 = Modulus(11)
     public = _tiny_public(q11, (3,), [[1], [0], [1]], [[2, 0, 1]],
-                          N=1, lift=2)
+                          N=1)
     params = _tiny_params(q11, N=1, lift=2)
     sk = SecretKey([3], q11)
     tiny_ok = True

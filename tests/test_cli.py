@@ -1,8 +1,34 @@
 import json
 import re
 
+import pytest
+
+from cipherobs import cli
 from cipherobs.cli import main
-from cipherobs.pipeline import bundled_scenario_path
+from cipherobs.pipeline import bundled_scenario_path, run_encrypted_mode
+
+
+def _encrypted_dims(monkeypatch, argv):
+    """LWE dimension of every encrypted run that `main(argv)` makes; each
+    run must use the N its set-up was built with."""
+    dims = []
+
+    def spy(setup, steps, **kw):
+        run = run_encrypted_mode(setup, steps, **kw)
+        assert run.sk.N == run.public.N == setup.params.N
+        dims.append(run.sk.N)
+        return run
+
+    monkeypatch.setattr(cli, "run_encrypted_mode", spy)
+    assert main(argv) == 0
+    return dims
+
+
+def _run_config(tmp_path, **overrides):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": str(bundled_scenario_path()),
+                               **overrides}))
+    return str(cfg)
 
 
 class TestDesign:
@@ -76,6 +102,27 @@ class TestSimulate:
                      "--seed", "1", "--lwe-dim", "16",
                      "--out", str(out)]) == 0
 
+    def test_run_config_sets_lwe_dim(self, tmp_path, monkeypatch):
+        argv = ["simulate", "--config", _run_config(tmp_path, N=16),
+                "--mode", "encrypted", "--steps", "2"]
+        assert _encrypted_dims(monkeypatch, argv) == [16]
+
+    def test_lwe_dim_flag_beats_run_config(self, tmp_path, monkeypatch):
+        argv = ["simulate", "--config", _run_config(tmp_path, N=32),
+                "--mode", "encrypted", "--steps", "2", "--lwe-dim", "16"]
+        assert _encrypted_dims(monkeypatch, argv) == [16]
+
+    @pytest.mark.parametrize("config_n, flags", [
+        (0, []), ("64", []), (64, ["--lwe-dim", "0"])])
+    def test_bad_lwe_dim_is_a_config_error(self, tmp_path, config_n, flags):
+        assert main(["simulate", "--config", _run_config(tmp_path, N=config_n),
+                     "--mode", "encrypted", "--steps", "2", *flags]) == 2
+
+    def test_full_lwe_flag_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--mode", "encrypted", "--full-lwe"])
+        assert exc.value.code == 2
+
     def test_encrypted_refuses_bad_bounds(self, capsys):
         # a lift of 1 violates the noise budget, so the encrypted mode
         # must refuse to run
@@ -84,14 +131,10 @@ class TestSimulate:
         assert rc == 2
 
     def test_run_config_wrapper(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "scenario": str(bundled_scenario_path()),
-            "eps": 0.25,
-        }))
         out = tmp_path / "w.csv"
-        assert main(["simulate", "--config", str(cfg), "--mode", "quantized",
-                     "--steps", "8", "--out", str(out)]) == 0
+        assert main(["simulate", "--config", _run_config(tmp_path, eps=0.25),
+                     "--mode", "quantized", "--steps", "8",
+                     "--out", str(out)]) == 0
         # past the settling window the threshold is exactly the overridden eps
         assert ",0.25," in out.read_text().splitlines()[-1]
 

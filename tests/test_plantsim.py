@@ -131,20 +131,6 @@ class TestRunClosedLoop:
 
 
 class TestAttackScenario:
-    def test_sparsity_report_well_formed(self, bench_bundle):
-        rep = bench_bundle.attacks.sparsity_report(50, bench_bundle.model.p)
-        assert rep["max_attacked"] == 1
-        assert rep["k_max"] == 2
-        assert not rep["violated"]
-
-    def test_sparsity_violation_flagged(self):
-        segs = tuple(AttackSegment(sensor=i, start=0, end=5, value=1.0)
-                     for i in range(3))
-        scenario = AttackScenario(segments=segs, k_max=2)
-        rep = scenario.sparsity_report(10, 5)
-        assert rep["max_attacked"] == 3
-        assert rep["violated"]
-
     def test_overlapping_segments_accumulate(self):
         segs = (AttackSegment(0, 0, 4, 1.0), AttackSegment(0, 2, 3, 0.5))
         scenario = AttackScenario(segments=segs, k_max=1)

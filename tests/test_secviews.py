@@ -26,13 +26,13 @@ from cipherobs.zerodyn import channel_maps
 from .helpers import f1_zero_dynamics
 
 
-def _tiny_public(q: Modulus, block_sizes, Gr, Hr, N, lift):
+def _tiny_public(q: Modulus, block_sizes, Gr, Hr, N):
     Gbar = ModMatrix(Gr, q)
     Hbar = ModMatrix(Hr, q)
     Fbar = encobs.build_fbar(block_sizes, q)
-    channels = tuple(channel_maps(Hbar.row(j), Fbar, Gbar, j=j)
+    channels = tuple(channel_maps(Hbar.row(j), Fbar, Gbar)
                      for j in range(Hbar.nrows))
-    return ObserverPublic(q=q, N=N, lift=lift, block_sizes=tuple(block_sizes),
+    return ObserverPublic(q=q, N=N, block_sizes=tuple(block_sizes),
                           Fbar=Fbar, Gbar=Gbar, Hbar=Hbar, channels=channels)
 
 
@@ -120,7 +120,7 @@ class TestTinyExhaustive:
 
     def _make(self, lift=2):
         public = _tiny_public(self.Q11, (3,), [[1], [0], [1]], [[2, 0, 1]],
-                              N=1, lift=lift)
+                              N=1)
         params = _tiny_params(self.Q11, N=1, lift=lift)
         assert public.channels[0].nu == 1
         return public, params
@@ -178,7 +178,7 @@ def _nu2_observer(N=1):
     # output reads the middle of a depth-3 chain: the input needs two
     # steps to reach it
     public = _tiny_public(Q13, (3,), [[1, 0], [0, 0], [0, 1]],
-                          [[0, 1, 0]], N=N, lift=2)
+                          [[0, 1, 0]], N=N)
     params = _tiny_params(Q13, N=N, lift=2)
     assert public.channels[0].nu == 2
     return public, params
@@ -260,7 +260,7 @@ class TestTranscriptSerialization:
     def test_view2_roundtrip_small(self):
         q = Modulus(11)
         public = _tiny_public(q, (3,), [[1], [0], [1]], [[2, 0, 1]],
-                              N=1, lift=2)
+                              N=1)
         params = _tiny_params(q, N=1, lift=2)
         sk = SecretKey([3], q)
         vbars = [ModMatrix.column([v], q) for v in (1, 2, 3)]
@@ -277,7 +277,7 @@ Q11 = Modulus(11)
 def tiny_views():
     """Views of a 2-step run on the q = 11, N = 1 observer."""
     public = _tiny_public(Q11, (3,), [[1], [0], [1]], [[2, 0, 1]],
-                          N=1, lift=2)
+                          N=1)
     params = _tiny_params(Q11, N=1, lift=2)
     vbars = [ModMatrix.column([v], Q11) for v in (4, 7)]
     return _run_tiny_session(public, params, SecretKey([3], Q11),

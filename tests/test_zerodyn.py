@@ -10,7 +10,6 @@ from cipherobs.modring import ModMatrix, Modulus
 from cipherobs.zerodyn import (
     RelativeDegreeUndefined,
     channel_maps,
-    relative_degree,
 )
 from .helpers import build_transform, cancellation_init, cancellation_step, \
     dense_normal_form, random_channel, random_mod_matrix, simulate_channel
@@ -29,33 +28,33 @@ class TestRelativeDegree:
         F = _shift_system(Q101)
         G = ModMatrix([[1], [0]], Q101)
         H = ModMatrix([[1, 0]], Q101)
-        assert relative_degree(H, F, G) == 1
+        assert channel_maps(H, F, G).nu == 1
 
     def test_one_step_delay(self):
         F = _shift_system(Q101)
         G = ModMatrix([[1], [0]], Q101)
         H = ModMatrix([[0, 1]], Q101)
-        assert relative_degree(H, F, G) == 2
+        assert channel_maps(H, F, G).nu == 2
 
     def test_other_input_column(self):
         F = _shift_system(Q101)
         G = ModMatrix([[0], [1]], Q101)
         H = ModMatrix([[0, 1]], Q101)
-        assert relative_degree(H, F, G) == 1
+        assert channel_maps(H, F, G).nu == 1
 
     def test_undefined_when_input_never_reaches(self):
         F = _shift_system(Q101)
         G = ModMatrix.zeros(2, 1, Q101)
         H = ModMatrix([[1, 0]], Q101)
         with pytest.raises(RelativeDegreeUndefined):
-            relative_degree(H, F, G)
+            channel_maps(H, F, G)
 
     def test_markov_parameters_vanish_below_degree(self):
         rng = random.Random(0)
         for _ in range(30):
             H, F, G = random_channel(rng, Q101, 4, 2)
             try:
-                nu = relative_degree(H, F, G)
+                nu = channel_maps(H, F, G).nu
             except RelativeDegreeUndefined:
                 continue
             row = H
@@ -172,8 +171,7 @@ def observer_channels(draw):
 
 def _assert_matches_dense(H, F, G):
     dense = dense_normal_form(H, F, G)
-    maps = channel_maps(H, F, G, j=7)
-    assert maps.j == 7
+    maps = channel_maps(H, F, G)
     for name in MAP_FIELDS:
         assert getattr(maps, name) == dense[name], name
     ct = build_transform(H, F, G)
@@ -214,7 +212,7 @@ class TestClosedFormMaps:
         F = build_fbar((3, 2), q)
         G = ModMatrix([[0], [0], [0], [1], [0]], q)
         H = ModMatrix([[1, 1, 1, 0, 0]], q)
-        for build in (relative_degree, channel_maps, build_transform):
+        for build in (channel_maps, build_transform):
             with pytest.raises(RelativeDegreeUndefined):
                 build(H, F, G)
 
