@@ -168,6 +168,9 @@ def _zeroing_failures(name: str, maps, params, seed: int,
         rows = [list(r) for r in public.Gbar.rows]
         rows[0][0] += 1
         run = dataclasses.replace(public, Gbar=ModMatrix(rows, q))
+        # step the encryptor's limbs: keep their width, corrupt the gain
+        run.__dict__["kernel"] = dataclasses.replace(
+            public.kernel, gain=np.array(run.Gbar.rows, dtype=np.int64))
     rng = TestRng(seed)
     session = encobs.EncryptorSession(keygen(public.N, q, rng), params,
                                       public, rng=rng)

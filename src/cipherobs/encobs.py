@@ -11,10 +11,14 @@ Each input batch and the observer state are therefore stored as one matrix
 block once, then every channel's last column.  One step of the observer is
 one application of `Z' = Fbar Z + Gbar V` to that whole matrix.
 
-From the first step on, the state stays resident as the exact int64 limbs of
-`quantobs.LimbKernel`; Python ints appear only when a channel is
-materialized, when the first columns are read for disclosure, and in the
-recovered sums.
+Batches and states are limb-resident from step 0: the encryptor draws the
+shared randomness block straight into the exact int64 limbs of
+`quantobs.LimbKernel` and writes the channels' first and last columns
+beside it, and the observer steps those limbs.  Python ints appear only
+when a channel is materialized (`channel(j)` joins and centres the whole
+body once per batch or state), when the first columns are read for
+disclosure, in the recovered sums, and in the standard ciphertexts and
+artifacts a session records on request.
 """
 
 from __future__ import annotations
@@ -23,20 +27,20 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 from operator import mul
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .lwe import (
     Ciphertext,
     CiphertextKind,
+    Encryption,
     NoiseParams,
     SecretKey,
     SecureRng,
     encrypt_with_artifacts,
 )
-from .modring import DimensionMismatch, ModMatrix, Modulus, join_limbs, \
-    split_limbs
+from .modring import DimensionMismatch, ModMatrix, Modulus, join_limbs
 from .quantobs import LimbKernel, ModularMaps, QuantParams, observer_update
 from .zerodyn import ChannelMaps, channel_maps
 
@@ -153,59 +157,69 @@ class ObserverPublic:
             B, self._cancelled(x, cancels))
 
 
-@dataclass(frozen=True, eq=False)
 class _ChannelBody:
     """A matrix over all channels laid out as `[firsts | shared | lasts]`.
 
     Column j and column n_ch + N + j are channel j's first and last
-    columns; the N shared middle columns are common to every channel.  The
-    layout stays inside this module: other modules read a channel only
-    through `channel(j)`.
+    columns; the N shared middle columns are common to every channel.
+    `body` holds the matrix as the (L, rows, n_ch + N + n_ch) int64 limb
+    stack of `kernel`, and `rows` as centred Python ints, joined from the
+    limbs once on first use.  The layout stays inside this module: other
+    modules read a channel only through `channel(j)`.
     """
 
-    body: ModMatrix     # rows x (n_ch + N + n_ch)
-    n_channels: int
+    def __init__(self, body: np.ndarray, n_channels: int,
+                 kernel: LimbKernel):
+        self.body = body
+        self.n_channels = n_channels
+        self.kernel = kernel
 
     @property
     def N(self) -> int:
         return self.body.shape[-1] - 2 * self.n_channels
 
-    def _channel_body(self, j: int) -> ModMatrix:
-        n_ch, N = self.n_channels, self.N
-        return ModMatrix(
-            tuple((row[j],) + row[n_ch:n_ch + N] + (row[n_ch + N + j],)
-                  for row in self.body.rows),
-            self.body.modulus, ncols=N + 2, _reduced=True)
+    @cached_property
+    def rows(self) -> Tuple[Tuple[int, ...], ...]:
+        cmod = self.kernel.q.cmod
+        return tuple(tuple(map(cmod, row))
+                     for row in self.kernel.join(self.body))
 
     def channel(self, j: int) -> Ciphertext:
         """Channel j's modified ciphertext: [first | shared | last]."""
         if not 0 <= j < self.n_channels:
             raise EncObsError(f"no channel {j} among {self.n_channels}")
-        return Ciphertext(body=self._channel_body(j),
-                          kind=CiphertextKind.MODIFIED, N=self.N)
+        n_ch, N = self.n_channels, self.N
+        body = ModMatrix(
+            tuple((row[j],) + row[n_ch:n_ch + N] + (row[n_ch + N + j],)
+                  for row in self.rows),
+            self.kernel.q, ncols=N + 2, _reduced=True)
+        return Ciphertext(body=body, kind=CiphertextKind.MODIFIED, N=N)
 
 
-@dataclass(frozen=True)
 class EncryptedBatch(_ChannelBody):
     """Per-step modified ciphertexts for all channels.
 
     The randomness block is shared; channels differ only in the first
-    (message + mask - cancellation) and last (cancellation) columns.
+    (message + mask - cancellation) and last (cancellation) columns.  Every
+    limb is below 2^W in absolute value, the kernel's input bound; an
+    encryptor writes the first columns as limb differences, not canonical.
     """
 
     @classmethod
     def from_standard(cls, std_ct: Ciphertext,
-                      cancels: Sequence[Tuple[int, ...]]) -> "EncryptedBatch":
+                      cancels: Sequence[Tuple[int, ...]],
+                      kernel: LimbKernel) -> "EncryptedBatch":
         """Split a standard ciphertext into one modified ciphertext per
-        cancellation column: first = (message + mask) - cancel."""
+        cancellation column: first = (message + mask) - cancel.  The
+        Python-int rows are kept, so `channel(j)` never joins them back."""
         q = std_ct.body.modulus
         rows = tuple(
             tuple(q.cmod(row[0] - c[i]) for c in cancels) + row[1:]
             + tuple(c[i] for c in cancels)
             for i, row in enumerate(std_ct.body.rows))
-        return cls(body=ModMatrix(rows, q, ncols=std_ct.N + 2 * len(cancels),
-                                  _reduced=True),
-                   n_channels=len(cancels))
+        batch = cls(kernel.split(rows), len(cancels), kernel)
+        batch.rows = rows
+        return batch
 
 
 @dataclass
@@ -257,121 +271,99 @@ class EncryptorSession:
 
     # -- encryption --------------------------------------------------------
 
-    def _encrypt(self, v: ModMatrix):
-        return encrypt_with_artifacts(v.scale(self.params.lift), self.sk,
-                                      self.noise, self.rng)
+    def _encrypt(self, v: ModMatrix) -> Tuple[Encryption, np.ndarray]:
+        """Encrypt the lifted column v, with the randomness drawn straight
+        into the shared block of a new batch body."""
+        public, kernel = self.public, self.public.kernel
+        n_ch, N = public.n_channels, public.N
+        body = np.empty((kernel.count, v.nrows, N + 2 * n_ch), dtype=np.int64)
+        enc = encrypt_with_artifacts(v.scale(self.params.lift), self.sk,
+                                     self.noise, self.rng,
+                                     body[:, :, n_ch:n_ch + N], kernel.width)
+        return enc, body
 
-    def _record(self, std_ct, mask, err, rand, cancel_terms):
+    def _batch(self, enc: Encryption, body: np.ndarray, tildes,
+               cancels) -> EncryptedBatch:
+        """Fill the channels' last (cancel) and first (first - cancel)
+        columns of `body` and record the step's artifacts.  The first
+        columns are differences of limbs below 2^W in absolute value, so
+        they stay below it, as the kernel requires."""
+        kernel, n_ch = self.public.kernel, len(cancels)
+        firsts = enc.first.column_entries()
+        lasts = [tuple(c[i] for c in cancels) for i in range(len(firsts))]
+        limbs = kernel.split([(f,) + g for f, g in zip(firsts, lasts)])
+        body[:, :, :n_ch] = limbs[:, :, :1] - limbs[:, :, 1:]
+        body[:, :, body.shape[-1] - n_ch:] = limbs[:, :, 1:]
+        batch = EncryptedBatch(body, n_ch, kernel)
         if self.record_artifacts:
+            std_ct = enc.ciphertext()
             self.artifacts.append(StepArtifacts(
-                mask=mask, error=err, randomness=rand, standard_ct=std_ct,
-                cancel_terms=tuple(cancel_terms)))
+                mask=enc.mask, error=enc.error,
+                randomness=enc.randomness_matrix, standard_ct=std_ct,
+                cancel_terms=tuple(tildes)))
+            # the recorded ints: channel(j) then joins nothing and shares them
+            q = self.public.q
+            batch.rows = tuple(tuple(q.cmod(row[0] - a) for a in g) + row[1:]
+                               + g for row, g in zip(std_ct.body.rows, lasts))
+        return batch
 
     def enc_initial(self, zbar_ini: ModMatrix) -> EncryptedBatch:
         """Encrypt the lifted initial state once for every channel."""
         if self.step != -1:
             raise SessionNotFresh("enc_initial may only be called once")
-        std_ct, mask, err, rand = self._encrypt(zbar_ini)
-        tildes, cancels, self.cancel_state = self.public.cancel_initial(mask)
+        enc, body = self._encrypt(zbar_ini)
+        tildes, cancels, self.cancel_state = self.public.cancel_initial(
+            enc.mask)
         self.step = 0
-        self._record(std_ct, mask, err, rand, tildes)
-        return EncryptedBatch.from_standard(std_ct, cancels)
+        return self._batch(enc, body, tildes, cancels)
 
     def enc_input(self, vbar: ModMatrix) -> EncryptedBatch:
         """Encrypt the lifted input for every channel and advance the
         cancelled mask states."""
         if self.step < 0:
             raise EncObsError("call enc_initial before enc_input")
-        std_ct, mask, err, rand = self._encrypt(vbar)
+        enc, body = self._encrypt(vbar)
         tildes, cancels, self.cancel_state = self.public.cancel_step(
-            self.cancel_state, mask)
+            self.cancel_state, enc.mask)
         self.step += 1
-        self._record(std_ct, mask, err, rand, tildes)
-        return EncryptedBatch.from_standard(std_ct, cancels)
+        return self._batch(enc, body, tildes, cancels)
 
 
-@dataclass(frozen=True, eq=False)
 class EncObserverState(_ChannelBody):
     """Encrypted observer state for all channels at one step.
 
     Channel j's logical state is the l x (N+2) matrix `channel(j).body`;
     its decryption is the lifted plaintext state plus the encryption error.
-
-    At step 0 the state is the initial batch: `body` is its ModMatrix and
-    `kernel` is None, since `from_initial` does not see the observer gain
-    that fixes the limb width.  `step_encrypted` splits it once; from then
-    on `body` is the kernel's (L, l, n_ch + N + n_ch) int64 limb stack.
-    Those limbs are lazy (not reduced, not canonical), so states compare
-    only through the values `channel(j)` materializes.
+    The limbs are lazy from the first step on (not reduced, not
+    canonical), so states compare only through the values `channel(j)`
+    materializes.
     """
-
-    body: Union[ModMatrix, np.ndarray]
-    n_channels: int
-    kernel: Optional[LimbKernel]
 
     @classmethod
     def from_initial(cls, batch: EncryptedBatch) -> "EncObserverState":
-        return cls(body=batch.body, n_channels=batch.n_channels, kernel=None)
+        return cls(batch.body, batch.n_channels, batch.kernel)
 
-    def _rows(self, cols: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
-        """Rows of the body restricted to the given columns, as ints
-        congruent mod q to its entries."""
-        if self.kernel is None:
-            return tuple(tuple(row[c] for c in cols) for row in self.body.rows)
-        return self.kernel.join(self.body[:, :, list(cols)])
 
-    def _channel_body(self, j: int) -> ModMatrix:
-        if self.kernel is None:
-            return super()._channel_body(j)
-        n_ch, N = self.n_channels, self.N
-        return ModMatrix(self._rows([j, *range(n_ch, n_ch + N), n_ch + N + j]),
-                         self.kernel.q, ncols=N + 2)
-
-    def _limbs(self, kernel: LimbKernel, cols: range) -> np.ndarray:
-        """The kernel's limb stack of the given columns; the initial state
-        is split here."""
-        if self.kernel is None:
-            return kernel.split(self._rows(cols))
-        if (self.kernel.q, self.kernel.width, self.kernel.block_sizes) != (
-                kernel.q, kernel.width, kernel.block_sizes):
-            raise EncObsError("state limbs come from another observer")
-        return self.body[:, :, cols.start:cols.stop]
-
-    def _shared_digits(self, d: int) -> Iterator[Tuple[int, np.ndarray]]:
-        """(shift, digits) pairs with shared block == sum(digits << shift):
-        each digits array is l x N int64 with entries below 2^d in absolute
-        value.  Lazy limbs are cut into d-bit digits one limb at a time."""
-        n_ch, N = self.n_channels, self.N
-        if self.kernel is None:
-            shared = self._rows(range(n_ch, n_ch + N))
-            count = -(-self.body.modulus.q.bit_length() // d)
-            digits = split_limbs([a for row in shared for a in row], d, count)
-            for m in range(count):
-                yield d * m, digits[m].reshape(len(shared), N)
-            return
-        mask = (1 << d) - 1
-        top = -(-63 // d) - 1
-        for k in range(self.kernel.count):
-            limb = self.body[k, :, n_ch:n_ch + N]
-            for m in range(top):
-                yield self.kernel.width * k + d * m, (limb >> (d * m)) & mask
-            yield self.kernel.width * k + d * top, limb >> (d * top)
+def _check_limbs(kernel: LimbKernel, *parts: _ChannelBody):
+    """Every part must hold limbs of `kernel`'s modulus and width."""
+    for part in parts:
+        if (part.kernel.q, part.kernel.width) != (kernel.q, kernel.width):
+            raise EncObsError("limbs come from another observer")
 
 
 def step_encrypted(state: EncObserverState, batch: EncryptedBatch,
                    public: ObserverPublic) -> EncObserverState:
     """One encrypted observer update for every channel: the observer
-    recursion applied to the whole `[firsts | shared | lasts]` body, on
-    int64 limbs; the batch is split into limbs once per step."""
+    recursion applied to the whole `[firsts | shared | lasts]` limb stack
+    of the state and the batch."""
     if (batch.n_channels, batch.N) != (state.n_channels, state.N):
         raise EncObsError("channel counts or widths differ between state "
                           "and batch")
     kernel = public.kernel
-    Z = state._limbs(kernel, range(state.N + 2 * state.n_channels))
-    body = observer_update(Z, kernel.split(batch.body.rows),
-                           kernel.block_sizes, kernel.gain)
-    return EncObserverState(body=body, n_channels=state.n_channels,
-                            kernel=kernel)
+    _check_limbs(kernel, state, batch)
+    body = observer_update(state.body, batch.body, kernel.block_sizes,
+                           kernel.gain)
+    return EncObserverState(body, state.n_channels, kernel)
 
 
 def residue_first_column(state: EncObserverState,
@@ -381,7 +373,8 @@ def residue_first_column(state: EncObserverState,
     channels' first columns are joined from the limbs."""
     q = public.q
     kernel = public.kernel
-    firsts = state._limbs(kernel, range(state.n_channels))
+    _check_limbs(kernel, state)
+    firsts = state.body[:, :, :state.n_channels]
     l = firsts.shape[1]
     cols = join_limbs(firsts.transpose(0, 2, 1).reshape(kernel.count, -1),
                       kernel.width)
@@ -405,8 +398,8 @@ def recover_encrypted_state(state: EncObserverState, j: int, sk: SecretKey,
     """Decrypt channel j and strip the lift factor by exact rounding.
 
     The decryption is Dec' of channel j (first - shared @ sk + last),
-    computed without joining the shared block: it and the key are cut into
-    signed d-bit digits with N 2^(2d) < 2^63, so every digit product sums
+    computed without joining the shared block: `SecretKey.products` sums
+    it from d-bit digits of the state's limbs and the key's cached digits
     exactly in int64, and only the l sums are joined as Python ints.
 
     When the detection criterion held at this step (and the parameter
@@ -420,13 +413,10 @@ def recover_encrypted_state(state: EncObserverState, j: int, sk: SecretKey,
     if sk.N != N:
         raise DimensionMismatch("ciphertext and key disagree on N")
     q = params.q
-    d = (63 - N.bit_length()) // 2
-    key = split_limbs(sk.entries(), d, -(-q.q.bit_length() // d)).T
-    first_last = state._rows([j, n_ch + N + j])
-    masked = [0] * len(first_last)
-    for shift, digits in state._shared_digits(d):
-        for m, part in enumerate((digits @ key).T.tolist()):
-            masked = [a + (b << (shift + d * m)) for a, b in zip(masked, part)]
+    first_last = state.kernel.join(state.body[:, :, [j, n_ch + N + j]])
+    # lazy limbs may take any int64 value
+    masked = sk.products(state.body[:, :, n_ch:n_ch + N], state.kernel.width,
+                         63)
     dec = ModMatrix.column([f + g - s for (f, g), s in zip(first_last, masked)],
                            q)
     scaled = phi_pinv_bar @ dec

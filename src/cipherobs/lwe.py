@@ -11,8 +11,18 @@ default) or the seedable `TestRng` for reproducible runs; the latter is
 explicitly not for production use.  Uniform vectors are drawn in bulk from
 the source's `randbytes` (`os.urandom` under `SecureRng`), at most 4096
 values per request: each value takes ceil(bits / 8) bytes masked to the
-bit length of q, values >= q are rejected and redrawn, and the survivors are
-centred, so every entry is exactly uniform on Z_q.
+bit length of q, and values >= q, found by a compare on the masked 64-bit
+words, are rejected and redrawn, so every entry is exactly uniform on Z_q.
+The survivors' words are cut straight into int64 limbs
+(`_RandomSource.uniform_limbs`), the form in which the encrypted observer
+computes; `uniforms` joins and centres the same draw into Python ints.
+
+Encryption keeps the randomness A in those limbs.  The mask A sk is summed
+from signed d-bit digits of A and of the key, with N 2^(2d) < 2^63 so every
+digit product sums exactly in int64 (`SecretKey.products`); the key's
+digits are computed once per key.  Python ints for A appear only when a
+standard ciphertext or the randomness matrix is asked for
+(`Encryption.ciphertext`).
 """
 
 from __future__ import annotations
@@ -21,11 +31,14 @@ import enum
 import random
 import struct
 from dataclasses import dataclass
-from operator import mul
+from functools import cached_property
 from pathlib import Path
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .modring import DimensionMismatch, ModMatrix, Modulus, PrimalityError
+import numpy as np
+
+from .modring import DimensionMismatch, ModMatrix, Modulus, PrimalityError, \
+    bytes_to_words, join_limbs, split_limbs, words_to_limbs
 
 __all__ = [
     "LweError",
@@ -35,6 +48,8 @@ __all__ = [
     "TestRng",
     "SecretKey",
     "Ciphertext",
+    "Encryption",
+    "digit_width",
     "keygen",
     "encrypt",
     "encrypt_with_artifacts",
@@ -70,6 +85,15 @@ class NoiseParams:
 
 
 _UNIFORM_CHUNK = 4096
+# limb width of the draws `uniforms` and `encrypt` join into Python ints:
+# the widest `words_to_limbs` cuts, so the fewest limbs
+_JOIN_WIDTH = 62
+
+
+def _centred(values, q: Modulus) -> list:
+    """Values in [0, q) moved to the centred range."""
+    modulus, half = q.q, (q.q - 1) // 2
+    return [v - modulus if v > half else v for v in values]
 
 
 class _RandomSource:
@@ -78,22 +102,51 @@ class _RandomSource:
     def __init__(self, rng: random.Random):
         self._rng = rng
 
+    def uniform_limbs(self, q: Modulus, width: int, out: np.ndarray):
+        """Fill the (L, rows, count) int64 array `out` with the
+        base-2^width limbs of rows x count values exactly uniform on
+        [0, q), drawn row by row.
+
+        Each row is drawn in bulk as masked bytes with rejection (never a
+        biased `% q` of a wide draw), at most 4096 values per request; a
+        value >= q is found by comparing its masked words with q's from the
+        top word down, and the row's next request replaces it.  The kept
+        words of every row are cut into limbs at once.  L * width must
+        cover the bit length of q.
+        """
+        bits = q.q.bit_length()
+        stride = (bits + 7) // 8
+        q_words = bytes_to_words(q.q.to_bytes(stride, "little"), stride)[0]
+        top = np.uint64((1 << (bits - 64 * (len(q_words) - 1))) - 1)
+        L, rows, count = out.shape
+        kept = []
+        for _ in range(rows):
+            filled = 0
+            while filled < count:
+                n = min(count - filled, _UNIFORM_CHUNK)
+                words = bytes_to_words(self._rng.randbytes(n * stride), stride)
+                words[:, -1] &= top
+                below = words[:, -1] < q_words[-1]
+                if not below.all():
+                    # a tie on a word is decided by the words below it
+                    equal = words[:, -1] == q_words[-1]
+                    for k in range(len(q_words) - 2, -1, -1):
+                        below |= equal & (words[:, k] < q_words[k])
+                        equal &= words[:, k] == q_words[k]
+                    words = words[below]
+                kept.append(words)
+                filled += len(words)
+        if kept:    # else out has no entries
+            out[...] = words_to_limbs(np.concatenate(kept), width,
+                                      L).reshape(L, rows, count)
+
     def uniforms(self, q: Modulus, count: int) -> list:
-        """`count` values exactly uniform on centred Z_q, drawn in bulk as
-        masked bytes with rejection (never a biased `% q` of a wide draw)."""
-        modulus, half = q.q, (q.q - 1) // 2
-        bits = modulus.bit_length()
-        width, mask = (bits + 7) // 8, (1 << bits) - 1
-        from_bytes = int.from_bytes
-        out = []
-        while len(out) < count:
-            need = min(count - len(out), _UNIFORM_CHUNK) * width
-            raw = self._rng.randbytes(need)
-            out += [v - modulus if v > half else v
-                    for i in range(0, need, width)
-                    if (v := from_bytes(raw[i:i + width], "little") & mask)
-                    < modulus]
-        return out
+        """`count` values exactly uniform on centred Z_q: the limb draw,
+        joined and centred."""
+        limbs = np.empty((-(-q.q.bit_length() // _JOIN_WIDTH), 1, count),
+                         dtype=np.int64)
+        self.uniform_limbs(q, _JOIN_WIDTH, limbs)
+        return _centred(join_limbs(limbs[:, 0], _JOIN_WIDTH), q)
 
     def error(self, noise: NoiseParams) -> int:
         while True:
@@ -177,16 +230,26 @@ def _parse_body(buf: bytes, header_len: int):
     return header, q, payload
 
 
+def digit_width(N: int) -> int:
+    """The digit width d for dot products of length N: the largest with
+    N 2^(2d) < 2^63, so N products of digits below 2^d in absolute value
+    sum exactly in int64."""
+    return (63 - N.bit_length()) // 2
+
+
 class SecretKey:
     """LWE secret key: an N-vector over centered Z_q.
 
-    `zeroize()` drops the stored entries; callers holding the key file are
+    `products` computes with the key cut into signed `digit_width(N)`-bit
+    digits, cut once and kept.  `zeroize()` overwrites and drops both the
+    stored entries and those digits; callers holding the key file are
     expected to delete it as part of the same contract.
     """
 
     def __init__(self, entries: Sequence[int], q: Modulus):
         self._entries = [q.cmod(int(v)) for v in entries]
         self.q = q
+        self._digits = None     # (d, P x N int64 digits), on first use
 
     def _live(self) -> list:
         if self._entries is None:
@@ -200,11 +263,54 @@ class SecretKey:
     def entries(self) -> Tuple[int, ...]:
         return tuple(self._live())
 
+    def _key_digits(self) -> Tuple[int, np.ndarray]:
+        """(d, digits) with key == sum(digits[p] << (d p)) for the P x N
+        digit rows: lower digits in [0, 2^d), the top one signed, all below
+        2^d in absolute value."""
+        entries = self._live()
+        if self._digits is None:
+            d = digit_width(len(entries))
+            self._digits = (d, split_limbs(
+                entries, d, -(-self.q.q.bit_length() // d)))
+        return self._digits
+
+    def products(self, limbs: np.ndarray, width: int,
+                 bits: int) -> List[int]:
+        """The exact integers A sk, one per row, for a matrix A held as the
+        (L, rows, N) int64 limb stack A = sum(limbs[k] << (width k)), with
+        every limb below 2^bits in absolute value (bits <= 63).
+
+        Each limb is cut into ceil(bits / d) digits of the key's width d,
+        the lower ones in [0, 2^d) and the top one signed, so every digit
+        product sums exactly in int64; only the sums are joined as Python
+        ints.
+        """
+        d, key = self._key_digits()
+        L, rows, N = limbs.shape
+        if N != key.shape[1]:
+            raise DimensionMismatch("matrix and key disagree on N")
+        top = -(-bits // d) - 1
+        cuts = (d * np.arange(top + 1))[:, None, None]
+        sums = []
+        for limb in limbs:      # one limb at a time bounds the digit arrays
+            digits = limb >> cuts
+            digits[:top] &= (1 << d) - 1
+            # einsum with both operands N-contiguous beats int64 matmul
+            sums.append(np.einsum("an,pn->ap", digits.reshape(-1, N), key))
+        shifts = [width * k + d * (m + p) for k in range(L)
+                  for m in range(top + 1) for p in range(len(key))]
+        terms = np.stack(sums).reshape(L * (top + 1), rows, len(key))
+        return [sum(v << s for v, s in zip(row, shifts)) for row in
+                terms.transpose(1, 0, 2).reshape(rows, len(shifts)).tolist()]
+
     def zeroize(self):
         if self._entries is not None:
             for i in range(len(self._entries)):
                 self._entries[i] = 0
             self._entries = None
+        if self._digits is not None:
+            self._digits[1][...] = 0
+            self._digits = None
 
     def to_bytes(self) -> bytes:
         return _KEY_MAGIC + _pack_ints([self.q.q, self.N]) + _pack_ints(self.entries())
@@ -283,38 +389,65 @@ def keygen(N: int, q: Modulus, rng) -> SecretKey:
     return SecretKey(rng.uniforms(q, N), q)
 
 
-def _sample_matrix(h: int, N: int, q: Modulus, rng) -> ModMatrix:
-    rows = tuple(tuple(rng.uniforms(q, N)) for _ in range(h))
-    return ModMatrix(rows, q, ncols=N, _reduced=True)
+@dataclass(frozen=True, eq=False)
+class Encryption:
+    """A standard encryption [m + b, A] mod q with its artifacts.
+
+    `first` is the column m + b, `mask` is b = A sk + e and `error` is e.
+    The randomness A stays the (L, h, N) limb stack of width `width` the
+    source drew it into, with entries in [0, q).  The mask, error and A
+    are for the trusted encryptor role that derives the cancellation terms;
+    they must never leave the encrypting process or be serialized alongside
+    the ciphertext.
+    """
+
+    first: ModMatrix
+    mask: ModMatrix
+    error: ModMatrix
+    randomness: np.ndarray
+    width: int
+
+    @cached_property
+    def randomness_matrix(self) -> ModMatrix:
+        """A as centred Python ints, joined once, a row at a time."""
+        q = self.first.modulus
+        return ModMatrix((_centred(join_limbs(limbs, self.width), q)
+                          for limbs in self.randomness.transpose(1, 0, 2)),
+                         q, ncols=self.randomness.shape[2], _reduced=True)
+
+    def ciphertext(self) -> Ciphertext:
+        """The standard ciphertext [m + b, A] as Python ints."""
+        A = self.randomness_matrix
+        return Ciphertext(body=self.first.hstack(A),
+                          kind=CiphertextKind.STANDARD, N=A.ncols)
 
 
 def encrypt_with_artifacts(m: ModMatrix, sk: SecretKey, noise: NoiseParams,
-                           rng) -> Tuple[Ciphertext, ModMatrix, ModMatrix, ModMatrix]:
-    """Encrypt and also return (mask b, error e, randomness A).
-
-    The extra values exist for the trusted encryptor role that derives the
-    cancellation terms; they must never leave the encrypting process or be
-    serialized alongside the ciphertext.
-    """
+                           rng, randomness: np.ndarray,
+                           width: int) -> Encryption:
+    """Encrypt the column m, drawing A straight into the (L, h, N) int64
+    array `randomness` as limbs of width `width`."""
     if not m.is_column():
         raise DimensionMismatch("message must be a column vector")
     if m.modulus != sk.q:
         raise LweError("message modulus differs from key modulus")
-    h = m.nrows
-    q = sk.q
-    A = _sample_matrix(h, sk.N, q, rng)
-    e = ModMatrix.column([rng.error(noise) for _ in range(h)], q)
-    key = sk.entries()
-    b = ModMatrix.column([sum(map(mul, row, key)) + ei
-                          for row, (ei,) in zip(A.rows, e.rows)], q)
-    body = (m + b).hstack(A)
-    return Ciphertext(body=body, kind=CiphertextKind.STANDARD, N=sk.N), b, e, A
+    if randomness.shape[1:] != (m.nrows, sk.N):
+        raise DimensionMismatch("randomness limbs must be h x N")
+    rng.uniform_limbs(sk.q, width, randomness)
+    e = ModMatrix.column([rng.error(noise) for _ in range(m.nrows)], sk.q)
+    b = ModMatrix.column([s + ei for s, (ei,) in
+                          zip(sk.products(randomness, width, width), e.rows)],
+                         sk.q)
+    return Encryption(first=m + b, mask=b, error=e, randomness=randomness,
+                      width=width)
 
 
 def encrypt(m: ModMatrix, sk: SecretKey, noise: NoiseParams, rng) -> Ciphertext:
     """Standard encryption [m + b, A] mod q."""
-    ct, _, _, _ = encrypt_with_artifacts(m, sk, noise, rng)
-    return ct
+    limbs = np.empty((-(-sk.q.q.bit_length() // _JOIN_WIDTH), m.nrows, sk.N),
+                     dtype=np.int64)
+    return encrypt_with_artifacts(m, sk, noise, rng, limbs,
+                                  _JOIN_WIDTH).ciphertext()
 
 
 def decrypt(ct: Ciphertext, sk: SecretKey) -> ModMatrix:

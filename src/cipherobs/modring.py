@@ -10,7 +10,9 @@ top-to-bottom, left-to-right) so that pivot columns and inverses are
 bit-reproducible across runs.
 
 `split_limbs` and `join_limbs` convert between Python ints and exact signed
-int64 limbs, the form in which numpy kernels compute over Z_q.
+int64 limbs, the form in which numpy kernels compute over Z_q;
+`bytes_to_words` and `words_to_limbs` cut limbs straight from packed bytes,
+such as the output of a random source.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ __all__ = [
     "inverse_mod",
     "pivot_columns",
     "right_inverse_row",
+    "bytes_to_words",
+    "words_to_limbs",
     "split_limbs",
     "join_limbs",
 ]
@@ -447,6 +451,35 @@ def right_inverse_row(sigma: ModMatrix) -> ModMatrix:
 _SPLIT_CHUNK = 4096
 
 
+def bytes_to_words(buf: bytes, stride: int) -> np.ndarray:
+    """The little-endian values of `stride` bytes each packed in `buf`, as a
+    fresh writable (n, ceil(stride / 8)) array of little-endian uint64
+    words, zero-padded at the top."""
+    raw = np.frombuffer(buf, dtype=np.uint8).reshape(-1, stride)
+    nwords = -(-stride // 8)
+    words = np.zeros((raw.shape[0], 8 * nwords), dtype=np.uint8)
+    words[:, :stride] = raw
+    return words.view("<u8")
+
+
+def words_to_limbs(words: np.ndarray, width: int, count: int) -> np.ndarray:
+    """The low `width * count` bits of each row of uint64 words (least
+    significant word first) cut into `count` fields of `width` bits, as a
+    (count, n) int64 array of values in [0, 2^width).  Every field must
+    start inside the words; bits above the top word read as zero.
+    1 <= width <= 62."""
+    columns = np.ascontiguousarray(words.T)
+    mask = np.uint64((1 << width) - 1)
+    out = np.empty((count, len(words)), dtype=np.int64)
+    for k in range(count):
+        i, o = divmod(width * k, 64)
+        field = columns[i] >> np.uint64(o)
+        if o + width > 64 and i + 1 < len(columns):
+            field |= columns[i + 1] << np.uint64(64 - o)
+        np.bitwise_and(field, mask, out=out[k].view(np.uint64))
+    return out
+
+
 def split_limbs(values: Sequence[int], width: int, count: int) -> np.ndarray:
     """Exact signed base-2^width digits of each value as a (count, n) int64
     array: value == sum(out[k] * 2**(width * k)).
@@ -456,20 +489,14 @@ def split_limbs(values: Sequence[int], width: int, count: int) -> np.ndarray:
     value.  Each value must lie in [-2^(width*count-1), 2^(width*count-1));
     `int.to_bytes` raises OverflowError otherwise.  1 <= width <= 62.
     """
-    nwords = -(-width * count // 64)
-    mask = np.uint64((1 << width) - 1)
+    stride = 8 * -(-width * count // 64)
     out = np.empty((count, len(values)), dtype=np.int64)
     for start in range(0, len(values), _SPLIT_CHUNK):
         part = values[start:start + _SPLIT_CHUNK]
-        buf = b"".join([v.to_bytes(8 * nwords, "little", signed=True)
+        buf = b"".join([v.to_bytes(stride, "little", signed=True)
                         for v in part])
-        words = np.frombuffer(buf, dtype="<u8").reshape(len(part), nwords)
-        for k in range(count):
-            i, o = divmod(width * k, 64)
-            field = words[:, i] >> np.uint64(o)
-            if o + width > 64:
-                field |= words[:, i + 1] << np.uint64(64 - o)
-            out[k, start:start + len(part)] = (field & mask).view(np.int64)
+        out[:, start:start + len(part)] = words_to_limbs(
+            bytes_to_words(buf, stride), width, count)
     top = out[count - 1]
     top -= (top >> (width - 1)) << width
     return out

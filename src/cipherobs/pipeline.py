@@ -185,7 +185,7 @@ class EncryptedRun:
     view1: Optional[secviews.View1] = None
     view2: Optional[secviews.View2] = None
     final_residues: List[ModMatrix] = field(default_factory=list)
-    setup_s: float = 0.0    # wall time up to the encrypted initial state
+    setup_s: float = 0.0    # wall time from keygen to the encrypted state
     steps_s: float = 0.0    # wall time of the step loop
 
 
@@ -201,8 +201,8 @@ def run_encrypted_mode(setup: SystemSetup, steps: int, *,
     never happens when the implementation is correct; the check guards the
     pipeline against regressions).
     """
-    t0 = time.perf_counter()
     qrun = run_quantized_mode(setup, steps)
+    t0 = time.perf_counter()
     traj = qrun.trajectory
     params = setup.params
     rng = TestRng(seed) if seed is not None else SecureRng()
@@ -214,7 +214,8 @@ def run_encrypted_mode(setup: SystemSetup, steps: int, *,
     zbar_ini = quantobs.quantize_initial(setup.zhat_ini, params)
     batch = session.enc_initial(zbar_ini)
     state = encobs.EncObserverState.from_initial(batch)
-    input_batches = []
+    # View 2 keeps each batch's channels as they come, not the batch limbs
+    channel_cts = [_channel_cts(batch)] if record_views else []
 
     Ts = setup.bundle.model.Ts
     run = EncryptedRun(records=[], trajectory=traj, public=public, sk=sk,
@@ -242,10 +243,10 @@ def run_encrypted_mode(setup: SystemSetup, steps: int, *,
         run.r1s.append(r1)
         run.disclosed.append(disclosed)
         run.recovered.append(xrec)
-        in_batch = session.enc_input(qrun.vbars[t])
+        batch = session.enc_input(qrun.vbars[t])
         if record_views:
-            input_batches.append(in_batch)
-        state = encobs.step_encrypted(state, in_batch, public)
+            channel_cts.append(_channel_cts(batch))
+        state = encobs.step_encrypted(state, batch, public)
     run.steps_s = time.perf_counter() - t1
     if keep_states:
         run.states.append(state)
@@ -260,10 +261,8 @@ def run_encrypted_mode(setup: SystemSetup, steps: int, *,
             input_cts=tuple(a.standard_ct for a in session.artifacts[1:]),
             residues=tuple(run.disclosed + run.final_residues),
         )
-        view2 = secviews.View2(
-            init_cts=_channel_cts(batch),
-            input_cts=tuple(_channel_cts(b) for b in input_batches),
-        )
+        view2 = secviews.View2(init_cts=channel_cts[0],
+                               input_cts=tuple(channel_cts[1:]))
         run.view1 = view1
         run.view2 = view2
     return run

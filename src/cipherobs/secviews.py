@@ -292,7 +292,7 @@ def f1_view1_to_view2(v1: View1, public: ObserverPublic,
                                        _reduced=True))
 
     def channels_of(std_ct: Ciphertext, cancels) -> Tuple[Ciphertext, ...]:
-        batch = EncryptedBatch.from_standard(std_ct, cancels)
+        batch = EncryptedBatch.from_standard(std_ct, cancels, kernel)
         return tuple(batch.channel(j) for j in range(batch.n_channels))
 
     return View2(init_cts=channels_of(v1.init_ct, init_cancels),

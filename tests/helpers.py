@@ -11,13 +11,25 @@ import numpy as np
 from cipherobs.encobs import EncryptedBatch
 from cipherobs.lwe import decrypt
 from cipherobs.modring import DimensionMismatch, ModMatrix, ModRingError, \
-    Modulus, _echelon, inverse_mod, pivot_columns, right_inverse_row
+    Modulus, _echelon, inverse_mod, pivot_columns, right_inverse_row, \
+    split_limbs
 from cipherobs.obsdesign import run_reference_observer
 from cipherobs.plantsim import AttackScenario, PlantModel, run_closed_loop
 from cipherobs.quantobs import QuantState, quantize_initial, quantize_input, \
     residue_quantized, step_quantized
 from cipherobs.secviews import View2
 from cipherobs.zerodyn import RelativeDegreeUndefined, channel_maps
+
+
+class ValueSource:
+    """Base for test sources that script uniform values rather than bytes:
+    subclasses give `uniforms(q, count)` and `error(noise)`, and the limb
+    draw takes each row's values from `uniforms` in turn."""
+
+    def uniform_limbs(self, q: Modulus, width: int, out: np.ndarray):
+        L, rows, count = out.shape
+        values = [v % q.q for _ in range(rows) for v in self.uniforms(q, count)]
+        out[...] = split_limbs(values, width, L).reshape(L, rows, count)
 
 
 def egcd_inverse(a: int, q: int) -> int:
@@ -166,7 +178,7 @@ def f1_zero_dynamics(v1, public, params):
                      + ct.S3 @ ct.SigmaDag.scale(msg_tilde))
 
     def channels(std_ct, cancels):
-        batch = EncryptedBatch.from_standard(std_ct, cancels)
+        batch = EncryptedBatch.from_standard(std_ct, cancels, public.kernel)
         return tuple(batch.channel(j) for j in range(batch.n_channels))
 
     return View2(init_cts=channels(v1.init_ct, init_cancels),

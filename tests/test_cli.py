@@ -1,11 +1,13 @@
 import json
 import re
+from types import SimpleNamespace
 
 import pytest
 
-from cipherobs import cli
+from cipherobs import cli, pipeline
 from cipherobs.cli import main
-from cipherobs.pipeline import bundled_scenario_path, run_encrypted_mode
+from cipherobs.pipeline import bundled_scenario_path, run_encrypted_mode, \
+    run_quantized_mode
 
 
 def _encrypted_dims(monkeypatch, argv):
@@ -154,6 +156,22 @@ class TestVerify:
 
 
 class TestBench:
+    def test_setup_clock_starts_after_the_oracle(self, bench_setup,
+                                                 monkeypatch):
+        # a fake clock that only the plaintext oracle run advances
+        now = [0.0]
+
+        def oracle(setup, steps):
+            now[0] += 1000.0
+            return run_quantized_mode(setup, steps)
+
+        monkeypatch.setattr(pipeline, "time",
+                            SimpleNamespace(perf_counter=lambda: now[0]))
+        monkeypatch.setattr(pipeline, "run_quantized_mode", oracle)
+        run = run_encrypted_mode(bench_setup, 2, seed=0)
+        assert now[0] == 1000.0
+        assert run.setup_s == 0.0 and run.steps_s == 0.0
+
     def test_small_bench_runs(self, capsys):
         assert main(["bench", "--dims", "16", "--steps", "1",
                      "--seed", "0"]) == 0

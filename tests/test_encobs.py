@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -20,12 +21,13 @@ from cipherobs.lwe import LweError, NoiseParams, SecretKey, decrypt, encrypt, \
 from cipherobs.lwe import TestRng as SeededRng
 from cipherobs.modring import ModMatrix
 from cipherobs.pipeline import run_encrypted_mode, run_quantized_mode
-from .helpers import build_transform, cancellation_init, cancellation_step, \
-    decrypt_channel_state, dense_normal_form, encrypted_residue, \
-    error_trajectory
+from cipherobs.quantobs import quantize_initial
+from .helpers import ValueSource, build_transform, cancellation_init, \
+    cancellation_step, decrypt_channel_state, dense_normal_form, \
+    encrypted_residue, error_trajectory
 
 
-class ZeroMaskRng:
+class ZeroMaskRng(ValueSource):
     """All uniforms zero, all errors zero: masks vanish entirely."""
 
     def uniforms(self, q, count):
@@ -35,7 +37,7 @@ class ZeroMaskRng:
         return 0
 
 
-class ReplayRng:
+class ReplayRng(ValueSource):
     """Replays a recorded draw sequence (for checkpoint determinism)."""
 
     def __init__(self, draws):
@@ -53,6 +55,12 @@ class ReplayRng:
         kind, val = self._draws.pop(0)
         assert kind == "e"
         return val
+
+
+def zero_body(public, nrows, N=64):
+    """Limbs of an all-zero [firsts | shared | lasts] body of the
+    benchmark's 60 channels."""
+    return np.zeros((public.kernel.count, nrows, 60 + N + 60), dtype=np.int64)
 
 
 def firsts(batch):
@@ -150,15 +158,26 @@ class TestSessionBasics:
         out2.append(s2.enc_input(vbar))
         for a, b in zip(full, out2):
             # firsts, shared block and lasts all at once
-            assert a.body == b.body
+            assert a.rows == b.rows
         assert firsts(wasted) == firsts(full[3])
 
     def test_zeroized_key_rejected_typed(self, bench_setup, public64):
         params = dataclasses.replace(bench_setup.params, N=64)
         sk = keygen(64, params.q, SeededRng(2))
+        session = EncryptorSession(sk, params, public64, rng=SeededRng(3))
+        state = EncObserverState.from_initial(
+            session.enc_initial(ModMatrix.zeros(24, 1, params.q)))
+        phi = bench_setup.mod_maps.PhiPinvBar
+        recover_encrypted_state(state, 0, sk, params, phi)
+        assert sk._digits is not None
         sk.zeroize()
+        assert sk._digits is None
         with pytest.raises(LweError):
             EncryptorSession(sk, params, public64, rng=SeededRng(3))
+        with pytest.raises(LweError):
+            session.enc_input(ModMatrix.zeros(6, 1, params.q))
+        with pytest.raises(LweError):
+            recover_encrypted_state(state, 0, sk, params, phi)
 
 
 class TestModifiedCompatibility:
@@ -235,12 +254,11 @@ class TestModifiedCompatibility:
 
 class TestEncryptedObserver:
     def test_zero_ciphertexts_keep_zero_state(self, bench_setup, public64):
-        q = public64.q
         # [firsts | shared | lasts]: 60 + 64 + 60 columns
-        zero_batch = encobs.EncryptedBatch(
-            body=ModMatrix.zeros(6, 60 + 64 + 60, q), n_channels=60)
+        kernel = public64.kernel
+        zero_batch = encobs.EncryptedBatch(zero_body(public64, 6), 60, kernel)
         state = EncObserverState.from_initial(encobs.EncryptedBatch(
-            body=ModMatrix.zeros(24, 60 + 64 + 60, q), n_channels=60))
+            zero_body(public64, 24), 60, kernel))
         nxt = step_encrypted(state, zero_batch, public64)
         assert all(row[1:1 + 64] == (0,) * 64
                    for row in nxt.channel(0).body.rows)
@@ -254,9 +272,8 @@ class TestEncryptedObserver:
                 state.channel(j)
 
     def test_batch_width_checked(self, public64, bench_enc):
-        q = public64.q
-        narrow = encobs.EncryptedBatch(
-            body=ModMatrix.zeros(6, 60 + 32 + 60, q), n_channels=60)
+        narrow = encobs.EncryptedBatch(zero_body(public64, 6, N=32), 60,
+                                       public64.kernel)
         with pytest.raises(encobs.EncObsError):
             step_encrypted(bench_enc.states[0], narrow, public64)
 
@@ -286,9 +303,8 @@ class TestEncryptedObserver:
             assert r1.column_entries() == R.column_entries(0)
 
     def test_zero_state_zero_residue(self, public64):
-        q = public64.q
         state = EncObserverState.from_initial(encobs.EncryptedBatch(
-            body=ModMatrix.zeros(24, 60 + 64 + 60, q), n_channels=60))
+            zero_body(public64, 24), 60, public64.kernel))
         R, r1 = encrypted_residue(state, public64)
         assert r1.is_zero()
 
@@ -359,8 +375,9 @@ class TestDisclosureAndRecovery:
         phi = bench_setup.mod_maps.PhiPinvBar
 
         def batch(nrows):
+            kernel = public64.kernel
             return encobs.EncryptedBatch(
-                body=ModMatrix(((top,) * (N + 120),) * nrows, q), n_channels=60)
+                kernel.split(((top,) * (N + 120),) * nrows), 60, kernel)
 
         sk = SecretKey([top] * N, q)
         state = EncObserverState.from_initial(batch(24))
@@ -438,3 +455,55 @@ class TestWhiteBoxErrorBudget:
             for row in rows:
                 val = abs(sum(a * b for a, b in zip(row, e)))
                 assert val < half
+
+
+# SHA-256 of the first steps of TestRng(5) deployments, recorded when the
+# randomness was still drawn one `int.from_bytes` per value and the mask
+# summed with Python ints: the limb-native encryptor emits the same
+# ciphertexts.
+GOLDEN = {
+    64: {"batches": "07410b151b09f7d3630b6dd929205132fe522019ea37bc0619c668dfb7a7a867",
+         "states": "1a9fb807472257c33ebba86c8f5982fdc1ac341dd78e9ce9119440597e82d214",
+         "standard": "b5aeea59e79aa35d814d85c562f36245fd0d21ada1fa46842a790c8f6eac322e"},
+    4096: {"batches": "74fc42642fe9ff6560202540d476a0ab398da0a540bc60a5f69b91de297a3824",
+           "states": "c8ec10a2328d31e9b7bfe8c32a341969116d77b1222330e889e3f80a4543d133",
+           "standard": "6caf53d453f13255aba4dfff65c324f07cfa5eb512a6191bbd7a90e3f9162999"},
+}
+
+
+@pytest.mark.parametrize("N", sorted(GOLDEN))
+def test_seeded_ciphertexts_match_golden_digests(bench_setup, N):
+    """Channels 0 and 59 of the initial and 3 input batches and of the
+    states after them, and the recorded standard ciphertexts."""
+    params = dataclasses.replace(bench_setup.params, N=N)
+    rng = SeededRng(5)
+    sk = keygen(N, params.q, rng)
+    public = ObserverPublic.build(bench_setup.mod_maps, params)
+    session = EncryptorSession(sk, params, public, rng=rng,
+                               record_artifacts=True)
+    vbars = run_quantized_mode(bench_setup, 3).vbars
+    batches = [session.enc_initial(
+        quantize_initial(bench_setup.zhat_ini, params))]
+    states = [EncObserverState.from_initial(batches[0])]
+    for vbar in vbars:
+        batches.append(session.enc_input(vbar))
+        states.append(step_encrypted(states[-1], batches[-1], public))
+    for batch in batches:
+        # a recording session keeps its ints; the limbs must join to them
+        # and stay below 2^W, the kernel's input bound
+        joined = encobs.EncryptedBatch(batch.body, batch.n_channels,
+                                       batch.kernel)
+        assert joined.rows == batch.rows
+        assert int(np.abs(batch.body).max()) < 2 ** batch.kernel.width
+    digests = {}
+    for name, parts in (("batches", batches), ("states", states)):
+        h = hashlib.sha256()
+        for part in parts:
+            for j in (0, 59):
+                h.update(part.channel(j).to_bytes())
+        digests[name] = h.hexdigest()
+    h = hashlib.sha256()
+    for art in session.artifacts:
+        h.update(art.standard_ct.to_bytes())
+    digests["standard"] = h.hexdigest()
+    assert digests == GOLDEN[N]

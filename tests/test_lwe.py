@@ -1,9 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cipherobs import lwe
 from cipherobs.lwe import (
     Ciphertext,
     CiphertextKind,
@@ -14,13 +16,16 @@ from cipherobs.lwe import (
     ct_add,
     ct_matmul,
     decrypt,
+    digit_width,
     encrypt,
     encrypt_with_artifacts,
     keygen,
 )
 from cipherobs.lwe import TestRng as SeededRng
 from cipherobs.lwe import _CT_MAGIC, _KEY_MAGIC, _RandomSource, _pack_ints
-from cipherobs.modring import DimensionMismatch, ModMatrix, Modulus
+from cipherobs.modring import DimensionMismatch, ModMatrix, Modulus, \
+    join_limbs
+from .helpers import ValueSource
 
 Q97 = Modulus(97)
 QBIG = Modulus(2 ** 61 - 1)
@@ -28,7 +33,15 @@ Q109 = Modulus(2 ** 109 - 31)
 NOISE = NoiseParams(19.2)
 
 
-class StubRng:
+def encrypt_limbs(m, sk, rng, width=42):
+    """`encrypt_with_artifacts` into fresh limbs of the given width (42 is
+    the benchmark observer's)."""
+    limbs = np.empty((-(-sk.q.q.bit_length() // width), m.nrows, sk.N),
+                     dtype=np.int64)
+    return encrypt_with_artifacts(m, sk, NOISE, rng, limbs, width)
+
+
+class StubRng(ValueSource):
     """Feeds queued uniform values and fixed errors (test control)."""
 
     def __init__(self, uniforms, error_value=0):
@@ -85,6 +98,17 @@ class CountingRandom(random.Random):
         return super().randbytes(n)
 
 
+class ScriptedSource(_RandomSource):
+    """Scripted `randbytes` with a fixed error value."""
+
+    def __init__(self, chunks, error_value):
+        super().__init__(ScriptedRandom(chunks))
+        self._error = error_value
+
+    def error(self, noise):
+        return self._error
+
+
 class TestUniforms:
     @pytest.mark.parametrize("q", [Q97, QBIG, Q109])
     def test_values_in_centred_range(self, q):
@@ -110,6 +134,23 @@ class TestUniforms:
         assert len(values) == 10_000
         # 14 bytes per 109-bit value; a rejection here has odds 31 / 2^109
         assert source._rng.requests == [4096 * 14, 4096 * 14, 1808 * 14]
+
+    def test_rejection_at_the_word_boundary(self):
+        # q = 2^109 - 31 spans two words; its high word 2^45 - 1 is the
+        # largest masked one, so ties on it are decided by the low word
+        q = Q109.q
+        tie = ((2 ** 45 - 1) << 64) + 5          # high word of q, low below
+        draws = [[q - 1, q, 2 ** 109 - 1], [tie, 2 ** 112 - 1], [7]]
+        chunks = [b"".join(v.to_bytes(14, "little") for v in chunk)
+                  for chunk in draws]
+        source = _RandomSource(ScriptedRandom(chunks))
+        assert source.uniforms(Q109, 3) == [-1, tie - q, 7]
+        assert source._rng.requests == [3 * 14, 2 * 14, 14]
+        source = _RandomSource(ScriptedRandom(chunks))
+        limbs = np.empty((3, 1, 3), dtype=np.int64)
+        source.uniform_limbs(Q109, 42, limbs)
+        assert join_limbs(limbs[:, 0], 42) == [q - 1, tie, 7]
+        assert source._rng.requests == [3 * 14, 2 * 14, 14]
 
     def test_seeded_draws_are_reproducible(self):
         a, b = SeededRng(23), SeededRng(23)
@@ -141,9 +182,43 @@ class TestUniforms:
               "max": lambda: SecretKey([half] * N, q),
               "min": lambda: SecretKey([-half] * N, q)}[key]()
         m = ModMatrix.column(rng.uniforms(q, h), q)
-        ct, b, e, A = encrypt_with_artifacts(m, sk, NOISE, rng)
+        enc = encrypt_limbs(m, sk, rng)
+        A, b, e = enc.randomness_matrix, enc.mask, enc.error
         assert b == A @ ModMatrix.column(sk.entries(), q) + e
-        assert ct.body == (m + b).hstack(A)
+        assert enc.ciphertext().body == (m + b).hstack(A)
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["max", "min"])
+    def test_mask_exact_at_the_digit_bound(self, sign):
+        # every randomness entry q - 1 and every key entry +-(q-1)/2 drive
+        # the digit products of the mask to their largest sums
+        q, N, h = Q109, 4096, 2
+        top = q.q - 1
+        d = digit_width(N)
+        assert N * 2 ** (2 * d) < 2 ** 63 <= N * 2 ** (2 * (d + 1))
+        chunk = top.to_bytes(14, "little") * N
+        sk = SecretKey([sign * (q.q - 1) // 2] * N, q)
+        m = ModMatrix.column([5] * h, q)
+        enc = encrypt_limbs(m, sk, ScriptedSource([chunk] * h, 3))
+        assert enc.randomness_matrix == ModMatrix([[-1] * N] * h, q)
+        dense = (enc.randomness_matrix @ ModMatrix.column(sk.entries(), q)
+                 + enc.error)
+        assert enc.mask == dense
+        assert enc.first == m + dense
+
+    def test_one_more_digit_bit_overflows(self, monkeypatch):
+        q, N = Q109, 4096
+        d = digit_width(N)
+        chunk = (q.q - 1).to_bytes(14, "little") * N
+        # the lowest digits of limb 0 of q - 1 (width 42) and of the key
+        low = (2 ** 42 - 32) % 2 ** (d + 1) * ((q.q - 1) // 2 % 2 ** (d + 1))
+        assert N * low >= 2 ** 63
+        monkeypatch.setattr(lwe, "digit_width", lambda n: d + 1)
+        sk = SecretKey([(q.q - 1) // 2] * N, q)
+        m = ModMatrix.column([5], q)
+        enc = encrypt_limbs(m, sk, ScriptedSource([chunk], 0))
+        dense = (enc.randomness_matrix @ ModMatrix.column(sk.entries(), q)
+                 + enc.error)
+        assert enc.mask != dense
 
 
 class TestKeygen:
@@ -190,12 +265,19 @@ class TestEncryptDecrypt:
 
     def test_worked_example(self):
         sk = SecretKey([3], Q97)
-        ct, b, e, A = encrypt_with_artifacts(
-            ModMatrix.column([5], Q97), sk, NOISE, StubRng([10], error_value=1))
-        assert A.rows == ((10,),)
-        assert b.column_entries() == (31,)
+        enc = encrypt_limbs(ModMatrix.column([5], Q97), sk,
+                            StubRng([10], error_value=1))
+        ct = enc.ciphertext()
+        assert enc.randomness_matrix.rows == ((10,),)
+        assert enc.mask.column_entries() == (31,)
         assert ct.body.rows == ((36, 10),)
         assert decrypt(ct, sk).column_entries() == (6,)  # m + e
+
+    def test_empty_message(self):
+        sk = keygen(3, Q97, SeededRng(0))
+        assert SeededRng(1).uniforms(Q97, 0) == []
+        ct = encrypt(ModMatrix.column([], Q97), sk, NOISE, SeededRng(1))
+        assert ct.body.shape == (0, 4)
 
     def test_wrong_width_rejected(self):
         body = ModMatrix.zeros(2, 4, Q97)
@@ -323,13 +405,25 @@ class TestSerialization:
 
     def test_zeroize(self):
         sk = keygen(4, Q97, SeededRng(16))
+        m = ModMatrix.column([1], Q97)
+        limbs = np.zeros((1, 1, 4), dtype=np.int64)
+        encrypt(m, sk, NOISE, SeededRng(17))
+        _, digits = sk._digits
+        assert digits.any()
         sk.zeroize()
+        assert sk._digits is None and not digits.any()
         with pytest.raises(LweError):
             sk.entries()
         with pytest.raises(LweError):
             sk.N
         with pytest.raises(LweError):
             sk.to_bytes()
+        with pytest.raises(LweError):
+            encrypt(m, sk, NOISE, SeededRng(17))
+        with pytest.raises(LweError):
+            encrypt_with_artifacts(m, sk, NOISE, SeededRng(17), limbs, 42)
+        with pytest.raises(LweError):
+            sk.products(limbs, 42, 42)
 
     def test_bad_magic_rejected(self):
         with pytest.raises(LweError):

@@ -42,14 +42,8 @@ def _tiny_params(q: Modulus, N: int, lift: int) -> QuantParams:
                        init_error=0.0, signal_bound=1.0, l_max=3, l_total=3)
 
 
-class ZeroErrorRng:
+class ZeroErrorRng(SeededRng):
     """Seeded uniforms with forced zero encryption errors."""
-
-    def __init__(self, seed):
-        self._rng = SeededRng(seed)
-
-    def uniforms(self, q, count):
-        return self._rng.uniforms(q, count)
 
     def error(self, noise):
         return 0
