@@ -225,14 +225,12 @@ def _suite_zeroing(seed: int, gbar_corrupt: bool, setup: SystemSetup) -> list:
 def _suite_encrypted(setup: SystemSetup, seed: int) -> list:
     failures = []
     steps = 12
-    run = run_encrypted_mode(_at_dim(setup, 32), steps, seed=seed,
-                             record_views=True, keep_states=True,
-                             cross_check=False)
+    try:
+        run = run_encrypted_mode(_at_dim(setup, 32), steps, seed=seed,
+                                 record_views=True, keep_states=True)
+    except encobs.EncObsError as exc:
+        return [str(exc)]
     qrun = run_quantized_mode(setup, steps)
-    for t in range(steps):
-        if run.disclosed[t] != qrun.rbars[t]:
-            failures.append(f"disclosure mismatch at step {t}")
-            break
     for t in (0, steps // 2, steps - 1):
         for j in (0, run.public.n_channels - 1):
             rec = encobs.recover_encrypted_state(
@@ -285,7 +283,7 @@ def cmd_bench(args) -> int:
     print(f"channels: {setup.bank.n_r}, steps per measurement: {args.steps}")
     for N in dims:
         run = run_encrypted_mode(_at_dim(setup, N), args.steps,
-                                 seed=args.seed, cross_check=False)
+                                 seed=args.seed)
         print(f"N={N}: setup {run.setup_s * 1000:.1f} ms, "
               f"{run.steps_s / args.steps * 1000:.1f} ms/step")
     return 0

@@ -6,19 +6,23 @@ each step's randomness block and masking term; they differ only in the
 cancellation column derived from their own zero-dynamics, which forces the
 mask contribution of every residue's first column to zero.  That recursion
 is written once, as `ObserverPublic.cancel_initial` and `cancel_step`.
-Each input batch and the observer state are therefore stored as one matrix
+Channel j's modified ciphertext is the standard one with its first column
+split as `[first - cancel_j | shared | cancel_j]`; `modified_channels`
+writes it for every channel as Python ints, the form a transcript records.
+Each input batch and the observer state are stored as one matrix
 `[firsts | shared | lasts]`: every channel's first column, the shared middle
 block once, then every channel's last column.  One step of the observer is
 one application of `Z' = Fbar Z + Gbar V` to that whole matrix.
 
-Batches and states are limb-resident from step 0: the encryptor draws the
-shared randomness block straight into the exact int64 limbs of
-`quantobs.LimbKernel` and writes the channels' first and last columns
-beside it, and the observer steps those limbs.  Python ints appear only
-when a channel is materialized (`channel(j)` joins and centres the whole
-body once per batch or state), when the first columns are read for
-disclosure, in the recovered sums, and in the standard ciphertexts and
-artifacts a session records on request.
+Batches and states are int64 limbs of `quantobs.LimbKernel` and nothing
+else: the encryptor draws the shared randomness block straight into them
+and writes the channels' first and last columns beside it, and
+`EncryptedBatch.from_standard` builds the same limbs from a standard
+ciphertext and the cancel columns.  Python ints appear only when a channel
+is materialized (`channel(j)` joins and centres the whole body once per
+batch or state), when the first columns are read for disclosure, and in
+the recovered sums.  This module and `quantobs` are the only ones that know
+the limb layout.
 """
 
 from __future__ import annotations
@@ -34,13 +38,13 @@ import numpy as np
 from .lwe import (
     Ciphertext,
     CiphertextKind,
-    Encryption,
     NoiseParams,
     SecretKey,
     SecureRng,
     encrypt_with_artifacts,
 )
-from .modring import DimensionMismatch, ModMatrix, Modulus, join_limbs
+from .modring import DimensionMismatch, ModMatrix, Modulus, \
+    ModulusMismatch, join_limbs
 from .quantobs import LimbKernel, ModularMaps, QuantParams, observer_update
 from .zerodyn import ChannelMaps, channel_maps
 
@@ -49,6 +53,7 @@ __all__ = [
     "SessionNotFresh",
     "ObserverPublic",
     "EncryptedBatch",
+    "modified_channels",
     "StepArtifacts",
     "EncryptorSession",
     "EncObserverState",
@@ -201,38 +206,65 @@ class EncryptedBatch(_ChannelBody):
 
     The randomness block is shared; channels differ only in the first
     (message + mask - cancellation) and last (cancellation) columns.  Every
-    limb is below 2^W in absolute value, the kernel's input bound; an
-    encryptor writes the first columns as limb differences, not canonical.
+    limb is below 2^W in absolute value, the kernel's input bound; the
+    first columns are limb differences, not canonical.
     """
+
+    @classmethod
+    def _write(cls, body: np.ndarray, first: Sequence[int],
+               cancels: Sequence[Tuple[int, ...]],
+               kernel: LimbKernel) -> "EncryptedBatch":
+        """Fill the channels' last (cancel) and first (first - cancel)
+        columns of `body`, whose shared block already holds the randomness.
+        The first columns are differences of limbs below 2^W in absolute
+        value, so they stay below it, as the kernel requires."""
+        n_ch = len(cancels)
+        limbs = kernel.split([(f,) + tuple(c[i] for c in cancels)
+                              for i, f in enumerate(first)])
+        body[:, :, :n_ch] = limbs[:, :, :1] - limbs[:, :, 1:]
+        body[:, :, body.shape[-1] - n_ch:] = limbs[:, :, 1:]
+        return cls(body, n_ch, kernel)
 
     @classmethod
     def from_standard(cls, std_ct: Ciphertext,
                       cancels: Sequence[Tuple[int, ...]],
                       kernel: LimbKernel) -> "EncryptedBatch":
-        """Split a standard ciphertext into one modified ciphertext per
-        cancellation column: first = (message + mask) - cancel.  The
-        Python-int rows are kept, so `channel(j)` never joins them back."""
-        q = std_ct.body.modulus
-        rows = tuple(
-            tuple(q.cmod(row[0] - c[i]) for c in cancels) + row[1:]
-            + tuple(c[i] for c in cancels)
-            for i, row in enumerate(std_ct.body.rows))
-        batch = cls(kernel.split(rows), len(cancels), kernel)
-        batch.rows = rows
-        return batch
+        """The limbs of the batch whose channel j is the standard
+        ciphertext with channel j's cancellation column: the batch an
+        encryptor wrote for `std_ct` and those columns."""
+        N, n_ch = std_ct.N, len(cancels)
+        body = np.empty((kernel.count, std_ct.h, N + 2 * n_ch), dtype=np.int64)
+        body[:, :, n_ch:n_ch + N] = kernel.split(
+            [row[1:] for row in std_ct.body.rows])
+        return cls._write(body, std_ct.first_column(), cancels, kernel)
+
+
+def modified_channels(std_ct: Ciphertext,
+                      cancels: Sequence[Tuple[int, ...]]
+                      ) -> Tuple[Ciphertext, ...]:
+    """Channel j's modified ciphertext [first - cancel_j | shared | cancel_j]
+    for each cancellation column cancel_j of the standard ciphertext
+    `std_ct`, as Python ints."""
+    q, N = std_ct.body.modulus, std_ct.N
+    return tuple(
+        Ciphertext(body=ModMatrix(
+            tuple((q.cmod(row[0] - a),) + row[1:] + (a,)
+                  for row, a in zip(std_ct.body.rows, cancel)),
+            q, ncols=N + 2, _reduced=True),
+            kind=CiphertextKind.MODIFIED, N=N)
+        for cancel in cancels)
 
 
 @dataclass
 class StepArtifacts:
-    """Trusted-encryptor record of one encryption: mask, error, randomness,
-    the standard ciphertext, and the per-channel cancellation terms.
-    Only kept when a session is created with record_artifacts=True."""
+    """Trusted-encryptor record of one encryption: mask, error, the
+    standard ciphertext, and every channel's cancellation column.  Only
+    kept when a session is created with record_artifacts=True."""
 
     mask: ModMatrix
     error: ModMatrix
-    randomness: ModMatrix
     standard_ct: Ciphertext
-    cancel_terms: Tuple
+    cancels: Tuple[Tuple[int, ...], ...]
 
 
 class EncryptorSession:
@@ -266,67 +298,49 @@ class EncryptorSession:
         return {"step": self.step, "cancel_state": self.cancel_state}
 
     def restore(self, snap: dict):
+        """Return to `snap`, dropping the artifacts of the steps after it."""
         self.step = snap["step"]
         self.cancel_state = snap["cancel_state"]
+        del self.artifacts[self.step + 1:]
 
     # -- encryption --------------------------------------------------------
 
-    def _encrypt(self, v: ModMatrix) -> Tuple[Encryption, np.ndarray]:
-        """Encrypt the lifted column v, with the randomness drawn straight
-        into the shared block of a new batch body."""
+    def _encrypt(self, v: ModMatrix, cancel) -> EncryptedBatch:
+        """Encrypt the lifted column v for every channel: the randomness is
+        drawn straight into the shared block of a new batch body, and
+        `cancel(mask)` gives the cancel columns and the next cancelled mask
+        state.  Records the step's artifacts on request."""
         public, kernel = self.public, self.public.kernel
         n_ch, N = public.n_channels, public.N
         body = np.empty((kernel.count, v.nrows, N + 2 * n_ch), dtype=np.int64)
         enc = encrypt_with_artifacts(v.scale(self.params.lift), self.sk,
                                      self.noise, self.rng,
                                      body[:, :, n_ch:n_ch + N], kernel.width)
-        return enc, body
-
-    def _batch(self, enc: Encryption, body: np.ndarray, tildes,
-               cancels) -> EncryptedBatch:
-        """Fill the channels' last (cancel) and first (first - cancel)
-        columns of `body` and record the step's artifacts.  The first
-        columns are differences of limbs below 2^W in absolute value, so
-        they stay below it, as the kernel requires."""
-        kernel, n_ch = self.public.kernel, len(cancels)
-        firsts = enc.first.column_entries()
-        lasts = [tuple(c[i] for c in cancels) for i in range(len(firsts))]
-        limbs = kernel.split([(f,) + g for f, g in zip(firsts, lasts)])
-        body[:, :, :n_ch] = limbs[:, :, :1] - limbs[:, :, 1:]
-        body[:, :, body.shape[-1] - n_ch:] = limbs[:, :, 1:]
-        batch = EncryptedBatch(body, n_ch, kernel)
+        _, cancels, self.cancel_state = cancel(enc.mask)
         if self.record_artifacts:
-            std_ct = enc.ciphertext()
             self.artifacts.append(StepArtifacts(
-                mask=enc.mask, error=enc.error,
-                randomness=enc.randomness_matrix, standard_ct=std_ct,
-                cancel_terms=tuple(tildes)))
-            # the recorded ints: channel(j) then joins nothing and shares them
-            q = self.public.q
-            batch.rows = tuple(tuple(q.cmod(row[0] - a) for a in g) + row[1:]
-                               + g for row, g in zip(std_ct.body.rows, lasts))
-        return batch
+                mask=enc.mask, error=enc.error, standard_ct=enc.ciphertext(),
+                cancels=tuple(cancels)))
+        return EncryptedBatch._write(body, enc.first.column_entries(),
+                                     cancels, kernel)
 
     def enc_initial(self, zbar_ini: ModMatrix) -> EncryptedBatch:
         """Encrypt the lifted initial state once for every channel."""
         if self.step != -1:
             raise SessionNotFresh("enc_initial may only be called once")
-        enc, body = self._encrypt(zbar_ini)
-        tildes, cancels, self.cancel_state = self.public.cancel_initial(
-            enc.mask)
+        batch = self._encrypt(zbar_ini, self.public.cancel_initial)
         self.step = 0
-        return self._batch(enc, body, tildes, cancels)
+        return batch
 
     def enc_input(self, vbar: ModMatrix) -> EncryptedBatch:
         """Encrypt the lifted input for every channel and advance the
         cancelled mask states."""
         if self.step < 0:
             raise EncObsError("call enc_initial before enc_input")
-        enc, body = self._encrypt(vbar)
-        tildes, cancels, self.cancel_state = self.public.cancel_step(
-            self.cancel_state, enc.mask)
+        batch = self._encrypt(vbar, lambda mask: self.public.cancel_step(
+            self.cancel_state, mask))
         self.step += 1
-        return self._batch(enc, body, tildes, cancels)
+        return batch
 
 
 class EncObserverState(_ChannelBody):
@@ -412,6 +426,8 @@ def recover_encrypted_state(state: EncObserverState, j: int, sk: SecretKey,
     N, n_ch = state.N, state.n_channels
     if sk.N != N:
         raise DimensionMismatch("ciphertext and key disagree on N")
+    if sk.q != state.kernel.q:
+        raise ModulusMismatch("ciphertext and key disagree on q")
     q = params.q
     first_last = state.kernel.join(state.body[:, :, [j, n_ch + N + j]])
     # lazy limbs may take any int64 value

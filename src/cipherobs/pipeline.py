@@ -1,14 +1,16 @@
 """End-to-end orchestration: scenario loading, the three execution modes
-(reference, quantized, encrypted) and CSV emission.  On request an encrypted
-run also keeps its per-step states, its two adversary views and the
-encryptor's artifacts, which the tests and `cipherobs verify` check.
+(reference, quantized, encrypted) and CSV emission.  Every disclosed
+residue of an encrypted run is checked against the quantized observer.  On
+request the run also keeps its per-step states, and the encryptor's
+artifacts with the two adversary views built from them, which the tests
+and `cipherobs verify` check.
 """
 
 from __future__ import annotations
 
 import importlib.resources
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -180,11 +182,9 @@ class EncryptedRun:
     states: List[encobs.EncObserverState]
     r1s: List[ModMatrix]
     disclosed: List[ModMatrix]
-    recovered: List[ModMatrix]          # channel-0 recovery per step
     session: encobs.EncryptorSession
     view1: Optional[secviews.View1] = None
     view2: Optional[secviews.View2] = None
-    final_residues: List[ModMatrix] = field(default_factory=list)
     setup_s: float = 0.0    # wall time from keygen to the encrypted state
     steps_s: float = 0.0    # wall time of the step loop
 
@@ -192,14 +192,13 @@ class EncryptedRun:
 def run_encrypted_mode(setup: SystemSetup, steps: int, *,
                        seed: Optional[int] = None,
                        record_views: bool = False,
-                       keep_states: bool = False,
-                       cross_check: bool = True) -> EncryptedRun:
+                       keep_states: bool = False) -> EncryptedRun:
     """Full encrypted observer run at the LWE dimension `setup.params.N`.
 
-    `record_views` also keeps the encryptor's artifacts.  With cross_check enabled the run aborts on the first step where the
-    disclosed residue deviates from the plaintext quantized observer (this
-    never happens when the implementation is correct; the check guards the
-    pipeline against regressions).
+    The run aborts with `EncObsError` on the first step where the disclosed
+    residue deviates from the plaintext quantized observer (this never
+    happens when the implementation is correct).  `record_views` keeps the
+    encryptor's artifacts and builds both views from them.
     """
     qrun = run_quantized_mode(setup, steps)
     t0 = time.perf_counter()
@@ -212,15 +211,11 @@ def run_encrypted_mode(setup: SystemSetup, steps: int, *,
                                       record_artifacts=record_views)
 
     zbar_ini = quantobs.quantize_initial(setup.zhat_ini, params)
-    batch = session.enc_initial(zbar_ini)
-    state = encobs.EncObserverState.from_initial(batch)
-    # View 2 keeps each batch's channels as they come, not the batch limbs
-    channel_cts = [_channel_cts(batch)] if record_views else []
+    state = encobs.EncObserverState.from_initial(session.enc_initial(zbar_ini))
 
     Ts = setup.bundle.model.Ts
     run = EncryptedRun(records=[], trajectory=traj, public=public, sk=sk,
-                       states=[], r1s=[], disclosed=[], recovered=[],
-                       session=session)
+                       states=[], r1s=[], disclosed=[], session=session)
     t1 = time.perf_counter()
     run.setup_s = t1 - t0
     for t in range(steps):
@@ -228,9 +223,8 @@ def run_encrypted_mode(setup: SystemSetup, steps: int, *,
             run.states.append(state)
         r1 = encobs.residue_first_column(state, public)
         disclosed = encobs.disclose_residue(r1, params)
-        if cross_check and disclosed != qrun.rbars[t]:
-            raise encobs.EncObsError(
-                f"disclosed residue mismatch at step {t}; aborting")
+        if disclosed != qrun.rbars[t]:
+            raise encobs.EncObsError(f"disclosure mismatch at step {t}")
         det = quantobs.detect(disclosed, t, params)
         xrec = encobs.recover_encrypted_state(state, 0, sk, params,
                                               setup.mod_maps.PhiPinvBar)
@@ -242,31 +236,23 @@ def run_encrypted_mode(setup: SystemSetup, steps: int, *,
             est_error_norm=err, mode="encrypted"))
         run.r1s.append(r1)
         run.disclosed.append(disclosed)
-        run.recovered.append(xrec)
-        batch = session.enc_input(qrun.vbars[t])
-        if record_views:
-            channel_cts.append(_channel_cts(batch))
-        state = encobs.step_encrypted(state, batch, public)
+        state = encobs.step_encrypted(state, session.enc_input(qrun.vbars[t]),
+                                      public)
     run.steps_s = time.perf_counter() - t1
     if keep_states:
         run.states.append(state)
-    # residues one step past the final input, for transcript completeness
-    final_r1 = encobs.residue_first_column(state, public)
-    run.final_residues = [encobs.disclose_residue(final_r1, params)]
 
     if record_views:
-        init_art = session.artifacts[0]
-        view1 = secviews.View1(
-            init_ct=init_art.standard_ct,
-            input_cts=tuple(a.standard_ct for a in session.artifacts[1:]),
-            residues=tuple(run.disclosed + run.final_residues),
-        )
-        view2 = secviews.View2(init_cts=channel_cts[0],
-                               input_cts=tuple(channel_cts[1:]))
-        run.view1 = view1
-        run.view2 = view2
+        # residues one step past the final input, for transcript completeness
+        final = encobs.disclose_residue(
+            encobs.residue_first_column(state, public), params)
+        arts = session.artifacts
+        run.view1 = secviews.View1(
+            init_ct=arts[0].standard_ct,
+            input_cts=tuple(a.standard_ct for a in arts[1:]),
+            residues=tuple(run.disclosed) + (final,))
+        channels = [encobs.modified_channels(a.standard_ct, a.cancels)
+                    for a in arts]
+        run.view2 = secviews.View2(init_cts=channels[0],
+                                   input_cts=tuple(channels[1:]))
     return run
-
-
-def _channel_cts(batch: encobs.EncryptedBatch):
-    return tuple(batch.channel(j) for j in range(batch.n_channels))

@@ -5,7 +5,10 @@ disclosure sees; view 2 is what an eavesdropper on the modified scheme
 sees.  Both transformations below use only the public maps, ciphertexts
 and disclosed residues (never the secret key), and reproduce the other
 view bit for bit, which is the operational content of the equivalence
-claim: neither party learns more than the other.
+claim: neither party learns more than the other.  Neither re-implements
+the deployment: f1 runs the encryptor's cancellation recursion and writes
+its channels with `encobs.modified_channels`, and f2 runs the deployed
+encrypted observer and disclosure on the modified ciphertexts.
 """
 
 from __future__ import annotations
@@ -15,13 +18,12 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Sequence, Tuple
 
-import numpy as np
-
-from .encobs import EncryptedBatch, ObserverPublic
+from .encobs import EncObserverState, EncryptedBatch, ObserverPublic, \
+    disclose_residue, modified_channels, residue_first_column, step_encrypted
 from .lwe import Ciphertext, CiphertextKind, LweError, _pack_ints, \
     _unpack_ints
 from .modring import ModMatrix
-from .quantobs import QuantParams, observer_update
+from .quantobs import QuantParams
 
 __all__ = [
     "ViewError",
@@ -183,8 +185,9 @@ def f2_view2_to_view1(v2: View2, public: ObserverPublic,
     """Reconstruct the standard-plus-residue view from modified ciphertexts.
 
     Standard ciphertexts follow from the construction identity (message and
-    cancellation columns re-sum).  Residues come from running the observer
-    recursion on each channel's first column and stripping the lift factor.
+    cancellation columns re-sum).  Residues come from the deployed
+    encrypted observer: each step's channels are rebuilt as one batch, the
+    observer steps it, and the first columns of the residue are disclosed.
     """
     n_ch = public.n_channels
     if len(v2.init_cts) != n_ch or any(len(s) != n_ch for s in v2.input_cts):
@@ -204,26 +207,18 @@ def f2_view2_to_view1(v2: View2, public: ObserverPublic,
     init_std = fold_all(v2.init_cts)
     input_std = tuple(fold_all(step) for step in v2.input_cts)
 
-    q = public.q
-    inv_lift = q.inv(params.lift)
-    kernel = public.kernel
+    def batch(std_ct: Ciphertext, cts: Sequence[Ciphertext]) -> EncryptedBatch:
+        return EncryptedBatch.from_standard(
+            std_ct, [ct.cancel_column() for ct in cts], public.kernel)
 
-    def firsts(cts: Sequence[Ciphertext]) -> np.ndarray:
-        """Limbs of the channels' first columns side by side."""
-        return kernel.split(tuple(zip(*(ct.first_column() for ct in cts))))
+    def disclose(state: EncObserverState) -> ModMatrix:
+        return disclose_residue(residue_first_column(state, public), params)
 
-    def residue(Z: np.ndarray) -> ModMatrix:
-        """Channel j's residue row on column j, without the lift."""
-        cols = zip(*kernel.join(Z))
-        return ModMatrix.column(
-            [q.cmod(inv_lift * sum(map(mul, hrow, col)))
-             for hrow, col in zip(public.Hbar.rows, cols)], q)
-
-    Z = firsts(v2.init_cts)
-    residues = [residue(Z)]
-    for step in v2.input_cts:
-        Z = observer_update(Z, firsts(step), kernel.block_sizes, kernel.gain)
-        residues.append(residue(Z))
+    state = EncObserverState.from_initial(batch(init_std, v2.init_cts))
+    residues = [disclose(state)]
+    for std_ct, cts in zip(input_std, v2.input_cts):
+        state = step_encrypted(state, batch(std_ct, cts), public)
+        residues.append(disclose(state))
     return View1(init_ct=init_std, input_cts=input_std,
                  residues=tuple(residues))
 
@@ -291,11 +286,7 @@ def f1_view1_to_view2(v1: View1, public: ObserverPublic,
         D = kernel.update(D, ModMatrix(tuple(zip(*drive)), q, ncols=n_ch,
                                        _reduced=True))
 
-    def channels_of(std_ct: Ciphertext, cancels) -> Tuple[Ciphertext, ...]:
-        batch = EncryptedBatch.from_standard(std_ct, cancels, kernel)
-        return tuple(batch.channel(j) for j in range(batch.n_channels))
-
-    return View2(init_cts=channels_of(v1.init_ct, init_cancels),
-                 input_cts=tuple(channels_of(std_ct, cancels)
+    return View2(init_cts=modified_channels(v1.init_ct, init_cancels),
+                 input_cts=tuple(modified_channels(std_ct, cancels)
                                  for std_ct, cancels
                                  in zip(v1.input_cts, step_cancels)))

@@ -6,6 +6,7 @@ import pytest
 
 from cipherobs import cli, pipeline
 from cipherobs.cli import main
+from cipherobs.modring import ModMatrix
 from cipherobs.pipeline import bundled_scenario_path, run_encrypted_mode, \
     run_quantized_mode
 
@@ -147,6 +148,23 @@ class TestVerify:
         out = capsys.readouterr().out
         assert out.count("[ok]") == 4
         assert "FAIL" not in out
+
+    def test_disclosure_mismatch_is_reported(self, bench_setup, monkeypatch):
+        disclose = cli.encobs.disclose_residue
+
+        def off_by_one_from_step_2(r1, params):
+            out = disclose(r1, params)
+            calls.append(out)
+            if len(calls) > 2:
+                out = out + ModMatrix.column([1] + [0] * (out.nrows - 1),
+                                             out.modulus)
+            return out
+
+        calls = []
+        monkeypatch.setattr(cli.encobs, "disclose_residue",
+                            off_by_one_from_step_2)
+        assert cli._suite_encrypted(bench_setup, 11) == [
+            "disclosure mismatch at step 2"]
 
     def test_gbar_mutation_trips_the_zeroing_suite(self, capsys):
         assert main(["verify", "--seed", "11", "--mutate",

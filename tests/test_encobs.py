@@ -19,7 +19,7 @@ from cipherobs.encobs import (
 from cipherobs.lwe import LweError, NoiseParams, SecretKey, decrypt, encrypt, \
     keygen
 from cipherobs.lwe import TestRng as SeededRng
-from cipherobs.modring import ModMatrix
+from cipherobs.modring import ModMatrix, Modulus, ModulusMismatch
 from cipherobs.pipeline import run_encrypted_mode, run_quantized_mode
 from cipherobs.quantobs import quantize_initial
 from .helpers import ValueSource, build_transform, cancellation_init, \
@@ -160,6 +160,25 @@ class TestSessionBasics:
             # firsts, shared block and lasts all at once
             assert a.rows == b.rows
         assert firsts(wasted) == firsts(full[3])
+
+    def test_restore_drops_the_artifacts_of_discarded_steps(
+            self, bench_setup, public64):
+        params = dataclasses.replace(bench_setup.params, N=64)
+        rng = SeededRng(10)
+        session = EncryptorSession(keygen(64, params.q, rng), params,
+                                   public64, rng=rng, record_artifacts=True)
+        vbar = ModMatrix.column([3, -1, 4, 1, -5, 9], params.q)
+        session.enc_initial(ModMatrix.zeros(24, 1, params.q))
+        session.enc_input(vbar)
+        snap = session.checkpoint()
+        discarded = session.enc_input(vbar)
+        session.restore(snap)
+        assert len(session.artifacts) == session.step + 1 == 2
+        redone = session.enc_input(vbar)
+        assert len(session.artifacts) == session.step + 1 == 3
+        last = session.artifacts[-1]
+        channels = encobs.modified_channels(last.standard_ct, last.cancels)
+        assert channels[0] == redone.channel(0) != discarded.channel(0)
 
     def test_zeroized_key_rejected_typed(self, bench_setup, public64):
         params = dataclasses.replace(bench_setup.params, N=64)
@@ -352,8 +371,7 @@ class TestDisclosureAndRecovery:
         # states 0..3: the initial batch form and the resident limb form
         at_N = dataclasses.replace(
             bench_setup, params=dataclasses.replace(bench_setup.params, N=N))
-        run = run_encrypted_mode(at_N, 3, seed=21, keep_states=True,
-                                 cross_check=False)
+        run = run_encrypted_mode(at_N, 3, seed=21, keep_states=True)
         params = bench_setup.params
         phi = bench_setup.mod_maps.PhiPinvBar
         q, lift = params.q, params.lift
@@ -390,6 +408,14 @@ class TestDisclosureAndRecovery:
                 assert recover_encrypted_state(state, j, sk, params,
                                                phi) == expect
             state = step_encrypted(state, batch(6), public64)
+
+    def test_key_of_another_modulus_rejected_typed(self, bench_setup,
+                                                   bench_enc):
+        other = keygen(64, Modulus(2 ** 61 - 1), SeededRng(12))
+        with pytest.raises(ModulusMismatch):
+            recover_encrypted_state(bench_enc.states[0], 0, other,
+                                    bench_setup.params,
+                                    bench_setup.mod_maps.PhiPinvBar)
 
     def test_channel_agreement(self, bench_setup, bench_enc):
         t = 31
@@ -488,12 +514,13 @@ def test_seeded_ciphertexts_match_golden_digests(bench_setup, N):
     for vbar in vbars:
         batches.append(session.enc_input(vbar))
         states.append(step_encrypted(states[-1], batches[-1], public))
-    for batch in batches:
-        # a recording session keeps its ints; the limbs must join to them
-        # and stay below 2^W, the kernel's input bound
-        joined = encobs.EncryptedBatch(batch.body, batch.n_channels,
-                                       batch.kernel)
-        assert joined.rows == batch.rows
+    for art, batch in zip(session.artifacts, batches):
+        # the View 2 channels a recording writes from its Python ints equal
+        # the channels joined from the encryptor's limbs, which stay below
+        # 2^W, the kernel's input bound
+        recorded = encobs.modified_channels(art.standard_ct, art.cancels)
+        assert recorded == tuple(batch.channel(j)
+                                 for j in range(batch.n_channels))
         assert int(np.abs(batch.body).max()) < 2 ** batch.kernel.width
     digests = {}
     for name, parts in (("batches", batches), ("states", states)):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import struct
 
@@ -11,6 +12,7 @@ from cipherobs.encobs import EncObserverState, EncryptorSession, ObserverPublic
 from cipherobs.lwe import Ciphertext, LweError, SecretKey, _pack_ints
 from cipherobs.lwe import TestRng as SeededRng
 from cipherobs.modring import ModMatrix, Modulus
+from cipherobs.pipeline import run_encrypted_mode
 from cipherobs.quantobs import QuantParams
 from cipherobs.secviews import (
     HorizonTooShort,
@@ -107,6 +109,29 @@ class TestBenchmarkRoundtrips:
                                bench_setup.params)
         v1 = f2_view2_to_view1(v2, bench_enc.public, bench_setup.params)
         assert _views_equal(v1, bench_enc.view1)
+
+
+# SHA-256 of the serialized views of a seeded (TestRng(5)) 4-step N = 64
+# benchmark recording, taken when View 2 was still cut from the encryptor's
+# batches and f2 ran its own copy of the observer recursion.
+TRANSCRIPT_GOLDEN = {
+    "view1": "d97d9ef8f827ac04852b23751320ae01499622d90028bf845b25d4b895154ed6",
+    "view2": "e6283302729e93f2eaf38e8bb1fd3bd0fcda3f00c3b645921b167ec6faaf0af4",
+}
+
+
+def test_seeded_transcript_matches_golden_digests(bench_setup):
+    run = run_encrypted_mode(bench_setup, 4, seed=5, record_views=True)
+    params = bench_setup.params
+
+    def digests(view1, view2):
+        return {"view1": hashlib.sha256(view1.to_bytes()).hexdigest(),
+                "view2": hashlib.sha256(view2.to_bytes()).hexdigest()}
+
+    assert digests(run.view1, run.view2) == TRANSCRIPT_GOLDEN
+    assert digests(f2_view2_to_view1(run.view2, run.public, params),
+                   f1_view1_to_view2(run.view1, run.public, params)) \
+        == TRANSCRIPT_GOLDEN
 
 
 class TestTinyExhaustive:
