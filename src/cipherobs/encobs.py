@@ -7,8 +7,9 @@ cancellation column derived from their own zero-dynamics, which forces the
 mask contribution of every residue's first column to zero.  That recursion
 is written once, as `ObserverPublic.cancel_initial` and `cancel_step`.
 Channel j's modified ciphertext is the standard one with its first column
-split as `[first - cancel_j | shared | cancel_j]`; `modified_channels`
-writes it for every channel as Python ints, the form a transcript records.
+split as `[first - cancel_j | shared | cancel_j]`; a transcript records
+the standard ciphertext and the cancel columns, and `modified_channels`
+writes every channel's ciphertext from them as Python ints.
 Each input batch and the observer state are stored as one matrix
 `[firsts | shared | lasts]`: every channel's first column, the shared middle
 block once, then every channel's last column.  One step of the observer is

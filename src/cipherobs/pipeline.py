@@ -246,13 +246,11 @@ def run_encrypted_mode(setup: SystemSetup, steps: int, *,
         # residues one step past the final input, for transcript completeness
         final = encobs.disclose_residue(
             encobs.residue_first_column(state, public), params)
-        arts = session.artifacts
+        standard_cts = tuple(a.standard_ct for a in session.artifacts)
         run.view1 = secviews.View1(
-            init_ct=arts[0].standard_ct,
-            input_cts=tuple(a.standard_ct for a in arts[1:]),
+            init_ct=standard_cts[0], input_cts=standard_cts[1:],
             residues=tuple(run.disclosed) + (final,))
-        channels = [encobs.modified_channels(a.standard_ct, a.cancels)
-                    for a in arts]
-        run.view2 = secviews.View2(init_cts=channels[0],
-                                   input_cts=tuple(channels[1:]))
+        run.view2 = secviews.View2(
+            standard_cts=standard_cts,
+            cancels=tuple(a.cancels for a in session.artifacts))
     return run

@@ -2,13 +2,16 @@
 
 View 1 is what an eavesdropper on the standard scheme plus the residue
 disclosure sees; view 2 is what an eavesdropper on the modified scheme
-sees.  Both transformations below use only the public maps, ciphertexts
+sees.  Channel j's modified ciphertext is the standard one with its first
+column split as `[first - cancel_j | shared | cancel_j]`, so View 2 holds
+each step's standard ciphertext and the channels' cancel columns once, and
+both views serialize as standard ciphertexts plus one integer list per
+step.  Both transformations below use only the public maps, ciphertexts
 and disclosed residues (never the secret key), and reproduce the other
 view bit for bit, which is the operational content of the equivalence
 claim: neither party learns more than the other.  Neither re-implements
-the deployment: f1 runs the encryptor's cancellation recursion and writes
-its channels with `encobs.modified_channels`, and f2 runs the deployed
-encrypted observer and disclosure on the modified ciphertexts.
+the deployment: f1 runs the encryptor's cancellation recursion, and f2
+runs the deployed encrypted observer and disclosure on the channels.
 """
 
 from __future__ import annotations
@@ -22,12 +25,11 @@ from .encobs import EncObserverState, EncryptedBatch, ObserverPublic, \
     disclose_residue, modified_channels, residue_first_column, step_encrypted
 from .lwe import Ciphertext, CiphertextKind, LweError, _pack_ints, \
     _unpack_ints
-from .modring import ModMatrix
+from .modring import ModMatrix, Modulus
 from .quantobs import QuantParams
 
 __all__ = [
     "ViewError",
-    "InconsistentChannels",
     "HorizonTooShort",
     "View1",
     "View2",
@@ -40,15 +42,36 @@ class ViewError(Exception):
     pass
 
 
-class InconsistentChannels(ViewError):
-    pass
-
-
 class HorizonTooShort(ViewError):
     pass
 
 
 _HEADER_LEN = 13   # 5-byte magic, then two uint32 counts
+
+
+def _check_ciphertexts(cts: Sequence[Ciphertext], q: Modulus, N: int):
+    """Every ciphertext must be standard and over the modulus q and the
+    dimension N."""
+    for ct in cts:
+        if ct.kind is not CiphertextKind.STANDARD:
+            raise ViewError(f"{ct.kind.value} ciphertext in a transcript "
+                            "of standard ones")
+        if ct.body.modulus != q:
+            raise ViewError("ciphertext modulus does not match")
+        if ct.N != N:
+            raise ViewError("ciphertext dimension does not match")
+
+
+def _write(magic: bytes, counts: Tuple[int, int],
+           cts: Sequence[Ciphertext], lists) -> bytes:
+    """Both views' encoding: magic, two uint32 counts, the size-prefixed
+    ciphertexts, then one packed integer list per entry of `lists`."""
+    parts = [magic, struct.pack("<II", *counts)]
+    for ct in cts:
+        blob = ct.to_bytes()
+        parts += [struct.pack("<I", len(blob)), blob]
+    parts.extend(map(_pack_ints, lists))
+    return b"".join(parts)
 
 
 def _read_header(buf: bytes, magic: bytes) -> Tuple[int, int]:
@@ -59,29 +82,34 @@ def _read_header(buf: bytes, magic: bytes) -> Tuple[int, int]:
     return struct.unpack_from("<II", buf, 5)
 
 
-def _read_ciphertexts(buf: bytes, count: int):
-    """`count` size-prefixed ciphertext blobs after the header ->
-    (ciphertexts, offset past the last one)."""
+def _read_body(buf: bytes, n_cts: int, n_lists: int):
+    """Strict inverse of `_write` past the header -> (ciphertexts, lists).
+    The ciphertexts must be standard, over one modulus and one N, and every
+    list entry must lie in that modulus's centred range."""
     offset = _HEADER_LEN
-    cts = []
-    for _ in range(count):
-        if offset + 4 > len(buf):
-            raise ViewError("truncated ciphertext size field")
-        (size,) = struct.unpack_from("<I", buf, offset)
-        offset += 4
-        if offset + size > len(buf):
-            raise ViewError("ciphertext size runs past the transcript")
-        try:
+    cts, lists = [], []
+    try:
+        for _ in range(n_cts):
+            if offset + 4 > len(buf):
+                raise ViewError("truncated ciphertext size field")
+            (size,) = struct.unpack_from("<I", buf, offset)
+            offset += 4
+            if offset + size > len(buf):
+                raise ViewError("ciphertext size runs past the transcript")
             cts.append(Ciphertext.from_bytes(buf[offset:offset + size]))
-        except LweError as exc:
-            raise ViewError(f"malformed ciphertext: {exc}") from exc
-        offset += size
-    return cts, offset
-
-
-def _check_end(buf: bytes, offset: int):
+            offset += size
+        q = cts[0].body.modulus
+        _check_ciphertexts(cts, q, cts[0].N)
+        for _ in range(n_lists):
+            vals, offset = _unpack_ints(buf, offset)
+            if not all(map(q.contains, vals)):
+                raise ViewError("transcript entry outside the centred range")
+            lists.append(vals)
+    except LweError as exc:
+        raise ViewError(f"malformed transcript entry: {exc}") from exc
     if offset != len(buf):
         raise ViewError(f"{len(buf) - offset} trailing bytes")
+    return cts, lists
 
 
 @dataclass(frozen=True)
@@ -97,129 +125,95 @@ class View1:
     residues: Tuple[ModMatrix, ...]
 
     def to_bytes(self) -> bytes:
-        parts = [b"VIEW1", struct.pack("<II", len(self.input_cts),
-                                       len(self.residues))]
-        for blob in [self.init_ct.to_bytes()] + [c.to_bytes()
-                                                 for c in self.input_cts]:
-            parts.append(struct.pack("<I", len(blob)))
-            parts.append(blob)
-        for r in self.residues:
-            parts.append(_pack_ints(r.column_entries()))
-        return b"".join(parts)
+        return _write(b"VIEW1", (len(self.input_cts), len(self.residues)),
+                      (self.init_ct,) + self.input_cts,
+                      [r.column_entries() for r in self.residues])
 
     @classmethod
-    def from_bytes(cls, buf: bytes, q) -> "View1":
+    def from_bytes(cls, buf: bytes, q: Modulus) -> "View1":
         n_inputs, n_res = _read_header(buf, b"VIEW1")
-        cts, offset = _read_ciphertexts(buf, n_inputs + 1)
-        residues = []
-        try:
-            for _ in range(n_res):
-                vals, offset = _unpack_ints(buf, offset)
-                if not all(map(q.contains, vals)):
-                    raise ViewError("residue entry outside the centred range")
-                residues.append(ModMatrix(((v,) for v in vals), q, ncols=1,
-                                          _reduced=True))
-        except LweError as exc:
-            raise ViewError(f"malformed residue: {exc}") from exc
-        _check_end(buf, offset)
+        cts, lists = _read_body(buf, n_inputs + 1, n_res)
+        if cts[0].body.modulus != q:
+            raise ViewError("ciphertext modulus does not match the residues'")
         return cls(init_ct=cts[0], input_cts=tuple(cts[1:]),
-                   residues=tuple(residues))
+                   residues=tuple(ModMatrix(((v,) for v in vals), q, ncols=1,
+                                            _reduced=True) for vals in lists))
 
 
 @dataclass(frozen=True)
 class View2:
-    """Per-channel modified ciphertexts (initial plus one list per step)."""
+    """Each step's standard ciphertext (step 0 holds the initial state)
+    and every channel's cancel column for it.  `init_cts` and `input_cts`
+    write the channels' modified ciphertexts from them."""
 
-    init_cts: Tuple[Ciphertext, ...]                 # one per channel
-    input_cts: Tuple[Tuple[Ciphertext, ...], ...]    # [step][channel]
+    standard_cts: Tuple[Ciphertext, ...]
+    cancels: Tuple[Tuple[Tuple[int, ...], ...], ...]   # [step][channel]
+
+    @property
+    def init_cts(self) -> Tuple[Ciphertext, ...]:
+        return modified_channels(self.standard_cts[0], self.cancels[0])
+
+    @property
+    def input_cts(self) -> Tuple[Tuple[Ciphertext, ...], ...]:
+        """[step][channel]"""
+        return tuple(map(modified_channels, self.standard_cts[1:],
+                         self.cancels[1:]))
 
     def to_bytes(self) -> bytes:
-        n_ch = len(self.init_cts)
-        parts = [b"VIEW2", struct.pack("<II", n_ch, len(self.input_cts))]
-        blobs = [c.to_bytes() for c in self.init_cts]
-        for step in self.input_cts:
-            blobs.extend(c.to_bytes() for c in step)
-        for blob in blobs:
-            parts.append(struct.pack("<I", len(blob)))
-            parts.append(blob)
-        return b"".join(parts)
+        return _write(b"VIEW2", (len(self.cancels[0]),
+                                 len(self.standard_cts) - 1),
+                      self.standard_cts,
+                      [[a for c in step for a in c] for step in self.cancels])
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "View2":
         n_ch, n_steps = _read_header(buf, b"VIEW2")
-        blobs, offset = _read_ciphertexts(buf, n_ch * (n_steps + 1))
-        _check_end(buf, offset)
-        init = tuple(blobs[:n_ch])
-        steps = tuple(tuple(blobs[n_ch * (1 + t):n_ch * (2 + t)])
-                      for t in range(n_steps))
-        return cls(init_cts=init, input_cts=steps)
+        cts, lists = _read_body(buf, n_steps + 1, n_steps + 1)
+        if any(len(vals) != n_ch * ct.h for ct, vals in zip(cts, lists)):
+            raise ViewError("cancel count is not the channel count times "
+                            "the ciphertext rows")
+        return cls(standard_cts=tuple(cts), cancels=tuple(
+            tuple(tuple(vals[j * ct.h:(j + 1) * ct.h]) for j in range(n_ch))
+            for ct, vals in zip(cts, lists)))
 
 
-def _merge_to_standard(ct: Ciphertext) -> Ciphertext:
-    """Fold the cancellation column back into the message column."""
-    q = ct.body.modulus
-    first = ct.first_column()
-    cancel = ct.cancel_column()
-    merged = tuple(q.cmod(a + b) for a, b in zip(first, cancel))
-    rows = tuple((m,) + r[1:1 + ct.N] for m, r in zip(merged, ct.body.rows))
-    body = ModMatrix(rows, q, ncols=ct.N + 1, _reduced=True)
-    return Ciphertext(body=body, kind=CiphertextKind.STANDARD, N=ct.N)
-
-
-def _check_ciphertexts(cts: Sequence[Ciphertext], nrows: int,
-                       public: ObserverPublic):
-    """Every ciphertext must be over the public modulus and dimension and
-    have `nrows` rows."""
-    for ct in cts:
-        if ct.body.modulus != public.q:
-            raise ViewError("ciphertext modulus does not match the public maps")
-        if ct.N != public.N:
-            raise ViewError(
-                "ciphertext dimension does not match the public maps")
-        if ct.body.nrows != nrows:
-            raise ViewError("ciphertext rows do not match the public maps")
+def _check_public(cts: Sequence[Ciphertext], public: ObserverPublic):
+    """The standard ciphertexts of steps 0..T must be over the public
+    modulus and dimension, the initial one with l rows and the others with
+    one row per input."""
+    _check_ciphertexts(cts, public.q, public.N)
+    rows = [public.Gbar.nrows] + [public.Gbar.ncols] * (len(cts) - 1)
+    if [ct.h for ct in cts] != rows:
+        raise ViewError("ciphertext rows do not match the public maps")
 
 
 def f2_view2_to_view1(v2: View2, public: ObserverPublic,
                       params: QuantParams) -> View1:
     """Reconstruct the standard-plus-residue view from modified ciphertexts.
 
-    Standard ciphertexts follow from the construction identity (message and
-    cancellation columns re-sum).  Residues come from the deployed
-    encrypted observer: each step's channels are rebuilt as one batch, the
-    observer steps it, and the first columns of the residue are disclosed.
+    The standard ciphertexts are View 2's own.  Residues come from the
+    deployed encrypted observer: each step's channels are written as one
+    batch from the standard ciphertext and the cancel columns, the observer
+    steps it, and the first columns of the residue are disclosed.
     """
-    n_ch = public.n_channels
-    if len(v2.init_cts) != n_ch or any(len(s) != n_ch for s in v2.input_cts):
-        raise InconsistentChannels("channel count does not match the public maps")
-    _check_ciphertexts(v2.init_cts, public.Gbar.nrows, public)
-    _check_ciphertexts([ct for step in v2.input_cts for ct in step],
-                       public.Gbar.ncols, public)
-
-    def fold_all(cts: Sequence[Ciphertext]) -> Ciphertext:
-        std = _merge_to_standard(cts[0])
-        for other in cts[1:]:
-            if _merge_to_standard(other).body != std.body:
-                raise InconsistentChannels(
-                    "channels disagree on the underlying standard ciphertext")
-        return std
-
-    init_std = fold_all(v2.init_cts)
-    input_std = tuple(fold_all(step) for step in v2.input_cts)
-
-    def batch(std_ct: Ciphertext, cts: Sequence[Ciphertext]) -> EncryptedBatch:
-        return EncryptedBatch.from_standard(
-            std_ct, [ct.cancel_column() for ct in cts], public.kernel)
+    _check_public(v2.standard_cts, public)
+    if len(v2.cancels) != len(v2.standard_cts) or any(
+            len(step) != public.n_channels or any(len(c) != ct.h for c in step)
+            for ct, step in zip(v2.standard_cts, v2.cancels)):
+        raise ViewError("cancel columns do not match the channel count and "
+                        "the ciphertext rows")
+    batches = (EncryptedBatch.from_standard(ct, cancels, public.kernel)
+               for ct, cancels in zip(v2.standard_cts, v2.cancels))
 
     def disclose(state: EncObserverState) -> ModMatrix:
         return disclose_residue(residue_first_column(state, public), params)
 
-    state = EncObserverState.from_initial(batch(init_std, v2.init_cts))
+    state = EncObserverState.from_initial(next(batches))
     residues = [disclose(state)]
-    for std_ct, cts in zip(input_std, v2.input_cts):
-        state = step_encrypted(state, batch(std_ct, cts), public)
+    for batch in batches:
+        state = step_encrypted(state, batch, public)
         residues.append(disclose(state))
-    return View1(init_ct=init_std, input_cts=input_std,
+    return View1(init_ct=v2.standard_cts[0], input_cts=v2.standard_cts[1:],
                  residues=tuple(residues))
 
 
@@ -253,8 +247,7 @@ def f1_view1_to_view2(v1: View1, public: ObserverPublic,
         raise HorizonTooShort(
             f"need residues through step {needed} to reconstruct all "
             f"{steps} input steps (have {len(v1.residues)})")
-    _check_ciphertexts((v1.init_ct,), public.Gbar.nrows, public)
-    _check_ciphertexts(v1.input_cts, public.Gbar.ncols, public)
+    _check_public((v1.init_ct,) + v1.input_cts, public)
     if any(r.modulus != q or r.shape != (n_ch, 1) for r in v1.residues):
         raise ViewError("residues do not match the public maps")
 
@@ -282,11 +275,9 @@ def f1_view1_to_view2(v1: View1, public: ObserverPublic,
             dag = m.SigmaDag.column_entries()
             cancels.append(tuple(q.cmod(a * (comb - msg)) for a in dag))
             drive.append(tuple(q.cmod(a * msg) for a in dag))
-        step_cancels.append(cancels)
+        step_cancels.append(tuple(cancels))
         D = kernel.update(D, ModMatrix(tuple(zip(*drive)), q, ncols=n_ch,
                                        _reduced=True))
 
-    return View2(init_cts=modified_channels(v1.init_ct, init_cancels),
-                 input_cts=tuple(modified_channels(std_ct, cancels)
-                                 for std_ct, cancels
-                                 in zip(v1.input_cts, step_cancels)))
+    return View2(standard_cts=(v1.init_ct,) + v1.input_cts,
+                 cancels=(tuple(init_cancels),) + tuple(step_cancels))

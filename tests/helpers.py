@@ -8,7 +8,6 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from cipherobs.encobs import modified_channels
 from cipherobs.lwe import decrypt
 from cipherobs.modring import DimensionMismatch, ModMatrix, ModRingError, \
     Modulus, _echelon, inverse_mod, pivot_columns, right_inverse_row, \
@@ -177,10 +176,9 @@ def f1_zero_dynamics(v1, public, params):
             delta = (ct.S1 @ delta + ct.S2 @ w_t
                      + ct.S3 @ ct.SigmaDag.scale(msg_tilde))
 
-    return View2(init_cts=modified_channels(v1.init_ct, init_cancels),
-                 input_cts=tuple(modified_channels(std_ct, cancels)
-                                 for std_ct, cancels
-                                 in zip(v1.input_cts, step_cancels)))
+    return View2(standard_cts=(v1.init_ct,) + v1.input_cts,
+                 cancels=(tuple(init_cancels),)
+                 + tuple(map(tuple, step_cancels)))
 
 
 # -- linear algebra over Z_q --------------------------------------------------

@@ -29,7 +29,7 @@ from .helpers import build_transform, cancellation_init, cancellation_step, \
     decrypt_channel_state, error_trajectory, random_channel, \
     random_stable_plant, simulate_channel
 from .test_secviews import ZeroErrorRng, _run_tiny_session, _tiny_params, \
-    _tiny_public, _views_equal
+    _tiny_public
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
@@ -298,8 +298,7 @@ def test_criterion_8_view_roundtrips(bench_setup, bench_enc):
                            bench_setup.params)
     v2 = f1_view1_to_view2(bench_enc.view1, bench_enc.public,
                            bench_setup.params)
-    bench_ok = (_views_equal(v1, bench_enc.view1)
-                and _views_equal(v2, bench_enc.view2))
+    bench_ok = v1 == bench_enc.view1 and v2 == bench_enc.view2
 
     from cipherobs.lwe import SecretKey
     import itertools
@@ -314,10 +313,8 @@ def test_criterion_8_view_roundtrips(bench_setup, bench_enc):
         z0 = ModMatrix.column([b, a, (a + b) % 11], q11)
         view1, view2 = _run_tiny_session(public, params, sk,
                                          ZeroErrorRng(a * 11 + b), z0, vbars)
-        if not _views_equal(f2_view2_to_view1(view2, public, params), view1):
-            tiny_ok = False
-            break
-        if not _views_equal(f1_view1_to_view2(view1, public, params), view2):
+        if (f2_view2_to_view1(view2, public, params) != view1
+                or f1_view1_to_view2(view1, public, params) != view2):
             tiny_ok = False
             break
     _report(8, "view roundtrips bit-exact (benchmark + exhaustive small)",

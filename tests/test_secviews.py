@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 
 from cipherobs import encobs, secviews
 from cipherobs.encobs import EncObserverState, EncryptorSession, ObserverPublic
-from cipherobs.lwe import Ciphertext, LweError, SecretKey, _pack_ints
+from cipherobs.lwe import Ciphertext, CiphertextKind, LweError, SecretKey, \
+    _pack_ints
 from cipherobs.lwe import TestRng as SeededRng
 from cipherobs.modring import ModMatrix, Modulus
 from cipherobs.pipeline import run_encrypted_mode
 from cipherobs.quantobs import QuantParams
 from cipherobs.secviews import (
     HorizonTooShort,
-    InconsistentChannels,
     View1,
     View2,
     ViewError,
@@ -66,57 +66,55 @@ def _run_tiny_session(public, params, sk, rng, zbar_ini, vbars):
         state = encobs.step_encrypted(state, batch, public)
     r1 = encobs.residue_first_column(state, public)
     disclosed.append(encobs.disclose_residue(r1, params))
-    view1 = View1(
-        init_ct=session.artifacts[0].standard_ct,
-        input_cts=tuple(a.standard_ct for a in session.artifacts[1:]),
-        residues=tuple(disclosed))
-    view2 = View2(
-        init_cts=tuple(init_batch.channel(j)
-                       for j in range(init_batch.n_channels)),
-        input_cts=tuple(tuple(b.channel(j) for j in range(b.n_channels))
-                        for b in input_batches))
+    standard_cts = tuple(a.standard_ct for a in session.artifacts)
+    view1 = View1(init_ct=standard_cts[0], input_cts=standard_cts[1:],
+                  residues=tuple(disclosed))
+    view2 = View2(standard_cts=standard_cts,
+                  cancels=tuple(a.cancels for a in session.artifacts))
+    for cts, batch in zip((view2.init_cts,) + view2.input_cts,
+                          [init_batch] + input_batches):
+        assert cts == tuple(batch.channel(j) for j in range(batch.n_channels))
     return view1, view2
-
-
-def _views_equal(a, b) -> bool:
-    if isinstance(a, View1):
-        return (a.init_ct.body == b.init_ct.body
-                and all(x.body == y.body
-                        for x, y in zip(a.input_cts, b.input_cts))
-                and len(a.input_cts) == len(b.input_cts)
-                and a.residues == b.residues)
-    return (len(a.init_cts) == len(b.init_cts)
-            and all(x.body == y.body for x, y in zip(a.init_cts, b.init_cts))
-            and len(a.input_cts) == len(b.input_cts)
-            and all(x.body == y.body
-                    for sa, sb in zip(a.input_cts, b.input_cts)
-                    for x, y in zip(sa, sb)))
 
 
 class TestBenchmarkRoundtrips:
     def test_f2_reconstructs_view1_bit_exact(self, bench_setup, bench_enc):
         v1 = f2_view2_to_view1(bench_enc.view2, bench_enc.public,
                                bench_setup.params)
-        assert _views_equal(v1, bench_enc.view1)
+        assert v1 == bench_enc.view1
 
     def test_f1_reconstructs_view2_bit_exact(self, bench_setup, bench_enc):
         v2 = f1_view1_to_view2(bench_enc.view1, bench_enc.public,
                                bench_setup.params)
-        assert _views_equal(v2, bench_enc.view2)
+        assert v2 == bench_enc.view2
 
     def test_f1_then_f2_is_identity(self, bench_setup, bench_enc):
         v2 = f1_view1_to_view2(bench_enc.view1, bench_enc.public,
                                bench_setup.params)
         v1 = f2_view2_to_view1(v2, bench_enc.public, bench_setup.params)
-        assert _views_equal(v1, bench_enc.view1)
+        assert v1 == bench_enc.view1
+
+
+def _channel_layout_bytes(view2: View2) -> bytes:
+    """View 2 in the layout it was first serialized in: the channel and
+    step counts, then every channel's modified ciphertext, size-prefixed."""
+    steps = (view2.init_cts,) + view2.input_cts
+    parts = [b"VIEW2", struct.pack("<II", len(steps[0]), len(steps) - 1)]
+    for ct in itertools.chain.from_iterable(steps):
+        blob = ct.to_bytes()
+        parts += [struct.pack("<I", len(blob)), blob]
+    return b"".join(parts)
 
 
 # SHA-256 of the serialized views of a seeded (TestRng(5)) 4-step N = 64
-# benchmark recording, taken when View 2 was still cut from the encryptor's
-# batches and f2 ran its own copy of the observer recursion.
+# benchmark recording.  "view1" and "view2_channels" (View 2's channels in
+# the per-ciphertext layout) were taken when View 2 was still cut from the
+# encryptor's batches and f2 ran its own copy of the observer recursion.
 TRANSCRIPT_GOLDEN = {
     "view1": "d97d9ef8f827ac04852b23751320ae01499622d90028bf845b25d4b895154ed6",
-    "view2": "e6283302729e93f2eaf38e8bb1fd3bd0fcda3f00c3b645921b167ec6faaf0af4",
+    "view2": "360e6bbc9a1d0632dea289bfc1b8d651194b9a49eb6eb7574eb63c27ecedcf2f",
+    "view2_channels":
+        "e6283302729e93f2eaf38e8bb1fd3bd0fcda3f00c3b645921b167ec6faaf0af4",
 }
 
 
@@ -125,13 +123,16 @@ def test_seeded_transcript_matches_golden_digests(bench_setup):
     params = bench_setup.params
 
     def digests(view1, view2):
-        return {"view1": hashlib.sha256(view1.to_bytes()).hexdigest(),
-                "view2": hashlib.sha256(view2.to_bytes()).hexdigest()}
+        blobs = {"view1": view1.to_bytes(), "view2": view2.to_bytes(),
+                 "view2_channels": _channel_layout_bytes(view2)}
+        return {k: hashlib.sha256(b).hexdigest() for k, b in blobs.items()}
 
     assert digests(run.view1, run.view2) == TRANSCRIPT_GOLDEN
     assert digests(f2_view2_to_view1(run.view2, run.public, params),
                    f1_view1_to_view2(run.view1, run.public, params)) \
         == TRANSCRIPT_GOLDEN
+    blob = run.view2.to_bytes()
+    assert View2.from_bytes(blob).to_bytes() == blob
 
 
 class TestTinyExhaustive:
@@ -154,10 +155,8 @@ class TestTinyExhaustive:
             z0 = ModMatrix.column(ini, self.Q11)
             view1, view2 = _run_tiny_session(public, params, sk, rng, z0,
                                              vbars)
-            assert _views_equal(f2_view2_to_view1(view2, public, params),
-                                view1)
-            assert _views_equal(f1_view1_to_view2(view1, public, params),
-                                view2)
+            assert f2_view2_to_view1(view2, public, params) == view1
+            assert f1_view1_to_view2(view1, public, params) == view2
 
     def test_roundtrip_over_input_patterns(self):
         # sweep two-value input patterns against a fixed initial state
@@ -170,10 +169,8 @@ class TestTinyExhaustive:
             rng = ZeroErrorRng(a * 11 + b)
             view1, view2 = _run_tiny_session(public, params, sk, rng, z0,
                                              vbars)
-            assert _views_equal(f2_view2_to_view1(view2, public, params),
-                                view1)
-            assert _views_equal(f1_view1_to_view2(view1, public, params),
-                                view2)
+            assert f2_view2_to_view1(view2, public, params) == view1
+            assert f1_view1_to_view2(view1, public, params) == view2
 
     def test_roundtrip_composition_identity(self):
         public, params = self._make()
@@ -186,8 +183,8 @@ class TestTinyExhaustive:
                                   public, params)
         v2_rt = f1_view1_to_view2(f2_view2_to_view1(view2, public, params),
                                   public, params)
-        assert _views_equal(v1_rt, view1)
-        assert _views_equal(v2_rt, view2)
+        assert v1_rt == view1
+        assert v2_rt == view2
 
 
 Q13 = Modulus(13)
@@ -233,35 +230,17 @@ class TestHigherRelativeDegree:
                           input_cts=view1.input_cts[:-1],
                           residues=view1.residues)
         v2 = f1_view1_to_view2(truncated, public, params)
-        assert all(a.body == b.body
-                   for a, b in zip(v2.init_cts, view2.init_cts))
-        for t in range(4):
-            assert all(a.body == b.body
-                       for a, b in zip(v2.input_cts[t], view2.input_cts[t]))
+        assert v2 == View2(standard_cts=view2.standard_cts[:5],
+                           cancels=view2.cancels[:5])
 
 
 class TestConsistencyChecks:
-    def test_mismatched_randomness_rejected(self, bench_setup, bench_enc):
-        view2 = bench_enc.view2
-        q = bench_setup.params.q
-        bad_ct = view2.input_cts[1][2]
-        rows = [list(r) for r in bad_ct.body.rows]
-        rows[0][1] = q.cmod(rows[0][1] + 1)
-        tampered = dataclasses.replace(
-            bad_ct, body=ModMatrix(rows, q))
-        step = list(view2.input_cts[1])
-        step[2] = tampered
-        bad_view = View2(init_cts=view2.init_cts,
-                         input_cts=view2.input_cts[:1] + (tuple(step),)
-                         + view2.input_cts[2:])
-        with pytest.raises(InconsistentChannels):
-            f2_view2_to_view1(bad_view, bench_enc.public, bench_setup.params)
-
     def test_channel_count_checked(self, bench_setup, bench_enc):
         view2 = bench_enc.view2
-        bad_view = View2(init_cts=view2.init_cts[:-1],
-                         input_cts=view2.input_cts)
-        with pytest.raises(InconsistentChannels):
+        bad_view = View2(standard_cts=view2.standard_cts,
+                         cancels=(view2.cancels[0][:-1],)
+                         + view2.cancels[1:])
+        with pytest.raises(ViewError, match="channel count"):
             f2_view2_to_view1(bad_view, bench_enc.public, bench_setup.params)
 
     def test_dimension_checked(self, bench_setup, bench_enc):
@@ -274,7 +253,7 @@ class TestTranscriptSerialization:
     def test_view1_roundtrip(self, bench_setup, bench_enc):
         blob = bench_enc.view1.to_bytes()
         back = View1.from_bytes(blob, bench_setup.params.q)
-        assert _views_equal(back, bench_enc.view1)
+        assert back == bench_enc.view1
 
     def test_view2_roundtrip_small(self):
         q = Modulus(11)
@@ -286,7 +265,7 @@ class TestTranscriptSerialization:
         _, view2 = _run_tiny_session(public, params, sk, ZeroErrorRng(1),
                                      ModMatrix.column([1, 2, 3], q), vbars)
         back = View2.from_bytes(view2.to_bytes())
-        assert _views_equal(back, view2)
+        assert back == view2
 
 
 Q11 = Modulus(11)
@@ -351,6 +330,65 @@ class TestStrictTranscriptParsing:
             with pytest.raises(ViewError):
                 View1.from_bytes(head + _pack_ints([bad]), Q11)
 
+    def test_cancel_outside_centred_range_rejected(self, tiny_views):
+        view2 = tiny_views[1]
+
+        def with_last_cancel(value):
+            return dataclasses.replace(view2, cancels=view2.cancels[:-1]
+                                       + (((value,),),)).to_bytes()
+
+        assert View2.from_bytes(with_last_cancel(5)).to_bytes() \
+            == with_last_cancel(5)
+        for bad in (6, -6, 16):
+            with pytest.raises(ViewError, match="centred range"):
+                View2.from_bytes(with_last_cancel(bad))
+
+    def test_cancel_count_must_be_channels_times_rows(self, tiny_views):
+        view2 = tiny_views[1]
+        for n_ch in (0, 2):
+            blob = bytearray(view2.to_bytes())
+            struct.pack_into("<I", blob, 5, n_ch)
+            with pytest.raises(ViewError, match="cancel count"):
+                View2.from_bytes(bytes(blob))
+        extra = dataclasses.replace(view2, cancels=view2.cancels[:-1]
+                                    + (view2.cancels[-1] + ((1,),),))
+        with pytest.raises(ViewError, match="cancel count"):
+            View2.from_bytes(extra.to_bytes())
+
+    def test_one_modulus_and_one_dimension_per_transcript(self, tiny_views):
+        view1, view2 = tiny_views
+        ct = view1.input_cts[0]
+        wide = Ciphertext(body=ModMatrix(tuple(r + (0,) for r in ct.body.rows),
+                                         Q11), kind=ct.kind, N=ct.N + 1)
+        for other, match in ((_remod(ct, Q13), "modulus"),
+                             (wide, "dimension")):
+            bad1 = dataclasses.replace(
+                view1, input_cts=(other,) + view1.input_cts[1:])
+            bad2 = dataclasses.replace(view2, standard_cts=(
+                view2.standard_cts[0], other) + view2.standard_cts[2:])
+            for view, parse in zip((bad1, bad2), _parsers()):
+                with pytest.raises(ViewError, match=match):
+                    parse(view.to_bytes())
+        with pytest.raises(ViewError, match="modulus"):
+            View1.from_bytes(view1.to_bytes(), Q13)
+
+    def test_only_standard_ciphertexts_accepted(self, tiny_views):
+        view1, view2 = tiny_views
+        public = _tiny_public(Q11, (3,), [[1], [0], [1]], [[2, 0, 1]], N=1)
+        params = _tiny_params(Q11, N=1, lift=2)
+        modified = view2.init_cts[0]
+        assert modified.kind is CiphertextKind.MODIFIED
+        bad1 = dataclasses.replace(view1, init_ct=modified)
+        bad2 = dataclasses.replace(
+            view2, standard_cts=(modified,) + view2.standard_cts[1:])
+        for view, parse in zip((bad1, bad2), _parsers()):
+            with pytest.raises(ViewError, match="modified ciphertext"):
+                parse(view.to_bytes())
+        with pytest.raises(ViewError, match="modified ciphertext"):
+            f1_view1_to_view2(bad1, public, params)
+        with pytest.raises(ViewError, match="modified ciphertext"):
+            f2_view2_to_view1(bad2, public, params)
+
     def test_inner_lwe_error_is_chained(self, tiny_views):
         for view, parse in zip(tiny_views, _parsers()):
             blob = bytearray(view.to_bytes())
@@ -385,7 +423,8 @@ def _nu2_views(z0, pairs, key, seed, N=1):
                                      ModMatrix.column(z0, Q13), vbars)
     view1 = View1(init_ct=view1.init_ct, input_cts=view1.input_cts[:-1],
                   residues=view1.residues)
-    view2 = View2(init_cts=view2.init_cts, input_cts=view2.input_cts[:-1])
+    view2 = View2(standard_cts=view2.standard_cts[:-1],
+                  cancels=view2.cancels[:-1])
     return public, params, view1, view2
 
 
@@ -397,8 +436,8 @@ class TestF1MatchesZeroDynamicsOracle:
         assert bench_enc.records[26].detected and bench_enc.records[44].detected
         got = f1_view1_to_view2(v1, bench_enc.public, bench_setup.params)
         oracle = f1_zero_dynamics(v1, bench_enc.public, bench_setup.params)
-        assert _views_equal(got, oracle)
-        assert _views_equal(got, bench_enc.view2)
+        assert got == oracle
+        assert got == bench_enc.view2
 
     @settings(max_examples=200, deadline=None)
     @given(z0=st.lists(st.integers(-6, 6), min_size=3, max_size=3),
@@ -408,8 +447,8 @@ class TestF1MatchesZeroDynamicsOracle:
     def test_random_sessions_of_the_nu2_observer(self, z0, pairs, key, seed):
         public, params, view1, view2 = _nu2_views(z0, pairs, [key], seed)
         got = f1_view1_to_view2(view1, public, params)
-        assert _views_equal(got, f1_zero_dynamics(view1, public, params))
-        assert _views_equal(got, view2)
+        assert got == f1_zero_dynamics(view1, public, params)
+        assert got == view2
 
 
 def _remod(ct: Ciphertext, q: Modulus) -> Ciphertext:
@@ -427,8 +466,7 @@ class TestPublicMapChecks:
 
     def test_f1_rejects_another_modulus(self, nu2_views):
         public, params, view1, _ = nu2_views
-        assert _views_equal(f1_view1_to_view2(view1, public, params),
-                            nu2_views[3])
+        assert f1_view1_to_view2(view1, public, params) == nu2_views[3]
         remodded = View1(init_ct=_remod(view1.init_ct, self.Q17),
                          input_cts=tuple(_remod(c, self.Q17)
                                          for c in view1.input_cts),
@@ -449,13 +487,10 @@ class TestPublicMapChecks:
 
     def test_f2_rejects_another_modulus(self, nu2_views):
         public, params, view1, view2 = nu2_views
-        assert _views_equal(f2_view2_to_view1(view2, public, params),
-                            dataclasses.replace(view1,
-                                                residues=view1.residues[:-1]))
-        bad = View2(init_cts=tuple(_remod(c, self.Q17)
-                                   for c in view2.init_cts),
-                    input_cts=tuple(tuple(_remod(c, self.Q17) for c in step)
-                                    for step in view2.input_cts))
+        assert f2_view2_to_view1(view2, public, params) \
+            == dataclasses.replace(view1, residues=view1.residues[:-1])
+        bad = dataclasses.replace(view2, standard_cts=tuple(
+            _remod(c, self.Q17) for c in view2.standard_cts))
         with pytest.raises(ViewError, match="modulus"):
             f2_view2_to_view1(bad, public, params)
 
@@ -471,9 +506,9 @@ class TestPublicMapChecks:
             view1.input_cts[0]),) + view1.input_cts[1:])
         with pytest.raises(ViewError, match="rows"):
             f1_view1_to_view2(bad1, public, params)
-        bad2 = View2(init_cts=view2.init_cts,
-                     input_cts=((taller(view2.input_cts[0][0]),),)
-                     + view2.input_cts[1:])
+        cts = view2.standard_cts
+        bad2 = dataclasses.replace(
+            view2, standard_cts=cts[:1] + (taller(cts[1]),) + cts[2:])
         with pytest.raises(ViewError, match="rows"):
             f2_view2_to_view1(bad2, public, params)
 
@@ -481,6 +516,6 @@ class TestPublicMapChecks:
         public, params = nu2_views[:2]
         _, _, _, wide = _nu2_views([3, 1, 4], [[1, 12], [5, 2], [9, 1]],
                                    [2, 7], 5, N=2)
-        assert wide.init_cts[0].N == 2 and public.N == 1
+        assert wide.standard_cts[0].N == 2 and public.N == 1
         with pytest.raises(ViewError, match="dimension"):
             f2_view2_to_view1(wide, public, params)
