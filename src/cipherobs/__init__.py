@@ -6,7 +6,6 @@ from .modring import (
     cmod,
     inverse_mod,
     mat_mul_mod,
-    right_inverse_row,
 )
 from .plantsim import AttackScenario, AttackSegment, PlantModel, Trajectory, \
     load_scenario, run_closed_loop, step_plant

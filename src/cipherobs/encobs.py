@@ -6,6 +6,9 @@ each step's randomness block and masking term; they differ only in the
 cancellation column derived from their own zero-dynamics, which forces the
 mask contribution of every residue's first column to zero.  That recursion
 is written once, as `ObserverPublic.cancel_initial` and `cancel_step`.
+After step 0 channel j cancels with one scalar c_j at one row k_j, and its
+cancelled state steps as b_j' = Fbar b_j + Gbar x - c_j Gbar[:, k_j]
+(`ObserverPublic.column_step`), in plain ints that are never reduced.
 Channel j's modified ciphertext is the standard one with its first column
 split as `[first - cancel_j | shared | cancel_j]`; a transcript records
 the standard ciphertext and the cancel columns, and `modified_channels`
@@ -21,17 +24,18 @@ and writes the channels' first and last columns beside it, and
 `EncryptedBatch.from_standard` builds the same limbs from a standard
 ciphertext and the cancel columns.  Python ints appear only when a channel
 is materialized (`channel(j)` joins and centres the whole body once per
-batch or state), when the first columns are read for disclosure, and in
-the recovered sums.  This module and `quantobs` are the only ones that know
-the limb layout.
+batch or state) and in the residue's and the recovery's sums, which are
+summed in int64 on digits of the limbs.  This module and `quantobs` are
+the only ones that know the limb layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from math import gcd
-from operator import mul
+from operator import mul, sub
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,7 +49,7 @@ from .lwe import (
     encrypt_with_artifacts,
 )
 from .modring import DimensionMismatch, ModMatrix, Modulus, \
-    ModulusMismatch, join_limbs
+    ModulusMismatch, digit_planes, split_limbs
 from .quantobs import LimbKernel, ModularMaps, QuantParams, observer_update
 from .zerodyn import ChannelMaps, channel_maps
 
@@ -119,18 +123,39 @@ class ObserverPublic:
         return LimbKernel.build(self.block_sizes, self.Gbar)
 
     @cached_property
-    def _step_maps(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
-        """Per channel: (H_j F^nu_j, Sigma_j, SigmaDag_j) as int tuples."""
-        return tuple((m.HFnu.rows[0], m.Sigma.rows[0],
-                      m.SigmaDag.column_entries()) for m in self.channels)
+    def _hbar_digits(self) -> Tuple[int, int, np.ndarray]:
+        """(d, w, planes): Hbar as (P_H, n_ch, l) digit planes of width w,
+        each below 2^e in absolute value (one plane for small entries), and
+        the largest limb digit width d with l 2^d 2^e < 2^63."""
+        l = self.Hbar.ncols
+        budget = 63 - l.bit_length()
+        bits = self.Hbar.max_abs().bit_length()
+        e = min(bits, budget // 2)
+        w, count = (bits + 1, 1) if e == bits else (e, -(-(bits + 1) // e))
+        planes = split_limbs(self.Hbar.flat(), w, count)
+        return budget - e, w, planes.reshape(count, self.Hbar.nrows, l)
 
-    def _cancelled(self, x: ModMatrix, cancels) -> ModMatrix:
-        """x 1^T - [cancel columns]: x with each channel's cancellation."""
-        q = self.q
-        return ModMatrix(
-            (tuple(q.cmod(a - c[i]) for c in cancels)
-             for i, a in enumerate(x.column_entries())),
-            q, ncols=len(cancels), _reduced=True)
+    @cached_property
+    def _columns(self):
+        """Each row's index in (0,) + b for Fbar b, and Gbar's columns."""
+        starts = set(accumulate(self.block_sizes, initial=0))
+        return (tuple(0 if i in starts else i for i in range(self.Gbar.nrows)),
+                tuple(zip(*self.Gbar.rows)))
+
+    def column_step(self, b: Tuple[int, ...], shared: Sequence[int], c: int,
+                    k: int) -> Tuple[int, ...]:
+        """b' = Fbar b + shared - c Gbar[:, k] in plain ints, not reduced.
+
+        A cancelled state steps so with shared = Gbar x.  Fbar is nilpotent,
+        so an entry sums at most b_max terms: input terms, each at most
+        (||Gbar||_inf + max|Gbar|) (q-1)/2 for centred x and c, or the
+        initial x - cancel, at most q - 1 (no more for nonzero Gbar).  So
+        every entry stays within b_max (||Gbar||_inf + max|Gbar|) (q-1)/2.
+        """
+        shift, gain = self._columns
+        padded = (0,) + b
+        return tuple([padded[i] + a - c * g
+                      for i, a, g in zip(shift, shared, gain[k])])
 
     def cancel_initial(self, x: ModMatrix):
         """Every channel's initial cancellation of the column x.
@@ -138,29 +163,34 @@ class ObserverPublic:
         Channel j's term is tilde_j = T2_j x, the chain coordinates of x,
         and its cancel column is V2_j tilde_j, so x minus that column has
         zero chain coordinates.  Returns (tildes, cancels, B) with B the
-        l x n_ch cancelled state x 1^T - [cancels].
+        cancelled states x - cancel_j, one int tuple per channel.
         """
         tildes = [m.T2 @ x for m in self.channels]
         cancels = [(m.V2 @ tilde).column_entries()
                    for m, tilde in zip(self.channels, tildes)]
-        return tildes, cancels, self._cancelled(x, cancels)
+        xs = x.column_entries()
+        return tildes, cancels, tuple(tuple(map(sub, xs, c)) for c in cancels)
 
-    def cancel_step(self, B: ModMatrix, x: ModMatrix):
+    def cancel_step(self, B: Tuple[Tuple[int, ...], ...], x: ModMatrix):
         """One step of every channel's cancellation of the input column x.
 
-        Column j of B is channel j's cancelled state; its chain coordinates
-        are zero, so channel j's term is tilde_j = H_j F^nu_j B[:, j]
-        + Sigma_j x and its cancel column SigmaDag_j tilde_j.  Returns
-        (tildes, cancels, B') with B' = Fbar B + Gbar (x 1^T - [cancels]).
+        B[j] is channel j's cancelled state; its chain coordinates are
+        zero, so channel j's term is tilde_j = H_j F^nu_j B[j] + Sigma_j x
+        and its cancel column c_j e_k_j with c_j = s_j tilde_j.  Returns
+        (tildes, cancels, B') with B'[j] the `column_step` of B[j].
         """
         q = self.q
         xs = x.column_entries()
-        tildes = [q.cmod(sum(map(mul, p, b)) + sum(map(mul, sigma, xs)))
-                  for (p, sigma, _), b in zip(self._step_maps, zip(*B.rows))]
-        cancels = [tuple(q.cmod(a * t) for a in dag)
-                   for (_, _, dag), t in zip(self._step_maps, tildes)]
-        return tildes, cancels, self.kernel.update(
-            B, self._cancelled(x, cancels))
+        shared = tuple(sum(map(mul, row, xs)) for row in self.Gbar.rows)
+        tildes, cancels, nxt = [], [], []
+        for m, b in zip(self.channels, B):
+            t = q.cmod(sum(map(mul, m.HFnu.rows[0], b))
+                       + sum(map(mul, m.Sigma.rows[0], xs)))
+            c = q.cmod(m.s * t)
+            tildes.append(t)
+            cancels.append(m.cancel_column(c))
+            nxt.append(self.column_step(b, shared, c, m.k))
+        return tildes, cancels, tuple(nxt)
 
 
 class _ChannelBody:
@@ -271,9 +301,9 @@ class StepArtifacts:
 class EncryptorSession:
     """Stateful trusted encryptor for one observer run.
 
-    Holds every channel's cancelled mask state as one l x n_ch matrix B:
-    column j is the mask part of channel j's observer state once its
-    cancellation is applied, as `ObserverPublic.cancel_initial` and
+    Holds every channel's cancelled mask state B, one immutable int tuple
+    per channel: B[j] is the mask part of channel j's observer state once
+    its cancellation is applied, as `ObserverPublic.cancel_initial` and
     `cancel_step` compute it with the mask as their input.  Losing a step
     invalidates the session, so B can be checkpointed and restored.
     """
@@ -290,7 +320,7 @@ class EncryptorSession:
         self.rng = rng if rng is not None else SecureRng()
         self.record_artifacts = record_artifacts
         self.step = -1  # -1 = fresh, >= 0 after enc_initial
-        self.cancel_state: Optional[ModMatrix] = None   # B, l x n_ch
+        self.cancel_state: Optional[Tuple[Tuple[int, ...], ...]] = None
         self.artifacts: List[StepArtifacts] = []
 
     # -- checkpointing -----------------------------------------------------
@@ -381,21 +411,29 @@ def step_encrypted(state: EncObserverState, batch: EncryptedBatch,
     return EncObserverState(body, state.n_channels, kernel)
 
 
+def _first_column_dots(firsts: np.ndarray, width: int, d: int,
+                       h_width: int, h_planes: np.ndarray) -> List[int]:
+    """sum_i Hbar[j, i] first[i, j] per channel j, exact, from the (L, l,
+    n_ch) first-column limbs and Hbar's digit planes: every d-bit digit
+    plane of the limbs meets every Hbar plane in int64, and only the sums
+    are joined.  Exact when l 2^d 2^e < 2^63 for Hbar digits below 2^e."""
+    L, l, n_ch = firsts.shape
+    digits = digit_planes(firsts, d, 63)    # lazy limbs: any int64 value
+    sums = np.einsum("aij,mji->jam", digits.reshape(-1, l, n_ch), h_planes)
+    shifts = [d * p + width * k + h_width * m for p in range(len(digits))
+              for k in range(L) for m in range(len(h_planes))]
+    return [sum(v << s for v, s in zip(row, shifts))
+            for row in sums.reshape(n_ch, -1).tolist()]
+
+
 def residue_first_column(state: EncObserverState,
                          public: ObserverPublic) -> ModMatrix:
-    """First column of the encrypted residue only (cheap per-step path):
-    channel j's residue row applied to column j, O(n_ch * l).  Only the
-    channels' first columns are joined from the limbs."""
-    q = public.q
-    kernel = public.kernel
-    _check_limbs(kernel, state)
-    firsts = state.body[:, :, :state.n_channels]
-    l = firsts.shape[1]
-    cols = join_limbs(firsts.transpose(0, 2, 1).reshape(kernel.count, -1),
-                      kernel.width)
-    r1 = [q.cmod(sum(map(mul, hrow, cols[j * l:(j + 1) * l])))
-          for j, hrow in enumerate(public.Hbar.rows)]
-    return ModMatrix.column(r1, q)
+    """First column of the encrypted residue (cheap per-step path): channel
+    j's residue row on its first column, summed on digit planes of limbs."""
+    _check_limbs(public.kernel, state)
+    return ModMatrix.column(_first_column_dots(
+        state.body[:, :, :state.n_channels], public.kernel.width,
+        *public._hbar_digits), public.q)
 
 
 def disclose_residue(r1: ModMatrix, params: QuantParams) -> ModMatrix:

@@ -38,7 +38,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .modring import DimensionMismatch, ModMatrix, Modulus, PrimalityError, \
-    bytes_to_words, join_limbs, split_limbs, words_to_limbs
+    bytes_to_words, digit_planes, join_limbs, split_limbs, words_to_limbs
 
 __all__ = [
     "LweError",
@@ -289,17 +289,15 @@ class SecretKey:
         L, rows, N = limbs.shape
         if N != key.shape[1]:
             raise DimensionMismatch("matrix and key disagree on N")
-        top = -(-bits // d) - 1
-        cuts = (d * np.arange(top + 1))[:, None, None]
-        sums = []
-        for limb in limbs:      # one limb at a time bounds the digit arrays
-            digits = limb >> cuts
-            digits[:top] &= (1 << d) - 1
-            # einsum with both operands N-contiguous beats int64 matmul
-            sums.append(np.einsum("an,pn->ap", digits.reshape(-1, N), key))
+        P = -(-bits // d)   # digits per limb
+        # one limb at a time bounds the digit arrays; einsum with both
+        # operands N-contiguous beats int64 matmul
+        sums = [np.einsum("an,pn->ap",
+                          digit_planes(limb, d, bits).reshape(-1, N), key)
+                for limb in limbs]
         shifts = [width * k + d * (m + p) for k in range(L)
-                  for m in range(top + 1) for p in range(len(key))]
-        terms = np.stack(sums).reshape(L * (top + 1), rows, len(key))
+                  for m in range(P) for p in range(len(key))]
+        terms = np.stack(sums).reshape(L * P, rows, len(key))
         return [sum(v << s for v, s in zip(row, shifts)) for row in
                 terms.transpose(1, 0, 2).reshape(rows, len(shifts)).tolist()]
 
@@ -354,11 +352,6 @@ class Ciphertext:
 
     def first_column(self) -> Tuple[int, ...]:
         return self.body.column_entries(0)
-
-    def cancel_column(self) -> Tuple[int, ...]:
-        if self.kind is not CiphertextKind.MODIFIED:
-            raise LweError("standard ciphertexts carry no cancellation column")
-        return self.body.column_entries(self.N + 1)
 
     def to_bytes(self) -> bytes:
         head = _pack_ints([self.body.modulus.q, self.N,

@@ -12,7 +12,8 @@ bit-reproducible across runs.
 `split_limbs` and `join_limbs` convert between Python ints and exact signed
 int64 limbs, the form in which numpy kernels compute over Z_q;
 `bytes_to_words` and `words_to_limbs` cut limbs straight from packed bytes,
-such as the output of a random source.
+such as the output of a random source, and `digit_planes` cuts int64
+values into narrower signed digits whose products sum exactly in int64.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, List, Sequence
 
 import numpy as np
@@ -32,18 +33,17 @@ __all__ = [
     "ModulusMismatch",
     "SingularMatrix",
     "NotFullRowRank",
-    "ZeroRow",
     "Modulus",
     "ModMatrix",
     "cmod",
     "mat_mul_mod",
     "inverse_mod",
     "pivot_columns",
-    "right_inverse_row",
     "bytes_to_words",
     "words_to_limbs",
     "split_limbs",
     "join_limbs",
+    "digit_planes",
 ]
 
 
@@ -68,10 +68,6 @@ class SingularMatrix(ModRingError):
 
 
 class NotFullRowRank(ModRingError):
-    pass
-
-
-class ZeroRow(ModRingError):
     pass
 
 
@@ -267,49 +263,27 @@ class ModMatrix:
         if self.modulus != other.modulus:
             raise ModulusMismatch("operands use different moduli")
 
-    def __add__(self, other: "ModMatrix") -> "ModMatrix":
+    def _entrywise(self, other: "ModMatrix", op) -> "ModMatrix":
         self._check_mod(other)
         if self.shape != other.shape:
-            raise DimensionMismatch(f"add {self.shape} vs {other.shape}")
-        q = self.modulus.q
-        twoq = 2 * q
-        rows = tuple(
-            tuple((s := a + b) - ((2 * s + q) // twoq) * q
-                  for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)
-        )
-        return ModMatrix(rows, self.modulus, ncols=self.ncols, _reduced=True)
+            raise DimensionMismatch(
+                f"{op.__name__} {self.shape} vs {other.shape}")
+        return ModMatrix((map(op, ra, rb)
+                          for ra, rb in zip(self.rows, other.rows)),
+                         self.modulus, ncols=self.ncols)
+
+    def __add__(self, other: "ModMatrix") -> "ModMatrix":
+        return self._entrywise(other, add)
 
     def __sub__(self, other: "ModMatrix") -> "ModMatrix":
-        self._check_mod(other)
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"sub {self.shape} vs {other.shape}")
-        q = self.modulus.q
-        twoq = 2 * q
-        rows = tuple(
-            tuple((s := a - b) - ((2 * s + q) // twoq) * q
-                  for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)
-        )
-        return ModMatrix(rows, self.modulus, ncols=self.ncols, _reduced=True)
+        return self._entrywise(other, sub)
 
     def __neg__(self) -> "ModMatrix":
-        q = self.modulus.q
-        twoq = 2 * q
-        rows = tuple(
-            tuple((s := -a) - ((2 * s + q) // twoq) * q for a in row)
-            for row in self.rows
-        )
-        return ModMatrix(rows, self.modulus, ncols=self.ncols, _reduced=True)
+        return self.scale(-1)
 
     def scale(self, c: int) -> "ModMatrix":
-        q = self.modulus.q
-        twoq = 2 * q
-        rows = tuple(
-            tuple((s := c * a) - ((2 * s + q) // twoq) * q for a in row)
-            for row in self.rows
-        )
-        return ModMatrix(rows, self.modulus, ncols=self.ncols, _reduced=True)
+        return ModMatrix(((c * a for a in row) for row in self.rows),
+                         self.modulus, ncols=self.ncols)
 
     def __matmul__(self, other: "ModMatrix") -> "ModMatrix":
         return mat_mul_mod(self, other)
@@ -428,25 +402,6 @@ def pivot_columns(T2: ModMatrix) -> List[int]:
     return pivots
 
 
-def right_inverse_row(sigma: ModMatrix) -> ModMatrix:
-    """Right inverse of a nonzero row vector: sigma @ result == [[1]].
-
-    Uses the first nonzero entry, so the result always exists over a field
-    (unlike the Moore-Penrose formula, which breaks when sigma @ sigma^T
-    vanishes mod q).
-    """
-    if sigma.nrows != 1:
-        raise DimensionMismatch("expected a single-row matrix")
-    row = sigma.rows[0]
-    for k, a in enumerate(row):
-        if a != 0:
-            inv = sigma.modulus.inv(a)
-            entries = [0] * sigma.ncols
-            entries[k] = inv
-            return ModMatrix.column(entries, sigma.modulus)
-    raise ZeroRow("zero row has no right inverse")
-
-
 # values converted per pass of `split_limbs`; bounds its temporary bytes
 _SPLIT_CHUNK = 4096
 
@@ -509,3 +464,15 @@ def join_limbs(limbs: np.ndarray, width: int) -> List[int]:
     for k in range(limbs.shape[0] - 2, -1, -1):
         acc = [(a << width) + b for a, b in zip(acc, limbs[k].tolist())]
     return acc
+
+
+def digit_planes(values: np.ndarray, d: int, bits: int) -> np.ndarray:
+    """Signed base-2^d digits of int64 values below 2^bits in absolute
+    value: a (ceil(bits / d),) + values.shape array with values ==
+    sum(out[p] << (d p)), the lower digits in [0, 2^d) and the top one
+    signed, so every digit is at most 2^d in absolute value."""
+    top = -(-bits // d) - 1
+    digits = values >> (d * np.arange(top + 1)).reshape(
+        (-1,) + (1,) * values.ndim)
+    digits[:top] &= (1 << d) - 1
+    return digits

@@ -228,11 +228,11 @@ def f1_view1_to_view2(v1: View1, public: ObserverPublic,
     a message part D, the same recursion driven by the message.  The
     message part needs only the disclosed residues: lifted, they are H_j of
     the message state, and the first nu_j of them are its chain
-    coordinates.  D runs for all channels as one l x n_ch state, the
-    message state minus its cancelled state, through the observer kernel:
+    coordinates.  D, per channel the message state minus its cancelled
+    state, steps by `ObserverPublic.column_step` with no shared term:
 
-        D_0 = V2 lifted[0:nu],      msg = lifted[t + nu] - H F^nu D,
-        cancel = SigmaDag (comb - msg),   D' = F D + G SigmaDag msg,
+        d_0 = V2 lifted[0:nu],      msg = lifted[t + nu] - H F^nu d,
+        cancel = s (comb - msg) e_k,   d' = F d + (s msg) G[:, k],
 
     with comb the combined term `cancel_step` returns.
     """
@@ -262,22 +262,19 @@ def f1_view1_to_view2(v1: View1, public: ObserverPublic,
                                         q)).column_entries()
         init_cancels.append(tuple(q.cmod(c - a) for c, a in zip(comb, msg)))
         D.append(msg)
-    D = ModMatrix(tuple(zip(*D)), q, ncols=n_ch, _reduced=True)
 
-    kernel = public.kernel
+    zeros = (0,) * public.Gbar.nrows    # D has no shared term
     step_cancels = []
     for t, ct in enumerate(v1.input_cts):
         combs, _, C = public.cancel_step(
             C, ModMatrix.column(ct.first_column(), q))
-        cancels, drive = [], []
-        for j, (m, comb, d) in enumerate(zip(channels, combs, zip(*D.rows))):
+        cancels, nxt = [], []
+        for j, (m, comb, d) in enumerate(zip(channels, combs, D)):
             msg = lifted[t + m.nu][j] - sum(map(mul, m.HFnu.rows[0], d))
-            dag = m.SigmaDag.column_entries()
-            cancels.append(tuple(q.cmod(a * (comb - msg)) for a in dag))
-            drive.append(tuple(q.cmod(a * msg) for a in dag))
+            cancels.append(m.cancel_column(q.cmod(m.s * (comb - msg))))
+            nxt.append(public.column_step(d, zeros, -q.cmod(m.s * msg), m.k))
         step_cancels.append(tuple(cancels))
-        D = kernel.update(D, ModMatrix(tuple(zip(*drive)), q, ncols=n_ch,
-                                       _reduced=True))
+        D = nxt
 
     return View2(standard_cts=(v1.init_ct,) + v1.input_cts,
                  cancels=(tuple(init_cancels),) + tuple(step_cancels))

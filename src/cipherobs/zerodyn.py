@@ -9,8 +9,9 @@ zero; the encrypted observer applies exactly that to its mask
 (`encobs.ObserverPublic.cancel_initial` and `cancel_step`), so the mask adds
 nothing to the residue's first column.
 
-`channel_maps` builds what that cancellation reads: the chain rows, H F^nu,
-Sigma, its right inverse and V2, all in closed form.
+`channel_maps` builds what that cancellation reads in closed form: the chain
+rows, H F^nu, Sigma, V2, and Sigma's right inverse s e_k, s = Sigma[k]^-1
+for Sigma's first nonzero entry Sigma[k].
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .modring import (
     ModMatrix,
     inverse_mod,
     pivot_columns,
-    right_inverse_row,
 )
 
 __all__ = [
@@ -76,8 +76,13 @@ class ChannelMaps:
     T2: ModMatrix        # nu x l
     HFnu: ModMatrix      # 1 x l: H F^nu
     Sigma: ModMatrix     # 1 x h: H F^(nu-1) G
-    SigmaDag: ModMatrix  # h x 1, Sigma @ SigmaDag == [[1]]
+    k: int               # Sigma[k] is Sigma's first nonzero entry
+    s: int               # Sigma[k]^-1, so Sigma @ (s e_k) == [[1]]
     V2: ModMatrix        # l x nu
+
+    def cancel_column(self, c: int) -> Tuple[int, ...]:
+        """c e_k: the h-column of the cancel c."""
+        return (0,) * self.k + (c,) + (0,) * (self.Sigma.ncols - self.k - 1)
 
 
 def channel_maps(Hj: ModMatrix, Fbar: ModMatrix, Gbar: ModMatrix) -> ChannelMaps:
@@ -101,5 +106,6 @@ def channel_maps(Hj: ModMatrix, Fbar: ModMatrix, Gbar: ModMatrix) -> ChannelMaps
     at = {c: k for k, c in enumerate(pivots)}
     V2 = ModMatrix(tuple(Pinv.rows[at[i]] if i in at else (0,) * nu
                          for i in range(l)), q, ncols=nu, _reduced=True)
-    return ChannelMaps(nu=nu, T2=T2, HFnu=rows[-1] @ Fbar, Sigma=Sigma,
-                       SigmaDag=right_inverse_row(Sigma), V2=V2)
+    k = next(i for i, a in enumerate(Sigma.rows[0]) if a)
+    return ChannelMaps(nu=nu, T2=T2, HFnu=rows[-1] @ Fbar, Sigma=Sigma, k=k,
+                       s=q.inv(Sigma.rows[0][k]), V2=V2)

@@ -4,14 +4,14 @@ library, plus random problem generators."""
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from cipherobs.lwe import decrypt
 from cipherobs.modring import DimensionMismatch, ModMatrix, ModRingError, \
-    Modulus, _echelon, inverse_mod, pivot_columns, right_inverse_row, \
-    split_limbs
+    Modulus, _echelon, inverse_mod, join_limbs, pivot_columns, split_limbs
 from cipherobs.obsdesign import run_reference_observer
 from cipherobs.plantsim import AttackScenario, PlantModel, run_closed_loop
 from cipherobs.quantobs import QuantState, quantize_initial, quantize_input, \
@@ -114,6 +114,28 @@ def error_trajectory(artifacts, gbar_rows, block_sizes, steps: int):
     return out
 
 
+class ZeroRow(ModRingError):
+    pass
+
+
+def right_inverse_row(sigma: ModMatrix) -> ModMatrix:
+    """Right inverse of a nonzero row vector: sigma @ result == [[1]]
+    (oracle for the (k, s) of `zerodyn.ChannelMaps`).
+
+    Uses the first nonzero entry, so the result always exists over a field
+    (unlike the Moore-Penrose formula, which breaks when sigma @ sigma^T
+    vanishes mod q).
+    """
+    if sigma.nrows != 1:
+        raise DimensionMismatch("expected a single-row matrix")
+    for k, a in enumerate(sigma.rows[0]):
+        if a != 0:
+            entries = [0] * sigma.ncols
+            entries[k] = sigma.modulus.inv(a)
+            return ModMatrix.column(entries, sigma.modulus)
+    raise ZeroRow("zero row has no right inverse")
+
+
 def dense_normal_form(Hj: ModMatrix, Fbar: ModMatrix, Gbar: ModMatrix):
     """nu, T1, T2, V1, V2, H F^nu, Sigma and SigmaDag of a channel from the
     dense inverse of [T1; T2] (test oracle for the closed-form maps)."""
@@ -135,6 +157,17 @@ def dense_normal_form(Hj: ModMatrix, Fbar: ModMatrix, Gbar: ModMatrix):
     Sigma = rows[-1] @ Gbar
     return dict(nu=nu, T1=T1, T2=T2, V1=V1, V2=V2, HFnu=rows[-1] @ Fbar,
                 Sigma=Sigma, SigmaDag=right_inverse_row(Sigma))
+
+
+def sigma_dag(maps) -> ModMatrix:
+    """The right inverse s e_k of Sigma that a `zerodyn.ChannelMaps` holds
+    as (k, s), as an h x 1 matrix."""
+    return ModMatrix.column(maps.cancel_column(maps.s), maps.Sigma.modulus)
+
+
+def last_column(ct) -> Tuple[int, ...]:
+    """The last column of a ciphertext: a modified one's cancel column."""
+    return ct.body.column_entries(ct.body.ncols - 1)
 
 
 def f1_zero_dynamics(v1, public, params):
@@ -291,12 +324,12 @@ def build_transform(Hj: ModMatrix, Fbar: ModMatrix, Gbar: ModMatrix,
     S1 = T1F @ V1
     S3 = T1 @ Gbar
     Psi = m.HFnu @ V1
+    dag = right_inverse_row(m.Sigma)
     return ChannelTransform(
         j=j, nu=nu, T1=T1, T2=m.T2, V1=V1, V2=m.V2, S1=S1, S2=T1F @ m.V2,
         S3=S3, Psi=Psi, Gamma=m.HFnu @ m.V2, Sigma=m.Sigma,
-        SigmaDag=m.SigmaDag, S=S1 - S3 @ m.SigmaDag @ Psi,
-        input_projector=(ModMatrix.identity(Gbar.ncols, q)
-                         - m.SigmaDag @ m.Sigma),
+        SigmaDag=dag, S=S1 - S3 @ dag @ Psi,
+        input_projector=ModMatrix.identity(Gbar.ncols, q) - dag @ m.Sigma,
     )
 
 
@@ -350,6 +383,20 @@ def encrypted_residue(state, public) -> Tuple[ModMatrix, ModMatrix]:
                         for j in range(state.n_channels)),
                   public.q, ncols=state.N + 2)
     return R, ModMatrix.column(R.column_entries(0), public.q)
+
+
+def joined_residue_first_column(state, public) -> ModMatrix:
+    """Channel j's residue row applied to its first column after joining
+    every first-column limb into Python ints (oracle for the digit-plane
+    sums of `encobs.residue_first_column`)."""
+    kernel = public.kernel
+    firsts = state.body[:, :, :state.n_channels]
+    l = firsts.shape[1]
+    cols = join_limbs(firsts.transpose(0, 2, 1).reshape(kernel.count, -1),
+                      kernel.width)
+    return ModMatrix.column(
+        [sum(map(mul, hrow, cols[j * l:(j + 1) * l]))
+         for j, hrow in enumerate(public.Hbar.rows)], public.q)
 
 
 def decrypt_channel_state(state, j: int, sk) -> ModMatrix:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from types import SimpleNamespace
@@ -140,6 +141,25 @@ class TestSimulate:
                      "--out", str(out)]) == 0
         # past the settling window the threshold is exactly the overridden eps
         assert ",0.25," in out.read_text().splitlines()[-1]
+
+
+# SHA-256 of `simulate --mode M --seed 0 --steps 50` at the default N = 64,
+# recorded while the encryptor still stepped its cancelled mask state as a
+# reduced l x n_ch matrix through the limb kernel
+SEEDED_CSV_SHA256 = {
+    "reference": "c685d500b6a0b057ef8834b2c5955d03378aa263ee6821e2e5cf1a3ff2f20295",
+    "quantized": "b0ec5979f8f6730b8c3fcabb37c9ce69eb7190ed9f4c41e344fbf5e8a67727cf",
+    "encrypted": "08a2541f535dbcdd70145c99d905348217fcb6676d4bd84ff529b94cd455da8b",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(SEEDED_CSV_SHA256))
+def test_seeded_csv_matches_pinned_digest(tmp_path, mode):
+    out = tmp_path / f"{mode}.csv"
+    assert main(["simulate", "--mode", mode, "--seed", "0", "--steps", "50",
+                 "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == SEEDED_CSV_SHA256[mode]
 
 
 class TestVerify:

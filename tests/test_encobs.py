@@ -1,8 +1,11 @@
+import copy
 import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cipherobs import encobs
 from cipherobs.encobs import (
@@ -21,10 +24,11 @@ from cipherobs.lwe import LweError, NoiseParams, SecretKey, decrypt, encrypt, \
 from cipherobs.lwe import TestRng as SeededRng
 from cipherobs.modring import ModMatrix, Modulus, ModulusMismatch
 from cipherobs.pipeline import run_encrypted_mode, run_quantized_mode
-from cipherobs.quantobs import quantize_initial
+from cipherobs.quantobs import LimbKernel, quantize_initial
 from .helpers import ValueSource, build_transform, cancellation_init, \
     cancellation_step, decrypt_channel_state, dense_normal_form, \
-    encrypted_residue, error_trajectory
+    encrypted_residue, error_trajectory, joined_residue_first_column, \
+    last_column, sigma_dag
 
 
 class ZeroMaskRng(ValueSource):
@@ -83,8 +87,9 @@ class TestObserverPublic:
         for j, maps in enumerate(public64.channels):
             dense = dense_normal_form(public64.Hbar.row(j), public64.Fbar,
                                       public64.Gbar)
-            for name in ("nu", "T2", "V2", "HFnu", "Sigma", "SigmaDag"):
+            for name in ("nu", "T2", "V2", "HFnu", "Sigma"):
                 assert getattr(maps, name) == dense[name], (j, name)
+            assert sigma_dag(maps) == dense["SigmaDag"], j
 
     def test_fbar_matches_block_structure(self, bench_setup, public64):
         Fbar = public64.Fbar
@@ -228,7 +233,7 @@ class TestModifiedCompatibility:
         for j in (0, 31):
             ct = batch.channel(j)
             merged = tuple(q.cmod(a + b) for a, b in
-                           zip(ct.first_column(), ct.cancel_column()))
+                           zip(ct.first_column(), last_column(ct)))
             assert merged == std_first
 
     def test_zero_mask_degenerate_session(self, bench_setup, public64):
@@ -240,10 +245,10 @@ class TestModifiedCompatibility:
         lifted = z0.scale(params.lift).column_entries()
         for j in (0, 42):
             assert batch.channel(j).first_column() == lifted
-            assert all(v == 0 for v in batch.channel(j).cancel_column())
+            assert all(v == 0 for v in last_column(batch.channel(j)))
         nxt = session.enc_input(ModMatrix.column([1, 0, 0, 2, 0, 0], params.q))
         for j in (0, 42):
-            assert all(v == 0 for v in nxt.channel(j).cancel_column())
+            assert all(v == 0 for v in last_column(nxt.channel(j)))
 
     def test_cancel_column_matches_independent_zerodyn(self, bench_setup,
                                                        public64):
@@ -263,12 +268,154 @@ class TestModifiedCompatibility:
                                  public64.Gbar, j=j)
             tilde_ini, state = cancellation_init(ct, session.artifacts[0].mask)
             expect = (ct.V2 @ tilde_ini).column_entries()
-            assert batches[0].channel(j).cancel_column() == expect
+            assert last_column(batches[0].channel(j)) == expect
             for t in range(1, 5):
                 tilde, state = cancellation_step(ct, state,
                                                  session.artifacts[t].mask)
                 expect = ct.SigmaDag.scale(tilde).column_entries()
-                assert batches[t].channel(j).cancel_column() == expect
+                assert last_column(batches[t].channel(j)) == expect
+
+
+def lazy_state_bound(public) -> int:
+    """The bound `ObserverPublic.column_step` states for the cancelled
+    state: b_max (||Gbar||_inf + max|Gbar|) (q - 1) / 2."""
+    return (max(public.block_sizes)
+            * (public.Gbar.inf_norm() + public.Gbar.max_abs())
+            * ((public.q.q - 1) // 2))
+
+
+def bare_public(q, sizes, Gbar, Hbar):
+    """An ObserverPublic with no channel maps: enough for `column_step`
+    and `residue_first_column`."""
+    return ObserverPublic(q=q, N=0, block_sizes=tuple(sizes),
+                          Fbar=build_fbar(sizes, q), Gbar=Gbar, Hbar=Hbar,
+                          channels=())
+
+
+class TestLazyCancelState:
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_worst_case_column_step_stays_under_the_bound(self, sign):
+        q = Modulus(2 ** 109 - 31)
+        sizes = (6, 4, 1)
+        l, k = sum(sizes), 0
+        # positive gains with the largest in column k: x = sign (q-1)/2 and
+        # c = -x are then the worst signs for every row at once
+        Gbar = ModMatrix([[5, 1, 3]] * l, q)
+        public = bare_public(q, sizes, Gbar, ModMatrix.zeros(0, l, q))
+        bound = lazy_state_bound(public)
+        x = sign * ((q.q - 1) // 2)
+        shared = tuple(sum(row) * x for row in Gbar.rows)
+        b = (2 * x,) * l            # x - cancel, both at their largest
+        dense = ModMatrix.column(b, q)
+        drive = ModMatrix.column([2 * x, x, x], q)     # x - c e_k
+        for _ in range(10 * max(sizes)):
+            b = public.column_step(b, shared, -x, k)
+            dense = public.Fbar @ dense + Gbar @ drive
+            assert max(map(abs, b)) <= bound
+            assert ModMatrix.column(b, q) == dense
+        assert max(map(abs, b)) == bound
+
+    def test_benchmark_session_state_under_the_bound(self, public64,
+                                                     bench_enc):
+        bound = lazy_state_bound(public64)
+        assert all(abs(v) <= bound
+                   for b in bench_enc.session.cancel_state for v in b)
+
+    def test_checkpoint_is_immutable_and_replays_golden(self, bench_setup,
+                                                        public64):
+        params = dataclasses.replace(bench_setup.params, N=64)
+        rng = SeededRng(5)
+        sk = keygen(64, params.q, rng)
+        session = EncryptorSession(sk, params, public64, rng=rng,
+                                   record_artifacts=True)
+        vbars = run_quantized_mode(bench_setup, 3).vbars
+        batches = [session.enc_initial(
+            quantize_initial(bench_setup.zhat_ini, params))]
+        snap, draws = session.checkpoint(), copy.deepcopy(rng)
+        frozen = copy.deepcopy(snap)
+        for vbar in vbars:
+            session.enc_input(vbar)
+        assert snap == frozen
+        session.restore(snap)
+        session.rng = draws
+        batches += [session.enc_input(vbar) for vbar in vbars]
+        states = [EncObserverState.from_initial(batches[0])]
+        for batch in batches[1:]:
+            states.append(step_encrypted(states[-1], batch, public64))
+        assert golden_digests(batches, states,
+                              session.artifacts) == GOLDEN[64]
+
+
+def filled(elements, n):
+    """n draws of `elements`, or one draw repeated n times: the worst case
+    of a sum."""
+    return st.one_of(st.lists(elements, min_size=n, max_size=n),
+                     elements.map(lambda v: [v] * n))
+
+
+class TestDigitPlaneResidue:
+    MODULI = (Modulus(2 ** 61 - 1), Modulus(2 ** 109 - 31))
+
+    @staticmethod
+    def _case(q, sizes, Gbar, Hbar, firsts):
+        """(state, public) whose channels' first columns hold the (L, l,
+        n_ch) limbs `firsts`; the shared block is empty."""
+        public = bare_public(q, sizes, Gbar, Hbar)
+        n_ch = Hbar.nrows
+        body = np.concatenate([firsts, np.zeros_like(firsts)], axis=2)
+        return EncObserverState(body, n_ch, public.kernel), public
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_equals_the_join_oracle(self, data):
+        q = data.draw(st.sampled_from(self.MODULI), label="q")
+        half = (q.q - 1) // 2
+        sizes = data.draw(st.lists(st.integers(1, 6), min_size=1,
+                                   max_size=6), label="blocks")
+        l, h = sum(sizes), data.draw(st.integers(1, 3), label="h")
+        n_ch = data.draw(st.integers(1, 4), label="n_ch")
+        g = data.draw(st.lists(st.integers(-2 ** 20, 2 ** 20),
+                               min_size=l * h, max_size=l * h), label="Gbar")
+        Gbar = ModMatrix([g[i * h:(i + 1) * h] for i in range(l)], q)
+        hmax = data.draw(st.sampled_from([2 ** 19 - 1, half]), label="hmax")
+        hs = data.draw(filled(st.one_of(st.integers(-hmax, hmax),
+                                        st.sampled_from([hmax, -hmax])),
+                              n_ch * l), label="Hbar")
+        Hbar = ModMatrix([hs[j * l:(j + 1) * l] for j in range(n_ch)], q)
+        kernel = LimbKernel.build(sizes, Gbar)
+        # the kernel's lazy bound on every limb is at least 2^62, so
+        # 2^62 - 1, all ones, maximizes every digit below the top one
+        bound = (max(sizes) * Gbar.inf_norm() + 1) << kernel.width
+        edges = [2 ** 62 - 1, bound, -bound, bound - 1, 1 - bound, 0]
+        limbs = data.draw(filled(st.one_of(st.integers(-bound, bound),
+                                           st.sampled_from(edges)),
+                                 kernel.count * l * n_ch), label="limbs")
+        firsts = np.array(limbs, dtype=np.int64).reshape(kernel.count, l,
+                                                         n_ch)
+        state, public = self._case(q, sizes, Gbar, Hbar, firsts)
+        assert (residue_first_column(state, public)
+                == joined_residue_first_column(state, public))
+
+    @pytest.mark.parametrize("q", MODULI, ids=["2^61-1", "2^109-31"])
+    @pytest.mark.parametrize("small", [True, False], ids=["19-bit", "full"])
+    def test_one_bit_wider_digits_overflow(self, q, small):
+        sizes, n_ch = (6, 6, 6, 6), 2
+        l = sum(sizes)
+        hmax = 2 ** 19 - 1 if small else (q.q - 1) // 2
+        Gbar = ModMatrix([[1]] * l, q)
+        Hbar = ModMatrix([[hmax] * l] * n_ch, q)
+        kernel = LimbKernel.build(sizes, Gbar)
+        # the largest lazy limb below the bound: its low W bits all ones
+        top = ((max(sizes) * Gbar.inf_norm() + 1) << kernel.width) - 1
+        firsts = np.full((kernel.count, l, n_ch), top, dtype=np.int64)
+        state, public = self._case(q, sizes, Gbar, Hbar, firsts)
+        expect = joined_residue_first_column(state, public)
+        assert residue_first_column(state, public) == expect
+        d, w, planes = public._hbar_digits
+        assert len(planes) == (1 if small else -(-q.q.bit_length() // w))
+        wide = encobs._first_column_dots(firsts, kernel.width, d + 1, w,
+                                         planes)
+        assert ModMatrix.column(wide, q) != expect
 
 
 class TestEncryptedObserver:
@@ -495,6 +642,23 @@ GOLDEN = {
            "states": "c8ec10a2328d31e9b7bfe8c32a341969116d77b1222330e889e3f80a4543d133",
            "standard": "6caf53d453f13255aba4dfff65c324f07cfa5eb512a6191bbd7a90e3f9162999"},
 }
+
+
+def golden_digests(batches, states, artifacts):
+    """The digests GOLDEN records: channels 0 and 59 of the batches and
+    the states, and the recorded standard ciphertexts."""
+    digests = {}
+    for name, parts in (("batches", batches), ("states", states)):
+        h = hashlib.sha256()
+        for part in parts:
+            for j in (0, 59):
+                h.update(part.channel(j).to_bytes())
+        digests[name] = h.hexdigest()
+    h = hashlib.sha256()
+    for art in artifacts:
+        h.update(art.standard_ct.to_bytes())
+    digests["standard"] = h.hexdigest()
+    return digests
 
 
 @pytest.mark.parametrize("N", sorted(GOLDEN))

@@ -25,7 +25,7 @@ from cipherobs.lwe import TestRng as SeededRng
 from cipherobs.lwe import _CT_MAGIC, _KEY_MAGIC, _RandomSource, _pack_ints
 from cipherobs.modring import DimensionMismatch, ModMatrix, Modulus, \
     join_limbs
-from .helpers import ValueSource
+from .helpers import ValueSource, last_column
 
 Q97 = Modulus(97)
 QBIG = Modulus(2 ** 61 - 1)
@@ -310,10 +310,14 @@ class TestModifiedDecrypt:
         assert plain_mod == decrypt(std, sk)
 
     def test_standard_has_no_cancel_column(self):
+        # N + 1 columns, the last one randomness: a standard body is too
+        # narrow to be read as a modified ciphertext
         sk = keygen(2, Q97, SeededRng(3))
         ct = encrypt(ModMatrix.column([1], Q97), sk, NOISE, SeededRng(4))
-        with pytest.raises(LweError):
-            ct.cancel_column()
+        assert ct.body.ncols == sk.N + 1
+        assert last_column(ct) == ct.body.column_entries(sk.N)
+        with pytest.raises(DimensionMismatch):
+            Ciphertext(body=ct.body, kind=CiphertextKind.MODIFIED, N=sk.N)
 
 
 class TestHomomorphism:

@@ -13,15 +13,13 @@ from cipherobs.modring import (
     NotFullRowRank,
     PrimalityError,
     SingularMatrix,
-    ZeroRow,
     cmod,
     inverse_mod,
     mat_mul_mod,
-    right_inverse_row,
 )
 from cipherobs.modring import _is_probable_prime
-from .helpers import centered_difference_check, complete_basis, \
-    egcd_inverse, random_mod_matrix, rank_mod
+from .helpers import ZeroRow, centered_difference_check, complete_basis, \
+    egcd_inverse, random_mod_matrix, rank_mod, right_inverse_row
 
 Q5 = Modulus(5)
 Q7 = Modulus(7)

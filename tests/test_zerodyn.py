@@ -12,7 +12,8 @@ from cipherobs.zerodyn import (
     channel_maps,
 )
 from .helpers import build_transform, cancellation_init, cancellation_step, \
-    dense_normal_form, random_channel, random_mod_matrix, simulate_channel
+    dense_normal_form, random_channel, random_mod_matrix, sigma_dag, \
+    simulate_channel
 
 Q101 = Modulus(101)
 Q5 = Modulus(5)
@@ -147,7 +148,7 @@ class TestBuildTransform:
 
 
 MODULI = (Modulus(13), Modulus(2 ** 61 - 1), Modulus(2 ** 109 - 31))
-MAP_FIELDS = ("nu", "T2", "V2", "HFnu", "Sigma", "SigmaDag")
+MAP_FIELDS = ("nu", "T2", "V2", "HFnu", "Sigma")
 TRANSFORM_FIELDS = ("nu", "T1", "T2", "V1", "V2", "Sigma", "SigmaDag")
 
 
@@ -174,6 +175,7 @@ def _assert_matches_dense(H, F, G):
     maps = channel_maps(H, F, G)
     for name in MAP_FIELDS:
         assert getattr(maps, name) == dense[name], name
+    assert sigma_dag(maps) == dense["SigmaDag"]
     ct = build_transform(H, F, G)
     for name in TRANSFORM_FIELDS:
         assert getattr(ct, name) == dense[name], name
