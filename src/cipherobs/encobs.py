@@ -9,31 +9,29 @@ is written once, as `ObserverPublic.cancel_initial` and `cancel_step`.
 After step 0 channel j cancels with one scalar c_j at one row k_j, and its
 cancelled state steps as b_j' = Fbar b_j + Gbar x - c_j Gbar[:, k_j]
 (`ObserverPublic.column_step`), in plain ints that are never reduced.
-Channel j's modified ciphertext is the standard one with its first column
-split as `[first - cancel_j | shared | cancel_j]`; a transcript records
-the standard ciphertext and the cancel columns, and `modified_channels`
-writes every channel's ciphertext from them as Python ints.
-Each input batch and the observer state are stored as one matrix
-`[firsts | shared | lasts]`: every channel's first column, the shared middle
-block once, then every channel's last column.  One step of the observer is
-one application of `Z' = Fbar Z + Gbar V` to that whole matrix.
 
-Batches and states are int64 limbs of `quantobs.LimbKernel` and nothing
-else: the encryptor draws the shared randomness block straight into them
-and writes the channels' first and last columns beside it, and
-`EncryptedBatch.from_standard` builds the same limbs from a standard
-ciphertext and the cancel columns.  Python ints appear only when a channel
-is materialized (`channel(j)` joins and centres the whole body once per
-batch or state) and in the residue's and the recovery's sums, which are
-summed in int64 on digits of the limbs.  This module and `quantobs` are
-the only ones that know the limb layout.
+Channel j's modified ciphertext is the standard one with its first column
+split as `[first - cancel_j | shared | cancel_j]`; only `modified_channels`
+forms that difference.  Each input batch and the observer state are one
+matrix `[first | shared | cancels]`, the standard ciphertext and then every
+channel's cancel column, and one observer step is one application of
+`Z' = Fbar Z + Gbar V` to all of it.  The residue reads the first and
+cancel columns as they are, and one decryption, first - shared sk, serves
+every channel.
+
+Batches and states are int64 limbs of `LimbKernel` and nothing else: the
+encryptor draws the shared randomness block straight into them and
+`EncryptedBatch._write` splits the first and cancel columns beside it.
+Python ints appear only when a channel is materialized (`channel(j)` joins
+and centres the whole body once per batch or state) and in the residue's
+and the recovery's sums, which are summed in int64 on digits of the limbs.
+This module is the only one that knows the limb layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from math import gcd
 from operator import mul, sub
 from typing import List, Optional, Sequence, Tuple
@@ -49,13 +47,15 @@ from .lwe import (
     encrypt_with_artifacts,
 )
 from .modring import DimensionMismatch, ModMatrix, Modulus, \
-    ModulusMismatch, digit_planes, split_limbs
-from .quantobs import LimbKernel, ModularMaps, QuantParams, observer_update
+    ModulusMismatch, digit_planes, join_limbs, split_limbs
+from .quantobs import ModularMaps, QuantParams, shift_sources
 from .zerodyn import ChannelMaps, channel_maps
 
 __all__ = [
     "EncObsError",
     "SessionNotFresh",
+    "LimbKernel",
+    "observer_update",
     "ObserverPublic",
     "EncryptedBatch",
     "modified_channels",
@@ -76,6 +76,78 @@ class EncObsError(Exception):
 
 class SessionNotFresh(EncObsError):
     pass
+
+
+def observer_update(Z: np.ndarray, V: np.ndarray, block_sizes: Sequence[int],
+                    gain: np.ndarray) -> np.ndarray:
+    """Z' = Fbar Z + Gbar V on limb stacks: Z is (L, l, w), V is (L, h, w)
+    and `gain` is Gbar as an l x h int64 array.
+
+    Fbar is the block lower shift, so its action is a row shift inside each
+    block; the result is identical to a dense product, limb by limb.  Limbs
+    are added without carry or reduction (`LimbKernel` bounds them).  Every
+    column runs the same recursion, so one call steps every channel.
+    """
+    if (Z.shape[0] != V.shape[0] or Z.shape[2] != V.shape[2]
+            or gain.shape != (Z.shape[1], V.shape[1])
+            or sum(block_sizes) != Z.shape[1]):
+        raise EncObsError("dimension mismatch in observer update")
+    out = np.matmul(gain, V)
+    o = 0
+    for li in block_sizes:
+        out[:, o + 1:o + li] += Z[:, o:o + li - 1]
+        o += li
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class LimbKernel:
+    """The observer recursion over Z_q on exact int64 limbs.
+
+    An entry x is held as L limbs of width W with x = sum_k limb_k 2^(W k)
+    (mod q).  Fbar is nilpotent, so every state entry is a sum of at most
+    b_max (the largest block size) Gbar V terms plus one initial entry.  With
+    input limbs below 2^W in absolute value, every state limb therefore stays
+    within (b_max ||Gbar||_inf + 1) 2^W for any number of steps.  W is the
+    largest width that keeps this bound under 2^63, so the recursion never
+    carries between limbs or reduces; values are reduced mod q only when
+    joined.  This holds for every q.
+    """
+
+    q: Modulus
+    gain: np.ndarray    # Gbar, l x h int64
+    width: int          # W
+    count: int          # L = ceil(q.bit_length() / W)
+
+    @classmethod
+    def build(cls, block_sizes: Sequence[int], Gbar: ModMatrix) -> "LimbKernel":
+        if sum(block_sizes) != Gbar.nrows:
+            raise EncObsError("block sizes do not cover the observer state")
+        growth = max(block_sizes, default=0) * Gbar.inf_norm() + 1
+        width = 63 - growth.bit_length()
+        if width < 1:
+            raise EncObsError(
+                f"no int64 limb width fits Gbar (infinity norm "
+                f"{Gbar.inf_norm()}, largest block {max(block_sizes)})")
+        q = Gbar.modulus
+        gain = np.array(Gbar.rows, dtype=np.int64).reshape(Gbar.shape)
+        return cls(q=q, gain=gain, width=width,
+                   count=-(-q.q.bit_length() // width))
+
+    def split(self, rows: Sequence[Sequence[int]]) -> np.ndarray:
+        """Limb stack (L, rows, cols) of a matrix of centred entries."""
+        ncols = len(rows[0]) if rows else 0
+        flat = [a for row in rows for a in row]
+        return split_limbs(flat, self.width, self.count).reshape(
+            self.count, len(rows), ncols)
+
+    def join(self, limbs: np.ndarray) -> Tuple[Tuple[int, ...], ...]:
+        """Rows of Python ints congruent mod q to the matrix a limb stack
+        (L, rows, cols) holds; not reduced, so reduce before comparing."""
+        _, nrows, ncols = limbs.shape
+        flat = join_limbs(limbs.reshape(self.count, -1), self.width)
+        return tuple(tuple(flat[i * ncols:(i + 1) * ncols])
+                     for i in range(nrows))
 
 
 def build_fbar(block_sizes: Sequence[int], q: Modulus) -> ModMatrix:
@@ -138,9 +210,7 @@ class ObserverPublic:
     @cached_property
     def _columns(self):
         """Each row's index in (0,) + b for Fbar b, and Gbar's columns."""
-        starts = set(accumulate(self.block_sizes, initial=0))
-        return (tuple(0 if i in starts else i for i in range(self.Gbar.nrows)),
-                tuple(zip(*self.Gbar.rows)))
+        return shift_sources(self.block_sizes), tuple(zip(*self.Gbar.rows))
 
     def column_step(self, b: Tuple[int, ...], shared: Sequence[int], c: int,
                     k: int) -> Tuple[int, ...]:
@@ -194,14 +264,14 @@ class ObserverPublic:
 
 
 class _ChannelBody:
-    """A matrix over all channels laid out as `[firsts | shared | lasts]`.
+    """A matrix over all channels laid out as `[first | shared | cancels]`.
 
-    Column j and column n_ch + N + j are channel j's first and last
-    columns; the N shared middle columns are common to every channel.
-    `body` holds the matrix as the (L, rows, n_ch + N + n_ch) int64 limb
-    stack of `kernel`, and `rows` as centred Python ints, joined from the
-    limbs once on first use.  The layout stays inside this module: other
-    modules read a channel only through `channel(j)`.
+    Columns 0..N are a standard ciphertext, common to every channel, and
+    column N + 1 + j is channel j's cancel column.  `body` holds the matrix
+    as the (L, rows, N + 1 + n_ch) int64 limb stack of `kernel`, and `rows`
+    as centred Python ints, joined from the limbs once on first use.  The
+    layout stays inside this module: other modules read a channel only
+    through `channel(j)`.
     """
 
     def __init__(self, body: np.ndarray, n_channels: int,
@@ -212,7 +282,7 @@ class _ChannelBody:
 
     @property
     def N(self) -> int:
-        return self.body.shape[-1] - 2 * self.n_channels
+        return self.body.shape[-1] - 1 - self.n_channels
 
     @cached_property
     def rows(self) -> Tuple[Tuple[int, ...], ...]:
@@ -221,53 +291,37 @@ class _ChannelBody:
                      for row in self.kernel.join(self.body))
 
     def channel(self, j: int) -> Ciphertext:
-        """Channel j's modified ciphertext: [first | shared | last]."""
+        """Channel j's modified ciphertext, from `modified_channels`."""
         if not 0 <= j < self.n_channels:
             raise EncObsError(f"no channel {j} among {self.n_channels}")
-        n_ch, N = self.n_channels, self.N
-        body = ModMatrix(
-            tuple((row[j],) + row[n_ch:n_ch + N] + (row[n_ch + N + j],)
-                  for row in self.rows),
-            self.kernel.q, ncols=N + 2, _reduced=True)
-        return Ciphertext(body=body, kind=CiphertextKind.MODIFIED, N=N)
+        N = self.N
+        std = Ciphertext(body=ModMatrix(tuple(row[:N + 1] for row in self.rows),
+                                        self.kernel.q, ncols=N + 1,
+                                        _reduced=True),
+                         kind=CiphertextKind.STANDARD, N=N)
+        return modified_channels(std, [tuple(row[N + 1 + j]
+                                             for row in self.rows)])[0]
 
 
 class EncryptedBatch(_ChannelBody):
-    """Per-step modified ciphertexts for all channels.
-
-    The randomness block is shared; channels differ only in the first
-    (message + mask - cancellation) and last (cancellation) columns.  Every
-    limb is below 2^W in absolute value, the kernel's input bound; the
-    first columns are limb differences, not canonical.
-    """
+    """Per-step modified ciphertexts for all channels: the standard
+    ciphertext and every channel's cancel column.  Every limb is below 2^W
+    in absolute value, the kernel's input bound."""
 
     @classmethod
-    def _write(cls, body: np.ndarray, first: Sequence[int],
-               cancels: Sequence[Tuple[int, ...]],
-               kernel: LimbKernel) -> "EncryptedBatch":
-        """Fill the channels' last (cancel) and first (first - cancel)
-        columns of `body`, whose shared block already holds the randomness.
-        The first columns are differences of limbs below 2^W in absolute
-        value, so they stay below it, as the kernel requires."""
+    def _write(cls, first: Sequence[int], cancels: Sequence[Tuple[int, ...]],
+               kernel: LimbKernel,
+               body: Optional[np.ndarray] = None) -> "EncryptedBatch":
+        """Split the first column and the cancel columns into `body`, whose
+        shared block already holds the randomness; without `body`, the
+        batch has no shared block (N = 0)."""
         n_ch = len(cancels)
-        limbs = kernel.split([(f,) + tuple(c[i] for c in cancels)
-                              for i, f in enumerate(first)])
-        body[:, :, :n_ch] = limbs[:, :, :1] - limbs[:, :, 1:]
+        limbs = kernel.split([(f,) + c for f, c in zip(first, zip(*cancels))])
+        if body is None:
+            return cls(limbs, n_ch, kernel)
+        body[:, :, :1] = limbs[:, :, :1]
         body[:, :, body.shape[-1] - n_ch:] = limbs[:, :, 1:]
         return cls(body, n_ch, kernel)
-
-    @classmethod
-    def from_standard(cls, std_ct: Ciphertext,
-                      cancels: Sequence[Tuple[int, ...]],
-                      kernel: LimbKernel) -> "EncryptedBatch":
-        """The limbs of the batch whose channel j is the standard
-        ciphertext with channel j's cancellation column: the batch an
-        encryptor wrote for `std_ct` and those columns."""
-        N, n_ch = std_ct.N, len(cancels)
-        body = np.empty((kernel.count, std_ct.h, N + 2 * n_ch), dtype=np.int64)
-        body[:, :, n_ch:n_ch + N] = kernel.split(
-            [row[1:] for row in std_ct.body.rows])
-        return cls._write(body, std_ct.first_column(), cancels, kernel)
 
 
 def modified_channels(std_ct: Ciphertext,
@@ -342,18 +396,19 @@ class EncryptorSession:
         `cancel(mask)` gives the cancel columns and the next cancelled mask
         state.  Records the step's artifacts on request."""
         public, kernel = self.public, self.public.kernel
-        n_ch, N = public.n_channels, public.N
-        body = np.empty((kernel.count, v.nrows, N + 2 * n_ch), dtype=np.int64)
+        N = public.N
+        body = np.empty((kernel.count, v.nrows, N + 1 + public.n_channels),
+                        dtype=np.int64)
         enc = encrypt_with_artifacts(v.scale(self.params.lift), self.sk,
                                      self.noise, self.rng,
-                                     body[:, :, n_ch:n_ch + N], kernel.width)
+                                     body[:, :, 1:N + 1], kernel.width)
         _, cancels, self.cancel_state = cancel(enc.mask)
         if self.record_artifacts:
             self.artifacts.append(StepArtifacts(
                 mask=enc.mask, error=enc.error, standard_ct=enc.ciphertext(),
                 cancels=tuple(cancels)))
-        return EncryptedBatch._write(body, enc.first.column_entries(),
-                                     cancels, kernel)
+        return EncryptedBatch._write(enc.first.column_entries(), cancels,
+                                     kernel, body)
 
     def enc_initial(self, zbar_ini: ModMatrix) -> EncryptedBatch:
         """Encrypt the lifted initial state once for every channel."""
@@ -399,41 +454,48 @@ def _check_limbs(kernel: LimbKernel, *parts: _ChannelBody):
 def step_encrypted(state: EncObserverState, batch: EncryptedBatch,
                    public: ObserverPublic) -> EncObserverState:
     """One encrypted observer update for every channel: the observer
-    recursion applied to the whole `[firsts | shared | lasts]` limb stack
+    recursion applied to the whole `[first | shared | cancels]` limb stack
     of the state and the batch."""
     if (batch.n_channels, batch.N) != (state.n_channels, state.N):
         raise EncObsError("channel counts or widths differ between state "
                           "and batch")
     kernel = public.kernel
     _check_limbs(kernel, state, batch)
-    body = observer_update(state.body, batch.body, kernel.block_sizes,
+    body = observer_update(state.body, batch.body, public.block_sizes,
                            kernel.gain)
     return EncObserverState(body, state.n_channels, kernel)
 
 
-def _first_column_dots(firsts: np.ndarray, width: int, d: int,
-                       h_width: int, h_planes: np.ndarray) -> List[int]:
-    """sum_i Hbar[j, i] first[i, j] per channel j, exact, from the (L, l,
-    n_ch) first-column limbs and Hbar's digit planes: every d-bit digit
-    plane of the limbs meets every Hbar plane in int64, and only the sums
-    are joined.  Exact when l 2^d 2^e < 2^63 for Hbar digits below 2^e."""
-    L, l, n_ch = firsts.shape
-    digits = digit_planes(firsts, d, 63)    # lazy limbs: any int64 value
-    sums = np.einsum("aij,mji->jam", digits.reshape(-1, l, n_ch), h_planes)
-    shifts = [d * p + width * k + h_width * m for p in range(len(digits))
-              for k in range(L) for m in range(len(h_planes))]
-    return [sum(v << s for v, s in zip(row, shifts))
-            for row in sums.reshape(n_ch, -1).tolist()]
+def _first_column_dots(first: np.ndarray, cancels: np.ndarray, width: int,
+                       d: int, h_width: int, h_planes: np.ndarray) -> List[int]:
+    """Hbar_j first - Hbar_j cancel_j per channel j, exact, from the (L, l)
+    first-column limbs, the (L, l, n_ch) cancel-column limbs and Hbar's
+    digit planes: every d-bit digit plane of the limbs meets every Hbar
+    plane in int64, and only the sums are joined.  Each sum has l terms, so
+    it is exact when l 2^d 2^e < 2^63 for Hbar digits below 2^e; a lazy sum
+    may come near 2^63, so the two terms are subtracted as Python ints."""
+    L, l, n_ch = cancels.shape
+    # lazy limbs: any int64 value
+    f_digits = digit_planes(first, d, 63)
+    f_sums = np.einsum("ai,mji->jam", f_digits.reshape(-1, l), h_planes)
+    c_sums = np.einsum("aij,mji->jam", digit_planes(cancels, d, 63).reshape(
+        -1, l, n_ch), h_planes)
+    shifts = np.array([d * p + width * k + h_width * m
+                       for p in range(len(f_digits)) for k in range(L)
+                       for m in range(len(h_planes))], dtype=object)
+    diff = f_sums.reshape(n_ch, -1).astype(object) - c_sums.reshape(n_ch, -1)
+    return (diff << shifts).sum(axis=1).tolist()
 
 
 def residue_first_column(state: EncObserverState,
                          public: ObserverPublic) -> ModMatrix:
     """First column of the encrypted residue (cheap per-step path): channel
-    j's residue row on its first column, summed on digit planes of limbs."""
+    j's residue row on its first column, first - cancel_j, summed on digit
+    planes of limbs."""
     _check_limbs(public.kernel, state)
     return ModMatrix.column(_first_column_dots(
-        state.body[:, :, :state.n_channels], public.kernel.width,
-        *public._hbar_digits), public.q)
+        state.body[:, :, 0], state.body[:, :, state.N + 1:],
+        public.kernel.width, *public._hbar_digits), public.q)
 
 
 def disclose_residue(r1: ModMatrix, params: QuantParams) -> ModMatrix:
@@ -450,10 +512,11 @@ def recover_encrypted_state(state: EncObserverState, j: int, sk: SecretKey,
                             phi_pinv_bar: ModMatrix) -> ModMatrix:
     """Decrypt channel j and strip the lift factor by exact rounding.
 
-    The decryption is Dec' of channel j (first - shared @ sk + last),
-    computed without joining the shared block: `SecretKey.products` sums
-    it from d-bit digits of the state's limbs and the key's cached digits
-    exactly in int64, and only the l sums are joined as Python ints.
+    Dec' of channel j is (first - cancel_j) - shared @ sk + cancel_j, that
+    is first - shared @ sk for every j, so j is only checked.  The product
+    is computed without joining the shared block: `SecretKey.products`
+    sums it from d-bit digits of the state's limbs and the key's cached
+    digits exactly in int64, and only the l sums are joined as Python ints.
 
     When the detection criterion held at this step (and the parameter
     bounds are valid) the result equals the plaintext observer's scaled
@@ -462,18 +525,16 @@ def recover_encrypted_state(state: EncObserverState, j: int, sk: SecretKey,
     """
     if not 0 <= j < state.n_channels:
         raise EncObsError(f"no channel {j} among {state.n_channels}")
-    N, n_ch = state.N, state.n_channels
+    N = state.N
     if sk.N != N:
         raise DimensionMismatch("ciphertext and key disagree on N")
     if sk.q != state.kernel.q:
         raise ModulusMismatch("ciphertext and key disagree on q")
     q = params.q
-    first_last = state.kernel.join(state.body[:, :, [j, n_ch + N + j]])
+    first = state.kernel.join(state.body[:, :, :1])
     # lazy limbs may take any int64 value
-    masked = sk.products(state.body[:, :, n_ch:n_ch + N], state.kernel.width,
-                         63)
-    dec = ModMatrix.column([f + g - s for (f, g), s in zip(first_last, masked)],
-                           q)
+    masked = sk.products(state.body[:, :, 1:N + 1], state.kernel.width, 63)
+    dec = ModMatrix.column([f - s for (f,), s in zip(first, masked)], q)
     scaled = phi_pinv_bar @ dec
     lift = params.lift
     entries = [q.cmod((2 * v + lift) // (2 * lift))

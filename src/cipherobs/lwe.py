@@ -318,8 +318,8 @@ class SecretKey:
         if buf[:4] != _KEY_MAGIC:
             raise LweError("not a secret key blob")
         (_, n), q, entries = _parse_body(buf, 2)
-        if len(entries) != n:
-            raise LweError("secret key length mismatch")
+        if n < 1 or len(entries) != n:
+            raise LweError("secret key length is not N >= 1")
         return cls(entries, q)
 
     def save(self, path):
@@ -364,7 +364,7 @@ class Ciphertext:
         if buf[:4] != _CT_MAGIC:
             raise LweError("not a ciphertext blob")
         (_, n, kind_flag, h), q, flat = _parse_body(buf, 4)
-        if kind_flag not in (0, 1) or n < 0 or h < 1:
+        if kind_flag not in (0, 1) or n < 1 or h < 1:
             raise LweError("malformed ciphertext header")
         kind = CiphertextKind.MODIFIED if kind_flag else CiphertextKind.STANDARD
         width = n + (2 if kind_flag else 1)

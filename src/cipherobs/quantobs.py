@@ -1,4 +1,5 @@
-"""Quantized observer over Z_q: scaling, state recursion, residue, the
+"""Quantized observer over Z_q: scaling, the state recursion in exact ints
+(its block shift, `shift_sources`, is shared with `encobs`), residue, the
 detection criterion and parameter validation.
 
 The observer state lives in the centered range of a large prime q.  All
@@ -11,12 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd
+from operator import mul
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .modring import ModMatrix, Modulus, join_limbs, split_limbs
+from .modring import ModMatrix, Modulus
 from .obsdesign import ObserverBank, ResidueMaps, round_half_up, calibrate_M
 
 __all__ = [
@@ -26,8 +29,7 @@ __all__ = [
     "ModularMaps",
     "quantize_initial",
     "quantize_input",
-    "LimbKernel",
-    "observer_update",
+    "shift_sources",
     "step_quantized",
     "residue_quantized",
     "threshold_at",
@@ -118,91 +120,27 @@ def quantize_input(u: Sequence[float], y: Sequence[float],
     return ModMatrix.column(entries, params.q)
 
 
-def observer_update(Z: np.ndarray, V: np.ndarray, block_sizes: Sequence[int],
-                    gain: np.ndarray) -> np.ndarray:
-    """Z' = Fbar Z + Gbar V on limb stacks: Z is (L, l, w), V is (L, h, w)
-    and `gain` is Gbar as an l x h int64 array.
-
-    Fbar is the block lower shift, so its action is a row shift inside each
-    block; the result is identical to a dense product, limb by limb.  Limbs
-    are added without carry or reduction (`LimbKernel` bounds them).  Every
-    column runs the same recursion: one column in quantized mode, every
-    channel's columns at once in encrypted mode.
-    """
-    if (Z.shape[0] != V.shape[0] or Z.shape[2] != V.shape[2]
-            or gain.shape != (Z.shape[1], V.shape[1])
-            or sum(block_sizes) != Z.shape[1]):
-        raise QuantError("dimension mismatch in observer update")
-    out = np.matmul(gain, V)
-    o = 0
-    for li in block_sizes:
-        out[:, o + 1:o + li] += Z[:, o:o + li - 1]
-        o += li
-    return out
-
-
-@dataclass(frozen=True, eq=False)
-class LimbKernel:
-    """The observer recursion over Z_q on exact int64 limbs.
-
-    An entry x is held as L limbs of width W with x = sum_k limb_k 2^(W k)
-    (mod q).  Fbar is nilpotent, so every state entry is a sum of at most
-    b_max (the largest block size) Gbar V terms plus one initial entry.  With
-    input limbs below 2^W in absolute value, every state limb therefore stays
-    within (b_max ||Gbar||_inf + 1) 2^W for any number of steps.  W is the
-    largest width that keeps this bound under 2^63, so the recursion never
-    carries between limbs or reduces; values are reduced mod q only when
-    joined.  This holds for every q.
-    """
-
-    q: Modulus
-    block_sizes: Tuple[int, ...]
-    gain: np.ndarray    # Gbar, l x h int64
-    width: int          # W
-    count: int          # L = ceil(q.bit_length() / W)
-
-    @classmethod
-    def build(cls, block_sizes: Sequence[int], Gbar: ModMatrix) -> "LimbKernel":
-        if sum(block_sizes) != Gbar.nrows:
-            raise QuantError("block sizes do not cover the observer state")
-        growth = max(block_sizes, default=0) * Gbar.inf_norm() + 1
-        width = 63 - growth.bit_length()
-        if width < 1:
-            raise QuantError(
-                f"no int64 limb width fits Gbar (infinity norm "
-                f"{Gbar.inf_norm()}, largest block {max(block_sizes)})")
-        q = Gbar.modulus
-        gain = np.array(Gbar.rows, dtype=np.int64).reshape(Gbar.shape)
-        return cls(q=q, block_sizes=tuple(block_sizes), gain=gain, width=width,
-                   count=-(-q.q.bit_length() // width))
-
-    def split(self, rows: Sequence[Sequence[int]]) -> np.ndarray:
-        """Limb stack (L, rows, cols) of a matrix of centred entries."""
-        ncols = len(rows[0]) if rows else 0
-        flat = [a for row in rows for a in row]
-        return split_limbs(flat, self.width, self.count).reshape(
-            self.count, len(rows), ncols)
-
-    def join(self, limbs: np.ndarray) -> Tuple[Tuple[int, ...], ...]:
-        """Rows of Python ints congruent mod q to the matrix a limb stack
-        (L, rows, cols) holds; not reduced, so reduce before comparing."""
-        _, nrows, ncols = limbs.shape
-        flat = join_limbs(limbs.reshape(self.count, -1), self.width)
-        return tuple(tuple(flat[i * ncols:(i + 1) * ncols])
-                     for i in range(nrows))
-
-    def update(self, Z: ModMatrix, V: ModMatrix) -> ModMatrix:
-        """`observer_update` for ModMatrix operands: split, update, join."""
-        out = observer_update(self.split(Z.rows), self.split(V.rows),
-                              self.block_sizes, self.gain)
-        return ModMatrix(self.join(out), self.q, ncols=Z.ncols)
+@lru_cache(maxsize=None)
+def shift_sources(block_sizes: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Fbar z for the block lower shift Fbar as indices into (0,) + z: the
+    row above, or the leading 0 at the first row of a block."""
+    starts = set(accumulate(block_sizes, initial=0))
+    return tuple(0 if i in starts else i for i in range(sum(block_sizes)))
 
 
 def step_quantized(state: QuantState, vbar: ModMatrix,
                    block_sizes: Sequence[int], Gbar: ModMatrix) -> QuantState:
-    """One observer update over Z_q."""
-    return QuantState(zbar=LimbKernel.build(block_sizes, Gbar).update(
-        state.zbar, vbar), step=state.step + 1)
+    """One observer update over Z_q: Fbar z + Gbar v in exact ints, reduced
+    once."""
+    if (sum(block_sizes) != Gbar.nrows or state.zbar.nrows != Gbar.nrows
+            or vbar.nrows != Gbar.ncols):
+        raise QuantError("dimension mismatch in observer update")
+    padded = (0,) + state.zbar.column_entries()
+    v = vbar.column_entries()
+    return QuantState(zbar=ModMatrix.column(
+        [padded[i] + sum(map(mul, row, v))
+         for i, row in zip(shift_sources(tuple(block_sizes)), Gbar.rows)],
+        Gbar.modulus), step=state.step + 1)
 
 
 def residue_quantized(state: QuantState, Hbar: ModMatrix) -> ModMatrix:

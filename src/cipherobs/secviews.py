@@ -192,9 +192,8 @@ def f2_view2_to_view1(v2: View2, public: ObserverPublic,
     """Reconstruct the standard-plus-residue view from modified ciphertexts.
 
     The standard ciphertexts are View 2's own.  Residues come from the
-    deployed encrypted observer: each step's channels are written as one
-    batch from the standard ciphertext and the cancel columns, the observer
-    steps it, and the first columns of the residue are disclosed.
+    deployed encrypted observer on each step's first column and cancel
+    columns, the only columns the residue reads, and its disclosure.
     """
     _check_public(v2.standard_cts, public)
     if len(v2.cancels) != len(v2.standard_cts) or any(
@@ -202,7 +201,8 @@ def f2_view2_to_view1(v2: View2, public: ObserverPublic,
             for ct, step in zip(v2.standard_cts, v2.cancels)):
         raise ViewError("cancel columns do not match the channel count and "
                         "the ciphertext rows")
-    batches = (EncryptedBatch.from_standard(ct, cancels, public.kernel)
+    batches = (EncryptedBatch._write(ct.first_column(), cancels,
+                                     public.kernel)
                for ct, cancels in zip(v2.standard_cts, v2.cancels))
 
     def disclose(state: EncObserverState) -> ModMatrix:

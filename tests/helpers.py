@@ -11,7 +11,7 @@ import numpy as np
 
 from cipherobs.lwe import decrypt
 from cipherobs.modring import DimensionMismatch, ModMatrix, ModRingError, \
-    Modulus, _echelon, inverse_mod, join_limbs, pivot_columns, split_limbs
+    Modulus, _echelon, inverse_mod, pivot_columns, split_limbs
 from cipherobs.obsdesign import run_reference_observer
 from cipherobs.plantsim import AttackScenario, PlantModel, run_closed_loop
 from cipherobs.quantobs import QuantState, quantize_initial, quantize_input, \
@@ -386,17 +386,15 @@ def encrypted_residue(state, public) -> Tuple[ModMatrix, ModMatrix]:
 
 
 def joined_residue_first_column(state, public) -> ModMatrix:
-    """Channel j's residue row applied to its first column after joining
-    every first-column limb into Python ints (oracle for the digit-plane
-    sums of `encobs.residue_first_column`)."""
-    kernel = public.kernel
-    firsts = state.body[:, :, :state.n_channels]
-    l = firsts.shape[1]
-    cols = join_limbs(firsts.transpose(0, 2, 1).reshape(kernel.count, -1),
-                      kernel.width)
+    """Channel j's residue row applied to its first column, Hbar_j first -
+    Hbar_j cancel_j, after joining the first-column and cancel-column limbs
+    into Python ints (oracle for the digit-plane sums of
+    `encobs.residue_first_column`)."""
+    first, *cancels = zip(*public.kernel.join(np.concatenate(
+        [state.body[:, :, :1], state.body[:, :, state.N + 1:]], axis=2)))
     return ModMatrix.column(
-        [sum(map(mul, hrow, cols[j * l:(j + 1) * l]))
-         for j, hrow in enumerate(public.Hbar.rows)], public.q)
+        [sum(map(mul, hrow, first)) - sum(map(mul, hrow, cancel))
+         for hrow, cancel in zip(public.Hbar.rows, cancels)], public.q)
 
 
 def decrypt_channel_state(state, j: int, sk) -> ModMatrix:

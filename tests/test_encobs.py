@@ -11,6 +11,7 @@ from cipherobs import encobs
 from cipherobs.encobs import (
     EncObserverState,
     EncryptorSession,
+    LimbKernel,
     ObserverPublic,
     SessionNotFresh,
     build_fbar,
@@ -24,7 +25,7 @@ from cipherobs.lwe import LweError, NoiseParams, SecretKey, decrypt, encrypt, \
 from cipherobs.lwe import TestRng as SeededRng
 from cipherobs.modring import ModMatrix, Modulus, ModulusMismatch
 from cipherobs.pipeline import run_encrypted_mode, run_quantized_mode
-from cipherobs.quantobs import LimbKernel, quantize_initial
+from cipherobs.quantobs import quantize_initial
 from .helpers import ValueSource, build_transform, cancellation_init, \
     cancellation_step, decrypt_channel_state, dense_normal_form, \
     encrypted_residue, error_trajectory, joined_residue_first_column, \
@@ -62,9 +63,9 @@ class ReplayRng(ValueSource):
 
 
 def zero_body(public, nrows, N=64):
-    """Limbs of an all-zero [firsts | shared | lasts] body of the
+    """Limbs of an all-zero [first | shared | cancels] body of the
     benchmark's 60 channels."""
-    return np.zeros((public.kernel.count, nrows, 60 + N + 60), dtype=np.int64)
+    return np.zeros((public.kernel.count, nrows, 1 + N + 60), dtype=np.int64)
 
 
 def firsts(batch):
@@ -357,13 +358,11 @@ class TestDigitPlaneResidue:
     MODULI = (Modulus(2 ** 61 - 1), Modulus(2 ** 109 - 31))
 
     @staticmethod
-    def _case(q, sizes, Gbar, Hbar, firsts):
-        """(state, public) whose channels' first columns hold the (L, l,
-        n_ch) limbs `firsts`; the shared block is empty."""
+    def _case(q, sizes, Gbar, Hbar, columns):
+        """(state, public) whose first column and cancel columns hold the
+        (L, l, 1 + n_ch) limbs `columns`; the shared block is empty."""
         public = bare_public(q, sizes, Gbar, Hbar)
-        n_ch = Hbar.nrows
-        body = np.concatenate([firsts, np.zeros_like(firsts)], axis=2)
-        return EncObserverState(body, n_ch, public.kernel), public
+        return EncObserverState(columns, Hbar.nrows, public.kernel), public
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())
@@ -387,12 +386,14 @@ class TestDigitPlaneResidue:
         # 2^62 - 1, all ones, maximizes every digit below the top one
         bound = (max(sizes) * Gbar.inf_norm() + 1) << kernel.width
         edges = [2 ** 62 - 1, bound, -bound, bound - 1, 1 - bound, 0]
-        limbs = data.draw(filled(st.one_of(st.integers(-bound, bound),
-                                           st.sampled_from(edges)),
-                                 kernel.count * l * n_ch), label="limbs")
-        firsts = np.array(limbs, dtype=np.int64).reshape(kernel.count, l,
-                                                         n_ch)
-        state, public = self._case(q, sizes, Gbar, Hbar, firsts)
+        limb = st.one_of(st.integers(-bound, bound), st.sampled_from(edges))
+        # the first column, then each cancel column, drawn independently
+        columns = [data.draw(filled(limb, kernel.count * l), label=name)
+                   for name in ["first"] + [f"cancel {j}" for j in
+                                            range(n_ch)]]
+        columns = np.array(columns, dtype=np.int64).reshape(
+            1 + n_ch, kernel.count, l).transpose(1, 2, 0)
+        state, public = self._case(q, sizes, Gbar, Hbar, columns)
         assert (residue_first_column(state, public)
                 == joined_residue_first_column(state, public))
 
@@ -405,22 +406,24 @@ class TestDigitPlaneResidue:
         Gbar = ModMatrix([[1]] * l, q)
         Hbar = ModMatrix([[hmax] * l] * n_ch, q)
         kernel = LimbKernel.build(sizes, Gbar)
-        # the largest lazy limb below the bound: its low W bits all ones
+        # the largest lazy limb below the bound: its low W bits all ones;
+        # the first column holds +top and every cancel column -top
         top = ((max(sizes) * Gbar.inf_norm() + 1) << kernel.width) - 1
-        firsts = np.full((kernel.count, l, n_ch), top, dtype=np.int64)
-        state, public = self._case(q, sizes, Gbar, Hbar, firsts)
+        columns = np.full((kernel.count, l, 1 + n_ch), -top, dtype=np.int64)
+        columns[:, :, 0] = top
+        state, public = self._case(q, sizes, Gbar, Hbar, columns)
         expect = joined_residue_first_column(state, public)
         assert residue_first_column(state, public) == expect
         d, w, planes = public._hbar_digits
         assert len(planes) == (1 if small else -(-q.q.bit_length() // w))
-        wide = encobs._first_column_dots(firsts, kernel.width, d + 1, w,
-                                         planes)
+        wide = encobs._first_column_dots(columns[:, :, 0], columns[:, :, 1:],
+                                         kernel.width, d + 1, w, planes)
         assert ModMatrix.column(wide, q) != expect
 
 
 class TestEncryptedObserver:
     def test_zero_ciphertexts_keep_zero_state(self, bench_setup, public64):
-        # [firsts | shared | lasts]: 60 + 64 + 60 columns
+        # [first | shared | cancels]: 1 + 64 + 60 columns
         kernel = public64.kernel
         zero_batch = encobs.EncryptedBatch(zero_body(public64, 6), 60, kernel)
         state = EncObserverState.from_initial(encobs.EncryptedBatch(
@@ -542,7 +545,7 @@ class TestDisclosureAndRecovery:
         def batch(nrows):
             kernel = public64.kernel
             return encobs.EncryptedBatch(
-                kernel.split(((top,) * (N + 120),) * nrows), 60, kernel)
+                kernel.split(((top,) * (N + 61),) * nrows), 60, kernel)
 
         sk = SecretKey([top] * N, q)
         state = EncObserverState.from_initial(batch(24))

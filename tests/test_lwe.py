@@ -475,6 +475,18 @@ class TestStrictParsing:
             SecretKey.from_bytes(_KEY_MAGIC + _pack_ints([q, 2])
                                  + _pack_ints([1, q - 1]))
 
+    def test_zero_dimension_rejected(self):
+        # keygen refuses N = 0, and a ciphertext with N = 0 has no
+        # randomness block: its message plus noise would sit in the clear
+        q = QBIG.q
+        with pytest.raises(LweError):
+            SecretKey.from_bytes(_KEY_MAGIC + _pack_ints([q, 0])
+                                 + _pack_ints([]))
+        for kind, row in ((0, [3]), (1, [3, 4])):
+            with pytest.raises(LweError):
+                Ciphertext.from_bytes(_CT_MAGIC + _pack_ints([q, 0, kind, 1])
+                                      + _pack_ints(row))
+
     def test_composite_modulus_rejected(self):
         with pytest.raises(LweError):
             SecretKey.from_bytes(_KEY_MAGIC + _pack_ints([91, 1])

@@ -8,21 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cipherobs.encobs import build_fbar
+from cipherobs.encobs import EncObsError, LimbKernel, ObserverPublic, \
+    build_fbar, observer_update
 from cipherobs.modring import ModMatrix, Modulus
 from cipherobs.obsdesign import build_bank, residue_map
 from cipherobs.pipeline import BENCH_LIFT, BENCH_Q, SystemSetup, \
     bundled_scenario_path, run_quantized_mode, run_reference_mode
 from cipherobs.plantsim import AttackScenario, run_closed_loop
 from cipherobs.quantobs import (
-    LimbKernel,
     ModularMaps,
     QuantError,
     QuantParams,
     QuantState,
     detect,
     make_params,
-    observer_update,
     quantize_initial,
     quantize_input,
     residue_quantized,
@@ -159,7 +158,6 @@ class TestObserverUpdate:
         for _ in range(data.draw(st.integers(1, 3), label="steps")):
             V = matrix(h, w)
             dense = Fbar @ Z + Gbar @ V
-            assert kernel.update(Z, V) == dense
             limbs = observer_update(limbs, kernel.split(V.rows), sizes,
                                     kernel.gain)
             Z = dense
@@ -196,21 +194,37 @@ class TestObserverUpdate:
     def test_gain_without_a_limb_width_raises(self):
         q = Modulus(BENCH_Q)
         Gbar = ModMatrix([[2 ** 62]], q)
-        with pytest.raises(QuantError):
+        with pytest.raises(EncObsError):
             LimbKernel.build((1,), Gbar)
-        state = QuantState(zbar=ModMatrix.zeros(1, 1, q), step=0)
-        with pytest.raises(QuantError):
-            step_quantized(state, ModMatrix.zeros(1, 1, q), (1,), Gbar)
+
+    def test_quantized_mode_needs_no_limb_width(self, bench_setup):
+        # quantized mode steps in exact ints, so it accepts a gain no limb
+        # width fits; only the encrypted observer's kernel refuses it
+        q = Modulus(BENCH_Q)
+        Gbar = ModMatrix([[2 ** 62], [1]], q)
+        state = QuantState(zbar=ModMatrix.column([5, 7], q), step=0)
+        nxt = step_quantized(state, ModMatrix.column([3], q), (2,), Gbar)
+        assert nxt.zbar == ModMatrix.column([3 * 2 ** 62, 5 + 3], q)
+        maps = dataclasses.replace(bench_setup.mod_maps, Gbar=Gbar,
+                                   Hbar=ModMatrix([[1, 0]], q),
+                                   block_sizes=(2,))
+        public = ObserverPublic.build(maps, bench_setup.params)
+        with pytest.raises(EncObsError):
+            public.kernel
 
     def test_block_sizes_must_cover_the_state(self):
         q = Modulus(101)
         zeros = np.zeros
-        with pytest.raises(QuantError):
+        with pytest.raises(EncObsError):
             observer_update(zeros((1, 3, 2), np.int64),
                             zeros((1, 1, 2), np.int64), (1, 1),
                             zeros((3, 1), np.int64))
-        with pytest.raises(QuantError):
+        with pytest.raises(EncObsError):
             LimbKernel.build((1, 1), ModMatrix.zeros(3, 1, q))
+        state = QuantState(zbar=ModMatrix.zeros(3, 1, q), step=0)
+        with pytest.raises(QuantError):
+            step_quantized(state, ModMatrix.zeros(1, 1, q), (1, 1),
+                           ModMatrix.zeros(3, 1, q))
 
 
 class TestResidueAndDetect:
