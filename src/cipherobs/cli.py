@@ -60,10 +60,16 @@ def _setup_from_args(args) -> SystemSetup:
              "Delta": args.delta, "eps": args.eps,
              "N": getattr(args, "N", None)}
     kw.update((name, val) for name, val in flags.items() if val is not None)
-    if type(kw["N"]) is not int or kw["N"] < 1:
-        raise DesignError(f"LWE dimension N must be an integer >= 1, "
-                          f"got {kw['N']!r}")
+    _lwe_dim(kw["N"])
     return SystemSetup.from_scenario(scenario, **kw)
+
+
+def _lwe_dim(N) -> int:
+    """N itself when it is an integer >= 1; DesignError otherwise."""
+    if type(N) is not int or N < 1:
+        raise DesignError(f"LWE dimension N must be an integer >= 1, "
+                          f"got {N!r}")
+    return N
 
 
 def _at_dim(setup: SystemSetup, N: int) -> SystemSetup:
@@ -270,8 +276,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    dims = [_lwe_dim(int(d) if d.strip().isdecimal() else d)
+            for d in args.dims.split(",")]
     setup = _setup_from_args(args)
-    dims = [int(d) for d in args.dims.split(",")]
     print(f"channels: {setup.bank.n_r}, steps per measurement: {args.steps}")
     for N in dims:
         run = run_encrypted_mode(_at_dim(setup, N), args.steps,

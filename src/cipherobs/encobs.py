@@ -3,29 +3,26 @@ ciphertext recursion, residue disclosure, and encrypted state recovery.
 
 One residue channel is run per row of the residue map.  All channels share
 each step's randomness block and masking term; they differ only in the
-cancellation column derived from their own zero-dynamics, which forces the
-mask contribution of every residue's first column to zero.  That recursion
-is written once, as `ObserverPublic.cancel_initial` and `cancel_step`.
-After step 0 channel j cancels with one scalar c_j at one row k_j, and its
-cancelled state steps as b_j' = Fbar b_j + Gbar x - c_j Gbar[:, k_j]
-(`ObserverPublic.column_step`), in plain ints that are never reduced.
+cancel column derived from their own zero-dynamics, which keeps the mask
+out of every residue's first column.  Channel j's modified ciphertext is
+the standard one with its first column split as
+`[first - cancel_j | shared | cancel_j]`; only `modified_channels` forms
+that difference.
 
-Channel j's modified ciphertext is the standard one with its first column
-split as `[first - cancel_j | shared | cancel_j]`; only `modified_channels`
-forms that difference.  Each input batch and the observer state are one
-matrix `[first | shared | cancels]`, the standard ciphertext and then every
-channel's cancel column, and one observer step is one application of
-`Z' = Fbar Z + Gbar V` to all of it.  The residue reads the first and
-cancel columns as they are, and one decryption, first - shared sk, serves
-every channel.
+The observer is one recursion, `Z' = Fbar Z + Gbar V` (`observer_update`),
+on the int64 limbs of `LimbKernel`.  Each input batch and the observer
+state are one matrix `[first | shared | cancels]`: the standard ciphertext,
+then every channel's cancel column.  The cancellation
+(`ObserverPublic.cancel_initial` and `cancel_step`) steps `[m | cancels]`,
+the same layout with no shared block, through the same recursion, and
+after step 0 cancels channel j with one scalar at one row.  It and the
+residue take their per-channel dot products from `_first_column_dots`.  One
+decryption, first - shared sk, serves every channel.
 
-Batches and states are int64 limbs of `LimbKernel` and nothing else: the
-encryptor draws the shared randomness block straight into them and
-`EncryptedBatch._write` splits the first and cancel columns beside it.
-Python ints appear only when a channel is materialized (`channel(j)` joins
-and centres the whole body once per batch or state) and in the residue's
-and the recovery's sums, which are summed in int64 on digits of the limbs.
-This module is the only one that knows the limb layout.
+Python ints appear only when a channel is materialized (`channel(j)`), for
+the cancellation's scalars, and in the residue's and recovery's sums, which
+are summed in int64 on digits of the limbs.  This module is the only one
+that knows the limb layout.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
-from operator import mul, sub
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,7 +44,7 @@ from .lwe import (
 )
 from .modring import DimensionMismatch, ModMatrix, Modulus, \
     ModulusMismatch, digit_planes, join_limbs, split_limbs
-from .quantobs import ModularMaps, QuantParams, shift_sources
+from .quantobs import ModularMaps, QuantParams
 from .zerodyn import ChannelMaps, channel_maps
 
 __all__ = [
@@ -196,71 +192,76 @@ class ObserverPublic:
 
     @cached_property
     def _hbar_digits(self) -> Tuple[int, int, np.ndarray]:
-        """(d, w, planes): Hbar as (P_H, n_ch, l) digit planes of width w,
-        each below 2^e in absolute value (one plane for small entries), and
-        the largest limb digit width d with l 2^d 2^e < 2^63."""
-        l = self.Hbar.ncols
-        budget = 63 - l.bit_length()
-        bits = self.Hbar.max_abs().bit_length()
-        e = min(bits, budget // 2)
-        w, count = (bits + 1, 1) if e == bits else (e, -(-(bits + 1) // e))
-        planes = split_limbs(self.Hbar.flat(), w, count)
-        return budget - e, w, planes.reshape(count, self.Hbar.nrows, l)
+        return _row_digits(self.Hbar)
 
     @cached_property
-    def _columns(self):
-        """Each row's index in (0,) + b for Fbar b, and Gbar's columns."""
-        return shift_sources(self.block_sizes), tuple(zip(*self.Gbar.rows))
+    def _chain_ends(self):
+        """`_row_digits` of the rows R_j = H_j F^(nu_j - 1), the last rows
+        of the T2_j, and every channel's k_j and s_j."""
+        R = ModMatrix(tuple(m.T2.rows[-1] for m in self.channels), self.q,
+                      ncols=self.Fbar.ncols, _reduced=True)
+        return (_row_digits(R), np.array([m.k for m in self.channels]),
+                tuple(m.s for m in self.channels))
 
-    def column_step(self, b: Tuple[int, ...], shared: Sequence[int], c: int,
-                    k: int) -> Tuple[int, ...]:
-        """b' = Fbar b + shared - c Gbar[:, k] in plain ints, not reduced.
-
-        A cancelled state steps so with shared = Gbar x.  Fbar is nilpotent,
-        so an entry sums at most b_max terms: input terms, each at most
-        (||Gbar||_inf + max|Gbar|) (q-1)/2 for centred x and c, or the
-        initial x - cancel, at most q - 1 (no more for nonzero Gbar).  So
-        every entry stays within b_max (||Gbar||_inf + max|Gbar|) (q-1)/2.
-        """
-        shift, gain = self._columns
-        padded = (0,) + b
-        return tuple([padded[i] + a - c * g
-                      for i, a, g in zip(shift, shared, gain[k])])
-
-    def cancel_initial(self, x: ModMatrix):
+    def cancel_initial(self, x: ModMatrix, known=None):
         """Every channel's initial cancellation of the column x.
 
-        Channel j's term is tilde_j = T2_j x, the chain coordinates of x,
-        and its cancel column is V2_j tilde_j, so x minus that column has
-        zero chain coordinates.  Returns (tildes, cancels, B) with B the
-        cancelled states x - cancel_j, one int tuple per channel.
+        Channel j's cancel column is V2_j (T2_j x - known_j), so x minus it
+        has chain coordinates known_j (default 0).  Returns (block, state):
+        the (L, l, n_ch) limbs of the cancel columns, and the state
+        [x | cancels] that `cancel_step` steps.
         """
-        tildes = [m.T2 @ x for m in self.channels]
-        cancels = [(m.V2 @ tilde).column_entries()
-                   for m, tilde in zip(self.channels, tildes)]
-        xs = x.column_entries()
-        return tildes, cancels, tuple(tuple(map(sub, xs, c)) for c in cancels)
+        q, kernel = self.q, self.kernel
+        cancels = []
+        for j, m in enumerate(self.channels):
+            tilde = m.T2 @ x
+            if known is not None:
+                tilde = tilde - ModMatrix.column(known[j], q)
+            cancels.append((m.V2 @ tilde).column_entries())
+        block = kernel.split(tuple(zip(*cancels)))
+        return block, EncObserverState(
+            np.concatenate([kernel.split(x.rows), block], axis=2),
+            self.n_channels, kernel)
 
-    def cancel_step(self, B: Tuple[Tuple[int, ...], ...], x: ModMatrix):
+    def cancel_step(self, state: "EncObserverState", x: ModMatrix,
+                    known=None):
         """One step of every channel's cancellation of the input column x.
 
-        B[j] is channel j's cancelled state; its chain coordinates are
-        zero, so channel j's term is tilde_j = H_j F^nu_j B[j] + Sigma_j x
-        and its cancel column c_j e_k_j with c_j = s_j tilde_j.  Returns
-        (tildes, cancels, B') with B'[j] the `column_step` of B[j].
+        `state` is [m | cancels], so channel j's cancelled state m - cancel_j
+        has zero chain coordinates.  It steps with [x | 0]; then the chain's
+        bottom is tilde_j = R_j (m' - cancel_j') - known_j, and channel j
+        cancels c_j = s_j tilde_j at row k_j.  Returns (block, state'): the
+        (L, h, n_ch) limbs of the columns c_j e_k_j, and the state with
+        `Gbar @ block` added to its cancel columns.
         """
-        q = self.q
-        xs = x.column_entries()
-        shared = tuple(sum(map(mul, row, xs)) for row in self.Gbar.rows)
-        tildes, cancels, nxt = [], [], []
-        for m, b in zip(self.channels, B):
-            t = q.cmod(sum(map(mul, m.HFnu.rows[0], b))
-                       + sum(map(mul, m.Sigma.rows[0], xs)))
-            c = q.cmod(m.s * t)
-            tildes.append(t)
-            cancels.append(m.cancel_column(c))
-            nxt.append(self.column_step(b, shared, c, m.k))
-        return tildes, cancels, tuple(nxt)
+        kernel, n_ch = self.kernel, self.n_channels
+        (d, w, planes), ks, ss = self._chain_ends
+        drive = np.zeros((kernel.count, x.nrows, 1 + n_ch), dtype=np.int64)
+        drive[:, :, :1] = kernel.split(x.rows)
+        body = observer_update(state.body, drive, self.block_sizes,
+                               kernel.gain)
+        dots = _first_column_dots(body[:, :, 0], body[:, :, 1:],
+                                  kernel.width, d, w, planes)
+        block = np.zeros((kernel.count, x.nrows, n_ch), dtype=np.int64)
+        block[:, ks, np.arange(n_ch)] = split_limbs(
+            [self.q.cmod(s * (a - b))
+             for s, a, b in zip(ss, dots, known or (0,) * n_ch)],
+            kernel.width, kernel.count)
+        body[:, :, 1:] += np.matmul(kernel.gain, block)
+        return block, EncObserverState(body, n_ch, kernel)
+
+
+def _row_digits(rows: ModMatrix) -> Tuple[int, int, np.ndarray]:
+    """(d, w, planes): `rows` as (P, n, l) digit planes of width w, each
+    below 2^e in absolute value (one plane for small entries), and the
+    largest limb digit width d with l 2^d 2^e < 2^63."""
+    l = rows.ncols
+    budget = 63 - l.bit_length()
+    bits = rows.max_abs().bit_length()
+    e = min(bits, budget // 2)
+    w, count = (bits + 1, 1) if e == bits else (e, -(-(bits + 1) // e))
+    planes = split_limbs(rows.flat(), w, count)
+    return budget - e, w, planes.reshape(count, rows.nrows, l)
 
 
 class _ChannelBody:
@@ -310,18 +311,11 @@ class EncryptedBatch(_ChannelBody):
 
     @classmethod
     def _write(cls, first: Sequence[int], cancels: Sequence[Tuple[int, ...]],
-               kernel: LimbKernel,
-               body: Optional[np.ndarray] = None) -> "EncryptedBatch":
-        """Split the first column and the cancel columns into `body`, whose
-        shared block already holds the randomness; without `body`, the
-        batch has no shared block (N = 0)."""
-        n_ch = len(cancels)
+               kernel: LimbKernel) -> "EncryptedBatch":
+        """The batch with no shared block (N = 0) of the first column and
+        the cancel columns."""
         limbs = kernel.split([(f,) + c for f, c in zip(first, zip(*cancels))])
-        if body is None:
-            return cls(limbs, n_ch, kernel)
-        body[:, :, :1] = limbs[:, :, :1]
-        body[:, :, body.shape[-1] - n_ch:] = limbs[:, :, 1:]
-        return cls(body, n_ch, kernel)
+        return cls(limbs, len(cancels), kernel)
 
 
 def modified_channels(std_ct: Ciphertext,
@@ -355,11 +349,11 @@ class StepArtifacts:
 class EncryptorSession:
     """Stateful trusted encryptor for one observer run.
 
-    Holds every channel's cancelled mask state B, one immutable int tuple
-    per channel: B[j] is the mask part of channel j's observer state once
-    its cancellation is applied, as `ObserverPublic.cancel_initial` and
-    `cancel_step` compute it with the mask as their input.  Losing a step
-    invalidates the session, so B can be checkpointed and restored.
+    `cancel_state` is the `[m | cancels]` state of `ObserverPublic`'s
+    cancellation driven by the masks, so m - cancel_j is the mask part of
+    channel j's observer state; each step's cancel block goes into the
+    batch as it is.  The state is never written in place, so a checkpoint
+    keeps it; losing a step invalidates the session.
     """
 
     def __init__(self, sk: SecretKey, params: QuantParams,
@@ -374,7 +368,7 @@ class EncryptorSession:
         self.rng = rng if rng is not None else SecureRng()
         self.record_artifacts = record_artifacts
         self.step = -1  # -1 = fresh, >= 0 after enc_initial
-        self.cancel_state: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self.cancel_state: Optional[EncObserverState] = None
         self.artifacts: List[StepArtifacts] = []
 
     # -- checkpointing -----------------------------------------------------
@@ -393,8 +387,8 @@ class EncryptorSession:
     def _encrypt(self, v: ModMatrix, cancel) -> EncryptedBatch:
         """Encrypt the lifted column v for every channel: the randomness is
         drawn straight into the shared block of a new batch body, and
-        `cancel(mask)` gives the cancel columns and the next cancelled mask
-        state.  Records the step's artifacts on request."""
+        `cancel(mask)` gives the cancel block and the next cancel state.
+        Records the step's artifacts on request."""
         public, kernel = self.public, self.public.kernel
         N = public.N
         body = np.empty((kernel.count, v.nrows, N + 1 + public.n_channels),
@@ -402,13 +396,14 @@ class EncryptorSession:
         enc = encrypt_with_artifacts(v.scale(self.params.lift), self.sk,
                                      self.noise, self.rng,
                                      body[:, :, 1:N + 1], kernel.width)
-        _, cancels, self.cancel_state = cancel(enc.mask)
+        block, self.cancel_state = cancel(enc.mask)
+        body[:, :, :1] = kernel.split(enc.first.rows)
+        body[:, :, N + 1:] = block
         if self.record_artifacts:
             self.artifacts.append(StepArtifacts(
                 mask=enc.mask, error=enc.error, standard_ct=enc.ciphertext(),
-                cancels=tuple(cancels)))
-        return EncryptedBatch._write(enc.first.column_entries(), cancels,
-                                     kernel, body)
+                cancels=tuple(zip(*kernel.join(block)))))
+        return EncryptedBatch(body, public.n_channels, kernel)
 
     def enc_initial(self, zbar_ini: ModMatrix) -> EncryptedBatch:
         """Encrypt the lifted initial state once for every channel."""
@@ -420,7 +415,7 @@ class EncryptorSession:
 
     def enc_input(self, vbar: ModMatrix) -> EncryptedBatch:
         """Encrypt the lifted input for every channel and advance the
-        cancelled mask states."""
+        cancel state."""
         if self.step < 0:
             raise EncObsError("call enc_initial before enc_input")
         batch = self._encrypt(vbar, lambda mask: self.public.cancel_step(

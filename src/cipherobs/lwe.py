@@ -295,11 +295,12 @@ class SecretKey:
         sums = [np.einsum("an,pn->ap",
                           digit_planes(limb, d, bits).reshape(-1, N), key)
                 for limb in limbs]
-        shifts = [width * k + d * (m + p) for k in range(L)
-                  for m in range(P) for p in range(len(key))]
+        shifts = np.array([width * k + d * (m + p) for k in range(L)
+                           for m in range(P) for p in range(len(key))],
+                          dtype=object)
         terms = np.stack(sums).reshape(L * P, rows, len(key))
-        return [sum(v << s for v, s in zip(row, shifts)) for row in
-                terms.transpose(1, 0, 2).reshape(rows, len(shifts)).tolist()]
+        return (terms.transpose(1, 0, 2).reshape(rows, len(shifts)).astype(
+            object) << shifts).sum(axis=1).tolist()
 
     def zeroize(self):
         if self._entries is not None:

@@ -1,6 +1,5 @@
-"""Quantized observer over Z_q: scaling, the state recursion in exact ints
-(its block shift, `shift_sources`, is shared with `encobs`), residue, the
-detection criterion and parameter validation.
+"""Quantized observer over Z_q: scaling, the state recursion in exact ints,
+residue, the detection criterion and parameter validation.
 
 The observer state lives in the centered range of a large prime q.  All
 parameter inequalities are evaluated with exact rational arithmetic so that
@@ -29,7 +28,6 @@ __all__ = [
     "ModularMaps",
     "quantize_initial",
     "quantize_input",
-    "shift_sources",
     "step_quantized",
     "residue_quantized",
     "threshold_at",
@@ -121,7 +119,7 @@ def quantize_input(u: Sequence[float], y: Sequence[float],
 
 
 @lru_cache(maxsize=None)
-def shift_sources(block_sizes: Tuple[int, ...]) -> Tuple[int, ...]:
+def _shift_sources(block_sizes: Tuple[int, ...]) -> Tuple[int, ...]:
     """Fbar z for the block lower shift Fbar as indices into (0,) + z: the
     row above, or the leading 0 at the first row of a block."""
     starts = set(accumulate(block_sizes, initial=0))
@@ -139,7 +137,7 @@ def step_quantized(state: QuantState, vbar: ModMatrix,
     v = vbar.column_entries()
     return QuantState(zbar=ModMatrix.column(
         [padded[i] + sum(map(mul, row, v))
-         for i, row in zip(shift_sources(tuple(block_sizes)), Gbar.rows)],
+         for i, row in zip(_shift_sources(tuple(block_sizes)), Gbar.rows)],
         Gbar.modulus), step=state.step + 1)
 
 

@@ -10,15 +10,14 @@ step.  Both transformations below use only the public maps, ciphertexts
 and disclosed residues (never the secret key), and reproduce the other
 view bit for bit, which is the operational content of the equivalence
 claim: neither party learns more than the other.  Neither re-implements
-the deployment: f1 runs the encryptor's cancellation recursion, and f2
-runs the deployed encrypted observer and disclosure on the channels.
+the deployment: f1 runs the encryptor's cancellation with the message as a
+known offset, and f2 runs the deployed encrypted observer and disclosure.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from operator import mul
 from typing import Sequence, Tuple
 
 from .encobs import EncObserverState, EncryptedBatch, ObserverPublic, \
@@ -221,26 +220,19 @@ def f1_view1_to_view2(v1: View1, public: ObserverPublic,
                       params: QuantParams) -> View2:
     """Reconstruct the modified ciphertexts from the standard view.
 
-    The encryptor's cancellation is linear in its mask, and the mask is the
-    observed first column f_t minus the lifted message.  So each channel's
-    cancellation splits into a combined part C, the encryptor's recursion
-    (`ObserverPublic.cancel_initial` and `cancel_step`) driven by f_t, minus
-    a message part D, the same recursion driven by the message.  The
-    message part needs only the disclosed residues: lifted, they are H_j of
-    the message state, and the first nu_j of them are its chain
-    coordinates.  D, per channel the message state minus its cancelled
-    state, steps by `ObserverPublic.column_step` with no shared term:
-
-        d_0 = V2 lifted[0:nu],      msg = lifted[t + nu] - H F^nu d,
-        cancel = s (comb - msg) e_k,   d' = F d + (s msg) G[:, k],
-
-    with comb the combined term `cancel_step` returns.
+    The encryptor's cancellation is linear in its mask, the observed first
+    column f_t minus the lifted message.  So f1 runs the encryptor's own
+    recursion (`ObserverPublic.cancel_initial` and `cancel_step`) on the
+    f_t, with the message's chain coordinates as the known offset: the
+    lifted residues, H_j Z_t of the lifted message state Z_t.  As
+    H_j F^i G = 0 for i < nu_j - 1, T2_j Z_0 is the lifted residues of steps
+    0..nu_j - 1, and after input step t the chain's bottom is
+    H_j F^(nu_j - 1) Z_{t+1} = H_j Z_{t+nu_j}, the lifted residue of step
+    t + nu_j.
     """
     steps = len(v1.input_cts)
     q = public.q
-    lift = params.lift
     channels = public.channels
-    n_ch = len(channels)
     nu_max = max(m.nu for m in channels)
     if len(v1.residues) < steps + nu_max:
         needed = steps - 1 + nu_max
@@ -248,33 +240,22 @@ def f1_view1_to_view2(v1: View1, public: ObserverPublic,
             f"need residues through step {needed} to reconstruct all "
             f"{steps} input steps (have {len(v1.residues)})")
     _check_public((v1.init_ct,) + v1.input_cts, public)
-    if any(r.modulus != q or r.shape != (n_ch, 1) for r in v1.residues):
+    if any(r.modulus != q or r.shape != (len(channels), 1)
+           for r in v1.residues):
         raise ViewError("residues do not match the public maps")
 
     # lifted[t][j] = lift * residue of channel j at step t
-    lifted = [[q.cmod(lift * a) for a in r.column_entries()]
+    lifted = [[q.cmod(params.lift * a) for a in r.column_entries()]
               for r in v1.residues]
-    f0 = ModMatrix.column(v1.init_ct.first_column(), q)
-    _, combs, C = public.cancel_initial(f0)
-    init_cancels, D = [], []
-    for j, (m, comb) in enumerate(zip(channels, combs)):
-        msg = (m.V2 @ ModMatrix.column([lifted[t][j] for t in range(m.nu)],
-                                        q)).column_entries()
-        init_cancels.append(tuple(q.cmod(c - a) for c, a in zip(comb, msg)))
-        D.append(msg)
-
-    zeros = (0,) * public.Gbar.nrows    # D has no shared term
-    step_cancels = []
+    block, state = public.cancel_initial(
+        ModMatrix.column(v1.init_ct.first_column(), q),
+        [[lifted[t][j] for t in range(m.nu)] for j, m in enumerate(channels)])
+    blocks = [block]
     for t, ct in enumerate(v1.input_cts):
-        combs, _, C = public.cancel_step(
-            C, ModMatrix.column(ct.first_column(), q))
-        cancels, nxt = [], []
-        for j, (m, comb, d) in enumerate(zip(channels, combs, D)):
-            msg = lifted[t + m.nu][j] - sum(map(mul, m.HFnu.rows[0], d))
-            cancels.append(m.cancel_column(q.cmod(m.s * (comb - msg))))
-            nxt.append(public.column_step(d, zeros, -q.cmod(m.s * msg), m.k))
-        step_cancels.append(tuple(cancels))
-        D = nxt
-
+        block, state = public.cancel_step(
+            state, ModMatrix.column(ct.first_column(), q),
+            [lifted[t + m.nu][j] for j, m in enumerate(channels)])
+        blocks.append(block)
     return View2(standard_cts=(v1.init_ct,) + v1.input_cts,
-                 cancels=(tuple(init_cancels),) + tuple(step_cancels))
+                 cancels=tuple(tuple(zip(*public.kernel.join(b)))
+                               for b in blocks))

@@ -6,12 +6,14 @@ internal part, and the input first reaches the output through
 Sigma = H F^(nu-1) G.  Removing the chain part of a column and then, at
 each step, the input that drives the chain's bottom keeps the output at
 zero; the encrypted observer applies exactly that to its mask
-(`encobs.ObserverPublic.cancel_initial` and `cancel_step`), so the mask adds
-nothing to the residue's first column.
+(`encobs.ObserverPublic.cancel_initial` and `cancel_step`, on the
+observer's own recursion), so the mask adds nothing to the residue's first
+column.
 
 `channel_maps` builds what that cancellation reads in closed form: the chain
-rows, H F^nu, Sigma, V2, and Sigma's right inverse s e_k, s = Sigma[k]^-1
-for Sigma's first nonzero entry Sigma[k].
+rows T2, whose last row H F^(nu-1) reads the chain's bottom, Sigma, V2, and
+Sigma's right inverse s e_k, s = Sigma[k]^-1 for Sigma's first nonzero
+entry Sigma[k].
 """
 
 from __future__ import annotations
@@ -74,15 +76,10 @@ class ChannelMaps:
 
     nu: int
     T2: ModMatrix        # nu x l
-    HFnu: ModMatrix      # 1 x l: H F^nu
     Sigma: ModMatrix     # 1 x h: H F^(nu-1) G
     k: int               # Sigma[k] is Sigma's first nonzero entry
     s: int               # Sigma[k]^-1, so Sigma @ (s e_k) == [[1]]
     V2: ModMatrix        # l x nu
-
-    def cancel_column(self, c: int) -> Tuple[int, ...]:
-        """c e_k: the h-column of the cancel c."""
-        return (0,) * self.k + (c,) + (0,) * (self.Sigma.ncols - self.k - 1)
 
 
 def channel_maps(Hj: ModMatrix, Fbar: ModMatrix, Gbar: ModMatrix) -> ChannelMaps:
@@ -107,5 +104,5 @@ def channel_maps(Hj: ModMatrix, Fbar: ModMatrix, Gbar: ModMatrix) -> ChannelMaps
     V2 = ModMatrix(tuple(Pinv.rows[at[i]] if i in at else (0,) * nu
                          for i in range(l)), q, ncols=nu, _reduced=True)
     k = next(i for i, a in enumerate(Sigma.rows[0]) if a)
-    return ChannelMaps(nu=nu, T2=T2, HFnu=rows[-1] @ Fbar, Sigma=Sigma, k=k,
+    return ChannelMaps(nu=nu, T2=T2, Sigma=Sigma, k=k,
                        s=q.inv(Sigma.rows[0][k]), V2=V2)

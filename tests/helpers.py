@@ -137,7 +137,7 @@ def right_inverse_row(sigma: ModMatrix) -> ModMatrix:
 
 
 def dense_normal_form(Hj: ModMatrix, Fbar: ModMatrix, Gbar: ModMatrix):
-    """nu, T1, T2, V1, V2, H F^nu, Sigma and SigmaDag of a channel from the
+    """nu, T1, T2, V1, V2, Sigma and SigmaDag of a channel from the
     dense inverse of [T1; T2] (test oracle for the closed-form maps)."""
     rows = [Hj]
     while (rows[-1] @ Gbar).is_zero():
@@ -155,14 +155,16 @@ def dense_normal_form(Hj: ModMatrix, Fbar: ModMatrix, Gbar: ModMatrix):
                    ncols=l - nu)
     V2 = ModMatrix(tuple(r[l - nu:] for r in V.rows), V.modulus, ncols=nu)
     Sigma = rows[-1] @ Gbar
-    return dict(nu=nu, T1=T1, T2=T2, V1=V1, V2=V2, HFnu=rows[-1] @ Fbar,
-                Sigma=Sigma, SigmaDag=right_inverse_row(Sigma))
+    return dict(nu=nu, T1=T1, T2=T2, V1=V1, V2=V2, Sigma=Sigma,
+                SigmaDag=right_inverse_row(Sigma))
 
 
 def sigma_dag(maps) -> ModMatrix:
     """The right inverse s e_k of Sigma that a `zerodyn.ChannelMaps` holds
     as (k, s), as an h x 1 matrix."""
-    return ModMatrix.column(maps.cancel_column(maps.s), maps.Sigma.modulus)
+    k, h = maps.k, maps.Sigma.ncols
+    return ModMatrix.column((0,) * k + (maps.s,) + (0,) * (h - k - 1),
+                            maps.Sigma.modulus)
 
 
 def last_column(ct) -> Tuple[int, ...]:
@@ -323,11 +325,12 @@ def build_transform(Hj: ModMatrix, Fbar: ModMatrix, Gbar: ModMatrix,
     T1F = T1 @ Fbar
     S1 = T1F @ V1
     S3 = T1 @ Gbar
-    Psi = m.HFnu @ V1
+    HFnu = m.T2.row(nu - 1) @ Fbar
+    Psi = HFnu @ V1
     dag = right_inverse_row(m.Sigma)
     return ChannelTransform(
         j=j, nu=nu, T1=T1, T2=m.T2, V1=V1, V2=m.V2, S1=S1, S2=T1F @ m.V2,
-        S3=S3, Psi=Psi, Gamma=m.HFnu @ m.V2, Sigma=m.Sigma,
+        S3=S3, Psi=Psi, Gamma=HFnu @ m.V2, Sigma=m.Sigma,
         SigmaDag=dag, S=S1 - S3 @ dag @ Psi,
         input_projector=ModMatrix.identity(Gbar.ncols, q) - dag @ m.Sigma,
     )

@@ -210,6 +210,12 @@ class TestBench:
         assert now[0] == 1000.0
         assert run.setup_s == 0.0 and run.steps_s == 0.0
 
+    @pytest.mark.parametrize("dims", ["0", "64,x"])
+    def test_bad_bench_dims_are_a_config_error(self, dims, capsys):
+        assert main(["bench", "--dims", dims, "--steps", "1"]) == 2
+        assert ("configuration error: LWE dimension N must be an integer "
+                ">= 1" in capsys.readouterr().err)
+
     def test_small_bench_runs(self, capsys):
         assert main(["bench", "--dims", "16", "--steps", "1",
                      "--seed", "0"]) == 0

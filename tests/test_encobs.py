@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import hashlib
+import random
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from cipherobs.lwe import TestRng as SeededRng
 from cipherobs.modring import ModMatrix, Modulus, ModulusMismatch
 from cipherobs.pipeline import run_encrypted_mode, run_quantized_mode
 from cipherobs.quantobs import quantize_initial
+from cipherobs.zerodyn import RelativeDegreeUndefined, channel_maps
 from .helpers import ValueSource, build_transform, cancellation_init, \
     cancellation_step, decrypt_channel_state, dense_normal_form, \
     encrypted_residue, error_trajectory, joined_residue_first_column, \
@@ -88,7 +90,7 @@ class TestObserverPublic:
         for j, maps in enumerate(public64.channels):
             dense = dense_normal_form(public64.Hbar.row(j), public64.Fbar,
                                       public64.Gbar)
-            for name in ("nu", "T2", "V2", "HFnu", "Sigma"):
+            for name in ("nu", "T2", "V2", "Sigma"):
                 assert getattr(maps, name) == dense[name], (j, name)
             assert sigma_dag(maps) == dense["SigmaDag"], j
 
@@ -277,50 +279,71 @@ class TestModifiedCompatibility:
                 assert last_column(batches[t].channel(j)) == expect
 
 
-def lazy_state_bound(public) -> int:
-    """The bound `ObserverPublic.column_step` states for the cancelled
-    state: b_max (||Gbar||_inf + max|Gbar|) (q - 1) / 2."""
-    return (max(public.block_sizes)
-            * (public.Gbar.inf_norm() + public.Gbar.max_abs())
-            * ((public.q.q - 1) // 2))
-
-
 def bare_public(q, sizes, Gbar, Hbar):
-    """An ObserverPublic with no channel maps: enough for `column_step`
-    and `residue_first_column`."""
+    """An ObserverPublic with no channel maps: enough for
+    `residue_first_column`."""
     return ObserverPublic(q=q, N=0, block_sizes=tuple(sizes),
                           Fbar=build_fbar(sizes, q), Gbar=Gbar, Hbar=Hbar,
                           channels=())
 
 
 class TestLazyCancelState:
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_worst_case_column_step_stays_under_the_bound(self, sign):
-        q = Modulus(2 ** 109 - 31)
-        sizes = (6, 4, 1)
-        l, k = sum(sizes), 0
-        # positive gains with the largest in column k: x = sign (q-1)/2 and
-        # c = -x are then the worst signs for every row at once
-        Gbar = ModMatrix([[5, 1, 3]] * l, q)
-        public = bare_public(q, sizes, Gbar, ModMatrix.zeros(0, l, q))
-        bound = lazy_state_bound(public)
-        x = sign * ((q.q - 1) // 2)
-        shared = tuple(sum(row) * x for row in Gbar.rows)
-        b = (2 * x,) * l            # x - cancel, both at their largest
-        dense = ModMatrix.column(b, q)
-        drive = ModMatrix.column([2 * x, x, x], q)     # x - c e_k
-        for _ in range(10 * max(sizes)):
-            b = public.column_step(b, shared, -x, k)
-            dense = public.Fbar @ dense + Gbar @ drive
-            assert max(map(abs, b)) <= bound
-            assert ModMatrix.column(b, q) == dense
-        assert max(map(abs, b)) == bound
-
     def test_benchmark_session_state_under_the_bound(self, public64,
                                                      bench_enc):
-        bound = lazy_state_bound(public64)
-        assert all(abs(v) <= bound
-                   for b in bench_enc.session.cancel_state for v in b)
+        # the encryptor's [m | cancels] state stays under the kernel bound
+        kernel = public64.kernel
+        bound = ((max(public64.block_sizes) * public64.Gbar.inf_norm() + 1)
+                 << kernel.width)
+        assert np.abs(bench_enc.session.cancel_state.body).max() < bound
+
+    def test_cancelled_states_have_zero_chain_coordinates(self, bench_setup):
+        # random block-shift observers over q = 101 with sparse gains and
+        # residue rows, so channels have nu > 1; rows without a relative
+        # degree are dropped
+        q = Modulus(101)
+        params = dataclasses.replace(bench_setup.params, q=q, N=8)
+        rng = random.Random(4)
+        degrees = set()
+        for trial in range(20):
+            blocks = tuple(rng.randint(1, 4)
+                           for _ in range(rng.randint(1, 3)))
+            l, h = sum(blocks), rng.choice([2, 3])
+            G = ModMatrix([[rng.randrange(101) for _ in range(h)]
+                           if rng.random() < 0.5 else [0] * h
+                           for _ in range(l)], q)
+            rows = []
+            for _ in range(rng.randint(2, 4)):
+                row = [rng.choice([0, rng.randrange(101)]) for _ in range(l)]
+                try:
+                    channel_maps(ModMatrix([row], q), build_fbar(blocks, q), G)
+                except RelativeDegreeUndefined:
+                    continue
+                rows.append(row)
+            if not rows:
+                continue
+            maps = dataclasses.replace(bench_setup.mod_maps, Gbar=G,
+                                       Hbar=ModMatrix(rows, q),
+                                       block_sizes=blocks)
+            public = ObserverPublic.build(maps, params)
+            kernel = public.kernel
+            seeded = SeededRng(trial)
+            session = EncryptorSession(keygen(8, q, seeded), params, public,
+                                       rng=seeded)
+            batch = session.enc_initial(ModMatrix.column(range(l), q))
+            for t in range(4 * l):
+                state = kernel.join(session.cancel_state.body)
+                cancels = [row[params.N + 1:] for row in kernel.join(
+                    batch.body)]
+                for j, m in enumerate(public.channels):
+                    degrees.add(m.nu)
+                    cancelled = ModMatrix.column(
+                        [row[0] - row[1 + j] for row in state], q)
+                    assert (m.T2 @ cancelled).is_zero(), (trial, t, j)
+                    if t:   # one nonzero, at row k_j, after step 0
+                        assert not any(row[j] for i, row in
+                                       enumerate(cancels) if i != m.k)
+                batch = session.enc_input(ModMatrix.column(range(h), q))
+        assert {1, 2, 3} <= degrees
 
     def test_checkpoint_is_immutable_and_replays_golden(self, bench_setup,
                                                         public64):
@@ -333,10 +356,11 @@ class TestLazyCancelState:
         batches = [session.enc_initial(
             quantize_initial(bench_setup.zhat_ini, params))]
         snap, draws = session.checkpoint(), copy.deepcopy(rng)
-        frozen = copy.deepcopy(snap)
+        frozen = snap["cancel_state"].body.copy()
         for vbar in vbars:
             session.enc_input(vbar)
-        assert snap == frozen
+        assert snap["step"] == 0
+        assert np.array_equal(snap["cancel_state"].body, frozen)
         session.restore(snap)
         session.rng = draws
         batches += [session.enc_input(vbar) for vbar in vbars]

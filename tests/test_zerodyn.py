@@ -148,7 +148,7 @@ class TestBuildTransform:
 
 
 MODULI = (Modulus(13), Modulus(2 ** 61 - 1), Modulus(2 ** 109 - 31))
-MAP_FIELDS = ("nu", "T2", "V2", "HFnu", "Sigma")
+MAP_FIELDS = ("nu", "T2", "V2", "Sigma")
 TRANSFORM_FIELDS = ("nu", "T1", "T2", "V1", "V2", "Sigma", "SigmaDag")
 
 
