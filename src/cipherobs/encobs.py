@@ -10,9 +10,11 @@ the standard one with its first column split as
 that difference.
 
 The observer is one recursion, `Z' = Fbar Z + Gbar V` (`observer_update`),
-on the int64 limbs of `LimbKernel`.  Each input batch and the observer
-state are one matrix `[first | shared | cancels]`: the standard ciphertext,
-then every channel's cancel column.  The cancellation
+on the int64 limbs of `LimbKernel`; its `Gbar V` is one einsum, which
+numpy runs faster than its int64 matmul (that has no BLAS path).  Each
+input batch and the observer state are one matrix
+`[first | shared | cancels]`: the standard ciphertext, then every
+channel's cancel column.  The cancellation
 (`ObserverPublic.cancel_initial` and `cancel_step`) steps `[m | cancels]`,
 the same layout with no shared block, through the same recursion, and
 after step 0 cancels channel j with one scalar at one row.  It and the
@@ -30,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,7 +46,8 @@ from .lwe import (
     encrypt_with_artifacts,
 )
 from .modring import DimensionMismatch, ModMatrix, Modulus, \
-    ModulusMismatch, digit_planes, join_limbs, split_limbs
+    ModulusMismatch, digit_planes, digit_widths, fixed_digits, join_limbs, \
+    split_limbs
 from .quantobs import ModularMaps, QuantParams
 from .zerodyn import ChannelMaps, channel_maps
 
@@ -88,7 +92,7 @@ def observer_update(Z: np.ndarray, V: np.ndarray, block_sizes: Sequence[int],
             or gain.shape != (Z.shape[1], V.shape[1])
             or sum(block_sizes) != Z.shape[1]):
         raise EncObsError("dimension mismatch in observer update")
-    out = np.matmul(gain, V)
+    out = np.einsum("ik,lkw->liw", gain, V)
     o = 0
     for li in block_sizes:
         out[:, o + 1:o + li] += Z[:, o:o + li - 1]
@@ -195,6 +199,16 @@ class ObserverPublic:
         return _row_digits(self.Hbar)
 
     @cached_property
+    def _chains(self):
+        """Every T2_j stacked into one matrix, and each V2_j as the
+        (row, entries) pairs of its nonzero rows."""
+        T2 = ModMatrix(tuple(row for m in self.channels for row in m.T2.rows),
+                       self.q, ncols=self.Fbar.ncols, _reduced=True)
+        V2 = tuple(tuple((i, row) for i, row in enumerate(m.V2.rows)
+                         if any(row)) for m in self.channels)
+        return T2, V2
+
+    @cached_property
     def _chain_ends(self):
         """`_row_digits` of the rows R_j = H_j F^(nu_j - 1), the last rows
         of the T2_j, and every channel's k_j and s_j."""
@@ -207,18 +221,22 @@ class ObserverPublic:
         """Every channel's initial cancellation of the column x.
 
         Channel j's cancel column is V2_j (T2_j x - known_j), so x minus it
-        has chain coordinates known_j (default 0).  Returns (block, state):
+        has chain coordinates known_j (default 0).  Every T2_j x comes from
+        one product with the stacked T2_j, and each V2_j is applied on its
+        nonzero rows only (one row when nu_j = 1).  Returns (block, state):
         the (L, l, n_ch) limbs of the cancel columns, and the state
         [x | cancels] that `cancel_step` steps.
         """
         q, kernel = self.q, self.kernel
-        cancels = []
-        for j, m in enumerate(self.channels):
-            tilde = m.T2 @ x
-            if known is not None:
-                tilde = tilde - ModMatrix.column(known[j], q)
-            cancels.append((m.V2 @ tilde).column_entries())
-        block = kernel.split(tuple(zip(*cancels)))
+        T2, V2 = self._chains
+        chains = iter((T2 @ x).column_entries())
+        cancels = [[0] * self.n_channels for _ in range(x.nrows)]
+        for j, (m, rows) in enumerate(zip(self.channels, V2)):
+            tilde = [next(chains) - (known[j][i] if known else 0)
+                     for i in range(m.nu)]
+            for i, row in rows:
+                cancels[i][j] = q.cmod(sum(map(mul, row, tilde)))
+        block = kernel.split(cancels)
         return block, EncObserverState(
             np.concatenate([kernel.split(x.rows), block], axis=2),
             self.n_channels, kernel)
@@ -252,16 +270,14 @@ class ObserverPublic:
 
 
 def _row_digits(rows: ModMatrix) -> Tuple[int, int, np.ndarray]:
-    """(d, w, planes): `rows` as (P, n, l) digit planes of width w, each
+    """(d, e, planes): `rows` as (P, n, l) `fixed_digits` of width e, each
     below 2^e in absolute value (one plane for small entries), and the
-    largest limb digit width d with l 2^d 2^e < 2^63."""
-    l = rows.ncols
-    budget = 63 - l.bit_length()
+    width d of the lazy limb digits they meet, with l 2^d 2^e <= 2^63
+    (`modring.digit_widths`)."""
     bits = rows.max_abs().bit_length()
-    e = min(bits, budget // 2)
-    w, count = (bits + 1, 1) if e == bits else (e, -(-(bits + 1) // e))
-    planes = split_limbs(rows.flat(), w, count)
-    return budget - e, w, planes.reshape(count, rows.nrows, l)
+    d, e = digit_widths(rows.ncols, 63, bits)
+    planes = fixed_digits(rows.flat(), bits, e)
+    return d, e, planes.reshape(len(planes), rows.nrows, rows.ncols)
 
 
 class _ChannelBody:
@@ -467,7 +483,7 @@ def _first_column_dots(first: np.ndarray, cancels: np.ndarray, width: int,
     first-column limbs, the (L, l, n_ch) cancel-column limbs and Hbar's
     digit planes: every d-bit digit plane of the limbs meets every Hbar
     plane in int64, and only the sums are joined.  Each sum has l terms, so
-    it is exact when l 2^d 2^e < 2^63 for Hbar digits below 2^e; a lazy sum
+    it is exact when l 2^d 2^e <= 2^63 for Hbar digits below 2^e; a lazy sum
     may come near 2^63, so the two terms are subtracted as Python ints."""
     L, l, n_ch = cancels.shape
     # lazy limbs: any int64 value
@@ -496,6 +512,8 @@ def residue_first_column(state: EncObserverState,
 def disclose_residue(r1: ModMatrix, params: QuantParams) -> ModMatrix:
     """Recover the plaintext residue by multiplying with lift^-1 mod q."""
     q = params.q
+    if r1.modulus != q:
+        raise ModulusMismatch("residue and parameters disagree on q")
     if gcd(params.lift, q.q) != 1:
         raise EncObsError("lift shares a factor with the modulus")
     inv = q.inv(params.lift)
@@ -510,8 +528,9 @@ def recover_encrypted_state(state: EncObserverState, j: int, sk: SecretKey,
     Dec' of channel j is (first - cancel_j) - shared @ sk + cancel_j, that
     is first - shared @ sk for every j, so j is only checked.  The product
     is computed without joining the shared block: `SecretKey.products`
-    sums it from d-bit digits of the state's limbs and the key's cached
-    digits exactly in int64, and only the l sums are joined as Python ints.
+    sums it from ds-bit digits of the state's lazy limbs and the key's
+    cached dk-bit digits exactly in int64 (at N = 4096, 3 x 4 digit planes
+    per limb), and only the l sums are joined as Python ints.
 
     When the detection criterion held at this step (and the parameter
     bounds are valid) the result equals the plaintext observer's scaled
@@ -523,9 +542,11 @@ def recover_encrypted_state(state: EncObserverState, j: int, sk: SecretKey,
     N = state.N
     if sk.N != N:
         raise DimensionMismatch("ciphertext and key disagree on N")
-    if sk.q != state.kernel.q:
+    q = state.kernel.q
+    if sk.q != q:
         raise ModulusMismatch("ciphertext and key disagree on q")
-    q = params.q
+    if params.q != q or phi_pinv_bar.modulus != q:
+        raise ModulusMismatch("ciphertext and recovery maps disagree on q")
     first = state.kernel.join(state.body[:, :, :1])
     # lazy limbs may take any int64 value
     masked = sk.products(state.body[:, :, 1:N + 1], state.kernel.width, 63)

@@ -18,11 +18,16 @@ The survivors' words are cut straight into int64 limbs
 computes; `uniforms` joins and centres the same draw into Python ints.
 
 Encryption keeps the randomness A in those limbs.  The mask A sk is summed
-from signed d-bit digits of A and of the key, with N 2^(2d) < 2^63 so every
-digit product sums exactly in int64 (`SecretKey.products`); the key's
-digits are computed once per key.  Python ints for A appear only when a
-standard ciphertext or the randomness matrix is asked for
-(`Encryption.ciphertext`).
+from signed ds-bit digits of A and dk-bit digits of the key, with
+N 2^(ds + dk) <= 2^63 so every digit product sums exactly in int64
+(`SecretKey.products`).  The budget ds + dk is split unevenly where that
+saves digit planes (`modring.digit_widths`): at N = 4096 it is 51 bits,
+with 21-bit limb digits against 30-bit key digits, so a 63-bit lazy limb
+meets the key in 3 x 4 digit planes and a 42-bit canonical limb in 2 x 4.
+The key's digits are cut once per key, for the widest (lazy) limbs, and
+each product cuts its limbs into as many ds-bit digits as their bound
+needs.  Python ints for A appear only when a standard ciphertext or the
+randomness matrix is asked for (`Encryption.ciphertext`).
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .modring import DimensionMismatch, ModMatrix, Modulus, PrimalityError, \
-    bytes_to_words, digit_planes, join_limbs, split_limbs, words_to_limbs
+    bytes_to_words, digit_budget, digit_planes, digit_widths, fixed_digits, \
+    join_limbs, words_to_limbs
 
 __all__ = [
     "LweError",
@@ -49,7 +55,6 @@ __all__ = [
     "SecretKey",
     "Ciphertext",
     "Encryption",
-    "digit_width",
     "keygen",
     "encrypt",
     "encrypt_with_artifacts",
@@ -230,18 +235,13 @@ def _parse_body(buf: bytes, header_len: int):
     return header, q, payload
 
 
-def digit_width(N: int) -> int:
-    """The digit width d for dot products of length N: the largest with
-    N 2^(2d) < 2^63, so N products of digits below 2^d in absolute value
-    sum exactly in int64."""
-    return (63 - N.bit_length()) // 2
-
-
 class SecretKey:
     """LWE secret key: an N-vector over centered Z_q.
 
-    `products` computes with the key cut into signed `digit_width(N)`-bit
-    digits, cut once and kept.  `zeroize()` overwrites and drops both the
+    `products` computes with the key cut into signed dk-bit digits, cut
+    once and kept: dk is the key's share of the int64 budget of a length-N
+    dot product against the widest limbs, 63-bit lazy ones
+    (`modring.digit_widths`).  `zeroize()` overwrites and drops both the
     stored entries and those digits; callers holding the key file are
     expected to delete it as part of the same contract.
     """
@@ -249,7 +249,7 @@ class SecretKey:
     def __init__(self, entries: Sequence[int], q: Modulus):
         self._entries = [q.cmod(int(v)) for v in entries]
         self.q = q
-        self._digits = None     # (d, P x N int64 digits), on first use
+        self._digits = None     # (dk, P x N int64 digits), on first use
 
     def _live(self) -> list:
         if self._entries is None:
@@ -264,38 +264,40 @@ class SecretKey:
         return tuple(self._live())
 
     def _key_digits(self) -> Tuple[int, np.ndarray]:
-        """(d, digits) with key == sum(digits[p] << (d p)) for the P x N
-        digit rows: lower digits in [0, 2^d), the top one signed, all below
-        2^d in absolute value."""
+        """(dk, digits): the key's P x N `fixed_digits` of width dk, with
+        key == sum(digits[p] << (dk p)), all below 2^dk in absolute
+        value."""
         entries = self._live()
         if self._digits is None:
-            d = digit_width(len(entries))
-            self._digits = (d, split_limbs(
-                entries, d, -(-self.q.q.bit_length() // d)))
+            bits = self.q.q.bit_length() - 1   # centred entries
+            _, dk = digit_widths(len(entries), 63, bits)
+            self._digits = (dk, fixed_digits(entries, bits, dk))
         return self._digits
 
     def products(self, limbs: np.ndarray, width: int,
                  bits: int) -> List[int]:
         """The exact integers A sk, one per row, for a matrix A held as the
         (L, rows, N) int64 limb stack A = sum(limbs[k] << (width k)), with
-        every limb below 2^bits in absolute value (bits <= 63).
+        every limb below 2^bits in absolute value (bits <= 63; with
+        bits = 63 a limb may hold any int64 value).
 
-        Each limb is cut into ceil(bits / d) digits of the key's width d,
-        the lower ones in [0, 2^d) and the top one signed, so every digit
-        product sums exactly in int64; only the sums are joined as Python
-        ints.
+        Each limb is cut into ceil(bits / ds) digits of width
+        ds = `digit_budget(N)` - dk, the lower ones in [0, 2^ds) and the
+        top one signed, so every product of a limb digit and a key digit
+        sums exactly in int64; only the sums are joined as Python ints.
         """
-        d, key = self._key_digits()
+        dk, key = self._key_digits()
         L, rows, N = limbs.shape
         if N != key.shape[1]:
             raise DimensionMismatch("matrix and key disagree on N")
-        P = -(-bits // d)   # digits per limb
+        ds = digit_budget(N) - dk
+        P = -(-bits // ds)  # digits per limb
         # one limb at a time bounds the digit arrays; einsum with both
         # operands N-contiguous beats int64 matmul
         sums = [np.einsum("an,pn->ap",
-                          digit_planes(limb, d, bits).reshape(-1, N), key)
+                          digit_planes(limb, ds, bits).reshape(-1, N), key)
                 for limb in limbs]
-        shifts = np.array([width * k + d * (m + p) for k in range(L)
+        shifts = np.array([width * k + ds * m + dk * p for k in range(L)
                            for m in range(P) for p in range(len(key))],
                           dtype=object)
         terms = np.stack(sums).reshape(L * P, rows, len(key))

@@ -14,6 +14,10 @@ int64 limbs, the form in which numpy kernels compute over Z_q;
 `bytes_to_words` and `words_to_limbs` cut limbs straight from packed bytes,
 such as the output of a random source, and `digit_planes` cuts int64
 values into narrower signed digits whose products sum exactly in int64.
+`digit_widths` is the one rule for those widths: it splits the int64
+budget of a dot product between the digits of the int64 values and the
+`fixed_digits` of the fixed integers they meet (a key, a map's rows),
+unevenly where that saves digit planes.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +48,9 @@ __all__ = [
     "split_limbs",
     "join_limbs",
     "digit_planes",
+    "digit_budget",
+    "digit_widths",
+    "fixed_digits",
 ]
 
 
@@ -476,3 +483,49 @@ def digit_planes(values: np.ndarray, d: int, bits: int) -> np.ndarray:
         (-1,) + (1,) * values.ndim)
     digits[:top] &= (1 << d) - 1
     return digits
+
+
+def digit_budget(n: int) -> int:
+    """The largest B with n 2^B <= 2^63.  A sum of n products of a digit
+    at most 2^d and a digit below 2^e in absolute value, d + e <= B, lies
+    strictly inside (-2^63, 2^63), so it is exact in int64."""
+    return 63 - (n - 1).bit_length()
+
+
+def _fixed_count(bits: int, e: int) -> int:
+    """How many `fixed_digits` of width e hold integers below 2^bits."""
+    return 1 if bits <= e else -(-(bits + 1) // e)
+
+
+def fixed_digits(values: Sequence[int], bits: int, e: int) -> np.ndarray:
+    """Signed base-2^e digits of integers below 2^bits in absolute value,
+    each below 2^e in absolute value, as a (P, n) int64 array with values
+    == sum(out[p] << (e p)): the values themselves when bits <= e, else
+    their `split_limbs` of width e."""
+    count = _fixed_count(bits, e)
+    return split_limbs(values, e if count > 1 else bits + 1, count)
+
+
+def digit_widths(n: int, bits: int, fixed_bits: int) -> Tuple[int, int]:
+    """(d, e) with d + e = `digit_budget(n)`, for exact int64 dot products
+    of length n between the d-bit `digit_planes` of values below 2^bits
+    and the e-bit `fixed_digits` of integers below 2^fixed_bits in
+    absolute value.
+
+    Each side in turn keeps the digit count an even split of the budget
+    gives it, at the narrowest width with that count, and the other side
+    takes the rest of the budget; the turn with fewer digit-plane products
+    wins, the first on a tie.  So neither side ever gets more digits than
+    the even split gives it.
+    """
+    budget = digit_budget(n)
+    half = budget // 2
+
+    def planes(de):
+        return -(-bits // de[0]) * _fixed_count(fixed_bits, de[1])
+
+    d = min(w for w in range(1, half + 1)
+            if -(-bits // w) == -(-bits // half))
+    e = min(w for w in range(1, half + 1)
+            if _fixed_count(fixed_bits, w) == _fixed_count(fixed_bits, half))
+    return min((d, budget - d), (budget - e, e), key=planes)

@@ -591,6 +591,30 @@ class TestDisclosureAndRecovery:
                                     bench_setup.params,
                                     bench_setup.mod_maps.PhiPinvBar)
 
+    @pytest.mark.parametrize("wrong", ["params", "phi", "both"])
+    def test_maps_of_another_modulus_rejected_typed(self, bench_setup,
+                                                    bench_enc, wrong):
+        # a state over 2^109 - 31 against recovery maps over 2^107 - 1;
+        # with both over 2^107 - 1 no product mixes moduli
+        other = Modulus(2 ** 107 - 1)
+        params = bench_setup.params
+        phi = bench_setup.mod_maps.PhiPinvBar
+        if wrong != "phi":
+            params = dataclasses.replace(params, q=other)
+        if wrong != "params":
+            phi = ModMatrix(phi.rows, other)
+        with pytest.raises(ModulusMismatch):
+            recover_encrypted_state(bench_enc.states[0], 0, bench_enc.sk,
+                                    params, phi)
+
+    def test_disclosure_of_another_modulus_rejected_typed(
+            self, bench_setup, bench_enc, public64):
+        r1 = residue_first_column(bench_enc.states[0], public64)
+        params = dataclasses.replace(bench_setup.params,
+                                     q=Modulus(2 ** 107 - 1))
+        with pytest.raises(ModulusMismatch):
+            disclose_residue(r1, params)
+
     def test_channel_agreement(self, bench_setup, bench_enc):
         t = 31
         recs = {recover_encrypted_state(

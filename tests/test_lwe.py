@@ -16,7 +16,6 @@ from cipherobs.lwe import (
     ct_add,
     ct_matmul,
     decrypt,
-    digit_width,
     encrypt,
     encrypt_with_artifacts,
     keygen,
@@ -24,7 +23,7 @@ from cipherobs.lwe import (
 from cipherobs.lwe import TestRng as SeededRng
 from cipherobs.lwe import _CT_MAGIC, _KEY_MAGIC, _RandomSource, _pack_ints
 from cipherobs.modring import DimensionMismatch, ModMatrix, Modulus, \
-    join_limbs
+    digit_budget, join_limbs
 from .helpers import ValueSource, last_column
 
 Q97 = Modulus(97)
@@ -193,32 +192,95 @@ class TestUniforms:
         # the digit products of the mask to their largest sums
         q, N, h = Q109, 4096, 2
         top = q.q - 1
-        d = digit_width(N)
-        assert N * 2 ** (2 * d) < 2 ** 63 <= N * 2 ** (2 * (d + 1))
         chunk = top.to_bytes(14, "little") * N
         sk = SecretKey([sign * (q.q - 1) // 2] * N, q)
         m = ModMatrix.column([5] * h, q)
         enc = encrypt_limbs(m, sk, ScriptedSource([chunk] * h, 3))
+        # 21-bit limb digits against 30-bit key digits fill the budget
+        dk, _ = sk._digits
+        assert (digit_budget(N) - dk, dk) == (21, 30)
+        assert N * 2 ** (21 + 30) == 2 ** 63
         assert enc.randomness_matrix == ModMatrix([[-1] * N] * h, q)
         dense = (enc.randomness_matrix @ ModMatrix.column(sk.entries(), q)
                  + enc.error)
         assert enc.mask == dense
         assert enc.first == m + dense
 
-    def test_one_more_digit_bit_overflows(self, monkeypatch):
+    @staticmethod
+    def _overflows_at(ds, dk):
+        """The mask on the worst-case randomness and key of
+        `test_mask_exact_at_the_digit_bound`, with digits of widths ds and
+        dk (set by the caller), differs from the dense oracle."""
         q, N = Q109, 4096
-        d = digit_width(N)
         chunk = (q.q - 1).to_bytes(14, "little") * N
         # the lowest digits of limb 0 of q - 1 (width 42) and of the key
-        low = (2 ** 42 - 32) % 2 ** (d + 1) * ((q.q - 1) // 2 % 2 ** (d + 1))
+        low = (2 ** 42 - 32) % 2 ** ds * ((q.q - 1) // 2 % 2 ** dk)
         assert N * low >= 2 ** 63
-        monkeypatch.setattr(lwe, "digit_width", lambda n: d + 1)
         sk = SecretKey([(q.q - 1) // 2] * N, q)
         m = ModMatrix.column([5], q)
         enc = encrypt_limbs(m, sk, ScriptedSource([chunk], 0))
+        dk_key = sk._digits[0]
+        assert (lwe.digit_budget(N) - dk_key, dk_key) == (ds, dk)
         dense = (enc.randomness_matrix @ ModMatrix.column(sk.entries(), q)
                  + enc.error)
-        assert enc.mask != dense
+        return enc.mask != dense
+
+    def test_one_more_digit_bit_overflows(self, monkeypatch):
+        # a split one bit wider than the 51-bit budget: 22-bit limb digits
+        monkeypatch.setattr(lwe, "digit_budget", lambda n: 52)
+        assert self._overflows_at(22, 30)
+
+    def test_one_more_key_digit_bit_overflows(self, monkeypatch):
+        # the same with the extra bit on the key: 31-bit key digits
+        monkeypatch.setattr(lwe, "digit_budget", lambda n: 52)
+        monkeypatch.setattr(lwe, "digit_widths",
+                            lambda n, bits, fixed: (21, 31))
+        assert self._overflows_at(21, 31)
+
+
+class TestKeyProducts:
+    """`SecretKey.products` against the Python-int product on the lazy
+    limbs of recovery, at the widest budget (N = 4096, 51 bits) and one
+    bit below it (N = 4097, 50 bits)."""
+
+    W = 42      # the benchmark observer's limb width
+
+    @staticmethod
+    def _limbs(kind, N, rows=2, L=3):
+        big = 2 ** 63 - 2 ** TestKeyProducts.W   # the kernel's lazy bound
+        if kind == "top":
+            return np.full((L, rows, N), big, dtype=np.int64)
+        if kind == "bottom":
+            return np.full((L, rows, N), -2 ** 63, dtype=np.int64)
+        signs = np.where(np.arange(L * rows * N) % 3, 1, -1)
+        return (signs * big).reshape(L, rows, N).astype(np.int64)
+
+    @pytest.mark.parametrize("N", [4096, 4097])
+    @pytest.mark.parametrize("kind", ["top", "bottom", "mixed"])
+    @pytest.mark.parametrize("sign", [1, -1], ids=["max", "min"])
+    def test_equals_the_python_int_product(self, N, kind, sign):
+        q = Q109
+        sk = SecretKey([sign * (q.q - 1) // 2] * N, q)
+        limbs = self._limbs(kind, N)
+        expect = [sum(a * k for a, k in zip(
+            join_limbs(limbs[:, i], self.W), sk.entries()))
+            for i in range(limbs.shape[1])]
+        assert sk.products(limbs, self.W, 63) == expect
+        dk, key = sk._digits
+        assert (digit_budget(N) - dk, dk) == ((21, 30) if N == 4096
+                                              else (21, 29))
+        assert len(key) == 4
+
+    @pytest.mark.parametrize("N, recovery, mask", [
+        (64, 12, 8), (1024, 12, 8), (4096, 12, 8), (4097, 12, 8)])
+    def test_plane_products_per_limb(self, N, recovery, mask):
+        # lazy 63-bit recovery limbs and canonical 42-bit mask limbs, each
+        # against every key digit
+        sk = SecretKey([1] * N, Q109)
+        dk, key = sk._key_digits()
+        ds = digit_budget(N) - dk
+        assert -(-63 // ds) * len(key) == recovery
+        assert -(-self.W // ds) * len(key) == mask
 
 
 class TestKeygen:

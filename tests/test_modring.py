@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +15,10 @@ from cipherobs.modring import (
     PrimalityError,
     SingularMatrix,
     cmod,
+    digit_budget,
+    digit_planes,
+    digit_widths,
+    fixed_digits,
     inverse_mod,
     mat_mul_mod,
 )
@@ -267,3 +272,52 @@ class TestMatrixBasics:
         M = ModMatrix([[3, -4]], q101)
         assert M.scale(-1) == -M
         assert (M.scale(2)).rows == ((6, -8),)
+
+
+class TestDigitWidths:
+    @pytest.mark.parametrize("n", [1, 2, 24, 64, 1024, 4096, 4097, 2 ** 20])
+    def test_budget_is_the_largest_exact_one(self, n):
+        B = digit_budget(n)
+        assert n * 2 ** B <= 2 ** 63 < n * 2 ** (B + 1)
+
+    @pytest.mark.parametrize("n, fixed, widths", [
+        (4096, 108, (21, 30)), (4097, 108, (21, 29)), (1024, 108, (21, 32)),
+        (64, 108, (21, 36)), (24, 19, (39, 19))])
+    def test_uneven_splits(self, n, fixed, widths):
+        # a 2^109 - 31 key against lazy limbs, and a 19-bit Hbar
+        assert digit_widths(n, 63, fixed) == widths
+
+    @given(n=st.integers(1, 2 ** 24), bits=st.integers(1, 63),
+           fixed=st.integers(1, 200))
+    def test_never_more_digits_than_the_even_split(self, n, bits, fixed):
+        d, e = digit_widths(n, bits, fixed)
+        half = digit_budget(n) // 2
+        assert d + e == digit_budget(n)
+        assert -(-bits // d) <= -(-bits // half)
+        assert len(fixed_digits([0], fixed, e)) <= len(
+            fixed_digits([0], fixed, half))
+
+    @given(bits=st.integers(1, 120), e=st.integers(2, 62), data=st.data())
+    def test_fixed_digits_round_trip_below_the_width(self, bits, e, data):
+        top = 2 ** bits - 1
+        values = data.draw(st.lists(st.one_of(
+            st.integers(-top, top), st.sampled_from([top, -top, 0])),
+            min_size=1, max_size=8))
+        digits = fixed_digits(values, bits, e)
+        assert (np.abs(digits) < 2 ** e).all()
+        assert [sum(int(v) << (e * p) for p, v in enumerate(col))
+                for col in digits.T] == values
+
+    @pytest.mark.parametrize("n", [24, 4096, 4097])
+    def test_worst_case_sums_stay_exact(self, n):
+        # every limb digit at -2^d and every fixed digit at its extreme:
+        # the largest sum the split allows
+        d, e = digit_widths(n, 63, 108)
+        limbs = np.full(n, -2 ** 63, dtype=np.int64)
+        planes = digit_planes(limbs, d, 63)
+        fixed = fixed_digits([-(2 ** 108 - 1)] * n, 108, e)
+        assert planes.min() == -2 ** d
+        sums = planes @ fixed.T
+        assert sums.tolist() == [[sum(int(a) * int(b) for a, b in
+                                      zip(pl, fx)) for fx in fixed]
+                                 for pl in planes]
