@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import encobs, quantobs, secviews, zerodyn
-from .lwe import NoiseParams, TestRng, ct_add, ct_matmul, decrypt, encrypt, keygen
+from .lwe import MAX_N, NoiseParams, TestRng, ct_add, ct_matmul, decrypt, \
+    encrypt, keygen
 from .modring import ModMatrix, Modulus, PrimalityError
 from .obsdesign import DesignError, design_report
 from .pipeline import (
@@ -65,10 +66,14 @@ def _setup_from_args(args) -> SystemSetup:
 
 
 def _lwe_dim(N) -> int:
-    """N itself when it is an integer >= 1; DesignError otherwise."""
+    """N itself when it is an integer in [1, MAX_N]; DesignError
+    otherwise."""
     if type(N) is not int or N < 1:
         raise DesignError(f"LWE dimension N must be an integer >= 1, "
                           f"got {N!r}")
+    if N > MAX_N:
+        raise DesignError(f"LWE dimension N must be at most {MAX_N}, the "
+                          f"longest key with exact key products, got {N}")
     return N
 
 

@@ -23,8 +23,9 @@ decryption, first - shared sk, serves every channel.
 
 Python ints appear only when a channel is materialized (`channel(j)`), for
 the cancellation's scalars, and in the residue's and recovery's sums, which
-are summed in int64 on digits of the limbs.  This module is the only one
-that knows the limb layout.
+are summed exactly on the 32-bit halves of the limbs: in int64 against
+digits of Hbar, in float64 against digits of the key.  This module is the
+only one that knows the limb layout.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .lwe import (
     encrypt_with_artifacts,
 )
 from .modring import DimensionMismatch, ModMatrix, Modulus, \
-    ModulusMismatch, digit_planes, digit_widths, fixed_digits, join_limbs, \
+    ModulusMismatch, digit_budget, fixed_digits, half_limbs, join_limbs, \
     split_limbs
 from .quantobs import ModularMaps, QuantParams
 from .zerodyn import ChannelMaps, channel_maps
@@ -195,7 +196,7 @@ class ObserverPublic:
         return LimbKernel.build(self.block_sizes, self.Gbar)
 
     @cached_property
-    def _hbar_digits(self) -> Tuple[int, int, np.ndarray]:
+    def _hbar_digits(self) -> Tuple[int, np.ndarray]:
         return _row_digits(self.Hbar)
 
     @cached_property
@@ -253,31 +254,30 @@ class ObserverPublic:
         `Gbar @ block` added to its cancel columns.
         """
         kernel, n_ch = self.kernel, self.n_channels
-        (d, w, planes), ks, ss = self._chain_ends
+        (e, planes), ks, ss = self._chain_ends
         drive = np.zeros((kernel.count, x.nrows, 1 + n_ch), dtype=np.int64)
         drive[:, :, :1] = kernel.split(x.rows)
         body = observer_update(state.body, drive, self.block_sizes,
                                kernel.gain)
         dots = _first_column_dots(body[:, :, 0], body[:, :, 1:],
-                                  kernel.width, d, w, planes)
+                                  kernel.width, e, planes)
         block = np.zeros((kernel.count, x.nrows, n_ch), dtype=np.int64)
         block[:, ks, np.arange(n_ch)] = split_limbs(
             [self.q.cmod(s * (a - b))
              for s, a, b in zip(ss, dots, known or (0,) * n_ch)],
             kernel.width, kernel.count)
-        body[:, :, 1:] += np.matmul(kernel.gain, block)
+        body[:, :, 1:] += np.einsum("ik,lkw->liw", kernel.gain, block)
         return block, EncObserverState(body, n_ch, kernel)
 
 
-def _row_digits(rows: ModMatrix) -> Tuple[int, int, np.ndarray]:
-    """(d, e, planes): `rows` as (P, n, l) `fixed_digits` of width e, each
-    below 2^e in absolute value (one plane for small entries), and the
-    width d of the lazy limb digits they meet, with l 2^d 2^e <= 2^63
-    (`modring.digit_widths`)."""
-    bits = rows.max_abs().bit_length()
-    d, e = digit_widths(rows.ncols, 63, bits)
-    planes = fixed_digits(rows.flat(), bits, e)
-    return d, e, planes.reshape(len(planes), rows.nrows, rows.ncols)
+def _row_digits(rows: ModMatrix) -> Tuple[int, np.ndarray]:
+    """(e, planes): `rows` as (P, n, l) `fixed_digits` of width
+    e = `digit_budget(l, 63)` - 32, each below 2^e in absolute value (one
+    plane for small entries), so l 2^32 2^e <= 2^63 for the 32-bit half
+    limbs they meet."""
+    e = digit_budget(rows.ncols, 63) - 32
+    planes = fixed_digits(rows.flat(), rows.max_abs().bit_length(), e)
+    return e, planes.reshape(len(planes), rows.nrows, rows.ncols)
 
 
 class _ChannelBody:
@@ -478,22 +478,20 @@ def step_encrypted(state: EncObserverState, batch: EncryptedBatch,
 
 
 def _first_column_dots(first: np.ndarray, cancels: np.ndarray, width: int,
-                       d: int, h_width: int, h_planes: np.ndarray) -> List[int]:
-    """Hbar_j first - Hbar_j cancel_j per channel j, exact, from the (L, l)
-    first-column limbs, the (L, l, n_ch) cancel-column limbs and Hbar's
-    digit planes: every d-bit digit plane of the limbs meets every Hbar
-    plane in int64, and only the sums are joined.  Each sum has l terms, so
-    it is exact when l 2^d 2^e <= 2^63 for Hbar digits below 2^e; a lazy sum
-    may come near 2^63, so the two terms are subtracted as Python ints."""
+                       e: int, h_planes: np.ndarray) -> List[int]:
+    """Hbar_j first - Hbar_j cancel_j per channel j, exact, from the
+    (L, l) first-column limbs, the (L, l, n_ch) cancel-column limbs and
+    Hbar's e-bit digit planes: the 32-bit `half_limbs` of the limbs meet
+    every Hbar plane in int64, and only the sums are joined.  Each sum has
+    l terms, so it is exact when l 2^32 2^e <= 2^63; a lazy sum may come
+    near 2^63, so the two terms are subtracted as Python ints."""
     L, l, n_ch = cancels.shape
-    # lazy limbs: any int64 value
-    f_digits = digit_planes(first, d, 63)
-    f_sums = np.einsum("ai,mji->jam", f_digits.reshape(-1, l), h_planes)
-    c_sums = np.einsum("aij,mji->jam", digit_planes(cancels, d, 63).reshape(
-        -1, l, n_ch), h_planes)
-    shifts = np.array([d * p + width * k + h_width * m
-                       for p in range(len(f_digits)) for k in range(L)
-                       for m in range(len(h_planes))], dtype=object)
+    f_sums = np.einsum("hki,mji->jhkm", half_limbs(first, np.int64), h_planes)
+    c_sums = np.einsum("hkij,mji->jhkm", half_limbs(cancels, np.int64),
+                       h_planes)
+    shifts = np.array([32 * h + width * k + e * m for h in range(2)
+                       for k in range(L) for m in range(len(h_planes))],
+                      dtype=object)
     diff = f_sums.reshape(n_ch, -1).astype(object) - c_sums.reshape(n_ch, -1)
     return (diff << shifts).sum(axis=1).tolist()
 
@@ -501,8 +499,8 @@ def _first_column_dots(first: np.ndarray, cancels: np.ndarray, width: int,
 def residue_first_column(state: EncObserverState,
                          public: ObserverPublic) -> ModMatrix:
     """First column of the encrypted residue (cheap per-step path): channel
-    j's residue row on its first column, first - cancel_j, summed on digit
-    planes of limbs."""
+    j's residue row on its first column, first - cancel_j, summed on the
+    half limbs."""
     _check_limbs(public.kernel, state)
     return ModMatrix.column(_first_column_dots(
         state.body[:, :, 0], state.body[:, :, state.N + 1:],
@@ -528,9 +526,9 @@ def recover_encrypted_state(state: EncObserverState, j: int, sk: SecretKey,
     Dec' of channel j is (first - cancel_j) - shared @ sk + cancel_j, that
     is first - shared @ sk for every j, so j is only checked.  The product
     is computed without joining the shared block: `SecretKey.products`
-    sums it from ds-bit digits of the state's lazy limbs and the key's
-    cached dk-bit digits exactly in int64 (at N = 4096, 3 x 4 digit planes
-    per limb), and only the l sums are joined as Python ints.
+    sums it exactly in one float64 product of the 32-bit halves of the
+    state's lazy limbs and the key's cached dk-bit digits (at N = 4096,
+    13 digits of 9 bits), and only the l sums are joined as Python ints.
 
     When the detection criterion held at this step (and the parameter
     bounds are valid) the result equals the plaintext observer's scaled
@@ -548,8 +546,7 @@ def recover_encrypted_state(state: EncObserverState, j: int, sk: SecretKey,
     if params.q != q or phi_pinv_bar.modulus != q:
         raise ModulusMismatch("ciphertext and recovery maps disagree on q")
     first = state.kernel.join(state.body[:, :, :1])
-    # lazy limbs may take any int64 value
-    masked = sk.products(state.body[:, :, 1:N + 1], state.kernel.width, 63)
+    masked = sk.products(state.body[:, :, 1:N + 1], state.kernel.width)
     dec = ModMatrix.column([f - s for (f,), s in zip(first, masked)], q)
     scaled = phi_pinv_bar @ dec
     lift = params.lift

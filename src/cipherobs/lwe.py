@@ -17,17 +17,14 @@ The survivors' words are cut straight into int64 limbs
 (`_RandomSource.uniform_limbs`), the form in which the encrypted observer
 computes; `uniforms` joins and centres the same draw into Python ints.
 
-Encryption keeps the randomness A in those limbs.  The mask A sk is summed
-from signed ds-bit digits of A and dk-bit digits of the key, with
-N 2^(ds + dk) <= 2^63 so every digit product sums exactly in int64
-(`SecretKey.products`).  The budget ds + dk is split unevenly where that
-saves digit planes (`modring.digit_widths`): at N = 4096 it is 51 bits,
-with 21-bit limb digits against 30-bit key digits, so a 63-bit lazy limb
-meets the key in 3 x 4 digit planes and a 42-bit canonical limb in 2 x 4.
-The key's digits are cut once per key, for the widest (lazy) limbs, and
-each product cuts its limbs into as many ds-bit digits as their bound
-needs.  Python ints for A appear only when a standard ciphertext or the
-randomness matrix is asked for (`Encryption.ciphertext`).
+Encryption keeps the randomness A in those limbs.  The mask A sk is one
+float64 matrix product (`SecretKey.products`): the 32-bit halves of A's
+limbs against the key's signed dk-bit digits, with N 2^32 2^dk <= 2^53, so
+every partial sum is an integer that float64 holds exactly, whatever order
+BLAS sums in.  At N = 4096 that is dk = 9, with 13 key digits.  The key's
+digits are cut once per key; keys longer than `MAX_N` = 2^20 leave no
+digit bit and are refused.  Python ints for A appear only when a standard
+ciphertext or the randomness matrix is asked for (`Encryption.ciphertext`).
 """
 
 from __future__ import annotations
@@ -43,10 +40,11 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .modring import DimensionMismatch, ModMatrix, Modulus, PrimalityError, \
-    bytes_to_words, digit_budget, digit_planes, digit_widths, fixed_digits, \
-    join_limbs, words_to_limbs
+    bytes_to_words, digit_budget, fixed_digits, half_limbs, join_limbs, \
+    words_to_limbs
 
 __all__ = [
+    "MAX_N",
     "LweError",
     "CiphertextKind",
     "NoiseParams",
@@ -89,6 +87,9 @@ class NoiseParams:
         return int(self.Delta)
 
 
+# the longest key whose products stay exact in float64: N 2^32 2^dk <= 2^53
+# leaves key digits of dk >= 1 bit
+MAX_N = 2 ** 20
 _UNIFORM_CHUNK = 4096
 # limb width of the draws `uniforms` and `encrypt` join into Python ints:
 # the widest `words_to_limbs` cuts, so the fewest limbs
@@ -239,17 +240,17 @@ class SecretKey:
     """LWE secret key: an N-vector over centered Z_q.
 
     `products` computes with the key cut into signed dk-bit digits, cut
-    once and kept: dk is the key's share of the int64 budget of a length-N
-    dot product against the widest limbs, 63-bit lazy ones
-    (`modring.digit_widths`).  `zeroize()` overwrites and drops both the
-    stored entries and those digits; callers holding the key file are
-    expected to delete it as part of the same contract.
+    once and kept as a float64 array: dk is what the float64 budget of a
+    length-N dot product leaves beside 32-bit half limbs.  `zeroize()`
+    overwrites and drops both the stored entries and those digits; callers
+    holding the key file are expected to delete it as part of the same
+    contract.
     """
 
     def __init__(self, entries: Sequence[int], q: Modulus):
         self._entries = [q.cmod(int(v)) for v in entries]
         self.q = q
-        self._digits = None     # (dk, P x N int64 digits), on first use
+        self._digits = None     # (dk, N x P float64 digits), on first use
 
     def _live(self) -> list:
         if self._entries is None:
@@ -264,44 +265,43 @@ class SecretKey:
         return tuple(self._live())
 
     def _key_digits(self) -> Tuple[int, np.ndarray]:
-        """(dk, digits): the key's P x N `fixed_digits` of width dk, with
-        key == sum(digits[p] << (dk p)), all below 2^dk in absolute
-        value."""
+        """(dk, digits): the key's `fixed_digits` of width
+        dk = `digit_budget(N, 53)` - 32 as an N x P float64 array, with
+        key == sum(digits[:, p] << (dk p)), all below 2^dk in absolute
+        value.  LweError when N > `MAX_N` leaves no digit bit."""
         entries = self._live()
         if self._digits is None:
-            bits = self.q.q.bit_length() - 1   # centred entries
-            _, dk = digit_widths(len(entries), 63, bits)
-            self._digits = (dk, fixed_digits(entries, bits, dk))
+            dk = digit_budget(len(entries), 53) - 32
+            if dk < 1:
+                raise LweError(f"key products are exact only for "
+                               f"N <= {MAX_N}, got N = {len(entries)}")
+            digits = fixed_digits(entries, self.q.q.bit_length() - 1, dk)
+            self._digits = (dk, digits.T.astype(np.float64))
+            digits[...] = 0
         return self._digits
 
-    def products(self, limbs: np.ndarray, width: int,
-                 bits: int) -> List[int]:
+    def products(self, limbs: np.ndarray, width: int) -> List[int]:
         """The exact integers A sk, one per row, for a matrix A held as the
-        (L, rows, N) int64 limb stack A = sum(limbs[k] << (width k)), with
-        every limb below 2^bits in absolute value (bits <= 63; with
-        bits = 63 a limb may hold any int64 value).
+        (L, rows, N) int64 limb stack A = sum(limbs[k] << (width k)),
+        whose limbs may hold any int64 value.
 
-        Each limb is cut into ceil(bits / ds) digits of width
-        ds = `digit_budget(N)` - dk, the lower ones in [0, 2^ds) and the
-        top one signed, so every product of a limb digit and a key digit
-        sums exactly in int64; only the sums are joined as Python ints.
+        The `half_limbs` of every limb meet the key's digits in one float64
+        product.  Each of its sums has N terms below 2^32 2^dk in absolute
+        value, so every partial sum is an integer below 2^53 and the
+        product is exact for any summation order or thread split; only the
+        sums are joined as Python ints.
         """
         dk, key = self._key_digits()
         L, rows, N = limbs.shape
-        if N != key.shape[1]:
+        if N != key.shape[0]:
             raise DimensionMismatch("matrix and key disagree on N")
-        ds = digit_budget(N) - dk
-        P = -(-bits // ds)  # digits per limb
-        # one limb at a time bounds the digit arrays; einsum with both
-        # operands N-contiguous beats int64 matmul
-        sums = [np.einsum("an,pn->ap",
-                          digit_planes(limb, ds, bits).reshape(-1, N), key)
-                for limb in limbs]
-        shifts = np.array([width * k + ds * m + dk * p for k in range(L)
-                           for m in range(P) for p in range(len(key))],
+        P = key.shape[1]
+        sums = (half_limbs(limbs, np.float64).reshape(-1, N) @ key).astype(
+            np.int64).reshape(2 * L, rows, P)
+        shifts = np.array([32 * h + width * k + dk * p for h in range(2)
+                           for k in range(L) for p in range(P)],
                           dtype=object)
-        terms = np.stack(sums).reshape(L * P, rows, len(key))
-        return (terms.transpose(1, 0, 2).reshape(rows, len(shifts)).astype(
+        return (sums.transpose(1, 0, 2).reshape(rows, len(shifts)).astype(
             object) << shifts).sum(axis=1).tolist()
 
     def zeroize(self):
@@ -432,7 +432,7 @@ def encrypt_with_artifacts(m: ModMatrix, sk: SecretKey, noise: NoiseParams,
     rng.uniform_limbs(sk.q, width, randomness)
     e = ModMatrix.column([rng.error(noise) for _ in range(m.nrows)], sk.q)
     b = ModMatrix.column([s + ei for s, (ei,) in
-                          zip(sk.products(randomness, width, width), e.rows)],
+                          zip(sk.products(randomness, width), e.rows)],
                          sk.q)
     return Encryption(first=m + b, mask=b, error=e, randomness=randomness,
                       width=width)

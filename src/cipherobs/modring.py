@@ -12,12 +12,12 @@ bit-reproducible across runs.
 `split_limbs` and `join_limbs` convert between Python ints and exact signed
 int64 limbs, the form in which numpy kernels compute over Z_q;
 `bytes_to_words` and `words_to_limbs` cut limbs straight from packed bytes,
-such as the output of a random source, and `digit_planes` cuts int64
-values into narrower signed digits whose products sum exactly in int64.
-`digit_widths` is the one rule for those widths: it splits the int64
-budget of a dot product between the digits of the int64 values and the
-`fixed_digits` of the fixed integers they meet (a key, a map's rows),
-unevenly where that saves digit planes.
+such as the output of a random source.  Exact dot products of int64 limbs
+and fixed integers (a key, a map's rows) meet the limbs' 32-bit halves
+(`half_limbs`) with the fixed integers' `fixed_digits`, as narrow as the
+accumulator's exact bits allow (`digit_budget`): 63 in int64, 53 in
+float64, whose BLAS products are exact for any summation order while
+every partial sum stays below 2^53.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
@@ -47,9 +47,8 @@ __all__ = [
     "words_to_limbs",
     "split_limbs",
     "join_limbs",
-    "digit_planes",
+    "half_limbs",
     "digit_budget",
-    "digit_widths",
     "fixed_digits",
 ]
 
@@ -473,23 +472,23 @@ def join_limbs(limbs: np.ndarray, width: int) -> List[int]:
     return acc
 
 
-def digit_planes(values: np.ndarray, d: int, bits: int) -> np.ndarray:
-    """Signed base-2^d digits of int64 values below 2^bits in absolute
-    value: a (ceil(bits / d),) + values.shape array with values ==
-    sum(out[p] << (d p)), the lower digits in [0, 2^d) and the top one
-    signed, so every digit is at most 2^d in absolute value."""
-    top = -(-bits // d) - 1
-    digits = values >> (d * np.arange(top + 1)).reshape(
-        (-1,) + (1,) * values.ndim)
-    digits[:top] &= (1 << d) - 1
-    return digits
+def half_limbs(values: np.ndarray, dtype) -> np.ndarray:
+    """The 32-bit halves of int64 values as a (2,) + values.shape array of
+    `dtype`, values == out[0] + (out[1] << 32): the low half in [0, 2^32)
+    and the high half signed, in [-2^31, 2^31), both read from a view."""
+    halves = values.astype("<i8", copy=False)[..., None].view("<u4")
+    out = np.empty((2,) + values.shape, dtype=dtype)
+    out[0] = halves[..., 0]
+    out[1] = halves[..., 1].view("<i4")
+    return out
 
 
-def digit_budget(n: int) -> int:
-    """The largest B with n 2^B <= 2^63.  A sum of n products of a digit
-    at most 2^d and a digit below 2^e in absolute value, d + e <= B, lies
-    strictly inside (-2^63, 2^63), so it is exact in int64."""
-    return 63 - (n - 1).bit_length()
+def digit_budget(n: int, exact: int) -> int:
+    """The largest B with n 2^B <= 2^exact.  A sum of n products of a
+    half limb and a digit below 2^(B - 32) in absolute value lies strictly
+    inside (-2^exact, 2^exact), so an accumulator that holds every integer
+    there (exact = 63 for int64, 53 for float64) sums it exactly."""
+    return exact - (n - 1).bit_length()
 
 
 def _fixed_count(bits: int, e: int) -> int:
@@ -504,28 +503,3 @@ def fixed_digits(values: Sequence[int], bits: int, e: int) -> np.ndarray:
     their `split_limbs` of width e."""
     count = _fixed_count(bits, e)
     return split_limbs(values, e if count > 1 else bits + 1, count)
-
-
-def digit_widths(n: int, bits: int, fixed_bits: int) -> Tuple[int, int]:
-    """(d, e) with d + e = `digit_budget(n)`, for exact int64 dot products
-    of length n between the d-bit `digit_planes` of values below 2^bits
-    and the e-bit `fixed_digits` of integers below 2^fixed_bits in
-    absolute value.
-
-    Each side in turn keeps the digit count an even split of the budget
-    gives it, at the narrowest width with that count, and the other side
-    takes the rest of the budget; the turn with fewer digit-plane products
-    wins, the first on a tie.  So neither side ever gets more digits than
-    the even split gives it.
-    """
-    budget = digit_budget(n)
-    half = budget // 2
-
-    def planes(de):
-        return -(-bits // de[0]) * _fixed_count(fixed_bits, de[1])
-
-    d = min(w for w in range(1, half + 1)
-            if -(-bits // w) == -(-bits // half))
-    e = min(w for w in range(1, half + 1)
-            if _fixed_count(fixed_bits, w) == _fixed_count(fixed_bits, half))
-    return min((d, budget - d), (budget - e, e), key=planes)

@@ -391,7 +391,7 @@ def encrypted_residue(state, public) -> Tuple[ModMatrix, ModMatrix]:
 def joined_residue_first_column(state, public) -> ModMatrix:
     """Channel j's residue row applied to its first column, Hbar_j first -
     Hbar_j cancel_j, after joining the first-column and cancel-column limbs
-    into Python ints (oracle for the digit-plane sums of
+    into Python ints (oracle for the half-limb sums of
     `encobs.residue_first_column`)."""
     first, *cancels = zip(*public.kernel.join(np.concatenate(
         [state.body[:, :, :1], state.body[:, :, state.N + 1:]], axis=2)))

@@ -117,7 +117,8 @@ class TestSimulate:
         assert _encrypted_dims(monkeypatch, argv) == [16]
 
     @pytest.mark.parametrize("config_n, flags", [
-        (0, []), ("64", []), (64, ["--lwe-dim", "0"])])
+        (0, []), ("64", []), (64, ["--lwe-dim", "0"]),
+        (64, ["--lwe-dim", str(2 ** 20 + 1)])])
     def test_bad_lwe_dim_is_a_config_error(self, tmp_path, config_n, flags):
         assert main(["simulate", "--config", _run_config(tmp_path, N=config_n),
                      "--mode", "encrypted", "--steps", "2", *flags]) == 2
@@ -215,6 +216,12 @@ class TestBench:
         assert main(["bench", "--dims", dims, "--steps", "1"]) == 2
         assert ("configuration error: LWE dimension N must be an integer "
                 ">= 1" in capsys.readouterr().err)
+
+    def test_bench_dim_past_the_key_product_bound(self, capsys):
+        # key products stay exact in float64 only up to N = 2^20
+        assert main(["bench", "--dims", str(2 ** 20 + 1), "--steps", "1"]) == 2
+        assert ("configuration error: LWE dimension N must be at most "
+                "1048576" in capsys.readouterr().err)
 
     def test_small_bench_runs(self, capsys):
         assert main(["bench", "--dims", "16", "--steps", "1",

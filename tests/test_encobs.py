@@ -407,7 +407,7 @@ class TestDigitPlaneResidue:
         Hbar = ModMatrix([hs[j * l:(j + 1) * l] for j in range(n_ch)], q)
         kernel = LimbKernel.build(sizes, Gbar)
         # the kernel's lazy bound on every limb is at least 2^62, so
-        # 2^62 - 1, all ones, maximizes every digit below the top one
+        # 2^62 - 1, all ones, maximizes the low 32-bit half
         bound = (max(sizes) * Gbar.inf_norm() + 1) << kernel.width
         edges = [2 ** 62 - 1, bound, -bound, bound - 1, 1 - bound, 0]
         limb = st.one_of(st.integers(-bound, bound), st.sampled_from(edges))
@@ -422,11 +422,13 @@ class TestDigitPlaneResidue:
                 == joined_residue_first_column(state, public))
 
     @pytest.mark.parametrize("q", MODULI, ids=["2^61-1", "2^109-31"])
-    @pytest.mark.parametrize("small", [True, False], ids=["19-bit", "full"])
-    def test_one_bit_wider_digits_overflow(self, q, small):
+    @pytest.mark.parametrize("small", [True, False], ids=["27-bit", "full"])
+    def test_one_bit_wider_digits_overflow(self, q, small, monkeypatch):
+        # l = 24 gives 26-bit Hbar digits; 27-bit entries take one plane
+        # once the digits are one bit wider
         sizes, n_ch = (6, 6, 6, 6), 2
         l = sum(sizes)
-        hmax = 2 ** 19 - 1 if small else (q.q - 1) // 2
+        hmax = 2 ** 27 - 1 if small else (q.q - 1) // 2
         Gbar = ModMatrix([[1]] * l, q)
         Hbar = ModMatrix([[hmax] * l] * n_ch, q)
         kernel = LimbKernel.build(sizes, Gbar)
@@ -438,10 +440,15 @@ class TestDigitPlaneResidue:
         state, public = self._case(q, sizes, Gbar, Hbar, columns)
         expect = joined_residue_first_column(state, public)
         assert residue_first_column(state, public) == expect
-        d, w, planes = public._hbar_digits
-        assert len(planes) == (1 if small else -(-q.q.bit_length() // w))
+        e, planes = public._hbar_digits
+        assert e == 26
+        assert len(planes) == -(-(hmax.bit_length() + 1) // e)
+        budget = encobs.digit_budget
+        monkeypatch.setattr(encobs, "digit_budget",
+                            lambda n, exact: budget(n, exact) + 1)
         wide = encobs._first_column_dots(columns[:, :, 0], columns[:, :, 1:],
-                                         kernel.width, d + 1, w, planes)
+                                         kernel.width,
+                                         *encobs._row_digits(Hbar))
         assert ModMatrix.column(wide, q) != expect
 
 
@@ -559,8 +566,8 @@ class TestDisclosureAndRecovery:
                                                phi) == expect
 
     def test_recovery_exact_at_the_digit_bound(self, bench_setup, public64):
-        # every ciphertext and key entry at (q-1)/2 drives the d-bit digit
-        # products of the recovery to their largest sums
+        # every ciphertext and key entry at (q-1)/2 drives the half-limb
+        # products of the recovery to large sums
         params = bench_setup.params
         q, N = params.q, 4096
         top = (q.q - 1) // 2

@@ -196,91 +196,116 @@ class TestUniforms:
         sk = SecretKey([sign * (q.q - 1) // 2] * N, q)
         m = ModMatrix.column([5] * h, q)
         enc = encrypt_limbs(m, sk, ScriptedSource([chunk] * h, 3))
-        # 21-bit limb digits against 30-bit key digits fill the budget
+        # 32-bit half limbs against 9-bit key digits fill the float64 budget
         dk, _ = sk._digits
-        assert (digit_budget(N) - dk, dk) == (21, 30)
-        assert N * 2 ** (21 + 30) == 2 ** 63
+        assert dk == digit_budget(N, 53) - 32 == 9
+        assert N * 2 ** (32 + 9) == 2 ** 53
         assert enc.randomness_matrix == ModMatrix([[-1] * N] * h, q)
         dense = (enc.randomness_matrix @ ModMatrix.column(sk.entries(), q)
                  + enc.error)
         assert enc.mask == dense
         assert enc.first == m + dense
 
-    @staticmethod
-    def _overflows_at(ds, dk):
-        """The mask on the worst-case randomness and key of
-        `test_mask_exact_at_the_digit_bound`, with digits of widths ds and
-        dk (set by the caller), differs from the dense oracle."""
+    def test_one_more_digit_bit_overflows(self, monkeypatch):
+        # a float64 budget one bit wider, 10-bit key digits: limb 0 of
+        # q - 32 has the odd low half 2^32 - 63 and that of q - 33 is even,
+        # so against the key's 1023-valued digits one q - 33 among q - 32
+        # makes an odd sum above 2^53, which no float64 holds
+        budget = lwe.digit_budget
+        monkeypatch.setattr(lwe, "digit_budget",
+                            lambda n, exact: budget(n, exact) + 1)
         q, N = Q109, 4096
-        chunk = (q.q - 1).to_bytes(14, "little") * N
-        # the lowest digits of limb 0 of q - 1 (width 42) and of the key
-        low = (2 ** 42 - 32) % 2 ** ds * ((q.q - 1) // 2 % 2 ** dk)
-        assert N * low >= 2 ** 63
+        chunk = ((q.q - 33).to_bytes(14, "little")
+                 + (q.q - 32).to_bytes(14, "little") * (N - 1))
+        low = 1023 * ((N - 1) * (2 ** 32 - 63) + 2 ** 32 - 64)
+        assert low > 2 ** 53 and low % 2
         sk = SecretKey([(q.q - 1) // 2] * N, q)
         m = ModMatrix.column([5], q)
         enc = encrypt_limbs(m, sk, ScriptedSource([chunk], 0))
-        dk_key = sk._digits[0]
-        assert (lwe.digit_budget(N) - dk_key, dk_key) == (ds, dk)
+        assert sk._digits[0] == 10
         dense = (enc.randomness_matrix @ ModMatrix.column(sk.entries(), q)
                  + enc.error)
-        return enc.mask != dense
-
-    def test_one_more_digit_bit_overflows(self, monkeypatch):
-        # a split one bit wider than the 51-bit budget: 22-bit limb digits
-        monkeypatch.setattr(lwe, "digit_budget", lambda n: 52)
-        assert self._overflows_at(22, 30)
-
-    def test_one_more_key_digit_bit_overflows(self, monkeypatch):
-        # the same with the extra bit on the key: 31-bit key digits
-        monkeypatch.setattr(lwe, "digit_budget", lambda n: 52)
-        monkeypatch.setattr(lwe, "digit_widths",
-                            lambda n, bits, fixed: (21, 31))
-        assert self._overflows_at(21, 31)
+        assert enc.mask != dense
 
 
 class TestKeyProducts:
     """`SecretKey.products` against the Python-int product on the lazy
-    limbs of recovery, at the widest budget (N = 4096, 51 bits) and one
-    bit below it (N = 4097, 50 bits)."""
+    limbs of recovery, where the float64 budget is full (N = 4096:
+    N 2^32 2^9 = 2^53) and one bit below it (N = 4097, 8-bit key
+    digits)."""
 
     W = 42      # the benchmark observer's limb width
+    TOP = 2 ** 63 - 2 ** W      # the kernel's lazy bound
 
-    @staticmethod
-    def _limbs(kind, N, rows=2, L=3):
-        big = 2 ** 63 - 2 ** TestKeyProducts.W   # the kernel's lazy bound
+    @classmethod
+    def _limbs(cls, kind, N, rows=2, L=3):
         if kind == "top":
-            return np.full((L, rows, N), big, dtype=np.int64)
+            return np.full((L, rows, N), cls.TOP, dtype=np.int64)
         if kind == "bottom":
             return np.full((L, rows, N), -2 ** 63, dtype=np.int64)
-        mixed = np.where(np.arange(L * rows * N) % 3, big, -2 ** 63)
+        if kind == "odd":
+            # every low half 2^32 - 1 but the first 2^32 - 2: the largest
+            # low-half sums, odd, so a rounded float64 sum cannot equal them
+            limbs = np.full((L, rows, N), cls.TOP - 1, dtype=np.int64)
+            limbs[:, :, 0] -= 1
+            return limbs
+        mixed = np.where(np.arange(L * rows * N) % 3, cls.TOP, -2 ** 63)
         return mixed.reshape(L, rows, N).astype(np.int64)
 
+    def _expect(self, limbs, sk):
+        return [sum(a * k for a, k in zip(
+            join_limbs(limbs[:, i], self.W), sk.entries()))
+            for i in range(limbs.shape[1])]
+
     @pytest.mark.parametrize("N", [4096, 4097])
-    @pytest.mark.parametrize("kind", ["top", "bottom", "mixed"])
+    @pytest.mark.parametrize("kind", ["top", "bottom", "mixed", "odd"])
     @pytest.mark.parametrize("sign", [1, -1], ids=["max", "min"])
     def test_equals_the_python_int_product(self, N, kind, sign):
         q = Q109
         sk = SecretKey([sign * (q.q - 1) // 2] * N, q)
         limbs = self._limbs(kind, N)
-        expect = [sum(a * k for a, k in zip(
-            join_limbs(limbs[:, i], self.W), sk.entries()))
-            for i in range(limbs.shape[1])]
-        assert sk.products(limbs, self.W, 63) == expect
+        assert sk.products(limbs, self.W) == self._expect(limbs, sk)
         dk, key = sk._digits
-        assert (digit_budget(N) - dk, dk) == ((21, 30) if N == 4096
-                                              else (21, 29))
-        assert len(key) == 4
+        assert dk == (9 if N == 4096 else 8)
+        assert key.shape == (N, 13 if N == 4096 else 14)
+
+    def test_one_more_key_digit_bit_overflows(self, monkeypatch):
+        # 10-bit key digits at N = 4096: the odd low-half sums against the
+        # key's 1023-valued digits pass 2^53
+        budget = lwe.digit_budget
+        monkeypatch.setattr(lwe, "digit_budget",
+                            lambda n, exact: budget(n, exact) + 1)
+        N = 4096
+        assert 1023 * (N * (2 ** 32 - 1) - 1) > 2 ** 53
+        sk = SecretKey([(Q109.q - 1) // 2] * N, Q109)
+        limbs = self._limbs("odd", N)
+        assert sk.products(limbs, self.W) != self._expect(limbs, sk)
+        assert sk._digits[0] == 10
 
     @pytest.mark.parametrize("N", [64, 1024, 4096, 4097])
     def test_plane_products_per_limb(self, N):
-        # lazy 63-bit recovery limbs and canonical 42-bit mask limbs, each
-        # against every key digit: 12 and 8 (an even split needs up to 15
-        # and 10)
+        # both 32-bit halves of a limb against every key digit, in one
+        # float64 product
         sk = SecretKey([1] * N, Q109)
         dk, key = sk._key_digits()
-        ds = digit_budget(N) - dk
-        assert -(-63 // ds) * len(key) == 12
-        assert -(-self.W // ds) * len(key) == 8
+        assert dk == digit_budget(N, 53) - 32
+        assert key.dtype == np.float64
+        assert 2 * key.shape[1] == {64: 16, 1024: 20, 4096: 26,
+                                    4097: 28}[N]
+
+    def test_no_rows(self):
+        sk = SecretKey([1] * 8, Q109)
+        assert sk.products(np.zeros((3, 0, 8), dtype=np.int64), self.W) == []
+
+    def test_key_past_the_float_budget_refused(self):
+        # N = 2^20 leaves 1-bit key digits and N = 2^20 + 1 none
+        assert digit_budget(lwe.MAX_N, 53) - 32 == 1
+        assert digit_budget(lwe.MAX_N + 1, 53) - 32 == 0
+        sk = SecretKey([1] * (lwe.MAX_N + 1), Q109)
+        limbs = np.zeros((1, 1, lwe.MAX_N + 1), dtype=np.int64)
+        with pytest.raises(LweError, match=f"N <= {2 ** 20}"):
+            sk.products(limbs, self.W)
+        assert sk._digits is None
 
 
 class TestKeygen:
@@ -489,7 +514,7 @@ class TestSerialization:
         with pytest.raises(LweError):
             encrypt_with_artifacts(m, sk, NOISE, SeededRng(17), limbs, 42)
         with pytest.raises(LweError):
-            sk.products(limbs, 42, 42)
+            sk.products(limbs, 42)
 
     def test_bad_magic_rejected(self):
         with pytest.raises(LweError):

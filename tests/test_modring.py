@@ -16,9 +16,8 @@ from cipherobs.modring import (
     SingularMatrix,
     cmod,
     digit_budget,
-    digit_planes,
-    digit_widths,
     fixed_digits,
+    half_limbs,
     inverse_mod,
     mat_mul_mod,
 )
@@ -277,25 +276,32 @@ class TestMatrixBasics:
 class TestDigitWidths:
     @pytest.mark.parametrize("n", [1, 2, 24, 64, 1024, 4096, 4097, 2 ** 20])
     def test_budget_is_the_largest_exact_one(self, n):
-        B = digit_budget(n)
-        assert n * 2 ** B <= 2 ** 63 < n * 2 ** (B + 1)
+        for exact in (63, 53):
+            B = digit_budget(n, exact)
+            assert n * 2 ** B <= 2 ** exact < n * 2 ** (B + 1)
 
     @pytest.mark.parametrize("n, fixed, widths", [
-        (4096, 108, (21, 30)), (4097, 108, (21, 29)), (1024, 108, (21, 32)),
-        (64, 108, (21, 36)), (24, 19, (39, 19))])
+        (4096, 108, (53, 9, 13)), (4097, 108, (53, 8, 14)),
+        (1024, 108, (53, 11, 10)), (64, 108, (53, 15, 8)),
+        (24, 19, (63, 26, 1))])
     def test_uneven_splits(self, n, fixed, widths):
-        # a 2^109 - 31 key against lazy limbs, and a 19-bit Hbar
-        assert digit_widths(n, 63, fixed) == widths
+        # (accumulator bits, digit width, digit count) of the fixed side
+        # against 32-bit half limbs: a 2^109 - 31 key in float64 and a
+        # 19-bit Hbar in int64
+        exact, e, count = widths
+        assert digit_budget(n, exact) - 32 == e
+        assert len(fixed_digits([0], fixed, e)) == count
 
-    @given(n=st.integers(1, 2 ** 24), bits=st.integers(1, 63),
-           fixed=st.integers(1, 200))
-    def test_never_more_digits_than_the_even_split(self, n, bits, fixed):
-        d, e = digit_widths(n, bits, fixed)
-        half = digit_budget(n) // 2
-        assert d + e == digit_budget(n)
-        assert -(-bits // d) <= -(-bits // half)
-        assert len(fixed_digits([0], fixed, e)) <= len(
-            fixed_digits([0], fixed, half))
+    @given(values=st.lists(st.one_of(
+        st.integers(-2 ** 63, 2 ** 63 - 1),
+        st.sampled_from([-2 ** 63, 2 ** 63 - 1, 2 ** 32 - 1, -2 ** 32, 0])),
+        min_size=1, max_size=8))
+    def test_half_limbs_round_trip(self, values):
+        limbs = np.array(values, dtype=np.int64)
+        halves = half_limbs(limbs, np.int64)
+        assert ((0 <= halves[0]) & (halves[0] < 2 ** 32)).all()
+        assert ((-2 ** 31 <= halves[1]) & (halves[1] < 2 ** 31)).all()
+        assert [int(lo) + (int(hi) << 32) for lo, hi in halves.T] == values
 
     @given(bits=st.integers(1, 120), e=st.integers(2, 62), data=st.data())
     def test_fixed_digits_round_trip_below_the_width(self, bits, e, data):
@@ -310,14 +316,16 @@ class TestDigitWidths:
 
     @pytest.mark.parametrize("n", [24, 4096, 4097])
     def test_worst_case_sums_stay_exact(self, n):
-        # every limb digit at -2^d and every fixed digit at its extreme:
-        # the largest sum the split allows
-        d, e = digit_widths(n, 63, 108)
-        limbs = np.full(n, -2 ** 63, dtype=np.int64)
-        planes = digit_planes(limbs, d, 63)
-        fixed = fixed_digits([-(2 ** 108 - 1)] * n, 108, e)
-        assert planes.min() == -2 ** d
-        sums = planes @ fixed.T
-        assert sums.tolist() == [[sum(int(a) * int(b) for a, b in
-                                      zip(pl, fx)) for fx in fixed]
-                                 for pl in planes]
+        # every low half at 2^32 - 1 (one at 2^32 - 2, so the sums are odd),
+        # every high half at -2^31 and every fixed digit at its extreme:
+        # the largest sums each accumulator's budget allows
+        limbs = np.full(n, 2 ** 32 - 1 - 2 ** 63, dtype=np.int64)
+        limbs[0] -= 1
+        for exact, dtype in ((63, np.int64), (53, np.float64)):
+            e = digit_budget(n, exact) - 32
+            halves = half_limbs(limbs, dtype)
+            fixed = fixed_digits([2 ** 108 - 1] * n, 108, e)
+            sums = halves @ fixed.T.astype(dtype)
+            assert sums.astype(np.int64).tolist() == [
+                [sum(int(a) * int(b) for a, b in zip(half, fx))
+                 for fx in fixed] for half in halves]
