@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from collections import Counter
@@ -61,8 +62,32 @@ def _setup_from_args(args) -> SystemSetup:
              "Delta": args.delta, "eps": args.eps,
              "N": getattr(args, "N", None)}
     kw.update((name, val) for name, val in flags.items() if val is not None)
+    return SystemSetup.from_scenario(scenario, **_run_params(kw))
+
+
+def _run_params(kw: dict) -> dict:
+    """The run parameters, checked once before any is used: N as
+    `_lwe_dim` takes it, q and lift integers (lift >= 1), and s1, s2,
+    Delta and eps finite non-bool reals, returned as floats (s1, s2 > 0;
+    Delta, eps >= 0).  DesignError names the first bad one."""
     _lwe_dim(kw["N"])
-    return SystemSetup.from_scenario(scenario, **kw)
+    if type(kw["q"]) is not int:
+        raise DesignError(f"q must be an integer, got {kw['q']!r}")
+    if type(kw["lift"]) is not int or kw["lift"] < 1:
+        raise DesignError(f"lift must be an integer >= 1, "
+                          f"got {kw['lift']!r}")
+    out = dict(kw)
+    for name in ("s1", "s2", "Delta", "eps"):
+        value, positive = kw[name], name in ("s1", "s2")
+        try:
+            x = float(value) if type(value) in (int, float) else math.nan
+        except OverflowError:
+            x = math.nan
+        if math.isinf(x) or not (x > 0 if positive else x >= 0):
+            raise DesignError(f"{name} must be a finite real "
+                              f"{'>' if positive else '>='} 0, got {value!r}")
+        out[name] = x
+    return out
 
 
 def _lwe_dim(N) -> int:
@@ -242,13 +267,12 @@ def _suite_encrypted(setup: SystemSetup, seed: int) -> list:
     except encobs.EncObsError as exc:
         return [str(exc)]
     qrun = run_quantized_mode(setup, steps)
-    for t in (0, steps // 2, steps - 1):
-        for j in (0, run.public.n_channels - 1):
-            rec = encobs.recover_encrypted_state(
-                run.states[t], j, run.sk, setup.params,
-                setup.mod_maps.PhiPinvBar)
-            if rec != qrun.xbars[t]:
-                failures.append(f"recovery mismatch at step {t} channel {j}")
+    # one decryption, first - shared sk, serves every channel
+    for t in range(steps):
+        if encobs.recover_encrypted_state(
+                run.states[t], 0, run.sk, setup.params,
+                setup.mod_maps.PhiPinvBar) != qrun.xbars[t]:
+            failures.append(f"recovery mismatch at step {t}")
     if secviews.f2_view2_to_view1(run.view2, run.public,
                                   setup.params) != run.view1:
         failures.append("view roundtrip: f2 does not reproduce view 1")

@@ -23,9 +23,11 @@ decryption, first - shared sk, serves every channel.
 
 Python ints appear only when a channel is materialized (`channel(j)`), for
 the cancellation's scalars, and in the residue's and recovery's sums, which
-are summed exactly on the 32-bit halves of the limbs: in int64 against
-digits of Hbar, in float64 against digits of the key.  This module is the
-only one that knows the limb layout.
+are summed exactly on the 32-bit halves of the limbs and joined by
+`modring.join_digit_sums`: in float64 against digits of the key, and in
+one int64 einsum against digits of Hbar, on the differences of the first
+column's halves and each cancel column's, which stay below 2^32.  This
+module is the only one that knows the limb layout.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ from .lwe import (
     encrypt_with_artifacts,
 )
 from .modring import DimensionMismatch, ModMatrix, Modulus, \
-    ModulusMismatch, digit_budget, fixed_digits, half_limbs, join_limbs, \
-    split_limbs
+    ModulusMismatch, digit_budget, fixed_digits, half_limbs, \
+    join_digit_sums, join_limbs, split_limbs
 from .quantobs import ModularMaps, QuantParams
 from .zerodyn import ChannelMaps, channel_maps
 
@@ -479,21 +481,14 @@ def step_encrypted(state: EncObserverState, batch: EncryptedBatch,
 
 def _first_column_dots(first: np.ndarray, cancels: np.ndarray, width: int,
                        e: int, h_planes: np.ndarray) -> List[int]:
-    """Hbar_j first - Hbar_j cancel_j per channel j, exact, from the
-    (L, l) first-column limbs, the (L, l, n_ch) cancel-column limbs and
-    Hbar's e-bit digit planes: the 32-bit `half_limbs` of the limbs meet
-    every Hbar plane in int64, and only the sums are joined.  Each sum has
-    l terms, so it is exact when l 2^32 2^e <= 2^63; a lazy sum may come
-    near 2^63, so the two terms are subtracted as Python ints."""
-    L, l, n_ch = cancels.shape
-    f_sums = np.einsum("hki,mji->jhkm", half_limbs(first, np.int64), h_planes)
-    c_sums = np.einsum("hkij,mji->jhkm", half_limbs(cancels, np.int64),
-                       h_planes)
-    shifts = np.array([32 * h + width * k + e * m for h in range(2)
-                       for k in range(L) for m in range(len(h_planes))],
-                      dtype=object)
-    diff = f_sums.reshape(n_ch, -1).astype(object) - c_sums.reshape(n_ch, -1)
-    return (diff << shifts).sum(axis=1).tolist()
+    """Hbar_j (first - cancel_j) per channel j, exact, from the (L, l)
+    first-column limbs, the (L, l, n_ch) cancel-column limbs and Hbar's
+    e-bit digit planes: the limbs' `half_limbs` differ by less than 2^32,
+    so one int64 einsum of the differences is exact if l 2^32 2^e <= 2^63."""
+    diff = (half_limbs(first[..., None], np.int64)
+            - half_limbs(cancels, np.int64))
+    return join_digit_sums(np.einsum("hkij,mji->jhkm", diff, h_planes),
+                           width, e)
 
 
 def residue_first_column(state: EncObserverState,

@@ -40,8 +40,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .modring import DimensionMismatch, ModMatrix, Modulus, PrimalityError, \
-    bytes_to_words, digit_budget, fixed_digits, half_limbs, join_limbs, \
-    words_to_limbs
+    bytes_to_words, digit_budget, fixed_digits, half_limbs, \
+    join_digit_sums, join_limbs, words_to_limbs
 
 __all__ = [
     "MAX_N",
@@ -74,9 +74,15 @@ class CiphertextKind(enum.Enum):
 @dataclass(frozen=True)
 class NoiseParams:
     """Error distribution: discrete Gaussian of width Delta/6, rejected to
-    stay within floor(Delta) in absolute value, so the bound always holds."""
+    stay within floor(Delta) in absolute value, so the bound always holds.
+    Delta must be finite and >= 0, or the rejection never accepts."""
 
     Delta: float
+
+    def __post_init__(self):
+        if not 0 <= self.Delta < float("inf"):
+            raise LweError(f"noise width Delta must be finite and >= 0, "
+                           f"got {self.Delta!r}")
 
     @property
     def sigma(self) -> float:
@@ -295,14 +301,9 @@ class SecretKey:
         L, rows, N = limbs.shape
         if N != key.shape[0]:
             raise DimensionMismatch("matrix and key disagree on N")
-        P = key.shape[1]
         sums = (half_limbs(limbs, np.float64).reshape(-1, N) @ key).astype(
-            np.int64).reshape(2 * L, rows, P)
-        shifts = np.array([32 * h + width * k + dk * p for h in range(2)
-                           for k in range(L) for p in range(P)],
-                          dtype=object)
-        return (sums.transpose(1, 0, 2).reshape(rows, len(shifts)).astype(
-            object) << shifts).sum(axis=1).tolist()
+            np.int64).reshape(2, L, rows, key.shape[1])
+        return join_digit_sums(sums.transpose(2, 0, 1, 3), width, dk)
 
     def zeroize(self):
         if self._entries is not None:

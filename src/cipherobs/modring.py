@@ -14,10 +14,12 @@ int64 limbs, the form in which numpy kernels compute over Z_q;
 `bytes_to_words` and `words_to_limbs` cut limbs straight from packed bytes,
 such as the output of a random source.  Exact dot products of int64 limbs
 and fixed integers (a key, a map's rows) meet the limbs' 32-bit halves
-(`half_limbs`) with the fixed integers' `fixed_digits`, as narrow as the
-accumulator's exact bits allow (`digit_budget`): 63 in int64, 53 in
-float64, whose BLAS products are exact for any summation order while
-every partial sum stays below 2^53.
+(`half_limbs`), or differences of halves, which stay below 2^32 too, with
+the fixed integers' `fixed_digits`, as narrow as the accumulator's exact
+bits allow (`digit_budget`): 63 in int64, 53 in float64, whose BLAS
+products are exact for any summation order while every partial sum stays
+below 2^53.  Every such product ends in the one join of its sums into
+Python ints, `join_digit_sums`.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ __all__ = [
     "half_limbs",
     "digit_budget",
     "fixed_digits",
+    "join_digit_sums",
 ]
 
 
@@ -503,3 +506,14 @@ def fixed_digits(values: Sequence[int], bits: int, e: int) -> np.ndarray:
     their `split_limbs` of width e."""
     count = _fixed_count(bits, e)
     return split_limbs(values, e if count > 1 else bits + 1, count)
+
+
+def join_digit_sums(sums: np.ndarray, width: int, e: int) -> List[int]:
+    """The integers sum(sums[r, h, k, p] << (32 h + width k + e p)), one
+    per row r of the (rows, 2, L, P) int64 sums of half h (`half_limbs`)
+    of limb k against digit p (`fixed_digits`), as Python ints."""
+    rows, _, L, P = sums.shape
+    shifts = np.array([32 * h + width * k + e * p for h in range(2)
+                       for k in range(L) for p in range(P)], dtype=object)
+    return (sums.reshape(rows, shifts.size).astype(object)
+            << shifts).sum(axis=1).tolist()

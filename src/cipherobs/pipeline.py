@@ -133,6 +133,20 @@ def run_reference_mode(setup: SystemSetup, steps: int) -> List[StepRecord]:
     return out
 
 
+def _record(t: int, rbar: ModMatrix, xbar: ModMatrix, setup: SystemSetup,
+            traj: Trajectory, mode: str) -> StepRecord:
+    """Step t's record: the detection on the residue rbar, and the error of
+    the estimate xbar scaled back by the quantization resolution."""
+    det = quantobs.detect(rbar, t, setup.params)
+    est = np.array([setup.params.resolution * v
+                    for v in xbar.column_entries()])
+    return StepRecord(step=t, time_s=t * setup.bundle.model.Ts,
+                      residue_norm=det.lhs, threshold=det.threshold,
+                      detected=det.flag,
+                      est_error_norm=float(np.max(np.abs(traj.x[t] - est))),
+                      mode=mode)
+
+
 @dataclass
 class QuantizedRun:
     records: List[StepRecord]
@@ -150,19 +164,12 @@ def run_quantized_mode(setup: SystemSetup, steps: int) -> QuantizedRun:
     maps = setup.mod_maps
     state = QuantState(zbar=quantobs.quantize_initial(setup.zhat_ini, params),
                        step=0)
-    Ts = setup.bundle.model.Ts
     run = QuantizedRun(records=[], trajectory=traj, zbars=[], rbars=[],
                        xbars=[], vbars=[])
     for t in range(steps):
         rbar = quantobs.residue_quantized(state, maps.Hbar)
-        det = quantobs.detect(rbar, t, params)
         xbar = maps.PhiPinvBar @ state.zbar
-        est = np.array([params.resolution * v for v in xbar.column_entries()])
-        err = float(np.max(np.abs(traj.x[t] - est)))
-        run.records.append(StepRecord(
-            step=t, time_s=t * Ts, residue_norm=det.lhs,
-            threshold=det.threshold, detected=det.flag,
-            est_error_norm=err, mode="quantized"))
+        run.records.append(_record(t, rbar, xbar, setup, traj, "quantized"))
         run.zbars.append(state.zbar)
         run.rbars.append(rbar)
         run.xbars.append(xbar)
@@ -213,7 +220,6 @@ def run_encrypted_mode(setup: SystemSetup, steps: int, *,
     zbar_ini = quantobs.quantize_initial(setup.zhat_ini, params)
     state = encobs.EncObserverState.from_initial(session.enc_initial(zbar_ini))
 
-    Ts = setup.bundle.model.Ts
     run = EncryptedRun(records=[], trajectory=traj, public=public, sk=sk,
                        states=[], r1s=[], disclosed=[], session=session)
     t1 = time.perf_counter()
@@ -225,15 +231,10 @@ def run_encrypted_mode(setup: SystemSetup, steps: int, *,
         disclosed = encobs.disclose_residue(r1, params)
         if disclosed != qrun.rbars[t]:
             raise encobs.EncObsError(f"disclosure mismatch at step {t}")
-        det = quantobs.detect(disclosed, t, params)
         xrec = encobs.recover_encrypted_state(state, 0, sk, params,
                                               setup.mod_maps.PhiPinvBar)
-        est = np.array([params.resolution * v for v in xrec.column_entries()])
-        err = float(np.max(np.abs(traj.x[t] - est)))
-        run.records.append(StepRecord(
-            step=t, time_s=t * Ts, residue_norm=det.lhs,
-            threshold=det.threshold, detected=det.flag,
-            est_error_norm=err, mode="encrypted"))
+        run.records.append(_record(t, disclosed, xrec, setup, traj,
+                                   "encrypted"))
         run.r1s.append(r1)
         run.disclosed.append(disclosed)
         state = encobs.step_encrypted(state, session.enc_input(qrun.vbars[t]),

@@ -116,12 +116,23 @@ class TestSimulate:
                 "--mode", "encrypted", "--steps", "2", "--lwe-dim", "16"]
         assert _encrypted_dims(monkeypatch, argv) == [16]
 
-    @pytest.mark.parametrize("config_n, flags", [
+    # a config is N alone or a dict of run-config overrides; every bad run
+    # parameter is refused at set-up, before any draw
+    @pytest.mark.parametrize("config, flags", [
         (0, []), ("64", []), (64, ["--lwe-dim", "0"]),
-        (64, ["--lwe-dim", str(2 ** 20 + 1)])])
-    def test_bad_lwe_dim_is_a_config_error(self, tmp_path, config_n, flags):
-        assert main(["simulate", "--config", _run_config(tmp_path, N=config_n),
+        (64, ["--lwe-dim", str(2 ** 20 + 1)]),
+        (64, ["--s2", "0"]), (64, ["--eps", "nan"]),
+        (64, ["--delta", "nan"]), (64, ["--delta", "inf"]),
+        (64, ["--delta", "-1"]), (64, ["--lift", "0"]),
+        ({"q": "abc"}, []), ({"s1": "x"}, []), ({"lift": 2.5}, []),
+        ({"eps": "0.3"}, []), ({"q": True}, []), ({"Delta": 10 ** 400}, [])])
+    def test_bad_lwe_dim_is_a_config_error(self, tmp_path, capsys, config,
+                                           flags):
+        overrides = config if isinstance(config, dict) else {"N": config}
+        assert main(["simulate", "--config",
+                     _run_config(tmp_path, **overrides),
                      "--mode", "encrypted", "--steps", "2", *flags]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
 
     def test_full_lwe_flag_is_gone(self):
         with pytest.raises(SystemExit) as exc:

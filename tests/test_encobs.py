@@ -744,15 +744,4 @@ def test_seeded_ciphertexts_match_golden_digests(bench_setup, N):
         assert recorded == tuple(batch.channel(j)
                                  for j in range(batch.n_channels))
         assert int(np.abs(batch.body).max()) < 2 ** batch.kernel.width
-    digests = {}
-    for name, parts in (("batches", batches), ("states", states)):
-        h = hashlib.sha256()
-        for part in parts:
-            for j in (0, 59):
-                h.update(part.channel(j).to_bytes())
-        digests[name] = h.hexdigest()
-    h = hashlib.sha256()
-    for art in session.artifacts:
-        h.update(art.standard_ct.to_bytes())
-    digests["standard"] = h.hexdigest()
-    assert digests == GOLDEN[N]
+    assert golden_digests(batches, states, session.artifacts) == GOLDEN[N]

@@ -69,6 +69,12 @@ class TestNoise:
         for _ in range(200):
             assert abs(rng.error(NOISE)) <= 19
 
+    @pytest.mark.parametrize("delta", [-1.0, float("nan"), float("inf")])
+    def test_negative_or_non_finite_delta_is_refused(self, delta):
+        # a negative bound would make the rejection loop spin forever
+        with pytest.raises(LweError, match="Delta"):
+            NoiseParams(delta)
+
 
 class ScriptedRandom(random.Random):
     """`randbytes` replays fixed byte strings and records each request."""

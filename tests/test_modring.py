@@ -19,6 +19,7 @@ from cipherobs.modring import (
     fixed_digits,
     half_limbs,
     inverse_mod,
+    join_digit_sums,
     mat_mul_mod,
 )
 from cipherobs.modring import _is_probable_prime
@@ -329,3 +330,15 @@ class TestDigitWidths:
             assert sums.astype(np.int64).tolist() == [
                 [sum(int(a) * int(b) for a, b in zip(half, fx))
                  for fx in fixed] for half in halves]
+
+    @pytest.mark.parametrize("rows", [0, 1, 5])
+    def test_join_digit_sums_shifts_by_half_limb_and_digit(self, rows):
+        # any int64 sums, the extremes included; no rows give no integers
+        sums = np.random.default_rng(rows).integers(
+            -2 ** 63, 2 ** 63 - 1, size=(rows, 2, 3, 2), endpoint=True)
+        sums[:, 0, 0, 0] = -2 ** 63
+        sums[:, 1, 2, 1] = 2 ** 63 - 1
+        assert join_digit_sums(sums, 42, 26) == [
+            sum(int(sums[r, h, k, p]) << (32 * h + 42 * k + 26 * p)
+                for h in range(2) for k in range(3) for p in range(2))
+            for r in range(rows)]
