@@ -28,6 +28,10 @@ are summed exactly on the 32-bit halves of the limbs and joined by
 one int64 einsum against digits of Hbar, on the differences of the first
 column's halves and each cancel column's, which stay below 2^32.  This
 module is the only one that knows the limb layout.
+
+A run is recorded only as its batches: `standard_and_cancels` reads what
+View 2 holds of one, and `EncryptedBatch._write` turns that back into a
+batch, so the transcript rebuilds every encrypted state.
 """
 
 from __future__ import annotations
@@ -62,7 +66,6 @@ __all__ = [
     "ObserverPublic",
     "EncryptedBatch",
     "modified_channels",
-    "StepArtifacts",
     "EncryptorSession",
     "EncObserverState",
     "step_encrypted",
@@ -309,17 +312,23 @@ class _ChannelBody:
         return tuple(tuple(map(cmod, row))
                      for row in self.kernel.join(self.body))
 
-    def channel(self, j: int) -> Ciphertext:
-        """Channel j's modified ciphertext, from `modified_channels`."""
-        if not 0 <= j < self.n_channels:
-            raise EncObsError(f"no channel {j} among {self.n_channels}")
+    def standard_and_cancels(self) -> Tuple[Ciphertext,
+                                            Tuple[Tuple[int, ...], ...]]:
+        """The standard ciphertext `[first | shared]` and every channel's
+        cancel column, as Python ints: what View 2 records of a batch."""
         N = self.N
         std = Ciphertext(body=ModMatrix(tuple(row[:N + 1] for row in self.rows),
                                         self.kernel.q, ncols=N + 1,
                                         _reduced=True),
                          kind=CiphertextKind.STANDARD, N=N)
-        return modified_channels(std, [tuple(row[N + 1 + j]
-                                             for row in self.rows)])[0]
+        return std, tuple(zip(*(row[N + 1:] for row in self.rows)))
+
+    def channel(self, j: int) -> Ciphertext:
+        """Channel j's modified ciphertext, from `modified_channels`."""
+        if not 0 <= j < self.n_channels:
+            raise EncObsError(f"no channel {j} among {self.n_channels}")
+        std, cancels = self.standard_and_cancels()
+        return modified_channels(std, cancels[j:j + 1])[0]
 
 
 class EncryptedBatch(_ChannelBody):
@@ -328,11 +337,14 @@ class EncryptedBatch(_ChannelBody):
     in absolute value, the kernel's input bound."""
 
     @classmethod
-    def _write(cls, first: Sequence[int], cancels: Sequence[Tuple[int, ...]],
+    def _write(cls, std_rows: Sequence[Tuple[int, ...]],
+               cancels: Sequence[Tuple[int, ...]],
                kernel: LimbKernel) -> "EncryptedBatch":
-        """The batch with no shared block (N = 0) of the first column and
-        the cancel columns."""
-        limbs = kernel.split([(f,) + c for f, c in zip(first, zip(*cancels))])
+        """The batch of the standard ciphertext's rows, or of just their
+        first entries (a batch with no shared block, N = 0), and the
+        cancel columns."""
+        limbs = kernel.split([row + c
+                              for row, c in zip(std_rows, zip(*cancels))])
         return cls(limbs, len(cancels), kernel)
 
 
@@ -352,31 +364,20 @@ def modified_channels(std_ct: Ciphertext,
         for cancel in cancels)
 
 
-@dataclass
-class StepArtifacts:
-    """Trusted-encryptor record of one encryption: mask, error, the
-    standard ciphertext, and every channel's cancellation column.  Only
-    kept when a session is created with record_artifacts=True."""
-
-    mask: ModMatrix
-    error: ModMatrix
-    standard_ct: Ciphertext
-    cancels: Tuple[Tuple[int, ...], ...]
-
-
 class EncryptorSession:
     """Stateful trusted encryptor for one observer run.
 
     `cancel_state` is the `[m | cancels]` state of `ObserverPublic`'s
     cancellation driven by the masks, so m - cancel_j is the mask part of
     channel j's observer state; each step's cancel block goes into the
-    batch as it is.  The state is never written in place, so a checkpoint
-    keeps it; losing a step invalidates the session.
+    batch as it is.  The batches are the only record of the run: the
+    session keeps no mask, error or ciphertext.  The state is never
+    written in place, so a checkpoint keeps it; losing a step invalidates
+    the session.
     """
 
     def __init__(self, sk: SecretKey, params: QuantParams,
-                 public: ObserverPublic, rng=None,
-                 record_artifacts: bool = False):
+                 public: ObserverPublic, rng=None):
         if sk.N != public.N:
             raise EncObsError("secret key length differs from configured N")
         self.sk = sk
@@ -384,10 +385,8 @@ class EncryptorSession:
         self.public = public
         self.noise = NoiseParams(params.Delta)
         self.rng = rng if rng is not None else SecureRng()
-        self.record_artifacts = record_artifacts
         self.step = -1  # -1 = fresh, >= 0 after enc_initial
         self.cancel_state: Optional[EncObserverState] = None
-        self.artifacts: List[StepArtifacts] = []
 
     # -- checkpointing -----------------------------------------------------
 
@@ -395,21 +394,22 @@ class EncryptorSession:
         return {"step": self.step, "cancel_state": self.cancel_state}
 
     def restore(self, snap: dict):
-        """Return to `snap`, dropping the artifacts of the steps after it."""
         self.step = snap["step"]
         self.cancel_state = snap["cancel_state"]
-        del self.artifacts[self.step + 1:]
 
     # -- encryption --------------------------------------------------------
 
-    def _encrypt(self, v: ModMatrix, cancel) -> EncryptedBatch:
+    def _encrypt(self, v: ModMatrix, nrows: int, cancel) -> EncryptedBatch:
         """Encrypt the lifted column v for every channel: the randomness is
         drawn straight into the shared block of a new batch body, and
         `cancel(mask)` gives the cancel block and the next cancel state.
-        Records the step's artifacts on request."""
+        A v without `nrows` rows is refused before anything is drawn."""
+        if v.nrows != nrows:
+            raise EncObsError(f"message has {v.nrows} rows, the observer "
+                              f"takes {nrows}")
         public, kernel = self.public, self.public.kernel
         N = public.N
-        body = np.empty((kernel.count, v.nrows, N + 1 + public.n_channels),
+        body = np.empty((kernel.count, nrows, N + 1 + public.n_channels),
                         dtype=np.int64)
         enc = encrypt_with_artifacts(v.scale(self.params.lift), self.sk,
                                      self.noise, self.rng,
@@ -417,27 +417,26 @@ class EncryptorSession:
         block, self.cancel_state = cancel(enc.mask)
         body[:, :, :1] = kernel.split(enc.first.rows)
         body[:, :, N + 1:] = block
-        if self.record_artifacts:
-            self.artifacts.append(StepArtifacts(
-                mask=enc.mask, error=enc.error, standard_ct=enc.ciphertext(),
-                cancels=tuple(zip(*kernel.join(block)))))
         return EncryptedBatch(body, public.n_channels, kernel)
 
     def enc_initial(self, zbar_ini: ModMatrix) -> EncryptedBatch:
-        """Encrypt the lifted initial state once for every channel."""
+        """Encrypt the lifted initial state (l rows) once for every
+        channel."""
         if self.step != -1:
             raise SessionNotFresh("enc_initial may only be called once")
-        batch = self._encrypt(zbar_ini, self.public.cancel_initial)
+        batch = self._encrypt(zbar_ini, self.public.Gbar.nrows,
+                              self.public.cancel_initial)
         self.step = 0
         return batch
 
     def enc_input(self, vbar: ModMatrix) -> EncryptedBatch:
-        """Encrypt the lifted input for every channel and advance the
-        cancel state."""
+        """Encrypt the lifted input (h rows) for every channel and advance
+        the cancel state."""
         if self.step < 0:
             raise EncObsError("call enc_initial before enc_input")
-        batch = self._encrypt(vbar, lambda mask: self.public.cancel_step(
-            self.cancel_state, mask))
+        batch = self._encrypt(vbar, self.public.Gbar.ncols,
+                              lambda mask: self.public.cancel_step(
+                                  self.cancel_state, mask))
         self.step += 1
         return batch
 

@@ -1,9 +1,9 @@
 """End-to-end orchestration: scenario loading, the three execution modes
 (reference, quantized, encrypted) and CSV emission.  Every disclosed
 residue of an encrypted run is checked against the quantized observer.  On
-request the run also keeps its per-step states, and the encryptor's
-artifacts with the two adversary views built from them, which the tests
-and `cipherobs verify` check.
+request an encrypted run records its transcript, the two adversary views,
+built from each batch as it is produced; it keeps nothing else.  The tests
+and `cipherobs verify` rebuild every encrypted state from View 2.
 """
 
 from __future__ import annotations
@@ -186,10 +186,6 @@ class EncryptedRun:
     trajectory: Trajectory
     public: encobs.ObserverPublic
     sk: SecretKey
-    states: List[encobs.EncObserverState]
-    r1s: List[ModMatrix]
-    disclosed: List[ModMatrix]
-    session: encobs.EncryptorSession
     view1: Optional[secviews.View1] = None
     view2: Optional[secviews.View2] = None
     setup_s: float = 0.0    # wall time from keygen to the encrypted state
@@ -198,14 +194,15 @@ class EncryptedRun:
 
 def run_encrypted_mode(setup: SystemSetup, steps: int, *,
                        seed: Optional[int] = None,
-                       record_views: bool = False,
-                       keep_states: bool = False) -> EncryptedRun:
+                       record_views: bool = False) -> EncryptedRun:
     """Full encrypted observer run at the LWE dimension `setup.params.N`.
 
     The run aborts with `EncObsError` on the first step where the disclosed
     residue deviates from the plaintext quantized observer (this never
-    happens when the implementation is correct).  `record_views` keeps the
-    encryptor's artifacts and builds both views from them.
+    happens when the implementation is correct).  `record_views` records
+    the run's transcript: each batch's standard ciphertext and cancel
+    columns as it is produced (View 2), and the disclosed residues beside
+    the standard ciphertexts (View 1).  Every state is rebuilt from View 2.
     """
     qrun = run_quantized_mode(setup, steps)
     t0 = time.perf_counter()
@@ -214,44 +211,40 @@ def run_encrypted_mode(setup: SystemSetup, steps: int, *,
     rng = TestRng(seed) if seed is not None else SecureRng()
     sk = keygen(params.N, params.q, rng)
     public = encobs.ObserverPublic.build(setup.mod_maps, params)
-    session = encobs.EncryptorSession(sk, params, public, rng=rng,
-                                      record_artifacts=record_views)
+    session = encobs.EncryptorSession(sk, params, public, rng=rng)
 
     zbar_ini = quantobs.quantize_initial(setup.zhat_ini, params)
-    state = encobs.EncObserverState.from_initial(session.enc_initial(zbar_ini))
+    batch = session.enc_initial(zbar_ini)
+    state = encobs.EncObserverState.from_initial(batch)
 
-    run = EncryptedRun(records=[], trajectory=traj, public=public, sk=sk,
-                       states=[], r1s=[], disclosed=[], session=session)
+    run = EncryptedRun(records=[], trajectory=traj, public=public, sk=sk)
+    recorded, residues = [], []   # what View 2 and View 1 hold of step t
     t1 = time.perf_counter()
     run.setup_s = t1 - t0
     for t in range(steps):
-        if keep_states:
-            run.states.append(state)
-        r1 = encobs.residue_first_column(state, public)
-        disclosed = encobs.disclose_residue(r1, params)
+        disclosed = encobs.disclose_residue(
+            encobs.residue_first_column(state, public), params)
         if disclosed != qrun.rbars[t]:
             raise encobs.EncObsError(f"disclosure mismatch at step {t}")
         xrec = encobs.recover_encrypted_state(state, 0, sk, params,
                                               setup.mod_maps.PhiPinvBar)
         run.records.append(_record(t, disclosed, xrec, setup, traj,
                                    "encrypted"))
-        run.r1s.append(r1)
-        run.disclosed.append(disclosed)
-        state = encobs.step_encrypted(state, session.enc_input(qrun.vbars[t]),
-                                      public)
+        if record_views:
+            recorded.append(batch.standard_and_cancels())
+            residues.append(disclosed)
+        batch = session.enc_input(qrun.vbars[t])
+        state = encobs.step_encrypted(state, batch, public)
     run.steps_s = time.perf_counter() - t1
-    if keep_states:
-        run.states.append(state)
 
     if record_views:
         # residues one step past the final input, for transcript completeness
-        final = encobs.disclose_residue(
-            encobs.residue_first_column(state, public), params)
-        standard_cts = tuple(a.standard_ct for a in session.artifacts)
-        run.view1 = secviews.View1(
-            init_ct=standard_cts[0], input_cts=standard_cts[1:],
-            residues=tuple(run.disclosed) + (final,))
-        run.view2 = secviews.View2(
-            standard_cts=standard_cts,
-            cancels=tuple(a.cancels for a in session.artifacts))
+        recorded.append(batch.standard_and_cancels())
+        residues.append(encobs.disclose_residue(
+            encobs.residue_first_column(state, public), params))
+        standard_cts, cancels = zip(*recorded)
+        run.view1 = secviews.View1(init_ct=standard_cts[0],
+                                   input_cts=standard_cts[1:],
+                                   residues=tuple(residues))
+        run.view2 = secviews.View2(standard_cts=standard_cts, cancels=cancels)
     return run

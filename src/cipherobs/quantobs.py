@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import gcd
 from operator import mul
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -87,7 +87,6 @@ class ModularMaps:
     Gbar: ModMatrix
     Hbar: ModMatrix
     PhiPinvBar: ModMatrix
-    subset_pinv_bars: Dict[Tuple[int, ...], ModMatrix]
     block_sizes: Tuple[int, ...]
 
     @classmethod
@@ -97,8 +96,6 @@ class ModularMaps:
             Gbar=ModMatrix(maps.Gbar, q),
             Hbar=ModMatrix(maps.Hbar, q),
             PhiPinvBar=ModMatrix(maps.PhiPinvBar, q),
-            subset_pinv_bars={s: ModMatrix(m, q)
-                              for s, m in maps.subset_pinv_bars.items()},
             block_sizes=bank.block_sizes,
         )
 

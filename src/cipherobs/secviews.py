@@ -200,7 +200,7 @@ def f2_view2_to_view1(v2: View2, public: ObserverPublic,
             for ct, step in zip(v2.standard_cts, v2.cancels)):
         raise ViewError("cancel columns do not match the channel count and "
                         "the ciphertext rows")
-    batches = (EncryptedBatch._write(ct.first_column(), cancels,
+    batches = (EncryptedBatch._write(zip(ct.first_column()), cancels,
                                      public.kernel)
                for ct, cancels in zip(v2.standard_cts, v2.cancels))
 

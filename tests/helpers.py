@@ -1,18 +1,23 @@
 """Shared test oracles: independent implementations used to cross-check the
 library, plus random problem generators."""
 
+import dataclasses
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from cipherobs.lwe import decrypt
+from cipherobs.encobs import EncObserverState, EncryptedBatch, \
+    EncryptorSession, ObserverPublic, disclose_residue, \
+    residue_first_column, step_encrypted
+from cipherobs.lwe import TestRng, decrypt, keygen
 from cipherobs.modring import DimensionMismatch, ModMatrix, ModRingError, \
     Modulus, _echelon, inverse_mod, pivot_columns, split_limbs
 from cipherobs.obsdesign import run_reference_observer
+from cipherobs.pipeline import EncryptedRun, run_quantized_mode
 from cipherobs.plantsim import AttackScenario, PlantModel, run_closed_loop
 from cipherobs.quantobs import QuantState, quantize_initial, quantize_input, \
     residue_quantized, step_quantized
@@ -91,18 +96,20 @@ def random_stable_plant(rng: np.random.Generator, n: int, m: int, p: int,
             continue
 
 
-def error_trajectory(artifacts, gbar_rows, block_sizes, steps: int):
-    """Accumulated encryption-error states over the plain integers.
+def error_trajectory(errors: Sequence[ModMatrix], gbar_rows, block_sizes,
+                     steps: int):
+    """Accumulated encryption-error states over the plain integers, from
+    each encryption's error column (`transcript_errors`).
 
     The error of the initial encryption seeds the recursion; each input
     encryption's error enters through the integer gain matrix.  No modular
     reduction is applied, matching the plain-integer error dynamics the
     recovery argument relies on.
     """
-    e = list(artifacts[0].error.column_entries())
+    e = list(errors[0].column_entries())
     out = [tuple(e)]
     for t in range(1, steps + 1):
-        ev = artifacts[t].error.column_entries()
+        ev = errors[t].column_entries()
         shifted = [0] * len(e)
         o = 0
         for li in block_sizes:
@@ -112,6 +119,79 @@ def error_trajectory(artifacts, gbar_rows, block_sizes, steps: int):
              for s, grow in zip(shifted, gbar_rows)]
         out.append(tuple(e))
     return out
+
+
+# -- replaying a recorded encrypted run ---------------------------------------
+
+def cloud_run(setup, N: int, seed: int, steps: int):
+    """(sk, public, batches, states) of an encrypted run at LWE dimension N
+    as the cloud holds them: the encryptor driven with TestRng(seed) in the
+    order `run_encrypted_mode(..., seed=seed)` draws, so its batches are
+    the ones that run records."""
+    params = dataclasses.replace(setup.params, N=N)
+    rng = TestRng(seed)
+    sk = keygen(N, params.q, rng)
+    public = ObserverPublic.build(setup.mod_maps, params)
+    session = EncryptorSession(sk, params, public, rng=rng)
+    batches = [session.enc_initial(quantize_initial(setup.zhat_ini, params))]
+    states = [EncObserverState.from_initial(batches[0])]
+    for vbar in run_quantized_mode(setup, steps).vbars:
+        batches.append(session.enc_input(vbar))
+        states.append(step_encrypted(states[-1], batches[-1], public))
+    return sk, public, batches, states
+
+
+def replay_states(view2: View2, public) -> List[EncObserverState]:
+    """Every encrypted state of a recorded run, rebuilt from its View 2
+    with the deployed `step_encrypted`: the full state of each step, shared
+    block included."""
+    batches = [EncryptedBatch._write(ct.body.rows, cancels, public.kernel)
+               for ct, cancels in zip(view2.standard_cts, view2.cancels)]
+    states = [EncObserverState.from_initial(batches[0])]
+    for batch in batches[1:]:
+        states.append(step_encrypted(states[-1], batch, public))
+    return states
+
+
+def transcript_masks(standard_cts, messages, lift: int) -> List[ModMatrix]:
+    """Each encryption's mask, first - lift v, from the recorded standard
+    ciphertexts and the messages v they encrypt."""
+    return [ModMatrix.column(ct.first_column(), v.modulus) - v.scale(lift)
+            for ct, v in zip(standard_cts, messages)]
+
+
+def transcript_errors(standard_cts, messages, lift: int,
+                      sk) -> List[ModMatrix]:
+    """Each encryption's error, decrypt - lift v."""
+    return [decrypt(ct, sk) - v.scale(lift)
+            for ct, v in zip(standard_cts, messages)]
+
+
+@dataclass
+class ReplayedRun(EncryptedRun):
+    """A recorded encrypted run plus what its transcript gives back: every
+    state (`replay_states`), each state's residue first column and
+    disclosed residue, and each encryption's mask and error."""
+
+    states: List[EncObserverState] = field(default_factory=list)
+    r1s: List[ModMatrix] = field(default_factory=list)
+    disclosed: List[ModMatrix] = field(default_factory=list)
+    masks: List[ModMatrix] = field(default_factory=list)
+    errors: List[ModMatrix] = field(default_factory=list)
+
+
+def replay_run(run: EncryptedRun, messages: Sequence[ModMatrix],
+               params) -> ReplayedRun:
+    """`run`, which recorded its views, replayed from View 2; `messages`
+    are the quantized initial state and inputs it encrypted."""
+    states = replay_states(run.view2, run.public)
+    r1s = [residue_first_column(state, run.public) for state in states]
+    cts = run.view2.standard_cts
+    return ReplayedRun(
+        **vars(run), states=states, r1s=r1s,
+        disclosed=[disclose_residue(r1, params) for r1 in r1s],
+        masks=transcript_masks(cts, messages, params.lift),
+        errors=transcript_errors(cts, messages, params.lift, run.sk))
 
 
 class ZeroRow(ModRingError):
@@ -423,22 +503,22 @@ class CalibrationReport:
         return self.max_residue_dev <= self.eps and self.max_subset_dev <= self.eps
 
 
-def calibrate_quantization(bank, maps, params, zhat_ini=None,
-                           horizon=None) -> CalibrationReport:
-    """Empirical adequacy check for the scale factors.
+def calibrate_quantization(setup, horizon=None) -> CalibrationReport:
+    """Empirical adequacy check for the scale factors of a `SystemSetup`.
 
     Runs the attack-free loop in both arithmetics and measures how far the
     rescaled Z_q residue and subset estimates drift from the real-valued
     reference.  If either deviation exceeds eps, the scales are too coarse:
     decrease s1/s2 (and re-check the modulus bounds).
     """
-    if zhat_ini is None:
-        zhat_ini = np.zeros(bank.l_total)
+    bank, maps, params = setup.bank, setup.mod_maps, setup.params
     if horizon is None:
         horizon = 10 * bank.l_max
     traj = run_closed_loop(bank.model, AttackScenario(), horizon)
-    ref = run_reference_observer(bank, traj, zhat_ini)
-    state = QuantState(zbar=quantize_initial(zhat_ini, params), step=0)
+    ref = run_reference_observer(bank, traj, setup.zhat_ini)
+    state = QuantState(zbar=quantize_initial(setup.zhat_ini, params), step=0)
+    subset_pinv_bars = {s: ModMatrix(m, params.q)
+                        for s, m in setup.maps.subset_pinv_bars.items()}
     res = params.resolution
     max_res_dev = 0.0
     max_sub_dev = 0.0
@@ -453,7 +533,7 @@ def calibrate_quantization(bank, maps, params, zhat_ini=None,
             idx = bank.subset_indices(subset)
             zsub = ModMatrix.column(
                 [state.zbar.rows[i][0] for i in idx], params.q)
-            xsub = maps.subset_pinv_bars[subset] @ zsub
+            xsub = subset_pinv_bars[subset] @ zsub
             ref_sub = ref.subset_estimates[t][subset]
             dev = max(abs(res * v - rv) for v, rv in
                       zip(xsub.column_entries(), ref_sub))

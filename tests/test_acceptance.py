@@ -275,7 +275,7 @@ def test_criterion_7_lwe_properties(bench_setup, bench_qrun, bench_enc):
         if decrypt(ct_matmul(Kmat, c1), sk) != Kmat @ decrypt(c1, sk):
             mul_ok = False
 
-    errs = error_trajectory(bench_enc.session.artifacts,
+    errs = error_trajectory(bench_enc.errors,
                             bench_setup.maps.Gbar,
                             bench_setup.bank.block_sizes, 49)
     half = bench_setup.params.lift // 2

@@ -29,9 +29,9 @@ from cipherobs.pipeline import run_encrypted_mode, run_quantized_mode
 from cipherobs.quantobs import quantize_initial
 from cipherobs.zerodyn import RelativeDegreeUndefined, channel_maps
 from .helpers import ValueSource, build_transform, cancellation_init, \
-    cancellation_step, decrypt_channel_state, dense_normal_form, \
+    cancellation_step, cloud_run, decrypt_channel_state, dense_normal_form, \
     encrypted_residue, error_trajectory, joined_residue_first_column, \
-    last_column, sigma_dag
+    last_column, replay_states, sigma_dag, transcript_masks
 
 
 class ZeroMaskRng(ValueSource):
@@ -169,24 +169,33 @@ class TestSessionBasics:
             assert a.rows == b.rows
         assert firsts(wasted) == firsts(full[3])
 
-    def test_restore_drops_the_artifacts_of_discarded_steps(
-            self, bench_setup, public64):
+    @pytest.mark.parametrize("bad", ["initial", "input"])
+    def test_wrong_height_refused_before_any_draw(self, bench_setup,
+                                                  public64, bad):
+        # a refused message consumes no randomness: the next batch equals
+        # that of a twin session that never saw it
         params = dataclasses.replace(bench_setup.params, N=64)
-        rng = SeededRng(10)
-        session = EncryptorSession(keygen(64, params.q, rng), params,
-                                   public64, rng=rng, record_artifacts=True)
-        vbar = ModMatrix.column([3, -1, 4, 1, -5, 9], params.q)
-        session.enc_initial(ModMatrix.zeros(24, 1, params.q))
-        session.enc_input(vbar)
-        snap = session.checkpoint()
-        discarded = session.enc_input(vbar)
-        session.restore(snap)
-        assert len(session.artifacts) == session.step + 1 == 2
-        redone = session.enc_input(vbar)
-        assert len(session.artifacts) == session.step + 1 == 3
-        last = session.artifacts[-1]
-        channels = encobs.modified_channels(last.standard_ct, last.cancels)
-        assert channels[0] == redone.channel(0) != discarded.channel(0)
+        q = params.q
+
+        def session():
+            rng = SeededRng(10)
+            return EncryptorSession(keygen(64, q, rng), params, public64,
+                                    rng=rng)
+
+        s, twin = session(), session()
+        z0, vbar = ModMatrix.zeros(24, 1, q), ModMatrix.zeros(6, 1, q)
+        if bad == "initial":
+            with pytest.raises(encobs.EncObsError):
+                s.enc_initial(vbar)
+            assert s.step == -1
+        assert (s.enc_initial(z0).channel(0).to_bytes()
+                == twin.enc_initial(z0).channel(0).to_bytes())
+        if bad == "input":
+            with pytest.raises(encobs.EncObsError):
+                s.enc_input(z0)
+            assert s.step == 0
+        assert (s.enc_input(vbar).channel(0).to_bytes()
+                == twin.enc_input(vbar).channel(0).to_bytes())
 
     def test_zeroized_key_rejected_typed(self, bench_setup, public64):
         params = dataclasses.replace(bench_setup.params, N=64)
@@ -212,15 +221,14 @@ class TestModifiedCompatibility:
         params = dataclasses.replace(bench_setup.params, N=64)
         rng = SeededRng(6)
         sk = keygen(64, params.q, rng)
-        session = EncryptorSession(sk, params, public64, rng=rng,
-                                   record_artifacts=True)
+        session = EncryptorSession(sk, params, public64, rng=rng)
         qrun = run_quantized_mode(bench_setup, 6)
         batch = session.enc_initial(qrun.zbars[0])
         batches = [batch]
         for t in range(5):
             batches.append(session.enc_input(qrun.vbars[t]))
-        for art, batch in zip(session.artifacts, batches):
-            std_plain = decrypt(art.standard_ct, sk)
+        for batch in batches:
+            std_plain = decrypt(batch.standard_and_cancels()[0], sk)
             for j in (0, 7, 59):
                 assert decrypt(batch.channel(j), sk) == std_plain
 
@@ -228,10 +236,9 @@ class TestModifiedCompatibility:
         params = dataclasses.replace(bench_setup.params, N=64)
         rng = SeededRng(7)
         sk = keygen(64, params.q, rng)
-        session = EncryptorSession(sk, params, public64, rng=rng,
-                                   record_artifacts=True)
+        session = EncryptorSession(sk, params, public64, rng=rng)
         batch = session.enc_initial(ModMatrix.column(range(24), params.q))
-        std_first = session.artifacts[0].standard_ct.first_column()
+        std_first = batch.standard_and_cancels()[0].first_column()
         q = params.q
         for j in (0, 31):
             ct = batch.channel(j)
@@ -255,26 +262,27 @@ class TestModifiedCompatibility:
 
     def test_cancel_column_matches_independent_zerodyn(self, bench_setup,
                                                        public64):
-        # recompute each channel's cancellation from the recorded masks with
+        # recompute each channel's cancellation from the batches' masks with
         # the standalone zero-dynamics routines
         params = dataclasses.replace(bench_setup.params, N=64)
         rng = SeededRng(8)
         sk = keygen(64, params.q, rng)
-        session = EncryptorSession(sk, params, public64, rng=rng,
-                                   record_artifacts=True)
+        session = EncryptorSession(sk, params, public64, rng=rng)
         qrun = run_quantized_mode(bench_setup, 5)
         batches = [session.enc_initial(qrun.zbars[0])]
         for t in range(4):
             batches.append(session.enc_input(qrun.vbars[t]))
+        masks = transcript_masks(
+            [batch.standard_and_cancels()[0] for batch in batches],
+            qrun.zbars[:1] + qrun.vbars, params.lift)
         for j in (0, 17, 59):
             ct = build_transform(public64.Hbar.row(j), public64.Fbar,
                                  public64.Gbar, j=j)
-            tilde_ini, state = cancellation_init(ct, session.artifacts[0].mask)
+            tilde_ini, state = cancellation_init(ct, masks[0])
             expect = (ct.V2 @ tilde_ini).column_entries()
             assert last_column(batches[0].channel(j)) == expect
             for t in range(1, 5):
-                tilde, state = cancellation_step(ct, state,
-                                                 session.artifacts[t].mask)
+                tilde, state = cancellation_step(ct, state, masks[t])
                 expect = ct.SigmaDag.scale(tilde).column_entries()
                 assert last_column(batches[t].channel(j)) == expect
 
@@ -290,11 +298,20 @@ def bare_public(q, sizes, Gbar, Hbar):
 class TestLazyCancelState:
     def test_benchmark_session_state_under_the_bound(self, public64,
                                                      bench_enc):
-        # the encryptor's [m | cancels] state stays under the kernel bound
+        # the encryptor's [m | cancels] state, rebuilt from the transcript's
+        # masks, stays under the kernel bound at every step and gives back
+        # the recorded cancel columns
         kernel = public64.kernel
         bound = ((max(public64.block_sizes) * public64.Gbar.inf_norm() + 1)
                  << kernel.width)
-        assert np.abs(bench_enc.session.cancel_state.body).max() < bound
+        block, state = public64.cancel_initial(bench_enc.masks[0])
+        blocks = [block]
+        for mask in bench_enc.masks[1:]:
+            block, state = public64.cancel_step(state, mask)
+            blocks.append(block)
+            assert np.abs(state.body).max() < bound
+        assert (tuple(tuple(zip(*kernel.join(b))) for b in blocks)
+                == bench_enc.view2.cancels)
 
     def test_cancelled_states_have_zero_chain_coordinates(self, bench_setup):
         # random block-shift observers over q = 101 with sparse gains and
@@ -350,8 +367,7 @@ class TestLazyCancelState:
         params = dataclasses.replace(bench_setup.params, N=64)
         rng = SeededRng(5)
         sk = keygen(64, params.q, rng)
-        session = EncryptorSession(sk, params, public64, rng=rng,
-                                   record_artifacts=True)
+        session = EncryptorSession(sk, params, public64, rng=rng)
         vbars = run_quantized_mode(bench_setup, 3).vbars
         batches = [session.enc_initial(
             quantize_initial(bench_setup.zhat_ini, params))]
@@ -367,8 +383,7 @@ class TestLazyCancelState:
         states = [EncObserverState.from_initial(batches[0])]
         for batch in batches[1:]:
             states.append(step_encrypted(states[-1], batch, public64))
-        assert golden_digests(batches, states,
-                              session.artifacts) == GOLDEN[64]
+        assert golden_digests(batches, states) == GOLDEN[64]
 
 
 def filled(elements, n):
@@ -480,7 +495,6 @@ class TestEncryptedObserver:
     def test_step_matches_dense_channel_product(self, bench_setup, public64,
                                                  bench_enc):
         state = bench_enc.states[3]
-        batch = bench_enc.session  # not used; rebuild a batch instead
         params = dataclasses.replace(bench_setup.params, N=64)
         rng = SeededRng(9)
         sk = keygen(64, params.q, rng)
@@ -550,19 +564,17 @@ class TestDisclosureAndRecovery:
     @pytest.mark.parametrize("N", [64, 4096])
     def test_recovery_equals_rounded_decryption(self, bench_setup, N):
         # states 0..3: the initial batch form and the resident limb form
-        at_N = dataclasses.replace(
-            bench_setup, params=dataclasses.replace(bench_setup.params, N=N))
-        run = run_encrypted_mode(at_N, 3, seed=21, keep_states=True)
+        sk, _, _, states = cloud_run(bench_setup, N, 21, 3)
         params = bench_setup.params
         phi = bench_setup.mod_maps.PhiPinvBar
         q, lift = params.q, params.lift
-        for state in run.states:
+        for state in states:
             for j in (0, 31, 59):
-                scaled = phi @ decrypt_channel_state(state, j, run.sk)
+                scaled = phi @ decrypt_channel_state(state, j, sk)
                 expect = ModMatrix.column(
                     [q.cmod((2 * v + lift) // (2 * lift))
                      for v in scaled.column_entries()], q)
-                assert recover_encrypted_state(state, j, run.sk, params,
+                assert recover_encrypted_state(state, j, sk, params,
                                                phi) == expect
 
     def test_recovery_exact_at_the_digit_bound(self, bench_setup, public64):
@@ -654,7 +666,7 @@ class TestWhiteBoxErrorBudget:
                                                        bench_enc, bench_qrun):
         params = bench_setup.params
         q = params.q
-        errs = error_trajectory(bench_enc.session.artifacts,
+        errs = error_trajectory(bench_enc.errors,
                                 bench_setup.maps.Gbar,
                                 bench_setup.bank.block_sizes, 49)
         for t in (0, 5, 17, 33, 49):
@@ -670,14 +682,14 @@ class TestWhiteBoxErrorBudget:
         # the accumulated error stays within the nilpotent-window budget
         gnorm = bench_setup.mod_maps.Gbar.inf_norm()
         bound = (1 + bench_setup.bank.l_max * gnorm) * 19
-        errs = error_trajectory(bench_enc.session.artifacts,
+        errs = error_trajectory(bench_enc.errors,
                                 bench_setup.maps.Gbar,
                                 bench_setup.bank.block_sizes, 49)
         for e in errs:
             assert max(abs(v) for v in e) <= bound
 
     def test_projected_error_under_half_lift(self, bench_setup, bench_enc):
-        errs = error_trajectory(bench_enc.session.artifacts,
+        errs = error_trajectory(bench_enc.errors,
                                 bench_setup.maps.Gbar,
                                 bench_setup.bank.block_sizes, 49)
         rows = bench_setup.maps.PhiPinvBar
@@ -702,9 +714,9 @@ GOLDEN = {
 }
 
 
-def golden_digests(batches, states, artifacts):
+def golden_digests(batches, states):
     """The digests GOLDEN records: channels 0 and 59 of the batches and
-    the states, and the recorded standard ciphertexts."""
+    the states, and the batches' standard ciphertexts."""
     digests = {}
     for name, parts in (("batches", batches), ("states", states)):
         h = hashlib.sha256()
@@ -713,8 +725,8 @@ def golden_digests(batches, states, artifacts):
                 h.update(part.channel(j).to_bytes())
         digests[name] = h.hexdigest()
     h = hashlib.sha256()
-    for art in artifacts:
-        h.update(art.standard_ct.to_bytes())
+    for batch in batches:
+        h.update(batch.standard_and_cancels()[0].to_bytes())
     digests["standard"] = h.hexdigest()
     return digests
 
@@ -722,26 +734,44 @@ def golden_digests(batches, states, artifacts):
 @pytest.mark.parametrize("N", sorted(GOLDEN))
 def test_seeded_ciphertexts_match_golden_digests(bench_setup, N):
     """Channels 0 and 59 of the initial and 3 input batches and of the
-    states after them, and the recorded standard ciphertexts."""
-    params = dataclasses.replace(bench_setup.params, N=N)
-    rng = SeededRng(5)
-    sk = keygen(N, params.q, rng)
-    public = ObserverPublic.build(bench_setup.mod_maps, params)
-    session = EncryptorSession(sk, params, public, rng=rng,
-                               record_artifacts=True)
-    vbars = run_quantized_mode(bench_setup, 3).vbars
-    batches = [session.enc_initial(
-        quantize_initial(bench_setup.zhat_ini, params))]
-    states = [EncObserverState.from_initial(batches[0])]
-    for vbar in vbars:
-        batches.append(session.enc_input(vbar))
-        states.append(step_encrypted(states[-1], batches[-1], public))
-    for art, batch in zip(session.artifacts, batches):
-        # the View 2 channels a recording writes from its Python ints equal
-        # the channels joined from the encryptor's limbs, which stay below
-        # 2^W, the kernel's input bound
-        recorded = encobs.modified_channels(art.standard_ct, art.cancels)
-        assert recorded == tuple(batch.channel(j)
-                                 for j in range(batch.n_channels))
+    states after them, and the batches' standard ciphertexts."""
+    _, _, batches, states = cloud_run(bench_setup, N, 5, 3)
+    for batch in batches:
+        # the encryptor's limbs stay below 2^W, the kernel's input bound
         assert int(np.abs(batch.body).max()) < 2 ** batch.kernel.width
-    assert golden_digests(batches, states, session.artifacts) == GOLDEN[N]
+    assert golden_digests(batches, states) == GOLDEN[N]
+
+
+class TestTranscriptReplay:
+    @pytest.mark.parametrize("N, steps", [(64, 12), (4096, 6)])
+    def test_view2_replay_equals_the_cloud_states(self, bench_setup, N,
+                                                  steps):
+        # the states rebuilt from a recorded View 2 equal the ones the
+        # cloud stepped, every column of every channel, at every step
+        at_N = dataclasses.replace(
+            bench_setup, params=dataclasses.replace(bench_setup.params, N=N))
+        run = run_encrypted_mode(at_N, steps, seed=5, record_views=True)
+        _, _, _, states = cloud_run(bench_setup, N, 5, steps)
+        replayed = replay_states(run.view2, run.public)
+        assert len(replayed) == len(states) == steps + 1
+        for t, (got, cloud) in enumerate(zip(replayed, states)):
+            assert got.rows == cloud.rows, t
+
+    def test_changed_cancel_entry_changes_the_disclosure(self, bench_setup,
+                                                         bench_enc):
+        # +1 on channel j's cancel entry at row k_j of input step t moves
+        # residue j at step t by Hbar_j Gbar e_k_j = Sigma_j[k_j] != 0
+        public, view2 = bench_enc.public, bench_enc.view2
+        t, j = 3, 7
+        k = public.channels[j].k
+        cancels = [list(step) for step in view2.cancels]
+        column = list(cancels[t][j])
+        column[k] += 1
+        cancels[t][j] = tuple(column)
+        changed = dataclasses.replace(view2, cancels=tuple(map(tuple,
+                                                               cancels)))
+        disclosed = [disclose_residue(residue_first_column(state, public),
+                                      bench_setup.params)
+                     for state in replay_states(changed, public)[:t + 1]]
+        assert disclosed[:t] == bench_enc.disclosed[:t]
+        assert disclosed[t] != bench_enc.disclosed[t]

@@ -373,7 +373,8 @@ class TestOverflowFreedom:
                     continue
                 idx = bank.subset_indices(subset)
                 zL = ModMatrix.column([zbar.rows[i][0] for i in idx], q)
-                xL = maps.subset_pinv_bars[subset] @ zL
+                xL = ModMatrix(bench_setup.maps.subset_pinv_bars[subset],
+                               q) @ zL
                 plain = [a - b for a, b in zip(xL.column_entries(),
                                                xbar.column_entries())]
                 reduced = (xL - xbar).column_entries()
@@ -416,9 +417,7 @@ class TestValidateParams:
 
 class TestCalibration:
     def test_benchmark_scales_are_adequate(self, bench_noattack):
-        rep = calibrate_quantization(bench_noattack.bank,
-                                     bench_noattack.mod_maps,
-                                     bench_noattack.params)
+        rep = calibrate_quantization(bench_noattack)
         assert isinstance(rep, CalibrationReport)
         assert rep.ok
         assert rep.max_residue_dev <= 0.3
@@ -430,7 +429,7 @@ class TestCalibration:
                                 attacks=AttackScenario(k_max=2)),
             s1=0.5, s2=0.5, lift=BENCH_LIFT, q=BENCH_Q, N=64,
             Delta=19.2, eps=0.3)
-        rep = calibrate_quantization(setup.bank, setup.mod_maps, setup.params)
+        rep = calibrate_quantization(setup)
         assert not rep.ok
 
 

@@ -52,8 +52,7 @@ class ZeroErrorRng(SeededRng):
 
 
 def _run_tiny_session(public, params, sk, rng, zbar_ini, vbars):
-    session = EncryptorSession(sk, params, public, rng=rng,
-                               record_artifacts=True)
+    session = EncryptorSession(sk, params, public, rng=rng)
     init_batch = session.enc_initial(zbar_ini)
     state = EncObserverState.from_initial(init_batch)
     disclosed = []
@@ -66,14 +65,11 @@ def _run_tiny_session(public, params, sk, rng, zbar_ini, vbars):
         state = encobs.step_encrypted(state, batch, public)
     r1 = encobs.residue_first_column(state, public)
     disclosed.append(encobs.disclose_residue(r1, params))
-    standard_cts = tuple(a.standard_ct for a in session.artifacts)
+    standard_cts, cancels = zip(*(batch.standard_and_cancels() for batch
+                                  in [init_batch] + input_batches))
     view1 = View1(init_ct=standard_cts[0], input_cts=standard_cts[1:],
                   residues=tuple(disclosed))
-    view2 = View2(standard_cts=standard_cts,
-                  cancels=tuple(a.cancels for a in session.artifacts))
-    for cts, batch in zip((view2.init_cts,) + view2.input_cts,
-                          [init_batch] + input_batches):
-        assert cts == tuple(batch.channel(j) for j in range(batch.n_channels))
+    view2 = View2(standard_cts=standard_cts, cancels=cancels)
     return view1, view2
 
 
