@@ -394,6 +394,10 @@ class EncryptorSession:
         return {"step": self.step, "cancel_state": self.cancel_state}
 
     def restore(self, snap: dict):
+        """Resume from a `checkpoint`; a cancel state in the limbs of
+        another observer (another modulus) is refused."""
+        if snap["cancel_state"] is not None:
+            _check_limbs(self.public.kernel, snap["cancel_state"])
         self.step = snap["step"]
         self.cancel_state = snap["cancel_state"]
 

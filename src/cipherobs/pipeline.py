@@ -183,7 +183,6 @@ def run_quantized_mode(setup: SystemSetup, steps: int) -> QuantizedRun:
 @dataclass
 class EncryptedRun:
     records: List[StepRecord]
-    trajectory: Trajectory
     public: encobs.ObserverPublic
     sk: SecretKey
     view1: Optional[secviews.View1] = None
@@ -217,7 +216,7 @@ def run_encrypted_mode(setup: SystemSetup, steps: int, *,
     batch = session.enc_initial(zbar_ini)
     state = encobs.EncObserverState.from_initial(batch)
 
-    run = EncryptedRun(records=[], trajectory=traj, public=public, sk=sk)
+    run = EncryptedRun(records=[], public=public, sk=sk)
     recorded, residues = [], []   # what View 2 and View 1 hold of step t
     t1 = time.perf_counter()
     run.setup_s = t1 - t0

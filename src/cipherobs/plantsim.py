@@ -185,16 +185,22 @@ def load_scenario(path) -> ScenarioBundle:
             x_ini=np.array(raw["x_ini"], dtype=float),
             Ts=float(raw.get("Ts", 0.1)),
         )
+        k = int(raw.get("k", 0))
+        segments = []
+        for seg in raw.get("attacks", []):
+            sensor = int(seg["sensor"]) - 1
+            if not 0 <= sensor < model.p:
+                raise PlantError(f"attack sensor {seg['sensor']} out of "
+                                 f"range 1..{model.p}")
+            segments.append(AttackSegment(
+                sensor=sensor, start=int(seg["start"]), end=int(seg["end"]),
+                value=float(seg["value"])))
     except KeyError as exc:
         raise PlantError(f"scenario file missing field {exc}") from exc
-    k = int(raw.get("k", 0))
-    segments = []
-    for seg in raw.get("attacks", []):
-        sensor = int(seg["sensor"]) - 1
-        if not 0 <= sensor < model.p:
-            raise PlantError(f"attack sensor {seg['sensor']} out of range 1..{model.p}")
-        segments.append(AttackSegment(sensor=sensor, start=int(seg["start"]),
-                                      end=int(seg["end"]), value=float(seg["value"])))
+    except (TypeError, ValueError) as exc:
+        # a value of the wrong type or shape: a string, a ragged matrix,
+        # null, or a number where a list or an object belongs
+        raise PlantError(f"malformed scenario file: {exc}") from exc
     attacks = AttackScenario(segments=tuple(segments), k_max=k)
     return ScenarioBundle(model=model, attacks=attacks, k=k,
                           name=str(raw.get("name", "")))

@@ -35,6 +35,11 @@ def _run_config(tmp_path, **overrides):
     return str(cfg)
 
 
+def _scenario(**fields):
+    """The bundled scenario with `fields` replaced."""
+    return {**json.loads(bundled_scenario_path().read_text()), **fields}
+
+
 class TestDesign:
     def test_benchmark_report(self, capsys):
         assert main(["design"]) == 0
@@ -54,6 +59,27 @@ class TestDesign:
 
     def test_missing_config(self):
         assert main(["design", "--config", "/nonexistent/file.json"]) == 2
+
+    # a run config or scenario of the wrong type or shape is refused with a
+    # message, not a traceback
+    @pytest.mark.parametrize("config, message", [
+        ({"scenario": 5}, "'scenario' path string"),
+        (None, "must hold a JSON object, got NoneType"),
+        ({"scenario": ""}, "Is a directory"),
+        (_scenario(A="x"), "malformed scenario file"),
+        (_scenario(A=[[1, 2], [3]]), "malformed scenario file"),
+        (_scenario(Ts="x"), "malformed scenario file"),
+        (_scenario(k="x"), "malformed scenario file"),
+        (_scenario(attacks=[{"sensor": 1, "end": 2, "value": 1.0}]),
+         "missing field 'start'"),
+        (_scenario(attacks=5), "malformed scenario file")])
+    def test_malformed_config_is_a_config_error(self, tmp_path, capsys,
+                                                config, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["design", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err
 
 
 class TestSimulate:
@@ -198,11 +224,29 @@ class TestVerify:
         assert cli._suite_encrypted(bench_setup, 11) == [
             "disclosure mismatch at step 2"]
 
-    def test_gbar_mutation_trips_the_zeroing_suite(self, capsys):
-        assert main(["verify", "--seed", "11", "--mutate",
-                     "corrupt-gbar"]) == 1
-        out = capsys.readouterr().out
-        assert "[FAIL] output zeroing" in out
+    def test_gbar_mutation_trips_the_zeroing_suite(self, bench_setup,
+                                                   monkeypatch):
+        # the cloud steps with Gbar[0][0] + 1 while the encryptor cancels
+        # with the true gain: row 0 of every state takes one more copy of
+        # row 0 of the input batch
+        assert cli._suite_zeroing(11, bench_setup) == []
+        step = cli.encobs.step_encrypted
+
+        def corrupted_gain(state, batch, public):
+            out = step(state, batch, public)
+            out.body[:, 0] += batch.body[:, 0]
+            return out
+
+        monkeypatch.setattr(cli.encobs, "step_encrypted", corrupted_gain)
+        failures = cli._suite_zeroing(11, bench_setup)
+        assert len(failures) == 18
+        assert failures[-1] == ("benchmark: the mask reached the residue at "
+                                "step 1")
+
+    def test_mutate_option_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--mutate", "corrupt-gbar"])
+        assert exc.value.code == 2
 
 
 class TestBench:

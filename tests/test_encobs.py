@@ -25,7 +25,8 @@ from cipherobs.lwe import LweError, NoiseParams, SecretKey, decrypt, encrypt, \
     keygen
 from cipherobs.lwe import TestRng as SeededRng
 from cipherobs.modring import ModMatrix, Modulus, ModulusMismatch
-from cipherobs.pipeline import run_encrypted_mode, run_quantized_mode
+from cipherobs.pipeline import SystemSetup, bundled_scenario_path, \
+    run_encrypted_mode, run_quantized_mode
 from cipherobs.quantobs import quantize_initial
 from cipherobs.zerodyn import RelativeDegreeUndefined, channel_maps
 from .helpers import ValueSource, build_transform, cancellation_init, \
@@ -384,6 +385,32 @@ class TestLazyCancelState:
         for batch in batches[1:]:
             states.append(step_encrypted(states[-1], batch, public64))
         assert golden_digests(batches, states) == GOLDEN[64]
+
+    def test_snapshot_of_another_modulus_refused(self, bench_setup,
+                                                 public64):
+        other = SystemSetup.from_scenario(bundled_scenario_path(),
+                                          q=2 ** 107 - 1)
+        foreign = EncryptorSession(keygen(64, other.params.q, SeededRng(6)),
+                                   other.params,
+                                   ObserverPublic.build(other.mod_maps,
+                                                        other.params),
+                                   rng=SeededRng(7))
+        foreign.enc_initial(quantize_initial(other.zhat_ini, other.params))
+        params = dataclasses.replace(bench_setup.params, N=64)
+        rng = SeededRng(8)
+        session = EncryptorSession(keygen(64, params.q, rng), params,
+                                   public64, rng=rng)
+        session.enc_initial(quantize_initial(bench_setup.zhat_ini, params))
+        vbar = run_quantized_mode(bench_setup, 1).vbars[0]
+        snap, draws = session.checkpoint(), copy.deepcopy(rng)
+        first = session.enc_input(vbar)
+        with pytest.raises(encobs.EncObsError):
+            session.restore(foreign.checkpoint())
+        assert session.step == 1
+        session.restore(snap)
+        session.rng = draws
+        again = session.enc_input(vbar)
+        assert np.array_equal(again.body, first.body)
 
 
 def filled(elements, n):
