@@ -42,7 +42,7 @@ def _load_config(path):
     "scenario" path plus parameter overrides."""
     if path is None:
         return bundled_scenario_path(), {}
-    raw = json.loads(Path(path).read_text())
+    raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, dict):
         raise PlantError(f"config file must hold a JSON object, got "
                          f"{type(raw).__name__}")
@@ -364,7 +364,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (PlantError, SchurStabilityError, DesignError, PrimalityError,
-            OSError, json.JSONDecodeError) as exc:
+            OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (quantobs.QuantError, encobs.EncObsError,

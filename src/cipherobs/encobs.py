@@ -10,9 +10,10 @@ the standard one with its first column split as
 that difference.
 
 The observer is one recursion, `Z' = Fbar Z + Gbar V` (`observer_update`),
-on the int64 limbs of `LimbKernel`; its `Gbar V` is one einsum, which
-numpy runs faster than its int64 matmul (that has no BLAS path).  Each
-input batch and the observer state are one matrix
+on the int64 limbs of `LimbKernel`; its `Gbar V` runs on Gbar's block
+terms (`BlockGain`), the nonzero row spans of each column inside each
+block, so the products with the zero blocks of the bank's gain are
+skipped.  Each input batch and the observer state are one matrix
 `[first | shared | cancels]`: the standard ciphertext, then every
 channel's cancel column.  The cancellation
 (`ObserverPublic.cancel_initial` and `cancel_step`) steps `[m | cancels]`,
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from math import gcd
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
@@ -62,6 +64,7 @@ __all__ = [
     "EncObsError",
     "SessionNotFresh",
     "LimbKernel",
+    "BlockGain",
     "observer_update",
     "ObserverPublic",
     "EncryptedBatch",
@@ -85,9 +88,9 @@ class SessionNotFresh(EncObsError):
 
 
 def observer_update(Z: np.ndarray, V: np.ndarray, block_sizes: Sequence[int],
-                    gain: np.ndarray) -> np.ndarray:
+                    gain: BlockGain) -> np.ndarray:
     """Z' = Fbar Z + Gbar V on limb stacks: Z is (L, l, w), V is (L, h, w)
-    and `gain` is Gbar as an l x h int64 array.
+    and `gain` is Gbar's `BlockGain`.
 
     Fbar is the block lower shift, so its action is a row shift inside each
     block; the result is identical to a dense product, limb by limb.  Limbs
@@ -98,12 +101,63 @@ def observer_update(Z: np.ndarray, V: np.ndarray, block_sizes: Sequence[int],
             or gain.shape != (Z.shape[1], V.shape[1])
             or sum(block_sizes) != Z.shape[1]):
         raise EncObsError("dimension mismatch in observer update")
-    out = np.einsum("ik,lkw->liw", gain, V)
-    o = 0
-    for li in block_sizes:
-        out[:, o + 1:o + li] += Z[:, o:o + li - 1]
-        o += li
+    out = _block_shift(Z, block_sizes)
+    gain.add_product(out, V)
     return out
+
+
+def _block_shift(Z: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
+    """Fbar Z on a limb stack: each block's rows moved down by one, its
+    first row zero."""
+    out = np.empty_like(Z)
+    out[:, 1:] = Z[:, :-1]
+    out[:, list(accumulate(block_sizes, initial=0))[:-1]] = 0
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class BlockGain:
+    """Gbar as the nonzero row spans of its columns inside each block.
+
+    In the observer bank each partial observer is driven by the inputs and
+    its own sensor only, so most of Gbar is zero (48 of 144 entries on the
+    benchmark).  For each block and each column k with a nonzero row in
+    it, a term (k, a, c, coef) holds the span [a, c) from the block's first
+    to its last nonzero row in column k and its int64 entries as a
+    (1, c - a, 1) array: 10 terms on the benchmark, Phi B's column in each
+    of the 5 blocks and each sensor's column of L_gain in its own.
+    Cutting the spans at the blocks also keeps every temporary of
+    `add_product` at most one block high.  `add_product` sums the same
+    integers as a dense product with the zero products skipped, so every
+    partial sum is bounded by the sum of its terms' absolute values.
+    """
+
+    shape: Tuple[int, int]
+    terms: Tuple[Tuple[int, int, int, np.ndarray], ...]
+
+    @classmethod
+    def build(cls, block_sizes: Sequence[int], Gbar: ModMatrix) -> "BlockGain":
+        terms = []
+        for o, li in zip(accumulate(block_sizes, initial=0), block_sizes):
+            for k in range(Gbar.ncols):
+                nonzero = [i for i in range(o, o + li) if Gbar.rows[i][k]]
+                if nonzero:
+                    a, c = nonzero[0], nonzero[-1] + 1
+                    coef = np.array([Gbar.rows[i][k] for i in range(a, c)],
+                                    dtype=np.int64).reshape(1, -1, 1)
+                    terms.append((k, a, c, coef))
+        return cls(shape=Gbar.shape, terms=tuple(terms))
+
+    def columns(self, ks) -> "BlockGain":
+        """The terms of the columns `ks` only: the same product for a V
+        that is zero in every other row."""
+        return BlockGain(self.shape,
+                         tuple(t for t in self.terms if t[0] in ks))
+
+    def add_product(self, out: np.ndarray, V: np.ndarray):
+        """out += Gbar V in place, on limb stacks (L, l, w) and (L, h, w)."""
+        for k, a, c, coef in self.terms:
+            out[:, a:c] += coef * V[:, k:k + 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,11 +171,12 @@ class LimbKernel:
     within (b_max ||Gbar||_inf + 1) 2^W for any number of steps.  W is the
     largest width that keeps this bound under 2^63, so the recursion never
     carries between limbs or reduces; values are reduced mod q only when
-    joined.  This holds for every q.
+    joined.  This holds for every q, and for the block terms of `gain` in
+    any order.
     """
 
     q: Modulus
-    gain: np.ndarray    # Gbar, l x h int64
+    gain: BlockGain     # Gbar's block terms, built once
     width: int          # W
     count: int          # L = ceil(q.bit_length() / W)
 
@@ -136,8 +191,7 @@ class LimbKernel:
                 f"no int64 limb width fits Gbar (infinity norm "
                 f"{Gbar.inf_norm()}, largest block {max(block_sizes)})")
         q = Gbar.modulus
-        gain = np.array(Gbar.rows, dtype=np.int64).reshape(Gbar.shape)
-        return cls(q=q, gain=gain, width=width,
+        return cls(q=q, gain=BlockGain.build(block_sizes, Gbar), width=width,
                    count=-(-q.q.bit_length() // width))
 
     def split(self, rows: Sequence[Sequence[int]]) -> np.ndarray:
@@ -217,11 +271,14 @@ class ObserverPublic:
     @cached_property
     def _chain_ends(self):
         """`_row_digits` of the rows R_j = H_j F^(nu_j - 1), the last rows
-        of the T2_j, and every channel's k_j and s_j."""
+        of the T2_j, every channel's k_j and s_j, and the gain's terms of
+        the columns k_j, the only rows where a cancel block is nonzero."""
         R = ModMatrix(tuple(m.T2.rows[-1] for m in self.channels), self.q,
                       ncols=self.Fbar.ncols, _reduced=True)
-        return (_row_digits(R), np.array([m.k for m in self.channels]),
-                tuple(m.s for m in self.channels))
+        ks = [m.k for m in self.channels]
+        return (_row_digits(R), np.array(ks),
+                tuple(m.s for m in self.channels),
+                self.kernel.gain.columns(set(ks)))
 
     def cancel_initial(self, x: ModMatrix, known=None):
         """Every channel's initial cancellation of the column x.
@@ -252,18 +309,20 @@ class ObserverPublic:
         """One step of every channel's cancellation of the input column x.
 
         `state` is [m | cancels], so channel j's cancelled state m - cancel_j
-        has zero chain coordinates.  It steps with [x | 0]; then the chain's
-        bottom is tilde_j = R_j (m' - cancel_j') - known_j, and channel j
+        has zero chain coordinates.  It steps with [x | 0], so Gbar x is
+        added to the first column alone; then the chain's bottom is
+        tilde_j = R_j (m' - cancel_j') - known_j, and channel j
         cancels c_j = s_j tilde_j at row k_j.  Returns (block, state'): the
         (L, h, n_ch) limbs of the columns c_j e_k_j, and the state with
-        `Gbar @ block` added to its cancel columns.
+        `Gbar @ block` added to its cancel columns, on the gain's terms of
+        the columns k_j alone.
         """
         kernel, n_ch = self.kernel, self.n_channels
-        (e, planes), ks, ss = self._chain_ends
-        drive = np.zeros((kernel.count, x.nrows, 1 + n_ch), dtype=np.int64)
-        drive[:, :, :1] = kernel.split(x.rows)
-        body = observer_update(state.body, drive, self.block_sizes,
-                               kernel.gain)
+        if x.nrows != self.Gbar.ncols:
+            raise EncObsError("dimension mismatch in cancellation step")
+        (e, planes), ks, ss, cancel_gain = self._chain_ends
+        body = _block_shift(state.body, self.block_sizes)
+        kernel.gain.add_product(body[:, :, :1], kernel.split(x.rows))
         dots = _first_column_dots(body[:, :, 0], body[:, :, 1:],
                                   kernel.width, e, planes)
         block = np.zeros((kernel.count, x.nrows, n_ch), dtype=np.int64)
@@ -271,7 +330,7 @@ class ObserverPublic:
             [self.q.cmod(s * (a - b))
              for s, a, b in zip(ss, dots, known or (0,) * n_ch)],
             kernel.width, kernel.count)
-        body[:, :, 1:] += np.einsum("ik,lkw->liw", kernel.gain, block)
+        cancel_gain.add_product(body[:, :, 1:], block)
         return block, EncObserverState(body, n_ch, kernel)
 
 

@@ -169,13 +169,24 @@ class ScenarioBundle:
     name: str = ""
 
 
+def _integer(value, name: str) -> int:
+    """A JSON integer field: an int or an integral float, never a bool, a
+    string or a fraction, which `int()` would coerce or truncate."""
+    integral = (isinstance(value, int)
+                or isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise PlantError(f"malformed scenario file: {name} must be an "
+                         f"integer, got {value!r}")
+    return int(value)
+
+
 def load_scenario(path) -> ScenarioBundle:
     """Load a scenario JSON file.
 
     Expected fields: A, B, C, K, x_ini, Ts, k and
     attacks: [{sensor, start, end, value}] with 1-based sensor indices.
     """
-    raw = json.loads(Path(path).read_text())
+    raw = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
         model = PlantModel(
             A=np.array(raw["A"], dtype=float),
@@ -185,15 +196,16 @@ def load_scenario(path) -> ScenarioBundle:
             x_ini=np.array(raw["x_ini"], dtype=float),
             Ts=float(raw.get("Ts", 0.1)),
         )
-        k = int(raw.get("k", 0))
+        k = _integer(raw.get("k", 0), "k")
         segments = []
         for seg in raw.get("attacks", []):
-            sensor = int(seg["sensor"]) - 1
+            sensor = _integer(seg["sensor"], "sensor") - 1
             if not 0 <= sensor < model.p:
                 raise PlantError(f"attack sensor {seg['sensor']} out of "
                                  f"range 1..{model.p}")
             segments.append(AttackSegment(
-                sensor=sensor, start=int(seg["start"]), end=int(seg["end"]),
+                sensor=sensor, start=_integer(seg["start"], "start"),
+                end=_integer(seg["end"], "end"),
                 value=float(seg["value"])))
     except KeyError as exc:
         raise PlantError(f"scenario file missing field {exc}") from exc

@@ -81,6 +81,20 @@ class TestDesign:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and message in err
 
+    # the config itself, or the scenario a run config names
+    @pytest.mark.parametrize("wrapped", [False, True],
+                             ids=["config", "scenario"])
+    def test_config_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys,
+                                                       wrapped):
+        path = tmp_path / "bin.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        if wrapped:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"scenario": "bin.json"}))
+        assert main(["design", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "utf-8" in err
+
 
 class TestSimulate:
     def test_quantized_csv_shape(self, tmp_path):

@@ -314,6 +314,14 @@ class TestLazyCancelState:
         assert (tuple(tuple(zip(*kernel.join(b))) for b in blocks)
                 == bench_enc.view2.cancels)
 
+    def test_cancel_step_refuses_a_column_of_the_wrong_height(self,
+                                                              public64):
+        q = public64.q
+        _, state = public64.cancel_initial(ModMatrix.zeros(24, 1, q))
+        for h in (5, 7):
+            with pytest.raises(encobs.EncObsError):
+                public64.cancel_step(state, ModMatrix.zeros(h, 1, q))
+
     def test_cancelled_states_have_zero_chain_coordinates(self, bench_setup):
         # random block-shift observers over q = 101 with sparse gains and
         # residue rows, so channels have nu > 1; rows without a relative

@@ -48,6 +48,28 @@ class TestPlantModel:
         with pytest.raises(PlantError):
             load_scenario(path)
 
+    # int() would truncate 1.9 to 1 and take True as 1
+    @pytest.mark.parametrize("field", ["k", "sensor", "start", "end"])
+    @pytest.mark.parametrize("value", [1.9, True, "2"],
+                             ids=["fraction", "bool", "string"])
+    def test_integer_fields_must_be_integers(self, tmp_path, field, value):
+        raw = json.loads(bundled_scenario_path().read_text())
+        (raw if field == "k" else raw["attacks"][0])[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(PlantError, match=f"{field} must be an integer"):
+            load_scenario(path)
+
+    def test_integral_floats_are_integers(self, tmp_path, bench_bundle):
+        raw = json.loads(bundled_scenario_path().read_text())
+        raw["k"] = float(raw["k"])
+        raw["attacks"][0]["sensor"] = float(raw["attacks"][0]["sensor"])
+        path = tmp_path / "floats.json"
+        path.write_text(json.dumps(raw))
+        bundle = load_scenario(path)
+        assert bundle.k == bench_bundle.k
+        assert bundle.attacks.segments == bench_bundle.attacks.segments
+
 
 class TestStepPlant:
     def test_zero_maps_to_zero(self, bench_bundle):

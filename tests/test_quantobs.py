@@ -124,6 +124,29 @@ def _edge_values(q: Modulus, kernel: LimbKernel):
     return sorted({q.cmod(v) for v in edges})
 
 
+def _gain(data, sizes, h):
+    """Gbar rows of one of three shapes: dense (no zero entry), all zero,
+    or bank-shaped, where each column is zero, confined to one block or
+    spread over every block, with random zero rows inside its support."""
+    l = sum(sizes)
+    g = data.draw(st.lists(st.integers(-2 ** 20, 2 ** 20).filter(bool),
+                           min_size=l * h, max_size=l * h), label="entries")
+    shape = data.draw(st.sampled_from(["dense", "zero", "bank"]),
+                      label="gain shape")
+    if shape == "bank":
+        block = [b for b, li in enumerate(sizes) for _ in range(li)]
+        support = data.draw(st.lists(
+            st.sampled_from(["none", "all", *range(len(sizes))]),
+            min_size=h, max_size=h), label="column supports")
+        holes = data.draw(st.lists(st.booleans(), min_size=l * h,
+                                   max_size=l * h), label="zero rows")
+        g = [0 if holes[i * h + k] or support[k] not in ("all", block[i])
+             else g[i * h + k] for i in range(l) for k in range(h)]
+    elif shape == "zero":
+        g = [0] * (l * h)
+    return [g[i * h:(i + 1) * h] for i in range(l)]
+
+
 class TestObserverUpdate:
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -138,9 +161,7 @@ class TestObserverUpdate:
         n_ch = data.draw(st.integers(1, 3), label="n_ch")
         N = data.draw(st.integers(1, 5), label="N")
         w = data.draw(st.sampled_from([1, 2, n_ch + N + n_ch]), label="width")
-        g = data.draw(st.lists(st.integers(-2 ** 20, 2 ** 20),
-                               min_size=l * h, max_size=l * h), label="Gbar")
-        Gbar = ModMatrix([g[i * h:(i + 1) * h] for i in range(l)], q, ncols=h)
+        Gbar = ModMatrix(_gain(data, sizes, h), q, ncols=h)
         kernel = LimbKernel.build(sizes, Gbar)
         entry = st.one_of(st.sampled_from(_edge_values(q, kernel)),
                           st.integers(-half, half))
@@ -162,6 +183,67 @@ class TestObserverUpdate:
                                     kernel.gain)
             Z = dense
         assert ModMatrix(kernel.join(limbs), q, ncols=w) == Z
+
+    # (block sizes, Gbar rows, expected terms (k, a, c) in build order)
+    EDGE_GAINS = {
+        "columns in one block each": (
+            (2, 3), [[5, 0], [7, 0], [0, 0], [0, 1], [0, 2]],
+            [(0, 0, 2), (1, 3, 5)]),
+        "zero column": ((1, 2), [[0, 3], [0, 0], [0, 4]],
+                        [(1, 0, 1), (1, 2, 3)]),
+        "block with no nonzero": ((2, 1, 2), [[1], [2], [0], [3], [0]],
+                                  [(0, 0, 2), (0, 3, 4)]),
+        "all zero": ((3, 1), [[0, 0]] * 4, []),
+        "spans blocks with interior zeros": (
+            (4, 3), [[0], [6], [0], [-8], [9], [0], [-1]],
+            [(0, 1, 4), (0, 4, 7)]),
+        "dense": ((1, 2), [[1, -2], [3, 4], [-5, 6]],
+                  [(0, 0, 1), (1, 0, 1), (0, 1, 3), (1, 1, 3)]),
+    }
+
+    @pytest.mark.parametrize("case", EDGE_GAINS)
+    def test_block_terms_of_edge_gains(self, case):
+        sizes, rows, expect = self.EDGE_GAINS[case]
+        q = Modulus(BENCH_Q)
+        Gbar = ModMatrix(rows, q)
+        kernel = LimbKernel.build(sizes, Gbar)
+        terms = kernel.gain.terms
+        assert [(k, a, c) for k, a, c, _ in terms] == expect
+        for k, a, c, coef in terms:
+            assert coef.shape == (1, c - a, 1)
+            assert coef.ravel().tolist() == [row[k] for row in rows[a:c]]
+        rng = random.Random(case)
+        half = (q.q - 1) // 2
+        Z = ModMatrix([[rng.randint(-half, half) for _ in range(3)]
+                       for _ in rows], q)
+        V = ModMatrix([[rng.randint(-half, half) for _ in range(3)]
+                       for _ in rows[0]], q)
+        limbs = observer_update(kernel.split(Z.rows), kernel.split(V.rows),
+                                sizes, kernel.gain)
+        dense = build_fbar(sizes, q) @ Z + Gbar @ V
+        assert ModMatrix(kernel.join(limbs), q) == dense
+
+    def test_benchmark_gain_has_ten_block_terms(self, bench_setup):
+        # Phi B in every one of the 5 blocks and each sensor's column of
+        # L_gain in its own block: 10 terms over 48 of the 24 x 6 entries
+        maps = bench_setup.mod_maps
+        kernel = LimbKernel.build(maps.block_sizes, maps.Gbar)
+        terms = kernel.gain.terms
+        assert maps.block_sizes == (6, 4, 6, 4, 4)
+        assert kernel.gain.shape == (24, 6)
+        assert len(terms) == 10
+        assert sum(c - a for _, a, c, _ in terms) == 48
+        assert sum(1 for row in maps.Gbar.rows for g in row if g) == 48
+        assert sorted(k for k, *_ in terms) == [0] * 5 + [1, 2, 3, 4, 5]
+
+    def test_cancel_blocks_meet_only_their_columns_terms(self, bench_setup):
+        # every benchmark channel cancels at row k_j = 0, so the cancel
+        # columns take Phi B's 5 terms alone
+        public = ObserverPublic.build(bench_setup.mod_maps, bench_setup.params)
+        *_, cancel_gain = public._chain_ends
+        assert {m.k for m in public.channels} == {0}
+        assert [(k, a, c) for k, a, c, _ in cancel_gain.terms] == [
+            (0, 0, 6), (0, 6, 10), (0, 10, 16), (0, 16, 20), (0, 20, 24)]
 
     @pytest.mark.parametrize("q", MODULI[1:], ids=["2^61-1", "2^109-31"])
     def test_worst_case_limbs_stay_under_the_bound(self, q):
@@ -218,7 +300,8 @@ class TestObserverUpdate:
         with pytest.raises(EncObsError):
             observer_update(zeros((1, 3, 2), np.int64),
                             zeros((1, 1, 2), np.int64), (1, 1),
-                            zeros((3, 1), np.int64))
+                            LimbKernel.build((3,), ModMatrix.zeros(3, 1, q))
+                            .gain)
         with pytest.raises(EncObsError):
             LimbKernel.build((1, 1), ModMatrix.zeros(3, 1, q))
         state = QuantState(zbar=ModMatrix.zeros(3, 1, q), step=0)
