@@ -41,6 +41,7 @@ __all__ = [
     "NotFullRowRank",
     "Modulus",
     "ModMatrix",
+    "MAX_MODULUS_BITS",
     "cmod",
     "mat_mul_mod",
     "inverse_mod",
@@ -81,6 +82,13 @@ class NotFullRowRank(ModRingError):
 
 
 _MILLER_RABIN_ROUNDS = 64
+# The widest modulus a Modulus accepts, checked before Miller-Rabin, whose
+# cost grows with the cube of the bit length.  Byte parsers build a Modulus
+# for whatever width a blob names: a 600-byte ciphertext carrying the
+# Mersenne prime 2^4423 - 1 took about 20 s to test.  1024 bits is about 10
+# times the 109-bit benchmark modulus, and a 1024-bit prime tests in about
+# 0.3 s.
+MAX_MODULUS_BITS = 1024
 
 
 @lru_cache(maxsize=1024)
@@ -131,6 +139,9 @@ class Modulus:
     def __init__(self, q: int):
         if q < 3:
             raise PrimalityError(f"modulus must be >= 3, got {q}")
+        if q.bit_length() > MAX_MODULUS_BITS:
+            raise PrimalityError(f"modulus has {q.bit_length()} bits, more "
+                                 f"than the {MAX_MODULUS_BITS} tested")
         if not _is_probable_prime(q):
             raise PrimalityError(f"modulus {q} failed the primality test")
         object.__setattr__(self, "q", q)
@@ -151,6 +162,12 @@ class Modulus:
 
     def contains(self, a: int) -> bool:
         return -self._max_abs <= a <= self._max_abs
+
+    def contains_all(self, values: Sequence[int]) -> bool:
+        """Whether every value lies in the centred range: one `min` and
+        one `max` over the list."""
+        return not values or (-self._max_abs <= min(values)
+                              and max(values) <= self._max_abs)
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse of a in the centered range."""

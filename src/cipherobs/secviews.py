@@ -101,7 +101,7 @@ def _read_body(buf: bytes, n_cts: int, n_lists: int):
         _check_ciphertexts(cts, q, cts[0].N)
         for _ in range(n_lists):
             vals, offset = _unpack_ints(buf, offset)
-            if not all(map(q.contains, vals)):
+            if not q.contains_all(vals):
                 raise ViewError("transcript entry outside the centred range")
             lists.append(vals)
     except LweError as exc:
@@ -171,9 +171,10 @@ class View2:
         if any(len(vals) != n_ch * ct.h for ct, vals in zip(cts, lists)):
             raise ViewError("cancel count is not the channel count times "
                             "the ciphertext rows")
+        # zip over h references to one iterator cuts the list into
+        # consecutive h-tuples, one per channel
         return cls(standard_cts=tuple(cts), cancels=tuple(
-            tuple(tuple(vals[j * ct.h:(j + 1) * ct.h]) for j in range(n_ch))
-            for ct, vals in zip(cts, lists)))
+            tuple(zip(*[iter(vals)] * ct.h)) for ct, vals in zip(cts, lists)))
 
 
 def _check_public(cts: Sequence[Ciphertext], public: ObserverPublic):

@@ -3,6 +3,7 @@ library, plus random problem generators."""
 
 import dataclasses
 import random
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
@@ -13,7 +14,7 @@ import numpy as np
 from cipherobs.encobs import EncObserverState, EncryptedBatch, \
     EncryptorSession, ObserverPublic, disclose_residue, \
     residue_first_column, step_encrypted
-from cipherobs.lwe import TestRng, decrypt, keygen
+from cipherobs.lwe import _CT_MAGIC, LweError, TestRng, decrypt, keygen
 from cipherobs.modring import DimensionMismatch, ModMatrix, ModRingError, \
     Modulus, _echelon, inverse_mod, pivot_columns, split_limbs
 from cipherobs.obsdesign import run_reference_observer
@@ -542,3 +543,91 @@ def calibrate_quantization(setup, horizon=None) -> CalibrationReport:
         state = step_quantized(state, vbar, maps.block_sizes, maps.Gbar)
     return CalibrationReport(max_residue_dev=max_res_dev,
                              max_subset_dev=max_sub_dev, eps=params.eps)
+
+
+# -- integer-list codec ------------------------------------------------------
+
+def reference_pack_ints(values: Sequence[int]) -> bytes:
+    """The integer-list encoding, one value at a time: a uint32 count, then
+    per value a sign byte, a uint32 magnitude length and the little-endian
+    magnitude in its fewest bytes (one for 0)."""
+    out = [struct.pack("<I", len(values))]
+    for v in values:
+        mag = abs(v)
+        raw = mag.to_bytes((mag.bit_length() + 7) // 8 or 1, "little")
+        out.append(struct.pack("<BI", 1 if v < 0 else 0, len(raw)))
+        out.append(raw)
+    return b"".join(out)
+
+
+def reference_unpack_ints(buf: bytes, offset: int) -> Tuple[list, int]:
+    """Strict inverse of `reference_pack_ints`, checking each value's
+    canonical length against its decoded bit length."""
+    if offset + 4 > len(buf):
+        raise LweError("truncated integer list")
+    (count,) = struct.unpack_from("<I", buf, offset)
+    offset += 4
+    if 6 * count > len(buf) - offset:
+        raise LweError("truncated integer list")
+    values = []
+    for _ in range(count):
+        if offset + 5 > len(buf):
+            raise LweError("truncated integer")
+        sign, nbytes = struct.unpack_from("<BI", buf, offset)
+        offset += 5
+        end = offset + nbytes
+        if end > len(buf):
+            raise LweError("truncated integer")
+        mag = int.from_bytes(buf[offset:end], "little")
+        if sign > 1 or nbytes != ((mag.bit_length() + 7) // 8 or 1) or (
+                sign and not mag):
+            raise LweError("non-canonical integer encoding")
+        offset = end
+        values.append(-mag if sign else mag)
+    return values, offset
+
+
+def _entry(sign: int, nbytes: int, magnitude: bytes = b"") -> bytes:
+    return struct.pack("<BI", sign, nbytes) + magnitude
+
+
+def _count(n: int) -> bytes:
+    return struct.pack("<I", n)
+
+
+# One hand-built integer list per way an encoding can be malformed, with the
+# end of the message the strict decoder must give.  The zero-length
+# magnitudes are padded by a byte, since a one-entry list of fewer than 6
+# bytes is refused by its count before its entry is read.
+MALFORMED_INT_LISTS = {
+    "sign-byte-2": (_count(1) + _entry(2, 1, b"\x05"),
+                    "non-canonical integer encoding"),
+    "leading-zero-byte": (_count(1) + _entry(0, 2, b"\x05\x00"),
+                          "non-canonical integer encoding"),
+    "minus-zero": (_count(1) + _entry(1, 1, b"\x00"),
+                   "non-canonical integer encoding"),
+    "zero-length-magnitude": (_count(1) + _entry(0, 0) + b"\x00",
+                              "non-canonical integer encoding"),
+    "negative-zero-length-magnitude": (_count(1) + _entry(1, 0) + b"\x00",
+                                       "non-canonical integer encoding"),
+    "length-field-with-its-high-bytes-set": (
+        _count(1) + _entry(0, 0x01000001, b"\x05"), "truncated integer"),
+    "truncated-inside-the-5-byte-header": (
+        _count(2) + _entry(0, 8, bytes(7) + b"\x01") + b"\x00\x01\x00",
+        "truncated integer"),
+    "truncated-inside-the-magnitude": (_count(1) + _entry(0, 4, b"\x05\x06"),
+                                       "truncated integer"),
+    "count-larger-than-the-bytes-left": (_count(3) + _entry(0, 1, b"\x05"),
+                                         "truncated integer list"),
+}
+
+# The Mersenne prime 2^4423 - 1: far wider than any modulus a Modulus
+# accepts, and about 20 s of Miller-Rabin if one were run on it.
+HUGE_PRIME = 2 ** 4423 - 1
+
+
+def huge_modulus_ct_blob() -> bytes:
+    """A 600-byte standard ciphertext blob (N = 1, one row) over
+    `HUGE_PRIME`."""
+    return (_CT_MAGIC + reference_pack_ints([HUGE_PRIME, 1, 0, 1])
+            + reference_pack_ints([3, 4]))

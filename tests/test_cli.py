@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -10,6 +11,8 @@ from cipherobs.cli import main
 from cipherobs.modring import ModMatrix
 from cipherobs.pipeline import bundled_scenario_path, run_encrypted_mode, \
     run_quantized_mode
+
+from .helpers import HUGE_PRIME
 
 
 def _encrypted_dims(monkeypatch, argv):
@@ -173,6 +176,16 @@ class TestSimulate:
                      _run_config(tmp_path, **overrides),
                      "--mode", "encrypted", "--steps", "2", *flags]) == 2
         assert capsys.readouterr().err.startswith("configuration error: ")
+
+    def test_huge_modulus_is_a_config_error(self, tmp_path, capsys):
+        # refused by its width, not after minutes of Miller-Rabin
+        start = time.perf_counter()
+        assert main(["simulate", "--config",
+                     _run_config(tmp_path, q=HUGE_PRIME),
+                     "--mode", "encrypted", "--steps", "2"]) == 2
+        assert time.perf_counter() - start < 5
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "4423 bits" in err
 
     def test_full_lwe_flag_is_gone(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,8 +1,9 @@
 import random
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cipherobs import lwe
@@ -21,10 +22,14 @@ from cipherobs.lwe import (
     keygen,
 )
 from cipherobs.lwe import TestRng as SeededRng
-from cipherobs.lwe import _CT_MAGIC, _KEY_MAGIC, _RandomSource, _pack_ints
+from cipherobs.lwe import _CT_MAGIC, _KEY_MAGIC, _RandomSource, _pack_ints, \
+    _unpack_ints
 from cipherobs.modring import DimensionMismatch, ModMatrix, Modulus, \
     digit_budget, join_limbs
-from .helpers import ValueSource, last_column
+from cipherobs.pipeline import BENCH_Q
+from .helpers import HUGE_PRIME, MALFORMED_INT_LISTS, ValueSource, \
+    huge_modulus_ct_blob, last_column, reference_pack_ints, \
+    reference_unpack_ints
 
 Q97 = Modulus(97)
 QBIG = Modulus(2 ** 61 - 1)
@@ -597,3 +602,90 @@ class TestStrictParsing:
         except LweError:
             return
         assert ct.to_bytes() == bytes(blob)
+
+    def test_centred_range_edges(self):
+        # one min and one max decide the range, wherever the entry sits
+        q = QBIG.q
+        half = (q - 1) // 2
+        ct_head = _CT_MAGIC + _pack_ints([q, 2, 0, 1])
+        key_head = _KEY_MAGIC + _pack_ints([q, 3])
+        for pos in range(3):
+            for edge in (half, -half):
+                row = [0, 0, 0]
+                row[pos] = edge
+                assert Ciphertext.from_bytes(
+                    ct_head + _pack_ints(row)).body.rows == (tuple(row),)
+                assert SecretKey.from_bytes(
+                    key_head + _pack_ints(row)).entries() == tuple(row)
+            for outside in (half + 1, -half - 1):
+                row = [0, 0, 0]
+                row[pos] = outside
+                with pytest.raises(LweError, match="centred range"):
+                    Ciphertext.from_bytes(ct_head + _pack_ints(row))
+                with pytest.raises(LweError, match="centred range"):
+                    SecretKey.from_bytes(key_head + _pack_ints(row))
+
+    def test_huge_modulus_refused_at_once(self):
+        key_blob = (_KEY_MAGIC + _pack_ints([HUGE_PRIME, 1])
+                    + _pack_ints([1]))
+        for blob, parse in ((huge_modulus_ct_blob(), Ciphertext.from_bytes),
+                            (key_blob, SecretKey.from_bytes)):
+            start = time.perf_counter()
+            with pytest.raises(LweError, match="4423 bits"):
+                parse(blob)
+            assert time.perf_counter() - start < 1
+
+
+def _signed(magnitudes):
+    return st.builds(lambda m, negative: -m if negative else m, magnitudes,
+                     st.booleans())
+
+
+# byte-length edges, the benchmark's centred range and values wider than
+# 64 bits, mixed with ordinary small values
+_HALF_BENCH_Q = (BENCH_Q - 1) // 2
+_EDGE_INTS = _signed(st.sampled_from(
+    [0, 1, 255, 256, _HALF_BENCH_Q, 2 ** 64]
+    + [2 ** k + d for k in (7, 8, 15, 16, 31, 32, 63, 64, 108)
+       for d in (-1, 1)]))
+_INT_LISTS = st.lists(st.one_of(_EDGE_INTS,
+                                _signed(st.integers(2 ** 64, 2 ** 200)),
+                                st.integers(-2 ** 40, 2 ** 40)),
+                      max_size=40)
+
+
+def _decoded(unpack, blob):
+    try:
+        return unpack(blob, 0)
+    except LweError as exc:
+        return str(exc)
+
+
+class TestIntCodec:
+    @settings(max_examples=300, deadline=None)
+    @given(_INT_LISTS, st.binary(max_size=6))
+    @example([], b"")
+    def test_matches_reference_codec(self, values, prefix):
+        blob = reference_pack_ints(values)
+        assert _pack_ints(values) == blob
+        assert _unpack_ints(prefix + blob, len(prefix)) == (
+            values, len(prefix) + len(blob))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_INT_LISTS, st.data())
+    def test_damaged_list_decodes_as_reference_does(self, values, data):
+        # a value, or the same refusal with the same message
+        blob = bytearray(reference_pack_ints(values))
+        for _ in range(data.draw(st.integers(0, 3))):
+            blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(
+                st.integers(0, 255))
+        blob = bytes(blob[:data.draw(st.integers(0, len(blob)))])
+        assert _decoded(_unpack_ints, blob) == _decoded(reference_unpack_ints,
+                                                        blob)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_INT_LISTS))
+    def test_malformed_list_rejected(self, name):
+        blob, message = MALFORMED_INT_LISTS[name]
+        for unpack in (_unpack_ints, reference_unpack_ints):
+            with pytest.raises(LweError, match=f"^{message}$"):
+                unpack(blob, 0)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cipherobs.modring import (
+    MAX_MODULUS_BITS,
     DimensionMismatch,
     ModMatrix,
     Modulus,
@@ -23,8 +25,9 @@ from cipherobs.modring import (
     mat_mul_mod,
 )
 from cipherobs.modring import _is_probable_prime
-from .helpers import ZeroRow, centered_difference_check, complete_basis, \
-    egcd_inverse, random_mod_matrix, rank_mod, right_inverse_row
+from .helpers import HUGE_PRIME, ZeroRow, centered_difference_check, \
+    complete_basis, egcd_inverse, random_mod_matrix, rank_mod, \
+    right_inverse_row
 
 Q5 = Modulus(5)
 Q7 = Modulus(7)
@@ -48,6 +51,19 @@ class TestModulus:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             Q5.q = 7
+
+    def test_width_is_bounded_before_the_primality_test(self):
+        # primes all, so only the width can refuse them
+        _is_probable_prime.cache_clear()
+        start = time.perf_counter()
+        for q in (HUGE_PRIME, 2 ** 1279 - 1, 2 ** MAX_MODULUS_BITS + 1):
+            with pytest.raises(PrimalityError, match="bits, more than"):
+                Modulus(q)
+        assert time.perf_counter() - start < 1
+        assert _is_probable_prime.cache_info().misses == 0
+
+    def test_widest_accepted_modulus(self):
+        assert Modulus(2 ** 1024 - 105).q.bit_length() == MAX_MODULUS_BITS
 
     def test_primality_verdict_computed_once_per_modulus(self):
         _is_probable_prime.cache_clear()

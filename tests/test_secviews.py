@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import struct
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,8 @@ from cipherobs.secviews import (
 )
 from cipherobs.zerodyn import channel_maps
 
-from .helpers import f1_zero_dynamics
+from .helpers import MALFORMED_INT_LISTS, f1_zero_dynamics, \
+    huge_modulus_ct_blob
 
 
 def _tiny_public(q: Modulus, block_sizes, Gr, Hr, N):
@@ -338,6 +340,31 @@ class TestStrictTranscriptParsing:
         for bad in (6, -6, 16):
             with pytest.raises(ViewError, match="centred range"):
                 View2.from_bytes(with_last_cancel(bad))
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_INT_LISTS))
+    def test_malformed_int_list_is_a_view_error(self, tiny_views, name):
+        record, message = MALFORMED_INT_LISTS[name]
+        view1, view2 = tiny_views
+        last_lists = (view1.residues[-1].column_entries(),
+                      [a for c in view2.cancels[-1] for a in c])
+        for view, last, parse in zip(tiny_views, last_lists, _parsers()):
+            blob = view.to_bytes()
+            tail = _pack_ints(last)
+            assert blob.endswith(tail)
+            with pytest.raises(ViewError, match=f"{message}$"):
+                parse(blob[:-len(tail)] + record)
+
+    def test_huge_modulus_refused_at_once(self):
+        ct = huge_modulus_ct_blob()
+        for magic, parse in ((b"VIEW1", _parsers()[0]),
+                             (b"VIEW2", View2.from_bytes)):
+            # one ciphertext and one empty list
+            blob = magic + struct.pack("<III", 0, 0, len(ct)) + ct \
+                + _pack_ints([])
+            start = time.perf_counter()
+            with pytest.raises(ViewError, match="4423 bits"):
+                parse(blob)
+            assert time.perf_counter() - start < 1
 
     def test_cancel_count_must_be_channels_times_rows(self, tiny_views):
         view2 = tiny_views[1]
