@@ -15,7 +15,7 @@ from .quantobs import QuantParams, QuantState, detect, make_params, \
     quantize_initial, quantize_input, residue_quantized, step_quantized, \
     validate_params
 from .lwe import Ciphertext, CiphertextKind, NoiseParams, SecretKey, \
-    SecureRng, TestRng, ct_add, ct_matmul, decrypt, encrypt, keygen
+    SecureRng, TestRng, keygen
 from .zerodyn import ChannelMaps, channel_maps
 from .encobs import EncryptorSession, EncObserverState, ObserverPublic, \
     disclose_residue, recover_encrypted_state, residue_first_column, \

@@ -351,8 +351,9 @@ class _ChannelBody:
     column N + 1 + j is channel j's cancel column.  `body` holds the matrix
     as the (L, rows, N + 1 + n_ch) int64 limb stack of `kernel`, and `rows`
     as centred Python ints, joined from the limbs once on first use.  The
-    layout stays inside this module: other modules read a channel only
-    through `channel(j)`.
+    layout stays inside this module: other modules write a batch with
+    `EncryptedBatch._write` and read one with `standard_and_cancels`.
+    `channel(j)` forms channel j's modified ciphertext for checks.
     """
 
     def __init__(self, body: np.ndarray, n_channels: int,

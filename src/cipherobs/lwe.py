@@ -3,8 +3,10 @@
 A ciphertext for an h-dimensional message is the h x (N+1) matrix
 [m + b, A] mod q with masking term b = A sk + e, where e is a small error.
 The modified scheme used by the encrypted observer appends one extra column
-(the cancellation term), widening ciphertexts to N+2; decryption then
-re-sums that column, so both kinds decrypt to m + e mod q.
+(the cancellation term), widening ciphertexts to N+2, and subtracts it from
+the first column, so both kinds decrypt to first - A sk = m + e mod q, the
+modified kind once its extra column is added back.  The observer decrypts
+only in recovery (`encobs.recover_encrypted_state`), with `SecretKey.products`.
 
 Randomness comes from an injected source: `SecureRng` (system entropy, the
 default) or the seedable `TestRng` for reproducible runs; the latter is
@@ -23,8 +25,7 @@ limbs against the key's signed dk-bit digits, with N 2^32 2^dk <= 2^53, so
 every partial sum is an integer that float64 holds exactly, whatever order
 BLAS sums in.  At N = 4096 that is dk = 9, with 13 key digits.  The key's
 digits are cut once per key; keys longer than `MAX_N` = 2^20 leave no
-digit bit and are refused.  Python ints for A appear only when a standard
-ciphertext or the randomness matrix is asked for (`Encryption.ciphertext`).
+digit bit and are refused.
 
 Keys and ciphertexts serialize as a magic, a header list and a payload
 list.  An integer list is a uint32 count, then per value a sign byte, a
@@ -36,7 +37,8 @@ payload entry outside the centred range of q, found by one `min` and one
 `max` per list.  It decodes a 109-bit entry in about 0.4 us (CPython 3.11,
 2-vCPU x86-64).  A blob's modulus wider than `modring.MAX_MODULUS_BITS`
 = 1024 bits is refused before its primality test, so no blob can stall
-the parser.
+the parser; a reader that already knows q passes it, and a blob naming
+another modulus is refused with no primality test at all.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ import enum
 import random
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import List, Sequence, Tuple
 
@@ -66,11 +67,7 @@ __all__ = [
     "Ciphertext",
     "Encryption",
     "keygen",
-    "encrypt",
     "encrypt_with_artifacts",
-    "decrypt",
-    "ct_add",
-    "ct_matmul",
 ]
 
 
@@ -109,15 +106,9 @@ class NoiseParams:
 # leaves key digits of dk >= 1 bit
 MAX_N = 2 ** 20
 _UNIFORM_CHUNK = 4096
-# limb width of the draws `uniforms` and `encrypt` join into Python ints:
-# the widest `words_to_limbs` cuts, so the fewest limbs
+# limb width of the draws `uniforms` joins into Python ints: the widest
+# `words_to_limbs` cuts, so the fewest limbs
 _JOIN_WIDTH = 62
-
-
-def _centred(values, q: Modulus) -> list:
-    """Values in [0, q) moved to the centred range."""
-    modulus, half = q.q, (q.q - 1) // 2
-    return [v - modulus if v > half else v for v in values]
 
 
 class _RandomSource:
@@ -170,7 +161,9 @@ class _RandomSource:
         limbs = np.empty((-(-q.q.bit_length() // _JOIN_WIDTH), 1, count),
                          dtype=np.int64)
         self.uniform_limbs(q, _JOIN_WIDTH, limbs)
-        return _centred(join_limbs(limbs[:, 0], _JOIN_WIDTH), q)
+        modulus, half = q.q, (q.q - 1) // 2
+        return [v - modulus if v > half else v
+                for v in join_limbs(limbs[:, 0], _JOIN_WIDTH)]
 
     def error(self, noise: NoiseParams) -> int:
         while True:
@@ -247,16 +240,20 @@ def _unpack_ints(buf: bytes, offset: int) -> Tuple[list, int]:
     return values, offset
 
 
-def _parse_body(buf: bytes, header_len: int):
+def _parse_body(buf: bytes, header_len: int, q: Modulus | None = None):
     """Magic-stripped blob -> (header ints, modulus, payload ints), checking
-    that nothing trails the payload and every entry is centred mod q."""
+    that nothing trails the payload and every entry is centred mod q; a
+    given q is compared with the blob's modulus instead of tested again."""
     header, offset = _unpack_ints(buf, 4)
     if len(header) != header_len:
         raise LweError("malformed header")
-    try:
-        q = Modulus(header[0])
-    except PrimalityError as exc:
-        raise LweError(f"blob modulus refused: {exc}") from exc
+    if q is None:
+        try:
+            q = Modulus(header[0])
+        except PrimalityError as exc:
+            raise LweError(f"blob modulus refused: {exc}") from exc
+    elif header[0] != q.q:
+        raise LweError("blob modulus does not match the expected one")
     payload, offset = _unpack_ints(buf, offset)
     if offset != len(buf):
         raise LweError(f"{len(buf) - offset} trailing bytes")
@@ -387,10 +384,11 @@ class Ciphertext:
         return _CT_MAGIC + head + _pack_ints(self.body.flat())
 
     @classmethod
-    def from_bytes(cls, buf: bytes) -> "Ciphertext":
+    def from_bytes(cls, buf: bytes, q: Modulus | None = None) -> "Ciphertext":
+        """A given q is the modulus the blob must name (`_parse_body`)."""
         if buf[:4] != _CT_MAGIC:
             raise LweError("not a ciphertext blob")
-        (_, n, kind_flag, h), q, flat = _parse_body(buf, 4)
+        (_, n, kind_flag, h), q, flat = _parse_body(buf, 4, q)
         if kind_flag not in (0, 1) or n < 1 or h < 1:
             raise LweError("malformed ciphertext header")
         kind = CiphertextKind.MODIFIED if kind_flag else CiphertextKind.STANDARD
@@ -415,32 +413,15 @@ class Encryption:
     """A standard encryption [m + b, A] mod q with its artifacts.
 
     `first` is the column m + b, `mask` is b = A sk + e and `error` is e.
-    The randomness A stays the (L, h, N) limb stack of width `width` the
-    source drew it into, with entries in [0, q).  The mask, error and A
-    are for the trusted encryptor role that derives the cancellation terms;
-    they must never leave the encrypting process or be serialized alongside
-    the ciphertext.
+    The randomness A is the caller's limb array, filled in place.  The
+    mask and error are for the trusted encryptor role that derives the
+    cancellation terms; they must never leave the encrypting process or be
+    serialized alongside the ciphertext.
     """
 
     first: ModMatrix
     mask: ModMatrix
     error: ModMatrix
-    randomness: np.ndarray
-    width: int
-
-    @cached_property
-    def randomness_matrix(self) -> ModMatrix:
-        """A as centred Python ints, joined once, a row at a time."""
-        q = self.first.modulus
-        return ModMatrix((_centred(join_limbs(limbs, self.width), q)
-                          for limbs in self.randomness.transpose(1, 0, 2)),
-                         q, ncols=self.randomness.shape[2], _reduced=True)
-
-    def ciphertext(self) -> Ciphertext:
-        """The standard ciphertext [m + b, A] as Python ints."""
-        A = self.randomness_matrix
-        return Ciphertext(body=self.first.hstack(A),
-                          kind=CiphertextKind.STANDARD, N=A.ncols)
 
 
 def encrypt_with_artifacts(m: ModMatrix, sk: SecretKey, noise: NoiseParams,
@@ -459,37 +440,5 @@ def encrypt_with_artifacts(m: ModMatrix, sk: SecretKey, noise: NoiseParams,
     b = ModMatrix.column([s + ei for s, (ei,) in
                           zip(sk.products(randomness, width), e.rows)],
                          sk.q)
-    return Encryption(first=m + b, mask=b, error=e, randomness=randomness,
-                      width=width)
+    return Encryption(first=m + b, mask=b, error=e)
 
-
-def encrypt(m: ModMatrix, sk: SecretKey, noise: NoiseParams, rng) -> Ciphertext:
-    """Standard encryption [m + b, A] mod q."""
-    limbs = np.empty((-(-sk.q.q.bit_length() // _JOIN_WIDTH), m.nrows, sk.N),
-                     dtype=np.int64)
-    return encrypt_with_artifacts(m, sk, noise, rng, limbs,
-                                  _JOIN_WIDTH).ciphertext()
-
-
-def decrypt(ct: Ciphertext, sk: SecretKey) -> ModMatrix:
-    """Recover m + e mod q; modified ciphertexts re-sum their extra column."""
-    if ct.N != sk.N:
-        raise DimensionMismatch("ciphertext and key disagree on N")
-    # key entries are centered, and the centered range is symmetric
-    key = [1] + [-v for v in sk.entries()]
-    if ct.kind is CiphertextKind.MODIFIED:
-        key.append(1)
-    return ct.body @ ModMatrix(((k,) for k in key), sk.q, ncols=1,
-                               _reduced=True)
-
-
-def ct_add(c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
-    """Entrywise sum; decrypts to the sum of the decryptions."""
-    if c1.kind is not c2.kind or c1.N != c2.N:
-        raise LweError("ciphertext kinds or dimensions differ")
-    return Ciphertext(body=c1.body + c2.body, kind=c1.kind, N=c1.N)
-
-
-def ct_matmul(Kmat: ModMatrix, c: Ciphertext) -> Ciphertext:
-    """Left multiplication by a Z_q matrix, evaluated on the body."""
-    return Ciphertext(body=Kmat @ c.body, kind=c.kind, N=c.N)

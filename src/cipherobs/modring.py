@@ -268,14 +268,6 @@ class ModMatrix:
         return ModMatrix((self.rows[i],), self.modulus,
                          ncols=self.ncols, _reduced=True)
 
-    def hstack(self, other: "ModMatrix") -> "ModMatrix":
-        self._check_mod(other)
-        if self.nrows != other.nrows:
-            raise DimensionMismatch("hstack needs equal row counts")
-        rows = tuple(a + b for a, b in zip(self.rows, other.rows))
-        return ModMatrix(rows, self.modulus,
-                         ncols=self.ncols + other.ncols, _reduced=True)
-
     def vstack(self, other: "ModMatrix") -> "ModMatrix":
         self._check_mod(other)
         if self.ncols != other.ncols:

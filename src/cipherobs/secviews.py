@@ -81,10 +81,12 @@ def _read_header(buf: bytes, magic: bytes) -> Tuple[int, int]:
     return struct.unpack_from("<II", buf, 5)
 
 
-def _read_body(buf: bytes, n_cts: int, n_lists: int):
+def _read_body(buf: bytes, n_cts: int, n_lists: int, q: Modulus | None):
     """Strict inverse of `_write` past the header -> (ciphertexts, lists).
     The ciphertexts must be standard, over one modulus and one N, and every
-    list entry must lie in that modulus's centred range."""
+    list entry must lie in that modulus's centred range.  Each ciphertext's
+    modulus is compared with q, or else with the first one's, before any
+    primality test, so a transcript naming many primes costs one at most."""
     offset = _HEADER_LEN
     cts, lists = [], []
     try:
@@ -95,9 +97,9 @@ def _read_body(buf: bytes, n_cts: int, n_lists: int):
             offset += 4
             if offset + size > len(buf):
                 raise ViewError("ciphertext size runs past the transcript")
-            cts.append(Ciphertext.from_bytes(buf[offset:offset + size]))
+            cts.append(Ciphertext.from_bytes(buf[offset:offset + size], q))
+            q = cts[-1].body.modulus
             offset += size
-        q = cts[0].body.modulus
         _check_ciphertexts(cts, q, cts[0].N)
         for _ in range(n_lists):
             vals, offset = _unpack_ints(buf, offset)
@@ -131,9 +133,7 @@ class View1:
     @classmethod
     def from_bytes(cls, buf: bytes, q: Modulus) -> "View1":
         n_inputs, n_res = _read_header(buf, b"VIEW1")
-        cts, lists = _read_body(buf, n_inputs + 1, n_res)
-        if cts[0].body.modulus != q:
-            raise ViewError("ciphertext modulus does not match the residues'")
+        cts, lists = _read_body(buf, n_inputs + 1, n_res, q)
         return cls(init_ct=cts[0], input_cts=tuple(cts[1:]),
                    residues=tuple(ModMatrix(((v,) for v in vals), q, ncols=1,
                                             _reduced=True) for vals in lists))
@@ -167,7 +167,7 @@ class View2:
     @classmethod
     def from_bytes(cls, buf: bytes) -> "View2":
         n_ch, n_steps = _read_header(buf, b"VIEW2")
-        cts, lists = _read_body(buf, n_steps + 1, n_steps + 1)
+        cts, lists = _read_body(buf, n_steps + 1, n_steps + 1, None)
         if any(len(vals) != n_ch * ct.h for ct, vals in zip(cts, lists)):
             raise ViewError("cancel count is not the channel count times "
                             "the ciphertext rows")

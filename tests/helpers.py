@@ -14,11 +14,12 @@ import numpy as np
 from cipherobs.encobs import EncObserverState, EncryptedBatch, \
     EncryptorSession, ObserverPublic, disclose_residue, \
     residue_first_column, step_encrypted
-from cipherobs.lwe import _CT_MAGIC, LweError, TestRng, decrypt, keygen
+from cipherobs.lwe import _CT_MAGIC, CiphertextKind, LweError, TestRng, \
+    keygen
 from cipherobs.modring import DimensionMismatch, ModMatrix, ModRingError, \
     Modulus, _echelon, inverse_mod, pivot_columns, split_limbs
 from cipherobs.obsdesign import run_reference_observer
-from cipherobs.pipeline import EncryptedRun, run_quantized_mode
+from cipherobs.pipeline import BENCH_Q, EncryptedRun, run_quantized_mode
 from cipherobs.plantsim import AttackScenario, PlantModel, run_closed_loop
 from cipherobs.quantobs import QuantState, quantize_initial, quantize_input, \
     residue_quantized, step_quantized
@@ -161,10 +162,21 @@ def transcript_masks(standard_cts, messages, lift: int) -> List[ModMatrix]:
             for ct, v in zip(standard_cts, messages)]
 
 
+def dense_decrypt(ct, sk) -> ModMatrix:
+    """Decryption over the Python ints (test oracle): first - shared sk,
+    plus a modified ciphertext's cancel column."""
+    if ct.N != sk.N:
+        raise DimensionMismatch("ciphertext and key disagree on N")
+    key, cancel = sk.entries(), ct.kind is CiphertextKind.MODIFIED
+    return ModMatrix.column([row[0] - sum(map(mul, row[1:], key))
+                             + (row[-1] if cancel else 0)
+                             for row in ct.body.rows], sk.q)
+
+
 def transcript_errors(standard_cts, messages, lift: int,
                       sk) -> List[ModMatrix]:
-    """Each encryption's error, decrypt - lift v."""
-    return [decrypt(ct, sk) - v.scale(lift)
+    """Each encryption's error, decryption - lift v."""
+    return [dense_decrypt(ct, sk) - v.scale(lift)
             for ct, v in zip(standard_cts, messages)]
 
 
@@ -483,7 +495,7 @@ def joined_residue_first_column(state, public) -> ModMatrix:
 
 def decrypt_channel_state(state, j: int, sk) -> ModMatrix:
     """Dec' of channel j's state: first - shared @ sk + last, reduced."""
-    return decrypt(state.channel(j), sk)
+    return dense_decrypt(state.channel(j), sk)
 
 
 def recover_plain_estimate(state: QuantState, PhiPinvBar: ModMatrix,
@@ -625,9 +637,23 @@ MALFORMED_INT_LISTS = {
 # accepts, and about 20 s of Miller-Rabin if one were run on it.
 HUGE_PRIME = 2 ** 4423 - 1
 
+# The benchmark q, then three distinct 1024-bit primes (2^1024 - k is prime
+# for k = 105, 179, 1397; found once with `modring._is_probable_prime`),
+# each about 0.35 s of Miller-Rabin on a 2-vCPU x86-64.
+MANY_MODULI = (BENCH_Q, 2 ** 1024 - 105, 2 ** 1024 - 179, 2 ** 1024 - 1397)
 
-def huge_modulus_ct_blob() -> bytes:
-    """A 600-byte standard ciphertext blob (N = 1, one row) over
-    `HUGE_PRIME`."""
-    return (_CT_MAGIC + reference_pack_ints([HUGE_PRIME, 1, 0, 1])
+
+def ct_blob(q: int) -> bytes:
+    """A standard ciphertext blob (N = 1, one row) over q, prime or not:
+    600 bytes over `HUGE_PRIME`."""
+    return (_CT_MAGIC + reference_pack_ints([q, 1, 0, 1])
             + reference_pack_ints([3, 4]))
+
+
+def many_moduli_view2_blob() -> bytes:
+    """A 631-byte View 2 of 4 ciphertexts, one over each of `MANY_MODULI`,
+    with no channels."""
+    cts = [ct_blob(q) for q in MANY_MODULI]
+    return (b"VIEW2" + struct.pack("<II", 0, len(cts) - 1)
+            + b"".join(struct.pack("<I", len(ct)) + ct for ct in cts)
+            + reference_pack_ints([]) * len(cts))

@@ -231,7 +231,9 @@ class TestVerify:
     def test_default_suites_pass(self, capsys):
         assert main(["verify", "--seed", "11"]) == 0
         out = capsys.readouterr().out
-        assert out.count("[ok]") == 4
+        assert re.findall(r"^\[ok\] (.+) \(", out, re.M) == [
+            "deadbeat nilpotency", "output zeroing",
+            "disclosure/recovery/views"]
         assert "FAIL" not in out
 
     def test_disclosure_mismatch_is_reported(self, bench_setup, monkeypatch):

@@ -21,8 +21,7 @@ from cipherobs.encobs import (
     residue_first_column,
     step_encrypted,
 )
-from cipherobs.lwe import LweError, NoiseParams, SecretKey, decrypt, encrypt, \
-    keygen
+from cipherobs.lwe import LweError, NoiseParams, SecretKey, keygen
 from cipherobs.lwe import TestRng as SeededRng
 from cipherobs.modring import ModMatrix, Modulus, ModulusMismatch
 from cipherobs.pipeline import SystemSetup, bundled_scenario_path, \
@@ -30,9 +29,10 @@ from cipherobs.pipeline import SystemSetup, bundled_scenario_path, \
 from cipherobs.quantobs import quantize_initial
 from cipherobs.zerodyn import RelativeDegreeUndefined, channel_maps
 from .helpers import ValueSource, build_transform, cancellation_init, \
-    cancellation_step, cloud_run, decrypt_channel_state, dense_normal_form, \
-    encrypted_residue, error_trajectory, joined_residue_first_column, \
-    last_column, replay_states, sigma_dag, transcript_masks
+    cancellation_step, cloud_run, decrypt_channel_state, dense_decrypt, \
+    dense_normal_form, encrypted_residue, error_trajectory, \
+    joined_residue_first_column, last_column, replay_states, sigma_dag, \
+    transcript_masks
 
 
 class ZeroMaskRng(ValueSource):
@@ -229,9 +229,9 @@ class TestModifiedCompatibility:
         for t in range(5):
             batches.append(session.enc_input(qrun.vbars[t]))
         for batch in batches:
-            std_plain = decrypt(batch.standard_and_cancels()[0], sk)
+            std_plain = dense_decrypt(batch.standard_and_cancels()[0], sk)
             for j in (0, 7, 59):
-                assert decrypt(batch.channel(j), sk) == std_plain
+                assert dense_decrypt(batch.channel(j), sk) == std_plain
 
     def test_construction_identity_columns(self, bench_setup, public64):
         params = dataclasses.replace(bench_setup.params, N=64)

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cipherobs import lwe
+from cipherobs.encobs import modified_channels
 from cipherobs.lwe import (
     Ciphertext,
     CiphertextKind,
@@ -14,10 +15,6 @@ from cipherobs.lwe import (
     NoiseParams,
     SecretKey,
     SecureRng,
-    ct_add,
-    ct_matmul,
-    decrypt,
-    encrypt,
     encrypt_with_artifacts,
     keygen,
 )
@@ -28,7 +25,7 @@ from cipherobs.modring import DimensionMismatch, ModMatrix, Modulus, \
     digit_budget, join_limbs
 from cipherobs.pipeline import BENCH_Q
 from .helpers import HUGE_PRIME, MALFORMED_INT_LISTS, ValueSource, \
-    huge_modulus_ct_blob, last_column, reference_pack_ints, \
+    ct_blob, dense_decrypt, last_column, reference_pack_ints, \
     reference_unpack_ints
 
 Q97 = Modulus(97)
@@ -39,10 +36,22 @@ NOISE = NoiseParams(19.2)
 
 def encrypt_limbs(m, sk, rng, width=42):
     """`encrypt_with_artifacts` into fresh limbs of the given width (42 is
-    the benchmark observer's)."""
+    the benchmark observer's) -> (the encryption, its randomness A joined
+    into a matrix over Z_q)."""
     limbs = np.empty((-(-sk.q.q.bit_length() // width), m.nrows, sk.N),
                      dtype=np.int64)
-    return encrypt_with_artifacts(m, sk, NOISE, rng, limbs, width)
+    enc = encrypt_with_artifacts(m, sk, NOISE, rng, limbs, width)
+    return enc, ModMatrix((join_limbs(limbs[:, i], width)
+                           for i in range(m.nrows)), sk.q, ncols=sk.N)
+
+
+def standard_ct(m, sk, rng):
+    """The standard ciphertext [m + b | A] of `encrypt_limbs`."""
+    enc, A = encrypt_limbs(m, sk, rng)
+    return Ciphertext(body=ModMatrix((f + a for f, a in zip(enc.first.rows,
+                                                            A.rows)),
+                                     sk.q, ncols=sk.N + 1),
+                      kind=CiphertextKind.STANDARD, N=sk.N)
 
 
 class StubRng(ValueSource):
@@ -192,10 +201,10 @@ class TestUniforms:
               "max": lambda: SecretKey([half] * N, q),
               "min": lambda: SecretKey([-half] * N, q)}[key]()
         m = ModMatrix.column(rng.uniforms(q, h), q)
-        enc = encrypt_limbs(m, sk, rng)
-        A, b, e = enc.randomness_matrix, enc.mask, enc.error
+        enc, A = encrypt_limbs(m, sk, rng)
+        b, e = enc.mask, enc.error
         assert b == A @ ModMatrix.column(sk.entries(), q) + e
-        assert enc.ciphertext().body == (m + b).hstack(A)
+        assert enc.first == m + b
 
     @pytest.mark.parametrize("sign", [1, -1], ids=["max", "min"])
     def test_mask_exact_at_the_digit_bound(self, sign):
@@ -206,14 +215,13 @@ class TestUniforms:
         chunk = top.to_bytes(14, "little") * N
         sk = SecretKey([sign * (q.q - 1) // 2] * N, q)
         m = ModMatrix.column([5] * h, q)
-        enc = encrypt_limbs(m, sk, ScriptedSource([chunk] * h, 3))
+        enc, A = encrypt_limbs(m, sk, ScriptedSource([chunk] * h, 3))
         # 32-bit half limbs against 9-bit key digits fill the float64 budget
         dk, _ = sk._digits
         assert dk == digit_budget(N, 53) - 32 == 9
         assert N * 2 ** (32 + 9) == 2 ** 53
-        assert enc.randomness_matrix == ModMatrix([[-1] * N] * h, q)
-        dense = (enc.randomness_matrix @ ModMatrix.column(sk.entries(), q)
-                 + enc.error)
+        assert A == ModMatrix([[-1] * N] * h, q)
+        dense = A @ ModMatrix.column(sk.entries(), q) + enc.error
         assert enc.mask == dense
         assert enc.first == m + dense
 
@@ -232,10 +240,9 @@ class TestUniforms:
         assert low > 2 ** 53 and low % 2
         sk = SecretKey([(q.q - 1) // 2] * N, q)
         m = ModMatrix.column([5], q)
-        enc = encrypt_limbs(m, sk, ScriptedSource([chunk], 0))
+        enc, A = encrypt_limbs(m, sk, ScriptedSource([chunk], 0))
         assert sk._digits[0] == 10
-        dense = (enc.randomness_matrix @ ModMatrix.column(sk.entries(), q)
-                 + enc.error)
+        dense = A @ ModMatrix.column(sk.entries(), q) + enc.error
         assert enc.mask != dense
 
 
@@ -350,31 +357,29 @@ class TestEncryptDecrypt:
         sk = keygen(16, QBIG, rng)
         for _ in range(50):
             m = ModMatrix.column(rng.uniforms(QBIG, 3), QBIG)
-            ct = encrypt(m, sk, NOISE, rng)
-            err = decrypt(ct, sk) - m
+            ct = standard_ct(m, sk, rng)
+            err = dense_decrypt(ct, sk) - m
             assert err.max_abs() <= 19
 
     def test_forced_zero_randomness(self):
         sk = SecretKey([5, 7], Q97)
         m = ModMatrix.column([11], Q97)
-        ct = encrypt(m, sk, NOISE, StubRng([0, 0]))
+        ct = standard_ct(m, sk, StubRng([0, 0]))
         assert ct.body.rows == ((11, 0, 0),)
-        assert decrypt(ct, sk).column_entries() == (11,)
+        assert dense_decrypt(ct, sk).column_entries() == (11,)
 
     def test_worked_example(self):
         sk = SecretKey([3], Q97)
-        enc = encrypt_limbs(ModMatrix.column([5], Q97), sk,
-                            StubRng([10], error_value=1))
-        ct = enc.ciphertext()
-        assert enc.randomness_matrix.rows == ((10,),)
+        enc, A = encrypt_limbs(ModMatrix.column([5], Q97), sk,
+                               StubRng([10], error_value=1))
+        assert A.rows == ((10,),)
         assert enc.mask.column_entries() == (31,)
-        assert ct.body.rows == ((36, 10),)
-        assert decrypt(ct, sk).column_entries() == (6,)  # m + e
+        assert enc.first.column_entries() == (36,)     # m + A sk + e
 
     def test_empty_message(self):
         sk = keygen(3, Q97, SeededRng(0))
         assert SeededRng(1).uniforms(Q97, 0) == []
-        ct = encrypt(ModMatrix.column([], Q97), sk, NOISE, SeededRng(1))
+        ct = standard_ct(ModMatrix.column([], Q97), sk, SeededRng(1))
         assert ct.body.shape == (0, 4)
 
     def test_wrong_width_rejected(self):
@@ -383,115 +388,41 @@ class TestEncryptDecrypt:
             Ciphertext(body=body, kind=CiphertextKind.STANDARD, N=5)
 
     def test_key_mismatch(self):
-        sk_a = keygen(4, Q97, SeededRng(0))
-        sk_b = keygen(6, Q97, SeededRng(0))
-        ct = encrypt(ModMatrix.column([1], Q97), sk_a, NOISE, SeededRng(1))
+        # the mask and the recovery both take A sk from `products`
+        sk = keygen(6, Q97, SeededRng(0))
         with pytest.raises(DimensionMismatch):
-            decrypt(ct, sk_b)
+            sk.products(np.zeros((1, 1, 4), dtype=np.int64), 42)
 
 
 class TestModifiedDecrypt:
     def test_column_move_invariance(self):
         # moving any vector from the message column to the extra column
-        # leaves the modified decryption unchanged
+        # (`modified_channels`) leaves the decryption unchanged
         rng = SeededRng(2)
         sk = keygen(6, QBIG, rng)
-        m = ModMatrix.column(rng.uniforms(QBIG, 4), QBIG)
-        std = encrypt(m, sk, NOISE, rng)
-        w = rng.uniforms(QBIG, 4)
-        rows = tuple(
-            (QBIG.cmod(row[0] - wv),) + row[1:] + (wv,)
-            for row, wv in zip(std.body.rows, w))
-        modified = Ciphertext(
-            body=ModMatrix(rows, QBIG), kind=CiphertextKind.MODIFIED, N=sk.N)
-        plain_mod = decrypt(modified, sk)
-        assert plain_mod == decrypt(std, sk)
+        std = standard_ct(ModMatrix.column(rng.uniforms(QBIG, 4), QBIG), sk,
+                          rng)
+        cancels = [tuple(rng.uniforms(QBIG, 4)) for _ in range(3)]
+        for modified in modified_channels(std, cancels):
+            assert modified.kind is CiphertextKind.MODIFIED
+            assert dense_decrypt(modified, sk) == dense_decrypt(std, sk)
 
     def test_standard_has_no_cancel_column(self):
         # N + 1 columns, the last one randomness: a standard body is too
         # narrow to be read as a modified ciphertext
         sk = keygen(2, Q97, SeededRng(3))
-        ct = encrypt(ModMatrix.column([1], Q97), sk, NOISE, SeededRng(4))
+        ct = standard_ct(ModMatrix.column([1], Q97), sk, SeededRng(4))
         assert ct.body.ncols == sk.N + 1
         assert last_column(ct) == ct.body.column_entries(sk.N)
         with pytest.raises(DimensionMismatch):
             Ciphertext(body=ct.body, kind=CiphertextKind.MODIFIED, N=sk.N)
 
 
-class TestHomomorphism:
-    def test_negation_cancels(self):
-        rng = SeededRng(5)
-        sk = keygen(8, QBIG, rng)
-        m = ModMatrix.column([17, -9], QBIG)
-        ct = encrypt(m, sk, NOISE, rng)
-        neg = ct_matmul(ModMatrix([[-1, 0], [0, -1]], QBIG), ct)
-        total = decrypt(ct_add(ct, neg), sk)
-        assert total.is_zero()
-
-    def test_zero_ciphertext_is_identity(self):
-        rng = SeededRng(6)
-        sk = keygen(4, QBIG, rng)
-        m = ModMatrix.column([23], QBIG)
-        ct = encrypt(m, sk, NOISE, rng)
-        zero = Ciphertext(body=ModMatrix.zeros(1, 5, QBIG),
-                          kind=CiphertextKind.STANDARD, N=4)
-        assert decrypt(ct_add(ct, zero), sk) == decrypt(ct, sk)
-
-    @pytest.mark.parametrize("trial", range(4))
-    def test_additive_identity_random(self, trial):
-        rng = SeededRng(100 + trial)
-        sk = keygen(8, QBIG, rng)
-        for _ in range(250):
-            h = 2
-            m1 = ModMatrix.column(rng.uniforms(QBIG, h), QBIG)
-            m2 = ModMatrix.column(rng.uniforms(QBIG, h), QBIG)
-            c1, c2 = encrypt(m1, sk, NOISE, rng), encrypt(m2, sk, NOISE, rng)
-            lhs = decrypt(ct_add(c1, c2), sk)
-            rhs = decrypt(c1, sk) + decrypt(c2, sk)
-            assert lhs == rhs
-
-    def test_matmul_identity_random(self):
-        rng = SeededRng(9)
-        sk = keygen(8, QBIG, rng)
-        pyrng = random.Random(10)
-        for _ in range(250):
-            h, d = 3, 2
-            m = ModMatrix.column(rng.uniforms(QBIG, h), QBIG)
-            Kmat = ModMatrix([[pyrng.randrange(-50, 50) for _ in range(h)]
-                              for _ in range(d)], QBIG)
-            ct = encrypt(m, sk, NOISE, rng)
-            assert decrypt(ct_matmul(Kmat, ct), sk) == Kmat @ decrypt(ct, sk)
-
-    def test_identity_matrix_is_noop(self):
-        rng = SeededRng(11)
-        sk = keygen(4, QBIG, rng)
-        m = ModMatrix.column([5, -2], QBIG)
-        ct = encrypt(m, sk, NOISE, rng)
-        assert ct_matmul(ModMatrix.identity(2, QBIG), ct).body == ct.body
-
-    def test_zero_matrix_decrypts_to_zero(self):
-        rng = SeededRng(12)
-        sk = keygen(4, QBIG, rng)
-        ct = encrypt(ModMatrix.column([41, 7], QBIG), sk, NOISE, rng)
-        out = decrypt(ct_matmul(ModMatrix.zeros(2, 2, QBIG), ct), sk)
-        assert out.is_zero()
-
-    def test_kind_mismatch_rejected(self):
-        rng = SeededRng(13)
-        sk = keygen(4, QBIG, rng)
-        c1 = encrypt(ModMatrix.column([1], QBIG), sk, NOISE, rng)
-        rows = tuple(r + (0,) for r in c1.body.rows)
-        c2 = Ciphertext(body=ModMatrix(rows, QBIG),
-                        kind=CiphertextKind.MODIFIED, N=4)
-        with pytest.raises(LweError):
-            ct_add(c1, c2)
-
-
 class TestSerialization:
     def test_ciphertext_roundtrip(self):
         rng = SeededRng(14)
         sk = keygen(5, QBIG, rng)
-        ct = encrypt(ModMatrix.column([123456789, -42], QBIG), sk, NOISE, rng)
+        ct = standard_ct(ModMatrix.column([123456789, -42], QBIG), sk, rng)
         back = Ciphertext.from_bytes(ct.to_bytes())
         assert back.body == ct.body
         assert back.kind is ct.kind
@@ -509,7 +440,7 @@ class TestSerialization:
         sk = keygen(4, Q97, SeededRng(16))
         m = ModMatrix.column([1], Q97)
         limbs = np.zeros((1, 1, 4), dtype=np.int64)
-        encrypt(m, sk, NOISE, SeededRng(17))
+        encrypt_with_artifacts(m, sk, NOISE, SeededRng(17), limbs, 42)
         _, digits = sk._digits
         assert digits.any()
         sk.zeroize()
@@ -520,8 +451,6 @@ class TestSerialization:
             sk.N
         with pytest.raises(LweError):
             sk.to_bytes()
-        with pytest.raises(LweError):
-            encrypt(m, sk, NOISE, SeededRng(17))
         with pytest.raises(LweError):
             encrypt_with_artifacts(m, sk, NOISE, SeededRng(17), limbs, 42)
         with pytest.raises(LweError):
@@ -537,8 +466,8 @@ class TestSerialization:
 def _small_ct_blob():
     rng = SeededRng(17)
     sk = keygen(3, QBIG, rng)
-    return encrypt(ModMatrix.column([5, -(QBIG.q - 1) // 2], QBIG), sk,
-                   NOISE, rng).to_bytes()
+    return standard_ct(ModMatrix.column([5, -(QBIG.q - 1) // 2], QBIG), sk,
+                       rng).to_bytes()
 
 
 class TestStrictParsing:
@@ -628,7 +557,7 @@ class TestStrictParsing:
     def test_huge_modulus_refused_at_once(self):
         key_blob = (_KEY_MAGIC + _pack_ints([HUGE_PRIME, 1])
                     + _pack_ints([1]))
-        for blob, parse in ((huge_modulus_ct_blob(), Ciphertext.from_bytes),
+        for blob, parse in ((ct_blob(HUGE_PRIME), Ciphertext.from_bytes),
                             (key_blob, SecretKey.from_bytes)):
             start = time.perf_counter()
             with pytest.raises(LweError, match="4423 bits"):

@@ -13,7 +13,7 @@ from cipherobs.encobs import EncObserverState, EncryptorSession, ObserverPublic
 from cipherobs.lwe import Ciphertext, CiphertextKind, LweError, SecretKey, \
     _pack_ints
 from cipherobs.lwe import TestRng as SeededRng
-from cipherobs.modring import ModMatrix, Modulus
+from cipherobs.modring import ModMatrix, Modulus, _is_probable_prime
 from cipherobs.pipeline import run_encrypted_mode
 from cipherobs.quantobs import QuantParams
 from cipherobs.secviews import (
@@ -26,8 +26,8 @@ from cipherobs.secviews import (
 )
 from cipherobs.zerodyn import channel_maps
 
-from .helpers import MALFORMED_INT_LISTS, f1_zero_dynamics, \
-    huge_modulus_ct_blob
+from .helpers import HUGE_PRIME, MALFORMED_INT_LISTS, ct_blob, \
+    f1_zero_dynamics, many_moduli_view2_blob
 
 
 def _tiny_public(q: Modulus, block_sizes, Gr, Hr, N):
@@ -355,16 +355,29 @@ class TestStrictTranscriptParsing:
                 parse(blob[:-len(tail)] + record)
 
     def test_huge_modulus_refused_at_once(self):
-        ct = huge_modulus_ct_blob()
-        for magic, parse in ((b"VIEW1", _parsers()[0]),
-                             (b"VIEW2", View2.from_bytes)):
+        # View 1 compares the modulus with the caller's q and tests none;
+        # View 2 tests its first ciphertext's
+        ct = ct_blob(HUGE_PRIME)
+        for magic, parse, match in (
+                (b"VIEW1", _parsers()[0], "modulus does not match"),
+                (b"VIEW2", View2.from_bytes, "4423 bits")):
             # one ciphertext and one empty list
             blob = magic + struct.pack("<III", 0, 0, len(ct)) + ct \
                 + _pack_ints([])
             start = time.perf_counter()
-            with pytest.raises(ViewError, match="4423 bits"):
+            with pytest.raises(ViewError, match=match):
                 parse(blob)
             assert time.perf_counter() - start < 1
+
+    def test_many_moduli_refused_before_their_primality_tests(self):
+        # each ciphertext's modulus is compared with the first's before it
+        # is tested: three Miller-Rabin runs on 1024-bit primes took about
+        # 1 s when every ciphertext built its own Modulus
+        _is_probable_prime.cache_clear()    # a cached verdict hides the cost
+        start = time.perf_counter()
+        with pytest.raises(ViewError, match="modulus does not match"):
+            View2.from_bytes(many_moduli_view2_blob())
+        assert time.perf_counter() - start < 0.1
 
     def test_cancel_count_must_be_channels_times_rows(self, tiny_views):
         view2 = tiny_views[1]

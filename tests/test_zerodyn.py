@@ -1,5 +1,6 @@
 import itertools
 import random
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -75,7 +76,7 @@ class TestBuildTransform:
             except RelativeDegreeUndefined:
                 continue
             T = ct.T1.vstack(ct.T2)
-            V = ct.V1.hstack(ct.V2)
+            V = ModMatrix(map(add, ct.V1.rows, ct.V2.rows), Q101)
             eye = ModMatrix.identity(4, Q101)
             assert T @ V == eye
             assert V @ T == eye
@@ -137,7 +138,7 @@ class TestBuildTransform:
         Fbar = build_fbar(maps.block_sizes, q)
         ct = build_transform(maps.Hbar.row(0), Fbar, maps.Gbar)
         T = ct.T1.vstack(ct.T2)
-        V = ct.V1.hstack(ct.V2)
+        V = ModMatrix(map(add, ct.V1.rows, ct.V2.rows), q)
         assert T @ V == ModMatrix.identity(24, q)
         assert (ct.Sigma @ ct.SigmaDag).rows == ((1,),)
         row = maps.Hbar.row(0)
