@@ -13,22 +13,32 @@ The observer is one recursion, `Z' = Fbar Z + Gbar V` (`observer_update`),
 on the int64 limbs of `LimbKernel`; its `Gbar V` runs on Gbar's block
 terms (`BlockGain`), the nonzero row spans of each column inside each
 block, so the products with the zero blocks of the bank's gain are
-skipped.  Each input batch and the observer state are one matrix
-`[first | shared | cancels]`: the standard ciphertext, then every
-channel's cancel column.  The cancellation
-(`ObserverPublic.cancel_initial` and `cancel_step`) steps `[m | cancels]`,
-the same layout with no shared block, through the same recursion, and
+skipped.  Each input batch is one read-only matrix
+`[first | cancels | shared]`: the standard ciphertext's first column,
+every channel's cancel column, then the randomness block A.  The observer
+state is narrow: `step_encrypted` steps only `[first | cancels]`, the
+basic-slice view `body[:, :, :1 + n_ch]` of each batch, the only columns a
+residue reads.  The state's shared block S_t = Fbar S_(t-1) + Gbar A_t is a
+function of the public randomness alone, and Fbar^b = 0 for the largest
+block size b, so the state keeps references to its last b batches instead
+(`EncObserverState.window`), and recovery sums S_t sk from their A sk.
+The cancellation (`ObserverPublic.cancel_initial` and `cancel_step`) steps
+`[m | cancels]`, the same narrow layout, through the same recursion, and
 after step 0 cancels channel j with one scalar at one row.  It and the
 residue take their per-channel dot products from `_first_column_dots`.  One
-decryption, first - shared sk, serves every channel.
+decryption, first - S_t sk, serves every channel.
 
 Python ints appear only when a channel is materialized (`channel(j)`), for
-the cancellation's scalars, and in the residue's and recovery's sums, which
-are summed exactly on the 32-bit halves of the limbs and joined by
-`modring.join_digit_sums`: in float64 against digits of the key, and in
-one int64 einsum against digits of Hbar, on the differences of the first
-column's halves and each cancel column's, which stay below 2^32.  This
-module is the only one that knows the limb layout.
+the cancellation's scalars, in the residue's sums, and in recovery.  The
+residue is summed exactly in one int64 einsum of the 32-bit halves of the
+first and cancel columns' limbs against digits of Hbar, on differences
+that stay below 2^32, and joined by `modring.join_digit_sums`.  Recovery
+takes each batch's A sk mod q from the key's per-batch cache
+(`SecretKey.cached_products`, one float64 product of the batch's limbs
+the first time), which the encryptor fills as it encrypts, and combines
+the window's values in Python ints with the stacked gain rows
+`ObserverPublic` caches.
+This module is the only one that knows the limb layout.
 
 A run is recorded only as its batches: `standard_and_cancels` reads what
 View 2 holds of one, and `EncryptedBatch._write` turns that back into a
@@ -210,6 +220,17 @@ class LimbKernel:
                      for i in range(nrows))
 
 
+def _shift_rows(rows: Sequence[Tuple[int, ...]], block_sizes: Sequence[int],
+                k: int) -> List[Tuple[int, ...]]:
+    """Fbar^k on a matrix of Python ints given as its rows: each block's
+    rows moved down by k, its first k rows zero."""
+    zero = (0,) * len(rows[0])
+    out = []
+    for o, li in zip(accumulate(block_sizes, initial=0), block_sizes):
+        out += [zero] * min(k, li) + list(rows[o:o + li - k])
+    return out
+
+
 def build_fbar(block_sizes: Sequence[int], q: Modulus) -> ModMatrix:
     """Block-diagonal lower-shift state matrix as an explicit Z_q matrix."""
     l = sum(block_sizes)
@@ -248,6 +269,27 @@ class ObserverPublic:
     @property
     def n_channels(self) -> int:
         return len(self.channels)
+
+    @property
+    def depth(self) -> int:
+        """b, the largest block size: Fbar^b = 0, so a state depends on its
+        last b batches only."""
+        return max(self.block_sizes)
+
+    @cached_property
+    def _window_gain(self) -> Tuple[Tuple[int, ...], ...]:
+        """The rows of W = [Fbar^(b-1) Gbar | ... | Fbar Gbar | Gbar],
+        b = `depth`.
+
+        A state's shared block is
+        S_t = Fbar^t A_0 + sum_{k < min(t, b)} Fbar^k Gbar A_(t-k), its
+        first term gone from t = b on.  So S_t sk is W times the A sk of
+        the last b input batches stacked oldest first (zeros before step
+        1), plus Fbar^t A_0 sk while t < b.
+        """
+        terms = [_shift_rows(self.Gbar.rows, self.block_sizes, k)
+                 for k in reversed(range(self.depth))]
+        return tuple(sum(parts, ()) for parts in zip(*terms))
 
     @cached_property
     def kernel(self) -> LimbKernel:
@@ -300,11 +342,11 @@ class ObserverPublic:
             for i, row in rows:
                 cancels[i][j] = q.cmod(sum(map(mul, row, tilde)))
         block = kernel.split(cancels)
-        return block, EncObserverState(
+        return block, _ChannelBody(
             np.concatenate([kernel.split(x.rows), block], axis=2),
             self.n_channels, kernel)
 
-    def cancel_step(self, state: "EncObserverState", x: ModMatrix,
+    def cancel_step(self, state: "_ChannelBody", x: ModMatrix,
                     known=None):
         """One step of every channel's cancellation of the input column x.
 
@@ -331,7 +373,7 @@ class ObserverPublic:
              for s, a, b in zip(ss, dots, known or (0,) * n_ch)],
             kernel.width, kernel.count)
         cancel_gain.add_product(body[:, :, 1:], block)
-        return block, EncObserverState(body, n_ch, kernel)
+        return block, _ChannelBody(body, n_ch, kernel)
 
 
 def _row_digits(rows: ModMatrix) -> Tuple[int, np.ndarray]:
@@ -345,15 +387,18 @@ def _row_digits(rows: ModMatrix) -> Tuple[int, np.ndarray]:
 
 
 class _ChannelBody:
-    """A matrix over all channels laid out as `[first | shared | cancels]`.
+    """A matrix over all channels laid out as `[first | cancels | shared]`.
 
-    Columns 0..N are a standard ciphertext, common to every channel, and
-    column N + 1 + j is channel j's cancel column.  `body` holds the matrix
-    as the (L, rows, N + 1 + n_ch) int64 limb stack of `kernel`, and `rows`
-    as centred Python ints, joined from the limbs once on first use.  The
+    Column 0 and the shared block, columns 1 + n_ch onwards, are a standard
+    ciphertext common to every channel, and column 1 + j is channel j's
+    cancel column, so `[first | cancels]` is the basic slice
+    `body[:, :, :1 + n_ch]`.  `body` holds the matrix as the
+    (L, rows, 1 + n_ch + N) int64 limb stack of `kernel`, and `rows` as
+    centred Python ints, joined from the limbs once on first use.  The
     layout stays inside this module: other modules write a batch with
     `EncryptedBatch._write` and read one with `standard_and_cancels`.
-    `channel(j)` forms channel j's modified ciphertext for checks.
+    `channel(j)` forms channel j's modified ciphertext for checks.  With no
+    shared block (N = 0) it is the encryptor's `[m | cancels]` state.
     """
 
     def __init__(self, body: np.ndarray, n_channels: int,
@@ -366,6 +411,11 @@ class _ChannelBody:
     def N(self) -> int:
         return self.body.shape[-1] - 1 - self.n_channels
 
+    @property
+    def shared(self) -> np.ndarray:
+        """The (L, rows, N) limbs of the shared block."""
+        return self.body[:, :, 1 + self.n_channels:]
+
     @cached_property
     def rows(self) -> Tuple[Tuple[int, ...], ...]:
         cmod = self.kernel.q.cmod
@@ -376,12 +426,13 @@ class _ChannelBody:
                                             Tuple[Tuple[int, ...], ...]]:
         """The standard ciphertext `[first | shared]` and every channel's
         cancel column, as Python ints: what View 2 records of a batch."""
-        N = self.N
-        std = Ciphertext(body=ModMatrix(tuple(row[:N + 1] for row in self.rows),
-                                        self.kernel.q, ncols=N + 1,
+        n = 1 + self.n_channels
+        std = Ciphertext(body=ModMatrix(tuple(row[:1] + row[n:]
+                                              for row in self.rows),
+                                        self.kernel.q, ncols=1 + self.N,
                                         _reduced=True),
-                         kind=CiphertextKind.STANDARD, N=N)
-        return std, tuple(zip(*(row[N + 1:] for row in self.rows)))
+                         kind=CiphertextKind.STANDARD, N=self.N)
+        return std, tuple(zip(*(row[1:n] for row in self.rows)))
 
     def channel(self, j: int) -> Ciphertext:
         """Channel j's modified ciphertext, from `modified_channels`."""
@@ -394,7 +445,14 @@ class _ChannelBody:
 class EncryptedBatch(_ChannelBody):
     """Per-step modified ciphertexts for all channels: the standard
     ciphertext and every channel's cancel column.  Every limb is below 2^W
-    in absolute value, the kernel's input bound."""
+    in absolute value, the kernel's input bound.  The limbs are read-only
+    once the batch holds them, so the key's cache of the batch's A sk
+    (`SecretKey.cached_products`) never goes stale."""
+
+    def __init__(self, body: np.ndarray, n_channels: int,
+                 kernel: LimbKernel):
+        body.setflags(write=False)
+        super().__init__(body, n_channels, kernel)
 
     @classmethod
     def _write(cls, std_rows: Sequence[Tuple[int, ...]],
@@ -403,7 +461,7 @@ class EncryptedBatch(_ChannelBody):
         """The batch of the standard ciphertext's rows, or of just their
         first entries (a batch with no shared block, N = 0), and the
         cancel columns."""
-        limbs = kernel.split([row + c
+        limbs = kernel.split([row[:1] + c + row[1:]
                               for row, c in zip(std_rows, zip(*cancels))])
         return cls(limbs, len(cancels), kernel)
 
@@ -431,7 +489,10 @@ class EncryptorSession:
     cancellation driven by the masks, so m - cancel_j is the mask part of
     channel j's observer state; each step's cancel block goes into the
     batch as it is.  The batches are the only record of the run: the
-    session keeps no mask, error or ciphertext.  The state is never
+    session keeps no mask, error or ciphertext.  It leaves each batch's
+    A sk mod q, its mask minus its error, in the key's per-batch cache
+    (`SecretKey.remember_products`), which holds the batch weakly, so a
+    recovery under the same key runs no key product.  The state is never
     written in place, so a checkpoint keeps it; losing a step invalidates
     the session.
     """
@@ -446,7 +507,7 @@ class EncryptorSession:
         self.noise = NoiseParams(params.Delta)
         self.rng = rng if rng is not None else SecureRng()
         self.step = -1  # -1 = fresh, >= 0 after enc_initial
-        self.cancel_state: Optional[EncObserverState] = None
+        self.cancel_state: Optional[_ChannelBody] = None
 
     # -- checkpointing -----------------------------------------------------
 
@@ -472,16 +533,18 @@ class EncryptorSession:
             raise EncObsError(f"message has {v.nrows} rows, the observer "
                               f"takes {nrows}")
         public, kernel = self.public, self.public.kernel
-        N = public.N
-        body = np.empty((kernel.count, nrows, N + 1 + public.n_channels),
-                        dtype=np.int64)
+        n = 1 + public.n_channels
+        body = np.empty((kernel.count, nrows, n + public.N), dtype=np.int64)
         enc = encrypt_with_artifacts(v.scale(self.params.lift), self.sk,
-                                     self.noise, self.rng,
-                                     body[:, :, 1:N + 1], kernel.width)
+                                     self.noise, self.rng, body[:, :, n:],
+                                     kernel.width)
         block, self.cancel_state = cancel(enc.mask)
         body[:, :, :1] = kernel.split(enc.first.rows)
-        body[:, :, N + 1:] = block
-        return EncryptedBatch(body, public.n_channels, kernel)
+        body[:, :, 1:n] = block
+        batch = EncryptedBatch(body, public.n_channels, kernel)
+        self.sk.remember_products(batch,
+                                  (enc.mask - enc.error).column_entries())
+        return batch
 
     def enc_initial(self, zbar_ini: ModMatrix) -> EncryptedBatch:
         """Encrypt the lifted initial state (l rows) once for every
@@ -505,23 +568,43 @@ class EncryptorSession:
         return batch
 
 
-class EncObserverState(_ChannelBody):
-    """Encrypted observer state for all channels at one step.
+@dataclass(frozen=True, eq=False)
+class EncObserverState:
+    """Encrypted observer state for all channels at step t, held narrow.
 
-    Channel j's logical state is the l x (N+2) matrix `channel(j).body`;
-    its decryption is the lifted plaintext state plus the encryption error.
-    The limbs are lazy from the first step on (not reduced, not
-    canonical), so states compare only through the values `channel(j)`
-    materializes.
+    `body` holds the (L, l, 1 + n_ch) limbs of `[first | cancels]`, the
+    columns `step_encrypted` steps and the only ones a residue reads.  The
+    limbs are lazy from the first step on (not reduced, not canonical).
+    The state's shared block S_t, the l x N block every channel's
+    ciphertext shares, is not held: S_0 = A_0 and
+    S_t = Fbar S_(t-1) + Gbar A_t depend on the public randomness alone,
+    and only through the last b = `ObserverPublic.depth` batches, since
+    Fbar^b = 0.  `window` holds those batches oldest first, the initial
+    batch among them while t < b, and recovery sums S_t sk from their
+    A sk.  So channel j's logical state, the l x (N+2) modified
+    ciphertext whose decryption is the lifted plaintext state plus the
+    encryption error, is what replaying the window through
+    `observer_update` gives.  `public` is the `ObserverPublic` of the last
+    step (None at step 0), whose maps recovery reads.
     """
+
+    body: np.ndarray
+    n_channels: int
+    kernel: LimbKernel
+    N: int = 0
+    t: int = 0
+    window: Tuple[EncryptedBatch, ...] = ()
+    public: Optional[ObserverPublic] = None
 
     @classmethod
     def from_initial(cls, batch: EncryptedBatch) -> "EncObserverState":
-        return cls(batch.body, batch.n_channels, batch.kernel)
+        return cls(batch.body[:, :, :1 + batch.n_channels], batch.n_channels,
+                   batch.kernel, N=batch.N, window=(batch,))
 
 
-def _check_limbs(kernel: LimbKernel, *parts: _ChannelBody):
-    """Every part must hold limbs of `kernel`'s modulus and width."""
+def _check_limbs(kernel: LimbKernel, *parts):
+    """Every part (a batch or state) must hold limbs of `kernel`'s modulus
+    and width."""
     for part in parts:
         if (part.kernel.q, part.kernel.width) != (kernel.q, kernel.width):
             raise EncObsError("limbs come from another observer")
@@ -530,16 +613,20 @@ def _check_limbs(kernel: LimbKernel, *parts: _ChannelBody):
 def step_encrypted(state: EncObserverState, batch: EncryptedBatch,
                    public: ObserverPublic) -> EncObserverState:
     """One encrypted observer update for every channel: the observer
-    recursion applied to the whole `[first | shared | cancels]` limb stack
-    of the state and the batch."""
+    recursion applied to the `[first | cancels]` limbs of the state and
+    the batch.  The batch joins the state's window, which keeps the last
+    `public.depth` batches."""
     if (batch.n_channels, batch.N) != (state.n_channels, state.N):
         raise EncObsError("channel counts or widths differ between state "
                           "and batch")
     kernel = public.kernel
     _check_limbs(kernel, state, batch)
-    body = observer_update(state.body, batch.body, public.block_sizes,
-                           kernel.gain)
-    return EncObserverState(body, state.n_channels, kernel)
+    body = observer_update(state.body, batch.body[:, :, :1 + batch.n_channels],
+                           public.block_sizes, kernel.gain)
+    return EncObserverState(body, state.n_channels, kernel, N=state.N,
+                            t=state.t + 1,
+                            window=(state.window + (batch,))[-public.depth:],
+                            public=public)
 
 
 def _first_column_dots(first: np.ndarray, cancels: np.ndarray, width: int,
@@ -561,7 +648,7 @@ def residue_first_column(state: EncObserverState,
     half limbs."""
     _check_limbs(public.kernel, state)
     return ModMatrix.column(_first_column_dots(
-        state.body[:, :, 0], state.body[:, :, state.N + 1:],
+        state.body[:, :, 0], state.body[:, :, 1:],
         public.kernel.width, *public._hbar_digits), public.q)
 
 
@@ -576,17 +663,43 @@ def disclose_residue(r1: ModMatrix, params: QuantParams) -> ModMatrix:
     return r1.scale(inv)
 
 
+def _shared_key_product(state: EncObserverState, sk: SecretKey) -> List[int]:
+    """Integers congruent to S_t sk, for the shared block S_t the state does
+    not hold: each window batch's A sk mod q from the key's per-batch
+    cache, combined by the public's `_window_gain` and, while the initial
+    batch is in the window, Fbar^t A_0 sk."""
+    width = state.kernel.width
+    products = [sk.cached_products(batch, batch.shared, width)
+                for batch in state.window]
+    if state.t == 0:
+        return list(products[0])
+    public = state.public
+    W = public._window_gain
+    initial = len(products) == state.t + 1    # A_0 is still in the window
+    stacked = [v for p in products[initial:] for v in p]
+    stacked[:0] = [0] * (len(W[0]) - len(stacked))
+    sums = [sum(map(mul, row, stacked)) for row in W]
+    if initial:
+        shifted = _shift_rows([(v,) for v in products[0]],
+                              public.block_sizes, state.t)
+        sums = [s + v for s, (v,) in zip(sums, shifted)]
+    return sums
+
+
 def recover_encrypted_state(state: EncObserverState, j: int, sk: SecretKey,
                             params: QuantParams,
                             phi_pinv_bar: ModMatrix) -> ModMatrix:
     """Decrypt channel j and strip the lift factor by exact rounding.
 
-    Dec' of channel j is (first - cancel_j) - shared @ sk + cancel_j, that
-    is first - shared @ sk for every j, so j is only checked.  The product
-    is computed without joining the shared block: `SecretKey.products`
-    sums it exactly in one float64 product of the 32-bit halves of the
-    state's lazy limbs and the key's cached dk-bit digits (at N = 4096,
-    13 digits of 9 bits), and only the l sums are joined as Python ints.
+    Dec' of channel j is (first - cancel_j) - S_t sk + cancel_j, that is
+    first - S_t sk for every j, so j is only checked.  S_t sk is summed
+    from the A sk of the state's window (`_shared_key_product`): a cache
+    hit for every batch the encryptor made under this key, else one
+    float64 `SecretKey.products` per batch, the first time it is needed.
+    Each step thus adds one 6-row product at most, and 24 x 36
+    Python-int products on the benchmark.  The key holder trusts that the
+    cloud stepped the first column as the recursion says and kept the
+    batches it was sent: the paper's honest-but-curious cloud.
 
     When the detection criterion held at this step (and the parameter
     bounds are valid) the result equals the plaintext observer's scaled
@@ -595,8 +708,7 @@ def recover_encrypted_state(state: EncObserverState, j: int, sk: SecretKey,
     """
     if not 0 <= j < state.n_channels:
         raise EncObsError(f"no channel {j} among {state.n_channels}")
-    N = state.N
-    if sk.N != N:
+    if sk.N != state.N:
         raise DimensionMismatch("ciphertext and key disagree on N")
     q = state.kernel.q
     if sk.q != q:
@@ -604,7 +716,7 @@ def recover_encrypted_state(state: EncObserverState, j: int, sk: SecretKey,
     if params.q != q or phi_pinv_bar.modulus != q:
         raise ModulusMismatch("ciphertext and recovery maps disagree on q")
     first = state.kernel.join(state.body[:, :, :1])
-    masked = sk.products(state.body[:, :, 1:N + 1], state.kernel.width)
+    masked = _shared_key_product(state, sk)
     dec = ModMatrix.column([f - s for (f,), s in zip(first, masked)], q)
     scaled = phi_pinv_bar @ dec
     lift = params.lift

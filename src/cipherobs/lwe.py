@@ -6,7 +6,9 @@ The modified scheme used by the encrypted observer appends one extra column
 (the cancellation term), widening ciphertexts to N+2, and subtracts it from
 the first column, so both kinds decrypt to first - A sk = m + e mod q, the
 modified kind once its extra column is added back.  The observer decrypts
-only in recovery (`encobs.recover_encrypted_state`), with `SecretKey.products`.
+only in recovery (`encobs.recover_encrypted_state`), from each batch's
+A sk mod q, which `SecretKey.cached_products` computes once per batch and
+the encryptor leaves there as it encrypts (`remember_products`).
 
 Randomness comes from an injected source: `SecureRng` (system entropy, the
 default) or the seedable `TestRng` for reproducible runs; the latter is
@@ -25,7 +27,10 @@ limbs against the key's signed dk-bit digits, with N 2^32 2^dk <= 2^53, so
 every partial sum is an integer that float64 holds exactly, whatever order
 BLAS sums in.  At N = 4096 that is dk = 9, with 13 key digits.  The key's
 digits are cut once per key; keys longer than `MAX_N` = 2^20 leave no
-digit bit and are refused.
+digit bit and are refused.  The key keeps each batch's A sk mod q in a
+cache held weakly by batch (`cached_products`), so recovery computes it at
+most once per batch and not at all for a batch this key encrypted;
+`zeroize` wipes the digits and empties that cache.
 
 Keys and ciphertexts serialize as a magic, a header list and a payload
 list.  An integer list is a uint32 count, then per value a sign byte, a
@@ -46,6 +51,7 @@ from __future__ import annotations
 import enum
 import random
 import struct
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Sequence, Tuple
@@ -267,16 +273,20 @@ class SecretKey:
 
     `products` computes with the key cut into signed dk-bit digits, cut
     once and kept as a float64 array: dk is what the float64 budget of a
-    length-N dot product leaves beside 32-bit half limbs.  `zeroize()`
-    overwrites and drops both the stored entries and those digits; callers
-    holding the key file are expected to delete it as part of the same
-    contract.
+    length-N dot product leaves beside 32-bit half limbs.  The key also
+    caches A sk mod q per owner of a read-only randomness block A (an
+    encrypted batch), in a `weakref.WeakKeyDictionary`: an entry lives as
+    long as its owner, so the cache holds no more than the live batches.
+    `zeroize()` overwrites and drops both the stored entries and those
+    digits and empties the cache; callers holding the key file are
+    expected to delete it as part of the same contract.
     """
 
     def __init__(self, entries: Sequence[int], q: Modulus):
         self._entries = [q.cmod(int(v)) for v in entries]
         self.q = q
         self._digits = None     # (dk, N x P float64 digits), on first use
+        self._owned_products = weakref.WeakKeyDictionary()
 
     def _live(self) -> list:
         if self._entries is None:
@@ -325,7 +335,26 @@ class SecretKey:
             np.int64).reshape(2, L, rows, key.shape[1])
         return join_digit_sums(sums.transpose(2, 0, 1, 3), width, dk)
 
+    def cached_products(self, owner, limbs: np.ndarray,
+                        width: int) -> Tuple[int, ...]:
+        """A sk mod q, centred, for the randomness `owner` holds as the
+        read-only limb stack `limbs`: `products` the first time, then the
+        cached values until `owner` is collected or the key zeroized."""
+        self._live()
+        values = self._owned_products.get(owner)
+        if values is None:
+            values = tuple(map(self.q.cmod, self.products(limbs, width)))
+            self._owned_products[owner] = values
+        return values
+
+    def remember_products(self, owner, values: Sequence[int]):
+        """Cache A sk mod q, centred, of `owner`'s randomness, known
+        already: an encryption's mask minus its error."""
+        self._live()
+        self._owned_products[owner] = tuple(values)
+
     def zeroize(self):
+        self._owned_products.clear()
         if self._entries is not None:
             for i in range(len(self._entries)):
                 self._entries[i] = 0

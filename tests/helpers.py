@@ -12,8 +12,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from cipherobs.encobs import EncObserverState, EncryptedBatch, \
-    EncryptorSession, ObserverPublic, disclose_residue, \
-    residue_first_column, step_encrypted
+    EncryptorSession, ObserverPublic, _ChannelBody, disclose_residue, \
+    observer_update, residue_first_column, step_encrypted
 from cipherobs.lwe import _CT_MAGIC, CiphertextKind, LweError, TestRng, \
     keygen
 from cipherobs.modring import DimensionMismatch, ModMatrix, ModRingError, \
@@ -145,14 +145,39 @@ def cloud_run(setup, N: int, seed: int, steps: int):
 
 def replay_states(view2: View2, public) -> List[EncObserverState]:
     """Every encrypted state of a recorded run, rebuilt from its View 2
-    with the deployed `step_encrypted`: the full state of each step, shared
-    block included."""
+    with the deployed `step_encrypted`, each with the batches its shared
+    block depends on (`full_state` rebuilds that block)."""
     batches = [EncryptedBatch._write(ct.body.rows, cancels, public.kernel)
                for ct, cancels in zip(view2.standard_cts, view2.cancels)]
     states = [EncObserverState.from_initial(batches[0])]
     for batch in batches[1:]:
         states.append(step_encrypted(states[-1], batch, public))
     return states
+
+
+def full_state(state: EncObserverState, public) -> _ChannelBody:
+    """The full-width `[first | cancels | shared]` state behind a narrow
+    one: its window replayed through `observer_update`, from the initial
+    batch while it is in the window and from zero after.
+
+    Fbar^b = 0, so the batches before the window contribute nothing, and
+    the limbs add without carry or reduction: the replay sums the same
+    integers as a state stepped full width from step 0, and gives the
+    narrow state's own limbs on `[first | cancels]`, which is checked.
+    """
+    window = state.window
+    if len(window) == state.t + 1:   # the initial batch is in the window
+        body, inputs = window[0].body, window[1:]
+    else:
+        L, _, width = window[0].body.shape
+        body = np.zeros((L, public.Gbar.nrows, width), dtype=np.int64)
+        inputs = window
+    for batch in inputs:
+        body = observer_update(body, batch.body, public.block_sizes,
+                               public.kernel.gain)
+    if not np.array_equal(body[:, :, :state.body.shape[2]], state.body):
+        raise AssertionError("the narrow state differs from its replay")
+    return _ChannelBody(body, state.n_channels, public.kernel)
 
 
 def transcript_masks(standard_cts, messages, lift: int) -> List[ModMatrix]:
@@ -473,9 +498,11 @@ def encrypted_residue(state, public) -> Tuple[ModMatrix, ModMatrix]:
     """Stacked per-channel residue rows and their first column.
 
     Row j applies channel j's residue row to that channel's materialized
-    state (oracle for `encobs.residue_first_column`).
+    state, rebuilt by `full_state` (oracle for
+    `encobs.residue_first_column`).
     """
-    R = ModMatrix(tuple((public.Hbar.row(j) @ state.channel(j).body).rows[0]
+    full = full_state(state, public)
+    R = ModMatrix(tuple((public.Hbar.row(j) @ full.channel(j).body).rows[0]
                         for j in range(state.n_channels)),
                   public.q, ncols=state.N + 2)
     return R, ModMatrix.column(R.column_entries(0), public.q)
@@ -486,16 +513,16 @@ def joined_residue_first_column(state, public) -> ModMatrix:
     Hbar_j cancel_j, after joining the first-column and cancel-column limbs
     into Python ints (oracle for the half-limb sums of
     `encobs.residue_first_column`)."""
-    first, *cancels = zip(*public.kernel.join(np.concatenate(
-        [state.body[:, :, :1], state.body[:, :, state.N + 1:]], axis=2)))
+    first, *cancels = zip(*public.kernel.join(state.body))
     return ModMatrix.column(
         [sum(map(mul, hrow, first)) - sum(map(mul, hrow, cancel))
          for hrow, cancel in zip(public.Hbar.rows, cancels)], public.q)
 
 
-def decrypt_channel_state(state, j: int, sk) -> ModMatrix:
-    """Dec' of channel j's state: first - shared @ sk + last, reduced."""
-    return dense_decrypt(state.channel(j), sk)
+def decrypt_channel_state(state, public, j: int, sk) -> ModMatrix:
+    """Dec' of channel j's state, rebuilt by `full_state`:
+    first - shared @ sk + last, reduced."""
+    return dense_decrypt(full_state(state, public).channel(j), sk)
 
 
 def recover_plain_estimate(state: QuantState, PhiPinvBar: ModMatrix,

@@ -25,7 +25,7 @@ from cipherobs.quantobs import validate_params
 from cipherobs.secviews import f1_view1_to_view2, f2_view2_to_view1
 from cipherobs.zerodyn import RelativeDegreeUndefined
 from .helpers import build_transform, cancellation_init, cancellation_step, \
-    decrypt_channel_state, error_trajectory, random_channel, \
+    dense_decrypt, error_trajectory, full_state, random_channel, \
     random_stable_plant, simulate_channel
 from .test_secviews import ZeroErrorRng, _run_tiny_session, _tiny_params, \
     _tiny_public
@@ -66,8 +66,9 @@ def test_criterion_2_recovery_exactness(bench_setup, bench_qrun, bench_enc):
             continue
         expected = bench_qrun.xbars[t].column_entries()
         state = bench_enc.states[t]
+        full = full_state(state, bench_enc.public)
         for j in range(state.n_channels):
-            dec = decrypt_channel_state(state, j, bench_enc.sk)
+            dec = dense_decrypt(full.channel(j), bench_enc.sk)
             vals = dec.column_entries()
             # rounding applies to the reduced product, matching the recovery op
             got = tuple(

@@ -257,13 +257,13 @@ class TestVerify:
                                                    monkeypatch):
         # the cloud steps with Gbar[0][0] + 1 while the encryptor cancels
         # with the true gain: row 0 of every state takes one more copy of
-        # row 0 of the input batch
+        # row 0 of the input batch's [first | cancels] columns
         assert cli._suite_zeroing(11, bench_setup) == []
         step = cli.encobs.step_encrypted
 
         def corrupted_gain(state, batch, public):
             out = step(state, batch, public)
-            out.body[:, 0] += batch.body[:, 0]
+            out.body[:, 0] += batch.body[:, 0, :out.body.shape[2]]
             return out
 
         monkeypatch.setattr(cli.encobs, "step_encrypted", corrupted_gain)

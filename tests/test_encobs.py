@@ -1,7 +1,9 @@
 import copy
 import dataclasses
+import gc
 import hashlib
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -27,10 +29,11 @@ from cipherobs.modring import ModMatrix, Modulus, ModulusMismatch
 from cipherobs.pipeline import SystemSetup, bundled_scenario_path, \
     run_encrypted_mode, run_quantized_mode
 from cipherobs.quantobs import quantize_initial
+from cipherobs.secviews import View2
 from cipherobs.zerodyn import RelativeDegreeUndefined, channel_maps
 from .helpers import ValueSource, build_transform, cancellation_init, \
     cancellation_step, cloud_run, decrypt_channel_state, dense_decrypt, \
-    dense_normal_form, encrypted_residue, error_trajectory, \
+    dense_normal_form, encrypted_residue, error_trajectory, full_state, \
     joined_residue_first_column, last_column, replay_states, sigma_dag, \
     transcript_masks
 
@@ -66,7 +69,7 @@ class ReplayRng(ValueSource):
 
 
 def zero_body(public, nrows, N=64):
-    """Limbs of an all-zero [first | shared | cancels] body of the
+    """Limbs of an all-zero [first | cancels | shared] body of the
     benchmark's 60 channels."""
     return np.zeros((public.kernel.count, nrows, 1 + N + 60), dtype=np.int64)
 
@@ -358,8 +361,7 @@ class TestLazyCancelState:
             batch = session.enc_initial(ModMatrix.column(range(l), q))
             for t in range(4 * l):
                 state = kernel.join(session.cancel_state.body)
-                cancels = [row[params.N + 1:] for row in kernel.join(
-                    batch.body)]
+                cancels = list(zip(*batch.standard_and_cancels()[1]))
                 for j, m in enumerate(public.channels):
                     degrees.add(m.nu)
                     cancelled = ModMatrix.column(
@@ -392,7 +394,7 @@ class TestLazyCancelState:
         states = [EncObserverState.from_initial(batches[0])]
         for batch in batches[1:]:
             states.append(step_encrypted(states[-1], batch, public64))
-        assert golden_digests(batches, states) == GOLDEN[64]
+        assert golden_digests(batches, states, public64) == GOLDEN[64]
 
     def test_snapshot_of_another_modulus_refused(self, bench_setup,
                                                  public64):
@@ -504,22 +506,27 @@ class TestDigitPlaneResidue:
 
 class TestEncryptedObserver:
     def test_zero_ciphertexts_keep_zero_state(self, bench_setup, public64):
-        # [first | shared | cancels]: 1 + 64 + 60 columns
+        # [first | cancels | shared]: 1 + 60 + 64 columns
         kernel = public64.kernel
         zero_batch = encobs.EncryptedBatch(zero_body(public64, 6), 60, kernel)
         state = EncObserverState.from_initial(encobs.EncryptedBatch(
             zero_body(public64, 24), 60, kernel))
-        nxt = step_encrypted(state, zero_batch, public64)
+        nxt = full_state(step_encrypted(state, zero_batch, public64),
+                         public64)
         assert all(row[1:1 + 64] == (0,) * 64
                    for row in nxt.channel(0).body.rows)
         assert all(v == 0 for j in range(60)
                    for v in nxt.channel(j).first_column())
 
-    def test_channel_index_checked(self, bench_enc):
+    def test_channel_index_checked(self, bench_setup, bench_enc):
         state = bench_enc.states[0]
         for j in (-1, state.n_channels):
             with pytest.raises(encobs.EncObsError):
-                state.channel(j)
+                full_state(state, bench_enc.public).channel(j)
+            with pytest.raises(encobs.EncObsError):
+                recover_encrypted_state(state, j, bench_enc.sk,
+                                        bench_setup.params,
+                                        bench_setup.mod_maps.PhiPinvBar)
 
     def test_batch_width_checked(self, public64, bench_enc):
         narrow = encobs.EncryptedBatch(zero_body(public64, 6, N=32), 60,
@@ -537,9 +544,10 @@ class TestEncryptedObserver:
         session.enc_initial(ModMatrix.zeros(24, 1, params.q))
         qrun = run_quantized_mode(bench_setup, 1)
         in_batch = session.enc_input(qrun.vbars[0])
-        nxt = step_encrypted(state, in_batch, public64)
+        nxt = full_state(step_encrypted(state, in_batch, public64), public64)
+        full = full_state(state, public64)
         for j in (0, 29):
-            dense = (public64.Fbar @ state.channel(j).body
+            dense = (public64.Fbar @ full.channel(j).body
                      + public64.Gbar @ in_batch.channel(j).body)
             assert nxt.channel(j).body == dense
 
@@ -599,13 +607,13 @@ class TestDisclosureAndRecovery:
     @pytest.mark.parametrize("N", [64, 4096])
     def test_recovery_equals_rounded_decryption(self, bench_setup, N):
         # states 0..3: the initial batch form and the resident limb form
-        sk, _, _, states = cloud_run(bench_setup, N, 21, 3)
+        sk, public, _, states = cloud_run(bench_setup, N, 21, 3)
         params = bench_setup.params
         phi = bench_setup.mod_maps.PhiPinvBar
         q, lift = params.q, params.lift
         for state in states:
             for j in (0, 31, 59):
-                scaled = phi @ decrypt_channel_state(state, j, sk)
+                scaled = phi @ decrypt_channel_state(state, public, j, sk)
                 expect = ModMatrix.column(
                     [q.cmod((2 * v + lift) // (2 * lift))
                      for v in scaled.column_entries()], q)
@@ -629,7 +637,7 @@ class TestDisclosureAndRecovery:
         state = EncObserverState.from_initial(batch(24))
         for _ in range(3):
             for j in (0, 59):
-                scaled = phi @ decrypt_channel_state(state, j, sk)
+                scaled = phi @ decrypt_channel_state(state, public64, j, sk)
                 expect = ModMatrix.column(
                     [q.cmod((2 * v + params.lift) // (2 * params.lift))
                      for v in scaled.column_entries()], q)
@@ -688,12 +696,125 @@ class TestDisclosureAndRecovery:
             # with zero masks and zero errors the first column is exactly
             # the lifted plaintext state
             lifted = qrun.zbars[t].scale(params.lift).column_entries()
-            assert state.channel(0).first_column() == lifted
+            assert (full_state(state, public64).channel(0).first_column()
+                    == lifted)
             rec = recover_encrypted_state(state, 0, sk, params,
                                           bench_setup.mod_maps.PhiPinvBar)
             assert rec == qrun.xbars[t]
             state = step_encrypted(state, session.enc_input(qrun.vbars[t]),
                                    public64)
+
+
+def rounded_decryption(dec, params, phi):
+    """Recovery's rounding applied to a decryption: round(phi dec / lift)."""
+    q, lift = params.q, params.lift
+    return ModMatrix.column([q.cmod((2 * v + lift) // (2 * lift))
+                             for v in (phi @ dec).column_entries()], q)
+
+
+class TestWindowRecovery:
+    """Recovery from the window's per-batch key products against the
+    full-width state that `full_state` replays, and what the key caches
+    and the states retain."""
+
+    @pytest.mark.parametrize("N, steps", [(64, 50), (4096, 8)])
+    def test_recovery_equals_rounded_full_decryption(self, bench_setup, N,
+                                                     steps):
+        # live: the encryptor left every batch's A sk with its key, so the
+        # key products all hit; replayed from View 2 under a fresh copy of
+        # the key, each new batch misses once
+        sk, public, batches, states = cloud_run(bench_setup, N, 17, steps)
+        params = bench_setup.params
+        phi = bench_setup.mod_maps.PhiPinvBar
+        view2 = View2(*zip(*(b.standard_and_cancels() for b in batches)))
+        fresh = SecretKey.from_bytes(sk.to_bytes())
+        replayed = replay_states(view2, public)
+        for t, (live, again) in enumerate(zip(states, replayed)):
+            assert all(batch in sk._owned_products for batch in live.window)
+            assert again.window[-1] not in fresh._owned_products
+            dec = dense_decrypt(full_state(live, public).channel(0), sk)
+            expect = rounded_decryption(dec, params, phi)
+            assert recover_encrypted_state(live, 0, sk, params,
+                                           phi) == expect, t
+            assert recover_encrypted_state(again, 0, fresh, params,
+                                           phi) == expect, t
+            assert again.window[-1] in fresh._owned_products
+            # the decryption itself is exact, not only its rounding
+            for state, key in ((live, sk), (again, fresh)):
+                first = public.kernel.join(state.body[:, :, :1])
+                shared = encobs._shared_key_product(state, key)
+                assert ModMatrix.column(
+                    [f - s for (f,), s in zip(first, shared)], public.q
+                ) == dec, t
+
+    def test_zeroize_empties_the_cache(self, bench_setup):
+        sk, public, _, states = cloud_run(bench_setup, 64, 18, 8)
+        params = bench_setup.params
+        phi = bench_setup.mod_maps.PhiPinvBar
+        recover_encrypted_state(states[-1], 0, sk, params, phi)
+        assert len(sk._owned_products) == 9
+        sk.zeroize()
+        assert len(sk._owned_products) == 0
+        with pytest.raises(LweError):
+            recover_encrypted_state(states[-1], 0, sk, params, phi)
+        with pytest.raises(LweError):
+            sk.cached_products(states[-1].window[-1],
+                               states[-1].window[-1].shared,
+                               public.kernel.width)
+
+    def test_retention_is_bounded(self, bench_setup, bench_qrun, public64):
+        # 300 steps keeping only the current state: it references at most
+        # depth batches, every older batch is collected, and neither key
+        # caches a product for a batch no state holds
+        params = dataclasses.replace(bench_setup.params, N=64)
+        phi = bench_setup.mod_maps.PhiPinvBar
+        rng = SeededRng(19)
+        sk = keygen(64, params.q, rng)
+        other = SecretKey.from_bytes(sk.to_bytes())
+        session = EncryptorSession(sk, params, public64, rng=rng)
+        batch = session.enc_initial(bench_qrun.zbars[0])
+        state = EncObserverState.from_initial(batch)
+        made = [weakref.ref(batch)]
+        for t in range(300):
+            batch = session.enc_input(bench_qrun.vbars[t % 50])
+            made.append(weakref.ref(batch))
+            state = step_encrypted(state, batch, public64)
+            for key in (sk, other):
+                recover_encrypted_state(state, 0, key, params, phi)
+            inputs = [b for b in state.window if b.body.shape[1] == 6]
+            assert len(state.window) <= public64.depth
+            assert len(inputs) <= public64.depth
+        del batch
+        gc.collect()
+        held = {id(b) for b in state.window}
+        assert {id(ref()) for ref in made if ref() is not None} == held
+        for key in (sk, other):
+            assert {id(b) for b in key._owned_products.keys()} == held
+
+    def test_state_holds_only_first_and_cancel_columns(self, bench_setup):
+        _, public, batches, states = cloud_run(bench_setup, 4096, 20, 2)
+        L = public.kernel.count
+        for state in states:
+            assert state.body.shape == (L, 24, 1 + 60)
+        # the initial state is a view of the batch's first and cancel
+        # columns, not a copy
+        assert np.shares_memory(states[0].body, batches[0].body)
+
+    def test_batch_limbs_are_read_only(self, bench_setup, public64):
+        params = dataclasses.replace(bench_setup.params, N=64)
+        rng = SeededRng(21)
+        session = EncryptorSession(keygen(64, params.q, rng), params,
+                                   public64, rng=rng)
+        first = session.enc_initial(ModMatrix.zeros(24, 1, params.q))
+        second = session.enc_input(ModMatrix.zeros(6, 1, params.q))
+        std, cancels = second.standard_and_cancels()
+        written = encobs.EncryptedBatch._write(std.body.rows, cancels,
+                                               public64.kernel)
+        for batch in (first, second, written):
+            with pytest.raises(ValueError):
+                batch.body[0, 0, 0] = 1
+            with pytest.raises(ValueError):
+                batch.shared[...] += 1
 
 
 class TestWhiteBoxErrorBudget:
@@ -709,7 +830,8 @@ class TestWhiteBoxErrorBudget:
                 [params.lift * z + e for z, e in
                  zip(bench_qrun.zbars[t].column_entries(), errs[t])], q)
             for j in (0, 25, 59):
-                dec = decrypt_channel_state(bench_enc.states[t], j,
+                dec = decrypt_channel_state(bench_enc.states[t],
+                                            bench_enc.public, j,
                                             bench_enc.sk)
                 assert dec == expect
 
@@ -749,11 +871,13 @@ GOLDEN = {
 }
 
 
-def golden_digests(batches, states):
+def golden_digests(batches, states, public):
     """The digests GOLDEN records: channels 0 and 59 of the batches and
-    the states, and the batches' standard ciphertexts."""
+    the states (their `full_state`), and the batches' standard
+    ciphertexts."""
     digests = {}
-    for name, parts in (("batches", batches), ("states", states)):
+    for name, parts in (("batches", batches),
+                        ("states", [full_state(s, public) for s in states])):
         h = hashlib.sha256()
         for part in parts:
             for j in (0, 59):
@@ -770,11 +894,11 @@ def golden_digests(batches, states):
 def test_seeded_ciphertexts_match_golden_digests(bench_setup, N):
     """Channels 0 and 59 of the initial and 3 input batches and of the
     states after them, and the batches' standard ciphertexts."""
-    _, _, batches, states = cloud_run(bench_setup, N, 5, 3)
+    _, public, batches, states = cloud_run(bench_setup, N, 5, 3)
     for batch in batches:
         # the encryptor's limbs stay below 2^W, the kernel's input bound
         assert int(np.abs(batch.body).max()) < 2 ** batch.kernel.width
-    assert golden_digests(batches, states) == GOLDEN[N]
+    assert golden_digests(batches, states, public) == GOLDEN[N]
 
 
 class TestTranscriptReplay:
@@ -786,11 +910,12 @@ class TestTranscriptReplay:
         at_N = dataclasses.replace(
             bench_setup, params=dataclasses.replace(bench_setup.params, N=N))
         run = run_encrypted_mode(at_N, steps, seed=5, record_views=True)
-        _, _, _, states = cloud_run(bench_setup, N, 5, steps)
+        _, public, _, states = cloud_run(bench_setup, N, 5, steps)
         replayed = replay_states(run.view2, run.public)
         assert len(replayed) == len(states) == steps + 1
         for t, (got, cloud) in enumerate(zip(replayed, states)):
-            assert got.rows == cloud.rows, t
+            assert (full_state(got, run.public).rows
+                    == full_state(cloud, public).rows), t
 
     def test_changed_cancel_entry_changes_the_disclosure(self, bench_setup,
                                                          bench_enc):
