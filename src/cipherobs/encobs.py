@@ -35,9 +35,8 @@ first and cancel columns' limbs against digits of Hbar, on differences
 that stay below 2^32, and joined by `modring.join_digit_sums`.  Recovery
 takes each batch's A sk mod q from the key's per-batch cache
 (`SecretKey.cached_products`, one float64 product of the batch's limbs
-the first time), which the encryptor fills as it encrypts, and combines
-the window's values in Python ints with the stacked gain rows
-`ObserverPublic` caches.
+the first time the key recovers from it) and combines the window's values
+in Python ints with the stacked gain rows `ObserverPublic` caches.
 This module is the only one that knows the limb layout.
 
 A run is recorded only as its batches: `standard_and_cancels` reads what
@@ -227,7 +226,7 @@ def _shift_rows(rows: Sequence[Tuple[int, ...]], block_sizes: Sequence[int],
     zero = (0,) * len(rows[0])
     out = []
     for o, li in zip(accumulate(block_sizes, initial=0), block_sizes):
-        out += [zero] * min(k, li) + list(rows[o:o + li - k])
+        out += [zero] * min(k, li) + list(rows[o:o + max(li - k, 0)])
     return out
 
 
@@ -489,10 +488,7 @@ class EncryptorSession:
     cancellation driven by the masks, so m - cancel_j is the mask part of
     channel j's observer state; each step's cancel block goes into the
     batch as it is.  The batches are the only record of the run: the
-    session keeps no mask, error or ciphertext.  It leaves each batch's
-    A sk mod q, its mask minus its error, in the key's per-batch cache
-    (`SecretKey.remember_products`), which holds the batch weakly, so a
-    recovery under the same key runs no key product.  The state is never
+    session keeps no mask, error or ciphertext.  The state is never
     written in place, so a checkpoint keeps it; losing a step invalidates
     the session.
     """
@@ -541,10 +537,7 @@ class EncryptorSession:
         block, self.cancel_state = cancel(enc.mask)
         body[:, :, :1] = kernel.split(enc.first.rows)
         body[:, :, 1:n] = block
-        batch = EncryptedBatch(body, public.n_channels, kernel)
-        self.sk.remember_products(batch,
-                                  (enc.mask - enc.error).column_entries())
-        return batch
+        return EncryptedBatch(body, public.n_channels, kernel)
 
     def enc_initial(self, zbar_ini: ModMatrix) -> EncryptedBatch:
         """Encrypt the lifted initial state (l rows) once for every
@@ -591,15 +584,16 @@ class EncObserverState:
     body: np.ndarray
     n_channels: int
     kernel: LimbKernel
-    N: int = 0
-    t: int = 0
-    window: Tuple[EncryptedBatch, ...] = ()
-    public: Optional[ObserverPublic] = None
+    N: int
+    t: int
+    window: Tuple[EncryptedBatch, ...]
+    public: Optional[ObserverPublic]
 
     @classmethod
     def from_initial(cls, batch: EncryptedBatch) -> "EncObserverState":
         return cls(batch.body[:, :, :1 + batch.n_channels], batch.n_channels,
-                   batch.kernel, N=batch.N, window=(batch,))
+                   batch.kernel, N=batch.N, t=0, window=(batch,),
+                   public=None)
 
 
 def _check_limbs(kernel: LimbKernel, *parts):
@@ -693,13 +687,13 @@ def recover_encrypted_state(state: EncObserverState, j: int, sk: SecretKey,
 
     Dec' of channel j is (first - cancel_j) - S_t sk + cancel_j, that is
     first - S_t sk for every j, so j is only checked.  S_t sk is summed
-    from the A sk of the state's window (`_shared_key_product`): a cache
-    hit for every batch the encryptor made under this key, else one
-    float64 `SecretKey.products` per batch, the first time it is needed.
-    Each step thus adds one 6-row product at most, and 24 x 36
-    Python-int products on the benchmark.  The key holder trusts that the
-    cloud stepped the first column as the recursion says and kept the
-    batches it was sent: the paper's honest-but-curious cloud.
+    from the A sk of the state's window (`_shared_key_product`), each
+    computed by one float64 `SecretKey.products` the first time this key
+    needs it and cached with the key after.  Each step thus adds one
+    6-row product, and 24 x 36 Python-int products on the benchmark.
+    The key holder trusts that the cloud stepped the first column as the
+    recursion says and kept the batches it was sent: the paper's
+    honest-but-curious cloud.
 
     When the detection criterion held at this step (and the parameter
     bounds are valid) the result equals the plaintext observer's scaled

@@ -7,8 +7,7 @@ The modified scheme used by the encrypted observer appends one extra column
 the first column, so both kinds decrypt to first - A sk = m + e mod q, the
 modified kind once its extra column is added back.  The observer decrypts
 only in recovery (`encobs.recover_encrypted_state`), from each batch's
-A sk mod q, which `SecretKey.cached_products` computes once per batch and
-the encryptor leaves there as it encrypts (`remember_products`).
+A sk mod q, which `SecretKey.cached_products` computes once per batch.
 
 Randomness comes from an injected source: `SecureRng` (system entropy, the
 default) or the seedable `TestRng` for reproducible runs; the latter is
@@ -29,8 +28,7 @@ BLAS sums in.  At N = 4096 that is dk = 9, with 13 key digits.  The key's
 digits are cut once per key; keys longer than `MAX_N` = 2^20 leave no
 digit bit and are refused.  The key keeps each batch's A sk mod q in a
 cache held weakly by batch (`cached_products`), so recovery computes it at
-most once per batch and not at all for a batch this key encrypted;
-`zeroize` wipes the digits and empties that cache.
+most once per batch; `zeroize` wipes the digits and empties that cache.
 
 Keys and ciphertexts serialize as a magic, a header list and a payload
 list.  An integer list is a uint32 count, then per value a sign byte, a
@@ -132,34 +130,38 @@ class _RandomSource:
         biased `% q` of a wide draw), at most 4096 values per request; a
         value >= q is found by comparing its masked words with q's from the
         top word down, and the row's next request replaces it.  The kept
-        words of every row are cut into limbs at once.  L * width must
-        cover the bit length of q.
+        words are cut into limbs a group of rows at a time, as many rows
+        as hold at most 4096 values (at least one), so no temporary grows
+        with the batch.  L * width must cover the bit length of q.
         """
         bits = q.q.bit_length()
         stride = (bits + 7) // 8
         q_words = bytes_to_words(q.q.to_bytes(stride, "little"), stride)[0]
         top = np.uint64((1 << (bits - 64 * (len(q_words) - 1))) - 1)
         L, rows, count = out.shape
-        kept = []
-        for _ in range(rows):
-            filled = 0
-            while filled < count:
-                n = min(count - filled, _UNIFORM_CHUNK)
-                words = bytes_to_words(self._rng.randbytes(n * stride), stride)
-                words[:, -1] &= top
-                below = words[:, -1] < q_words[-1]
-                if not below.all():
-                    # a tie on a word is decided by the words below it
-                    equal = words[:, -1] == q_words[-1]
-                    for k in range(len(q_words) - 2, -1, -1):
-                        below |= equal & (words[:, k] < q_words[k])
-                        equal &= words[:, k] == q_words[k]
-                    words = words[below]
-                kept.append(words)
-                filled += len(words)
-        if kept:    # else out has no entries
-            out[...] = words_to_limbs(np.concatenate(kept), width,
-                                      L).reshape(L, rows, count)
+        group = max(1, _UNIFORM_CHUNK // max(count, 1))
+        for a in range(0, rows, group):
+            kept = []
+            for _ in range(min(group, rows - a)):
+                filled = 0
+                while filled < count:
+                    n = min(count - filled, _UNIFORM_CHUNK)
+                    words = bytes_to_words(self._rng.randbytes(n * stride),
+                                           stride)
+                    words[:, -1] &= top
+                    below = words[:, -1] < q_words[-1]
+                    if not below.all():
+                        # a tie on a word is decided by the words below it
+                        equal = words[:, -1] == q_words[-1]
+                        for k in range(len(q_words) - 2, -1, -1):
+                            below |= equal & (words[:, k] < q_words[k])
+                            equal &= words[:, k] == q_words[k]
+                        words = words[below]
+                    kept.append(words)
+                    filled += len(words)
+            if kept:    # else out has no entries
+                out[:, a:a + group] = words_to_limbs(
+                    np.concatenate(kept), width, L).reshape(L, -1, count)
 
     def uniforms(self, q: Modulus, count: int) -> list:
         """`count` values exactly uniform on centred Z_q: the limb draw,
@@ -346,12 +348,6 @@ class SecretKey:
             values = tuple(map(self.q.cmod, self.products(limbs, width)))
             self._owned_products[owner] = values
         return values
-
-    def remember_products(self, owner, values: Sequence[int]):
-        """Cache A sk mod q, centred, of `owner`'s randomness, known
-        already: an encryption's mask minus its error."""
-        self._live()
-        self._owned_products[owner] = tuple(values)
 
     def zeroize(self):
         self._owned_products.clear()

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from cipherobs import encobs
 from cipherobs.encobs import (
     EncObserverState,
+    EncryptedBatch,
     EncryptorSession,
     LimbKernel,
     ObserverPublic,
@@ -438,7 +439,8 @@ class TestDigitPlaneResidue:
         """(state, public) whose first column and cancel columns hold the
         (L, l, 1 + n_ch) limbs `columns`; the shared block is empty."""
         public = bare_public(q, sizes, Gbar, Hbar)
-        return EncObserverState(columns, Hbar.nrows, public.kernel), public
+        return EncObserverState(columns, Hbar.nrows, public.kernel, N=0, t=0,
+                                window=(), public=None), public
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())
@@ -720,9 +722,9 @@ class TestWindowRecovery:
     @pytest.mark.parametrize("N, steps", [(64, 50), (4096, 8)])
     def test_recovery_equals_rounded_full_decryption(self, bench_setup, N,
                                                      steps):
-        # live: the encryptor left every batch's A sk with its key, so the
-        # key products all hit; replayed from View 2 under a fresh copy of
-        # the key, each new batch misses once
+        # live under the encryptor's key and replayed from View 2 under a
+        # fresh copy of it: each key misses once on each new batch and hits
+        # on the older batches of the window
         sk, public, batches, states = cloud_run(bench_setup, N, 17, steps)
         params = bench_setup.params
         phi = bench_setup.mod_maps.PhiPinvBar
@@ -730,15 +732,19 @@ class TestWindowRecovery:
         fresh = SecretKey.from_bytes(sk.to_bytes())
         replayed = replay_states(view2, public)
         for t, (live, again) in enumerate(zip(states, replayed)):
-            assert all(batch in sk._owned_products for batch in live.window)
-            assert again.window[-1] not in fresh._owned_products
+            for state, key in ((live, sk), (again, fresh)):
+                assert all(batch in key._owned_products
+                           for batch in state.window[:-1])
+                assert state.window[-1] not in key._owned_products
             dec = dense_decrypt(full_state(live, public).channel(0), sk)
             expect = rounded_decryption(dec, params, phi)
             assert recover_encrypted_state(live, 0, sk, params,
                                            phi) == expect, t
             assert recover_encrypted_state(again, 0, fresh, params,
                                            phi) == expect, t
-            assert again.window[-1] in fresh._owned_products
+            assert all(batch in sk._owned_products for batch in live.window)
+            assert all(batch in fresh._owned_products
+                       for batch in again.window)
             # the decryption itself is exact, not only its rounding
             for state, key in ((live, sk), (again, fresh)):
                 first = public.kernel.join(state.body[:, :, :1])
@@ -747,12 +753,53 @@ class TestWindowRecovery:
                     [f - s for (f,), s in zip(first, shared)], public.q
                 ) == dec, t
 
+    @pytest.mark.parametrize("sizes", [(2, 6), (4, 6), (1, 3, 6), (6, 1, 4),
+                                       (3, 3)])
+    def test_uneven_blocks(self, bench_setup, sizes):
+        # blocks shorter than the largest by two rows or more: W against
+        # dense Fbar^k Gbar, and recovery against the replayed full state
+        # at every step, the initial batch in the window and out of it
+        params = dataclasses.replace(bench_setup.params, N=16)
+        q = params.q
+        rng = random.Random(repr(sizes))
+        l, h, depth = sum(sizes), 3, max(sizes)
+        Gbar = ModMatrix([[rng.randint(-9, 9) for _ in range(h)]
+                          for _ in range(l)], q)
+        public = bare_public(q, sizes, Gbar, ModMatrix.identity(l, q).row(0))
+        power = [ModMatrix.identity(l, q)]
+        for _ in range(depth):
+            power.append(public.Fbar @ power[-1])
+        assert power[depth].is_zero()
+        blocks = [(power[k] @ Gbar).rows for k in reversed(range(depth))]
+        assert ModMatrix(public._window_gain, q) == ModMatrix(
+            [sum(rows, ()) for rows in zip(*blocks)], q)
+
+        def batch(nrows):
+            rows = [tuple(q.cmod(rng.randrange(q.q)) for _ in range(17))
+                    for _ in range(nrows)]
+            cancel = tuple(rng.randint(-99, 99) for _ in range(nrows))
+            return EncryptedBatch._write(rows, [cancel], public.kernel)
+
+        sk = keygen(16, q, SeededRng(l))
+        phi = ModMatrix.identity(l, q)
+        state = EncObserverState.from_initial(batch(l))
+        for t in range(2 * depth + 2):
+            if t:
+                state = step_encrypted(state, batch(h), public)
+            dec = dense_decrypt(full_state(state, public).channel(0), sk)
+            first = public.kernel.join(state.body[:, :, :1])
+            shared = encobs._shared_key_product(state, sk)
+            assert ModMatrix.column(
+                [f - s for (f,), s in zip(first, shared)], q) == dec, t
+            assert recover_encrypted_state(state, 0, sk, params, phi) == \
+                rounded_decryption(dec, params, phi), t
+
     def test_zeroize_empties_the_cache(self, bench_setup):
         sk, public, _, states = cloud_run(bench_setup, 64, 18, 8)
         params = bench_setup.params
         phi = bench_setup.mod_maps.PhiPinvBar
         recover_encrypted_state(states[-1], 0, sk, params, phi)
-        assert len(sk._owned_products) == 9
+        assert len(sk._owned_products) == public.depth
         sk.zeroize()
         assert len(sk._owned_products) == 0
         with pytest.raises(LweError):

@@ -171,6 +171,18 @@ class TestUniforms:
         assert join_limbs(limbs[:, 0], 42) == [q - 1, tie, 7]
         assert source._rng.requests == [3 * 14, 2 * 14, 14]
 
+    @pytest.mark.parametrize("rows, count", [(5, 64), (5, 1500), (3, 4096),
+                                             (2, 5000), (3, 0)])
+    def test_row_groups_cut_like_single_rows(self, rows, count):
+        # 64 rows fit one cut, 2 rows of 1500, one row of 4096 or more
+        limbs = np.empty((3, rows, count), dtype=np.int64)
+        SeededRng(24).uniform_limbs(Q109, 42, limbs)
+        single = SeededRng(24)
+        for r in range(rows):
+            row = np.empty((3, 1, count), dtype=np.int64)
+            single.uniform_limbs(Q109, 42, row)
+            assert np.array_equal(limbs[:, r], row[:, 0])
+
     def test_seeded_draws_are_reproducible(self):
         a, b = SeededRng(23), SeededRng(23)
         assert a.uniforms(Q109, 5000) == b.uniforms(Q109, 5000)
