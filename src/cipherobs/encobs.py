@@ -9,19 +9,18 @@ the standard one with its first column split as
 `[first - cancel_j | shared | cancel_j]`; only `modified_channels` forms
 that difference.
 
-The observer is one recursion, `Z' = Fbar Z + Gbar V` (`observer_update`),
-on the int64 limbs of `LimbKernel`; its `Gbar V` runs on Gbar's block
-terms (`BlockGain`), the nonzero row spans of each column inside each
-block, so the products with the zero blocks of the bank's gain are
-skipped.  Each input batch is one read-only matrix
-`[first | cancels | shared]`: the standard ciphertext's first column,
-every channel's cancel column, then the randomness block A.  The observer
-state is narrow: `step_encrypted` steps only `[first | cancels]`, the
-basic-slice view `body[:, :, :1 + n_ch]` of each batch, the only columns a
-residue reads.  The state's shared block S_t = Fbar S_(t-1) + Gbar A_t is a
-function of the public randomness alone, and Fbar^b = 0 for the largest
-block size b, so the state keeps references to its last b batches instead
-(`EncObserverState.window`), and recovery sums S_t sk from their A sk.
+The observer is one recursion, `Z' = Fbar Z + Gbar V`, held once as a
+`BlockGain`: Fbar's block starts and Gbar's nonzero row spans inside each
+block.  `observer_update` steps it on the int64 limbs of `LimbKernel`.
+Each input batch is one read-only matrix `[first | cancels | shared]`: the
+standard ciphertext's first column, every channel's cancel column, then
+the randomness block A.  The observer state is narrow: `step_encrypted`
+steps only `[first | cancels]`, the basic-slice view
+`body[:, :, :1 + n_ch]` of each batch, the only columns a residue reads.
+The state's shared block S_t = Fbar S_(t-1) + Gbar A_t is a function of
+the public randomness alone, and Fbar^b = 0 for the largest block size b,
+so the state keeps references to its last b batches instead
+(`EncObserverState.window`), and recovery replays their A sk to S_t sk.
 The cancellation (`ObserverPublic.cancel_initial` and `cancel_step`) steps
 `[m | cancels]`, the same narrow layout, through the same recursion, and
 after step 0 cancels channel j with one scalar at one row.  It and the
@@ -35,8 +34,8 @@ first and cancel columns' limbs against digits of Hbar, on differences
 that stay below 2^32, and joined by `modring.join_digit_sums`.  Recovery
 takes each batch's A sk mod q from the key's per-batch cache
 (`SecretKey.cached_products`, one float64 product of the batch's limbs
-the first time the key recovers from it) and combines the window's values
-in Python ints with the stacked gain rows `ObserverPublic` caches.
+the first time the key recovers from it) and replays the window's values
+through the recursion in Python ints (`BlockGain.step_ints`).
 This module is the only one that knows the limb layout.
 
 A run is recorded only as its batches: `standard_and_cancels` reads what
@@ -96,10 +95,10 @@ class SessionNotFresh(EncObsError):
     pass
 
 
-def observer_update(Z: np.ndarray, V: np.ndarray, block_sizes: Sequence[int],
+def observer_update(Z: np.ndarray, V: np.ndarray,
                     gain: BlockGain) -> np.ndarray:
     """Z' = Fbar Z + Gbar V on limb stacks: Z is (L, l, w), V is (L, h, w)
-    and `gain` is Gbar's `BlockGain`.
+    and `gain` is the recursion's `BlockGain`.
 
     Fbar is the block lower shift, so its action is a row shift inside each
     block; the result is identical to a dense product, limb by limb.  Limbs
@@ -107,26 +106,17 @@ def observer_update(Z: np.ndarray, V: np.ndarray, block_sizes: Sequence[int],
     column runs the same recursion, so one call steps every channel.
     """
     if (Z.shape[0] != V.shape[0] or Z.shape[2] != V.shape[2]
-            or gain.shape != (Z.shape[1], V.shape[1])
-            or sum(block_sizes) != Z.shape[1]):
+            or gain.shape != (Z.shape[1], V.shape[1])):
         raise EncObsError("dimension mismatch in observer update")
-    out = _block_shift(Z, block_sizes)
+    out = gain.shift(Z)
     gain.add_product(out, V)
-    return out
-
-
-def _block_shift(Z: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
-    """Fbar Z on a limb stack: each block's rows moved down by one, its
-    first row zero."""
-    out = np.empty_like(Z)
-    out[:, 1:] = Z[:, :-1]
-    out[:, list(accumulate(block_sizes, initial=0))[:-1]] = 0
     return out
 
 
 @dataclass(frozen=True, eq=False)
 class BlockGain:
-    """Gbar as the nonzero row spans of its columns inside each block.
+    """Z' = Fbar Z + Gbar V: Fbar as its block starts, Gbar as the nonzero
+    row spans of its columns inside each block.
 
     In the observer bank each partial observer is driven by the inputs and
     its own sensor only, so most of Gbar is zero (48 of 144 entries on the
@@ -142,12 +132,14 @@ class BlockGain:
     """
 
     shape: Tuple[int, int]
+    starts: Tuple[int, ...]
     terms: Tuple[Tuple[int, int, int, np.ndarray], ...]
 
     @classmethod
     def build(cls, block_sizes: Sequence[int], Gbar: ModMatrix) -> "BlockGain":
+        starts = tuple(accumulate(block_sizes, initial=0))[:-1]
         terms = []
-        for o, li in zip(accumulate(block_sizes, initial=0), block_sizes):
+        for o, li in zip(starts, block_sizes):
             for k in range(Gbar.ncols):
                 nonzero = [i for i in range(o, o + li) if Gbar.rows[i][k]]
                 if nonzero:
@@ -155,18 +147,40 @@ class BlockGain:
                     coef = np.array([Gbar.rows[i][k] for i in range(a, c)],
                                     dtype=np.int64).reshape(1, -1, 1)
                     terms.append((k, a, c, coef))
-        return cls(shape=Gbar.shape, terms=tuple(terms))
+        return cls(shape=Gbar.shape, starts=starts, terms=tuple(terms))
 
     def columns(self, ks) -> "BlockGain":
         """The terms of the columns `ks` only: the same product for a V
         that is zero in every other row."""
-        return BlockGain(self.shape,
+        return BlockGain(self.shape, self.starts,
                          tuple(t for t in self.terms if t[0] in ks))
+
+    def shift(self, Z: np.ndarray) -> np.ndarray:
+        """Fbar Z on a limb stack (L, l, w), as a new stack."""
+        out = np.empty_like(Z)
+        out[:, 1:] = Z[:, :-1]
+        out[:, list(self.starts)] = 0
+        return out
 
     def add_product(self, out: np.ndarray, V: np.ndarray):
         """out += Gbar V in place, on limb stacks (L, l, w) and (L, h, w)."""
         for k, a, c, coef in self.terms:
             out[:, a:c] += coef * V[:, k:k + 1]
+
+    @cached_property
+    def _entries(self) -> Tuple[Tuple[int, int, int], ...]:
+        """The terms' nonzero entries as (row, column, coefficient)."""
+        return tuple((a + i, k, g) for k, a, _, coef in self.terms
+                     for i, g in enumerate(coef.ravel().tolist()) if g)
+
+    def step_ints(self, z: Sequence[int], v: Sequence[int]) -> List[int]:
+        """Fbar z + Gbar v for columns of Python ints, not reduced."""
+        out = [0, *z[:-1]]
+        for i in self.starts:
+            out[i] = 0
+        for i, k, g in self._entries:
+            out[i] += g * v[k]
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,7 +199,7 @@ class LimbKernel:
     """
 
     q: Modulus
-    gain: BlockGain     # Gbar's block terms, built once
+    gain: BlockGain     # the recursion's blocks, built once
     width: int          # W
     count: int          # L = ceil(q.bit_length() / W)
 
@@ -217,17 +231,6 @@ class LimbKernel:
         flat = join_limbs(limbs.reshape(self.count, -1), self.width)
         return tuple(tuple(flat[i * ncols:(i + 1) * ncols])
                      for i in range(nrows))
-
-
-def _shift_rows(rows: Sequence[Tuple[int, ...]], block_sizes: Sequence[int],
-                k: int) -> List[Tuple[int, ...]]:
-    """Fbar^k on a matrix of Python ints given as its rows: each block's
-    rows moved down by k, its first k rows zero."""
-    zero = (0,) * len(rows[0])
-    out = []
-    for o, li in zip(accumulate(block_sizes, initial=0), block_sizes):
-        out += [zero] * min(k, li) + list(rows[o:o + max(li - k, 0)])
-    return out
 
 
 def build_fbar(block_sizes: Sequence[int], q: Modulus) -> ModMatrix:
@@ -274,21 +277,6 @@ class ObserverPublic:
         """b, the largest block size: Fbar^b = 0, so a state depends on its
         last b batches only."""
         return max(self.block_sizes)
-
-    @cached_property
-    def _window_gain(self) -> Tuple[Tuple[int, ...], ...]:
-        """The rows of W = [Fbar^(b-1) Gbar | ... | Fbar Gbar | Gbar],
-        b = `depth`.
-
-        A state's shared block is
-        S_t = Fbar^t A_0 + sum_{k < min(t, b)} Fbar^k Gbar A_(t-k), its
-        first term gone from t = b on.  So S_t sk is W times the A sk of
-        the last b input batches stacked oldest first (zeros before step
-        1), plus Fbar^t A_0 sk while t < b.
-        """
-        terms = [_shift_rows(self.Gbar.rows, self.block_sizes, k)
-                 for k in reversed(range(self.depth))]
-        return tuple(sum(parts, ()) for parts in zip(*terms))
 
     @cached_property
     def kernel(self) -> LimbKernel:
@@ -362,7 +350,7 @@ class ObserverPublic:
         if x.nrows != self.Gbar.ncols:
             raise EncObsError("dimension mismatch in cancellation step")
         (e, planes), ks, ss, cancel_gain = self._chain_ends
-        body = _block_shift(state.body, self.block_sizes)
+        body = kernel.gain.shift(state.body)
         kernel.gain.add_product(body[:, :, :1], kernel.split(x.rows))
         dots = _first_column_dots(body[:, :, 0], body[:, :, 1:],
                                   kernel.width, e, planes)
@@ -573,12 +561,11 @@ class EncObserverState:
     S_t = Fbar S_(t-1) + Gbar A_t depend on the public randomness alone,
     and only through the last b = `ObserverPublic.depth` batches, since
     Fbar^b = 0.  `window` holds those batches oldest first, the initial
-    batch among them while t < b, and recovery sums S_t sk from their
-    A sk.  So channel j's logical state, the l x (N+2) modified
+    batch among them while t < b, and recovery replays their A sk to
+    S_t sk.  So channel j's logical state, the l x (N+2) modified
     ciphertext whose decryption is the lifted plaintext state plus the
     encryption error, is what replaying the window through
-    `observer_update` gives.  `public` is the `ObserverPublic` of the last
-    step (None at step 0), whose maps recovery reads.
+    `observer_update` gives.
     """
 
     body: np.ndarray
@@ -587,13 +574,11 @@ class EncObserverState:
     N: int
     t: int
     window: Tuple[EncryptedBatch, ...]
-    public: Optional[ObserverPublic]
 
     @classmethod
     def from_initial(cls, batch: EncryptedBatch) -> "EncObserverState":
         return cls(batch.body[:, :, :1 + batch.n_channels], batch.n_channels,
-                   batch.kernel, N=batch.N, t=0, window=(batch,),
-                   public=None)
+                   batch.kernel, N=batch.N, t=0, window=(batch,))
 
 
 def _check_limbs(kernel: LimbKernel, *parts):
@@ -616,11 +601,10 @@ def step_encrypted(state: EncObserverState, batch: EncryptedBatch,
     kernel = public.kernel
     _check_limbs(kernel, state, batch)
     body = observer_update(state.body, batch.body[:, :, :1 + batch.n_channels],
-                           public.block_sizes, kernel.gain)
+                           kernel.gain)
     return EncObserverState(body, state.n_channels, kernel, N=state.N,
                             t=state.t + 1,
-                            window=(state.window + (batch,))[-public.depth:],
-                            public=public)
+                            window=(state.window + (batch,))[-public.depth:])
 
 
 def _first_column_dots(first: np.ndarray, cancels: np.ndarray, width: int,
@@ -659,25 +643,19 @@ def disclose_residue(r1: ModMatrix, params: QuantParams) -> ModMatrix:
 
 def _shared_key_product(state: EncObserverState, sk: SecretKey) -> List[int]:
     """Integers congruent to S_t sk, for the shared block S_t the state does
-    not hold: each window batch's A sk mod q from the key's per-batch
-    cache, combined by the public's `_window_gain` and, while the initial
-    batch is in the window, Fbar^t A_0 sk."""
-    width = state.kernel.width
-    products = [sk.cached_products(batch, batch.shared, width)
+    not hold: the window's A sk from the key's cache, replayed through the
+    recursion from A_0 sk while the initial batch is in the window and from
+    zero after (the window then holds the last b batches, and Fbar^b = 0)."""
+    kernel = state.kernel
+    products = [sk.cached_products(batch, batch.shared, kernel.width)
                 for batch in state.window]
-    if state.t == 0:
-        return list(products[0])
-    public = state.public
-    W = public._window_gain
-    initial = len(products) == state.t + 1    # A_0 is still in the window
-    stacked = [v for p in products[initial:] for v in p]
-    stacked[:0] = [0] * (len(W[0]) - len(stacked))
-    sums = [sum(map(mul, row, stacked)) for row in W]
-    if initial:
-        shifted = _shift_rows([(v,) for v in products[0]],
-                              public.block_sizes, state.t)
-        sums = [s + v for s, (v,) in zip(sums, shifted)]
-    return sums
+    if len(products) == state.t + 1:    # A_0 is still in the window
+        shared, products = list(products[0]), products[1:]
+    else:
+        shared = [0] * kernel.gain.shape[0]
+    for a in products:
+        shared = kernel.gain.step_ints(shared, a)
+    return shared
 
 
 def recover_encrypted_state(state: EncObserverState, j: int, sk: SecretKey,
@@ -690,7 +668,7 @@ def recover_encrypted_state(state: EncObserverState, j: int, sk: SecretKey,
     from the A sk of the state's window (`_shared_key_product`), each
     computed by one float64 `SecretKey.products` the first time this key
     needs it and cached with the key after.  Each step thus adds one
-    6-row product, and 24 x 36 Python-int products on the benchmark.
+    6-row product, and a replay of the window on Gbar's 48 nonzeros.
     The key holder trusts that the cloud stepped the first column as the
     recursion says and kept the batches it was sent: the paper's
     honest-but-curious cloud.
@@ -709,11 +687,12 @@ def recover_encrypted_state(state: EncObserverState, j: int, sk: SecretKey,
         raise ModulusMismatch("ciphertext and key disagree on q")
     if params.q != q or phi_pinv_bar.modulus != q:
         raise ModulusMismatch("ciphertext and recovery maps disagree on q")
+    if phi_pinv_bar.ncols != state.body.shape[1]:
+        raise DimensionMismatch("recovery map and state disagree on rows")
     first = state.kernel.join(state.body[:, :, :1])
     masked = _shared_key_product(state, sk)
-    dec = ModMatrix.column([f - s for (f,), s in zip(first, masked)], q)
-    scaled = phi_pinv_bar @ dec
+    dec = [f - s for (f,), s in zip(first, masked)]
     lift = params.lift
-    entries = [q.cmod((2 * v + lift) // (2 * lift))
-               for v in scaled.column_entries()]
-    return ModMatrix.column(entries, q)
+    return ModMatrix.column(
+        [(2 * q.cmod(sum(map(mul, row, dec))) + lift) // (2 * lift)
+         for row in phi_pinv_bar.rows], q)

@@ -7,7 +7,8 @@ The modified scheme used by the encrypted observer appends one extra column
 the first column, so both kinds decrypt to first - A sk = m + e mod q, the
 modified kind once its extra column is added back.  The observer decrypts
 only in recovery (`encobs.recover_encrypted_state`), from each batch's
-A sk mod q, which `SecretKey.cached_products` computes once per batch.
+A sk mod q, which `SecretKey.cached_products` computes once per batch and
+recovery replays through the observer recursion to the state's S_t sk.
 
 Randomness comes from an injected source: `SecureRng` (system entropy, the
 default) or the seedable `TestRng` for reproducible runs; the latter is

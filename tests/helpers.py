@@ -173,8 +173,7 @@ def full_state(state: EncObserverState, public) -> _ChannelBody:
         body = np.zeros((L, public.Gbar.nrows, width), dtype=np.int64)
         inputs = window
     for batch in inputs:
-        body = observer_update(body, batch.body, public.block_sizes,
-                               public.kernel.gain)
+        body = observer_update(body, batch.body, public.kernel.gain)
     if not np.array_equal(body[:, :, :state.body.shape[2]], state.body):
         raise AssertionError("the narrow state differs from its replay")
     return _ChannelBody(body, state.n_channels, public.kernel)

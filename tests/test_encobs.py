@@ -20,13 +20,15 @@ from cipherobs.encobs import (
     SessionNotFresh,
     build_fbar,
     disclose_residue,
+    observer_update,
     recover_encrypted_state,
     residue_first_column,
     step_encrypted,
 )
 from cipherobs.lwe import LweError, NoiseParams, SecretKey, keygen
 from cipherobs.lwe import TestRng as SeededRng
-from cipherobs.modring import ModMatrix, Modulus, ModulusMismatch
+from cipherobs.modring import DimensionMismatch, ModMatrix, Modulus, \
+    ModulusMismatch
 from cipherobs.pipeline import SystemSetup, bundled_scenario_path, \
     run_encrypted_mode, run_quantized_mode
 from cipherobs.quantobs import quantize_initial
@@ -440,7 +442,7 @@ class TestDigitPlaneResidue:
         (L, l, 1 + n_ch) limbs `columns`; the shared block is empty."""
         public = bare_public(q, sizes, Gbar, Hbar)
         return EncObserverState(columns, Hbar.nrows, public.kernel, N=0, t=0,
-                                window=(), public=None), public
+                                window=()), public
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())
@@ -679,6 +681,17 @@ class TestDisclosureAndRecovery:
         with pytest.raises(ModulusMismatch):
             disclose_residue(r1, params)
 
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_recovery_map_of_another_width_rejected_typed(
+            self, bench_setup, bench_enc, extra):
+        # a map with one column fewer or more than the state has rows
+        phi = bench_setup.mod_maps.PhiPinvBar
+        rows = [row[:extra] if extra < 0 else row + (1,) for row in phi.rows]
+        with pytest.raises(DimensionMismatch):
+            recover_encrypted_state(bench_enc.states[7], 0, bench_enc.sk,
+                                    bench_setup.params,
+                                    ModMatrix(rows, phi.modulus))
+
     def test_channel_agreement(self, bench_setup, bench_enc):
         t = 31
         recs = {recover_encrypted_state(
@@ -705,6 +718,16 @@ class TestDisclosureAndRecovery:
             assert rec == qrun.xbars[t]
             state = step_encrypted(state, session.enc_input(qrun.vbars[t]),
                                    public64)
+
+
+# observer banks whose blocks are shorter than the largest by up to 5 rows
+UNEVEN_BLOCKS = [(2, 6), (4, 6), (1, 3, 6), (6, 1, 4), (3, 3)]
+
+
+def uneven_gain(q, sizes, rng):
+    """A random l x 3 gain with small entries for blocks `sizes`."""
+    return ModMatrix([[rng.randint(-9, 9) for _ in range(3)]
+                      for _ in range(sum(sizes))], q)
 
 
 def rounded_decryption(dec, params, phi):
@@ -753,26 +776,51 @@ class TestWindowRecovery:
                     [f - s for (f,), s in zip(first, shared)], public.q
                 ) == dec, t
 
-    @pytest.mark.parametrize("sizes", [(2, 6), (4, 6), (1, 3, 6), (6, 1, 4),
-                                       (3, 3)])
+    @pytest.mark.parametrize("bank", UNEVEN_BLOCKS + ["benchmark"])
+    def test_recursion_executors_equal_dense(self, bench_setup, bank):
+        # one BlockGain steps limbs (observer_update) and Python ints
+        # (step_ints), both against dense Fbar Z + Gbar V, for more steps
+        # than the largest block
+        q = bench_setup.params.q
+        rng = random.Random(repr(bank))
+        if bank == "benchmark":
+            sizes, Gbar = bench_setup.mod_maps.block_sizes, \
+                bench_setup.mod_maps.Gbar
+        else:
+            sizes, Gbar = bank, uneven_gain(q, bank, rng)
+        kernel = LimbKernel.build(sizes, Gbar)
+        Fbar = build_fbar(sizes, q)
+        half = (q.q - 1) // 2
+
+        def column(nrows):
+            return ModMatrix.column(
+                [rng.randint(-half, half) for _ in range(nrows)], q)
+
+        Z = column(Gbar.nrows)
+        ints, limbs = Z.column_entries(), kernel.split(Z.rows)
+        for t in range(max(sizes) + 2):
+            V = column(Gbar.ncols)
+            Z = Fbar @ Z + Gbar @ V
+            ints = kernel.gain.step_ints(ints, V.column_entries())
+            limbs = observer_update(limbs, kernel.split(V.rows), kernel.gain)
+            assert ModMatrix.column(ints, q) == Z, t
+            assert ModMatrix(kernel.join(limbs), q) == Z, t
+        # Fbar^b = 0, so recovery may replay from zero b batches back
+        for _ in range(max(sizes)):
+            ints = kernel.gain.step_ints(ints, (0,) * Gbar.ncols)
+        assert not any(ints)
+
+    @pytest.mark.parametrize("sizes", UNEVEN_BLOCKS)
     def test_uneven_blocks(self, bench_setup, sizes):
-        # blocks shorter than the largest by two rows or more: W against
-        # dense Fbar^k Gbar, and recovery against the replayed full state
-        # at every step, the initial batch in the window and out of it
+        # blocks shorter than the largest by two rows or more: recovery
+        # against the replayed full state at every step, the initial batch
+        # in the window and out of it
         params = dataclasses.replace(bench_setup.params, N=16)
         q = params.q
         rng = random.Random(repr(sizes))
-        l, h, depth = sum(sizes), 3, max(sizes)
-        Gbar = ModMatrix([[rng.randint(-9, 9) for _ in range(h)]
-                          for _ in range(l)], q)
+        l, depth = sum(sizes), max(sizes)
+        Gbar = uneven_gain(q, sizes, rng)
         public = bare_public(q, sizes, Gbar, ModMatrix.identity(l, q).row(0))
-        power = [ModMatrix.identity(l, q)]
-        for _ in range(depth):
-            power.append(public.Fbar @ power[-1])
-        assert power[depth].is_zero()
-        blocks = [(power[k] @ Gbar).rows for k in reversed(range(depth))]
-        assert ModMatrix(public._window_gain, q) == ModMatrix(
-            [sum(rows, ()) for rows in zip(*blocks)], q)
 
         def batch(nrows):
             rows = [tuple(q.cmod(rng.randrange(q.q)) for _ in range(17))
@@ -785,7 +833,7 @@ class TestWindowRecovery:
         state = EncObserverState.from_initial(batch(l))
         for t in range(2 * depth + 2):
             if t:
-                state = step_encrypted(state, batch(h), public)
+                state = step_encrypted(state, batch(Gbar.ncols), public)
             dec = dense_decrypt(full_state(state, public).channel(0), sk)
             first = public.kernel.join(state.body[:, :, :1])
             shared = encobs._shared_key_product(state, sk)

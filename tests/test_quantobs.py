@@ -179,7 +179,7 @@ class TestObserverUpdate:
         for _ in range(data.draw(st.integers(1, 3), label="steps")):
             V = matrix(h, w)
             dense = Fbar @ Z + Gbar @ V
-            limbs = observer_update(limbs, kernel.split(V.rows), sizes,
+            limbs = observer_update(limbs, kernel.split(V.rows),
                                     kernel.gain)
             Z = dense
         assert ModMatrix(kernel.join(limbs), q, ncols=w) == Z
@@ -219,7 +219,7 @@ class TestObserverUpdate:
         V = ModMatrix([[rng.randint(-half, half) for _ in range(3)]
                        for _ in rows[0]], q)
         limbs = observer_update(kernel.split(Z.rows), kernel.split(V.rows),
-                                sizes, kernel.gain)
+                                kernel.gain)
         dense = build_fbar(sizes, q) @ Z + Gbar @ V
         assert ModMatrix(kernel.join(limbs), q) == dense
 
@@ -268,7 +268,7 @@ class TestObserverUpdate:
         limbs = kernel.split(Z.rows)
         v_limbs = kernel.split(V.rows)
         for _ in range(3 * b_max):
-            limbs = observer_update(limbs, v_limbs, sizes, kernel.gain)
+            limbs = observer_update(limbs, v_limbs, kernel.gain)
             Z = Fbar @ Z + Gbar @ V
             assert int(np.abs(limbs).max()) < bound
         assert ModMatrix(kernel.join(limbs), q) == Z
@@ -297,10 +297,11 @@ class TestObserverUpdate:
     def test_block_sizes_must_cover_the_state(self):
         q = Modulus(101)
         zeros = np.zeros
+        # a recursion of blocks (1, 1) refuses a 3-row state
         with pytest.raises(EncObsError):
             observer_update(zeros((1, 3, 2), np.int64),
-                            zeros((1, 1, 2), np.int64), (1, 1),
-                            LimbKernel.build((3,), ModMatrix.zeros(3, 1, q))
+                            zeros((1, 1, 2), np.int64),
+                            LimbKernel.build((1, 1), ModMatrix.zeros(2, 1, q))
                             .gain)
         with pytest.raises(EncObsError):
             LimbKernel.build((1, 1), ModMatrix.zeros(3, 1, q))
