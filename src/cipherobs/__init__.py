@@ -11,9 +11,8 @@ from .plantsim import AttackScenario, AttackSegment, PlantModel, Trajectory, \
     load_scenario, run_closed_loop, step_plant
 from .obsdesign import ObserverBank, build_bank, canonical_decomposition, \
     observability_index, residue_map, run_reference_observer
-from .quantobs import QuantParams, QuantState, detect, make_params, \
-    quantize_initial, quantize_input, residue_quantized, step_quantized, \
-    validate_params
+from .quantobs import QuantParams, detect, make_params, quantize_initial, \
+    quantize_input, residue_quantized, step_quantized, validate_params
 from .lwe import Ciphertext, CiphertextKind, NoiseParams, SecretKey, \
     SecureRng, TestRng, keygen
 from .zerodyn import ChannelMaps, channel_maps

@@ -51,8 +51,7 @@ def _load_config(path):
         raise PlantError("config file needs either plant matrices or a "
                          "'scenario' path string")
     scenario = Path(path).parent / raw["scenario"]
-    overrides = {k: raw[k] for k in
-                 ("s1", "s2", "lift", "q", "N", "Delta", "eps") if k in raw}
+    overrides = {k: raw[k] for k in DEFAULTS if k in raw}
     return scenario, overrides
 
 

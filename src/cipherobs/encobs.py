@@ -27,11 +27,11 @@ after step 0 cancels channel j with one scalar at one row.  It and the
 residue take their per-channel dot products from `_first_column_dots`.  One
 decryption, first - S_t sk, serves every channel.
 
-Python ints appear only when a channel is materialized (`channel(j)`), for
-the cancellation's scalars, in the residue's sums, and in recovery.  The
-residue is summed exactly in one int64 einsum of the 32-bit halves of the
-first and cancel columns' limbs against digits of Hbar, on differences
-that stay below 2^32, and joined by `modring.join_digit_sums`.  Recovery
+Python ints appear only when View 2 reads a batch, for the cancellation's
+scalars, in the residue's sums, and in recovery.  The residue is summed
+exactly in one int64 einsum of the 32-bit halves of the first and cancel
+columns' limbs against digits of Hbar, on differences that stay below
+2^32, and joined by `modring.join_digit_sums`.  Recovery
 takes each batch's A sk mod q from the key's per-batch cache
 (`SecretKey.cached_products`, one float64 product of the batch's limbs
 the first time the key recovers from it) and replays the window's values
@@ -252,8 +252,7 @@ class ObserverPublic:
 
     q: Modulus
     N: int
-    block_sizes: Tuple[int, ...]
-    Fbar: ModMatrix
+    block_sizes: Tuple[int, ...]    # Fbar, the block lower shift
     Gbar: ModMatrix
     Hbar: ModMatrix
     channels: Tuple[ChannelMaps, ...]
@@ -265,7 +264,7 @@ class ObserverPublic:
         Fbar = build_fbar(maps.block_sizes, q)
         channels = tuple(channel_maps(maps.Hbar.row(j), Fbar, maps.Gbar)
                          for j in range(maps.Hbar.nrows))
-        return cls(q=q, N=params.N, block_sizes=maps.block_sizes, Fbar=Fbar,
+        return cls(q=q, N=params.N, block_sizes=maps.block_sizes,
                    Gbar=maps.Gbar, Hbar=maps.Hbar, channels=channels)
 
     @property
@@ -292,7 +291,7 @@ class ObserverPublic:
         """Every T2_j stacked into one matrix, and each V2_j as the
         (row, entries) pairs of its nonzero rows."""
         T2 = ModMatrix(tuple(row for m in self.channels for row in m.T2.rows),
-                       self.q, ncols=self.Fbar.ncols, _reduced=True)
+                       self.q, ncols=self.Gbar.nrows, _reduced=True)
         V2 = tuple(tuple((i, row) for i, row in enumerate(m.V2.rows)
                          if any(row)) for m in self.channels)
         return T2, V2
@@ -303,7 +302,7 @@ class ObserverPublic:
         of the T2_j, every channel's k_j and s_j, and the gain's terms of
         the columns k_j, the only rows where a cancel block is nonzero."""
         R = ModMatrix(tuple(m.T2.rows[-1] for m in self.channels), self.q,
-                      ncols=self.Fbar.ncols, _reduced=True)
+                      ncols=self.Gbar.nrows, _reduced=True)
         ks = [m.k for m in self.channels]
         return (_row_digits(R), np.array(ks),
                 tuple(m.s for m in self.channels),
@@ -383,9 +382,8 @@ class _ChannelBody:
     (L, rows, 1 + n_ch + N) int64 limb stack of `kernel`, and `rows` as
     centred Python ints, joined from the limbs once on first use.  The
     layout stays inside this module: other modules write a batch with
-    `EncryptedBatch._write` and read one with `standard_and_cancels`.
-    `channel(j)` forms channel j's modified ciphertext for checks.  With no
-    shared block (N = 0) it is the encryptor's `[m | cancels]` state.
+    `EncryptedBatch._write` and read one with `standard_and_cancels`.  With
+    no shared block (N = 0) it is the encryptor's `[m | cancels]` state.
     """
 
     def __init__(self, body: np.ndarray, n_channels: int,
@@ -420,13 +418,6 @@ class _ChannelBody:
                                         _reduced=True),
                          kind=CiphertextKind.STANDARD, N=self.N)
         return std, tuple(zip(*(row[1:n] for row in self.rows)))
-
-    def channel(self, j: int) -> Ciphertext:
-        """Channel j's modified ciphertext, from `modified_channels`."""
-        if not 0 <= j < self.n_channels:
-            raise EncObsError(f"no channel {j} among {self.n_channels}")
-        std, cancels = self.standard_and_cancels()
-        return modified_channels(std, cancels[j:j + 1])[0]
 
 
 class EncryptedBatch(_ChannelBody):

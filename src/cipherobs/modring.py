@@ -25,7 +25,6 @@ Python ints, `join_digit_sums`.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub
 from typing import Iterable, List, Sequence
@@ -151,17 +150,9 @@ class Modulus:
     def __setattr__(self, *_):
         raise AttributeError("Modulus is immutable")
 
-    @property
-    def half(self) -> Fraction:
-        """Exact q/2, the (open) upper edge of the centered range."""
-        return Fraction(self.q, 2)
-
     def cmod(self, a: int) -> int:
         q = self.q
         return a - ((2 * a + q) // self._twoq) * q
-
-    def contains(self, a: int) -> bool:
-        return -self._max_abs <= a <= self._max_abs
 
     def contains_all(self, values: Sequence[int]) -> bool:
         """Whether every value lies in the centred range: one `min` and

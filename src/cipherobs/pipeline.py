@@ -21,7 +21,7 @@ from .modring import ModMatrix, Modulus
 from .obsdesign import ObserverBank, ResidueMaps, build_bank, residue_map, \
     run_reference_observer
 from .plantsim import ScenarioBundle, Trajectory, load_scenario, run_closed_loop
-from .quantobs import ModularMaps, QuantParams, QuantState, make_params
+from .quantobs import ModularMaps, QuantParams, make_params
 
 __all__ = [
     "BENCH_Q",
@@ -71,15 +71,9 @@ class SystemSetup:
     zhat_ini: np.ndarray    # the observer's initial value: zeros
 
     @classmethod
-    def from_scenario(cls, path, *, s1: float = DEFAULTS["s1"],
-                      s2: float = DEFAULTS["s2"],
-                      lift: int = DEFAULTS["lift"],
-                      q: int = DEFAULTS["q"], N: int = DEFAULTS["N"],
-                      Delta: float = DEFAULTS["Delta"],
-                      eps: float = DEFAULTS["eps"]) -> "SystemSetup":
-        bundle = load_scenario(path)
-        return cls.from_bundle(bundle, s1=s1, s2=s2, lift=lift, q=q, N=N,
-                               Delta=Delta, eps=eps)
+    def from_scenario(cls, path, **params) -> "SystemSetup":
+        """The scenario at `path` with `params` overriding `DEFAULTS`."""
+        return cls.from_bundle(load_scenario(path), **{**DEFAULTS, **params})
 
     @classmethod
     def from_bundle(cls, bundle: ScenarioBundle, *, s1, s2, lift, q, N,
@@ -162,21 +156,20 @@ def run_quantized_mode(setup: SystemSetup, steps: int) -> QuantizedRun:
     traj = run_closed_loop(setup.bundle.model, setup.bundle.attacks, steps)
     params = setup.params
     maps = setup.mod_maps
-    state = QuantState(zbar=quantobs.quantize_initial(setup.zhat_ini, params),
-                       step=0)
+    zbar = quantobs.quantize_initial(setup.zhat_ini, params)
     run = QuantizedRun(records=[], trajectory=traj, zbars=[], rbars=[],
                        xbars=[], vbars=[])
     for t in range(steps):
-        rbar = quantobs.residue_quantized(state, maps.Hbar)
-        xbar = maps.PhiPinvBar @ state.zbar
+        rbar = quantobs.residue_quantized(zbar, maps.Hbar)
+        xbar = maps.PhiPinvBar @ zbar
         run.records.append(_record(t, rbar, xbar, setup, traj, "quantized"))
-        run.zbars.append(state.zbar)
+        run.zbars.append(zbar)
         run.rbars.append(rbar)
         run.xbars.append(xbar)
         vbar = quantobs.quantize_input(traj.u[t], traj.y[t], params)
         run.vbars.append(vbar)
-        state = quantobs.step_quantized(state, vbar, maps.block_sizes,
-                                        maps.Gbar)
+        zbar = quantobs.step_quantized(zbar, vbar, maps.block_sizes,
+                                       maps.Gbar)
     return run
 
 

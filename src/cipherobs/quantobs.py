@@ -24,7 +24,6 @@ from .obsdesign import ObserverBank, ResidueMaps, round_half_up, calibrate_M
 __all__ = [
     "QuantError",
     "QuantParams",
-    "QuantState",
     "ModularMaps",
     "quantize_initial",
     "quantize_input",
@@ -75,12 +74,6 @@ class QuantParams:
 
 
 @dataclass(frozen=True)
-class QuantState:
-    zbar: ModMatrix  # l x 1 column
-    step: int
-
-
-@dataclass(frozen=True)
 class ModularMaps:
     """Integer observer maps wrapped into Z_q matrices."""
 
@@ -123,24 +116,25 @@ def _shift_sources(block_sizes: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(0 if i in starts else i for i in range(sum(block_sizes)))
 
 
-def step_quantized(state: QuantState, vbar: ModMatrix,
-                   block_sizes: Sequence[int], Gbar: ModMatrix) -> QuantState:
-    """One observer update over Z_q: Fbar z + Gbar v in exact ints, reduced
-    once."""
-    if (sum(block_sizes) != Gbar.nrows or state.zbar.nrows != Gbar.nrows
+def step_quantized(zbar: ModMatrix, vbar: ModMatrix,
+                   block_sizes: Sequence[int], Gbar: ModMatrix) -> ModMatrix:
+    """One observer update of the l x 1 state column over Z_q:
+    Fbar z + Gbar v in exact ints, reduced once."""
+    if (sum(block_sizes) != Gbar.nrows or zbar.nrows != Gbar.nrows
             or vbar.nrows != Gbar.ncols):
         raise QuantError("dimension mismatch in observer update")
-    padded = (0,) + state.zbar.column_entries()
+    padded = (0,) + zbar.column_entries()
     v = vbar.column_entries()
-    return QuantState(zbar=ModMatrix.column(
+    return ModMatrix.column(
         [padded[i] + sum(map(mul, row, v))
          for i, row in zip(_shift_sources(tuple(block_sizes)), Gbar.rows)],
-        Gbar.modulus), step=state.step + 1)
+        Gbar.modulus)
 
 
-def residue_quantized(state: QuantState, Hbar: ModMatrix) -> ModMatrix:
-    """Stacked subset-vs-full estimate differences, reduced to Z_q."""
-    return Hbar @ state.zbar
+def residue_quantized(zbar: ModMatrix, Hbar: ModMatrix) -> ModMatrix:
+    """Stacked subset-vs-full estimate differences of the state column zbar,
+    reduced to Z_q."""
+    return Hbar @ zbar
 
 
 @dataclass(frozen=True)

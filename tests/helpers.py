@@ -5,15 +5,15 @@ import dataclasses
 import random
 import struct
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import mul
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from cipherobs.encobs import EncObserverState, EncryptedBatch, \
-    EncryptorSession, ObserverPublic, _ChannelBody, disclose_residue, \
-    observer_update, residue_first_column, step_encrypted
+    EncryptorSession, ObserverPublic, _ChannelBody, build_fbar, \
+    disclose_residue, modified_channels, observer_update, \
+    residue_first_column, step_encrypted
 from cipherobs.lwe import _CT_MAGIC, CiphertextKind, LweError, TestRng, \
     keygen
 from cipherobs.modring import DimensionMismatch, ModMatrix, ModRingError, \
@@ -21,7 +21,7 @@ from cipherobs.modring import DimensionMismatch, ModMatrix, ModRingError, \
 from cipherobs.obsdesign import run_reference_observer
 from cipherobs.pipeline import BENCH_Q, EncryptedRun, run_quantized_mode
 from cipherobs.plantsim import AttackScenario, PlantModel, run_closed_loop
-from cipherobs.quantobs import QuantState, quantize_initial, quantize_input, \
+from cipherobs.quantobs import quantize_initial, quantize_input, \
     residue_quantized, step_quantized
 from cipherobs.secviews import View2
 from cipherobs.zerodyn import RelativeDegreeUndefined, channel_maps
@@ -186,6 +186,13 @@ def transcript_masks(standard_cts, messages, lift: int) -> List[ModMatrix]:
             for ct, v in zip(standard_cts, messages)]
 
 
+def channel(body: _ChannelBody, j: int):
+    """Channel j's modified ciphertext of a batch or a full state, from
+    `modified_channels`."""
+    std, cancels = body.standard_and_cancels()
+    return modified_channels(std, (cancels[j],))[0]
+
+
 def dense_decrypt(ct, sk) -> ModMatrix:
     """Decryption over the Python ints (test oracle): first - shared sk,
     plus a modified ciphertext's cancel column."""
@@ -307,7 +314,8 @@ def f1_zero_dynamics(v1, public, params):
     init_cancels = []
     step_cancels = [[] for _ in range(steps)]
     for j in range(public.n_channels):
-        ct = build_transform(public.Hbar.row(j), public.Fbar, public.Gbar,
+        ct = build_transform(public.Hbar.row(j),
+                             build_fbar(public.block_sizes, q), public.Gbar,
                              j=j)
         lifted = [q.cmod(lift * r.rows[j][0]) for r in v1.residues]
         c_xi = ct.T1 @ init_first
@@ -364,10 +372,10 @@ def centered_difference_check(a: int, b: int, mod: Modulus) -> bool:
     held (and the conclusion was verified), False when the hypothesis did
     not apply.
     """
-    if not (mod.contains(a) and mod.contains(b)):
+    if not mod.contains_all([a, b]):
         raise ModRingError("inputs must already lie in the centered range")
     red = mod.cmod(a - b)
-    if Fraction(abs(a) + abs(red)) >= mod.half:
+    if 2 * (abs(a) + abs(red)) >= mod.q:
         return False
     if abs(a - b) != abs(red):
         raise ModRingError(
@@ -501,7 +509,7 @@ def encrypted_residue(state, public) -> Tuple[ModMatrix, ModMatrix]:
     `encobs.residue_first_column`).
     """
     full = full_state(state, public)
-    R = ModMatrix(tuple((public.Hbar.row(j) @ full.channel(j).body).rows[0]
+    R = ModMatrix(tuple((public.Hbar.row(j) @ channel(full, j).body).rows[0]
                         for j in range(state.n_channels)),
                   public.q, ncols=state.N + 2)
     return R, ModMatrix.column(R.column_entries(0), public.q)
@@ -521,13 +529,13 @@ def joined_residue_first_column(state, public) -> ModMatrix:
 def decrypt_channel_state(state, public, j: int, sk) -> ModMatrix:
     """Dec' of channel j's state, rebuilt by `full_state`:
     first - shared @ sk + last, reduced."""
-    return dense_decrypt(full_state(state, public).channel(j), sk)
+    return dense_decrypt(channel(full_state(state, public), j), sk)
 
 
-def recover_plain_estimate(state: QuantState, PhiPinvBar: ModMatrix,
+def recover_plain_estimate(zbar: ModMatrix, PhiPinvBar: ModMatrix,
                            params) -> np.ndarray:
     """Physical-scale state estimate s1^2 s2 * (PhiPinvBar @ zbar mod q)."""
-    xbar = PhiPinvBar @ state.zbar
+    xbar = PhiPinvBar @ zbar
     return np.array([params.resolution * v for v in xbar.column_entries()])
 
 
@@ -555,14 +563,14 @@ def calibrate_quantization(setup, horizon=None) -> CalibrationReport:
         horizon = 10 * bank.l_max
     traj = run_closed_loop(bank.model, AttackScenario(), horizon)
     ref = run_reference_observer(bank, traj, setup.zhat_ini)
-    state = QuantState(zbar=quantize_initial(setup.zhat_ini, params), step=0)
+    zbar = quantize_initial(setup.zhat_ini, params)
     subset_pinv_bars = {s: ModMatrix(m, params.q)
                         for s, m in setup.maps.subset_pinv_bars.items()}
     res = params.resolution
     max_res_dev = 0.0
     max_sub_dev = 0.0
     for t in range(horizon):
-        rbar = residue_quantized(state, maps.Hbar)
+        rbar = residue_quantized(zbar, maps.Hbar)
         dev = max(
             (abs(res * v - rv) for v, rv in
              zip(rbar.column_entries(), ref.rhat[t])),
@@ -571,14 +579,14 @@ def calibrate_quantization(setup, horizon=None) -> CalibrationReport:
         for subset in bank.subsets:
             idx = bank.subset_indices(subset)
             zsub = ModMatrix.column(
-                [state.zbar.rows[i][0] for i in idx], params.q)
+                [zbar.rows[i][0] for i in idx], params.q)
             xsub = subset_pinv_bars[subset] @ zsub
             ref_sub = ref.subset_estimates[t][subset]
             dev = max(abs(res * v - rv) for v, rv in
                       zip(xsub.column_entries(), ref_sub))
             max_sub_dev = max(max_sub_dev, dev)
         vbar = quantize_input(traj.u[t], traj.y[t], params)
-        state = step_quantized(state, vbar, maps.block_sizes, maps.Gbar)
+        zbar = step_quantized(zbar, vbar, maps.block_sizes, maps.Gbar)
     return CalibrationReport(max_residue_dev=max_res_dev,
                              max_subset_dev=max_sub_dev, eps=params.eps)
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cipherobs.encobs import EncObserverState, EncryptorSession, \
-    recover_encrypted_state, residue_first_column, step_encrypted
+    build_fbar, recover_encrypted_state, residue_first_column, step_encrypted
 from cipherobs.lwe import NoiseParams, keygen
 from cipherobs.lwe import TestRng as SeededRng
 from cipherobs.modring import ModMatrix, Modulus
@@ -25,7 +25,7 @@ from cipherobs.quantobs import validate_params
 from cipherobs.secviews import f1_view1_to_view2, f2_view2_to_view1
 from cipherobs.zerodyn import RelativeDegreeUndefined
 from .helpers import build_transform, cancellation_init, cancellation_step, \
-    dense_decrypt, error_trajectory, full_state, random_channel, \
+    channel, dense_decrypt, error_trajectory, full_state, random_channel, \
     random_stable_plant, simulate_channel
 from .test_secviews import ZeroErrorRng, _run_tiny_session, _tiny_params, \
     _tiny_public
@@ -68,7 +68,7 @@ def test_criterion_2_recovery_exactness(bench_setup, bench_qrun, bench_enc):
         state = bench_enc.states[t]
         full = full_state(state, bench_enc.public)
         for j in range(state.n_channels):
-            dec = dense_decrypt(full.channel(j), bench_enc.sk)
+            dec = dense_decrypt(channel(full, j), bench_enc.sk)
             vals = dec.column_entries()
             # rounding applies to the reduced product, matching the recovery op
             got = tuple(
@@ -201,6 +201,7 @@ def test_criterion_6_output_zeroing(bench_setup, bench_enc):
 
     public = bench_enc.public
     qq = bench_setup.params.q
+    Fbar = build_fbar(public.block_sizes, qq)
     l = bench_setup.bank.l_total
     horizon = 4 * l
     rng2 = random.Random(99)
@@ -211,15 +212,14 @@ def test_criterion_6_output_zeroing(bench_setup, bench_enc):
                               for _ in range(public.Gbar.ncols)], qq)
             for _ in range(horizon)]
     for j in range(public.n_channels):
-        ct = build_transform(public.Hbar.row(j), public.Fbar, public.Gbar,
-                             j=j)
+        ct = build_transform(public.Hbar.row(j), Fbar, public.Gbar, j=j)
         tilde_ini, state = cancellation_init(ct, b_ini)
         mod_vs = []
         for v in b_vs:
             tilde, state = cancellation_step(ct, state, v)
             mod_vs.append(v - ct.SigmaDag.scale(tilde))
-        outs = simulate_channel(public.Hbar.row(ct.j), public.Fbar,
-                                public.Gbar, b_ini - ct.V2 @ tilde_ini, mod_vs)
+        outs = simulate_channel(public.Hbar.row(ct.j), Fbar, public.Gbar,
+                                b_ini - ct.V2 @ tilde_ini, mod_vs)
         if any(o != 0 for o in outs):
             bench_ok = False
             break

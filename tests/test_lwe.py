@@ -133,7 +133,7 @@ class TestUniforms:
     def test_values_in_centred_range(self, q):
         values = SeededRng(20).uniforms(q, 5000)
         assert len(values) == 5000
-        assert all(q.contains(v) for v in values)
+        assert q.contains_all(values)
 
     def test_every_residue_of_q97_appears(self):
         # 97 needs a 7-bit mask, so about a quarter of the draws are rejected

@@ -19,7 +19,6 @@ from cipherobs.quantobs import (
     ModularMaps,
     QuantError,
     QuantParams,
-    QuantState,
     detect,
     make_params,
     quantize_initial,
@@ -82,20 +81,19 @@ class TestStepQuantized:
     def test_zero_stays_zero(self, bench_setup):
         maps = bench_setup.mod_maps
         q = bench_setup.params.q
-        state = QuantState(zbar=ModMatrix.zeros(24, 1, q), step=0)
-        nxt = step_quantized(state, ModMatrix.zeros(6, 1, q),
-                             maps.block_sizes, maps.Gbar)
-        assert nxt.zbar.is_zero()
-        assert nxt.step == 1
+        nxt = step_quantized(ModMatrix.zeros(24, 1, q),
+                             ModMatrix.zeros(6, 1, q), maps.block_sizes,
+                             maps.Gbar)
+        assert nxt.is_zero()
 
     def test_two_block_shift_structure(self):
         q = Modulus(101)
         Gbar = ModMatrix([[3], [4]], q)
-        state = QuantState(zbar=ModMatrix.column([7, 9], q), step=0)
+        zbar = ModMatrix.column([7, 9], q)
         vbar = ModMatrix.column([2], q)
-        nxt = step_quantized(state, vbar, (2,), Gbar)
+        nxt = step_quantized(zbar, vbar, (2,), Gbar)
         # new top = drive only, new bottom = old top + drive
-        assert nxt.zbar.column_entries() == (6, 7 + 8)
+        assert nxt.column_entries() == (6, 7 + 8)
 
     def test_matches_dense_product(self, bench_setup):
         maps = bench_setup.mod_maps
@@ -104,10 +102,9 @@ class TestStepQuantized:
         rng = random.Random(1)
         z = ModMatrix.column([rng.randrange(q.q) for _ in range(24)], q)
         v = ModMatrix.column([rng.randrange(q.q) for _ in range(6)], q)
-        state = QuantState(zbar=z, step=0)
-        fast = step_quantized(state, v, maps.block_sizes, maps.Gbar)
+        fast = step_quantized(z, v, maps.block_sizes, maps.Gbar)
         dense = Fbar @ z + maps.Gbar @ v
-        assert fast.zbar == dense
+        assert fast == dense
 
 
 MODULI = (Modulus(101), Modulus(2 ** 61 - 1), Modulus(BENCH_Q))
@@ -284,9 +281,9 @@ class TestObserverUpdate:
         # width fits; only the encrypted observer's kernel refuses it
         q = Modulus(BENCH_Q)
         Gbar = ModMatrix([[2 ** 62], [1]], q)
-        state = QuantState(zbar=ModMatrix.column([5, 7], q), step=0)
-        nxt = step_quantized(state, ModMatrix.column([3], q), (2,), Gbar)
-        assert nxt.zbar == ModMatrix.column([3 * 2 ** 62, 5 + 3], q)
+        nxt = step_quantized(ModMatrix.column([5, 7], q),
+                             ModMatrix.column([3], q), (2,), Gbar)
+        assert nxt == ModMatrix.column([3 * 2 ** 62, 5 + 3], q)
         maps = dataclasses.replace(bench_setup.mod_maps, Gbar=Gbar,
                                    Hbar=ModMatrix([[1, 0]], q),
                                    block_sizes=(2,))
@@ -305,17 +302,16 @@ class TestObserverUpdate:
                             .gain)
         with pytest.raises(EncObsError):
             LimbKernel.build((1, 1), ModMatrix.zeros(3, 1, q))
-        state = QuantState(zbar=ModMatrix.zeros(3, 1, q), step=0)
         with pytest.raises(QuantError):
-            step_quantized(state, ModMatrix.zeros(1, 1, q), (1, 1),
-                           ModMatrix.zeros(3, 1, q))
+            step_quantized(ModMatrix.zeros(3, 1, q), ModMatrix.zeros(1, 1, q),
+                           (1, 1), ModMatrix.zeros(3, 1, q))
 
 
 class TestResidueAndDetect:
     def test_zero_state_zero_residue(self, bench_setup):
         q = bench_setup.params.q
-        state = QuantState(zbar=ModMatrix.zeros(24, 1, q), step=0)
-        assert residue_quantized(state, bench_setup.mod_maps.Hbar).is_zero()
+        assert residue_quantized(ModMatrix.zeros(24, 1, q),
+                                 bench_setup.mod_maps.Hbar).is_zero()
 
     def test_single_subset_residue_identically_zero(self):
         rng = np.random.default_rng(2)
@@ -326,9 +322,8 @@ class TestResidueAndDetect:
         params = make_params(bank, s1=1e-4, s2=1e-4, lift=BENCH_LIFT, q=q,
                              N=64, Delta=19.2, eps=0.3)
         mod_maps = ModularMaps.from_integer(maps, bank, q)
-        state = QuantState(
-            zbar=ModMatrix.column(list(range(1, bank.l_total + 1)), q), step=0)
-        assert residue_quantized(state, mod_maps.Hbar).is_zero()
+        zbar = ModMatrix.column(list(range(1, bank.l_total + 1)), q)
+        assert residue_quantized(zbar, mod_maps.Hbar).is_zero()
 
     def test_zero_residue_never_flags(self, bench_setup):
         q = bench_setup.params.q
@@ -404,8 +399,8 @@ class TestResidueAndDetect:
 class TestRecovery:
     def test_zero_state(self, bench_setup):
         q = bench_setup.params.q
-        state = QuantState(zbar=ModMatrix.zeros(24, 1, q), step=0)
-        est = recover_plain_estimate(state, bench_setup.mod_maps.PhiPinvBar,
+        est = recover_plain_estimate(ModMatrix.zeros(24, 1, q),
+                                     bench_setup.mod_maps.PhiPinvBar,
                                      bench_setup.params)
         assert np.all(est == 0)
 
@@ -543,14 +538,13 @@ class TestSoundnessRandomPlants:
                 continue
             mod_maps = ModularMaps.from_integer(maps, bank, q)
             traj = run_closed_loop(plant, AttackScenario(), 30)
-            state = QuantState(zbar=quantize_initial(
-                np.zeros(bank.l_total), params), step=0)
+            zbar = quantize_initial(np.zeros(bank.l_total), params)
             for t in range(30):
-                rbar = residue_quantized(state, mod_maps.Hbar)
+                rbar = residue_quantized(zbar, mod_maps.Hbar)
                 assert not detect(rbar, t, params).flag, \
                     f"false alarm on plant {checked} at step {t}"
                 vbar = quantize_input(traj.u[t], traj.y[t], params)
-                state = step_quantized(state, vbar, mod_maps.block_sizes,
-                                       mod_maps.Gbar)
+                zbar = step_quantized(zbar, vbar, mod_maps.block_sizes,
+                                      mod_maps.Gbar)
             checked += 1
         assert checked >= 100

@@ -37,7 +37,7 @@ def _tiny_public(q: Modulus, block_sizes, Gr, Hr, N):
     channels = tuple(channel_maps(Hbar.row(j), Fbar, Gbar)
                      for j in range(Hbar.nrows))
     return ObserverPublic(q=q, N=N, block_sizes=tuple(block_sizes),
-                          Fbar=Fbar, Gbar=Gbar, Hbar=Hbar, channels=channels)
+                          Gbar=Gbar, Hbar=Hbar, channels=channels)
 
 
 def _tiny_params(q: Modulus, N: int, lift: int) -> QuantParams:
