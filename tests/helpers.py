@@ -313,10 +313,9 @@ def f1_zero_dynamics(v1, public, params):
                     for ct in v1.input_cts]
     init_cancels = []
     step_cancels = [[] for _ in range(steps)]
+    Fbar = build_fbar(public.block_sizes, q)
     for j in range(public.n_channels):
-        ct = build_transform(public.Hbar.row(j),
-                             build_fbar(public.block_sizes, q), public.Gbar,
-                             j=j)
+        ct = build_transform(public.Hbar.row(j), Fbar, public.Gbar, j=j)
         lifted = [q.cmod(lift * r.rows[j][0]) for r in v1.residues]
         c_xi = ct.T1 @ init_first
         msg_tilde_ini = ModMatrix.column(lifted[:ct.nu], q)
