@@ -3,7 +3,6 @@
 from .modring import (
     ModMatrix,
     Modulus,
-    cmod,
     inverse_mod,
     mat_mul_mod,
 )

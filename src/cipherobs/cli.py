@@ -38,7 +38,8 @@ __all__ = ["main"]
 
 def _load_config(path):
     """A config file is either a scenario (has "A") or a wrapper with a
-    "scenario" path plus parameter overrides."""
+    "scenario" path plus parameter overrides named as in DEFAULTS; any
+    other key is refused."""
     if path is None:
         return bundled_scenario_path(), {}
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -50,9 +51,12 @@ def _load_config(path):
     if not isinstance(raw.get("scenario"), str):
         raise PlantError("config file needs either plant matrices or a "
                          "'scenario' path string")
-    scenario = Path(path).parent / raw["scenario"]
+    unknown = ", ".join(map(repr, sorted(set(raw) - {"scenario", *DEFAULTS})))
+    if unknown:
+        raise PlantError(f"unknown run config key {unknown}; the keys are "
+                         f"'scenario', {', '.join(DEFAULTS)}")
     overrides = {k: raw[k] for k in DEFAULTS if k in raw}
-    return scenario, overrides
+    return Path(path).parent / raw["scenario"], overrides
 
 
 def _setup_from_args(args) -> SystemSetup:

@@ -315,8 +315,9 @@ class ObserverPublic:
         has chain coordinates known_j (default 0).  Every T2_j x comes from
         one product with the stacked T2_j, and each V2_j is applied on its
         nonzero rows only (one row when nu_j = 1).  Returns (block, state):
-        the (L, l, n_ch) limbs of the cancel columns, and the state
-        [x | cancels] that `cancel_step` steps.
+        the (L, l, n_ch) limbs of the cancel columns, and the
+        (L, l, 1 + n_ch) limbs of the state [x | cancels] that
+        `cancel_step` steps.
         """
         q, kernel = self.q, self.kernel
         T2, V2 = self._chains
@@ -328,12 +329,9 @@ class ObserverPublic:
             for i, row in rows:
                 cancels[i][j] = q.cmod(sum(map(mul, row, tilde)))
         block = kernel.split(cancels)
-        return block, _ChannelBody(
-            np.concatenate([kernel.split(x.rows), block], axis=2),
-            self.n_channels, kernel)
+        return block, np.concatenate([kernel.split(x.rows), block], axis=2)
 
-    def cancel_step(self, state: "_ChannelBody", x: ModMatrix,
-                    known=None):
+    def cancel_step(self, state: np.ndarray, x: ModMatrix, known=None):
         """One step of every channel's cancellation of the input column x.
 
         `state` is [m | cancels], so channel j's cancelled state m - cancel_j
@@ -349,7 +347,7 @@ class ObserverPublic:
         if x.nrows != self.Gbar.ncols:
             raise EncObsError("dimension mismatch in cancellation step")
         (e, planes), ks, ss, cancel_gain = self._chain_ends
-        body = kernel.gain.shift(state.body)
+        body = kernel.gain.shift(state)
         kernel.gain.add_product(body[:, :, :1], kernel.split(x.rows))
         dots = _first_column_dots(body[:, :, 0], body[:, :, 1:],
                                   kernel.width, e, planes)
@@ -359,7 +357,7 @@ class ObserverPublic:
              for s, a, b in zip(ss, dots, known or (0,) * n_ch)],
             kernel.width, kernel.count)
         cancel_gain.add_product(body[:, :, 1:], block)
-        return block, _ChannelBody(body, n_ch, kernel)
+        return block, body
 
 
 def _row_digits(rows: ModMatrix) -> Tuple[int, np.ndarray]:
@@ -372,22 +370,26 @@ def _row_digits(rows: ModMatrix) -> Tuple[int, np.ndarray]:
     return e, planes.reshape(len(planes), rows.nrows, rows.ncols)
 
 
-class _ChannelBody:
-    """A matrix over all channels laid out as `[first | cancels | shared]`.
+class EncryptedBatch:
+    """Per-step modified ciphertexts for all channels, as one matrix laid
+    out `[first | cancels | shared]`.
 
-    Column 0 and the shared block, columns 1 + n_ch onwards, are a standard
-    ciphertext common to every channel, and column 1 + j is channel j's
-    cancel column, so `[first | cancels]` is the basic slice
+    Column 0 and the shared block, columns 1 + n_ch onwards, are the
+    standard ciphertext common to every channel, and column 1 + j is
+    channel j's cancel column, so `[first | cancels]` is the basic slice
     `body[:, :, :1 + n_ch]`.  `body` holds the matrix as the
-    (L, rows, 1 + n_ch + N) int64 limb stack of `kernel`, and `rows` as
+    (L, rows, 1 + n_ch + N) int64 limb stack of `kernel`, every limb below
+    2^W in absolute value, the kernel's input bound; `rows` holds it as
     centred Python ints, joined from the limbs once on first use.  The
+    limbs are read-only once the batch holds them, so the key's cache of
+    the batch's A sk (`SecretKey.cached_products`) never goes stale.  The
     layout stays inside this module: other modules write a batch with
-    `EncryptedBatch._write` and read one with `standard_and_cancels`.  With
-    no shared block (N = 0) it is the encryptor's `[m | cancels]` state.
+    `_write` and read one with `standard_and_cancels`.
     """
 
     def __init__(self, body: np.ndarray, n_channels: int,
                  kernel: LimbKernel):
+        body.setflags(write=False)
         self.body = body
         self.n_channels = n_channels
         self.kernel = kernel
@@ -418,19 +420,6 @@ class _ChannelBody:
                                         _reduced=True),
                          kind=CiphertextKind.STANDARD, N=self.N)
         return std, tuple(zip(*(row[1:n] for row in self.rows)))
-
-
-class EncryptedBatch(_ChannelBody):
-    """Per-step modified ciphertexts for all channels: the standard
-    ciphertext and every channel's cancel column.  Every limb is below 2^W
-    in absolute value, the kernel's input bound.  The limbs are read-only
-    once the batch holds them, so the key's cache of the batch's A sk
-    (`SecretKey.cached_products`) never goes stale."""
-
-    def __init__(self, body: np.ndarray, n_channels: int,
-                 kernel: LimbKernel):
-        body.setflags(write=False)
-        super().__init__(body, n_channels, kernel)
 
     @classmethod
     def _write(cls, std_rows: Sequence[Tuple[int, ...]],
@@ -463,13 +452,12 @@ def modified_channels(std_ct: Ciphertext,
 class EncryptorSession:
     """Stateful trusted encryptor for one observer run.
 
-    `cancel_state` is the `[m | cancels]` state of `ObserverPublic`'s
-    cancellation driven by the masks, so m - cancel_j is the mask part of
-    channel j's observer state; each step's cancel block goes into the
-    batch as it is.  The batches are the only record of the run: the
-    session keeps no mask, error or ciphertext.  The state is never
-    written in place, so a checkpoint keeps it; losing a step invalidates
-    the session.
+    `cancel_state` holds the (L, l, 1 + n_ch) limbs of the `[m | cancels]`
+    state of `ObserverPublic`'s cancellation driven by the masks, so
+    m - cancel_j is the mask part of channel j's observer state; each
+    step's cancel block goes into the batch as it is.  The session is fresh
+    exactly while `cancel_state` is None.  The batches are the only record
+    of the run: the session keeps no mask, error or ciphertext.
     """
 
     def __init__(self, sk: SecretKey, params: QuantParams,
@@ -481,23 +469,7 @@ class EncryptorSession:
         self.public = public
         self.noise = NoiseParams(params.Delta)
         self.rng = rng if rng is not None else SecureRng()
-        self.step = -1  # -1 = fresh, >= 0 after enc_initial
-        self.cancel_state: Optional[_ChannelBody] = None
-
-    # -- checkpointing -----------------------------------------------------
-
-    def checkpoint(self) -> dict:
-        return {"step": self.step, "cancel_state": self.cancel_state}
-
-    def restore(self, snap: dict):
-        """Resume from a `checkpoint`; a cancel state in the limbs of
-        another observer (another modulus) is refused."""
-        if snap["cancel_state"] is not None:
-            _check_limbs(self.public.kernel, snap["cancel_state"])
-        self.step = snap["step"]
-        self.cancel_state = snap["cancel_state"]
-
-    # -- encryption --------------------------------------------------------
+        self.cancel_state: Optional[np.ndarray] = None
 
     def _encrypt(self, v: ModMatrix, nrows: int, cancel) -> EncryptedBatch:
         """Encrypt the lifted column v for every channel: the randomness is
@@ -521,23 +493,19 @@ class EncryptorSession:
     def enc_initial(self, zbar_ini: ModMatrix) -> EncryptedBatch:
         """Encrypt the lifted initial state (l rows) once for every
         channel."""
-        if self.step != -1:
+        if self.cancel_state is not None:
             raise SessionNotFresh("enc_initial may only be called once")
-        batch = self._encrypt(zbar_ini, self.public.Gbar.nrows,
-                              self.public.cancel_initial)
-        self.step = 0
-        return batch
+        return self._encrypt(zbar_ini, self.public.Gbar.nrows,
+                             self.public.cancel_initial)
 
     def enc_input(self, vbar: ModMatrix) -> EncryptedBatch:
         """Encrypt the lifted input (h rows) for every channel and advance
         the cancel state."""
-        if self.step < 0:
+        if self.cancel_state is None:
             raise EncObsError("call enc_initial before enc_input")
-        batch = self._encrypt(vbar, self.public.Gbar.ncols,
-                              lambda mask: self.public.cancel_step(
-                                  self.cancel_state, mask))
-        self.step += 1
-        return batch
+        return self._encrypt(vbar, self.public.Gbar.ncols,
+                             lambda mask: self.public.cancel_step(
+                                 self.cancel_state, mask))
 
 
 @dataclass(frozen=True, eq=False)

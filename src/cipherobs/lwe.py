@@ -52,7 +52,6 @@ import random
 import struct
 import weakref
 from dataclasses import dataclass
-from pathlib import Path
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -281,8 +280,8 @@ class SecretKey:
     encrypted batch), in a `weakref.WeakKeyDictionary`: an entry lives as
     long as its owner, so the cache holds no more than the live batches.
     `zeroize()` overwrites and drops both the stored entries and those
-    digits and empties the cache; callers holding the key file are
-    expected to delete it as part of the same contract.
+    digits and empties the cache; callers that keep the key's bytes
+    (`to_bytes`) are expected to erase them as part of the same contract.
     """
 
     def __init__(self, entries: Sequence[int], q: Modulus):
@@ -371,13 +370,6 @@ class SecretKey:
         if n < 1 or len(entries) != n:
             raise LweError("secret key length is not N >= 1")
         return cls(entries, q)
-
-    def save(self, path):
-        Path(path).write_bytes(self.to_bytes())
-
-    @classmethod
-    def load(cls, path) -> "SecretKey":
-        return cls.from_bytes(Path(path).read_bytes())
 
 
 @dataclass(frozen=True)

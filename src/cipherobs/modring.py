@@ -41,7 +41,6 @@ __all__ = [
     "Modulus",
     "ModMatrix",
     "MAX_MODULUS_BITS",
-    "cmod",
     "mat_mul_mod",
     "inverse_mod",
     "pivot_columns",
@@ -317,17 +316,6 @@ class ModMatrix:
 
     def __repr__(self) -> str:
         return f"ModMatrix({self.nrows}x{self.ncols} mod {self.modulus.q})"
-
-
-def cmod(a, q: Modulus):
-    """Centered reduction of an integer, nested sequence, or ModMatrix."""
-    if isinstance(a, ModMatrix):
-        if a.modulus != q:
-            return ModMatrix(a.rows, q)
-        return a
-    if isinstance(a, int):
-        return q.cmod(a)
-    return ModMatrix(a, q)
 
 
 def mat_mul_mod(A: ModMatrix, B: ModMatrix) -> ModMatrix:

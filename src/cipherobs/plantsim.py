@@ -3,7 +3,7 @@
 The plant is a discrete-time LTI system x(t+1) = A x(t) + B u(t) with
 outputs y(t) = C x(t) + a(t), driven by static state feedback u = K x.
 Attacks are additive per-sensor signals, modeled as piecewise-constant
-segments plus an optional per-step callback for arbitrary shapes.
+segments.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -67,6 +67,10 @@ class PlantModel:
             raise PlantError(f"K must be {B.shape[1]}x{n}, got {K.shape}")
         if x.shape != (n,):
             raise PlantError(f"x_ini must have length {n}")
+        for name, value in (("A", A), ("B", B), ("C", C), ("K", K),
+                            ("x_ini", x), ("Ts", self.Ts)):
+            if not np.isfinite(value).all():
+                raise PlantError(f"{name} must be finite")
         rho = max(abs(np.linalg.eigvals(A + B @ K)))
         if rho >= 1.0 - SCHUR_TOL:
             raise SchurStabilityError(
@@ -100,23 +104,15 @@ class AttackSegment:
 
 @dataclass
 class AttackScenario:
-    """A set of attack segments with a claimed sparsity bound k_max.
-
-    `signal`, when given, is called as signal(t) and must return a length-p
-    additive attack vector; it is combined with the segments.
-    """
+    """A set of attack segments, summed where they overlap."""
 
     segments: Sequence[AttackSegment] = ()
-    k_max: int = 0
-    signal: Optional[Callable[[int], np.ndarray]] = None
 
     def vector_at(self, t: int, p: int) -> np.ndarray:
         a = np.zeros(p)
         for seg in self.segments:
             if seg.start <= t <= seg.end:
                 a[seg.sensor] += seg.value
-        if self.signal is not None:
-            a = a + np.asarray(self.signal(t), dtype=float)
         return a
 
 
@@ -203,16 +199,18 @@ def load_scenario(path) -> ScenarioBundle:
             if not 0 <= sensor < model.p:
                 raise PlantError(f"attack sensor {seg['sensor']} out of "
                                  f"range 1..{model.p}")
+            value = float(seg["value"])
+            if not np.isfinite(value):
+                raise PlantError(f"attack value must be finite, got {value}")
             segments.append(AttackSegment(
                 sensor=sensor, start=_integer(seg["start"], "start"),
-                end=_integer(seg["end"], "end"),
-                value=float(seg["value"])))
+                end=_integer(seg["end"], "end"), value=value))
     except KeyError as exc:
         raise PlantError(f"scenario file missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         # a value of the wrong type or shape: a string, a ragged matrix,
         # null, or a number where a list or an object belongs
         raise PlantError(f"malformed scenario file: {exc}") from exc
-    attacks = AttackScenario(segments=tuple(segments), k_max=k)
+    attacks = AttackScenario(segments=tuple(segments))
     return ScenarioBundle(model=model, attacks=attacks, k=k,
                           name=str(raw.get("name", "")))

@@ -62,7 +62,7 @@ def bench_noattack(bench_setup):
     import dataclasses
     from cipherobs.plantsim import AttackScenario, ScenarioBundle
     bundle = ScenarioBundle(model=bench_setup.bundle.model,
-                            attacks=AttackScenario(k_max=bench_setup.bundle.k),
+                            attacks=AttackScenario(),
                             k=bench_setup.bundle.k,
                             name="attack-free")
     return dataclasses.replace(bench_setup, bundle=bundle)

@@ -11,7 +11,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from cipherobs.encobs import EncObserverState, EncryptedBatch, \
-    EncryptorSession, ObserverPublic, _ChannelBody, build_fbar, \
+    EncryptorSession, ObserverPublic, build_fbar, \
     disclose_residue, modified_channels, observer_update, \
     residue_first_column, step_encrypted
 from cipherobs.lwe import _CT_MAGIC, CiphertextKind, LweError, TestRng, \
@@ -155,7 +155,7 @@ def replay_states(view2: View2, public) -> List[EncObserverState]:
     return states
 
 
-def full_state(state: EncObserverState, public) -> _ChannelBody:
+def full_state(state: EncObserverState, public) -> EncryptedBatch:
     """The full-width `[first | cancels | shared]` state behind a narrow
     one: its window replayed through `observer_update`, from the initial
     batch while it is in the window and from zero after.
@@ -176,7 +176,7 @@ def full_state(state: EncObserverState, public) -> _ChannelBody:
         body = observer_update(body, batch.body, public.kernel.gain)
     if not np.array_equal(body[:, :, :state.body.shape[2]], state.body):
         raise AssertionError("the narrow state differs from its replay")
-    return _ChannelBody(body, state.n_channels, public.kernel)
+    return EncryptedBatch(body, state.n_channels, public.kernel)
 
 
 def transcript_masks(standard_cts, messages, lift: int) -> List[ModMatrix]:
@@ -186,7 +186,7 @@ def transcript_masks(standard_cts, messages, lift: int) -> List[ModMatrix]:
             for ct, v in zip(standard_cts, messages)]
 
 
-def channel(body: _ChannelBody, j: int):
+def channel(body: EncryptedBatch, j: int):
     """Channel j's modified ciphertext of a batch or a full state, from
     `modified_channels`."""
     std, cancels = body.standard_and_cancels()

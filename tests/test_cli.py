@@ -75,7 +75,18 @@ class TestDesign:
         (_scenario(k="x"), "malformed scenario file"),
         (_scenario(attacks=[{"sensor": 1, "end": 2, "value": 1.0}]),
          "missing field 'start'"),
-        (_scenario(attacks=5), "malformed scenario file")])
+        (_scenario(attacks=5), "malformed scenario file"),
+        # json reads NaN and Infinity; every scenario number must be finite
+        (_scenario(attacks=[{"sensor": 3, "start": 25, "end": 29,
+                             "value": float("nan")}]),
+         "attack value must be finite"),
+        (_scenario(C=[[float("inf")] * 6] * 5), "C must be finite"),
+        (_scenario(x_ini=[1, 1, float("inf"), 1, 1, 1]),
+         "x_ini must be finite"),
+        (_scenario(Ts=float("nan")), "Ts must be finite"),
+        # the flag is --delta, the run config key Delta
+        ({"scenario": str(bundled_scenario_path()), "delta": -1},
+         "unknown run config key 'delta'")])
     def test_malformed_config_is_a_config_error(self, tmp_path, capsys,
                                                 config, message):
         path = tmp_path / "cfg.json"

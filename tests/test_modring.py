@@ -15,7 +15,6 @@ from cipherobs.modring import (
     NotFullRowRank,
     PrimalityError,
     SingularMatrix,
-    cmod,
     digit_budget,
     fixed_digits,
     half_limbs,
@@ -75,17 +74,17 @@ class TestModulus:
 
 class TestCmod:
     def test_examples(self):
-        assert cmod(7, Q5) == 2
-        assert cmod(3, Q5) == -2
+        assert Q5.cmod(7) == 2
+        assert Q5.cmod(3) == -2
 
     def test_fixed_points_of_centered_range(self):
         # the whole centered range maps to itself, including its lower edge
         lo = -(Q5.q - 1) // 2
         for v in range(lo, -lo + 1):
-            assert cmod(v, Q5) == v
+            assert Q5.cmod(v) == v
 
     def test_matrix_input(self):
-        M = cmod([[7, 3], [-8, 12]], Q5)
+        M = ModMatrix([[7, 3], [-8, 12]], Q5)
         assert M.rows == ((2, -2), (2, 2))
 
     @given(st.integers(-10 ** 12, 10 ** 12), st.integers(-10 ** 12, 10 ** 12))

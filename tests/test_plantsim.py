@@ -144,16 +144,9 @@ class TestRunClosedLoop:
         norms = [np.max(np.abs(x)) for x in traj.x]
         assert max(norms) <= max(norms[:10 * m.n]) * 1.001
 
-    def test_signal_callback_hook(self, bench_bundle):
-        m = bench_bundle.model
-        scenario = AttackScenario(signal=lambda t: np.eye(m.p)[0] * t)
-        traj = run_closed_loop(m, scenario, 5)
-        for t in range(5):
-            assert traj.a[t][0] == t
-
 
 class TestAttackScenario:
     def test_overlapping_segments_accumulate(self):
         segs = (AttackSegment(0, 0, 4, 1.0), AttackSegment(0, 2, 3, 0.5))
-        scenario = AttackScenario(segments=segs, k_max=1)
+        scenario = AttackScenario(segments=segs)
         assert scenario.vector_at(3, 2)[0] == 1.5

@@ -422,7 +422,7 @@ class TestRecovery:
         for s in (1e-3, 1e-4, 1e-5):
             setup = SystemSetup.from_bundle(
                 dataclasses.replace(bench_setup.bundle,
-                                    attacks=AttackScenario(k_max=2)),
+                                    attacks=AttackScenario()),
                 s1=s, s2=s, lift=BENCH_LIFT, q=BENCH_Q, N=64,
                 Delta=19.2, eps=0.3)
             qrun = run_quantized_mode(setup, 40)
@@ -505,7 +505,7 @@ class TestCalibration:
     def test_coarse_scales_fail_calibration(self, bench_setup):
         setup = SystemSetup.from_bundle(
             dataclasses.replace(bench_setup.bundle,
-                                attacks=AttackScenario(k_max=2)),
+                                attacks=AttackScenario()),
             s1=0.5, s2=0.5, lift=BENCH_LIFT, q=BENCH_Q, N=64,
             Delta=19.2, eps=0.3)
         rep = calibrate_quantization(setup)
