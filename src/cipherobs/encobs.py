@@ -31,10 +31,10 @@ Python ints appear only when View 2 reads a batch, for the cancellation's
 scalars, in the residue's sums, and in recovery.  The residue is summed
 exactly in one int64 einsum of the 32-bit halves of the first and cancel
 columns' limbs against digits of Hbar, on differences that stay below
-2^32, and joined by `modring.join_digit_sums`.  Recovery
-takes each batch's A sk mod q from the key's per-batch cache
-(`SecretKey.cached_products`, one float64 product of the batch's limbs
-the first time the key recovers from it) and replays the window's values
+2^32, and joined by `modring.join_digit_sums`.  Recovery takes each
+batch's A sk mod q from the key's per-batch cache, which the encrypting
+key holds from encryption on (`SecretKey.cached_products` computes it for
+any other key, once) and replays the window's values
 through the recursion in Python ints (`BlockGain.step_ints`).
 This module is the only one that knows the limb layout.
 
@@ -488,7 +488,10 @@ class EncryptorSession:
         block, self.cancel_state = cancel(enc.mask)
         body[:, :, :1] = kernel.split(enc.first.rows)
         body[:, :, 1:n] = block
-        return EncryptedBatch(body, public.n_channels, kernel)
+        batch = EncryptedBatch(body, public.n_channels, kernel)
+        # A sk mod q = b - e, the key's cache entry for the batch
+        self.sk._owned_products[batch] = (enc.mask - enc.error).flat()
+        return batch
 
     def enc_initial(self, zbar_ini: ModMatrix) -> EncryptedBatch:
         """Encrypt the lifted initial state (l rows) once for every
@@ -624,10 +627,10 @@ def recover_encrypted_state(state: EncObserverState, j: int, sk: SecretKey,
 
     Dec' of channel j is (first - cancel_j) - S_t sk + cancel_j, that is
     first - S_t sk for every j, so j is only checked.  S_t sk is summed
-    from the A sk of the state's window (`_shared_key_product`), each
-    computed by one float64 `SecretKey.products` the first time this key
-    needs it and cached with the key after.  Each step thus adds one
-    6-row product, and a replay of the window on Gbar's 48 nonzeros.
+    from the A sk of the state's window (`_shared_key_product`), cached
+    with the key: from encryption on under the encrypting key, so a step
+    adds no key product, else after one float64 `SecretKey.products` per
+    batch.  Each step replays the window on Gbar's 48 nonzeros.
     The key holder trusts that the cloud stepped the first column as the
     recursion says and kept the batches it was sent: the paper's
     honest-but-curious cloud.

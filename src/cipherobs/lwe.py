@@ -7,8 +7,8 @@ The modified scheme used by the encrypted observer appends one extra column
 the first column, so both kinds decrypt to first - A sk = m + e mod q, the
 modified kind once its extra column is added back.  The observer decrypts
 only in recovery (`encobs.recover_encrypted_state`), from each batch's
-A sk mod q, which `SecretKey.cached_products` computes once per batch and
-recovery replays through the observer recursion to the state's S_t sk.
+A sk mod q, held by the key that encrypted the batch and computed once by
+any other key, and replays them through the recursion to S_t sk.
 
 Randomness comes from an injected source: `SecureRng` (system entropy, the
 default) or the seedable `TestRng` for reproducible runs; the latter is
@@ -27,9 +27,9 @@ limbs against the key's signed dk-bit digits, with N 2^32 2^dk <= 2^53, so
 every partial sum is an integer that float64 holds exactly, whatever order
 BLAS sums in.  At N = 4096 that is dk = 9, with 13 key digits.  The key's
 digits are cut once per key; keys longer than `MAX_N` = 2^20 leave no
-digit bit and are refused.  The key keeps each batch's A sk mod q in a
-cache held weakly by batch (`cached_products`), so recovery computes it at
-most once per batch; `zeroize` wipes the digits and empties that cache.
+digit bit and are refused.  The key caches each batch's A sk mod q, held
+weakly by batch (`cached_products`): b - e for a batch it encrypted, one
+product otherwise; `zeroize` wipes the digits and empties that cache.
 
 Keys and ciphertexts serialize as a magic, a header list and a payload
 list.  An integer list is a uint32 count, then per value a sign byte, a
@@ -279,6 +279,7 @@ class SecretKey:
     caches A sk mod q per owner of a read-only randomness block A (an
     encrypted batch), in a `weakref.WeakKeyDictionary`: an entry lives as
     long as its owner, so the cache holds no more than the live batches.
+    `encobs.EncryptorSession` stores the entry of each batch it encrypts.
     `zeroize()` overwrites and drops both the stored entries and those
     digits and empties the cache; callers that keep the key's bytes
     (`to_bytes`) are expected to erase them as part of the same contract.
@@ -340,7 +341,7 @@ class SecretKey:
     def cached_products(self, owner, limbs: np.ndarray,
                         width: int) -> Tuple[int, ...]:
         """A sk mod q, centred, for the randomness `owner` holds as the
-        read-only limb stack `limbs`: `products` the first time, then the
+        read-only limb stack `limbs`: `products` on a miss, then the
         cached values until `owner` is collected or the key zeroized."""
         self._live()
         values = self._owned_products.get(owner)

@@ -237,7 +237,8 @@ class ModMatrix:
 
     @classmethod
     def column(cls, entries: Iterable[int], modulus: Modulus) -> "ModMatrix":
-        return cls(((a,) for a in entries), modulus, ncols=1)
+        return cls(tuple((modulus.cmod(int(a)),) for a in entries), modulus,
+                   ncols=1, _reduced=True)
 
     # -- shape helpers -----------------------------------------------------
 
@@ -290,6 +291,8 @@ class ModMatrix:
         return self.scale(-1)
 
     def scale(self, c: int) -> "ModMatrix":
+        if self.ncols == 1:     # one pass, not a generator per row
+            return self.column([c * a for (a,) in self.rows], self.modulus)
         return ModMatrix(((c * a for a in row) for row in self.rows),
                          self.modulus, ncols=self.ncols)
 

@@ -10,7 +10,6 @@ import dataclasses
 import random
 
 import numpy as np
-import pytest
 
 from cipherobs.encobs import EncObserverState, EncryptorSession, \
     build_fbar, recover_encrypted_state, residue_first_column, step_encrypted

@@ -644,9 +644,10 @@ class TestWindowRecovery:
     @pytest.mark.parametrize("N, steps", [(64, 50), (4096, 8)])
     def test_recovery_equals_rounded_full_decryption(self, bench_setup, N,
                                                      steps):
-        # live under the encryptor's key and replayed from View 2 under a
-        # fresh copy of it: each key misses once on each new batch and hits
-        # on the older batches of the window
+        # live under the encryptor's key, which holds every batch it
+        # encrypted before any recovery, and replayed from View 2 under a
+        # fresh copy of it, which misses once on each new batch and hits on
+        # the older batches of the window
         sk, public, batches, states = cloud_run(bench_setup, N, 17, steps)
         params = bench_setup.params
         phi = bench_setup.mod_maps.PhiPinvBar
@@ -654,10 +655,10 @@ class TestWindowRecovery:
         fresh = SecretKey.from_bytes(sk.to_bytes())
         replayed = replay_states(view2, public)
         for t, (live, again) in enumerate(zip(states, replayed)):
-            for state, key in ((live, sk), (again, fresh)):
-                assert all(batch in key._owned_products
-                           for batch in state.window[:-1])
-                assert state.window[-1] not in key._owned_products
+            assert all(batch in sk._owned_products for batch in live.window)
+            assert all(batch in fresh._owned_products
+                       for batch in again.window[:-1])
+            assert again.window[-1] not in fresh._owned_products
             dec = dense_decrypt(channel(full_state(live, public), 0), sk)
             expect = rounded_decryption(dec, params, phi)
             assert recover_encrypted_state(live, 0, sk, params,
@@ -741,12 +742,23 @@ class TestWindowRecovery:
             assert recover_encrypted_state(state, 0, sk, params, phi) == \
                 rounded_decryption(dec, params, phi), t
 
+    @pytest.mark.parametrize("N", [64, 4096])
+    def test_encryptor_seeds_the_key_product(self, bench_setup, N):
+        # the entry the encryptor stores, b - e, is the A sk mod q that a
+        # key which did not encrypt the batch computes
+        sk, public, batches, _ = cloud_run(bench_setup, N, 22, 6)
+        other = SecretKey.from_bytes(sk.to_bytes())
+        q, width = public.q, public.kernel.width
+        for batch in batches:
+            assert sk._owned_products[batch] == tuple(
+                map(q.cmod, other.products(batch.shared, width)))
+
     def test_zeroize_empties_the_cache(self, bench_setup):
-        sk, public, _, states = cloud_run(bench_setup, 64, 18, 8)
+        sk, public, batches, states = cloud_run(bench_setup, 64, 18, 8)
         params = bench_setup.params
         phi = bench_setup.mod_maps.PhiPinvBar
         recover_encrypted_state(states[-1], 0, sk, params, phi)
-        assert len(sk._owned_products) == public.depth
+        assert len(sk._owned_products) == len(batches)
         sk.zeroize()
         assert len(sk._owned_products) == 0
         with pytest.raises(LweError):

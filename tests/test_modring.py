@@ -20,9 +20,9 @@ from cipherobs.modring import (
     half_limbs,
     inverse_mod,
     join_digit_sums,
-    mat_mul_mod,
 )
-from cipherobs.modring import _is_probable_prime
+from cipherobs.modring import _is_probable_prime, _reduce_rows
+from cipherobs.pipeline import BENCH_Q
 from .helpers import HUGE_PRIME, ZeroRow, centered_difference_check, \
     complete_basis, egcd_inverse, random_mod_matrix, rank_mod, \
     right_inverse_row
@@ -285,6 +285,23 @@ class TestMatrixBasics:
         M = ModMatrix([[3, -4]], q101)
         assert M.scale(-1) == -M
         assert (M.scale(2)).rows == ((6, -8),)
+
+    @pytest.mark.parametrize("q", [Q101, Modulus(BENCH_Q)])
+    def test_one_pass_column_equals_the_generic_reduction(self, q):
+        # `column` and a column's `scale` reduce in one pass; the generic
+        # constructor reduces row by row (`_reduce_rows`)
+        h = (q.q - 1) // 2
+        entries = [0, h, -h, h + 1, -h - 1, q.q, -q.q, 2 ** 200, -2 ** 200,
+                   np.int64(2 ** 62), np.int64(-7)]
+        col = ModMatrix.column(entries, q)
+        assert col.rows == _reduce_rows([(a,) for a in entries], q.q)
+        assert col.shape == (len(entries), 1)
+        assert all(type(a) is int for a in col.flat())
+        for c in (1, -1, 3, h + 1, 2 ** 100):
+            generic = ModMatrix(((c * a,) for (a,) in col.rows), q)
+            assert col.scale(c).rows == generic.rows
+        empty = ModMatrix.column([], q)
+        assert empty.shape == empty.scale(3).shape == (0, 1)
 
 
 class TestDigitWidths:

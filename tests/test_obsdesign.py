@@ -5,7 +5,6 @@ import pytest
 
 from cipherobs.modring import ModMatrix, Modulus
 from cipherobs.obsdesign import (
-    ConsistencyFailure,
     DesignError,
     RedundancyViolation,
     build_bank,

@@ -13,12 +13,11 @@ from cipherobs.encobs import EncObsError, LimbKernel, ObserverPublic, \
 from cipherobs.modring import ModMatrix, Modulus
 from cipherobs.obsdesign import build_bank, residue_map
 from cipherobs.pipeline import BENCH_LIFT, BENCH_Q, SystemSetup, \
-    bundled_scenario_path, run_quantized_mode, run_reference_mode
+    run_quantized_mode, run_reference_mode
 from cipherobs.plantsim import AttackScenario, run_closed_loop
 from cipherobs.quantobs import (
     ModularMaps,
     QuantError,
-    QuantParams,
     detect,
     make_params,
     quantize_initial,
