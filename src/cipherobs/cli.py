@@ -244,8 +244,9 @@ def _suite_encrypted(setup: SystemSetup, seed: int) -> list:
         return [str(exc)]
     v2, public = run.view2, run.public
     batches = (encobs.EncryptedBatch._write(std.body.rows, cancels,
-                                            public.kernel)
-               for std, cancels in zip(v2.standard_cts, v2.cancels))
+                                            public.kernel, t)
+               for t, (std, cancels) in enumerate(zip(v2.standard_cts,
+                                                      v2.cancels)))
     state = encobs.EncObserverState.from_initial(next(batches))
     # states 0..steps, so every recorded batch is decrypted
     for t, xbar in enumerate(run_quantized_mode(setup, steps + 1).xbars):

@@ -12,15 +12,16 @@ that difference.
 The observer is one recursion, `Z' = Fbar Z + Gbar V`, held once as a
 `BlockGain`: Fbar's block starts and Gbar's nonzero row spans inside each
 block.  `observer_update` steps it on the int64 limbs of `LimbKernel`.
-Each input batch is one read-only matrix `[first | cancels | shared]`: the
-standard ciphertext's first column, every channel's cancel column, then
-the randomness block A.  The observer state is narrow: `step_encrypted`
-steps only `[first | cancels]`, the basic-slice view
-`body[:, :, :1 + n_ch]` of each batch, the only columns a residue reads.
-The state's shared block S_t = Fbar S_(t-1) + Gbar A_t is a function of
-the public randomness alone, and Fbar^b = 0 for the largest block size b,
-so the state keeps references to its last b batches instead
-(`EncObserverState.window`), and recovery replays their A sk to S_t sk.
+Each batch holds the limbs of `[first | cancels]` (the standard
+ciphertext's first column, then every channel's cancel column) beside the
+randomness block A, kept as the sampler's uint64 words.  The observer
+state is narrow: `step_encrypted` steps only the limbs, the only columns
+a residue reads.  The state's shared block S_t = Fbar S_(t-1) + Gbar A_t
+is a function of the public randomness alone, and Fbar^b = 0 for the
+largest block size b, so the state keeps references to its last b
+batches instead (`EncObserverState.window`), and recovery replays their
+A sk to S_t sk.  A batch's step index refuses a missed, repeated or
+reordered batch.
 The cancellation (`ObserverPublic.cancel_initial` and `cancel_step`) steps
 `[m | cancels]`, the same narrow layout, through the same recursion, and
 after step 0 cancels channel j with one scalar at one row.  It and the
@@ -36,11 +37,11 @@ batch's A sk mod q from the key's per-batch cache, which the encrypting
 key holds from encryption on (`SecretKey.cached_products` computes it for
 any other key, once) and replays the window's values
 through the recursion in Python ints (`BlockGain.step_ints`).
-This module is the only one that knows the limb layout.
+This module is the only one that knows the batch layout.
 
 A run is recorded only as its batches: `standard_and_cancels` reads what
-View 2 holds of one, and `EncryptedBatch._write` turns that back into a
-batch, so the transcript rebuilds every encrypted state.
+View 2 holds of one, and `EncryptedBatch._write` turns that back into
+batch t, so the transcript rebuilds every encrypted state.
 """
 
 from __future__ import annotations
@@ -63,8 +64,8 @@ from .lwe import (
     encrypt_with_artifacts,
 )
 from .modring import DimensionMismatch, ModMatrix, Modulus, \
-    ModulusMismatch, digit_budget, fixed_digits, half_limbs, \
-    join_digit_sums, join_limbs, split_limbs
+    ModulusMismatch, bytes_to_words, digit_budget, fixed_digits, \
+    half_limbs, join_digit_sums, join_limbs, split_limbs
 from .quantobs import ModularMaps, QuantParams
 from .zerodyn import ChannelMaps, channel_maps
 
@@ -371,43 +372,43 @@ def _row_digits(rows: ModMatrix) -> Tuple[int, np.ndarray]:
 
 
 class EncryptedBatch:
-    """Per-step modified ciphertexts for all channels, as one matrix laid
-    out `[first | cancels | shared]`.
+    """Per-step modified ciphertexts for all channels, batch `t` of a run
+    (0 for the initial one), each part in the form its reader takes.
 
-    Column 0 and the shared block, columns 1 + n_ch onwards, are the
-    standard ciphertext common to every channel, and column 1 + j is
-    channel j's cancel column, so `[first | cancels]` is the basic slice
-    `body[:, :, :1 + n_ch]`.  `body` holds the matrix as the
-    (L, rows, 1 + n_ch + N) int64 limb stack of `kernel`, every limb below
-    2^W in absolute value, the kernel's input bound; `rows` holds it as
-    centred Python ints, joined from the limbs once on first use.  The
-    limbs are read-only once the batch holds them, so the key's cache of
-    the batch's A sk (`SecretKey.cached_products`) never goes stale.  The
-    layout stays inside this module: other modules write a batch with
-    `_write` and read one with `standard_and_cancels`.
+    `body` is the (L, rows, 1 + n_ch) int64 limb stack of `kernel` of
+    `[first | cancels]`, channel j's cancel column at 1 + j, every limb
+    below 2^W in absolute value, the kernel's input bound: the cloud steps
+    it whole.  `shared` is the randomness block A that every channel
+    shares, as the (rows, N, nw) uint64 words the sampler drew, values in
+    [0, q): only `SecretKey.products` reads it.  Both are read-only once
+    the batch holds them, so the key's cache of the batch's A sk never
+    goes stale.  `rows` joins `[first | cancels | shared]` into centred
+    Python ints once, on first use.  The layout stays inside this module:
+    other modules write a batch with `_write` and read one with
+    `standard_and_cancels`.
     """
 
-    def __init__(self, body: np.ndarray, n_channels: int,
-                 kernel: LimbKernel):
+    def __init__(self, body: np.ndarray, shared: np.ndarray,
+                 kernel: LimbKernel, t: int):
         body.setflags(write=False)
-        self.body = body
-        self.n_channels = n_channels
-        self.kernel = kernel
+        shared.setflags(write=False)
+        self.body, self.shared, self.kernel, self.t = body, shared, kernel, t
+
+    @property
+    def n_channels(self) -> int:
+        return self.body.shape[-1] - 1
 
     @property
     def N(self) -> int:
-        return self.body.shape[-1] - 1 - self.n_channels
-
-    @property
-    def shared(self) -> np.ndarray:
-        """The (L, rows, N) limbs of the shared block."""
-        return self.body[:, :, 1 + self.n_channels:]
+        return self.shared.shape[1]
 
     @cached_property
     def rows(self) -> Tuple[Tuple[int, ...], ...]:
-        cmod = self.kernel.q.cmod
-        return tuple(tuple(map(cmod, row))
-                     for row in self.kernel.join(self.body))
+        cmod, N = self.kernel.q.cmod, self.N
+        shared = join_limbs(self.shared.reshape(-1, self.shared.shape[2]).T,
+                            64)
+        return tuple(tuple(map(cmod, row + tuple(shared[i * N:(i + 1) * N])))
+                     for i, row in enumerate(self.kernel.join(self.body)))
 
     def standard_and_cancels(self) -> Tuple[Ciphertext,
                                             Tuple[Tuple[int, ...], ...]]:
@@ -423,14 +424,19 @@ class EncryptedBatch:
 
     @classmethod
     def _write(cls, std_rows: Sequence[Tuple[int, ...]],
-               cancels: Sequence[Tuple[int, ...]],
-               kernel: LimbKernel) -> "EncryptedBatch":
-        """The batch of the standard ciphertext's rows, or of just their
+               cancels: Sequence[Tuple[int, ...]], kernel: LimbKernel,
+               t: int) -> "EncryptedBatch":
+        """Batch t of the standard ciphertext's rows, or of just their
         first entries (a batch with no shared block, N = 0), and the
         cancel columns."""
-        limbs = kernel.split([row[:1] + c + row[1:]
-                              for row, c in zip(std_rows, zip(*cancels))])
-        return cls(limbs, len(cancels), kernel)
+        std_rows, q = tuple(std_rows), kernel.q.q
+        stride = (q.bit_length() + 7) // 8
+        words = bytes_to_words(b"".join([(v % q).to_bytes(stride, "little")
+                                         for row in std_rows
+                                         for v in row[1:]]), stride)
+        return cls(kernel.split([row[:1] + c for row, c
+                                 in zip(std_rows, zip(*cancels))]),
+                   words.reshape(len(std_rows), -1, words.shape[1]), kernel, t)
 
 
 def modified_channels(std_ct: Ciphertext,
@@ -470,25 +476,23 @@ class EncryptorSession:
         self.noise = NoiseParams(params.Delta)
         self.rng = rng if rng is not None else SecureRng()
         self.cancel_state: Optional[np.ndarray] = None
+        self.t = -1     # the step index of the last batch encrypted
 
     def _encrypt(self, v: ModMatrix, nrows: int, cancel) -> EncryptedBatch:
-        """Encrypt the lifted column v for every channel: the randomness is
-        drawn straight into the shared block of a new batch body, and
+        """Encrypt the lifted column v for every channel as the next batch:
         `cancel(mask)` gives the cancel block and the next cancel state.
         A v without `nrows` rows is refused before anything is drawn."""
         if v.nrows != nrows:
             raise EncObsError(f"message has {v.nrows} rows, the observer "
                               f"takes {nrows}")
-        public, kernel = self.public, self.public.kernel
-        n = 1 + public.n_channels
-        body = np.empty((kernel.count, nrows, n + public.N), dtype=np.int64)
+        kernel = self.public.kernel
         enc = encrypt_with_artifacts(v.scale(self.params.lift), self.sk,
-                                     self.noise, self.rng, body[:, :, n:],
-                                     kernel.width)
+                                     self.noise, self.rng)
         block, self.cancel_state = cancel(enc.mask)
-        body[:, :, :1] = kernel.split(enc.first.rows)
-        body[:, :, 1:n] = block
-        batch = EncryptedBatch(body, public.n_channels, kernel)
+        batch = EncryptedBatch(
+            np.concatenate([kernel.split(enc.first.rows), block], axis=2),
+            enc.randomness, kernel, self.t + 1)
+        self.t = batch.t
         # A sk mod q = b - e, the key's cache entry for the batch
         self.sk._owned_products[batch] = (enc.mask - enc.error).flat()
         return batch
@@ -539,8 +543,10 @@ class EncObserverState:
 
     @classmethod
     def from_initial(cls, batch: EncryptedBatch) -> "EncObserverState":
-        return cls(batch.body[:, :, :1 + batch.n_channels], batch.n_channels,
-                   batch.kernel, N=batch.N, t=0, window=(batch,))
+        if batch.t != 0:
+            raise EncObsError(f"a state starts at batch 0, not {batch.t}")
+        return cls(batch.body, batch.n_channels, batch.kernel, N=batch.N,
+                   t=0, window=(batch,))
 
 
 def _check_limbs(kernel: LimbKernel, *parts):
@@ -555,15 +561,17 @@ def step_encrypted(state: EncObserverState, batch: EncryptedBatch,
                    public: ObserverPublic) -> EncObserverState:
     """One encrypted observer update for every channel: the observer
     recursion applied to the `[first | cancels]` limbs of the state and
-    the batch.  The batch joins the state's window, which keeps the last
-    `public.depth` batches."""
+    the batch.  The batch must be the one after the state's step (a
+    missed, repeated or reordered batch is refused), and it joins the
+    state's window, which keeps the last `public.depth` batches."""
     if (batch.n_channels, batch.N) != (state.n_channels, state.N):
         raise EncObsError("channel counts or widths differ between state "
                           "and batch")
+    if batch.t != state.t + 1:
+        raise EncObsError(f"batch {batch.t} does not follow step {state.t}")
     kernel = public.kernel
     _check_limbs(kernel, state, batch)
-    body = observer_update(state.body, batch.body[:, :, :1 + batch.n_channels],
-                           kernel.gain)
+    body = observer_update(state.body, batch.body, kernel.gain)
     return EncObserverState(body, state.n_channels, kernel, N=state.N,
                             t=state.t + 1,
                             window=(state.window + (batch,))[-public.depth:])
@@ -609,7 +617,7 @@ def _shared_key_product(state: EncObserverState, sk: SecretKey) -> List[int]:
     recursion from A_0 sk while the initial batch is in the window and from
     zero after (the window then holds the last b batches, and Fbar^b = 0)."""
     kernel = state.kernel
-    products = [sk.cached_products(batch, batch.shared, kernel.width)
+    products = [sk.cached_products(batch, batch.shared)
                 for batch in state.window]
     if len(products) == state.t + 1:    # A_0 is still in the window
         shared, products = list(products[0]), products[1:]

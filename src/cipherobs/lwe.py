@@ -17,19 +17,22 @@ the source's `randbytes` (`os.urandom` under `SecureRng`), at most 4096
 values per request: each value takes ceil(bits / 8) bytes masked to the
 bit length of q, and values >= q, found by a compare on the masked 64-bit
 words, are rejected and redrawn, so every entry is exactly uniform on Z_q.
-The survivors' words are cut straight into int64 limbs
-(`_RandomSource.uniform_limbs`), the form in which the encrypted observer
-computes; `uniforms` joins and centres the same draw into Python ints.
+The survivors stay in those little-endian uint64 words
+(`_RandomSource.uniform_words`), nw = ceil(bits / 64) per value; `uniforms`
+joins and centres the same draw into Python ints.
 
-Encryption keeps the randomness A in those limbs.  The mask A sk is one
-float64 matrix product (`SecretKey.products`): the 32-bit halves of A's
-limbs against the key's signed dk-bit digits, with N 2^32 2^dk <= 2^53, so
-every partial sum is an integer that float64 holds exactly, whatever order
-BLAS sums in.  At N = 4096 that is dk = 9, with 13 key digits.  The key's
-digits are cut once per key; keys longer than `MAX_N` = 2^20 leave no
-digit bit and are refused.  The key caches each batch's A sk mod q, held
-weakly by batch (`cached_products`): b - e for a batch it encrypted, one
-product otherwise; `zeroize` wipes the digits and empties that cache.
+Encryption keeps the randomness A as those words, read-only: the cloud
+never reads A, so it is never cut into the observer's limbs.  The mask
+A sk is one float64 matrix product (`SecretKey.products`): the words'
+32-bit halves, all in [0, 2^32), against the key's signed dk-bit digits,
+with N 2^32 2^dk <= 2^53, so every partial sum is an integer that float64
+holds exactly, whatever order BLAS sums in.  At N = 4096 that is dk = 9,
+with 13 key digits, and a 6-row A of 109-bit values is 24 rows of halves.
+The key's digits are cut once per key; keys longer than `MAX_N` = 2^20
+leave no digit bit and are refused.  The key caches each batch's A sk mod
+q, held weakly by batch (`cached_products`): b - e for a batch it
+encrypted, one product otherwise; `zeroize` wipes the digits and empties
+that cache.
 
 Keys and ciphertexts serialize as a magic, a header list and a payload
 list.  An integer list is a uint32 count, then per value a sign byte, a
@@ -57,8 +60,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .modring import DimensionMismatch, ModMatrix, Modulus, PrimalityError, \
-    bytes_to_words, digit_budget, fixed_digits, half_limbs, \
-    join_digit_sums, join_limbs, words_to_limbs
+    bytes_to_words, digit_budget, fixed_digits, join_digit_sums, join_limbs
 
 __all__ = [
     "MAX_N",
@@ -110,9 +112,6 @@ class NoiseParams:
 # leaves key digits of dk >= 1 bit
 MAX_N = 2 ** 20
 _UNIFORM_CHUNK = 4096
-# limb width of the draws `uniforms` joins into Python ints: the widest
-# `words_to_limbs` cuts, so the fewest limbs
-_JOIN_WIDTH = 62
 
 
 class _RandomSource:
@@ -121,57 +120,45 @@ class _RandomSource:
     def __init__(self, rng: random.Random):
         self._rng = rng
 
-    def uniform_limbs(self, q: Modulus, width: int, out: np.ndarray):
-        """Fill the (L, rows, count) int64 array `out` with the
-        base-2^width limbs of rows x count values exactly uniform on
-        [0, q), drawn row by row.
+    def uniform_words(self, q: Modulus, rows: int, count: int) -> np.ndarray:
+        """rows x count values exactly uniform on [0, q), drawn row by row,
+        as a (rows, count, nw) array of little-endian uint64 words, least
+        significant first: the sampler's own words, nw = ceil(bytes / 8).
 
         Each row is drawn in bulk as masked bytes with rejection (never a
         biased `% q` of a wide draw), at most 4096 values per request; a
         value >= q is found by comparing its masked words with q's from the
-        top word down, and the row's next request replaces it.  The kept
-        words are cut into limbs a group of rows at a time, as many rows
-        as hold at most 4096 values (at least one), so no temporary grows
-        with the batch.  L * width must cover the bit length of q.
+        top word down, and the row's next request replaces it.
         """
         bits = q.q.bit_length()
         stride = (bits + 7) // 8
         q_words = bytes_to_words(q.q.to_bytes(stride, "little"), stride)[0]
         top = np.uint64((1 << (bits - 64 * (len(q_words) - 1))) - 1)
-        L, rows, count = out.shape
-        group = max(1, _UNIFORM_CHUNK // max(count, 1))
-        for a in range(0, rows, group):
-            kept = []
-            for _ in range(min(group, rows - a)):
-                filled = 0
-                while filled < count:
-                    n = min(count - filled, _UNIFORM_CHUNK)
-                    words = bytes_to_words(self._rng.randbytes(n * stride),
-                                           stride)
-                    words[:, -1] &= top
-                    below = words[:, -1] < q_words[-1]
-                    if not below.all():
-                        # a tie on a word is decided by the words below it
-                        equal = words[:, -1] == q_words[-1]
-                        for k in range(len(q_words) - 2, -1, -1):
-                            below |= equal & (words[:, k] < q_words[k])
-                            equal &= words[:, k] == q_words[k]
-                        words = words[below]
-                    kept.append(words)
-                    filled += len(words)
-            if kept:    # else out has no entries
-                out[:, a:a + group] = words_to_limbs(
-                    np.concatenate(kept), width, L).reshape(L, -1, count)
+        out = np.empty((rows, count, len(q_words)), dtype=np.uint64)
+        for row in out:
+            filled = 0
+            while filled < count:
+                n = min(count - filled, _UNIFORM_CHUNK)
+                words = bytes_to_words(self._rng.randbytes(n * stride), stride)
+                words[:, -1] &= top
+                below = words[:, -1] < q_words[-1]
+                if not below.all():
+                    # a tie on a word is decided by the words below it
+                    equal = words[:, -1] == q_words[-1]
+                    for k in range(len(q_words) - 2, -1, -1):
+                        below |= equal & (words[:, k] < q_words[k])
+                        equal &= words[:, k] == q_words[k]
+                    words = words[below]
+                row[filled:filled + len(words)] = words
+                filled += len(words)
+        return out
 
     def uniforms(self, q: Modulus, count: int) -> list:
-        """`count` values exactly uniform on centred Z_q: the limb draw,
-        joined and centred."""
-        limbs = np.empty((-(-q.q.bit_length() // _JOIN_WIDTH), 1, count),
-                         dtype=np.int64)
-        self.uniform_limbs(q, _JOIN_WIDTH, limbs)
+        """`count` values exactly uniform on centred Z_q: one row of the
+        word draw, joined and centred."""
         modulus, half = q.q, (q.q - 1) // 2
-        return [v - modulus if v > half else v
-                for v in join_limbs(limbs[:, 0], _JOIN_WIDTH)]
+        return [v - modulus if v > half else v for v in
+                join_limbs(self.uniform_words(q, 1, count)[0].T, 64)]
 
     def error(self, noise: NoiseParams) -> int:
         while True:
@@ -275,7 +262,7 @@ class SecretKey:
 
     `products` computes with the key cut into signed dk-bit digits, cut
     once and kept as a float64 array: dk is what the float64 budget of a
-    length-N dot product leaves beside 32-bit half limbs.  The key also
+    length-N dot product leaves beside 32-bit halves of words.  The key also
     caches A sk mod q per owner of a read-only randomness block A (an
     encrypted batch), in a `weakref.WeakKeyDictionary`: an entry lives as
     long as its owner, so the cache holds no more than the live batches.
@@ -319,34 +306,36 @@ class SecretKey:
             digits[...] = 0
         return self._digits
 
-    def products(self, limbs: np.ndarray, width: int) -> List[int]:
+    def products(self, words: np.ndarray) -> List[int]:
         """The exact integers A sk, one per row, for a matrix A held as the
-        (L, rows, N) int64 limb stack A = sum(limbs[k] << (width k)),
-        whose limbs may hold any int64 value.
+        (rows, N, nw) uint64 words A = sum(words[..., k] << (64 k)), as
+        `_RandomSource.uniform_words` draws them.
 
-        The `half_limbs` of every limb meet the key's digits in one float64
-        product.  Each of its sums has N terms below 2^32 2^dk in absolute
-        value, so every partial sum is an integer below 2^53 and the
-        product is exact for any summation order or thread split; only the
-        sums are joined as Python ints.
+        The words' 32-bit halves, read through a `<u4` view and all in
+        [0, 2^32), meet the key's digits in one float64 product of
+        2 nw rows per row of A.  Each of its sums has N terms below
+        2^32 2^dk in absolute value, so every partial sum is an integer
+        below 2^53 and the product is exact for any summation order or
+        thread split; only the sums are joined as Python ints.
         """
         dk, key = self._key_digits()
-        L, rows, N = limbs.shape
+        rows, N, nw = words.shape
         if N != key.shape[0]:
             raise DimensionMismatch("matrix and key disagree on N")
-        sums = (half_limbs(limbs, np.float64).reshape(-1, N) @ key).astype(
-            np.int64).reshape(2, L, rows, key.shape[1])
-        return join_digit_sums(sums.transpose(2, 0, 1, 3), width, dk)
+        halves = words.view("<u4").transpose(2, 0, 1).astype(np.float64,
+                                                             order="C")
+        sums = (halves.reshape(-1, N) @ key).astype(np.int64).reshape(
+            nw, 2, rows, key.shape[1])
+        return join_digit_sums(sums.transpose(2, 1, 0, 3), 64, dk)
 
-    def cached_products(self, owner, limbs: np.ndarray,
-                        width: int) -> Tuple[int, ...]:
+    def cached_products(self, owner, words: np.ndarray) -> Tuple[int, ...]:
         """A sk mod q, centred, for the randomness `owner` holds as the
-        read-only limb stack `limbs`: `products` on a miss, then the
-        cached values until `owner` is collected or the key zeroized."""
+        read-only words `words`: `products` on a miss, then the cached
+        values until `owner` is collected or the key zeroized."""
         self._live()
         values = self._owned_products.get(owner)
         if values is None:
-            values = tuple(map(self.q.cmod, self.products(limbs, width)))
+            values = tuple(map(self.q.cmod, self.products(words)))
             self._owned_products[owner] = values
         return values
 
@@ -432,7 +421,8 @@ class Encryption:
     """A standard encryption [m + b, A] mod q with its artifacts.
 
     `first` is the column m + b, `mask` is b = A sk + e and `error` is e.
-    The randomness A is the caller's limb array, filled in place.  The
+    `randomness` is A as the sampler drew it: the read-only (h, N, nw)
+    uint64 words of `_RandomSource.uniform_words`, values in [0, q).  The
     mask and error are for the trusted encryptor role that derives the
     cancellation terms; they must never leave the encrypting process or be
     serialized alongside the ciphertext.
@@ -441,23 +431,19 @@ class Encryption:
     first: ModMatrix
     mask: ModMatrix
     error: ModMatrix
+    randomness: np.ndarray
 
 
 def encrypt_with_artifacts(m: ModMatrix, sk: SecretKey, noise: NoiseParams,
-                           rng, randomness: np.ndarray,
-                           width: int) -> Encryption:
-    """Encrypt the column m, drawing A straight into the (L, h, N) int64
-    array `randomness` as limbs of width `width`."""
+                           rng) -> Encryption:
+    """Encrypt the column m, keeping A as the sampler's words."""
     if not m.is_column():
         raise DimensionMismatch("message must be a column vector")
     if m.modulus != sk.q:
         raise LweError("message modulus differs from key modulus")
-    if randomness.shape[1:] != (m.nrows, sk.N):
-        raise DimensionMismatch("randomness limbs must be h x N")
-    rng.uniform_limbs(sk.q, width, randomness)
+    A = rng.uniform_words(sk.q, m.nrows, sk.N)
+    A.setflags(write=False)
     e = ModMatrix.column([rng.error(noise) for _ in range(m.nrows)], sk.q)
-    b = ModMatrix.column([s + ei for s, (ei,) in
-                          zip(sk.products(randomness, width), e.rows)],
+    b = ModMatrix.column([s + ei for s, (ei,) in zip(sk.products(A), e.rows)],
                          sk.q)
-    return Encryption(first=m + b, mask=b, error=e)
-
+    return Encryption(first=m + b, mask=b, error=e, randomness=A)

@@ -11,8 +11,8 @@ bit-reproducible across runs.
 
 `split_limbs` and `join_limbs` convert between Python ints and exact signed
 int64 limbs, the form in which numpy kernels compute over Z_q;
-`bytes_to_words` and `words_to_limbs` cut limbs straight from packed bytes,
-such as the output of a random source.  Exact dot products of int64 limbs
+`bytes_to_words` reads packed bytes, such as a random source's, as uint64
+words, and `words_to_limbs` cuts words into limbs.  Exact dot products of int64 limbs
 and fixed integers (a key, a map's rows) meet the limbs' 32-bit halves
 (`half_limbs`), or differences of halves, which stay below 2^32 too, with
 the fixed integers' `fixed_digits`, as narrow as the accumulator's exact
@@ -459,7 +459,8 @@ def split_limbs(values: Sequence[int], width: int, count: int) -> np.ndarray:
 
 def join_limbs(limbs: np.ndarray, width: int) -> List[int]:
     """Exact inverse of `split_limbs` for a (count, n) stack: the Python ints
-    sum(limbs[k] * 2**(width * k)).  Limbs may hold any int64 value."""
+    sum(limbs[k] * 2**(width * k)).  Limbs may hold any int64 value, or
+    any uint64 value, such as words joined at width 64."""
     acc = limbs[-1].tolist()
     for k in range(limbs.shape[0] - 2, -1, -1):
         acc = [(a << width) + b for a, b in zip(acc, limbs[k].tolist())]

@@ -202,8 +202,9 @@ def f2_view2_to_view1(v2: View2, public: ObserverPublic,
         raise ViewError("cancel columns do not match the channel count and "
                         "the ciphertext rows")
     batches = (EncryptedBatch._write(zip(ct.first_column()), cancels,
-                                     public.kernel)
-               for ct, cancels in zip(v2.standard_cts, v2.cancels))
+                                     public.kernel, t)
+               for t, (ct, cancels) in enumerate(zip(v2.standard_cts,
+                                                     v2.cancels)))
 
     def disclose(state: EncObserverState) -> ModMatrix:
         return disclose_residue(residue_first_column(state, public), params)

@@ -17,7 +17,8 @@ from cipherobs.encobs import EncObserverState, EncryptedBatch, \
 from cipherobs.lwe import _CT_MAGIC, CiphertextKind, LweError, TestRng, \
     keygen
 from cipherobs.modring import DimensionMismatch, ModMatrix, ModRingError, \
-    Modulus, _echelon, inverse_mod, pivot_columns, split_limbs
+    Modulus, _echelon, bytes_to_words, inverse_mod, pivot_columns, \
+    words_to_limbs
 from cipherobs.obsdesign import run_reference_observer
 from cipherobs.pipeline import BENCH_Q, EncryptedRun, run_quantized_mode
 from cipherobs.plantsim import AttackScenario, PlantModel, run_closed_loop
@@ -29,13 +30,15 @@ from cipherobs.zerodyn import RelativeDegreeUndefined, channel_maps
 
 class ValueSource:
     """Base for test sources that script uniform values rather than bytes:
-    subclasses give `uniforms(q, count)` and `error(noise)`, and the limb
+    subclasses give `uniforms(q, count)` and `error(noise)`, and the word
     draw takes each row's values from `uniforms` in turn."""
 
-    def uniform_limbs(self, q: Modulus, width: int, out: np.ndarray):
-        L, rows, count = out.shape
-        values = [v % q.q for _ in range(rows) for v in self.uniforms(q, count)]
-        out[...] = split_limbs(values, width, L).reshape(L, rows, count)
+    def uniform_words(self, q: Modulus, rows: int, count: int) -> np.ndarray:
+        stride = (q.q.bit_length() + 7) // 8
+        words = bytes_to_words(b"".join(
+            (v % q.q).to_bytes(stride, "little")
+            for _ in range(rows) for v in self.uniforms(q, count)), stride)
+        return words.reshape(rows, count, words.shape[1])
 
 
 def egcd_inverse(a: int, q: int) -> int:
@@ -147,18 +150,31 @@ def replay_states(view2: View2, public) -> List[EncObserverState]:
     """Every encrypted state of a recorded run, rebuilt from its View 2
     with the deployed `step_encrypted`, each with the batches its shared
     block depends on (`full_state` rebuilds that block)."""
-    batches = [EncryptedBatch._write(ct.body.rows, cancels, public.kernel)
-               for ct, cancels in zip(view2.standard_cts, view2.cancels)]
+    batches = [EncryptedBatch._write(ct.body.rows, cancels, public.kernel, t)
+               for t, (ct, cancels) in enumerate(zip(view2.standard_cts,
+                                                     view2.cancels))]
     states = [EncObserverState.from_initial(batches[0])]
     for batch in batches[1:]:
         states.append(step_encrypted(states[-1], batch, public))
     return states
 
 
+def full_limbs(batch: EncryptedBatch) -> np.ndarray:
+    """The (L, rows, 1 + n_ch + N) limbs of a batch's whole matrix
+    `[first | cancels | shared]`: its shared words cut into the kernel's
+    limbs beside its `body`."""
+    kernel, words = batch.kernel, batch.shared
+    rows, N, nw = words.shape
+    shared = words_to_limbs(words.reshape(-1, nw), kernel.width,
+                            kernel.count).reshape(kernel.count, rows, N)
+    return np.concatenate([batch.body, shared], axis=2)
+
+
 def full_state(state: EncObserverState, public) -> EncryptedBatch:
     """The full-width `[first | cancels | shared]` state behind a narrow
-    one: its window replayed through `observer_update`, from the initial
-    batch while it is in the window and from zero after.
+    one: its window replayed through `observer_update` on the batches'
+    `full_limbs`, from the initial batch while it is in the window and
+    from zero after, and written back as a batch of index `state.t`.
 
     Fbar^b = 0, so the batches before the window contribute nothing, and
     the limbs add without carry or reduction: the replay sums the same
@@ -167,16 +183,20 @@ def full_state(state: EncObserverState, public) -> EncryptedBatch:
     """
     window = state.window
     if len(window) == state.t + 1:   # the initial batch is in the window
-        body, inputs = window[0].body, window[1:]
+        body, inputs = full_limbs(window[0]), window[1:]
     else:
-        L, _, width = window[0].body.shape
-        body = np.zeros((L, public.Gbar.nrows, width), dtype=np.int64)
+        body = np.zeros((public.kernel.count, public.Gbar.nrows,
+                         1 + state.n_channels + state.N), dtype=np.int64)
         inputs = window
     for batch in inputs:
-        body = observer_update(body, batch.body, public.kernel.gain)
-    if not np.array_equal(body[:, :, :state.body.shape[2]], state.body):
+        body = observer_update(body, full_limbs(batch), public.kernel.gain)
+    n = state.body.shape[2]
+    if not np.array_equal(body[:, :, :n], state.body):
         raise AssertionError("the narrow state differs from its replay")
-    return EncryptedBatch(body, state.n_channels, public.kernel)
+    rows = [tuple(map(public.q.cmod, row)) for row in public.kernel.join(body)]
+    return EncryptedBatch._write([row[:1] + row[n:] for row in rows],
+                                 tuple(zip(*(row[1:n] for row in rows))),
+                                 public.kernel, state.t)
 
 
 def transcript_masks(standard_cts, messages, lift: int) -> List[ModMatrix]:

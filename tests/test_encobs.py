@@ -49,10 +49,12 @@ class ZeroMaskRng(ValueSource):
         return 0
 
 
-def zero_body(public, nrows, N=64):
-    """Limbs of an all-zero [first | cancels | shared] body of the
-    benchmark's 60 channels."""
-    return np.zeros((public.kernel.count, nrows, 1 + N + 60), dtype=np.int64)
+def zero_batch(public, nrows, N=64, t=0):
+    """Batch t with all-zero [first | cancels] limbs of the benchmark's 60
+    channels and an all-zero shared block of N words per row."""
+    return EncryptedBatch(
+        np.zeros((public.kernel.count, nrows, 1 + 60), dtype=np.int64),
+        np.zeros((nrows, N, 2), dtype=np.uint64), public.kernel, t)
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +152,38 @@ class TestSessionBasics:
             session.enc_input(ModMatrix.zeros(6, 1, params.q))
         with pytest.raises(LweError):
             recover_encrypted_state(state, 0, sk, params, phi)
+
+
+class TestBatchOrder:
+    """Each batch carries its step index: a state starts from batch 0 and
+    then takes exactly the batch after its own step."""
+
+    @pytest.fixture(scope="class")
+    def run(self, bench_setup):
+        return cloud_run(bench_setup, 64, 23, 4)
+
+    def test_session_stamps_step_indices(self, run):
+        _, _, batches, states = run
+        assert [batch.t for batch in batches] == [0, 1, 2, 3, 4]
+        assert [state.t for state in states] == [0, 1, 2, 3, 4]
+
+    # the batches stepped after batch 0, and the first one out of place:
+    # batch 2 dropped, batch 2 sent twice, batches 1 and 2 swapped
+    @pytest.mark.parametrize("good, bad", [((1,), 3), ((1, 2), 2), ((), 2)],
+                             ids=["dropped", "repeated", "swapped"])
+    def test_missed_repeated_or_reordered_batch_refused(self, run, good,
+                                                        bad):
+        _, public, batches, _ = run
+        state = EncObserverState.from_initial(batches[0])
+        for i in good:
+            state = step_encrypted(state, batches[i], public)
+        with pytest.raises(encobs.EncObsError, match="does not follow"):
+            step_encrypted(state, batches[bad], public)
+
+    def test_initial_state_needs_batch_zero(self, run):
+        _, _, batches, _ = run
+        with pytest.raises(encobs.EncObsError, match="starts at batch 0"):
+            EncObserverState.from_initial(batches[1])
 
 
 class TestModifiedCompatibility:
@@ -391,12 +425,9 @@ class TestDigitPlaneResidue:
 class TestEncryptedObserver:
     def test_zero_ciphertexts_keep_zero_state(self, bench_setup, public64):
         # [first | cancels | shared]: 1 + 60 + 64 columns
-        kernel = public64.kernel
-        zero_batch = encobs.EncryptedBatch(zero_body(public64, 6), 60, kernel)
-        state = EncObserverState.from_initial(encobs.EncryptedBatch(
-            zero_body(public64, 24), 60, kernel))
-        nxt = full_state(step_encrypted(state, zero_batch, public64),
-                         public64)
+        state = EncObserverState.from_initial(zero_batch(public64, 24))
+        nxt = full_state(step_encrypted(state, zero_batch(public64, 6, t=1),
+                                        public64), public64)
         assert all(row[1:1 + 64] == (0,) * 64
                    for row in channel(nxt, 0).body.rows)
         assert all(v == 0 for j in range(60)
@@ -411,8 +442,7 @@ class TestEncryptedObserver:
                                         bench_setup.mod_maps.PhiPinvBar)
 
     def test_batch_width_checked(self, public64, bench_enc):
-        narrow = encobs.EncryptedBatch(zero_body(public64, 6, N=32), 60,
-                                       public64.kernel)
+        narrow = zero_batch(public64, 6, N=32, t=1)
         with pytest.raises(encobs.EncObsError):
             step_encrypted(bench_enc.states[0], narrow, public64)
 
@@ -444,8 +474,9 @@ class TestEncryptedObserver:
         sk = keygen(64, params.q, rng)
         session = EncryptorSession(sk, params, public64, rng=rng)
         session.enc_initial(ModMatrix.zeros(24, 1, params.q))
-        qrun = run_quantized_mode(bench_setup, 1)
-        in_batch = session.enc_input(qrun.vbars[0])
+        qrun = run_quantized_mode(bench_setup, 4)
+        # batch 4, the one that follows the state at step 3
+        in_batch = [session.enc_input(v) for v in qrun.vbars][-1]
         nxt = full_state(step_encrypted(state, in_batch, public64), public64)
         full = full_state(state, public64)
         Fbar = build_fbar(public64.block_sizes, params.q)
@@ -463,8 +494,7 @@ class TestEncryptedObserver:
             assert r1.column_entries() == R.column_entries(0)
 
     def test_zero_state_zero_residue(self, public64):
-        state = EncObserverState.from_initial(encobs.EncryptedBatch(
-            zero_body(public64, 24), 60, public64.kernel))
+        state = EncObserverState.from_initial(zero_batch(public64, 24))
         R, r1 = encrypted_residue(state, public64)
         assert r1.is_zero()
 
@@ -524,21 +554,21 @@ class TestDisclosureAndRecovery:
                                                phi) == expect
 
     def test_recovery_exact_at_the_digit_bound(self, bench_setup, public64):
-        # every ciphertext and key entry at (q-1)/2 drives the half-limb
-        # products of the recovery to large sums
+        # every ciphertext and key entry at (q-1)/2 drives the word products
+        # of the recovery to large sums
         params = bench_setup.params
         q, N = params.q, 4096
         top = (q.q - 1) // 2
         phi = bench_setup.mod_maps.PhiPinvBar
 
-        def batch(nrows):
-            kernel = public64.kernel
-            return encobs.EncryptedBatch(
-                kernel.split(((top,) * (N + 61),) * nrows), 60, kernel)
+        def batch(nrows, t):
+            return EncryptedBatch._write(((top,) * (N + 1),) * nrows,
+                                         ((top,) * nrows,) * 60,
+                                         public64.kernel, t)
 
         sk = SecretKey([top] * N, q)
-        state = EncObserverState.from_initial(batch(24))
-        for _ in range(3):
+        state = EncObserverState.from_initial(batch(24, 0))
+        for t in range(3):
             for j in (0, 59):
                 scaled = phi @ decrypt_channel_state(state, public64, j, sk)
                 expect = ModMatrix.column(
@@ -546,7 +576,7 @@ class TestDisclosureAndRecovery:
                      for v in scaled.column_entries()], q)
                 assert recover_encrypted_state(state, j, sk, params,
                                                phi) == expect
-            state = step_encrypted(state, batch(6), public64)
+            state = step_encrypted(state, batch(6, t + 1), public64)
 
     def test_key_of_another_modulus_rejected_typed(self, bench_setup,
                                                    bench_enc):
@@ -722,18 +752,18 @@ class TestWindowRecovery:
         Gbar = uneven_gain(q, sizes, rng)
         public = bare_public(q, sizes, Gbar, ModMatrix.identity(l, q).row(0))
 
-        def batch(nrows):
+        def batch(nrows, t):
             rows = [tuple(q.cmod(rng.randrange(q.q)) for _ in range(17))
                     for _ in range(nrows)]
             cancel = tuple(rng.randint(-99, 99) for _ in range(nrows))
-            return EncryptedBatch._write(rows, [cancel], public.kernel)
+            return EncryptedBatch._write(rows, [cancel], public.kernel, t)
 
         sk = keygen(16, q, SeededRng(l))
         phi = ModMatrix.identity(l, q)
-        state = EncObserverState.from_initial(batch(l))
+        state = EncObserverState.from_initial(batch(l, 0))
         for t in range(2 * depth + 2):
             if t:
-                state = step_encrypted(state, batch(Gbar.ncols), public)
+                state = step_encrypted(state, batch(Gbar.ncols, t), public)
             dec = dense_decrypt(channel(full_state(state, public), 0), sk)
             first = public.kernel.join(state.body[:, :, :1])
             shared = encobs._shared_key_product(state, sk)
@@ -748,10 +778,9 @@ class TestWindowRecovery:
         # key which did not encrypt the batch computes
         sk, public, batches, _ = cloud_run(bench_setup, N, 22, 6)
         other = SecretKey.from_bytes(sk.to_bytes())
-        q, width = public.q, public.kernel.width
         for batch in batches:
             assert sk._owned_products[batch] == tuple(
-                map(q.cmod, other.products(batch.shared, width)))
+                map(public.q.cmod, other.products(batch.shared)))
 
     def test_zeroize_empties_the_cache(self, bench_setup):
         sk, public, batches, states = cloud_run(bench_setup, 64, 18, 8)
@@ -765,8 +794,7 @@ class TestWindowRecovery:
             recover_encrypted_state(states[-1], 0, sk, params, phi)
         with pytest.raises(LweError):
             sk.cached_products(states[-1].window[-1],
-                               states[-1].window[-1].shared,
-                               public.kernel.width)
+                               states[-1].window[-1].shared)
 
     def test_retention_is_bounded(self, bench_setup, bench_qrun, public64):
         # 300 steps keeping only the current state: it references at most
@@ -802,9 +830,9 @@ class TestWindowRecovery:
         L = public.kernel.count
         for state in states:
             assert state.body.shape == (L, 24, 1 + 60)
-        # the initial state is a view of the batch's first and cancel
-        # columns, not a copy
-        assert np.shares_memory(states[0].body, batches[0].body)
+        # the initial state holds the batch's first and cancel columns
+        # themselves, not a copy
+        assert states[0].body is batches[0].body
 
     def test_batch_limbs_are_read_only(self, bench_setup, public64):
         params = dataclasses.replace(bench_setup.params, N=64)
@@ -815,8 +843,12 @@ class TestWindowRecovery:
         second = session.enc_input(ModMatrix.zeros(6, 1, params.q))
         std, cancels = second.standard_and_cancels()
         written = encobs.EncryptedBatch._write(std.body.rows, cancels,
-                                               public64.kernel)
+                                               public64.kernel, 1)
+        assert np.array_equal(written.shared, second.shared)
         for batch in (first, second, written):
+            # the shared block is the sampler's words: 2 per 109-bit value
+            assert batch.shared.dtype == np.uint64
+            assert batch.shared.shape == (batch.body.shape[1], 64, 2)
             with pytest.raises(ValueError):
                 batch.body[0, 0, 0] = 1
             with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import operator
 import random
 import time
 
@@ -34,20 +35,21 @@ Q109 = Modulus(2 ** 109 - 31)
 NOISE = NoiseParams(19.2)
 
 
-def encrypt_limbs(m, sk, rng, width=42):
-    """`encrypt_with_artifacts` into fresh limbs of the given width (42 is
-    the benchmark observer's) -> (the encryption, its randomness A joined
-    into a matrix over Z_q)."""
-    limbs = np.empty((-(-sk.q.q.bit_length() // width), m.nrows, sk.N),
-                     dtype=np.int64)
-    enc = encrypt_with_artifacts(m, sk, NOISE, rng, limbs, width)
-    return enc, ModMatrix((join_limbs(limbs[:, i], width)
-                           for i in range(m.nrows)), sk.q, ncols=sk.N)
+def joined(words):
+    """Each row of (rows, count, nw) uint64 words joined into Python ints."""
+    return [join_limbs(row.T, 64) for row in words]
+
+
+def encrypt_joined(m, sk, rng):
+    """`encrypt_with_artifacts` -> (the encryption, its randomness A joined
+    from the sampler's words into a matrix over Z_q)."""
+    enc = encrypt_with_artifacts(m, sk, NOISE, rng)
+    return enc, ModMatrix(joined(enc.randomness), sk.q, ncols=sk.N)
 
 
 def standard_ct(m, sk, rng):
     """The standard ciphertext [m + b | A] of `encrypt_limbs`."""
-    enc, A = encrypt_limbs(m, sk, rng)
+    enc, A = encrypt_joined(m, sk, rng)
     return Ciphertext(body=ModMatrix((f + a for f, a in zip(enc.first.rows,
                                                             A.rows)),
                                      sk.q, ncols=sk.N + 1),
@@ -153,6 +155,12 @@ class TestUniforms:
         assert len(values) == 10_000
         # 14 bytes per 109-bit value; a rejection here has odds 31 / 2^109
         assert source._rng.requests == [4096 * 14, 4096 * 14, 1808 * 14]
+        # the word draw behind it makes the same requests for each row
+        source = _RandomSource(CountingRandom(22))
+        words = source.uniform_words(Q109, 2, 10_000)
+        assert words.shape == (2, 10_000, 2) and words.dtype == np.uint64
+        assert joined(words)[0] == [v % Q109.q for v in values]
+        assert source._rng.requests == [4096 * 14, 4096 * 14, 1808 * 14] * 2
 
     def test_rejection_at_the_word_boundary(self):
         # q = 2^109 - 31 spans two words; its high word 2^45 - 1 is the
@@ -166,22 +174,24 @@ class TestUniforms:
         assert source.uniforms(Q109, 3) == [-1, tie - q, 7]
         assert source._rng.requests == [3 * 14, 2 * 14, 14]
         source = _RandomSource(ScriptedRandom(chunks))
-        limbs = np.empty((3, 1, 3), dtype=np.int64)
-        source.uniform_limbs(Q109, 42, limbs)
-        assert join_limbs(limbs[:, 0], 42) == [q - 1, tie, 7]
+        words = source.uniform_words(Q109, 1, 3)
+        # the kept values' own words: the low word, then the high word
+        assert words[0].tolist() == [[(q - 1) % 2 ** 64, 2 ** 45 - 1],
+                                     [5, 2 ** 45 - 1], [7, 0]]
+        assert joined(words) == [[q - 1, tie, 7]]
         assert source._rng.requests == [3 * 14, 2 * 14, 14]
 
     @pytest.mark.parametrize("rows, count", [(5, 64), (5, 1500), (3, 4096),
                                              (2, 5000), (3, 0)])
     def test_row_groups_cut_like_single_rows(self, rows, count):
-        # 64 rows fit one cut, 2 rows of 1500, one row of 4096 or more
-        limbs = np.empty((3, rows, count), dtype=np.int64)
-        SeededRng(24).uniform_limbs(Q109, 42, limbs)
+        # a draw of several rows gives each row the words a draw of that
+        # row alone gives
+        words = SeededRng(24).uniform_words(Q109, rows, count)
+        assert words.shape == (rows, count, 2)
         single = SeededRng(24)
         for r in range(rows):
-            row = np.empty((3, 1, count), dtype=np.int64)
-            single.uniform_limbs(Q109, 42, row)
-            assert np.array_equal(limbs[:, r], row[:, 0])
+            assert np.array_equal(words[r],
+                                  single.uniform_words(Q109, 1, count)[0])
 
     def test_seeded_draws_are_reproducible(self):
         a, b = SeededRng(23), SeededRng(23)
@@ -213,7 +223,7 @@ class TestUniforms:
               "max": lambda: SecretKey([half] * N, q),
               "min": lambda: SecretKey([-half] * N, q)}[key]()
         m = ModMatrix.column(rng.uniforms(q, h), q)
-        enc, A = encrypt_limbs(m, sk, rng)
+        enc, A = encrypt_joined(m, sk, rng)
         b, e = enc.mask, enc.error
         assert b == A @ ModMatrix.column(sk.entries(), q) + e
         assert enc.first == m + b
@@ -227,8 +237,9 @@ class TestUniforms:
         chunk = top.to_bytes(14, "little") * N
         sk = SecretKey([sign * (q.q - 1) // 2] * N, q)
         m = ModMatrix.column([5] * h, q)
-        enc, A = encrypt_limbs(m, sk, ScriptedSource([chunk] * h, 3))
-        # 32-bit half limbs against 9-bit key digits fill the float64 budget
+        enc, A = encrypt_joined(m, sk, ScriptedSource([chunk] * h, 3))
+        # 32-bit halves of the words against 9-bit key digits fill the
+        # float64 budget
         dk, _ = sk._digits
         assert dk == digit_budget(N, 53) - 32 == 9
         assert N * 2 ** (32 + 9) == 2 ** 53
@@ -238,7 +249,7 @@ class TestUniforms:
         assert enc.first == m + dense
 
     def test_one_more_digit_bit_overflows(self, monkeypatch):
-        # a float64 budget one bit wider, 10-bit key digits: limb 0 of
+        # a float64 budget one bit wider, 10-bit key digits: word 0 of
         # q - 32 has the odd low half 2^32 - 63 and that of q - 33 is even,
         # so against the key's 1023-valued digits one q - 33 among q - 32
         # makes an odd sum above 2^53, which no float64 holds
@@ -252,40 +263,37 @@ class TestUniforms:
         assert low > 2 ** 53 and low % 2
         sk = SecretKey([(q.q - 1) // 2] * N, q)
         m = ModMatrix.column([5], q)
-        enc, A = encrypt_limbs(m, sk, ScriptedSource([chunk], 0))
+        enc, A = encrypt_joined(m, sk, ScriptedSource([chunk], 0))
         assert sk._digits[0] == 10
         dense = A @ ModMatrix.column(sk.entries(), q) + enc.error
         assert enc.mask != dense
 
 
 class TestKeyProducts:
-    """`SecretKey.products` against the Python-int product on the lazy
-    limbs of recovery, where the float64 budget is full (N = 4096:
-    N 2^32 2^9 = 2^53) and one bit below it (N = 4097, 8-bit key
-    digits)."""
+    """`SecretKey.products` against the Python-int product on uint64 words,
+    where the float64 budget is full (N = 4096: N 2^32 2^9 = 2^53) and one
+    bit below it (N = 4097, 8-bit key digits)."""
 
-    W = 42      # the benchmark observer's limb width
-    TOP = 2 ** 63 - 2 ** W      # the kernel's lazy bound
+    TOP = 2 ** 64 - 1       # all ones: every 32-bit half 2^32 - 1
 
     @classmethod
-    def _limbs(cls, kind, N, rows=2, L=3):
-        if kind == "top":
-            return np.full((L, rows, N), cls.TOP, dtype=np.int64)
-        if kind == "bottom":
-            return np.full((L, rows, N), -2 ** 63, dtype=np.int64)
+    def _words(cls, kind, N, rows=2, nw=2):
+        if kind in ("top", "bottom"):   # the ends of the word range
+            return np.full((rows, N, nw), cls.TOP if kind == "top" else 0,
+                           dtype=np.uint64)
         if kind == "odd":
             # every low half 2^32 - 1 but the first 2^32 - 2: the largest
             # low-half sums, odd, so a rounded float64 sum cannot equal them
-            limbs = np.full((L, rows, N), cls.TOP - 1, dtype=np.int64)
-            limbs[:, :, 0] -= 1
-            return limbs
-        mixed = np.where(np.arange(L * rows * N) % 3, cls.TOP, -2 ** 63)
-        return mixed.reshape(L, rows, N).astype(np.int64)
+            words = np.full((rows, N, nw), cls.TOP, dtype=np.uint64)
+            words[:, 0] -= np.uint64(1)
+            return words
+        mixed = np.where(np.arange(rows * N * nw) % 3, cls.TOP, 0)
+        return mixed.reshape(rows, N, nw).astype(np.uint64)
 
-    def _expect(self, limbs, sk):
-        return [sum(a * k for a, k in zip(
-            join_limbs(limbs[:, i], self.W), sk.entries()))
-            for i in range(limbs.shape[1])]
+    @staticmethod
+    def _expect(words, sk):
+        return [sum(map(operator.mul, row, sk.entries()))
+                for row in joined(words)]
 
     @pytest.mark.parametrize("N", [4096, 4097])
     @pytest.mark.parametrize("kind", ["top", "bottom", "mixed", "odd"])
@@ -293,8 +301,8 @@ class TestKeyProducts:
     def test_equals_the_python_int_product(self, N, kind, sign):
         q = Q109
         sk = SecretKey([sign * (q.q - 1) // 2] * N, q)
-        limbs = self._limbs(kind, N)
-        assert sk.products(limbs, self.W) == self._expect(limbs, sk)
+        words = self._words(kind, N)
+        assert sk.products(words) == self._expect(words, sk)
         dk, key = sk._digits
         assert dk == (9 if N == 4096 else 8)
         assert key.shape == (N, 13 if N == 4096 else 14)
@@ -308,14 +316,14 @@ class TestKeyProducts:
         N = 4096
         assert 1023 * (N * (2 ** 32 - 1) - 1) > 2 ** 53
         sk = SecretKey([(Q109.q - 1) // 2] * N, Q109)
-        limbs = self._limbs("odd", N)
-        assert sk.products(limbs, self.W) != self._expect(limbs, sk)
+        words = self._words("odd", N)
+        assert sk.products(words) != self._expect(words, sk)
         assert sk._digits[0] == 10
 
     @pytest.mark.parametrize("N", [64, 1024, 4096, 4097])
     def test_plane_products_per_limb(self, N):
-        # both 32-bit halves of a limb against every key digit, in one
-        # float64 product
+        # both 32-bit halves of a word, the sampler's 64-bit limb, against
+        # every key digit, in one float64 product
         sk = SecretKey([1] * N, Q109)
         dk, key = sk._key_digits()
         assert dk == digit_budget(N, 53) - 32
@@ -323,18 +331,27 @@ class TestKeyProducts:
         assert 2 * key.shape[1] == {64: 16, 1024: 20, 4096: 26,
                                     4097: 28}[N]
 
+    @pytest.mark.parametrize("q", [Q97, QBIG, Q109])
+    def test_one_word_per_64_bits(self, q):
+        # a 109-bit q takes two words per value, so a 6-row batch at
+        # N = 4096 is one 24-row float64 product
+        words = SeededRng(25).uniform_words(q, 6, 64)
+        assert words.shape == (6, 64, -(-q.q.bit_length() // 64))
+        sk = keygen(64, q, SeededRng(26))
+        assert sk.products(words) == self._expect(words, sk)
+
     def test_no_rows(self):
         sk = SecretKey([1] * 8, Q109)
-        assert sk.products(np.zeros((3, 0, 8), dtype=np.int64), self.W) == []
+        assert sk.products(np.zeros((0, 8, 2), dtype=np.uint64)) == []
 
     def test_key_past_the_float_budget_refused(self):
         # N = 2^20 leaves 1-bit key digits and N = 2^20 + 1 none
         assert digit_budget(lwe.MAX_N, 53) - 32 == 1
         assert digit_budget(lwe.MAX_N + 1, 53) - 32 == 0
         sk = SecretKey([1] * (lwe.MAX_N + 1), Q109)
-        limbs = np.zeros((1, 1, lwe.MAX_N + 1), dtype=np.int64)
+        words = np.zeros((1, lwe.MAX_N + 1, 2), dtype=np.uint64)
         with pytest.raises(LweError, match=f"N <= {2 ** 20}"):
-            sk.products(limbs, self.W)
+            sk.products(words)
         assert sk._digits is None
 
 
@@ -382,7 +399,7 @@ class TestEncryptDecrypt:
 
     def test_worked_example(self):
         sk = SecretKey([3], Q97)
-        enc, A = encrypt_limbs(ModMatrix.column([5], Q97), sk,
+        enc, A = encrypt_joined(ModMatrix.column([5], Q97), sk,
                                StubRng([10], error_value=1))
         assert A.rows == ((10,),)
         assert enc.mask.column_entries() == (31,)
@@ -403,7 +420,7 @@ class TestEncryptDecrypt:
         # the mask and the recovery both take A sk from `products`
         sk = keygen(6, Q97, SeededRng(0))
         with pytest.raises(DimensionMismatch):
-            sk.products(np.zeros((1, 1, 4), dtype=np.int64), 42)
+            sk.products(np.zeros((1, 4, 1), dtype=np.uint64))
 
 
 class TestModifiedDecrypt:
@@ -449,8 +466,7 @@ class TestSerialization:
     def test_zeroize(self):
         sk = keygen(4, Q97, SeededRng(16))
         m = ModMatrix.column([1], Q97)
-        limbs = np.zeros((1, 1, 4), dtype=np.int64)
-        encrypt_with_artifacts(m, sk, NOISE, SeededRng(17), limbs, 42)
+        words = encrypt_with_artifacts(m, sk, NOISE, SeededRng(17)).randomness
         _, digits = sk._digits
         assert digits.any()
         sk.zeroize()
@@ -462,9 +478,9 @@ class TestSerialization:
         with pytest.raises(LweError):
             sk.to_bytes()
         with pytest.raises(LweError):
-            encrypt_with_artifacts(m, sk, NOISE, SeededRng(17), limbs, 42)
+            encrypt_with_artifacts(m, sk, NOISE, SeededRng(17))
         with pytest.raises(LweError):
-            sk.products(limbs, 42)
+            sk.products(words)
 
     def test_bad_magic_rejected(self):
         with pytest.raises(LweError):
