@@ -338,7 +338,10 @@ def main(argv=None) -> int:
     p_bench.add_argument("--dims", default="64,1024,4096")
     p_bench.add_argument("--steps", type=int, default=5)
     p_bench.set_defaults(fn=cmd_bench)
-    for sp in (p_sim, p_ver, p_bench):
+    p_sim.add_argument("--seed", type=int, default=None,
+                       help="encrypt under the insecure, seeded TestRng "
+                            "for a reproducible run (default: SecureRng)")
+    for sp in (p_ver, p_bench):
         sp.add_argument("--seed", type=int, default=0)
 
     args = parser.parse_args(argv)

@@ -563,10 +563,15 @@ def step_encrypted(state: EncObserverState, batch: EncryptedBatch,
     recursion applied to the `[first | cancels]` limbs of the state and
     the batch.  The batch must be the one after the state's step (a
     missed, repeated or reordered batch is refused), and it joins the
-    state's window, which keeps the last `public.depth` batches."""
+    state's window, which keeps the last `public.depth` batches.  A batch
+    with a shared block must have the public's LWE dimension; one without
+    (N = 0, as f2 writes them from first columns) holds no A to differ."""
     if (batch.n_channels, batch.N) != (state.n_channels, state.N):
         raise EncObsError("channel counts or widths differ between state "
                           "and batch")
+    if batch.N and batch.N != public.N:
+        raise EncObsError(f"batch of LWE dimension {batch.N} stepped "
+                          f"through an observer of dimension {public.N}")
     if batch.t != state.t + 1:
         raise EncObsError(f"batch {batch.t} does not follow step {state.t}")
     kernel = public.kernel

@@ -10,24 +10,31 @@ only in recovery (`encobs.recover_encrypted_state`), from each batch's
 A sk mod q, held by the key that encrypted the batch and computed once by
 any other key, and replays them through the recursion to S_t sk.
 
-Randomness comes from an injected source: `SecureRng` (system entropy, the
-default) or the seedable `TestRng` for reproducible runs; the latter is
-explicitly not for production use.  Uniform vectors are drawn in bulk from
-the source's `randbytes` (`os.urandom` under `SecureRng`), at most 4096
-values per request: each value takes ceil(bits / 8) bytes masked to the
-bit length of q, and values >= q, found by a compare on the masked 64-bit
-words, are rejected and redrawn, so every entry is exactly uniform on Z_q.
-The survivors stay in those little-endian uint64 words
-(`_RandomSource.uniform_words`), nw = ceil(bits / 64) per value; `uniforms`
-joins and centres the same draw into Python ints.
+Randomness comes from an injected source: `SecureRng` (the default) or
+the seedable `TestRng` for reproducible runs; the latter is explicitly not
+for production use.  Uniform vectors are drawn in bulk from the source's
+`randbytes`, at most 4096 values per request: each value takes
+ceil(bits / 8) bytes masked to the bit length of q, and values >= q, found
+by a compare on the masked 64-bit words, are rejected and redrawn, so every
+entry is exactly uniform on Z_q.  The survivors stay in those
+little-endian uint64 words (`_RandomSource.uniform_words`),
+nw = ceil(bits / 64) per value; `uniforms` joins and centres the same draw
+into Python ints.  Under `SecureRng` the bytes come from OpenSSL's NIST
+SP 800-90A CTR_DRBG (`ssl.RAND_bytes`, AES-256, seeded and reseeded by
+OpenSSL from system entropy), about 13 times faster than `os.urandom` for
+a step's 344 KB at N = 4096; the errors still come from
+`random.SystemRandom`.  `ssl` is imported only when a `SecureRng` is
+built, since loading it adds about 5 MB of resident memory that processes
+using only `TestRng` need not pay.
 
 Encryption keeps the randomness A as those words, read-only: the cloud
 never reads A, so it is never cut into the observer's limbs.  The mask
-A sk is one float64 matrix product (`SecretKey.products`): the words'
+A sk is a float64 matrix product (`SecretKey.products`): the words'
 32-bit halves, all in [0, 2^32), against the key's signed dk-bit digits,
 with N 2^32 2^dk <= 2^53, so every partial sum is an integer that float64
-holds exactly, whatever order BLAS sums in.  At N = 4096 that is dk = 9,
-with 13 key digits, and a 6-row A of 109-bit values is 24 rows of halves.
+holds exactly, whatever order or blocking BLAS sums in.  At N = 4096 that
+is dk = 9, with 13 key digits, and a 6-row A of 109-bit values is 24 rows
+of halves, taken in row blocks of A of at most `_PRODUCT_BLOCK` halves.
 The key's digits are cut once per key; keys longer than `MAX_N` = 2^20
 leave no digit bit and are refused.  The key caches each batch's A sk mod
 q, held weakly by batch (`cached_products`): b - e for a batch it
@@ -112,6 +119,13 @@ class NoiseParams:
 # leaves key digits of dk >= 1 bit
 MAX_N = 2 ** 20
 _UNIFORM_CHUNK = 4096
+# float64 halves per row block of a key product, 384 KB: 3 rows of 109-bit
+# values at N = 4096, a whole 24-row batch at N = 64.  A 24-row batch at
+# N = 4096 then never holds its 3 MB of halves at once, and in a timeit of
+# 6- and 24-row products there (2-vCPU x86-64, OpenBLAS default threads)
+# 3-row blocks had the lowest p99 and a median no higher than whole
+# batches, whose p99 reached 2.6 and 4.1 ms
+_PRODUCT_BLOCK = 3 * 4 * 4096
 
 
 class _RandomSource:
@@ -168,10 +182,18 @@ class _RandomSource:
 
 
 class SecureRng(_RandomSource):
-    """Cryptographically seeded randomness (system entropy)."""
+    """Production randomness: uniform bytes from OpenSSL's CTR_DRBG
+    (`ssl.RAND_bytes`), errors from `random.SystemRandom`.
+
+    `ssl` is imported here, not with the module: loading libssl adds about
+    5 MB of resident memory, which processes that only build `TestRng`
+    must not pay."""
 
     def __init__(self):
-        super().__init__(random.SystemRandom())
+        import ssl
+        rng = random.SystemRandom()
+        rng.randbytes = ssl.RAND_bytes
+        super().__init__(rng)
 
 
 class TestRng(_RandomSource):
@@ -312,20 +334,24 @@ class SecretKey:
         `_RandomSource.uniform_words` draws them.
 
         The words' 32-bit halves, read through a `<u4` view and all in
-        [0, 2^32), meet the key's digits in one float64 product of
-        2 nw rows per row of A.  Each of its sums has N terms below
-        2^32 2^dk in absolute value, so every partial sum is an integer
-        below 2^53 and the product is exact for any summation order or
-        thread split; only the sums are joined as Python ints.
+        [0, 2^32), meet the key's digits in float64 products of 2 nw rows
+        per row of A, one per row block of at most `_PRODUCT_BLOCK`
+        halves.  Each of their sums has N terms below 2^32 2^dk in
+        absolute value, so every partial sum is an integer below 2^53 and
+        the product is exact for any summation order, blocking or thread
+        split; only the sums are joined as Python ints.
         """
         dk, key = self._key_digits()
         rows, N, nw = words.shape
         if N != key.shape[0]:
             raise DimensionMismatch("matrix and key disagree on N")
-        halves = words.view("<u4").transpose(2, 0, 1).astype(np.float64,
-                                                             order="C")
-        sums = (halves.reshape(-1, N) @ key).astype(np.int64).reshape(
-            nw, 2, rows, key.shape[1])
+        sums = np.empty((nw, 2, rows, key.shape[1]), dtype=np.int64)
+        block = max(1, _PRODUCT_BLOCK // (2 * nw * N))
+        for r in range(0, rows, block):
+            halves = words[r:r + block].view("<u4").transpose(2, 0, 1).astype(
+                np.float64, order="C")
+            sums[:, :, r:r + block] = (halves.reshape(-1, N) @ key).reshape(
+                nw, 2, -1, key.shape[1])
         return join_digit_sums(sums.transpose(2, 1, 0, 3), 64, dk)
 
     def cached_products(self, owner, words: np.ndarray) -> Tuple[int, ...]:

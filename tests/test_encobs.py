@@ -258,10 +258,11 @@ class TestModifiedCompatibility:
                 assert last_column(channel(batches[t], j)) == expect
 
 
-def bare_public(q, sizes, Gbar, Hbar):
+def bare_public(q, sizes, Gbar, Hbar, N=0):
     """An ObserverPublic with no channel maps: enough for
-    `residue_first_column`."""
-    return ObserverPublic(q=q, N=0, block_sizes=tuple(sizes), Gbar=Gbar,
+    `residue_first_column`, and for `step_encrypted` on batches of LWE
+    dimension N."""
+    return ObserverPublic(q=q, N=N, block_sizes=tuple(sizes), Gbar=Gbar,
                           Hbar=Hbar, channels=())
 
 
@@ -446,6 +447,14 @@ class TestEncryptedObserver:
         with pytest.raises(encobs.EncObsError):
             step_encrypted(bench_enc.states[0], narrow, public64)
 
+    def test_batch_of_another_dimension_refused(self, public64):
+        # state and batch agree on N = 4096; the observer is built for 64
+        state = EncObserverState.from_initial(
+            zero_batch(public64, 24, N=4096))
+        with pytest.raises(encobs.EncObsError, match="dimension 4096"):
+            step_encrypted(state, zero_batch(public64, 6, N=4096, t=1),
+                           public64)
+
     def test_limbs_of_another_observer_refused(self, public64, bench_enc):
         # the same bank over 2^107 - 1 has the same limb width and count,
         # so only the kernel's modulus tells its batches and states apart
@@ -553,30 +562,32 @@ class TestDisclosureAndRecovery:
                 assert recover_encrypted_state(state, j, sk, params,
                                                phi) == expect
 
-    def test_recovery_exact_at_the_digit_bound(self, bench_setup, public64):
+    def test_recovery_exact_at_the_digit_bound(self, bench_setup):
         # every ciphertext and key entry at (q-1)/2 drives the word products
-        # of the recovery to large sums
-        params = bench_setup.params
-        q, N = params.q, 4096
+        # of the recovery to large sums; the 24-row initial batch spans
+        # several product row blocks
+        params = dataclasses.replace(bench_setup.params, N=4096)
+        q, N = params.q, params.N
         top = (q.q - 1) // 2
         phi = bench_setup.mod_maps.PhiPinvBar
+        public = ObserverPublic.build(bench_setup.mod_maps, params)
 
         def batch(nrows, t):
             return EncryptedBatch._write(((top,) * (N + 1),) * nrows,
                                          ((top,) * nrows,) * 60,
-                                         public64.kernel, t)
+                                         public.kernel, t)
 
         sk = SecretKey([top] * N, q)
         state = EncObserverState.from_initial(batch(24, 0))
         for t in range(3):
             for j in (0, 59):
-                scaled = phi @ decrypt_channel_state(state, public64, j, sk)
+                scaled = phi @ decrypt_channel_state(state, public, j, sk)
                 expect = ModMatrix.column(
                     [q.cmod((2 * v + params.lift) // (2 * params.lift))
                      for v in scaled.column_entries()], q)
                 assert recover_encrypted_state(state, j, sk, params,
                                                phi) == expect
-            state = step_encrypted(state, batch(6, t + 1), public64)
+            state = step_encrypted(state, batch(6, t + 1), public)
 
     def test_key_of_another_modulus_rejected_typed(self, bench_setup,
                                                    bench_enc):
@@ -750,7 +761,8 @@ class TestWindowRecovery:
         rng = random.Random(repr(sizes))
         l, depth = sum(sizes), max(sizes)
         Gbar = uneven_gain(q, sizes, rng)
-        public = bare_public(q, sizes, Gbar, ModMatrix.identity(l, q).row(0))
+        public = bare_public(q, sizes, Gbar, ModMatrix.identity(l, q).row(0),
+                             N=16)
 
         def batch(nrows, t):
             rows = [tuple(q.cmod(rng.randrange(q.q)) for _ in range(17))

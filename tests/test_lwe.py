@@ -1,5 +1,9 @@
 import operator
+import os
 import random
+import ssl
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -199,16 +203,35 @@ class TestUniforms:
         assert [a.error(NOISE) for _ in range(10)] == \
             [b.error(NOISE) for _ in range(10)]
 
-    def test_secure_rng_reads_os_urandom(self, monkeypatch):
+    def test_secure_rng_reads_openssl_drbg(self, monkeypatch):
         calls = []
 
-        def fake_urandom(n):
+        def fake_rand_bytes(n):
             calls.append(n)
             return bytes(n)
 
-        monkeypatch.setattr(random, "_urandom", fake_urandom)
+        monkeypatch.setattr(ssl, "RAND_bytes", fake_rand_bytes)
         assert SecureRng().uniforms(QBIG, 5000) == [0] * 5000
         assert calls == [4096 * 8, 904 * 8]
+
+    def test_test_rng_runs_never_import_ssl(self):
+        # libssl costs about 5 MB of resident memory, so only a SecureRng
+        # loads it
+        code = ("import sys; import cipherobs\n"
+                "from cipherobs.lwe import NoiseParams, TestRng, keygen, "
+                "encrypt_with_artifacts\n"
+                "from cipherobs.modring import ModMatrix, Modulus\n"
+                "q = Modulus(2 ** 109 - 31); rng = TestRng(1)\n"
+                "encrypt_with_artifacts(ModMatrix.column([5], q), "
+                "keygen(64, q, rng), NoiseParams(19.2), rng)\n"
+                "assert 'ssl' not in sys.modules, 'ssl imported'\n"
+                "from cipherobs.lwe import SecureRng; SecureRng()\n"
+                "assert 'ssl' in sys.modules\n")
+        src = os.path.dirname(os.path.dirname(lwe.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                       timeout=60)
 
     @settings(max_examples=30, deadline=None)
     @given(q=st.sampled_from([Q97, QBIG, Q109]),
@@ -306,6 +329,17 @@ class TestKeyProducts:
         dk, key = sk._digits
         assert dk == (9 if N == 4096 else 8)
         assert key.shape == (N, 13 if N == 4096 else 14)
+
+    @pytest.mark.parametrize("N", [4096, 4097])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 24])
+    def test_row_blocks_on_and_across_an_edge(self, N, rows):
+        # distinct rows, so a row written into the wrong block shows; a
+        # block is 3 rows of 109-bit values at N = 4096 and 2 at N = 4097,
+        # so 2 to 4 rows end on a block edge or one row past it
+        assert lwe._PRODUCT_BLOCK // (4 * N) == (3 if N == 4096 else 2)
+        sk = SecretKey([(Q109.q - 1) // 2] * N, Q109)
+        words = SeededRng(N + rows).uniform_words(Q109, rows, N)
+        assert sk.products(words) == self._expect(words, sk)
 
     def test_one_more_key_digit_bit_overflows(self, monkeypatch):
         # 10-bit key digits at N = 4096: the odd low-half sums against the
