@@ -10,8 +10,9 @@ the standard one with its first column split as
 that difference.
 
 The observer is one recursion, `Z' = Fbar Z + Gbar V`, held once as a
-`BlockGain`: Fbar's block starts and Gbar's nonzero row spans inside each
-block.  `observer_update` steps it on the int64 limbs of `LimbKernel`.
+`BlockGain`: Fbar's block starts and Gbar as one dense int64 array.
+`observer_update` steps it on the int64 limbs of `LimbKernel`, one shift
+and one `G @ V` per step.
 Each batch holds the limbs of `[first | cancels]` (the standard
 ciphertext's first column, then every channel's cancel column) beside the
 randomness block A, kept as the sampler's uint64 words.  The observer
@@ -24,9 +25,10 @@ A sk to S_t sk.  A batch's step index refuses a missed, repeated or
 reordered batch.
 The cancellation (`ObserverPublic.cancel_initial` and `cancel_step`) steps
 `[m | cancels]`, the same narrow layout, through the same recursion, and
-after step 0 cancels channel j with one scalar at one row.  It and the
-residue take their per-channel dot products from `_first_column_dots`.  One
-decryption, first - S_t sk, serves every channel.
+after step 0 cancels channel j with one scalar c_j at one row k_j, which it
+steps as one outer product, G[:, k_j] times c_j.  It and the residue take
+their per-channel dot products from `_first_column_dots`.  One decryption,
+first - S_t sk, serves every channel.
 
 Python ints appear only when View 2 reads a batch, for the cancellation's
 scalars, in the residue's sums, and in recovery.  The residue is summed
@@ -49,7 +51,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from math import gcd
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
@@ -107,54 +108,32 @@ def observer_update(Z: np.ndarray, V: np.ndarray,
     column runs the same recursion, so one call steps every channel.
     """
     if (Z.shape[0] != V.shape[0] or Z.shape[2] != V.shape[2]
-            or gain.shape != (Z.shape[1], V.shape[1])):
+            or gain.G.shape != (Z.shape[1], V.shape[1])):
         raise EncObsError("dimension mismatch in observer update")
     out = gain.shift(Z)
-    gain.add_product(out, V)
+    out += gain.G @ V
     return out
 
 
 @dataclass(frozen=True, eq=False)
 class BlockGain:
-    """Z' = Fbar Z + Gbar V: Fbar as its block starts, Gbar as the nonzero
-    row spans of its columns inside each block.
+    """Z' = Fbar Z + Gbar V: Fbar as its block starts, Gbar as one dense
+    read-only (l, h) int64 array `G`.
 
-    In the observer bank each partial observer is driven by the inputs and
-    its own sensor only, so most of Gbar is zero (48 of 144 entries on the
-    benchmark).  For each block and each column k with a nonzero row in
-    it, a term (k, a, c, coef) holds the span [a, c) from the block's first
-    to its last nonzero row in column k and its int64 entries as a
-    (1, c - a, 1) array: 10 terms on the benchmark, Phi B's column in each
-    of the 5 blocks and each sensor's column of L_gain in its own.
-    Cutting the spans at the blocks also keeps every temporary of
-    `add_product` at most one block high.  `add_product` sums the same
-    integers as a dense product with the zero products skipped, so every
-    partial sum is bounded by the sum of its terms' absolute values.
+    Every product it takes is narrow, 1 + n_ch columns in the cloud and
+    1 column for the encryptor's message, so one `G @ V` per step costs
+    less than a pass over Gbar's nonzero spans, though most of Gbar is zero
+    (48 of 144 entries on the benchmark).  `LimbKernel` bounds its sums.
     """
 
-    shape: Tuple[int, int]
     starts: Tuple[int, ...]
-    terms: Tuple[Tuple[int, int, int, np.ndarray], ...]
+    G: np.ndarray
 
     @classmethod
     def build(cls, block_sizes: Sequence[int], Gbar: ModMatrix) -> "BlockGain":
-        starts = tuple(accumulate(block_sizes, initial=0))[:-1]
-        terms = []
-        for o, li in zip(starts, block_sizes):
-            for k in range(Gbar.ncols):
-                nonzero = [i for i in range(o, o + li) if Gbar.rows[i][k]]
-                if nonzero:
-                    a, c = nonzero[0], nonzero[-1] + 1
-                    coef = np.array([Gbar.rows[i][k] for i in range(a, c)],
-                                    dtype=np.int64).reshape(1, -1, 1)
-                    terms.append((k, a, c, coef))
-        return cls(shape=Gbar.shape, starts=starts, terms=tuple(terms))
-
-    def columns(self, ks) -> "BlockGain":
-        """The terms of the columns `ks` only: the same product for a V
-        that is zero in every other row."""
-        return BlockGain(self.shape, self.starts,
-                         tuple(t for t in self.terms if t[0] in ks))
+        G = np.array(Gbar.rows, dtype=np.int64).reshape(Gbar.shape)
+        G.setflags(write=False)
+        return cls(starts=tuple(accumulate(block_sizes, initial=0))[:-1], G=G)
 
     def shift(self, Z: np.ndarray) -> np.ndarray:
         """Fbar Z on a limb stack (L, l, w), as a new stack."""
@@ -163,16 +142,12 @@ class BlockGain:
         out[:, list(self.starts)] = 0
         return out
 
-    def add_product(self, out: np.ndarray, V: np.ndarray):
-        """out += Gbar V in place, on limb stacks (L, l, w) and (L, h, w)."""
-        for k, a, c, coef in self.terms:
-            out[:, a:c] += coef * V[:, k:k + 1]
-
     @cached_property
     def _entries(self) -> Tuple[Tuple[int, int, int], ...]:
-        """The terms' nonzero entries as (row, column, coefficient)."""
-        return tuple((a + i, k, g) for k, a, _, coef in self.terms
-                     for i, g in enumerate(coef.ravel().tolist()) if g)
+        """G's nonzero entries as (row, column, coefficient)."""
+        rows, cols = np.nonzero(self.G)
+        return tuple(zip(rows.tolist(), cols.tolist(),
+                         self.G[rows, cols].tolist()))
 
     def step_ints(self, z: Sequence[int], v: Sequence[int]) -> List[int]:
         """Fbar z + Gbar v for columns of Python ints, not reduced."""
@@ -195,8 +170,11 @@ class LimbKernel:
     within (b_max ||Gbar||_inf + 1) 2^W for any number of steps.  W is the
     largest width that keeps this bound under 2^63, so the recursion never
     carries between limbs or reduces; values are reduced mod q only when
-    joined.  This holds for every q, and for the block terms of `gain` in
-    any order.
+    joined.  This holds for every q.  numpy's int64 `G @ V` sums in its own
+    loop, not BLAS, and wraps silently, so its partial sums need the bound
+    too: each is bounded by the sum of its terms' absolute values, at most
+    ||Gbar||_inf 2^W, in any summation order, and so is each entry of the
+    cancellation's outer product (`ObserverPublic.cancel_step`).
     """
 
     q: Modulus
@@ -300,14 +278,13 @@ class ObserverPublic:
     @cached_property
     def _chain_ends(self):
         """`_row_digits` of the rows R_j = H_j F^(nu_j - 1), the last rows
-        of the T2_j, every channel's k_j and s_j, and the gain's terms of
-        the columns k_j, the only rows where a cancel block is nonzero."""
+        of the T2_j, every channel's k_j and s_j, and the (l, n_ch) gain
+        columns G[:, k_j]: a cancel block is nonzero only at rows k_j."""
         R = ModMatrix(tuple(m.T2.rows[-1] for m in self.channels), self.q,
                       ncols=self.Gbar.nrows, _reduced=True)
-        ks = [m.k for m in self.channels]
-        return (_row_digits(R), np.array(ks),
-                tuple(m.s for m in self.channels),
-                self.kernel.gain.columns(set(ks)))
+        ks = np.array([m.k for m in self.channels], dtype=np.intp)
+        return (_row_digits(R), ks, tuple(m.s for m in self.channels),
+                self.kernel.gain.G[:, ks])
 
     def cancel_initial(self, x: ModMatrix, known=None):
         """Every channel's initial cancellation of the column x.
@@ -341,23 +318,23 @@ class ObserverPublic:
         tilde_j = R_j (m' - cancel_j') - known_j, and channel j
         cancels c_j = s_j tilde_j at row k_j.  Returns (block, state'): the
         (L, h, n_ch) limbs of the columns c_j e_k_j, and the state with
-        `Gbar @ block` added to its cancel columns, on the gain's terms of
-        the columns k_j alone.
+        `Gbar @ block` added to its cancel columns as one outer product,
+        G[:, k_j] times the limbs of c_j.
         """
         kernel, n_ch = self.kernel, self.n_channels
         if x.nrows != self.Gbar.ncols:
             raise EncObsError("dimension mismatch in cancellation step")
         (e, planes), ks, ss, cancel_gain = self._chain_ends
         body = kernel.gain.shift(state)
-        kernel.gain.add_product(body[:, :, :1], kernel.split(x.rows))
+        body[:, :, :1] += kernel.gain.G @ kernel.split(x.rows)
         dots = _first_column_dots(body[:, :, 0], body[:, :, 1:],
                                   kernel.width, e, planes)
+        c = split_limbs([self.q.cmod(s * (a - b))
+                         for s, a, b in zip(ss, dots, known or (0,) * n_ch)],
+                        kernel.width, kernel.count)
+        body[:, :, 1:] += cancel_gain * c[:, None, :]
         block = np.zeros((kernel.count, x.nrows, n_ch), dtype=np.int64)
-        block[:, ks, np.arange(n_ch)] = split_limbs(
-            [self.q.cmod(s * (a - b))
-             for s, a, b in zip(ss, dots, known or (0,) * n_ch)],
-            kernel.width, kernel.count)
-        cancel_gain.add_product(body[:, :, 1:], block)
+        block[:, ks, np.arange(n_ch)] = c
         return block, body
 
 
@@ -493,8 +470,7 @@ class EncryptorSession:
             np.concatenate([kernel.split(enc.first.rows), block], axis=2),
             enc.randomness, kernel, self.t + 1)
         self.t = batch.t
-        # A sk mod q = b - e, the key's cache entry for the batch
-        self.sk._owned_products[batch] = (enc.mask - enc.error).flat()
+        self.sk._owned_products[batch] = enc.key_product
         return batch
 
     def enc_initial(self, zbar_ini: ModMatrix) -> EncryptedBatch:
@@ -606,14 +582,13 @@ def residue_first_column(state: EncObserverState,
 
 
 def disclose_residue(r1: ModMatrix, params: QuantParams) -> ModMatrix:
-    """Recover the plaintext residue by multiplying with lift^-1 mod q."""
-    q = params.q
-    if r1.modulus != q:
+    """Recover the plaintext residue by multiplying with lift^-1 mod q,
+    which `params` computes once."""
+    if r1.modulus != params.q:
         raise ModulusMismatch("residue and parameters disagree on q")
-    if gcd(params.lift, q.q) != 1:
+    if params.lift_inverse is None:
         raise EncObsError("lift shares a factor with the modulus")
-    inv = q.inv(params.lift)
-    return r1.scale(inv)
+    return r1.scale(params.lift_inverse)
 
 
 def _shared_key_product(state: EncObserverState, sk: SecretKey) -> List[int]:
@@ -627,7 +602,7 @@ def _shared_key_product(state: EncObserverState, sk: SecretKey) -> List[int]:
     if len(products) == state.t + 1:    # A_0 is still in the window
         shared, products = list(products[0]), products[1:]
     else:
-        shared = [0] * kernel.gain.shape[0]
+        shared = [0] * len(kernel.gain.G)
     for a in products:
         shared = kernel.gain.step_ints(shared, a)
     return shared

@@ -12,20 +12,17 @@ any other key, and replays them through the recursion to S_t sk.
 
 Randomness comes from an injected source: `SecureRng` (the default) or
 the seedable `TestRng` for reproducible runs; the latter is explicitly not
-for production use.  Uniform vectors are drawn in bulk from the source's
-`randbytes`, at most 4096 values per request: each value takes
-ceil(bits / 8) bytes masked to the bit length of q, and values >= q, found
-by a compare on the masked 64-bit words, are rejected and redrawn, so every
-entry is exactly uniform on Z_q.  The survivors stay in those
-little-endian uint64 words (`_RandomSource.uniform_words`),
-nw = ceil(bits / 64) per value; `uniforms` joins and centres the same draw
-into Python ints.  Under `SecureRng` the bytes come from OpenSSL's NIST
-SP 800-90A CTR_DRBG (`ssl.RAND_bytes`, AES-256, seeded and reseeded by
-OpenSSL from system entropy), about 13 times faster than `os.urandom` for
-a step's 344 KB at N = 4096; the errors still come from
-`random.SystemRandom`.  `ssl` is imported only when a `SecureRng` is
-built, since loading it adds about 5 MB of resident memory that processes
-using only `TestRng` need not pay.
+for production use.  Uniform vectors come from a rejection sampler on the
+source's `randbytes` (`_RandomSource.uniform_words`): at most 4096 values
+per request, cut in groups of at most 4096 values (all 6 rows of a step at
+N = 64, one row per group at N = 4096), each rejected value redrawn after
+its group's requests, so every entry is exactly uniform on Z_q and a draw
+without a rejection does not depend on the grouping.  The survivors stay
+in little-endian uint64 words, nw = ceil(bits / 64) per value; `uniforms`
+joins and centres the same draw into Python ints.  Under `SecureRng` the
+bytes come from OpenSSL's CTR_DRBG (`ssl.RAND_bytes`), about 13 times
+faster than `os.urandom` for a step's 344 KB at N = 4096, and the errors
+from `random.SystemRandom`.
 
 Encryption keeps the randomness A as those words, read-only: the cloud
 never reads A, so it is never cut into the observer's limbs.  The mask
@@ -37,9 +34,9 @@ is dk = 9, with 13 key digits, and a 6-row A of 109-bit values is 24 rows
 of halves, taken in row blocks of A of at most `_PRODUCT_BLOCK` halves.
 The key's digits are cut once per key; keys longer than `MAX_N` = 2^20
 leave no digit bit and are refused.  The key caches each batch's A sk mod
-q, held weakly by batch (`cached_products`): b - e for a batch it
-encrypted, one product otherwise; `zeroize` wipes the digits and empties
-that cache.
+q, held weakly by batch (`cached_products`): the encryption's own for a
+batch it encrypted, one product otherwise; `zeroize` wipes the digits and
+empties that cache.
 
 Keys and ciphertexts serialize as a magic, a header list and a payload
 list.  An integer list is a uint32 count, then per value a sign byte, a
@@ -61,13 +58,14 @@ import enum
 import random
 import struct
 import weakref
+from collections import deque
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .modring import DimensionMismatch, ModMatrix, Modulus, PrimalityError, \
-    bytes_to_words, digit_budget, fixed_digits, join_digit_sums, join_limbs
+    digit_budget, fixed_digits, join_digit_sums, join_limbs
 
 __all__ = [
     "MAX_N",
@@ -139,32 +137,49 @@ class _RandomSource:
         as a (rows, count, nw) array of little-endian uint64 words, least
         significant first: the sampler's own words, nw = ceil(bytes / 8).
 
-        Each row is drawn in bulk as masked bytes with rejection (never a
-        biased `% q` of a wide draw), at most 4096 values per request; a
-        value >= q is found by comparing its masked words with q's from the
-        top word down, and the row's next request replaces it.
+        Rows request masked bytes (never a biased `% q` of a wide draw), cut
+        in groups through a strided uint64 view padded at the end: bytes
+        past a value's own fall under the top word's mask.  Each request's
+        values >= q are redrawn by one request of its row, made right after
+        its group's requests.
         """
         bits = q.q.bit_length()
-        stride = (bits + 7) // 8
-        q_words = bytes_to_words(q.q.to_bytes(stride, "little"), stride)[0]
-        top = np.uint64((1 << (bits - 64 * (len(q_words) - 1))) - 1)
-        out = np.empty((rows, count, len(q_words)), dtype=np.uint64)
-        for row in out:
-            filled = 0
-            while filled < count:
-                n = min(count - filled, _UNIFORM_CHUNK)
-                words = bytes_to_words(self._rng.randbytes(n * stride), stride)
-                words[:, -1] &= top
-                below = words[:, -1] < q_words[-1]
-                if not below.all():
-                    # a tie on a word is decided by the words below it
-                    equal = words[:, -1] == q_words[-1]
-                    for k in range(len(q_words) - 2, -1, -1):
-                        below |= equal & (words[:, k] < q_words[k])
-                        equal &= words[:, k] == q_words[k]
-                    words = words[below]
-                row[filled:filled + len(words)] = words
-                filled += len(words)
+        stride, nw = (bits + 7) // 8, (bits + 63) // 64
+        q_words = [np.uint64(q.q >> 64 * k & ~(~0 << 64)) for k in range(nw)]
+        top = np.uint64((1 << (bits - 64 * (nw - 1))) - 1)
+        out = np.empty((rows, count, nw), dtype=np.uint64)
+        filled = [0] * rows
+        queue = deque((r, min(count - s, _UNIFORM_CHUNK)) for r in range(rows)
+                      for s in range(0, count, _UNIFORM_CHUNK))
+        while queue:
+            group, size = [], 0
+            while queue and size + queue[0][1] <= _UNIFORM_CHUNK:
+                group.append(queue.popleft())
+                size += group[-1][1]
+            view = np.ndarray((size, nw), "<u8", b"".join(
+                [self._rng.randbytes(n * stride) for _, n in group]
+                + [bytes(8 * nw - stride)]), strides=(stride, 8))
+            words = np.empty((size, nw), dtype=np.uint64)
+            words[:, :-1] = view[:, :-1]
+            np.bitwise_and(view[:, -1], top, out=words[:, -1])
+            below = None
+            if not (words[:, -1] < q_words[-1]).all():
+                # below q on a word, or equal there and below on the lower
+                below = words[:, 0] < q_words[0]
+                for k in range(1, nw):
+                    below = (words[:, k] < q_words[k]) | (
+                        (words[:, k] == q_words[k]) & below)
+            redraws, o = [], 0
+            for r, n in group:
+                kept = words[o:o + n]
+                if below is not None:
+                    kept = kept[below[o:o + n]]
+                out[r, filled[r]:filled[r] + len(kept)] = kept
+                filled[r] += len(kept)
+                o += n
+                if len(kept) < n:
+                    redraws.append((r, n - len(kept)))
+            queue.extendleft(reversed(redraws))
         return out
 
     def uniforms(self, q: Modulus, count: int) -> list:
@@ -446,18 +461,20 @@ def keygen(N: int, q: Modulus, rng) -> SecretKey:
 class Encryption:
     """A standard encryption [m + b, A] mod q with its artifacts.
 
-    `first` is the column m + b, `mask` is b = A sk + e and `error` is e.
+    `first` is the column m + b, `mask` is b = A sk + e, `error` is e and
+    `key_product` is A sk mod q, centred, the key's cache entry for A.
     `randomness` is A as the sampler drew it: the read-only (h, N, nw)
     uint64 words of `_RandomSource.uniform_words`, values in [0, q).  The
-    mask and error are for the trusted encryptor role that derives the
-    cancellation terms; they must never leave the encrypting process or be
-    serialized alongside the ciphertext.
+    mask, error and key product are for the trusted encryptor role that
+    derives the cancellation terms; they must never leave the encrypting
+    process or be serialized alongside the ciphertext.
     """
 
     first: ModMatrix
     mask: ModMatrix
     error: ModMatrix
     randomness: np.ndarray
+    key_product: Tuple[int, ...]
 
 
 def encrypt_with_artifacts(m: ModMatrix, sk: SecretKey, noise: NoiseParams,
@@ -469,7 +486,10 @@ def encrypt_with_artifacts(m: ModMatrix, sk: SecretKey, noise: NoiseParams,
         raise LweError("message modulus differs from key modulus")
     A = rng.uniform_words(sk.q, m.nrows, sk.N)
     A.setflags(write=False)
-    e = ModMatrix.column([rng.error(noise) for _ in range(m.nrows)], sk.q)
-    b = ModMatrix.column([s + ei for s, (ei,) in zip(sk.products(A), e.rows)],
-                         sk.q)
-    return Encryption(first=m + b, mask=b, error=e, randomness=A)
+    e = [rng.error(noise) for _ in range(m.nrows)]
+    key_product = tuple(map(sk.q.cmod, sk.products(A)))
+    b = [s + ei for s, ei in zip(key_product, e)]
+    return Encryption(
+        first=ModMatrix.column([v + bi for (v,), bi in zip(m.rows, b)], sk.q),
+        mask=ModMatrix.column(b, sk.q), error=ModMatrix.column(e, sk.q),
+        randomness=A, key_product=key_product)

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import gcd
 from operator import mul
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,6 +71,11 @@ class QuantParams:
     def resolution(self) -> float:
         """Plaintext value represented by one integer step: s1^2 * s2."""
         return self.s1 * self.s1 * self.s2
+
+    @cached_property
+    def lift_inverse(self) -> Optional[int]:
+        """lift^-1 mod q, computed once; None if lift shares a factor."""
+        return self.q.inv(self.lift) if gcd(self.lift, self.q.q) == 1 else None
 
 
 @dataclass(frozen=True)
@@ -275,7 +280,7 @@ def validate_params(params: QuantParams,
         lift_bound=chk_lift,
         lift_bound_strict=chk_lift_strict,
         modulus_lift_bound=chk_ql,
-        lift_coprime=gcd(params.lift, params.q.q) == 1,
+        lift_coprime=params.lift_inverse is not None,
         gbar_norm=int(gnorm),
     )
 

@@ -525,6 +525,26 @@ class TestDisclosureAndRecovery:
         v = ModMatrix.column([rng.randrange(q.q) for _ in range(60)], q)
         assert disclose_residue(v.scale(params.lift), params) == v
 
+    def test_disclosure_inverts_lift_once(self, bench_setup, monkeypatch):
+        # the parameters compute lift^-1 on the first disclosure only; a
+        # lift that q divides has no inverse and is refused every time;
+        # a copy of the shared benchmark parameters has no cached inverse
+        params = dataclasses.replace(bench_setup.params)
+        q = params.q
+        calls = []
+        inv = Modulus.inv
+        monkeypatch.setattr(Modulus, "inv",
+                            lambda self, a: calls.append(a) or inv(self, a))
+        r1 = ModMatrix.column([params.lift * 3], q)
+        for _ in range(3):
+            assert disclose_residue(r1, params) == ModMatrix.column([3], q)
+        assert calls == [params.lift]
+        shared = dataclasses.replace(params, lift=5 * q.q)
+        for _ in range(2):
+            with pytest.raises(encobs.EncObsError, match="shares a factor"):
+                disclose_residue(r1, shared)
+        assert calls == [params.lift]
+
     def test_disclosure_exact_all_steps(self, bench_enc, bench_qrun,
                                         bench_setup):
         for t in range(50):
@@ -783,6 +803,48 @@ class TestWindowRecovery:
                 [f - s for (f,), s in zip(first, shared)], q) == dec, t
             assert recover_encrypted_state(state, 0, sk, params, phi) == \
                 rounded_decryption(dec, params, phi), t
+
+    @pytest.mark.parametrize("bank", UNEVEN_BLOCKS + ["benchmark"])
+    def test_encryptor_cancel_columns_equal_the_clouds(self, bench_setup,
+                                                       bank):
+        # the encryptor adds each cancel block as one outer product, the
+        # cloud as part of its dense Gbar product: the cancel columns of
+        # the two states agree limb for limb at every step
+        params = dataclasses.replace(bench_setup.params, N=16)
+        q = params.q
+        rng = random.Random(repr(bank))
+        maps = bench_setup.mod_maps
+        if bank != "benchmark":
+            Gbar, l = uneven_gain(q, bank, rng), sum(bank)
+            rows = []
+            for i in range(l):
+                try:
+                    channel_maps(ModMatrix.identity(l, q).row(i),
+                                 build_fbar(bank, q), Gbar)
+                except RelativeDegreeUndefined:
+                    continue
+                rows.append([int(i == k) for k in range(l)])
+            maps = dataclasses.replace(maps, Gbar=Gbar, block_sizes=bank,
+                                       Hbar=ModMatrix(rows, q))
+        public = ObserverPublic.build(maps, params)
+        assert public.n_channels > 0
+        seeded = SeededRng(len(repr(bank)))
+        session = EncryptorSession(keygen(16, q, seeded), params, public,
+                                   rng=seeded)
+
+        def column(nrows):
+            return ModMatrix.column(
+                [rng.randrange(q.q) for _ in range(nrows)], q)
+
+        state = EncObserverState.from_initial(
+            session.enc_initial(column(maps.Gbar.nrows)))
+        for t in range(30):
+            assert np.array_equal(session.cancel_state[:, :, 1:],
+                                  state.body[:, :, 1:]), t
+            state = step_encrypted(
+                state, session.enc_input(column(maps.Gbar.ncols)), public)
+        assert np.array_equal(session.cancel_state[:, :, 1:],
+                              state.body[:, :, 1:])
 
     @pytest.mark.parametrize("N", [64, 4096])
     def test_encryptor_seeds_the_key_product(self, bench_setup, N):

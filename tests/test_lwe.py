@@ -197,6 +197,28 @@ class TestUniforms:
             assert np.array_equal(words[r],
                                   single.uniform_words(Q109, 1, count)[0])
 
+    def test_grouped_cut_redraws_after_its_group(self):
+        # masked to 7 bits, 97 and up are rejected.  Three rows of 4 make
+        # one group; its rejections are redrawn, row by row, after all
+        # three requests, and those redraws form the next group
+        source = _RandomSource(ScriptedRandom(
+            [bytes([97, 10, 0xff, 5]), bytes([1, 2, 3, 4]),
+             bytes([96, 100, 0x80 | 20, 50]), bytes([98, 11]), bytes([30]),
+             bytes([12])]))
+        words = source.uniform_words(Q97, 3, 4)
+        assert words.shape == (3, 4, 1)
+        assert words[..., 0].tolist() == [[10, 5, 11, 12], [1, 2, 3, 4],
+                                          [96, 20, 50, 30]]
+        assert source._rng.requests == [4, 4, 4, 2, 1, 1]
+        # two rows of 3000 do not fit one group: row 0's redraw comes
+        # before row 1's request, and the two share the next group
+        kept = [i % 97 for i in range(3000)]
+        source = _RandomSource(ScriptedRandom(
+            [bytes([127] + kept[:-1]), bytes([7]), bytes(kept)]))
+        words = source.uniform_words(Q97, 2, 3000)
+        assert source._rng.requests == [3000, 1, 3000]
+        assert words[..., 0].tolist() == [kept[:-1] + [7], kept]
+
     def test_seeded_draws_are_reproducible(self):
         a, b = SeededRng(23), SeededRng(23)
         assert a.uniforms(Q109, 5000) == b.uniforms(Q109, 5000)

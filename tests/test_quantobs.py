@@ -180,66 +180,73 @@ class TestObserverUpdate:
             Z = dense
         assert ModMatrix(kernel.join(limbs), q, ncols=w) == Z
 
-    # (block sizes, Gbar rows, expected terms (k, a, c) in build order)
+    # (block sizes, Gbar rows): zero columns, blocks without a nonzero and
+    # column spans that cross blocks or hold interior zeros
     EDGE_GAINS = {
         "columns in one block each": (
-            (2, 3), [[5, 0], [7, 0], [0, 0], [0, 1], [0, 2]],
-            [(0, 0, 2), (1, 3, 5)]),
-        "zero column": ((1, 2), [[0, 3], [0, 0], [0, 4]],
-                        [(1, 0, 1), (1, 2, 3)]),
-        "block with no nonzero": ((2, 1, 2), [[1], [2], [0], [3], [0]],
-                                  [(0, 0, 2), (0, 3, 4)]),
-        "all zero": ((3, 1), [[0, 0]] * 4, []),
+            (2, 3), [[5, 0], [7, 0], [0, 0], [0, 1], [0, 2]]),
+        "zero column": ((1, 2), [[0, 3], [0, 0], [0, 4]]),
+        "block with no nonzero": ((2, 1, 2), [[1], [2], [0], [3], [0]]),
+        "all zero": ((3, 1), [[0, 0]] * 4),
         "spans blocks with interior zeros": (
-            (4, 3), [[0], [6], [0], [-8], [9], [0], [-1]],
-            [(0, 1, 4), (0, 4, 7)]),
-        "dense": ((1, 2), [[1, -2], [3, 4], [-5, 6]],
-                  [(0, 0, 1), (1, 0, 1), (0, 1, 3), (1, 1, 3)]),
+            (4, 3), [[0], [6], [0], [-8], [9], [0], [-1]]),
+        "dense": ((1, 2), [[1, -2], [3, 4], [-5, 6]]),
     }
 
     @pytest.mark.parametrize("case", EDGE_GAINS)
     def test_block_terms_of_edge_gains(self, case):
-        sizes, rows, expect = self.EDGE_GAINS[case]
+        # the dense gain steps limbs (observer_update) and Python ints
+        # (step_ints, on G's nonzeros alone) as the dense Z_q product does
+        sizes, rows = self.EDGE_GAINS[case]
         q = Modulus(BENCH_Q)
         Gbar = ModMatrix(rows, q)
         kernel = LimbKernel.build(sizes, Gbar)
-        terms = kernel.gain.terms
-        assert [(k, a, c) for k, a, c, _ in terms] == expect
-        for k, a, c, coef in terms:
-            assert coef.shape == (1, c - a, 1)
-            assert coef.ravel().tolist() == [row[k] for row in rows[a:c]]
+        gain = kernel.gain
+        assert gain.G.dtype == np.int64 and gain.G.tolist() == rows
+        assert gain._entries == tuple((i, k, g) for i, row in enumerate(rows)
+                                      for k, g in enumerate(row) if g)
         rng = random.Random(case)
         half = (q.q - 1) // 2
+        Fbar = build_fbar(sizes, q)
         Z = ModMatrix([[rng.randint(-half, half) for _ in range(3)]
                        for _ in rows], q)
-        V = ModMatrix([[rng.randint(-half, half) for _ in range(3)]
-                       for _ in rows[0]], q)
-        limbs = observer_update(kernel.split(Z.rows), kernel.split(V.rows),
-                                kernel.gain)
-        dense = build_fbar(sizes, q) @ Z + Gbar @ V
-        assert ModMatrix(kernel.join(limbs), q) == dense
+        # step_ints steps the first column
+        limbs, ints = kernel.split(Z.rows), Z.column_entries()
+        for t in range(max(sizes) + 1):
+            V = ModMatrix([[rng.randint(-half, half) for _ in range(3)]
+                           for _ in rows[0]], q)
+            limbs = observer_update(limbs, kernel.split(V.rows), gain)
+            ints = gain.step_ints(ints, V.column_entries())
+            Z = Fbar @ Z + Gbar @ V
+            assert ModMatrix(kernel.join(limbs), q) == Z, t
+            assert ModMatrix.column(ints, q).column_entries() == \
+                Z.column_entries(), t
 
-    def test_benchmark_gain_has_ten_block_terms(self, bench_setup):
-        # Phi B in every one of the 5 blocks and each sensor's column of
-        # L_gain in its own block: 10 terms over 48 of the 24 x 6 entries
+    def test_benchmark_gain_has_48_nonzeros(self, bench_setup):
+        # Phi B's column has nonzeros in every one of the 5 blocks and each
+        # sensor's column of L_gain in its own block alone: 48 of the
+        # 24 x 6 entries, the ones step_ints reads
         maps = bench_setup.mod_maps
-        kernel = LimbKernel.build(maps.block_sizes, maps.Gbar)
-        terms = kernel.gain.terms
+        gain = LimbKernel.build(maps.block_sizes, maps.Gbar).gain
         assert maps.block_sizes == (6, 4, 6, 4, 4)
-        assert kernel.gain.shape == (24, 6)
-        assert len(terms) == 10
-        assert sum(c - a for _, a, c, _ in terms) == 48
-        assert sum(1 for row in maps.Gbar.rows for g in row if g) == 48
-        assert sorted(k for k, *_ in terms) == [0] * 5 + [1, 2, 3, 4, 5]
+        assert gain.G.shape == (24, 6)
+        assert gain.G.tolist() == [list(row) for row in maps.Gbar.rows]
+        assert np.count_nonzero(gain.G) == len(gain._entries) == 48
+        blocks = [{b for b, (o, li) in enumerate(zip(gain.starts,
+                                                     maps.block_sizes))
+                   if gain.G[o:o + li, k].any()} for k in range(6)]
+        assert blocks[0] == set(range(5))
+        assert [len(b) for b in blocks[1:]] == [1] * 5
 
-    def test_cancel_blocks_meet_only_their_columns_terms(self, bench_setup):
+    def test_cancel_blocks_meet_only_their_gain_columns(self, bench_setup):
         # every benchmark channel cancels at row k_j = 0, so the cancel
-        # columns take Phi B's 5 terms alone
+        # columns' outer product takes Phi B's column of Gbar for each
         public = ObserverPublic.build(bench_setup.mod_maps, bench_setup.params)
-        *_, cancel_gain = public._chain_ends
+        *_, ks, _, cancel_gain = public._chain_ends
         assert {m.k for m in public.channels} == {0}
-        assert [(k, a, c) for k, a, c, _ in cancel_gain.terms] == [
-            (0, 0, 6), (0, 6, 10), (0, 10, 16), (0, 16, 20), (0, 20, 24)]
+        assert ks.tolist() == [0] * 60
+        G = public.kernel.gain.G
+        assert np.array_equal(cancel_gain, np.repeat(G[:, :1], 60, axis=1))
 
     @pytest.mark.parametrize("q", MODULI[1:], ids=["2^61-1", "2^109-31"])
     def test_worst_case_limbs_stay_under_the_bound(self, q):
