@@ -180,7 +180,7 @@ def _zeroing_failures(name: str, maps, params, seed: int) -> list:
     column must be exactly 0 for 4 l steps."""
     public = encobs.ObserverPublic.build(maps, params)
     q = public.q
-    l, h = public.Gbar.shape
+    l, h = public.gain.Gbar.shape
     rng = TestRng(seed)
     session = encobs.EncryptorSession(keygen(public.N, q, rng), params,
                                       public, rng=rng)
@@ -214,17 +214,16 @@ def _suite_zeroing(seed: int, setup: SystemSetup) -> list:
                        for _ in range(l)], q)
         H = ModMatrix([[rng.choice([0, rng.randrange(101)]) for _ in range(l)]
                        for _ in range(rng.randint(1, 3))], q)
-        Fbar, rows = encobs.build_fbar(blocks, q), []
+        maps, rows = dataclasses.replace(setup.mod_maps, Gbar=G,
+                                         block_sizes=blocks), []
         for row in H.rows:
             try:
-                zerodyn.channel_maps(ModMatrix([row], q), Fbar, G)
+                zerodyn.channel_maps(ModMatrix([row], q), maps.gain.Fbar, G)
             except zerodyn.RelativeDegreeUndefined:
                 continue
             rows.append(row)
         if rows:
-            maps = dataclasses.replace(setup.mod_maps, Gbar=G,
-                                       Hbar=ModMatrix(rows, q),
-                                       block_sizes=blocks)
+            maps = dataclasses.replace(maps, Hbar=ModMatrix(rows, q))
             failures += _zeroing_failures(f"trial {trial}", maps, params,
                                           seed + trial)
     return failures + _zeroing_failures(

@@ -9,8 +9,8 @@ the standard one with its first column split as
 `[first - cancel_j | shared | cancel_j]`; only `modified_channels` forms
 that difference.
 
-The observer is one recursion, `Z' = Fbar Z + Gbar V`, held once as a
-`BlockGain`: Fbar's block starts and Gbar as one dense int64 array.
+The observer is one recursion, `Z' = Fbar Z + Gbar V`, the
+`quantobs.BlockGain` that quantized mode steps too (`ModularMaps.gain`).
 `observer_update` steps it on the int64 limbs of `LimbKernel`, one shift
 and one `G @ V` per step.
 Each batch holds the limbs of `[first | cancels]` (the standard
@@ -50,7 +50,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
@@ -67,14 +66,13 @@ from .lwe import (
 from .modring import DimensionMismatch, ModMatrix, Modulus, \
     ModulusMismatch, bytes_to_words, digit_budget, fixed_digits, \
     half_limbs, join_digit_sums, join_limbs, split_limbs
-from .quantobs import ModularMaps, QuantParams
+from .quantobs import BlockGain, ModularMaps, QuantParams
 from .zerodyn import ChannelMaps, channel_maps
 
 __all__ = [
     "EncObsError",
     "SessionNotFresh",
     "LimbKernel",
-    "BlockGain",
     "observer_update",
     "ObserverPublic",
     "EncryptedBatch",
@@ -85,7 +83,6 @@ __all__ = [
     "residue_first_column",
     "disclose_residue",
     "recover_encrypted_state",
-    "build_fbar",
 ]
 
 
@@ -116,50 +113,6 @@ def observer_update(Z: np.ndarray, V: np.ndarray,
 
 
 @dataclass(frozen=True, eq=False)
-class BlockGain:
-    """Z' = Fbar Z + Gbar V: Fbar as its block starts, Gbar as one dense
-    read-only (l, h) int64 array `G`.
-
-    Every product it takes is narrow, 1 + n_ch columns in the cloud and
-    1 column for the encryptor's message, so one `G @ V` per step costs
-    less than a pass over Gbar's nonzero spans, though most of Gbar is zero
-    (48 of 144 entries on the benchmark).  `LimbKernel` bounds its sums.
-    """
-
-    starts: Tuple[int, ...]
-    G: np.ndarray
-
-    @classmethod
-    def build(cls, block_sizes: Sequence[int], Gbar: ModMatrix) -> "BlockGain":
-        G = np.array(Gbar.rows, dtype=np.int64).reshape(Gbar.shape)
-        G.setflags(write=False)
-        return cls(starts=tuple(accumulate(block_sizes, initial=0))[:-1], G=G)
-
-    def shift(self, Z: np.ndarray) -> np.ndarray:
-        """Fbar Z on a limb stack (L, l, w), as a new stack."""
-        out = np.empty_like(Z)
-        out[:, 1:] = Z[:, :-1]
-        out[:, list(self.starts)] = 0
-        return out
-
-    @cached_property
-    def _entries(self) -> Tuple[Tuple[int, int, int], ...]:
-        """G's nonzero entries as (row, column, coefficient)."""
-        rows, cols = np.nonzero(self.G)
-        return tuple(zip(rows.tolist(), cols.tolist(),
-                         self.G[rows, cols].tolist()))
-
-    def step_ints(self, z: Sequence[int], v: Sequence[int]) -> List[int]:
-        """Fbar z + Gbar v for columns of Python ints, not reduced."""
-        out = [0, *z[:-1]]
-        for i in self.starts:
-            out[i] = 0
-        for i, k, g in self._entries:
-            out[i] += g * v[k]
-        return out
-
-
-@dataclass(frozen=True, eq=False)
 class LimbKernel:
     """The observer recursion over Z_q on exact int64 limbs.
 
@@ -178,22 +131,20 @@ class LimbKernel:
     """
 
     q: Modulus
-    gain: BlockGain     # the recursion's blocks, built once
+    gain: BlockGain     # the recursion, `ModularMaps.gain`
     width: int          # W
     count: int          # L = ceil(q.bit_length() / W)
 
     @classmethod
-    def build(cls, block_sizes: Sequence[int], Gbar: ModMatrix) -> "LimbKernel":
-        if sum(block_sizes) != Gbar.nrows:
-            raise EncObsError("block sizes do not cover the observer state")
-        growth = max(block_sizes, default=0) * Gbar.inf_norm() + 1
+    def build(cls, gain: BlockGain) -> "LimbKernel":
+        growth = gain.depth * gain.Gbar.inf_norm() + 1
         width = 63 - growth.bit_length()
         if width < 1:
             raise EncObsError(
                 f"no int64 limb width fits Gbar (infinity norm "
-                f"{Gbar.inf_norm()}, largest block {max(block_sizes)})")
-        q = Gbar.modulus
-        return cls(q=q, gain=BlockGain.build(block_sizes, Gbar), width=width,
+                f"{gain.Gbar.inf_norm()}, largest block {gain.depth})")
+        q = gain.Gbar.modulus
+        return cls(q=q, gain=gain, width=width,
                    count=-(-q.q.bit_length() // width))
 
     def split(self, rows: Sequence[Sequence[int]]) -> np.ndarray:
@@ -212,18 +163,6 @@ class LimbKernel:
                      for i in range(nrows))
 
 
-def build_fbar(block_sizes: Sequence[int], q: Modulus) -> ModMatrix:
-    """Block-diagonal lower-shift state matrix as an explicit Z_q matrix."""
-    l = sum(block_sizes)
-    rows = [[0] * l for _ in range(l)]
-    o = 0
-    for li in block_sizes:
-        for h in range(1, li):
-            rows[o + h][o + h - 1] = 1
-        o += li
-    return ModMatrix(rows, q, ncols=l, _reduced=True)
-
-
 @dataclass(frozen=True)
 class ObserverPublic:
     """Everything public the encrypted observer needs: the observer maps
@@ -231,20 +170,18 @@ class ObserverPublic:
 
     q: Modulus
     N: int
-    block_sizes: Tuple[int, ...]    # Fbar, the block lower shift
-    Gbar: ModMatrix
+    gain: BlockGain     # the observer recursion, `ModularMaps.gain`
     Hbar: ModMatrix
     channels: Tuple[ChannelMaps, ...]
 
     @classmethod
     def build(cls, maps: ModularMaps, params: QuantParams) -> "ObserverPublic":
         """The public data for `maps` at the LWE dimension `params.N`."""
-        q = maps.Gbar.modulus
-        Fbar = build_fbar(maps.block_sizes, q)
-        channels = tuple(channel_maps(maps.Hbar.row(j), Fbar, maps.Gbar)
+        gain = maps.gain
+        channels = tuple(channel_maps(maps.Hbar.row(j), gain.Fbar, gain.Gbar)
                          for j in range(maps.Hbar.nrows))
-        return cls(q=q, N=params.N, block_sizes=maps.block_sizes,
-                   Gbar=maps.Gbar, Hbar=maps.Hbar, channels=channels)
+        return cls(q=gain.Gbar.modulus, N=params.N, gain=gain,
+                   Hbar=maps.Hbar, channels=channels)
 
     @property
     def n_channels(self) -> int:
@@ -254,12 +191,12 @@ class ObserverPublic:
     def depth(self) -> int:
         """b, the largest block size: Fbar^b = 0, so a state depends on its
         last b batches only."""
-        return max(self.block_sizes)
+        return self.gain.depth
 
     @cached_property
     def kernel(self) -> LimbKernel:
         """The observer recursion on int64 limbs for these maps."""
-        return LimbKernel.build(self.block_sizes, self.Gbar)
+        return LimbKernel.build(self.gain)
 
     @cached_property
     def _hbar_digits(self) -> Tuple[int, np.ndarray]:
@@ -270,7 +207,7 @@ class ObserverPublic:
         """Every T2_j stacked into one matrix, and each V2_j as the
         (row, entries) pairs of its nonzero rows."""
         T2 = ModMatrix(tuple(row for m in self.channels for row in m.T2.rows),
-                       self.q, ncols=self.Gbar.nrows, _reduced=True)
+                       self.q, ncols=self.gain.Gbar.nrows, _reduced=True)
         V2 = tuple(tuple((i, row) for i, row in enumerate(m.V2.rows)
                          if any(row)) for m in self.channels)
         return T2, V2
@@ -281,7 +218,7 @@ class ObserverPublic:
         of the T2_j, every channel's k_j and s_j, and the (l, n_ch) gain
         columns G[:, k_j]: a cancel block is nonzero only at rows k_j."""
         R = ModMatrix(tuple(m.T2.rows[-1] for m in self.channels), self.q,
-                      ncols=self.Gbar.nrows, _reduced=True)
+                      ncols=self.gain.Gbar.nrows, _reduced=True)
         ks = np.array([m.k for m in self.channels], dtype=np.intp)
         return (_row_digits(R), ks, tuple(m.s for m in self.channels),
                 self.kernel.gain.G[:, ks])
@@ -322,7 +259,7 @@ class ObserverPublic:
         G[:, k_j] times the limbs of c_j.
         """
         kernel, n_ch = self.kernel, self.n_channels
-        if x.nrows != self.Gbar.ncols:
+        if x.nrows != self.gain.Gbar.ncols:
             raise EncObsError("dimension mismatch in cancellation step")
         (e, planes), ks, ss, cancel_gain = self._chain_ends
         body = kernel.gain.shift(state)
@@ -478,7 +415,7 @@ class EncryptorSession:
         channel."""
         if self.cancel_state is not None:
             raise SessionNotFresh("enc_initial may only be called once")
-        return self._encrypt(zbar_ini, self.public.Gbar.nrows,
+        return self._encrypt(zbar_ini, self.public.gain.Gbar.nrows,
                              self.public.cancel_initial)
 
     def enc_input(self, vbar: ModMatrix) -> EncryptedBatch:
@@ -486,7 +423,7 @@ class EncryptorSession:
         the cancel state."""
         if self.cancel_state is None:
             raise EncObsError("call enc_initial before enc_input")
-        return self._encrypt(vbar, self.public.Gbar.ncols,
+        return self._encrypt(vbar, self.public.gain.Gbar.ncols,
                              lambda mask: self.public.cancel_step(
                                  self.cancel_state, mask))
 

@@ -65,30 +65,33 @@ def _round_matrix(M: np.ndarray) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(round_half_up(v) for v in row) for row in np.atleast_2d(M))
 
 
-def observability_index(A: np.ndarray, Ci: np.ndarray) -> int:
-    """Rank of the stacked observability matrix of (A, Ci).
+def _observability(A: np.ndarray, Ci: np.ndarray) -> Tuple[int, np.ndarray]:
+    """Rank of the stacked observability matrix of (A, Ci) and the right
+    singular vectors of its SVD, taken once.
 
     Rank is decided by singular values above RANK_TOL times the largest one.
     """
-    A = np.asarray(A, dtype=float)
-    Ci = np.asarray(Ci, dtype=float).reshape(1, -1)
-    n = A.shape[0]
     rows = [Ci]
-    for _ in range(n - 1):
+    for _ in range(A.shape[0] - 1):
         rows.append(rows[-1] @ A)
-    O = np.vstack(rows)
-    s = np.linalg.svd(O, compute_uv=False)
+    _, s, Vt = np.linalg.svd(np.vstack(rows))
     if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > RANK_TOL * s[0]))
+        return 0, Vt
+    return int(np.sum(s > RANK_TOL * s[0])), Vt
+
+
+def observability_index(A: np.ndarray, Ci: np.ndarray) -> int:
+    """Rank of the stacked observability matrix of (A, Ci)."""
+    return _observability(np.asarray(A, dtype=float),
+                          np.asarray(Ci, dtype=float).reshape(1, -1))[0]
 
 
 @dataclass(frozen=True)
 class PartialObserver:
     """Observable canonical decomposition of one sensor plus its deadbeat gain.
 
-    Fbar is the integer lower-shift error matrix (F - L J), nilpotent of
-    order l_i.
+    Fbar is the integer lower-shift error matrix (F - L J for the deadbeat
+    gain L = f as a column), nilpotent of order l_i.
     """
 
     index: int
@@ -96,12 +99,11 @@ class PartialObserver:
     f: np.ndarray          # characteristic coefficients f_1..f_{l_i}
     F: np.ndarray          # companion form, last column = f
     J: np.ndarray          # [0 ... 0 1]
-    L: np.ndarray          # observer gain, equals f as a column
     Fbar: np.ndarray       # integer lower shift
     Phi: np.ndarray        # l_i x n, full row rank, Phi A = F Phi
 
     def __post_init__(self):
-        for name in ("f", "F", "J", "L", "Fbar", "Phi"):
+        for name in ("f", "F", "J", "Fbar", "Phi"):
             getattr(self, name).setflags(write=False)
 
 
@@ -116,14 +118,9 @@ def canonical_decomposition(A: np.ndarray, Ci: np.ndarray,
     """
     A = np.asarray(A, dtype=float)
     Ci = np.asarray(Ci, dtype=float).reshape(1, -1)
-    li = observability_index(A, Ci)
+    li, Vt = _observability(A, Ci)
     if li < 1:
         raise ConsistencyFailure(f"sensor {index}: zero observability index")
-    rows = [Ci]
-    for _ in range(A.shape[0] - 1):
-        rows.append(rows[-1] @ A)
-    O = np.vstack(rows)
-    _, _, Vt = np.linalg.svd(O)
     W = Vt[:li]
     restricted = W @ A @ W.T
     coeffs = np.real(np.poly(restricted))
@@ -150,7 +147,7 @@ def canonical_decomposition(A: np.ndarray, Ci: np.ndarray,
     for h in range(1, li):
         Fbar[h, h - 1] = 1
     return PartialObserver(index=index, l_i=li, f=f.copy(), F=F, J=J,
-                           L=f.reshape(-1, 1).copy(), Fbar=Fbar, Phi=Phi)
+                           Fbar=Fbar, Phi=Phi)
 
 
 def _pinv_full_column(M: np.ndarray) -> np.ndarray:

@@ -168,8 +168,7 @@ def run_quantized_mode(setup: SystemSetup, steps: int) -> QuantizedRun:
         run.xbars.append(xbar)
         vbar = quantobs.quantize_input(traj.u[t], traj.y[t], params)
         run.vbars.append(vbar)
-        zbar = quantobs.step_quantized(zbar, vbar, maps.block_sizes,
-                                       maps.Gbar)
+        zbar = quantobs.step_quantized(zbar, vbar, maps.gain)
     return run
 
 

@@ -182,7 +182,7 @@ def _check_public(cts: Sequence[Ciphertext], public: ObserverPublic):
     modulus and dimension, the initial one with l rows and the others with
     one row per input."""
     _check_ciphertexts(cts, public.q, public.N)
-    rows = [public.Gbar.nrows] + [public.Gbar.ncols] * (len(cts) - 1)
+    rows = [public.gain.Gbar.nrows] + [public.gain.Gbar.ncols] * (len(cts) - 1)
     if [ct.h for ct in cts] != rows:
         raise ViewError("ciphertext rows do not match the public maps")
 

@@ -11,9 +11,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from cipherobs.encobs import EncObserverState, EncryptedBatch, \
-    EncryptorSession, ObserverPublic, build_fbar, \
-    disclose_residue, modified_channels, observer_update, \
-    residue_first_column, step_encrypted
+    EncryptorSession, ObserverPublic, disclose_residue, modified_channels, \
+    observer_update, residue_first_column, step_encrypted
 from cipherobs.lwe import _CT_MAGIC, CiphertextKind, LweError, TestRng, \
     keygen
 from cipherobs.modring import DimensionMismatch, ModMatrix, ModRingError, \
@@ -101,6 +100,25 @@ def random_stable_plant(rng: np.random.Generator, n: int, m: int, p: int,
             continue
 
 
+def build_fbar(block_sizes: Sequence[int], q: Modulus) -> ModMatrix:
+    """Block-diagonal lower-shift state matrix as an explicit Z_q matrix,
+    written apart from `BlockGain` so that dense products check it."""
+    l = sum(block_sizes)
+    rows = [[0] * l for _ in range(l)]
+    o = 0
+    for li in block_sizes:
+        for h in range(1, li):
+            rows[o + h][o + h - 1] = 1
+        o += li
+    return ModMatrix(rows, q, ncols=l, _reduced=True)
+
+
+def gain_blocks(gain) -> Tuple[int, ...]:
+    """The block sizes of a `BlockGain`, from its block starts."""
+    ends = gain.starts[1:] + (gain.Gbar.nrows,)
+    return tuple(b - a for a, b in zip(gain.starts, ends))
+
+
 def error_trajectory(errors: Sequence[ModMatrix], gbar_rows, block_sizes,
                      steps: int):
     """Accumulated encryption-error states over the plain integers, from
@@ -185,7 +203,7 @@ def full_state(state: EncObserverState, public) -> EncryptedBatch:
     if len(window) == state.t + 1:   # the initial batch is in the window
         body, inputs = full_limbs(window[0]), window[1:]
     else:
-        body = np.zeros((public.kernel.count, public.Gbar.nrows,
+        body = np.zeros((public.kernel.count, public.gain.Gbar.nrows,
                          1 + state.n_channels + state.N), dtype=np.int64)
         inputs = window
     for batch in inputs:
@@ -333,9 +351,9 @@ def f1_zero_dynamics(v1, public, params):
                     for ct in v1.input_cts]
     init_cancels = []
     step_cancels = [[] for _ in range(steps)]
-    Fbar = build_fbar(public.block_sizes, q)
+    Fbar = build_fbar(gain_blocks(public.gain), q)
     for j in range(public.n_channels):
-        ct = build_transform(public.Hbar.row(j), Fbar, public.Gbar, j=j)
+        ct = build_transform(public.Hbar.row(j), Fbar, public.gain.Gbar, j=j)
         lifted = [q.cmod(lift * r.rows[j][0]) for r in v1.residues]
         c_xi = ct.T1 @ init_first
         msg_tilde_ini = ModMatrix.column(lifted[:ct.nu], q)
@@ -605,7 +623,7 @@ def calibrate_quantization(setup, horizon=None) -> CalibrationReport:
                       zip(xsub.column_entries(), ref_sub))
             max_sub_dev = max(max_sub_dev, dev)
         vbar = quantize_input(traj.u[t], traj.y[t], params)
-        zbar = step_quantized(zbar, vbar, maps.block_sizes, maps.Gbar)
+        zbar = step_quantized(zbar, vbar, maps.gain)
     return CalibrationReport(max_residue_dev=max_res_dev,
                              max_subset_dev=max_sub_dev, eps=params.eps)
 

@@ -12,7 +12,7 @@ import random
 import numpy as np
 
 from cipherobs.encobs import EncObserverState, EncryptorSession, \
-    build_fbar, recover_encrypted_state, residue_first_column, step_encrypted
+    recover_encrypted_state, residue_first_column, step_encrypted
 from cipherobs.lwe import NoiseParams, keygen
 from cipherobs.lwe import TestRng as SeededRng
 from cipherobs.modring import ModMatrix, Modulus
@@ -23,8 +23,8 @@ from cipherobs.obsdesign import run_reference_observer
 from cipherobs.quantobs import validate_params
 from cipherobs.secviews import f1_view1_to_view2, f2_view2_to_view1
 from cipherobs.zerodyn import RelativeDegreeUndefined
-from .helpers import build_transform, cancellation_init, cancellation_step, \
-    channel, dense_decrypt, error_trajectory, full_state, random_channel, \
+from .helpers import build_fbar, build_transform, cancellation_init, \
+    cancellation_step, channel, dense_decrypt, error_trajectory, full_state, random_channel, \
     random_stable_plant, simulate_channel
 from .test_secviews import ZeroErrorRng, _run_tiny_session, _tiny_params, \
     _tiny_public
@@ -200,7 +200,7 @@ def test_criterion_6_output_zeroing(bench_setup, bench_enc):
 
     public = bench_enc.public
     qq = bench_setup.params.q
-    Fbar = build_fbar(public.block_sizes, qq)
+    Fbar = build_fbar(bench_setup.mod_maps.block_sizes, qq)
     l = bench_setup.bank.l_total
     horizon = 4 * l
     rng2 = random.Random(99)
@@ -208,16 +208,16 @@ def test_criterion_6_output_zeroing(bench_setup, bench_enc):
     b_ini = ModMatrix.column([qq.cmod(rng2.randrange(qq.q))
                               for _ in range(l)], qq)
     b_vs = [ModMatrix.column([qq.cmod(rng2.randrange(qq.q))
-                              for _ in range(public.Gbar.ncols)], qq)
+                              for _ in range(public.gain.Gbar.ncols)], qq)
             for _ in range(horizon)]
     for j in range(public.n_channels):
-        ct = build_transform(public.Hbar.row(j), Fbar, public.Gbar, j=j)
+        ct = build_transform(public.Hbar.row(j), Fbar, public.gain.Gbar, j=j)
         tilde_ini, state = cancellation_init(ct, b_ini)
         mod_vs = []
         for v in b_vs:
             tilde, state = cancellation_step(ct, state, v)
             mod_vs.append(v - ct.SigmaDag.scale(tilde))
-        outs = simulate_channel(public.Hbar.row(ct.j), Fbar, public.Gbar,
+        outs = simulate_channel(public.Hbar.row(ct.j), Fbar, public.gain.Gbar,
                                 b_ini - ct.V2 @ tilde_ini, mod_vs)
         if any(o != 0 for o in outs):
             bench_ok = False
@@ -232,7 +232,7 @@ def test_criterion_6_output_zeroing(bench_setup, bench_enc):
         session.enc_initial(ModMatrix.zeros(l, 1, qq)))
     deployed_ok = residue_first_column(state, public).is_zero()
     for _ in range(horizon):
-        batch = session.enc_input(ModMatrix.zeros(public.Gbar.ncols, 1, qq))
+        batch = session.enc_input(ModMatrix.zeros(public.gain.Gbar.ncols, 1, qq))
         state = step_encrypted(state, batch, public)
         deployed_ok = (deployed_ok
                        and residue_first_column(state, public).is_zero())

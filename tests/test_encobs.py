@@ -17,7 +17,6 @@ from cipherobs.encobs import (
     LimbKernel,
     ObserverPublic,
     SessionNotFresh,
-    build_fbar,
     disclose_residue,
     observer_update,
     recover_encrypted_state,
@@ -30,13 +29,15 @@ from cipherobs.modring import DimensionMismatch, ModMatrix, Modulus, \
     ModulusMismatch
 from cipherobs.pipeline import SystemSetup, bundled_scenario_path, \
     run_encrypted_mode, run_quantized_mode
+from cipherobs.quantobs import BlockGain
 from cipherobs.secviews import View2
 from cipherobs.zerodyn import RelativeDegreeUndefined, channel_maps
-from .helpers import ValueSource, build_transform, cancellation_init, \
-    cancellation_step, channel, cloud_run, decrypt_channel_state, \
-    dense_decrypt, dense_normal_form, encrypted_residue, error_trajectory, \
-    full_state, joined_residue_first_column, last_column, replay_states, \
-    sigma_dag, transcript_masks
+from .helpers import ValueSource, build_fbar, build_transform, \
+    cancellation_init, cancellation_step, channel, cloud_run, \
+    decrypt_channel_state, dense_decrypt, dense_normal_form, \
+    encrypted_residue, error_trajectory, full_state, \
+    joined_residue_first_column, last_column, replay_states, sigma_dag, \
+    transcript_masks
 
 
 class ZeroMaskRng(ValueSource):
@@ -68,17 +69,20 @@ class TestObserverPublic:
         assert public64.n_channels == 60
         assert all(m.nu >= 1 for m in public64.channels)
 
-    def test_channel_maps_equal_dense_normal_form(self, public64):
-        Fbar = build_fbar(public64.block_sizes, public64.q)
+    def test_channel_maps_equal_dense_normal_form(self, bench_setup,
+                                                  public64):
+        Fbar = build_fbar(bench_setup.mod_maps.block_sizes, public64.q)
         for j, maps in enumerate(public64.channels):
             dense = dense_normal_form(public64.Hbar.row(j), Fbar,
-                                      public64.Gbar)
+                                      public64.gain.Gbar)
             for name in ("nu", "T2", "V2", "Sigma"):
                 assert getattr(maps, name) == dense[name], (j, name)
             assert sigma_dag(maps) == dense["SigmaDag"], j
 
     def test_fbar_matches_block_structure(self, bench_setup, public64):
-        Fbar = build_fbar(public64.block_sizes, public64.q)
+        Fbar = public64.gain.Fbar
+        assert Fbar == build_fbar(bench_setup.mod_maps.block_sizes,
+                                  public64.q)
         assert Fbar.shape == (24, 24)
         total = sum(v for row in Fbar.rows for v in row)
         assert total == 24 - 5  # one subdiagonal per block
@@ -245,10 +249,10 @@ class TestModifiedCompatibility:
         masks = transcript_masks(
             [batch.standard_and_cancels()[0] for batch in batches],
             qrun.zbars[:1] + qrun.vbars, params.lift)
-        Fbar = build_fbar(public64.block_sizes, params.q)
+        Fbar = build_fbar(bench_setup.mod_maps.block_sizes, params.q)
         for j in (0, 17, 59):
             ct = build_transform(public64.Hbar.row(j), Fbar,
-                                 public64.Gbar, j=j)
+                                 public64.gain.Gbar, j=j)
             tilde_ini, state = cancellation_init(ct, masks[0])
             expect = (ct.V2 @ tilde_ini).column_entries()
             assert last_column(channel(batches[0], j)) == expect
@@ -262,7 +266,7 @@ def bare_public(q, sizes, Gbar, Hbar, N=0):
     """An ObserverPublic with no channel maps: enough for
     `residue_first_column`, and for `step_encrypted` on batches of LWE
     dimension N."""
-    return ObserverPublic(q=q, N=N, block_sizes=tuple(sizes), Gbar=Gbar,
+    return ObserverPublic(q=q, N=N, gain=BlockGain.build(sizes, Gbar),
                           Hbar=Hbar, channels=())
 
 
@@ -273,7 +277,7 @@ class TestLazyCancelState:
         # masks, stays under the kernel bound at every step and gives back
         # the recorded cancel columns
         kernel = public64.kernel
-        bound = ((max(public64.block_sizes) * public64.Gbar.inf_norm() + 1)
+        bound = ((public64.depth * public64.gain.Gbar.inf_norm() + 1)
                  << kernel.width)
         block, state = public64.cancel_initial(bench_enc.masks[0])
         blocks = [block]
@@ -376,7 +380,7 @@ class TestDigitPlaneResidue:
                                         st.sampled_from([hmax, -hmax])),
                               n_ch * l), label="Hbar")
         Hbar = ModMatrix([hs[j * l:(j + 1) * l] for j in range(n_ch)], q)
-        kernel = LimbKernel.build(sizes, Gbar)
+        kernel = LimbKernel.build(BlockGain.build(sizes, Gbar))
         # the kernel's lazy bound on every limb is at least 2^62, so
         # 2^62 - 1, all ones, maximizes the low 32-bit half
         bound = (max(sizes) * Gbar.inf_norm() + 1) << kernel.width
@@ -402,7 +406,7 @@ class TestDigitPlaneResidue:
         hmax = 2 ** 27 - 1 if small else (q.q - 1) // 2
         Gbar = ModMatrix([[1]] * l, q)
         Hbar = ModMatrix([[hmax] * l] * n_ch, q)
-        kernel = LimbKernel.build(sizes, Gbar)
+        kernel = LimbKernel.build(BlockGain.build(sizes, Gbar))
         # the largest lazy limb below the bound: its low W bits all ones;
         # the first column holds +top and every cancel column -top
         top = ((max(sizes) * Gbar.inf_norm() + 1) << kernel.width) - 1
@@ -488,10 +492,10 @@ class TestEncryptedObserver:
         in_batch = [session.enc_input(v) for v in qrun.vbars][-1]
         nxt = full_state(step_encrypted(state, in_batch, public64), public64)
         full = full_state(state, public64)
-        Fbar = build_fbar(public64.block_sizes, params.q)
+        Fbar = build_fbar(bench_setup.mod_maps.block_sizes, params.q)
         for j in (0, 29):
             dense = (Fbar @ channel(full, j).body
-                     + public64.Gbar @ channel(in_batch, j).body)
+                     + public64.gain.Gbar @ channel(in_batch, j).body)
             assert channel(nxt, j).body == dense
 
     def test_residue_first_column_consistency(self, public64, bench_enc):
@@ -749,7 +753,7 @@ class TestWindowRecovery:
                 bench_setup.mod_maps.Gbar
         else:
             sizes, Gbar = bank, uneven_gain(q, bank, rng)
-        kernel = LimbKernel.build(sizes, Gbar)
+        kernel = LimbKernel.build(BlockGain.build(sizes, Gbar))
         Fbar = build_fbar(sizes, q)
         half = (q.q - 1) // 2
 

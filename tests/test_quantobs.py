@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cipherobs.encobs import EncObsError, LimbKernel, ObserverPublic, \
-    build_fbar, observer_update
+    observer_update
 from cipherobs.modring import ModMatrix, Modulus
 from cipherobs.obsdesign import build_bank, residue_map
 from cipherobs.pipeline import BENCH_LIFT, BENCH_Q, SystemSetup, \
     run_quantized_mode, run_reference_mode
 from cipherobs.plantsim import AttackScenario, run_closed_loop
 from cipherobs.quantobs import (
+    BlockGain,
     ModularMaps,
     QuantError,
     detect,
@@ -27,7 +28,7 @@ from cipherobs.quantobs import (
     threshold_at,
     validate_params,
 )
-from .helpers import CalibrationReport, calibrate_quantization, \
+from .helpers import CalibrationReport, build_fbar, calibrate_quantization, \
     random_stable_plant, recover_plain_estimate
 
 
@@ -81,8 +82,7 @@ class TestStepQuantized:
         maps = bench_setup.mod_maps
         q = bench_setup.params.q
         nxt = step_quantized(ModMatrix.zeros(24, 1, q),
-                             ModMatrix.zeros(6, 1, q), maps.block_sizes,
-                             maps.Gbar)
+                             ModMatrix.zeros(6, 1, q), maps.gain)
         assert nxt.is_zero()
 
     def test_two_block_shift_structure(self):
@@ -90,7 +90,7 @@ class TestStepQuantized:
         Gbar = ModMatrix([[3], [4]], q)
         zbar = ModMatrix.column([7, 9], q)
         vbar = ModMatrix.column([2], q)
-        nxt = step_quantized(zbar, vbar, (2,), Gbar)
+        nxt = step_quantized(zbar, vbar, BlockGain.build((2,), Gbar))
         # new top = drive only, new bottom = old top + drive
         assert nxt.column_entries() == (6, 7 + 8)
 
@@ -101,7 +101,7 @@ class TestStepQuantized:
         rng = random.Random(1)
         z = ModMatrix.column([rng.randrange(q.q) for _ in range(24)], q)
         v = ModMatrix.column([rng.randrange(q.q) for _ in range(6)], q)
-        fast = step_quantized(z, v, maps.block_sizes, maps.Gbar)
+        fast = step_quantized(z, v, maps.gain)
         dense = Fbar @ z + maps.Gbar @ v
         assert fast == dense
 
@@ -158,7 +158,7 @@ class TestObserverUpdate:
         N = data.draw(st.integers(1, 5), label="N")
         w = data.draw(st.sampled_from([1, 2, n_ch + N + n_ch]), label="width")
         Gbar = ModMatrix(_gain(data, sizes, h), q, ncols=h)
-        kernel = LimbKernel.build(sizes, Gbar)
+        kernel = LimbKernel.build(BlockGain.build(sizes, Gbar))
         entry = st.one_of(st.sampled_from(_edge_values(q, kernel)),
                           st.integers(-half, half))
 
@@ -200,7 +200,7 @@ class TestObserverUpdate:
         sizes, rows = self.EDGE_GAINS[case]
         q = Modulus(BENCH_Q)
         Gbar = ModMatrix(rows, q)
-        kernel = LimbKernel.build(sizes, Gbar)
+        kernel = LimbKernel.build(BlockGain.build(sizes, Gbar))
         gain = kernel.gain
         assert gain.G.dtype == np.int64 and gain.G.tolist() == rows
         assert gain._entries == tuple((i, k, g) for i, row in enumerate(rows)
@@ -227,7 +227,7 @@ class TestObserverUpdate:
         # sensor's column of L_gain in its own block alone: 48 of the
         # 24 x 6 entries, the ones step_ints reads
         maps = bench_setup.mod_maps
-        gain = LimbKernel.build(maps.block_sizes, maps.Gbar).gain
+        gain = maps.gain
         assert maps.block_sizes == (6, 4, 6, 4, 4)
         assert gain.G.shape == (24, 6)
         assert gain.G.tolist() == [list(row) for row in maps.Gbar.rows]
@@ -256,11 +256,12 @@ class TestObserverUpdate:
         g = (2 ** (63 - width) - 2) // b_max
         row = [g // h] * (h - 1) + [g - (g // h) * (h - 1)]
         Gbar = ModMatrix([row] * sum(sizes), q)
-        kernel = LimbKernel.build(sizes, Gbar)
+        kernel = LimbKernel.build(BlockGain.build(sizes, Gbar))
         assert kernel.width == width
         assert kernel.count == -(-q.q.bit_length() // width)
         bigger = ModMatrix([row[:-1] + [row[-1] + 1]] * sum(sizes), q)
-        assert LimbKernel.build(sizes, bigger).width == width - 1
+        assert (LimbKernel.build(BlockGain.build(sizes, bigger)).width
+                == width - 1)
 
         bound = (b_max * g + 1) * 2 ** width
         assert bound < 2 ** 63
@@ -280,37 +281,41 @@ class TestObserverUpdate:
         q = Modulus(BENCH_Q)
         Gbar = ModMatrix([[2 ** 62]], q)
         with pytest.raises(EncObsError):
-            LimbKernel.build((1,), Gbar)
+            LimbKernel.build(BlockGain.build((1,), Gbar))
 
     def test_quantized_mode_needs_no_limb_width(self, bench_setup):
-        # quantized mode steps in exact ints, so it accepts a gain no limb
-        # width fits; only the encrypted observer's kernel refuses it
+        # quantized mode steps in exact ints and never builds the int64 G,
+        # so it accepts a gain entry beyond int64; only the encrypted
+        # observer's kernel refuses it, before it builds G
         q = Modulus(BENCH_Q)
-        Gbar = ModMatrix([[2 ** 62], [1]], q)
-        nxt = step_quantized(ModMatrix.column([5, 7], q),
-                             ModMatrix.column([3], q), (2,), Gbar)
-        assert nxt == ModMatrix.column([3 * 2 ** 62, 5 + 3], q)
+        Gbar = ModMatrix([[2 ** 100], [1]], q)
         maps = dataclasses.replace(bench_setup.mod_maps, Gbar=Gbar,
                                    Hbar=ModMatrix([[1, 0]], q),
                                    block_sizes=(2,))
+        nxt = step_quantized(ModMatrix.column([5, 7], q),
+                             ModMatrix.column([3], q), maps.gain)
+        assert nxt == ModMatrix.column([3 * 2 ** 100, 5 + 3], q)
+        assert "G" not in vars(maps.gain)
         public = ObserverPublic.build(maps, bench_setup.params)
+        assert public.gain is maps.gain
         with pytest.raises(EncObsError):
             public.kernel
+        assert "G" not in vars(maps.gain)
 
     def test_block_sizes_must_cover_the_state(self):
         q = Modulus(101)
         zeros = np.zeros
         # a recursion of blocks (1, 1) refuses a 3-row state
+        gain = BlockGain.build((1, 1), ModMatrix.zeros(2, 1, q))
         with pytest.raises(EncObsError):
             observer_update(zeros((1, 3, 2), np.int64),
-                            zeros((1, 1, 2), np.int64),
-                            LimbKernel.build((1, 1), ModMatrix.zeros(2, 1, q))
-                            .gain)
-        with pytest.raises(EncObsError):
-            LimbKernel.build((1, 1), ModMatrix.zeros(3, 1, q))
+                            zeros((1, 1, 2), np.int64), gain)
         with pytest.raises(QuantError):
             step_quantized(ModMatrix.zeros(3, 1, q), ModMatrix.zeros(1, 1, q),
-                           (1, 1), ModMatrix.zeros(3, 1, q))
+                           gain)
+        # blocks that do not cover Gbar's rows are refused when built
+        with pytest.raises(QuantError):
+            BlockGain.build((1, 1), ModMatrix.zeros(3, 1, q))
 
 
 class TestResidueAndDetect:
@@ -550,7 +555,6 @@ class TestSoundnessRandomPlants:
                 assert not detect(rbar, t, params).flag, \
                     f"false alarm on plant {checked} at step {t}"
                 vbar = quantize_input(traj.u[t], traj.y[t], params)
-                zbar = step_quantized(zbar, vbar, mod_maps.block_sizes,
-                                      mod_maps.Gbar)
+                zbar = step_quantized(zbar, vbar, mod_maps.gain)
             checked += 1
         assert checked >= 100

@@ -15,7 +15,7 @@ from cipherobs.lwe import Ciphertext, CiphertextKind, LweError, SecretKey, \
 from cipherobs.lwe import TestRng as SeededRng
 from cipherobs.modring import ModMatrix, Modulus, _is_probable_prime
 from cipherobs.pipeline import run_encrypted_mode
-from cipherobs.quantobs import QuantParams
+from cipherobs.quantobs import BlockGain, QuantParams
 from cipherobs.secviews import (
     HorizonTooShort,
     View1,
@@ -26,18 +26,17 @@ from cipherobs.secviews import (
 )
 from cipherobs.zerodyn import channel_maps
 
-from .helpers import HUGE_PRIME, MALFORMED_INT_LISTS, ct_blob, \
+from .helpers import HUGE_PRIME, MALFORMED_INT_LISTS, build_fbar, ct_blob, \
     f1_zero_dynamics, many_moduli_view2_blob
 
 
 def _tiny_public(q: Modulus, block_sizes, Gr, Hr, N):
-    Gbar = ModMatrix(Gr, q)
+    gain = BlockGain.build(block_sizes, ModMatrix(Gr, q))
     Hbar = ModMatrix(Hr, q)
-    Fbar = encobs.build_fbar(block_sizes, q)
-    channels = tuple(channel_maps(Hbar.row(j), Fbar, Gbar)
+    Fbar = build_fbar(block_sizes, q)
+    channels = tuple(channel_maps(Hbar.row(j), Fbar, gain.Gbar)
                      for j in range(Hbar.nrows))
-    return ObserverPublic(q=q, N=N, block_sizes=tuple(block_sizes),
-                          Gbar=Gbar, Hbar=Hbar, channels=channels)
+    return ObserverPublic(q=q, N=N, gain=gain, Hbar=Hbar, channels=channels)
 
 
 def _tiny_params(q: Modulus, N: int, lift: int) -> QuantParams:

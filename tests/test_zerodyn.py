@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cipherobs.encobs import build_fbar
 from cipherobs.modring import ModMatrix, Modulus
 from cipherobs.zerodyn import (
     RelativeDegreeUndefined,
     channel_maps,
 )
-from .helpers import build_transform, cancellation_init, cancellation_step, \
-    dense_normal_form, random_channel, random_mod_matrix, sigma_dag, \
+from .helpers import build_fbar, build_transform, cancellation_init, \
+    cancellation_step, dense_normal_form, random_channel, random_mod_matrix, sigma_dag, \
     simulate_channel
 
 Q101 = Modulus(101)
@@ -132,7 +131,6 @@ class TestBuildTransform:
                 state = nxt
 
     def test_benchmark_channel_invariants(self, bench_setup):
-        from cipherobs.encobs import build_fbar
         maps = bench_setup.mod_maps
         q = bench_setup.params.q
         Fbar = build_fbar(maps.block_sizes, q)
