@@ -242,15 +242,9 @@ def _suite_encrypted(setup: SystemSetup, seed: int) -> list:
     except encobs.EncObsError as exc:
         return [str(exc)]
     v2, public = run.view2, run.public
-    batches = (encobs.EncryptedBatch._write(std.body.rows, cancels,
-                                            public.kernel, t)
-               for t, (std, cancels) in enumerate(zip(v2.standard_cts,
-                                                      v2.cancels)))
-    state = encobs.EncObserverState.from_initial(next(batches))
     # states 0..steps, so every recorded batch is decrypted
-    for t, xbar in enumerate(run_quantized_mode(setup, steps + 1).xbars):
-        if t:
-            state = encobs.step_encrypted(state, next(batches), public)
+    for t, (state, xbar) in enumerate(zip(
+            v2.states(public), run_quantized_mode(setup, steps + 1).xbars)):
         # one decryption, first - shared sk, serves every channel
         if encobs.recover_encrypted_state(
                 state, 0, run.sk, setup.params,

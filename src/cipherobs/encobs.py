@@ -30,20 +30,22 @@ steps as one outer product, G[:, k_j] times c_j.  It and the residue take
 their per-channel dot products from `_first_column_dots`.  One decryption,
 first - S_t sk, serves every channel.
 
-Python ints appear only when View 2 reads a batch, for the cancellation's
-scalars, in the residue's sums, and in recovery.  The residue is summed
-exactly in one int64 einsum of the 32-bit halves of the first and cancel
-columns' limbs against digits of Hbar, on differences that stay below
-2^32, and joined by `modring.join_digit_sums`.  Recovery takes each
-batch's A sk mod q from the key's per-batch cache, which the encrypting
-key holds from encryption on (`SecretKey.cached_products` computes it for
-any other key, once) and replays the window's values
+Python ints appear only for the first and cancel columns when View 2
+reads or writes a batch (A stays words, also on the wire), for the
+cancellation's scalars, in the residue's sums, and in recovery.  The
+residue is summed exactly in one int64 einsum of the 32-bit halves of the
+first and cancel columns' limbs against digits of Hbar, on differences
+that stay below 2^32, and joined by `modring.join_digit_sums`.  Recovery
+takes each batch's A sk mod q from the key's per-batch cache, which the
+encrypting key holds from encryption on (`SecretKey.cached_products`
+computes it for any other key, once) and replays the window's values
 through the recursion in Python ints (`BlockGain.step_ints`).
 This module is the only one that knows the batch layout.
 
 A run is recorded only as its batches: `standard_and_cancels` reads what
 View 2 holds of one, and `EncryptedBatch._write` turns that back into
-batch t, so the transcript rebuilds every encrypted state.
+batch t, so the transcript rebuilds every encrypted state
+(`secviews.View2.states`).
 """
 
 from __future__ import annotations
@@ -57,15 +59,15 @@ import numpy as np
 
 from .lwe import (
     Ciphertext,
-    CiphertextKind,
     NoiseParams,
     SecretKey,
     SecureRng,
     encrypt_with_artifacts,
+    words_of,
 )
 from .modring import DimensionMismatch, ModMatrix, Modulus, \
-    ModulusMismatch, bytes_to_words, digit_budget, fixed_digits, \
-    half_limbs, join_digit_sums, join_limbs, split_limbs
+    ModulusMismatch, digit_budget, fixed_digits, half_limbs, \
+    join_digit_sums, join_limbs, split_limbs
 from .quantobs import BlockGain, ModularMaps, QuantParams
 from .zerodyn import ChannelMaps, channel_maps
 
@@ -296,10 +298,9 @@ class EncryptedBatch:
     shares, as the (rows, N, nw) uint64 words the sampler drew, values in
     [0, q): only `SecretKey.products` reads it.  Both are read-only once
     the batch holds them, so the key's cache of the batch's A sk never
-    goes stale.  `rows` joins `[first | cancels | shared]` into centred
-    Python ints once, on first use.  The layout stays inside this module:
-    other modules write a batch with `_write` and read one with
-    `standard_and_cancels`.
+    goes stale; A is never joined into Python ints.  The layout stays
+    inside this module: other modules write a batch with `_write` and read
+    one with `standard_and_cancels`.
     """
 
     def __init__(self, body: np.ndarray, shared: np.ndarray,
@@ -316,57 +317,37 @@ class EncryptedBatch:
     def N(self) -> int:
         return self.shared.shape[1]
 
-    @cached_property
-    def rows(self) -> Tuple[Tuple[int, ...], ...]:
-        cmod, N = self.kernel.q.cmod, self.N
-        shared = join_limbs(self.shared.reshape(-1, self.shared.shape[2]).T,
-                            64)
-        return tuple(tuple(map(cmod, row + tuple(shared[i * N:(i + 1) * N])))
-                     for i, row in enumerate(self.kernel.join(self.body)))
-
     def standard_and_cancels(self) -> Tuple[Ciphertext,
                                             Tuple[Tuple[int, ...], ...]]:
-        """The standard ciphertext `[first | shared]` and every channel's
-        cancel column, as Python ints: what View 2 records of a batch."""
-        n = 1 + self.n_channels
-        std = Ciphertext(body=ModMatrix(tuple(row[:1] + row[n:]
-                                              for row in self.rows),
-                                        self.kernel.q, ncols=1 + self.N,
-                                        _reduced=True),
-                         kind=CiphertextKind.STANDARD, N=self.N)
-        return std, tuple(zip(*(row[1:n] for row in self.rows)))
+        """The standard ciphertext, sharing the batch's A, and every cancel
+        column in centred Python ints: what View 2 records of a batch."""
+        q = self.kernel.q
+        first, *cancels = zip(*self.kernel.join(self.body))
+        return (Ciphertext(q, words_of(q, first), self.shared),
+                tuple(tuple(map(q.cmod, c)) for c in cancels))
 
     @classmethod
-    def _write(cls, std_rows: Sequence[Tuple[int, ...]],
-               cancels: Sequence[Tuple[int, ...]], kernel: LimbKernel,
-               t: int) -> "EncryptedBatch":
-        """Batch t of the standard ciphertext's rows, or of just their
-        first entries (a batch with no shared block, N = 0), and the
+    def _write(cls, std: Ciphertext, cancels: Sequence[Tuple[int, ...]],
+               kernel: LimbKernel, t: int) -> "EncryptedBatch":
+        """Batch t of the standard ciphertext `std`, sharing its A, and the
         cancel columns."""
-        std_rows, q = tuple(std_rows), kernel.q.q
-        stride = (q.bit_length() + 7) // 8
-        words = bytes_to_words(b"".join([(v % q).to_bytes(stride, "little")
-                                         for row in std_rows
-                                         for v in row[1:]]), stride)
-        return cls(kernel.split([row[:1] + c for row, c
-                                 in zip(std_rows, zip(*cancels))]),
-                   words.reshape(len(std_rows), -1, words.shape[1]), kernel, t)
+        return cls(kernel.split([(f,) + c for f, c
+                                 in zip(std.first_column(), zip(*cancels))]),
+                   std.shared, kernel, t)
 
 
 def modified_channels(std_ct: Ciphertext,
                       cancels: Sequence[Tuple[int, ...]]
                       ) -> Tuple[Ciphertext, ...]:
     """Channel j's modified ciphertext [first - cancel_j | shared | cancel_j]
-    for each cancellation column cancel_j of the standard ciphertext
-    `std_ct`, as Python ints."""
-    q, N = std_ct.body.modulus, std_ct.N
-    return tuple(
-        Ciphertext(body=ModMatrix(
-            tuple((q.cmod(row[0] - a),) + row[1:] + (a,)
-                  for row, a in zip(std_ct.body.rows, cancel)),
-            q, ncols=N + 2, _reduced=True),
-            kind=CiphertextKind.MODIFIED, N=N)
-        for cancel in cancels)
+    for each cancel column cancel_j of the standard ciphertext `std_ct`:
+    the two columns are new words, and every channel shares A."""
+    q, first = std_ct.q, std_ct.first_column()
+    words = words_of(q, [v for cancel in cancels
+                         for v in [f - a for f, a in zip(first, cancel)]
+                         + list(cancel)])
+    return tuple(Ciphertext(q, w[0], std_ct.shared, w[1]) for w in
+                 words.reshape(len(cancels), 2, std_ct.h, words.shape[1]))
 
 
 class EncryptorSession:
@@ -476,13 +457,12 @@ def step_encrypted(state: EncObserverState, batch: EncryptedBatch,
     recursion applied to the `[first | cancels]` limbs of the state and
     the batch.  The batch must be the one after the state's step (a
     missed, repeated or reordered batch is refused), and it joins the
-    state's window, which keeps the last `public.depth` batches.  A batch
-    with a shared block must have the public's LWE dimension; one without
-    (N = 0, as f2 writes them from first columns) holds no A to differ."""
+    state's window, which keeps the last `public.depth` batches.  The
+    batch must have the public's LWE dimension."""
     if (batch.n_channels, batch.N) != (state.n_channels, state.N):
         raise EncObsError("channel counts or widths differ between state "
                           "and batch")
-    if batch.N and batch.N != public.N:
+    if batch.N != public.N:
         raise EncObsError(f"batch of LWE dimension {batch.N} stepped "
                           f"through an observer of dimension {public.N}")
     if batch.t != state.t + 1:

@@ -13,43 +13,32 @@ any other key, and replays them through the recursion to S_t sk.
 Randomness comes from an injected source: `SecureRng` (the default) or
 the seedable `TestRng` for reproducible runs; the latter is explicitly not
 for production use.  Uniform vectors come from a rejection sampler on the
-source's `randbytes` (`_RandomSource.uniform_words`): at most 4096 values
-per request, cut in groups of at most 4096 values (all 6 rows of a step at
-N = 64, one row per group at N = 4096), each rejected value redrawn after
-its group's requests, so every entry is exactly uniform on Z_q and a draw
-without a rejection does not depend on the grouping.  The survivors stay
-in little-endian uint64 words, nw = ceil(bits / 64) per value; `uniforms`
-joins and centres the same draw into Python ints.  Under `SecureRng` the
-bytes come from OpenSSL's CTR_DRBG (`ssl.RAND_bytes`), about 13 times
-faster than `os.urandom` for a step's 344 KB at N = 4096, and the errors
-from `random.SystemRandom`.
+source's `randbytes` (`_RandomSource.uniform_words`), so every entry is
+exactly uniform on Z_q, and stay in little-endian uint64 words,
+nw = ceil(bits / 64) per value; `uniforms` centres the same draw into
+Python ints.
 
-Encryption keeps the randomness A as those words, read-only: the cloud
-never reads A, so it is never cut into the observer's limbs.  The mask
-A sk is a float64 matrix product (`SecretKey.products`): the words'
-32-bit halves, all in [0, 2^32), against the key's signed dk-bit digits,
-with N 2^32 2^dk <= 2^53, so every partial sum is an integer that float64
-holds exactly, whatever order or blocking BLAS sums in.  At N = 4096 that
-is dk = 9, with 13 key digits, and a 6-row A of 109-bit values is 24 rows
-of halves, taken in row blocks of A of at most `_PRODUCT_BLOCK` halves.
-The key's digits are cut once per key; keys longer than `MAX_N` = 2^20
-leave no digit bit and are refused.  The key caches each batch's A sk mod
-q, held weakly by batch (`cached_products`): the encryption's own for a
-batch it encrypted, one product otherwise; `zeroize` wipes the digits and
-empties that cache.
+Ciphertexts keep the randomness A as those words, read-only, also on the
+wire: the cloud never reads A, so it is never joined into Python ints or
+cut into the observer's limbs.  The mask A sk is a float64 matrix product
+(`SecretKey.products`) of the words' 32-bit halves against the key's
+signed dk-bit digits, exact whatever order BLAS sums in; keys longer than
+`MAX_N` = 2^20 leave no digit bit and are refused.  The key caches each
+batch's A sk mod q, held weakly by batch (`cached_products`): the
+encryption's own for a batch it encrypted, one product otherwise;
+`zeroize` wipes the digits and empties that cache.
 
-Keys and ciphertexts serialize as a magic, a header list and a payload
-list.  An integer list is a uint32 count, then per value a sign byte, a
-uint32 magnitude length and the magnitude's fewest little-endian bytes
-(`_pack_ints`).  The reader (`_unpack_ints`, then `_parse_body`) is strict:
-it refuses truncation, a sign other than 0 or 1, a magnitude whose top
-byte is zero (leading zeros, -0 or no bytes at all), trailing bytes, and a
-payload entry outside the centred range of q, found by one `min` and one
-`max` per list.  It decodes a 109-bit entry in about 0.4 us (CPython 3.11,
-2-vCPU x86-64).  A blob's modulus wider than `modring.MAX_MODULUS_BITS`
-= 1024 bits is refused before its primality test, so no blob can stall
-the parser; a reader that already knows q passes it, and a blob naming
-another modulus is refused with no primality test at all.
+Keys and ciphertexts serialize as a magic, the modulus (a uint16 byte
+count and its magnitude), a fixed-width header and one value list.  Every
+list of Z_q values is a uint32 count, then each value v mod q in
+ceil(bits(q) / 8) little-endian bytes (`pack_words`), 14 for the 109-bit
+benchmark q.  `read_values` checks the count against the bytes left before
+it allocates, cuts the list into words as the sampler cuts its bytes, and
+refuses any value not below q; blobs also refuse trailing bytes, so each
+value has one encoding.  A modulus with no bytes or a zero top byte is
+refused, and one wider than `modring.MAX_MODULUS_BITS` = 1024 bits is
+refused by `Modulus` before its primality test, so no blob can stall the
+parser; a reader that already knows q passes it instead.
 """
 
 from __future__ import annotations
@@ -60,7 +49,7 @@ import struct
 import weakref
 from collections import deque
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -137,16 +126,12 @@ class _RandomSource:
         as a (rows, count, nw) array of little-endian uint64 words, least
         significant first: the sampler's own words, nw = ceil(bytes / 8).
 
-        Rows request masked bytes (never a biased `% q` of a wide draw), cut
-        in groups through a strided uint64 view padded at the end: bytes
-        past a value's own fall under the top word's mask.  Each request's
-        values >= q are redrawn by one request of its row, made right after
-        its group's requests.
+        Rows request masked bytes (never a biased `% q` of a wide draw) for
+        at most 4096 values, cut in groups of at most 4096 values
+        (`_cut_words`); each request's values >= q are redrawn by one
+        request of its row, made right after its group's requests.
         """
-        bits = q.q.bit_length()
-        stride, nw = (bits + 7) // 8, (bits + 63) // 64
-        q_words = [np.uint64(q.q >> 64 * k & ~(~0 << 64)) for k in range(nw)]
-        top = np.uint64((1 << (bits - 64 * (nw - 1))) - 1)
+        stride, nw = wire_layout(q)
         out = np.empty((rows, count, nw), dtype=np.uint64)
         filled = [0] * rows
         queue = deque((r, min(count - s, _UNIFORM_CHUNK)) for r in range(rows)
@@ -156,19 +141,10 @@ class _RandomSource:
             while queue and size + queue[0][1] <= _UNIFORM_CHUNK:
                 group.append(queue.popleft())
                 size += group[-1][1]
-            view = np.ndarray((size, nw), "<u8", b"".join(
+            words = _cut_words(b"".join(
                 [self._rng.randbytes(n * stride) for _, n in group]
-                + [bytes(8 * nw - stride)]), strides=(stride, 8))
-            words = np.empty((size, nw), dtype=np.uint64)
-            words[:, :-1] = view[:, :-1]
-            np.bitwise_and(view[:, -1], top, out=words[:, -1])
-            below = None
-            if not (words[:, -1] < q_words[-1]).all():
-                # below q on a word, or equal there and below on the lower
-                below = words[:, 0] < q_words[0]
-                for k in range(1, nw):
-                    below = (words[:, k] < q_words[k]) | (
-                        (words[:, k] == q_words[k]) & below)
+                + [bytes(8 * nw - stride)]), size, stride, q.q.bit_length())
+            below = _below(words, q)
             redraws, o = [], 0
             for r, n in group:
                 kept = words[o:o + n]
@@ -184,10 +160,8 @@ class _RandomSource:
 
     def uniforms(self, q: Modulus, count: int) -> list:
         """`count` values exactly uniform on centred Z_q: one row of the
-        word draw, joined and centred."""
-        modulus, half = q.q, (q.q - 1) // 2
-        return [v - modulus if v > half else v for v in
-                join_limbs(self.uniform_words(q, 1, count)[0].T, 64)]
+        word draw, centred."""
+        return centred(q, self.uniform_words(q, 1, count)[0])
 
     def error(self, noise: NoiseParams) -> int:
         while True:
@@ -221,77 +195,118 @@ class TestRng(_RandomSource):
 _KEY_MAGIC = b"COSK"
 _CT_MAGIC = b"COCT"
 _COUNT = struct.Struct("<I")        # list length
-_ENTRY = struct.Struct("<BI")       # sign byte, magnitude length
+_CT_HEAD = struct.Struct("<IBI")    # N, kind (0 standard, 1 modified), h
 
 
-def _pack_ints(values: Sequence[int]) -> bytes:
-    """Length-prefixed little-endian magnitude with a sign byte per value."""
-    out = [_COUNT.pack(len(values))]
-    entry = _ENTRY.pack
-    for v in values:
-        mag = abs(v)
-        nbytes = (mag.bit_length() + 7) // 8 or 1
-        out.append(entry(v < 0, nbytes))
-        out.append(mag.to_bytes(nbytes, "little"))
-    return b"".join(out)
+def wire_layout(q: Modulus) -> Tuple[int, int]:
+    """(stride, nw): a value's bytes on the wire, ceil(bits / 8), and its
+    uint64 words, ceil(bits / 64)."""
+    bits = q.q.bit_length()
+    return (bits + 7) // 8, (bits + 63) // 64
 
 
-def _unpack_ints(buf: bytes, offset: int) -> Tuple[list, int]:
-    """Strict inverse of `_pack_ints`: LweError on truncated input, a sign
-    byte other than 0 or 1, a magnitude with leading zero bytes, or -0.
-
-    The encoding is canonical exactly when the sign is 0 or 1, the
-    magnitude has at least one byte, and its top byte is nonzero unless it
-    is the single byte of +0, so the check reads that byte instead of
-    measuring the decoded int."""
-    size = len(buf)
-    if offset + 4 > size:
-        raise LweError("truncated integer list")
-    (count,) = _COUNT.unpack_from(buf, offset)
-    offset += 4
-    # every entry takes at least 6 bytes, which also bounds the list below
-    if 6 * count > size - offset:
-        raise LweError("truncated integer list")
-    values = [0] * count
-    entry = _ENTRY.unpack_from
-    from_bytes = int.from_bytes
-    try:
-        for i in range(count):
-            sign, nbytes = entry(buf, offset)
-            start = offset + 5
-            offset = start + nbytes
-            if offset > size:
-                raise LweError("truncated integer")
-            if sign > 1 or not nbytes or (
-                    not buf[offset - 1] and (nbytes > 1 or sign)):
-                raise LweError("non-canonical integer encoding")
-            mag = from_bytes(buf[start:offset], "little")
-            values[i] = -mag if sign else mag
-    except struct.error:    # fewer than 5 bytes left for an entry's header
-        raise LweError("truncated integer") from None
-    return values, offset
+def _cut_words(raw: bytes, count: int, stride: int, bits: int) -> np.ndarray:
+    """The low `bits` bits of the `count` values of `stride` bytes packed in
+    `raw`, padded by 8 nw - stride bytes, as a fresh (count, nw) uint64
+    array, through one strided view whose top words are masked."""
+    nw = -(-stride // 8)
+    view = np.ndarray((count, nw), "<u8", raw, strides=(stride, 8))
+    words = np.empty((count, nw), dtype=np.uint64)
+    words[:, :-1] = view[:, :-1]
+    np.bitwise_and(view[:, -1], np.uint64((1 << bits - 64 * nw + 64) - 1),
+                   out=words[:, -1])
+    return words
 
 
-def _parse_body(buf: bytes, header_len: int, q: Modulus | None = None):
-    """Magic-stripped blob -> (header ints, modulus, payload ints), checking
-    that nothing trails the payload and every entry is centred mod q; a
-    given q is compared with the blob's modulus instead of tested again."""
-    header, offset = _unpack_ints(buf, 4)
-    if len(header) != header_len:
-        raise LweError("malformed header")
+def _below(words: np.ndarray, q: Modulus):
+    """Which rows of (n, nw) words hold a value below q, or None when every
+    top word is below q's, so all do."""
+    q_words = [np.uint64(q.q >> 64 * k & ~(~0 << 64))
+               for k in range(words.shape[1])]
+    if (words[:, -1] < q_words[-1]).all():
+        return None
+    # below q on a word, or equal there and below on the lower
+    below = words[:, 0] < q_words[0]
+    for k in range(1, len(q_words)):
+        below = (words[:, k] < q_words[k]) | (
+            (words[:, k] == q_words[k]) & below)
+    return below
+
+
+def words_of(q: Modulus, values: Iterable[int]) -> np.ndarray:
+    """The (n, nw) uint64 words of each value mod q."""
+    (stride, nw), modulus = wire_layout(q), q.q
+    raw = [(v % modulus).to_bytes(stride, "little") for v in values]
+    return _cut_words(b"".join(raw + [bytes(8 * nw - stride)]), len(raw),
+                      stride, 8 * stride)
+
+
+def centred(q: Modulus, words: np.ndarray) -> List[int]:
+    """The centred Python ints of (n, nw) words of values in [0, q)."""
+    modulus, half = q.q, q.q >> 1
+    return [v - modulus if v > half else v for v in join_limbs(words.T, 64)]
+
+
+def pack_words(q: Modulus, *parts: np.ndarray) -> bytes:
+    """One value list of the nw-word values in [0, q) of `parts` in turn: a
+    uint32 count, then every value's ceil(bits / 8) low bytes."""
+    stride, nw = wire_layout(q)
+    blocks = [np.ascontiguousarray(p, dtype="<u8").reshape(-1, nw)
+              for p in parts]
+    return b"".join([_COUNT.pack(sum(map(len, blocks)))] + [
+        b.view(np.uint8)[:, :stride].tobytes() for b in blocks])
+
+
+def read_values(buf: bytes, offset: int, q: Modulus) -> Tuple[np.ndarray,
+                                                                int]:
+    """Strict inverse of `pack_words` at `offset` -> ((count, nw) words,
+    end), refusing a list that runs past `buf` before allocating it."""
+    stride, nw = wire_layout(q)
+    # a count cut short also puts the end past the buffer
+    count = int.from_bytes(buf[offset:offset + 4], "little")
+    start, end = offset + 4, offset + 4 + count * stride
+    if end > len(buf):
+        raise LweError("truncated value list")
+    words = _cut_words(buf[start:end] + bytes(8 * nw - stride), count, stride,
+                       8 * stride)
+    below = _below(words, q)
+    if below is not None and not below.all():
+        raise LweError("value not below q")
+    return words, end
+
+
+def _pack_modulus(q: Modulus) -> bytes:
+    size = (q.q.bit_length() + 7) // 8
+    return size.to_bytes(2, "little") + q.q.to_bytes(size, "little")
+
+
+def _read_modulus(buf: bytes, offset: int,
+                  q: Modulus | None = None) -> Tuple[Modulus, int]:
+    """The modulus at `offset` -> (modulus, end), or the given q, which it
+    must equal; `Modulus` refuses a width past `MAX_MODULUS_BITS` first."""
+    size = int.from_bytes(buf[offset:offset + 2], "little")
+    start, end = offset + 2, offset + 2 + size
+    if end > len(buf):
+        raise LweError("truncated modulus")
+    if not size or not buf[end - 1]:
+        raise LweError("modulus with a leading zero byte")
+    value = int.from_bytes(buf[start:end], "little")
     if q is None:
         try:
-            q = Modulus(header[0])
+            q = Modulus(value)
         except PrimalityError as exc:
             raise LweError(f"blob modulus refused: {exc}") from exc
-    elif header[0] != q.q:
+    elif value != q.q:
         raise LweError("blob modulus does not match the expected one")
-    payload, offset = _unpack_ints(buf, offset)
-    if offset != len(buf):
-        raise LweError(f"{len(buf) - offset} trailing bytes")
-    if not q.contains_all(payload):
-        raise LweError("entry outside the centred range of q")
-    return header, q, payload
+    return q, end
+
+
+def _read_payload(buf: bytes, offset: int, q: Modulus) -> np.ndarray:
+    """The value list that ends a blob."""
+    words, end = read_values(buf, offset, q)
+    if end != len(buf):
+        raise LweError(f"{len(buf) - end} trailing bytes")
+    return words
 
 
 class SecretKey:
@@ -391,63 +406,95 @@ class SecretKey:
             self._digits = None
 
     def to_bytes(self) -> bytes:
-        return _KEY_MAGIC + _pack_ints([self.q.q, self.N]) + _pack_ints(self.entries())
+        """Magic, modulus, then the entries as one value list."""
+        return b"".join([_KEY_MAGIC, _pack_modulus(self.q),
+                         pack_words(self.q, words_of(self.q, self.entries()))])
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "SecretKey":
         if buf[:4] != _KEY_MAGIC:
             raise LweError("not a secret key blob")
-        (_, n), q, entries = _parse_body(buf, 2)
-        if n < 1 or len(entries) != n:
+        q, offset = _read_modulus(buf, 4)
+        entries = centred(q, _read_payload(buf, offset, q))
+        if not entries:
             raise LweError("secret key length is not N >= 1")
         return cls(entries, q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ciphertext:
-    """Role-tagged ciphertext matrix: message+mask column, randomness block,
-    and (modified kind only) the cancellation column."""
+    """A ciphertext over q as read-only uint64 words of values in [0, q),
+    nw = ceil(bits / 64) per value, the sampler's form: the (h, nw) first
+    column, the (h, N, nw) randomness A, the very array its batch holds and
+    every channel's modified ciphertext shares, and the modified kind's
+    (h, nw) cancel column, None for a standard ciphertext.  Ciphertexts are
+    equal when their q, kind and words are."""
 
-    body: ModMatrix
-    kind: CiphertextKind
-    N: int
+    q: Modulus
+    first: np.ndarray
+    shared: np.ndarray
+    cancel: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        expected = self.N + (1 if self.kind is CiphertextKind.STANDARD else 2)
-        if self.body.ncols != expected:
-            raise DimensionMismatch(
-                f"{self.kind.value} ciphertext must have {expected} columns, "
-                f"got {self.body.ncols}")
+        h, N, nw = self.shared.shape
+        if (self.first.shape != (h, nw) or nw != wire_layout(self.q)[1]
+                or (self.cancel is not None and self.cancel.shape != (h, nw))):
+            raise DimensionMismatch(f"ciphertext parts do not fit a {h} x "
+                                    f"{N} block of {nw}-word values")
+        for part in (self.first, self.shared, self.cancel):
+            if part is not None:
+                part.setflags(write=False)
+
+    @property
+    def kind(self) -> CiphertextKind:
+        return (CiphertextKind.STANDARD if self.cancel is None
+                else CiphertextKind.MODIFIED)
+
+    @property
+    def N(self) -> int:
+        return self.shared.shape[1]
 
     @property
     def h(self) -> int:
-        return self.body.nrows
+        return self.first.shape[0]
 
     def first_column(self) -> Tuple[int, ...]:
-        return self.body.column_entries(0)
+        return tuple(centred(self.q, self.first))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Ciphertext):
+            return NotImplemented
+        return self.q == other.q and self.kind is other.kind and all(
+            a is b or np.array_equal(a, b) for a, b in (
+                (self.first, other.first), (self.shared, other.shared),
+                (self.cancel, other.cancel)))
 
     def to_bytes(self) -> bytes:
-        head = _pack_ints([self.body.modulus.q, self.N,
-                           0 if self.kind is CiphertextKind.STANDARD else 1,
-                           self.h])
-        return _CT_MAGIC + head + _pack_ints(self.body.flat())
+        """Magic, modulus, N, kind and h, then one value list: the first
+        column, A row by row and, modified, the cancel column."""
+        modified = self.cancel is not None
+        return b"".join([
+            _CT_MAGIC, _pack_modulus(self.q),
+            _CT_HEAD.pack(self.N, modified, self.h),
+            pack_words(self.q, self.first, self.shared,
+                       *([self.cancel] if modified else []))])
 
     @classmethod
     def from_bytes(cls, buf: bytes, q: Modulus | None = None) -> "Ciphertext":
-        """A given q is the modulus the blob must name (`_parse_body`)."""
+        """A given q is the modulus the blob must name (`_read_modulus`)."""
         if buf[:4] != _CT_MAGIC:
             raise LweError("not a ciphertext blob")
-        (_, n, kind_flag, h), q, flat = _parse_body(buf, 4, q)
-        if kind_flag not in (0, 1) or n < 1 or h < 1:
+        q, offset = _read_modulus(buf, 4, q)
+        if offset + _CT_HEAD.size > len(buf):
+            raise LweError("truncated ciphertext header")
+        n, kind, h = _CT_HEAD.unpack_from(buf, offset)
+        if kind > 1 or n < 1 or h < 1:
             raise LweError("malformed ciphertext header")
-        kind = CiphertextKind.MODIFIED if kind_flag else CiphertextKind.STANDARD
-        width = n + (2 if kind_flag else 1)
-        if len(flat) != h * width:
+        words = _read_payload(buf, offset + _CT_HEAD.size, q)
+        if len(words) != h * (n + 1 + kind):
             raise LweError("ciphertext payload size mismatch")
-        # consecutive width-tuples of the flat payload, one per row
-        rows = zip(*[iter(flat)] * width)
-        return cls(body=ModMatrix(rows, q, ncols=width, _reduced=True),
-                   kind=kind, N=n)
+        return cls(q, words[:h], words[h:h + h * n].reshape(h, n, -1),
+                   words[h + h * n:] if kind else None)
 
 
 def keygen(N: int, q: Modulus, rng) -> SecretKey:

@@ -10,10 +10,9 @@ top-to-bottom, left-to-right) so that pivot columns and inverses are
 bit-reproducible across runs.
 
 `split_limbs` and `join_limbs` convert between Python ints and exact signed
-int64 limbs, the form in which numpy kernels compute over Z_q;
-`bytes_to_words` reads packed bytes, such as a random source's, as uint64
-words, and `words_to_limbs` cuts words into limbs.  Exact dot products of int64 limbs
-and fixed integers (a key, a map's rows) meet the limbs' 32-bit halves
+int64 limbs, the form in which numpy kernels compute over Z_q, and
+`words_to_limbs` cuts uint64 words into limbs.  Exact dot products of int64
+limbs and fixed integers (a key, a map's rows) meet the limbs' 32-bit halves
 (`half_limbs`), or differences of halves, which stay below 2^32 too, with
 the fixed integers' `fixed_digits`, as narrow as the accumulator's exact
 bits allow (`digit_budget`): 63 in int64, 53 in float64, whose BLAS
@@ -44,7 +43,6 @@ __all__ = [
     "mat_mul_mod",
     "inverse_mod",
     "pivot_columns",
-    "bytes_to_words",
     "words_to_limbs",
     "split_limbs",
     "join_limbs",
@@ -132,7 +130,7 @@ class Modulus:
     range [-(q-1)/2, (q-1)/2].
     """
 
-    __slots__ = ("q", "_twoq", "_max_abs")
+    __slots__ = ("q", "_twoq")
 
     def __init__(self, q: int):
         if q < 3:
@@ -144,7 +142,6 @@ class Modulus:
             raise PrimalityError(f"modulus {q} failed the primality test")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "_twoq", 2 * q)
-        object.__setattr__(self, "_max_abs", (q - 1) // 2)
 
     def __setattr__(self, *_):
         raise AttributeError("Modulus is immutable")
@@ -152,12 +149,6 @@ class Modulus:
     def cmod(self, a: int) -> int:
         q = self.q
         return a - ((2 * a + q) // self._twoq) * q
-
-    def contains_all(self, values: Sequence[int]) -> bool:
-        """Whether every value lies in the centred range: one `min` and
-        one `max` over the list."""
-        return not values or (-self._max_abs <= min(values)
-                              and max(values) <= self._max_abs)
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse of a in the centered range."""
@@ -406,17 +397,6 @@ def pivot_columns(T2: ModMatrix) -> List[int]:
 _SPLIT_CHUNK = 4096
 
 
-def bytes_to_words(buf: bytes, stride: int) -> np.ndarray:
-    """The little-endian values of `stride` bytes each packed in `buf`, as a
-    fresh writable (n, ceil(stride / 8)) array of little-endian uint64
-    words, zero-padded at the top."""
-    raw = np.frombuffer(buf, dtype=np.uint8).reshape(-1, stride)
-    nwords = -(-stride // 8)
-    words = np.zeros((raw.shape[0], 8 * nwords), dtype=np.uint8)
-    words[:, :stride] = raw
-    return words.view("<u8")
-
-
 def words_to_limbs(words: np.ndarray, width: int, count: int) -> np.ndarray:
     """The low `width * count` bits of each row of uint64 words (least
     significant word first) cut into `count` fields of `width` bits, as a
@@ -451,7 +431,7 @@ def split_limbs(values: Sequence[int], width: int, count: int) -> np.ndarray:
         buf = b"".join([v.to_bytes(stride, "little", signed=True)
                         for v in part])
         out[:, start:start + len(part)] = words_to_limbs(
-            bytes_to_words(buf, stride), width, count)
+            np.frombuffer(buf, "<u8").reshape(-1, stride // 8), width, count)
     top = out[count - 1]
     top -= (top >> (width - 1)) << width
     return out

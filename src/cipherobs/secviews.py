@@ -5,25 +5,26 @@ disclosure sees; view 2 is what an eavesdropper on the modified scheme
 sees.  Channel j's modified ciphertext is the standard one with its first
 column split as `[first - cancel_j | shared | cancel_j]`, so View 2 holds
 each step's standard ciphertext and the channels' cancel columns once, and
-both views serialize as standard ciphertexts plus one integer list per
-step.  Both transformations below use only the public maps, ciphertexts
-and disclosed residues (never the secret key), and reproduce the other
-view bit for bit, which is the operational content of the equivalence
-claim: neither party learns more than the other.  Neither re-implements
-the deployment: f1 runs the encryptor's cancellation with the message as a
-known offset, and f2 runs the deployed encrypted observer and disclosure.
+both views serialize as standard ciphertexts plus one list of Z_q values
+per step, in `lwe`'s fixed-width encoding.  Both transformations below use
+only the public maps, ciphertexts and disclosed residues (never the secret
+key), and reproduce the other view bit for bit, which is the operational
+content of the equivalence claim: neither party learns more than the
+other.  Neither re-implements the deployment: f1 runs the encryptor's
+cancellation with the message as a known offset, and f2 runs the deployed
+encrypted observer and disclosure.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 from .encobs import EncObserverState, EncryptedBatch, ObserverPublic, \
     disclose_residue, modified_channels, residue_first_column, step_encrypted
-from .lwe import Ciphertext, CiphertextKind, LweError, _pack_ints, \
-    _unpack_ints
+from .lwe import Ciphertext, CiphertextKind, LweError, centred, \
+    pack_words, read_values, words_of
 from .modring import ModMatrix, Modulus
 from .quantobs import QuantParams
 
@@ -55,7 +56,7 @@ def _check_ciphertexts(cts: Sequence[Ciphertext], q: Modulus, N: int):
         if ct.kind is not CiphertextKind.STANDARD:
             raise ViewError(f"{ct.kind.value} ciphertext in a transcript "
                             "of standard ones")
-        if ct.body.modulus != q:
+        if ct.q != q:
             raise ViewError("ciphertext modulus does not match")
         if ct.N != N:
             raise ViewError("ciphertext dimension does not match")
@@ -64,12 +65,14 @@ def _check_ciphertexts(cts: Sequence[Ciphertext], q: Modulus, N: int):
 def _write(magic: bytes, counts: Tuple[int, int],
            cts: Sequence[Ciphertext], lists) -> bytes:
     """Both views' encoding: magic, two uint32 counts, the size-prefixed
-    ciphertexts, then one packed integer list per entry of `lists`."""
+    ciphertexts, then one value list over the first ciphertext's modulus
+    per entry of `lists`."""
     parts = [magic, struct.pack("<II", *counts)]
     for ct in cts:
         blob = ct.to_bytes()
         parts += [struct.pack("<I", len(blob)), blob]
-    parts.extend(map(_pack_ints, lists))
+    q = cts[0].q
+    parts += [pack_words(q, words_of(q, values)) for values in lists]
     return b"".join(parts)
 
 
@@ -84,7 +87,7 @@ def _read_header(buf: bytes, magic: bytes) -> Tuple[int, int]:
 def _read_body(buf: bytes, n_cts: int, n_lists: int, q: Modulus | None):
     """Strict inverse of `_write` past the header -> (ciphertexts, lists).
     The ciphertexts must be standard, over one modulus and one N, and every
-    list entry must lie in that modulus's centred range.  Each ciphertext's
+    list value must be below that modulus.  Each ciphertext's
     modulus is compared with q, or else with the first one's, before any
     primality test, so a transcript naming many primes costs one at most."""
     offset = _HEADER_LEN
@@ -98,14 +101,12 @@ def _read_body(buf: bytes, n_cts: int, n_lists: int, q: Modulus | None):
             if offset + size > len(buf):
                 raise ViewError("ciphertext size runs past the transcript")
             cts.append(Ciphertext.from_bytes(buf[offset:offset + size], q))
-            q = cts[-1].body.modulus
+            q = cts[-1].q
             offset += size
         _check_ciphertexts(cts, q, cts[0].N)
         for _ in range(n_lists):
-            vals, offset = _unpack_ints(buf, offset)
-            if not q.contains_all(vals):
-                raise ViewError("transcript entry outside the centred range")
-            lists.append(vals)
+            words, offset = read_values(buf, offset, q)
+            lists.append(centred(q, words))
     except LweError as exc:
         raise ViewError(f"malformed transcript entry: {exc}") from exc
     if offset != len(buf):
@@ -158,6 +159,16 @@ class View2:
         return tuple(map(modified_channels, self.standard_cts[1:],
                          self.cancels[1:]))
 
+    def states(self, public: ObserverPublic) -> Iterator[EncObserverState]:
+        """Every encrypted state of the recorded run, stepped by the deployed
+        `step_encrypted` on the batches `EncryptedBatch._write` rebuilds."""
+        for t, (ct, cancels) in enumerate(zip(self.standard_cts,
+                                              self.cancels)):
+            batch = EncryptedBatch._write(ct, cancels, public.kernel, t)
+            state = (step_encrypted(state, batch, public) if t
+                     else EncObserverState.from_initial(batch))
+            yield state
+
     def to_bytes(self) -> bytes:
         return _write(b"VIEW2", (len(self.cancels[0]),
                                  len(self.standard_cts) - 1),
@@ -201,21 +212,9 @@ def f2_view2_to_view1(v2: View2, public: ObserverPublic,
             for ct, step in zip(v2.standard_cts, v2.cancels)):
         raise ViewError("cancel columns do not match the channel count and "
                         "the ciphertext rows")
-    batches = (EncryptedBatch._write(zip(ct.first_column()), cancels,
-                                     public.kernel, t)
-               for t, (ct, cancels) in enumerate(zip(v2.standard_cts,
-                                                     v2.cancels)))
-
-    def disclose(state: EncObserverState) -> ModMatrix:
-        return disclose_residue(residue_first_column(state, public), params)
-
-    state = EncObserverState.from_initial(next(batches))
-    residues = [disclose(state)]
-    for batch in batches:
-        state = step_encrypted(state, batch, public)
-        residues.append(disclose(state))
     return View1(init_ct=v2.standard_cts[0], input_cts=v2.standard_cts[1:],
-                 residues=tuple(residues))
+                 residues=tuple(disclose_residue(residue_first_column(
+                     state, public), params) for state in v2.states(public)))
 
 
 def f1_view1_to_view2(v1: View1, public: ObserverPublic,

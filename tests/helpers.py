@@ -13,17 +13,16 @@ import numpy as np
 from cipherobs.encobs import EncObserverState, EncryptedBatch, \
     EncryptorSession, ObserverPublic, disclose_residue, modified_channels, \
     observer_update, residue_first_column, step_encrypted
-from cipherobs.lwe import _CT_MAGIC, CiphertextKind, LweError, TestRng, \
-    keygen
+from cipherobs.lwe import _CT_MAGIC, Ciphertext, CiphertextKind, LweError, \
+    TestRng, centred, keygen, wire_layout, words_of
 from cipherobs.modring import DimensionMismatch, ModMatrix, ModRingError, \
-    Modulus, _echelon, bytes_to_words, inverse_mod, pivot_columns, \
-    words_to_limbs
+    Modulus, _echelon, inverse_mod, pivot_columns, words_to_limbs
 from cipherobs.obsdesign import run_reference_observer
 from cipherobs.pipeline import BENCH_Q, EncryptedRun, run_quantized_mode
 from cipherobs.plantsim import AttackScenario, PlantModel, run_closed_loop
 from cipherobs.quantobs import quantize_initial, quantize_input, \
     residue_quantized, step_quantized
-from cipherobs.secviews import View2
+from cipherobs.secviews import View1, View2
 from cipherobs.zerodyn import RelativeDegreeUndefined, channel_maps
 
 
@@ -33,11 +32,9 @@ class ValueSource:
     draw takes each row's values from `uniforms` in turn."""
 
     def uniform_words(self, q: Modulus, rows: int, count: int) -> np.ndarray:
-        stride = (q.q.bit_length() + 7) // 8
-        words = bytes_to_words(b"".join(
-            (v % q.q).to_bytes(stride, "little")
-            for _ in range(rows) for v in self.uniforms(q, count)), stride)
-        return words.reshape(rows, count, words.shape[1])
+        return words_of(q, [v for _ in range(rows)
+                            for v in self.uniforms(q, count)]).reshape(
+            rows, count, wire_layout(q)[1])
 
 
 def egcd_inverse(a: int, q: int) -> int:
@@ -166,15 +163,10 @@ def cloud_run(setup, N: int, seed: int, steps: int):
 
 def replay_states(view2: View2, public) -> List[EncObserverState]:
     """Every encrypted state of a recorded run, rebuilt from its View 2
-    with the deployed `step_encrypted`, each with the batches its shared
-    block depends on (`full_state` rebuilds that block)."""
-    batches = [EncryptedBatch._write(ct.body.rows, cancels, public.kernel, t)
-               for t, (ct, cancels) in enumerate(zip(view2.standard_cts,
-                                                     view2.cancels))]
-    states = [EncObserverState.from_initial(batches[0])]
-    for batch in batches[1:]:
-        states.append(step_encrypted(states[-1], batch, public))
-    return states
+    with the deployed `step_encrypted` (`View2.states`), each with the
+    batches its shared block depends on (`full_state` rebuilds that
+    block)."""
+    return list(view2.states(public))
 
 
 def full_limbs(batch: EncryptedBatch) -> np.ndarray:
@@ -212,9 +204,33 @@ def full_state(state: EncObserverState, public) -> EncryptedBatch:
     if not np.array_equal(body[:, :, :n], state.body):
         raise AssertionError("the narrow state differs from its replay")
     rows = [tuple(map(public.q.cmod, row)) for row in public.kernel.join(body)]
-    return EncryptedBatch._write([row[:1] + row[n:] for row in rows],
-                                 tuple(zip(*(row[1:n] for row in rows))),
-                                 public.kernel, state.t)
+    return EncryptedBatch._write(
+        ciphertext([row[:1] + row[n:] for row in rows], public.q),
+        tuple(zip(*(row[1:n] for row in rows))), public.kernel, state.t)
+
+
+def ciphertext(rows, q: Modulus, modified: bool = False) -> Ciphertext:
+    """The ciphertext whose matrix is `rows` (at least one): the first
+    column, then A, then (`modified`) the cancel column, each entry taken
+    mod q."""
+    rows = [tuple(row) for row in rows]
+    words = words_of(q, [a for row in rows for a in row]).reshape(
+        len(rows), len(rows[0]), wire_layout(q)[1])
+    return Ciphertext(q, words[:, 0], words[:, 1:len(rows[0]) - modified],
+                      words[:, -1] if modified else None)
+
+
+def ct_matrix(ct: Ciphertext) -> ModMatrix:
+    """A ciphertext's matrix `[first | A | cancel]` over Z_q, its words
+    joined into centred Python ints (test oracle)."""
+    parts = [ct.first[:, None], ct.shared] + (
+        [] if ct.cancel is None else [ct.cancel[:, None]])
+    words = np.concatenate(parts, axis=1)
+    h, width, nw = words.shape
+    flat = centred(ct.q, words.reshape(-1, nw))
+    return ModMatrix(tuple(tuple(flat[i * width:(i + 1) * width])
+                           for i in range(h)), ct.q, ncols=width,
+                     _reduced=True)
 
 
 def transcript_masks(standard_cts, messages, lift: int) -> List[ModMatrix]:
@@ -237,9 +253,9 @@ def dense_decrypt(ct, sk) -> ModMatrix:
     if ct.N != sk.N:
         raise DimensionMismatch("ciphertext and key disagree on N")
     key, cancel = sk.entries(), ct.kind is CiphertextKind.MODIFIED
-    return ModMatrix.column([row[0] - sum(map(mul, row[1:], key))
+    return ModMatrix.column([row[0] - sum(map(mul, row[1:1 + sk.N], key))
                              + (row[-1] if cancel else 0)
-                             for row in ct.body.rows], sk.q)
+                             for row in ct_matrix(ct).rows], sk.q)
 
 
 def transcript_errors(standard_cts, messages, lift: int,
@@ -331,7 +347,7 @@ def sigma_dag(maps) -> ModMatrix:
 
 def last_column(ct) -> Tuple[int, ...]:
     """The last column of a ciphertext: a modified one's cancel column."""
-    return ct.body.column_entries(ct.body.ncols - 1)
+    return ct_matrix(ct).column_entries(ct.N + (ct.cancel is not None))
 
 
 def f1_zero_dynamics(v1, public, params):
@@ -409,7 +425,7 @@ def centered_difference_check(a: int, b: int, mod: Modulus) -> bool:
     held (and the conclusion was verified), False when the hypothesis did
     not apply.
     """
-    if not mod.contains_all([a, b]):
+    if (mod.cmod(a), mod.cmod(b)) != (a, b):
         raise ModRingError("inputs must already lie in the centered range")
     red = mod.cmod(a - b)
     if 2 * (abs(a) + abs(red)) >= mod.q:
@@ -546,7 +562,8 @@ def encrypted_residue(state, public) -> Tuple[ModMatrix, ModMatrix]:
     `encobs.residue_first_column`).
     """
     full = full_state(state, public)
-    R = ModMatrix(tuple((public.Hbar.row(j) @ channel(full, j).body).rows[0]
+    R = ModMatrix(tuple((public.Hbar.row(j) @ ct_matrix(channel(full, j))
+                         ).rows[0]
                         for j in range(state.n_channels)),
                   public.q, ncols=state.N + 2)
     return R, ModMatrix.column(R.column_entries(0), public.q)
@@ -628,12 +645,13 @@ def calibrate_quantization(setup, horizon=None) -> CalibrationReport:
                              max_subset_dev=max_sub_dev, eps=params.eps)
 
 
-# -- integer-list codec ------------------------------------------------------
+# -- the wire codec -----------------------------------------------------------
 
 def reference_pack_ints(values: Sequence[int]) -> bytes:
-    """The integer-list encoding, one value at a time: a uint32 count, then
-    per value a sign byte, a uint32 magnitude length and the little-endian
-    magnitude in its fewest bytes (one for 0)."""
+    """The integer-list layout the golden digests were first recorded in,
+    one value at a time: a uint32 count, then per value a sign byte, a
+    uint32 magnitude length and the little-endian magnitude in its fewest
+    bytes (one for 0)."""
     out = [struct.pack("<I", len(values))]
     for v in values:
         mag = abs(v)
@@ -643,65 +661,104 @@ def reference_pack_ints(values: Sequence[int]) -> bytes:
     return b"".join(out)
 
 
-def reference_unpack_ints(buf: bytes, offset: int) -> Tuple[list, int]:
-    """Strict inverse of `reference_pack_ints`, checking each value's
-    canonical length against its decoded bit length."""
+def reference_ct_bytes(ct: Ciphertext) -> bytes:
+    """A ciphertext in the layout of `reference_pack_ints`: magic, the list
+    [q, N, kind, h], then its centred entries row by row."""
+    return (_CT_MAGIC
+            + reference_pack_ints([ct.q.q, ct.N, ct.cancel is not None, ct.h])
+            + reference_pack_ints(ct_matrix(ct).flat()))
+
+
+def reference_view_bytes(view) -> bytes:
+    """View 1 or View 2 in the layout of `reference_pack_ints`: magic, the
+    two uint32 counts, the size-prefixed `reference_ct_bytes` and one
+    integer list per residue or per step's cancels."""
+    if isinstance(view, View1):
+        magic, counts = b"VIEW1", (len(view.input_cts), len(view.residues))
+        cts = (view.init_ct,) + view.input_cts
+        lists = [r.column_entries() for r in view.residues]
+    else:
+        magic = b"VIEW2"
+        counts = (len(view.cancels[0]), len(view.standard_cts) - 1)
+        cts = view.standard_cts
+        lists = [[a for c in step for a in c] for step in view.cancels]
+    blobs = [reference_ct_bytes(ct) for ct in cts]
+    return b"".join([magic, struct.pack("<II", *counts)]
+                    + [struct.pack("<I", len(b)) + b for b in blobs]
+                    + [reference_pack_ints(values) for values in lists])
+
+
+def _fixed(q: int, values: Sequence[int]) -> bytes:
+    """Each value as ceil(bits(q) / 8) little-endian bytes, unreduced."""
+    stride = (q.bit_length() + 7) // 8
+    return b"".join(v.to_bytes(stride, "little") for v in values)
+
+
+def reference_pack_values(q: Modulus, values: Sequence[int]) -> bytes:
+    """The value list, one value at a time: a uint32 count, then each
+    value mod q in ceil(bits(q) / 8) little-endian bytes."""
+    return struct.pack("<I", len(values)) + _fixed(q.q, [v % q.q
+                                                         for v in values])
+
+
+def reference_read_values(buf: bytes, offset: int,
+                          q: Modulus) -> Tuple[list, int]:
+    """Strict inverse of `reference_pack_values` -> (centred values, end),
+    decoding one `int.from_bytes` at a time."""
+    stride = (q.q.bit_length() + 7) // 8
     if offset + 4 > len(buf):
-        raise LweError("truncated integer list")
+        raise LweError("truncated value list")
     (count,) = struct.unpack_from("<I", buf, offset)
     offset += 4
-    if 6 * count > len(buf) - offset:
-        raise LweError("truncated integer list")
-    values = []
-    for _ in range(count):
-        if offset + 5 > len(buf):
-            raise LweError("truncated integer")
-        sign, nbytes = struct.unpack_from("<BI", buf, offset)
-        offset += 5
-        end = offset + nbytes
-        if end > len(buf):
-            raise LweError("truncated integer")
-        mag = int.from_bytes(buf[offset:end], "little")
-        if sign > 1 or nbytes != ((mag.bit_length() + 7) // 8 or 1) or (
-                sign and not mag):
-            raise LweError("non-canonical integer encoding")
-        offset = end
-        values.append(-mag if sign else mag)
-    return values, offset
-
-
-def _entry(sign: int, nbytes: int, magnitude: bytes = b"") -> bytes:
-    return struct.pack("<BI", sign, nbytes) + magnitude
+    if offset + count * stride > len(buf):
+        raise LweError("truncated value list")
+    values = [int.from_bytes(buf[o:o + stride], "little")
+              for o in range(offset, offset + count * stride, stride)]
+    if any(v >= q.q for v in values):
+        raise LweError("value not below q")
+    return [q.cmod(v) for v in values], offset + count * stride
 
 
 def _count(n: int) -> bytes:
     return struct.pack("<I", n)
 
 
-# One hand-built integer list per way an encoding can be malformed, with the
-# end of the message the strict decoder must give.  The zero-length
-# magnitudes are padded by a byte, since a one-entry list of fewer than 6
-# bytes is refused by its count before its entry is read.
+# One hand-built value list over a modulus q per kind of defect, as a
+# function of q, with the end of the message the strict reader must give.
+# The keys name the defects of a sign-and-length integer encoding; each
+# blob is the same kind of defect in the fixed-width layout, where a
+# value's only canonical form is "below q" and its only length field is
+# the list's count.  The value defects need 8 ceil(bits(q) / 8) > bits(q)
+# + 1, which holds for q = 11 and the benchmark q.
 MALFORMED_INT_LISTS = {
-    "sign-byte-2": (_count(1) + _entry(2, 1, b"\x05"),
-                    "non-canonical integer encoding"),
-    "leading-zero-byte": (_count(1) + _entry(0, 2, b"\x05\x00"),
-                          "non-canonical integer encoding"),
-    "minus-zero": (_count(1) + _entry(1, 1, b"\x00"),
-                   "non-canonical integer encoding"),
-    "zero-length-magnitude": (_count(1) + _entry(0, 0) + b"\x00",
-                              "non-canonical integer encoding"),
-    "negative-zero-length-magnitude": (_count(1) + _entry(1, 0) + b"\x00",
-                                       "non-canonical integer encoding"),
+    # a value's top byte with a bit that no value below q sets
+    "sign-byte-2": (lambda q: value_list(
+        q, [5 | 1 << 8 * ((q.bit_length() + 7) // 8) - 1]),
+        "value not below q"),
+    # 5 written as the larger representative 5 + q
+    "leading-zero-byte": (lambda q: value_list(q, [5 + q]),
+                          "value not below q"),
+    # 0 written as q
+    "minus-zero": (lambda q: value_list(q, [q]), "value not below q"),
+    # 0 written as 2 q
+    "negative-zero-length-magnitude": (lambda q: value_list(q, [2 * q]),
+                                       "value not below q"),
+    # a list of one value that ends at its count
+    "zero-length-magnitude": (lambda q: _count(1), "truncated value list"),
+    # the count with its high bytes set, over one value
     "length-field-with-its-high-bytes-set": (
-        _count(1) + _entry(0, 0x01000001, b"\x05"), "truncated integer"),
-    "truncated-inside-the-5-byte-header": (
-        _count(2) + _entry(0, 8, bytes(7) + b"\x01") + b"\x00\x01\x00",
-        "truncated integer"),
-    "truncated-inside-the-magnitude": (_count(1) + _entry(0, 4, b"\x05\x06"),
-                                       "truncated integer"),
-    "count-larger-than-the-bytes-left": (_count(3) + _entry(0, 1, b"\x05"),
-                                         "truncated integer list"),
+        lambda q: _count(0x01000001) + _fixed(q, [5]), "truncated value list"),
+    # the list's only header, its count, cut short
+    "truncated-inside-the-5-byte-header": (lambda q: _count(1)[:3],
+                                           "truncated value list"),
+    # the last value cut by its final byte
+    "truncated-inside-the-magnitude": (
+        lambda q: _count(2) + _fixed(q, [5, 7])[:-1], "truncated value list"),
+    "count-larger-than-the-bytes-left": (
+        lambda q: _count(3) + _fixed(q, [5]), "truncated value list"),
+    # the largest count on a 20-byte list: refused before any allocation
+    "count-of-2^32-1": (lambda q: _count(2 ** 32 - 1) + bytes(16),
+                        "truncated value list"),
 }
 
 # The Mersenne prime 2^4423 - 1: far wider than any modulus a Modulus
@@ -714,17 +771,33 @@ HUGE_PRIME = 2 ** 4423 - 1
 MANY_MODULI = (BENCH_Q, 2 ** 1024 - 105, 2 ** 1024 - 179, 2 ** 1024 - 1397)
 
 
+def modulus_bytes(q: int) -> bytes:
+    """A modulus on the wire: a uint16 byte count and the magnitude."""
+    size = (q.bit_length() + 7) // 8
+    return struct.pack("<H", size) + q.to_bytes(size, "little")
+
+
+def ct_head(q: int, N: int, kind: int, h: int) -> bytes:
+    """A ciphertext blob up to its value list: magic, modulus, N, kind and
+    h."""
+    return _CT_MAGIC + modulus_bytes(q) + struct.pack("<IBI", N, kind, h)
+
+
+def value_list(q: int, values: Sequence[int]) -> bytes:
+    """A value list of `values` as they are, not reduced mod q."""
+    return _count(len(values)) + _fixed(q, values)
+
+
 def ct_blob(q: int) -> bytes:
-    """A standard ciphertext blob (N = 1, one row) over q, prime or not:
-    600 bytes over `HUGE_PRIME`."""
-    return (_CT_MAGIC + reference_pack_ints([q, 1, 0, 1])
-            + reference_pack_ints([3, 4]))
+    """A standard ciphertext blob (N = 1, one row, entries 3 and 4) over
+    q, prime or not, built by hand."""
+    return ct_head(q, 1, 0, 1) + value_list(q, [3, 4])
 
 
 def many_moduli_view2_blob() -> bytes:
-    """A 631-byte View 2 of 4 ciphertexts, one over each of `MANY_MODULI`,
-    with no channels."""
+    """A View 2 of 4 ciphertexts, one over each of `MANY_MODULI`, with no
+    channels."""
     cts = [ct_blob(q) for q in MANY_MODULI]
     return (b"VIEW2" + struct.pack("<II", 0, len(cts) - 1)
             + b"".join(struct.pack("<I", len(ct)) + ct for ct in cts)
-            + reference_pack_ints([]) * len(cts))
+            + _count(0) * len(cts))

@@ -23,7 +23,7 @@ from cipherobs.encobs import (
     residue_first_column,
     step_encrypted,
 )
-from cipherobs.lwe import LweError, SecretKey, keygen
+from cipherobs.lwe import Ciphertext, LweError, SecretKey, keygen
 from cipherobs.lwe import TestRng as SeededRng
 from cipherobs.modring import DimensionMismatch, ModMatrix, Modulus, \
     ModulusMismatch
@@ -33,11 +33,11 @@ from cipherobs.quantobs import BlockGain
 from cipherobs.secviews import View2
 from cipherobs.zerodyn import RelativeDegreeUndefined, channel_maps
 from .helpers import ValueSource, build_fbar, build_transform, \
-    cancellation_init, cancellation_step, channel, cloud_run, \
-    decrypt_channel_state, dense_decrypt, dense_normal_form, \
+    cancellation_init, cancellation_step, channel, ciphertext, cloud_run, \
+    ct_matrix, decrypt_channel_state, dense_decrypt, dense_normal_form, \
     encrypted_residue, error_trajectory, full_state, \
-    joined_residue_first_column, last_column, replay_states, sigma_dag, \
-    transcript_masks
+    joined_residue_first_column, last_column, reference_ct_bytes, \
+    replay_states, sigma_dag, transcript_masks
 
 
 class ZeroMaskRng(ValueSource):
@@ -434,7 +434,7 @@ class TestEncryptedObserver:
         nxt = full_state(step_encrypted(state, zero_batch(public64, 6, t=1),
                                         public64), public64)
         assert all(row[1:1 + 64] == (0,) * 64
-                   for row in channel(nxt, 0).body.rows)
+                   for row in ct_matrix(channel(nxt, 0)).rows)
         assert all(v == 0 for j in range(60)
                    for v in channel(nxt, j).first_column())
 
@@ -494,9 +494,9 @@ class TestEncryptedObserver:
         full = full_state(state, public64)
         Fbar = build_fbar(bench_setup.mod_maps.block_sizes, params.q)
         for j in (0, 29):
-            dense = (Fbar @ channel(full, j).body
-                     + public64.gain.Gbar @ channel(in_batch, j).body)
-            assert channel(nxt, j).body == dense
+            dense = (Fbar @ ct_matrix(channel(full, j))
+                     + public64.gain.Gbar @ ct_matrix(channel(in_batch, j)))
+            assert ct_matrix(channel(nxt, j)) == dense
 
     def test_residue_first_column_consistency(self, public64, bench_enc):
         for t in (0, 10, 49):
@@ -597,7 +597,8 @@ class TestDisclosureAndRecovery:
         public = ObserverPublic.build(bench_setup.mod_maps, params)
 
         def batch(nrows, t):
-            return EncryptedBatch._write(((top,) * (N + 1),) * nrows,
+            return EncryptedBatch._write(ciphertext(((top,) * (N + 1),)
+                                                    * nrows, q),
                                          ((top,) * nrows,) * 60,
                                          public.kernel, t)
 
@@ -792,7 +793,8 @@ class TestWindowRecovery:
             rows = [tuple(q.cmod(rng.randrange(q.q)) for _ in range(17))
                     for _ in range(nrows)]
             cancel = tuple(rng.randint(-99, 99) for _ in range(nrows))
-            return EncryptedBatch._write(rows, [cancel], public.kernel, t)
+            return EncryptedBatch._write(ciphertext(rows, q), [cancel],
+                                         public.kernel, t)
 
         sk = keygen(16, q, SeededRng(l))
         phi = ModMatrix.identity(l, q)
@@ -920,9 +922,10 @@ class TestWindowRecovery:
         first = session.enc_initial(ModMatrix.zeros(24, 1, params.q))
         second = session.enc_input(ModMatrix.zeros(6, 1, params.q))
         std, cancels = second.standard_and_cancels()
-        written = encobs.EncryptedBatch._write(std.body.rows, cancels,
+        written = encobs.EncryptedBatch._write(std, cancels,
                                                public64.kernel, 1)
-        assert np.array_equal(written.shared, second.shared)
+        # the words are shared, never copied
+        assert written.shared is std.shared is second.shared
         for batch in (first, second, written):
             # the shared block is the sampler's words: 2 per 109-bit value
             assert batch.shared.dtype == np.uint64
@@ -975,8 +978,9 @@ class TestWhiteBoxErrorBudget:
 
 # SHA-256 of the first steps of TestRng(5) deployments, recorded when the
 # randomness was still drawn one `int.from_bytes` per value and the mask
-# summed with Python ints: the limb-native encryptor emits the same
-# ciphertexts.
+# summed with Python ints, and ciphertexts were serialized in the
+# sign-and-length integer layout of `reference_ct_bytes`: the limb-native
+# encryptor emits the same ciphertexts.
 GOLDEN = {
     64: {"batches": "07410b151b09f7d3630b6dd929205132fe522019ea37bc0619c668dfb7a7a867",
          "states": "1a9fb807472257c33ebba86c8f5982fdc1ac341dd78e9ce9119440597e82d214",
@@ -987,21 +991,33 @@ GOLDEN = {
 }
 
 
-def golden_digests(batches, states, public):
+# The same ciphertexts' own bytes, `Ciphertext.to_bytes` in the
+# fixed-width layout.
+GOLDEN_WIRE = {
+    64: {"batches": "e15e370952acee86e9f6137f6e5b55ed67bdbe49f59d7a02380be7a6827aafd4",
+         "states": "f18973ad5630b1d09322c54221ddb2db808aa51e6dcddcbf671e5052db1c9a5d",
+         "standard": "290ab31f349322fb91449f8d6a743c728e51d93b5d63a532ff8b578956b55cfd"},
+    4096: {"batches": "4be85064eabe52683c9df9475a7c3692077384a912e762468462f05bbb338296",
+           "states": "7b1a7e5a959fe7629ce168a9d647967b1946c22937bd4f7ae8bb571d6f5efc3a",
+           "standard": "93167e1589dbde28090b56c0f33dcf5284a5b8f8ab4ec6f11762fa0f5d5a362c"},
+}
+
+
+def golden_digests(batches, states, public, encode=reference_ct_bytes):
     """The digests GOLDEN records: channels 0 and 59 of the batches and
     the states (their `full_state`), and the batches' standard
-    ciphertexts."""
+    ciphertexts, each ciphertext serialized by `encode`."""
     digests = {}
     for name, parts in (("batches", batches),
                         ("states", [full_state(s, public) for s in states])):
         h = hashlib.sha256()
         for part in parts:
             for j in (0, 59):
-                h.update(channel(part, j).to_bytes())
+                h.update(encode(channel(part, j)))
         digests[name] = h.hexdigest()
     h = hashlib.sha256()
     for batch in batches:
-        h.update(batch.standard_and_cancels()[0].to_bytes())
+        h.update(encode(batch.standard_and_cancels()[0]))
     digests["standard"] = h.hexdigest()
     return digests
 
@@ -1015,6 +1031,8 @@ def test_seeded_ciphertexts_match_golden_digests(bench_setup, N):
         # the encryptor's limbs stay below 2^W, the kernel's input bound
         assert int(np.abs(batch.body).max()) < 2 ** batch.kernel.width
     assert golden_digests(batches, states, public) == GOLDEN[N]
+    assert golden_digests(batches, states, public,
+                          Ciphertext.to_bytes) == GOLDEN_WIRE[N]
 
 
 class TestTranscriptReplay:
@@ -1030,8 +1048,8 @@ class TestTranscriptReplay:
         replayed = replay_states(run.view2, run.public)
         assert len(replayed) == len(states) == steps + 1
         for t, (got, cloud) in enumerate(zip(replayed, states)):
-            assert (full_state(got, run.public).rows
-                    == full_state(cloud, public).rows), t
+            assert (full_state(got, run.public).standard_and_cancels()
+                    == full_state(cloud, public).standard_and_cancels()), t
 
     def test_changed_cancel_entry_changes_the_disclosure(self, bench_setup,
                                                          bench_enc):

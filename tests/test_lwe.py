@@ -2,9 +2,11 @@ import operator
 import os
 import random
 import ssl
+import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,14 +26,14 @@ from cipherobs.lwe import (
     keygen,
 )
 from cipherobs.lwe import TestRng as SeededRng
-from cipherobs.lwe import _CT_MAGIC, _KEY_MAGIC, _RandomSource, _pack_ints, \
-    _unpack_ints
+from cipherobs.lwe import _CT_MAGIC, _KEY_MAGIC, _RandomSource, \
+    pack_words, read_values, words_of
 from cipherobs.modring import DimensionMismatch, ModMatrix, Modulus, \
     digit_budget, join_limbs
 from cipherobs.pipeline import BENCH_Q
 from .helpers import HUGE_PRIME, MALFORMED_INT_LISTS, ValueSource, \
-    ct_blob, dense_decrypt, last_column, reference_pack_ints, \
-    reference_unpack_ints
+    ciphertext, ct_blob, ct_head, ct_matrix, dense_decrypt, last_column, \
+    modulus_bytes, reference_pack_values, reference_read_values, value_list
 
 Q97 = Modulus(97)
 QBIG = Modulus(2 ** 61 - 1)
@@ -52,12 +54,12 @@ def encrypt_joined(m, sk, rng):
 
 
 def standard_ct(m, sk, rng):
-    """The standard ciphertext [m + b | A] of `encrypt_limbs`."""
-    enc, A = encrypt_joined(m, sk, rng)
-    return Ciphertext(body=ModMatrix((f + a for f, a in zip(enc.first.rows,
-                                                            A.rows)),
-                                     sk.q, ncols=sk.N + 1),
-                      kind=CiphertextKind.STANDARD, N=sk.N)
+    """The standard ciphertext [m + b | A] of `encrypt_with_artifacts`, A
+    being the sampler's words."""
+    enc = encrypt_with_artifacts(m, sk, NOISE, rng)
+    return Ciphertext(sk.q, words_of(sk.q, enc.first.column_entries()),
+                      enc.randomness)
+
 
 
 class StubRng(ValueSource):
@@ -139,7 +141,7 @@ class TestUniforms:
     def test_values_in_centred_range(self, q):
         values = SeededRng(20).uniforms(q, 5000)
         assert len(values) == 5000
-        assert q.contains_all(values)
+        assert all(abs(v) <= (q.q - 1) // 2 for v in values)
 
     def test_every_residue_of_q97_appears(self):
         # 97 needs a 7-bit mask, so about a quarter of the draws are rejected
@@ -450,7 +452,7 @@ class TestEncryptDecrypt:
         sk = SecretKey([5, 7], Q97)
         m = ModMatrix.column([11], Q97)
         ct = standard_ct(m, sk, StubRng([0, 0]))
-        assert ct.body.rows == ((11, 0, 0),)
+        assert ct_matrix(ct).rows == ((11, 0, 0),)
         assert dense_decrypt(ct, sk).column_entries() == (11,)
 
     def test_worked_example(self):
@@ -465,12 +467,20 @@ class TestEncryptDecrypt:
         sk = keygen(3, Q97, SeededRng(0))
         assert SeededRng(1).uniforms(Q97, 0) == []
         ct = standard_ct(ModMatrix.column([], Q97), sk, SeededRng(1))
-        assert ct.body.shape == (0, 4)
+        assert (ct.h, ct.N) == (0, 3)
+        assert ct_matrix(ct).shape == (0, 4)
 
     def test_wrong_width_rejected(self):
-        body = ModMatrix.zeros(2, 4, Q97)
+        # the parts must be h values, h x N values and h values, each of
+        # q's word count
+        words = np.zeros((2, 4, 1), dtype=np.uint64)
+        for first, cancel in ((np.zeros((3, 1), np.uint64), None),
+                              (words[:, 0], np.zeros((3, 1), np.uint64)),
+                              (np.zeros((2, 2), np.uint64), None)):
+            with pytest.raises(DimensionMismatch):
+                Ciphertext(Q97, first, words, cancel)
         with pytest.raises(DimensionMismatch):
-            Ciphertext(body=body, kind=CiphertextKind.STANDARD, N=5)
+            Ciphertext(QBIG, words[:, 0, :1], np.zeros((2, 4, 2), np.uint64))
 
     def test_key_mismatch(self):
         # the mask and the recovery both take A sk from `products`
@@ -493,14 +503,17 @@ class TestModifiedDecrypt:
             assert dense_decrypt(modified, sk) == dense_decrypt(std, sk)
 
     def test_standard_has_no_cancel_column(self):
-        # N + 1 columns, the last one randomness: a standard body is too
-        # narrow to be read as a modified ciphertext
+        # N + 1 columns, the last one randomness; a cancel column makes the
+        # modified kind, and its blob says so
         sk = keygen(2, Q97, SeededRng(3))
         ct = standard_ct(ModMatrix.column([1], Q97), sk, SeededRng(4))
-        assert ct.body.ncols == sk.N + 1
-        assert last_column(ct) == ct.body.column_entries(sk.N)
-        with pytest.raises(DimensionMismatch):
-            Ciphertext(body=ct.body, kind=CiphertextKind.MODIFIED, N=sk.N)
+        assert ct.cancel is None and ct.kind is CiphertextKind.STANDARD
+        assert ct_matrix(ct).ncols == sk.N + 1
+        assert last_column(ct) == ct_matrix(ct).column_entries(sk.N)
+        modified = Ciphertext(Q97, ct.first, ct.shared, ct.first)
+        assert modified.kind is CiphertextKind.MODIFIED
+        assert modified != ct
+        assert Ciphertext.from_bytes(modified.to_bytes()) == modified
 
 
 class TestSerialization:
@@ -509,9 +522,12 @@ class TestSerialization:
         sk = keygen(5, QBIG, rng)
         ct = standard_ct(ModMatrix.column([123456789, -42], QBIG), sk, rng)
         back = Ciphertext.from_bytes(ct.to_bytes())
-        assert back.body == ct.body
+        assert back == ct
+        assert ct_matrix(back) == ct_matrix(ct)
         assert back.kind is ct.kind
         assert back.N == ct.N
+        for part in (back.first, back.shared):
+            assert not part.flags.writeable
 
     def test_key_roundtrip(self):
         sk = keygen(6, QBIG, SeededRng(15))
@@ -574,32 +590,77 @@ class TestStrictParsing:
                                  + b"\x00")
 
     def test_non_canonical_entries_rejected(self):
+        # each value has one encoding, below q: 3 + q is refused
         q = QBIG.q
-        head = _pack_ints([q, 1, 0, 1])
-        assert Ciphertext.from_bytes(
-            _CT_MAGIC + head + _pack_ints([3, 4])).body.rows == ((3, 4),)
-        with pytest.raises(LweError):
-            Ciphertext.from_bytes(_CT_MAGIC + head + _pack_ints([3 + q, 4]))
-        with pytest.raises(LweError):
-            SecretKey.from_bytes(_KEY_MAGIC + _pack_ints([q, 2])
-                                 + _pack_ints([1, q - 1]))
+        head = ct_head(q, 1, 0, 1)
+        assert ct_matrix(Ciphertext.from_bytes(
+            head + value_list(q, [3, 4]))).rows == ((3, 4),)
+        with pytest.raises(LweError, match="not below q"):
+            Ciphertext.from_bytes(head + value_list(q, [3 + q, 4]))
+        with pytest.raises(LweError, match="not below q"):
+            SecretKey.from_bytes(_KEY_MAGIC + modulus_bytes(q)
+                                 + value_list(q, [1, q]))
 
     def test_zero_dimension_rejected(self):
         # keygen refuses N = 0, and a ciphertext with N = 0 has no
         # randomness block: its message plus noise would sit in the clear
         q = QBIG.q
-        with pytest.raises(LweError):
-            SecretKey.from_bytes(_KEY_MAGIC + _pack_ints([q, 0])
-                                 + _pack_ints([]))
+        with pytest.raises(LweError, match="N >= 1"):
+            SecretKey.from_bytes(_KEY_MAGIC + modulus_bytes(q)
+                                 + value_list(q, []))
         for kind, row in ((0, [3]), (1, [3, 4])):
-            with pytest.raises(LweError):
-                Ciphertext.from_bytes(_CT_MAGIC + _pack_ints([q, 0, kind, 1])
-                                      + _pack_ints(row))
+            with pytest.raises(LweError, match="header"):
+                Ciphertext.from_bytes(ct_head(q, 0, kind, 1)
+                                      + value_list(q, row))
+        # nor a kind other than 0 or 1, or no rows
+        for n, kind, h in ((1, 2, 1), (1, 0, 0)):
+            with pytest.raises(LweError, match="header"):
+                Ciphertext.from_bytes(ct_head(q, n, kind, h)
+                                      + value_list(q, [3, 4]))
 
     def test_composite_modulus_rejected(self):
-        with pytest.raises(LweError):
-            SecretKey.from_bytes(_KEY_MAGIC + _pack_ints([91, 1])
-                                 + _pack_ints([1]))
+        with pytest.raises(LweError, match="primality"):
+            SecretKey.from_bytes(_KEY_MAGIC + modulus_bytes(91)
+                                 + value_list(91, [1]))
+
+    def test_modulus_without_bytes_or_with_a_leading_zero_byte(self):
+        # the modulus has one encoding too: no byte count of 0, and no
+        # zero top byte, refused before any primality test
+        blob = _small_ct_blob()
+        size = (QBIG.q.bit_length() + 7) // 8
+        rest = blob[6 + size:]
+        padded = (_CT_MAGIC + struct.pack("<H", size + 1)
+                  + QBIG.q.to_bytes(size + 1, "little") + rest)
+        for bad in (padded, _CT_MAGIC + struct.pack("<H", 0) + rest):
+            for q in (None, QBIG):
+                with pytest.raises(LweError, match="leading zero byte"):
+                    Ciphertext.from_bytes(bad, q)
+        with pytest.raises(LweError, match="leading zero byte"):
+            SecretKey.from_bytes(_KEY_MAGIC + struct.pack("<H", 0)
+                                 + value_list(97, [1]))
+        assert Ciphertext.from_bytes(blob).to_bytes() == blob
+
+    def test_known_answer_blob(self):
+        # one row, N = 1, q = 8191 (13 bits: 2 bytes a value), entries
+        # first = -1 and A = 300, byte for byte
+        q = Modulus(8191)
+        ct = ciphertext([(-1, 300)], q)
+        blob = (b"COCT" + b"\x02\x00" + b"\xff\x1f"      # modulus 8191
+                + b"\x01\x00\x00\x00" + b"\x00"             # N = 1, standard
+                + b"\x01\x00\x00\x00"                       # h = 1
+                + b"\x02\x00\x00\x00"                       # 2 values
+                + b"\xfe\x1f" + b"\x2c\x01")                 # 8190, 300
+        assert ct.to_bytes() == blob
+        assert Ciphertext.from_bytes(blob) == ct
+        assert ct_matrix(Ciphertext.from_bytes(blob)).rows == ((-1, 300),)
+        modified = ciphertext([(-1, 300, 2)], q, modified=True)
+        # kind 1, 3 values: the cancel column 2 after A
+        assert modified.to_bytes() == (blob[:12] + b"\x01" + blob[13:17]
+                                       + b"\x03\x00\x00\x00" + blob[21:]
+                                       + b"\x02\x00")
+        key = SecretKey([-1, 5], q)
+        assert key.to_bytes() == (b"COSK" + b"\x02\x00\xff\x1f"
+                                  + b"\x02\x00\x00\x00\xfe\x1f\x05\x00")
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -615,30 +676,35 @@ class TestStrictParsing:
         assert ct.to_bytes() == bytes(blob)
 
     def test_centred_range_edges(self):
-        # one min and one max decide the range, wherever the entry sits
+        # the centred edges +-(q-1)/2 go on the wire as (q-1)/2 and
+        # (q+1)/2; q - 1 is the largest value, q the first refused one,
+        # wherever it sits
         q = QBIG.q
         half = (q - 1) // 2
-        ct_head = _CT_MAGIC + _pack_ints([q, 2, 0, 1])
-        key_head = _KEY_MAGIC + _pack_ints([q, 3])
+        ct_header = ct_head(q, 2, 0, 1)
+        key_header = _KEY_MAGIC + modulus_bytes(q)
         for pos in range(3):
-            for edge in (half, -half):
+            for wire, centred in ((half, half), (half + 1, -half),
+                                  (q - 1, -1)):
                 row = [0, 0, 0]
-                row[pos] = edge
-                assert Ciphertext.from_bytes(
-                    ct_head + _pack_ints(row)).body.rows == (tuple(row),)
+                row[pos] = wire
+                expect = [0, 0, 0]
+                expect[pos] = centred
+                assert ct_matrix(Ciphertext.from_bytes(
+                    ct_header + value_list(q, row))).rows == (tuple(expect),)
                 assert SecretKey.from_bytes(
-                    key_head + _pack_ints(row)).entries() == tuple(row)
-            for outside in (half + 1, -half - 1):
+                    key_header + value_list(q, row)).entries() == tuple(expect)
+            for outside in (q, 2 ** 64 - 1):
                 row = [0, 0, 0]
                 row[pos] = outside
-                with pytest.raises(LweError, match="centred range"):
-                    Ciphertext.from_bytes(ct_head + _pack_ints(row))
-                with pytest.raises(LweError, match="centred range"):
-                    SecretKey.from_bytes(key_head + _pack_ints(row))
+                with pytest.raises(LweError, match="not below q"):
+                    Ciphertext.from_bytes(ct_header + value_list(q, row))
+                with pytest.raises(LweError, match="not below q"):
+                    SecretKey.from_bytes(key_header + value_list(q, row))
 
     def test_huge_modulus_refused_at_once(self):
-        key_blob = (_KEY_MAGIC + _pack_ints([HUGE_PRIME, 1])
-                    + _pack_ints([1]))
+        key_blob = (_KEY_MAGIC + modulus_bytes(HUGE_PRIME)
+                    + value_list(HUGE_PRIME, [1]))
         for blob, parse in ((ct_blob(HUGE_PRIME), Ciphertext.from_bytes),
                             (key_blob, SecretKey.from_bytes)):
             start = time.perf_counter()
@@ -647,56 +713,84 @@ class TestStrictParsing:
             assert time.perf_counter() - start < 1
 
 
-def _signed(magnitudes):
-    return st.builds(lambda m, negative: -m if negative else m, magnitudes,
-                     st.booleans())
+# moduli of 7, 13, 61, 64, 109 and 127 bits: one byte a value, values
+# that end inside a byte or on a word, and two words a value
+_CODEC_MODULI = [Q97, Modulus(8191), QBIG, Modulus(2 ** 64 - 59), Q109,
+                 Modulus(2 ** 127 - 1)]
+_INTS = st.one_of(st.integers(-2 ** 130, 2 ** 130), st.sampled_from(
+    [0, 1, -1, 255, 256] + [2 ** k + d for k in (7, 13, 61, 64, 109, 127)
+                            for d in (-1, 0, 1)]))
 
 
-# byte-length edges, the benchmark's centred range and values wider than
-# 64 bits, mixed with ordinary small values
-_HALF_BENCH_Q = (BENCH_Q - 1) // 2
-_EDGE_INTS = _signed(st.sampled_from(
-    [0, 1, 255, 256, _HALF_BENCH_Q, 2 ** 64]
-    + [2 ** k + d for k in (7, 8, 15, 16, 31, 32, 63, 64, 108)
-       for d in (-1, 1)]))
-_INT_LISTS = st.lists(st.one_of(_EDGE_INTS,
-                                _signed(st.integers(2 ** 64, 2 ** 200)),
-                                st.integers(-2 ** 40, 2 ** 40)),
-                      max_size=40)
-
-
-def _decoded(unpack, blob):
+def _decoded(read, blob, q):
     try:
-        return unpack(blob, 0)
+        return read(blob, 0, q)
     except LweError as exc:
         return str(exc)
 
 
+def _read_centred(buf, offset, q):
+    words, end = read_values(buf, offset, q)
+    return lwe.centred(q, words), end
+
+
 class TestIntCodec:
     @settings(max_examples=300, deadline=None)
-    @given(_INT_LISTS, st.binary(max_size=6))
-    @example([], b"")
-    def test_matches_reference_codec(self, values, prefix):
-        blob = reference_pack_ints(values)
-        assert _pack_ints(values) == blob
-        assert _unpack_ints(prefix + blob, len(prefix)) == (
-            values, len(prefix) + len(blob))
+    @given(st.sampled_from(_CODEC_MODULI), st.lists(_INTS, max_size=40),
+           st.binary(max_size=6))
+    @example(Q109, [], b"")
+    def test_matches_reference_codec(self, q, values, prefix):
+        blob = reference_pack_values(q, values)
+        assert pack_words(q, words_of(q, values)) == blob
+        assert _read_centred(prefix + blob, len(prefix), q) == (
+            [q.cmod(v) for v in values], len(prefix) + len(blob))
 
     @settings(max_examples=300, deadline=None)
-    @given(_INT_LISTS, st.data())
-    def test_damaged_list_decodes_as_reference_does(self, values, data):
+    @given(st.sampled_from(_CODEC_MODULI), st.lists(_INTS, max_size=40),
+           st.data())
+    def test_damaged_list_decodes_as_reference_does(self, q, values, data):
         # a value, or the same refusal with the same message
-        blob = bytearray(reference_pack_ints(values))
+        blob = bytearray(reference_pack_values(q, values))
         for _ in range(data.draw(st.integers(0, 3))):
             blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(
                 st.integers(0, 255))
         blob = bytes(blob[:data.draw(st.integers(0, len(blob)))])
-        assert _decoded(_unpack_ints, blob) == _decoded(reference_unpack_ints,
-                                                        blob)
+        assert _decoded(_read_centred, blob, q) == _decoded(
+            reference_read_values, blob, q)
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_INT_LISTS))
     def test_malformed_list_rejected(self, name):
-        blob, message = MALFORMED_INT_LISTS[name]
-        for unpack in (_unpack_ints, reference_unpack_ints):
-            with pytest.raises(LweError, match=f"^{message}$"):
-                unpack(blob, 0)
+        build, message = MALFORMED_INT_LISTS[name]
+        for q in (Modulus(11), Modulus(BENCH_Q)):
+            for read in (read_values, reference_read_values):
+                with pytest.raises(LweError, match=f"^{message}$"):
+                    read(build(q.q), 0, q)
+
+    def test_largest_count_allocates_nothing(self):
+        # a count of 2^32 - 1 on a 20-byte blob would be 56 GiB of words
+        blob = struct.pack("<I", 2 ** 32 - 1) + bytes(16)
+        assert len(blob) == 20
+        tracemalloc.start()
+        try:
+            with pytest.raises(LweError, match="truncated value list"):
+                read_values(blob, 0, Modulus(BENCH_Q))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_value_equal_to_q_and_bits_above_q_refused(self):
+        # q = 2^109 - 31 takes two words a value: q itself ties q's high
+        # word and is refused on the low one; a bit above bit 108 in the
+        # top byte is refused on the high word, whatever lies below it
+        q = Modulus(BENCH_Q)
+        below = [q.q - 1, (q.q >> 64) << 64, 2 ** 64 - 1]
+        read = read_values(value_list(q.q, below), 0, q)[0]
+        assert join_limbs(read.T, 64) == below
+        for bad in (q.q, q.q + 1, 1 << 109, 5 | 1 << 111, 2 ** 112 - 1):
+            for pos in range(3):
+                values = [0, 0, 0]
+                values[pos] = bad
+                for read in (read_values, reference_read_values):
+                    with pytest.raises(LweError, match="^value not below q$"):
+                        read(value_list(q.q, values), 0, q)

@@ -4,7 +4,9 @@ the quantized one, and the view transformations on every recorded run.
 Sparse plants give banks of uneven blocks, since a sensor that reads few
 states has a short observability chain; dense plants give even banks.
 Every plant has m >= 2 inputs driven by a small random feedback gain, k = 1
-and one attack segment on a random sensor.
+and one attack segment on a random sensor.  Both views of every run go
+through their bytes, so the codec sees uneven ciphertext heights at
+N = 16.
 """
 
 import dataclasses
@@ -17,7 +19,8 @@ from cipherobs.pipeline import BENCH_LIFT, BENCH_Q, SystemSetup, \
     run_encrypted_mode, run_quantized_mode
 from cipherobs.plantsim import AttackScenario, AttackSegment, PlantError, \
     PlantModel, ScenarioBundle
-from cipherobs.secviews import f1_view1_to_view2, f2_view2_to_view1
+from cipherobs.secviews import View1, View2, f1_view1_to_view2, \
+    f2_view2_to_view1
 from .helpers import random_stable_plant
 
 STEPS = 20
@@ -90,8 +93,9 @@ def dense_setups():
 def assert_encrypted_equals_quantized(setup: SystemSetup, plant: int):
     """The encrypted run's residue norms and flags equal the quantized
     run's at every step, and its estimate errors wherever a step is not
-    flagged (recovery is exact only while the criterion holds); f1 and f2
-    map the recorded views onto each other."""
+    flagged (recovery is exact only while the criterion holds); both views
+    parse back from their bytes, byte for byte, and f1 and f2 map the
+    parsed views onto the recorded ones."""
     quantized = run_quantized_mode(setup, STEPS).records
     run = run_encrypted_mode(setup, STEPS, seed=plant, record_views=True)
     for quant, enc in zip(quantized, run.records):
@@ -100,9 +104,14 @@ def assert_encrypted_equals_quantized(setup: SystemSetup, plant: int):
             (quant.residue_norm, quant.detected), where
         if not quant.detected:
             assert enc.est_error_norm == quant.est_error_norm, where
-    assert f2_view2_to_view1(run.view2, run.public, setup.params) == \
+    blob1, blob2 = run.view1.to_bytes(), run.view2.to_bytes()
+    view1 = View1.from_bytes(blob1, setup.params.q)
+    view2 = View2.from_bytes(blob2)
+    assert (view1, view2) == (run.view1, run.view2), plant
+    assert (view1.to_bytes(), view2.to_bytes()) == (blob1, blob2), plant
+    assert f2_view2_to_view1(view2, run.public, setup.params) == \
         run.view1, plant
-    assert f1_view1_to_view2(run.view1, run.public, setup.params) == \
+    assert f1_view1_to_view2(view1, run.public, setup.params) == \
         run.view2, plant
 
 

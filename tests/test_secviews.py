@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cipherobs import encobs, secviews
 from cipherobs.encobs import EncObserverState, EncryptorSession, ObserverPublic
 from cipherobs.lwe import Ciphertext, CiphertextKind, LweError, SecretKey, \
-    _pack_ints
+    pack_words, words_of
 from cipherobs.lwe import TestRng as SeededRng
 from cipherobs.modring import ModMatrix, Modulus, _is_probable_prime
 from cipherobs.pipeline import run_encrypted_mode
@@ -26,8 +26,9 @@ from cipherobs.secviews import (
 )
 from cipherobs.zerodyn import channel_maps
 
-from .helpers import HUGE_PRIME, MALFORMED_INT_LISTS, build_fbar, ct_blob, \
-    f1_zero_dynamics, many_moduli_view2_blob
+from .helpers import HUGE_PRIME, MALFORMED_INT_LISTS, build_fbar, \
+    ciphertext, ct_blob, ct_matrix, f1_zero_dynamics, \
+    many_moduli_view2_blob, reference_ct_bytes, reference_view_bytes
 
 
 def _tiny_public(q: Modulus, block_sizes, Gr, Hr, N):
@@ -94,18 +95,21 @@ class TestBenchmarkRoundtrips:
 
 def _channel_layout_bytes(view2: View2) -> bytes:
     """View 2 in the layout it was first serialized in: the channel and
-    step counts, then every channel's modified ciphertext, size-prefixed."""
+    step counts, then every channel's modified ciphertext, size-prefixed,
+    each in `reference_ct_bytes`."""
     steps = (view2.init_cts,) + view2.input_cts
     parts = [b"VIEW2", struct.pack("<II", len(steps[0]), len(steps) - 1)]
     for ct in itertools.chain.from_iterable(steps):
-        blob = ct.to_bytes()
+        blob = reference_ct_bytes(ct)
         parts += [struct.pack("<I", len(blob)), blob]
     return b"".join(parts)
 
 
 # SHA-256 of the serialized views of a seeded (TestRng(5)) 4-step N = 64
-# benchmark recording.  "view1" and "view2_channels" (View 2's channels in
-# the per-ciphertext layout) were taken when View 2 was still cut from the
+# benchmark recording, in the sign-and-length integer layout of
+# `reference_view_bytes`, which the views were serialized in when these
+# were recorded.  "view1" and "view2_channels" (View 2's channels in the
+# per-ciphertext layout) were taken when View 2 was still cut from the
 # encryptor's batches and f2 ran its own copy of the observer recursion.
 TRANSCRIPT_GOLDEN = {
     "view1": "d97d9ef8f827ac04852b23751320ae01499622d90028bf845b25d4b895154ed6",
@@ -115,21 +119,32 @@ TRANSCRIPT_GOLDEN = {
 }
 
 
+# The same views' own bytes, `to_bytes` in the fixed-width layout.
+TRANSCRIPT_WIRE = {
+    "view1": "957d0f74b2b4811c24cfcaa2be100746d43bb594cc729b9def35f05ef5bca561",
+    "view2": "81a70a55b490f0f334efecf91609187de0c62ebf1517553b019730bf480d8c2b",
+}
+
+
 def test_seeded_transcript_matches_golden_digests(bench_setup):
     run = run_encrypted_mode(bench_setup, 4, seed=5, record_views=True)
     params = bench_setup.params
 
     def digests(view1, view2):
-        blobs = {"view1": view1.to_bytes(), "view2": view2.to_bytes(),
+        blobs = {"view1": reference_view_bytes(view1),
+                 "view2": reference_view_bytes(view2),
                  "view2_channels": _channel_layout_bytes(view2)}
-        return {k: hashlib.sha256(b).hexdigest() for k, b in blobs.items()}
+        wire = {"view1": view1.to_bytes(), "view2": view2.to_bytes()}
+        return ({k: hashlib.sha256(b).hexdigest() for k, b in blobs.items()},
+                {k: hashlib.sha256(b).hexdigest() for k, b in wire.items()})
 
-    assert digests(run.view1, run.view2) == TRANSCRIPT_GOLDEN
+    expect = (TRANSCRIPT_GOLDEN, TRANSCRIPT_WIRE)
+    assert digests(run.view1, run.view2) == expect
     assert digests(f2_view2_to_view1(run.view2, run.public, params),
                    f1_view1_to_view2(run.view1, run.public, params)) \
-        == TRANSCRIPT_GOLDEN
-    blob = run.view2.to_bytes()
-    assert View2.from_bytes(blob).to_bytes() == blob
+        == expect
+    assert digests(View1.from_bytes(run.view1.to_bytes(), params.q),
+                   View2.from_bytes(run.view2.to_bytes())) == expect
 
 
 class TestTinyExhaustive:
@@ -317,38 +332,45 @@ class TestStrictTranscriptParsing:
                 parse(view.to_bytes() + b"\x00")
 
     def test_residue_outside_centred_range_rejected(self, tiny_views):
+        # over q = 11 a value is one byte: 0..10 are the centred residues
+        # 0..5 and -5..-1, and 11 and up are refused
         view1 = tiny_views[0]
         head = View1(init_ct=view1.init_ct, input_cts=view1.input_cts,
                      residues=view1.residues[:-1]).to_bytes()
         head = head[:9] + struct.pack("<I", len(view1.residues)) + head[13:]
-        assert View1.from_bytes(head + _pack_ints([5]), Q11).to_bytes() \
-            == head + _pack_ints([5])
-        for bad in (6, -6, 16):
-            with pytest.raises(ViewError):
-                View1.from_bytes(head + _pack_ints([bad]), Q11)
+        for wire, residue in ((5, 5), (6, -5), (10, -1)):
+            blob = head + struct.pack("<IB", 1, wire)
+            assert blob.endswith(pack_words(Q11, words_of(Q11, [residue])))
+            parsed = View1.from_bytes(blob, Q11)
+            assert parsed.residues[-1].column_entries() == (residue,)
+            assert parsed.to_bytes() == blob
+        for bad in (11, 16, 255):
+            with pytest.raises(ViewError, match="not below q"):
+                View1.from_bytes(head + struct.pack("<IB", 1, bad), Q11)
 
     def test_cancel_outside_centred_range_rejected(self, tiny_views):
-        view2 = tiny_views[1]
-
-        def with_last_cancel(value):
-            return dataclasses.replace(view2, cancels=view2.cancels[:-1]
-                                       + (((value,),),)).to_bytes()
-
-        assert View2.from_bytes(with_last_cancel(5)).to_bytes() \
-            == with_last_cancel(5)
-        for bad in (6, -6, 16):
-            with pytest.raises(ViewError, match="centred range"):
-                View2.from_bytes(with_last_cancel(bad))
+        # the last list is the last step's one cancel value, one byte
+        blob = tiny_views[1].to_bytes()
+        assert blob[-5:-1] == struct.pack("<I", 1)
+        for wire in range(11):
+            changed = blob[:-1] + bytes([wire])
+            assert View2.from_bytes(changed).cancels[-1] == (
+                (Q11.cmod(wire),),)
+            assert View2.from_bytes(changed).to_bytes() == changed
+        for bad in (11, 16, 255):
+            with pytest.raises(ViewError, match="not below q"):
+                View2.from_bytes(blob[:-1] + bytes([bad]))
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_INT_LISTS))
     def test_malformed_int_list_is_a_view_error(self, tiny_views, name):
-        record, message = MALFORMED_INT_LISTS[name]
+        build, message = MALFORMED_INT_LISTS[name]
+        record = build(Q11.q)
         view1, view2 = tiny_views
         last_lists = (view1.residues[-1].column_entries(),
                       [a for c in view2.cancels[-1] for a in c])
         for view, last, parse in zip(tiny_views, last_lists, _parsers()):
             blob = view.to_bytes()
-            tail = _pack_ints(last)
+            tail = pack_words(Q11, words_of(Q11, last))
             assert blob.endswith(tail)
             with pytest.raises(ViewError, match=f"{message}$"):
                 parse(blob[:-len(tail)] + record)
@@ -362,7 +384,7 @@ class TestStrictTranscriptParsing:
                 (b"VIEW2", View2.from_bytes, "4423 bits")):
             # one ciphertext and one empty list
             blob = magic + struct.pack("<III", 0, 0, len(ct)) + ct \
-                + _pack_ints([])
+                + struct.pack("<I", 0)
             start = time.perf_counter()
             with pytest.raises(ViewError, match=match):
                 parse(blob)
@@ -393,8 +415,7 @@ class TestStrictTranscriptParsing:
     def test_one_modulus_and_one_dimension_per_transcript(self, tiny_views):
         view1, view2 = tiny_views
         ct = view1.input_cts[0]
-        wide = Ciphertext(body=ModMatrix(tuple(r + (0,) for r in ct.body.rows),
-                                         Q11), kind=ct.kind, N=ct.N + 1)
+        wide = ciphertext([r + (0,) for r in ct_matrix(ct).rows], Q11)
         for other, match in ((_remod(ct, Q13), "modulus"),
                              (wide, "dimension")):
             bad1 = dataclasses.replace(
@@ -488,7 +509,7 @@ class TestF1MatchesZeroDynamicsOracle:
 
 def _remod(ct: Ciphertext, q: Modulus) -> Ciphertext:
     """The same centred entries as a ciphertext over another modulus."""
-    return Ciphertext(body=ModMatrix(ct.body.rows, q), kind=ct.kind, N=ct.N)
+    return ciphertext(ct_matrix(ct).rows, q, modified=ct.cancel is not None)
 
 
 class TestPublicMapChecks:
@@ -533,9 +554,8 @@ class TestPublicMapChecks:
         public, params, view1, view2 = nu2_views
 
         def taller(ct):
-            rows = ct.body.rows + ((0,) * ct.body.ncols,)
-            return Ciphertext(body=ModMatrix(rows, Q13), kind=ct.kind,
-                              N=ct.N)
+            matrix = ct_matrix(ct)
+            return ciphertext(matrix.rows + ((0,) * matrix.ncols,), Q13)
 
         bad1 = dataclasses.replace(view1, input_cts=(taller(
             view1.input_cts[0]),) + view1.input_cts[1:])
