@@ -11,8 +11,8 @@ that difference.
 
 The observer is one recursion, `Z' = Fbar Z + Gbar V`, the
 `quantobs.BlockGain` that quantized mode steps too (`ModularMaps.gain`).
-`observer_update` steps it on the int64 limbs of `LimbKernel`, one shift
-and one `G @ V` per step.
+It owns the int64 limbs too: it splits, steps (one shift and one `G @ V`
+per step) and joins them, at a limb width it derives from Gbar.
 Each batch holds the limbs of `[first | cancels]` (the standard
 ciphertext's first column, then every channel's cancel column) beside the
 randomness block A, kept as the sampler's uint64 words.  The observer
@@ -37,9 +37,9 @@ residue is summed exactly in one int64 einsum of the 32-bit halves of the
 first and cancel columns' limbs against digits of Hbar, on differences
 that stay below 2^32, and joined by `modring.join_digit_sums`.  Recovery
 takes each batch's A sk mod q from the key's per-batch cache, which the
-encrypting key holds from encryption on (`SecretKey.cached_products`
-computes it for any other key, once) and replays the window's values
-through the recursion in Python ints (`BlockGain.step_ints`).
+encrypting key holds from encryption on (`SecretKey.seed_products`) and
+any other key computes once (`cached_products`), and replays the window's
+values through the recursion in Python ints (`BlockGain.step_ints`).
 This module is the only one that knows the batch layout.
 
 A run is recorded only as its batches: `standard_and_cancels` reads what
@@ -67,15 +67,13 @@ from .lwe import (
 )
 from .modring import DimensionMismatch, ModMatrix, Modulus, \
     ModulusMismatch, digit_budget, fixed_digits, half_limbs, \
-    join_digit_sums, join_limbs, split_limbs
+    join_digit_sums, split_limbs
 from .quantobs import BlockGain, ModularMaps, QuantParams
 from .zerodyn import ChannelMaps, channel_maps
 
 __all__ = [
     "EncObsError",
     "SessionNotFresh",
-    "LimbKernel",
-    "observer_update",
     "ObserverPublic",
     "EncryptedBatch",
     "modified_channels",
@@ -94,75 +92,6 @@ class EncObsError(Exception):
 
 class SessionNotFresh(EncObsError):
     pass
-
-
-def observer_update(Z: np.ndarray, V: np.ndarray,
-                    gain: BlockGain) -> np.ndarray:
-    """Z' = Fbar Z + Gbar V on limb stacks: Z is (L, l, w), V is (L, h, w)
-    and `gain` is the recursion's `BlockGain`.
-
-    Fbar is the block lower shift, so its action is a row shift inside each
-    block; the result is identical to a dense product, limb by limb.  Limbs
-    are added without carry or reduction (`LimbKernel` bounds them).  Every
-    column runs the same recursion, so one call steps every channel.
-    """
-    if (Z.shape[0] != V.shape[0] or Z.shape[2] != V.shape[2]
-            or gain.G.shape != (Z.shape[1], V.shape[1])):
-        raise EncObsError("dimension mismatch in observer update")
-    out = gain.shift(Z)
-    out += gain.G @ V
-    return out
-
-
-@dataclass(frozen=True, eq=False)
-class LimbKernel:
-    """The observer recursion over Z_q on exact int64 limbs.
-
-    An entry x is held as L limbs of width W with x = sum_k limb_k 2^(W k)
-    (mod q).  Fbar is nilpotent, so every state entry is a sum of at most
-    b_max (the largest block size) Gbar V terms plus one initial entry.  With
-    input limbs below 2^W in absolute value, every state limb therefore stays
-    within (b_max ||Gbar||_inf + 1) 2^W for any number of steps.  W is the
-    largest width that keeps this bound under 2^63, so the recursion never
-    carries between limbs or reduces; values are reduced mod q only when
-    joined.  This holds for every q.  numpy's int64 `G @ V` sums in its own
-    loop, not BLAS, and wraps silently, so its partial sums need the bound
-    too: each is bounded by the sum of its terms' absolute values, at most
-    ||Gbar||_inf 2^W, in any summation order, and so is each entry of the
-    cancellation's outer product (`ObserverPublic.cancel_step`).
-    """
-
-    q: Modulus
-    gain: BlockGain     # the recursion, `ModularMaps.gain`
-    width: int          # W
-    count: int          # L = ceil(q.bit_length() / W)
-
-    @classmethod
-    def build(cls, gain: BlockGain) -> "LimbKernel":
-        growth = gain.depth * gain.Gbar.inf_norm() + 1
-        width = 63 - growth.bit_length()
-        if width < 1:
-            raise EncObsError(
-                f"no int64 limb width fits Gbar (infinity norm "
-                f"{gain.Gbar.inf_norm()}, largest block {gain.depth})")
-        q = gain.Gbar.modulus
-        return cls(q=q, gain=gain, width=width,
-                   count=-(-q.q.bit_length() // width))
-
-    def split(self, rows: Sequence[Sequence[int]]) -> np.ndarray:
-        """Limb stack (L, rows, cols) of a matrix of centred entries."""
-        ncols = len(rows[0]) if rows else 0
-        flat = [a for row in rows for a in row]
-        return split_limbs(flat, self.width, self.count).reshape(
-            self.count, len(rows), ncols)
-
-    def join(self, limbs: np.ndarray) -> Tuple[Tuple[int, ...], ...]:
-        """Rows of Python ints congruent mod q to the matrix a limb stack
-        (L, rows, cols) holds; not reduced, so reduce before comparing."""
-        _, nrows, ncols = limbs.shape
-        flat = join_limbs(limbs.reshape(self.count, -1), self.width)
-        return tuple(tuple(flat[i * ncols:(i + 1) * ncols])
-                     for i in range(nrows))
 
 
 @dataclass(frozen=True)
@@ -189,17 +118,6 @@ class ObserverPublic:
     def n_channels(self) -> int:
         return len(self.channels)
 
-    @property
-    def depth(self) -> int:
-        """b, the largest block size: Fbar^b = 0, so a state depends on its
-        last b batches only."""
-        return self.gain.depth
-
-    @cached_property
-    def kernel(self) -> LimbKernel:
-        """The observer recursion on int64 limbs for these maps."""
-        return LimbKernel.build(self.gain)
-
     @cached_property
     def _hbar_digits(self) -> Tuple[int, np.ndarray]:
         return _row_digits(self.Hbar)
@@ -223,7 +141,7 @@ class ObserverPublic:
                       ncols=self.gain.Gbar.nrows, _reduced=True)
         ks = np.array([m.k for m in self.channels], dtype=np.intp)
         return (_row_digits(R), ks, tuple(m.s for m in self.channels),
-                self.kernel.gain.G[:, ks])
+                self.gain.G[:, ks])
 
     def cancel_initial(self, x: ModMatrix, known=None):
         """Every channel's initial cancellation of the column x.
@@ -236,7 +154,7 @@ class ObserverPublic:
         (L, l, 1 + n_ch) limbs of the state [x | cancels] that
         `cancel_step` steps.
         """
-        q, kernel = self.q, self.kernel
+        q, gain = self.q, self.gain
         T2, V2 = self._chains
         chains = iter((T2 @ x).column_entries())
         cancels = [[0] * self.n_channels for _ in range(x.nrows)]
@@ -245,8 +163,8 @@ class ObserverPublic:
                      for i in range(m.nu)]
             for i, row in rows:
                 cancels[i][j] = q.cmod(sum(map(mul, row, tilde)))
-        block = kernel.split(cancels)
-        return block, np.concatenate([kernel.split(x.rows), block], axis=2)
+        block = gain.split(cancels)
+        return block, np.concatenate([gain.split(x.rows), block], axis=2)
 
     def cancel_step(self, state: np.ndarray, x: ModMatrix, known=None):
         """One step of every channel's cancellation of the input column x.
@@ -260,19 +178,19 @@ class ObserverPublic:
         `Gbar @ block` added to its cancel columns as one outer product,
         G[:, k_j] times the limbs of c_j.
         """
-        kernel, n_ch = self.kernel, self.n_channels
-        if x.nrows != self.gain.Gbar.ncols:
+        gain, n_ch = self.gain, self.n_channels
+        if x.nrows != gain.Gbar.ncols:
             raise EncObsError("dimension mismatch in cancellation step")
         (e, planes), ks, ss, cancel_gain = self._chain_ends
-        body = kernel.gain.shift(state)
-        body[:, :, :1] += kernel.gain.G @ kernel.split(x.rows)
+        body = gain.shift(state)
+        body[:, :, :1] += gain.G @ gain.split(x.rows)
         dots = _first_column_dots(body[:, :, 0], body[:, :, 1:],
-                                  kernel.width, e, planes)
+                                  gain.width, e, planes)
         c = split_limbs([self.q.cmod(s * (a - b))
                          for s, a, b in zip(ss, dots, known or (0,) * n_ch)],
-                        kernel.width, kernel.count)
+                        gain.width, gain.count)
         body[:, :, 1:] += cancel_gain * c[:, None, :]
-        block = np.zeros((kernel.count, x.nrows, n_ch), dtype=np.int64)
+        block = np.zeros((gain.count, x.nrows, n_ch), dtype=np.int64)
         block[:, ks, np.arange(n_ch)] = c
         return block, body
 
@@ -291,10 +209,10 @@ class EncryptedBatch:
     """Per-step modified ciphertexts for all channels, batch `t` of a run
     (0 for the initial one), each part in the form its reader takes.
 
-    `body` is the (L, rows, 1 + n_ch) int64 limb stack of `kernel` of
+    `body` is the (L, rows, 1 + n_ch) int64 limb stack of `gain` of
     `[first | cancels]`, channel j's cancel column at 1 + j, every limb
-    below 2^W in absolute value, the kernel's input bound: the cloud steps
-    it whole.  `shared` is the randomness block A that every channel
+    below 2^W in absolute value, the recursion's input bound: the cloud
+    steps it whole.  `shared` is the randomness block A that every channel
     shares, as the (rows, N, nw) uint64 words the sampler drew, values in
     [0, q): only `SecretKey.products` reads it.  Both are read-only once
     the batch holds them, so the key's cache of the batch's A sk never
@@ -304,10 +222,10 @@ class EncryptedBatch:
     """
 
     def __init__(self, body: np.ndarray, shared: np.ndarray,
-                 kernel: LimbKernel, t: int):
+                 gain: BlockGain, t: int):
         body.setflags(write=False)
         shared.setflags(write=False)
-        self.body, self.shared, self.kernel, self.t = body, shared, kernel, t
+        self.body, self.shared, self.gain, self.t = body, shared, gain, t
 
     @property
     def n_channels(self) -> int:
@@ -321,19 +239,19 @@ class EncryptedBatch:
                                             Tuple[Tuple[int, ...], ...]]:
         """The standard ciphertext, sharing the batch's A, and every cancel
         column in centred Python ints: what View 2 records of a batch."""
-        q = self.kernel.q
-        first, *cancels = zip(*self.kernel.join(self.body))
+        q = self.gain.Gbar.modulus
+        first, *cancels = zip(*self.gain.join(self.body))
         return (Ciphertext(q, words_of(q, first), self.shared),
                 tuple(tuple(map(q.cmod, c)) for c in cancels))
 
     @classmethod
     def _write(cls, std: Ciphertext, cancels: Sequence[Tuple[int, ...]],
-               kernel: LimbKernel, t: int) -> "EncryptedBatch":
+               gain: BlockGain, t: int) -> "EncryptedBatch":
         """Batch t of the standard ciphertext `std`, sharing its A, and the
         cancel columns."""
-        return cls(kernel.split([(f,) + c for f, c
-                                 in zip(std.first_column(), zip(*cancels))]),
-                   std.shared, kernel, t)
+        return cls(gain.split([(f,) + c for f, c
+                               in zip(std.first_column(), zip(*cancels))]),
+                   std.shared, gain, t)
 
 
 def modified_channels(std_ct: Ciphertext,
@@ -380,15 +298,15 @@ class EncryptorSession:
         if v.nrows != nrows:
             raise EncObsError(f"message has {v.nrows} rows, the observer "
                               f"takes {nrows}")
-        kernel = self.public.kernel
+        gain = self.public.gain
         enc = encrypt_with_artifacts(v.scale(self.params.lift), self.sk,
                                      self.noise, self.rng)
         block, self.cancel_state = cancel(enc.mask)
         batch = EncryptedBatch(
-            np.concatenate([kernel.split(enc.first.rows), block], axis=2),
-            enc.randomness, kernel, self.t + 1)
+            np.concatenate([gain.split(enc.first.rows), block], axis=2),
+            enc.randomness, gain, self.t + 1)
         self.t = batch.t
-        self.sk._owned_products[batch] = enc.key_product
+        self.sk.seed_products(batch, enc.key_product)
         return batch
 
     def enc_initial(self, zbar_ini: ModMatrix) -> EncryptedBatch:
@@ -419,18 +337,18 @@ class EncObserverState:
     The state's shared block S_t, the l x N block every channel's
     ciphertext shares, is not held: S_0 = A_0 and
     S_t = Fbar S_(t-1) + Gbar A_t depend on the public randomness alone,
-    and only through the last b = `ObserverPublic.depth` batches, since
+    and only through the last b = `BlockGain.depth` batches, since
     Fbar^b = 0.  `window` holds those batches oldest first, the initial
     batch among them while t < b, and recovery replays their A sk to
     S_t sk.  So channel j's logical state, the l x (N+2) modified
     ciphertext whose decryption is the lifted plaintext state plus the
     encryption error, is what replaying the window through
-    `observer_update` gives.
+    `BlockGain.step` gives.
     """
 
     body: np.ndarray
     n_channels: int
-    kernel: LimbKernel
+    gain: BlockGain
     N: int
     t: int
     window: Tuple[EncryptedBatch, ...]
@@ -439,15 +357,15 @@ class EncObserverState:
     def from_initial(cls, batch: EncryptedBatch) -> "EncObserverState":
         if batch.t != 0:
             raise EncObsError(f"a state starts at batch 0, not {batch.t}")
-        return cls(batch.body, batch.n_channels, batch.kernel, N=batch.N,
+        return cls(batch.body, batch.n_channels, batch.gain, N=batch.N,
                    t=0, window=(batch,))
 
 
-def _check_limbs(kernel: LimbKernel, *parts):
-    """Every part (a batch or state) must hold limbs of `kernel`'s modulus
-    and width."""
+def _check_gain(public: ObserverPublic, *parts):
+    """Every part (a batch or state) must hold limbs of the public's gain,
+    not those of another one over the same q and limb width."""
     for part in parts:
-        if (part.kernel.q, part.kernel.width) != (kernel.q, kernel.width):
+        if part.gain != public.gain:
             raise EncObsError("limbs come from another observer")
 
 
@@ -457,7 +375,7 @@ def step_encrypted(state: EncObserverState, batch: EncryptedBatch,
     recursion applied to the `[first | cancels]` limbs of the state and
     the batch.  The batch must be the one after the state's step (a
     missed, repeated or reordered batch is refused), and it joins the
-    state's window, which keeps the last `public.depth` batches.  The
+    state's window, which keeps the last `public.gain.depth` batches.  The
     batch must have the public's LWE dimension."""
     if (batch.n_channels, batch.N) != (state.n_channels, state.N):
         raise EncObsError("channel counts or widths differ between state "
@@ -467,12 +385,11 @@ def step_encrypted(state: EncObserverState, batch: EncryptedBatch,
                           f"through an observer of dimension {public.N}")
     if batch.t != state.t + 1:
         raise EncObsError(f"batch {batch.t} does not follow step {state.t}")
-    kernel = public.kernel
-    _check_limbs(kernel, state, batch)
-    body = observer_update(state.body, batch.body, kernel.gain)
-    return EncObserverState(body, state.n_channels, kernel, N=state.N,
-                            t=state.t + 1,
-                            window=(state.window + (batch,))[-public.depth:])
+    _check_gain(public, state, batch)
+    gain = public.gain
+    return EncObserverState(gain.step(state.body, batch.body),
+                            state.n_channels, gain, N=state.N, t=state.t + 1,
+                            window=(state.window + (batch,))[-gain.depth:])
 
 
 def _first_column_dots(first: np.ndarray, cancels: np.ndarray, width: int,
@@ -492,10 +409,10 @@ def residue_first_column(state: EncObserverState,
     """First column of the encrypted residue (cheap per-step path): channel
     j's residue row on its first column, first - cancel_j, summed on the
     half limbs."""
-    _check_limbs(public.kernel, state)
+    _check_gain(public, state)
     return ModMatrix.column(_first_column_dots(
         state.body[:, :, 0], state.body[:, :, 1:],
-        public.kernel.width, *public._hbar_digits), public.q)
+        public.gain.width, *public._hbar_digits), public.q)
 
 
 def disclose_residue(r1: ModMatrix, params: QuantParams) -> ModMatrix:
@@ -513,15 +430,15 @@ def _shared_key_product(state: EncObserverState, sk: SecretKey) -> List[int]:
     not hold: the window's A sk from the key's cache, replayed through the
     recursion from A_0 sk while the initial batch is in the window and from
     zero after (the window then holds the last b batches, and Fbar^b = 0)."""
-    kernel = state.kernel
+    gain = state.gain
     products = [sk.cached_products(batch, batch.shared)
                 for batch in state.window]
     if len(products) == state.t + 1:    # A_0 is still in the window
         shared, products = list(products[0]), products[1:]
     else:
-        shared = [0] * len(kernel.gain.G)
+        shared = [0] * gain.Gbar.nrows
     for a in products:
-        shared = kernel.gain.step_ints(shared, a)
+        shared = gain.step_ints(shared, a)
     return shared
 
 
@@ -549,14 +466,14 @@ def recover_encrypted_state(state: EncObserverState, j: int, sk: SecretKey,
         raise EncObsError(f"no channel {j} among {state.n_channels}")
     if sk.N != state.N:
         raise DimensionMismatch("ciphertext and key disagree on N")
-    q = state.kernel.q
+    q = state.gain.Gbar.modulus
     if sk.q != q:
         raise ModulusMismatch("ciphertext and key disagree on q")
     if params.q != q or phi_pinv_bar.modulus != q:
         raise ModulusMismatch("ciphertext and recovery maps disagree on q")
     if phi_pinv_bar.ncols != state.body.shape[1]:
         raise DimensionMismatch("recovery map and state disagree on rows")
-    first = state.kernel.join(state.body[:, :, :1])
+    first = state.gain.join(state.body[:, :, :1])
     masked = _shared_key_product(state, sk)
     dec = [f - s for (f,), s in zip(first, masked)]
     lift = params.lift

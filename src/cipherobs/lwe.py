@@ -318,7 +318,8 @@ class SecretKey:
     caches A sk mod q per owner of a read-only randomness block A (an
     encrypted batch), in a `weakref.WeakKeyDictionary`: an entry lives as
     long as its owner, so the cache holds no more than the live batches.
-    `encobs.EncryptorSession` stores the entry of each batch it encrypts.
+    `encobs.EncryptorSession` seeds the entry of each batch it encrypts
+    (`seed_products`); no other module touches the cache.
     `zeroize()` overwrites and drops both the stored entries and those
     digits and empties the cache; callers that keep the key's bytes
     (`to_bytes`) are expected to erase them as part of the same contract.
@@ -394,6 +395,10 @@ class SecretKey:
             values = tuple(map(self.q.cmod, self.products(words)))
             self._owned_products[owner] = values
         return values
+
+    def seed_products(self, owner, values: Tuple[int, ...]):
+        """Cache the encryptor's `values`, A sk mod q centred, for `owner`."""
+        self._owned_products[owner] = values
 
     def zeroize(self):
         self._owned_products.clear()

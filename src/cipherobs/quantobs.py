@@ -5,9 +5,9 @@ The observer state lives in the centered range of a large prime q.  All
 parameter inequalities are evaluated with exact rational arithmetic so that
 pass/fail verdicts do not depend on floating-point rounding.
 
-The observer recursion `Z' = Fbar Z + Gbar V` is written once, as the
+The observer recursion `Z' = Fbar Z + Gbar V` has one owner, the
 `BlockGain` that `ModularMaps.gain` builds: `step_quantized` steps it on one
-column of Python ints, the encrypted observer on int64 limbs.
+column of Python ints, the encrypted observer on its int64 limbs.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .modring import ModMatrix, Modulus
+from .modring import ModMatrix, Modulus, join_limbs, split_limbs
 from .obsdesign import ObserverBank, ResidueMaps, round_half_up, calibrate_M
 
 __all__ = [
@@ -87,11 +87,24 @@ class BlockGain:
     """Z' = Fbar Z + Gbar V over Z_q: Fbar as the block starts of the lower
     shift, Gbar as its `ModMatrix` of centred entries.
 
-    It is the only Z_q code that knows the block shift.  `step_ints` steps
-    one column of Python ints on Gbar's nonzero entries alone (48 of 144 on
-    the benchmark), so quantized mode takes any Gbar.  The limb recursion
-    reads `shift` and the int64 `G`, built on its first use, after
-    `encobs.LimbKernel` has checked that a limb width fits Gbar.
+    It is the only code that steps the recursion, in two forms.  `step_ints`
+    steps one column of Python ints on Gbar's nonzero entries alone (48 of
+    144 on the benchmark), so quantized mode takes any Gbar and never
+    builds `G` or a limb width.  `step` steps int64 limb stacks, which
+    `split` makes and `join` reads back: an entry x is held as `count`
+    limbs of `width` W with x = sum_k limb_k 2^(W k) (mod q).
+
+    Fbar is nilpotent, so every state entry is a sum of at most b = `depth`
+    Gbar V terms plus one initial entry.  With input limbs below 2^W in
+    absolute value, every state limb therefore stays within
+    (b ||Gbar||_inf + 1) 2^W for any number of steps.  W is the largest
+    width that keeps this bound under 2^63, so the recursion never carries
+    between limbs or reduces; values are reduced mod q only when joined.
+    This holds for every q.  numpy's int64 `G @ V` sums in its own loop, not
+    BLAS, and wraps silently, so its partial sums need the bound too: each
+    is bounded by the sum of its terms' absolute values, at most
+    ||Gbar||_inf 2^W, in any summation order, and so is each entry of the
+    cancellation's outer product (`encobs.ObserverPublic.cancel_step`).
     """
 
     starts: Tuple[int, ...]
@@ -106,17 +119,49 @@ class BlockGain:
                    depth=max(block_sizes, default=0), Gbar=Gbar)
 
     @cached_property
+    def width(self) -> int:
+        """W, the largest limb width that keeps every limb under 2^63."""
+        growth = self.depth * self.Gbar.inf_norm() + 1
+        if growth.bit_length() > 62:
+            raise QuantError(
+                f"no int64 limb width fits Gbar (infinity norm "
+                f"{self.Gbar.inf_norm()}, largest block {self.depth})")
+        return 63 - growth.bit_length()
+
+    @cached_property
+    def count(self) -> int:
+        """L = ceil(q.bit_length() / W), the limbs of one entry."""
+        return -(-self.Gbar.modulus.q.bit_length() // self.width)
+
+    @cached_property
     def G(self) -> np.ndarray:
-        """Gbar as one dense read-only (l, h) int64 array.
+        """Gbar as one dense read-only (l, h) int64 array, once a limb
+        `width` fits Gbar.
 
         Every limb product is narrow, 1 + n_ch columns in the cloud and
         1 column for the encryptor's message, so one `G @ V` per step costs
         less than a pass over Gbar's nonzero spans, though most of Gbar is
-        zero.  `encobs.LimbKernel` bounds its sums.
+        zero.
         """
+        self.width  # QuantError when no limb width fits
         G = np.array(self.Gbar.rows, dtype=np.int64).reshape(self.Gbar.shape)
         G.setflags(write=False)
         return G
+
+    def split(self, rows: Sequence[Sequence[int]]) -> np.ndarray:
+        """Limb stack (L, rows, cols) of a matrix of centred entries."""
+        ncols = len(rows[0]) if rows else 0
+        flat = [a for row in rows for a in row]
+        return split_limbs(flat, self.width, self.count).reshape(
+            self.count, len(rows), ncols)
+
+    def join(self, limbs: np.ndarray) -> Tuple[Tuple[int, ...], ...]:
+        """Rows of Python ints congruent mod q to the matrix a limb stack
+        (L, rows, cols) holds; not reduced, so reduce before comparing."""
+        _, nrows, ncols = limbs.shape
+        flat = join_limbs(limbs.reshape(self.count, -1), self.width)
+        return tuple(tuple(flat[i * ncols:(i + 1) * ncols])
+                     for i in range(nrows))
 
     @cached_property
     def Fbar(self) -> ModMatrix:
@@ -131,6 +176,19 @@ class BlockGain:
         out = np.empty_like(Z)
         out[:, 1:] = Z[:, :-1]
         out[:, list(self.starts)] = 0
+        return out
+
+    def step(self, Z: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """Fbar Z + Gbar V on limb stacks, Z (L, l, w) and V (L, h, w): the
+        row shift inside each block, then one `G @ V`, identical limb by limb
+        to a dense product.  Limbs are added without carry or reduction.
+        Every column runs the same recursion, so one call steps every
+        channel."""
+        if (Z.shape[0] != V.shape[0] or Z.shape[2] != V.shape[2]
+                or self.G.shape != (Z.shape[1], V.shape[1])):
+            raise QuantError("dimension mismatch in observer update")
+        out = self.shift(Z)
+        out += self.G @ V
         return out
 
     @cached_property

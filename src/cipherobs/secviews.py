@@ -164,7 +164,7 @@ class View2:
         `step_encrypted` on the batches `EncryptedBatch._write` rebuilds."""
         for t, (ct, cancels) in enumerate(zip(self.standard_cts,
                                               self.cancels)):
-            batch = EncryptedBatch._write(ct, cancels, public.kernel, t)
+            batch = EncryptedBatch._write(ct, cancels, public.gain, t)
             state = (step_encrypted(state, batch, public) if t
                      else EncObserverState.from_initial(batch))
             yield state
@@ -258,5 +258,5 @@ def f1_view1_to_view2(v1: View1, public: ObserverPublic,
             [lifted[t + m.nu][j] for j, m in enumerate(channels)])
         blocks.append(block)
     return View2(standard_cts=(v1.init_ct,) + v1.input_cts,
-                 cancels=tuple(tuple(zip(*public.kernel.join(b)))
+                 cancels=tuple(tuple(zip(*public.gain.join(b)))
                                for b in blocks))

@@ -12,7 +12,7 @@ import numpy as np
 
 from cipherobs.encobs import EncObserverState, EncryptedBatch, \
     EncryptorSession, ObserverPublic, disclose_residue, modified_channels, \
-    observer_update, residue_first_column, step_encrypted
+    residue_first_column, step_encrypted
 from cipherobs.lwe import _CT_MAGIC, Ciphertext, CiphertextKind, LweError, \
     TestRng, centred, keygen, wire_layout, words_of
 from cipherobs.modring import DimensionMismatch, ModMatrix, ModRingError, \
@@ -171,18 +171,18 @@ def replay_states(view2: View2, public) -> List[EncObserverState]:
 
 def full_limbs(batch: EncryptedBatch) -> np.ndarray:
     """The (L, rows, 1 + n_ch + N) limbs of a batch's whole matrix
-    `[first | cancels | shared]`: its shared words cut into the kernel's
+    `[first | cancels | shared]`: its shared words cut into the gain's
     limbs beside its `body`."""
-    kernel, words = batch.kernel, batch.shared
+    gain, words = batch.gain, batch.shared
     rows, N, nw = words.shape
-    shared = words_to_limbs(words.reshape(-1, nw), kernel.width,
-                            kernel.count).reshape(kernel.count, rows, N)
+    shared = words_to_limbs(words.reshape(-1, nw), gain.width,
+                            gain.count).reshape(gain.count, rows, N)
     return np.concatenate([batch.body, shared], axis=2)
 
 
 def full_state(state: EncObserverState, public) -> EncryptedBatch:
     """The full-width `[first | cancels | shared]` state behind a narrow
-    one: its window replayed through `observer_update` on the batches'
+    one: its window replayed through `BlockGain.step` on the batches'
     `full_limbs`, from the initial batch while it is in the window and
     from zero after, and written back as a batch of index `state.t`.
 
@@ -195,18 +195,18 @@ def full_state(state: EncObserverState, public) -> EncryptedBatch:
     if len(window) == state.t + 1:   # the initial batch is in the window
         body, inputs = full_limbs(window[0]), window[1:]
     else:
-        body = np.zeros((public.kernel.count, public.gain.Gbar.nrows,
+        body = np.zeros((public.gain.count, public.gain.Gbar.nrows,
                          1 + state.n_channels + state.N), dtype=np.int64)
         inputs = window
     for batch in inputs:
-        body = observer_update(body, full_limbs(batch), public.kernel.gain)
+        body = public.gain.step(body, full_limbs(batch))
     n = state.body.shape[2]
     if not np.array_equal(body[:, :, :n], state.body):
         raise AssertionError("the narrow state differs from its replay")
-    rows = [tuple(map(public.q.cmod, row)) for row in public.kernel.join(body)]
+    rows = [tuple(map(public.q.cmod, row)) for row in public.gain.join(body)]
     return EncryptedBatch._write(
         ciphertext([row[:1] + row[n:] for row in rows], public.q),
-        tuple(zip(*(row[1:n] for row in rows))), public.kernel, state.t)
+        tuple(zip(*(row[1:n] for row in rows))), public.gain, state.t)
 
 
 def ciphertext(rows, q: Modulus, modified: bool = False) -> Ciphertext:
@@ -574,7 +574,7 @@ def joined_residue_first_column(state, public) -> ModMatrix:
     Hbar_j cancel_j, after joining the first-column and cancel-column limbs
     into Python ints (oracle for the half-limb sums of
     `encobs.residue_first_column`)."""
-    first, *cancels = zip(*public.kernel.join(state.body))
+    first, *cancels = zip(*public.gain.join(state.body))
     return ModMatrix.column(
         [sum(map(mul, hrow, first)) - sum(map(mul, hrow, cancel))
          for hrow, cancel in zip(public.Hbar.rows, cancels)], public.q)

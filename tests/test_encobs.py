@@ -14,11 +14,9 @@ from cipherobs.encobs import (
     EncObserverState,
     EncryptedBatch,
     EncryptorSession,
-    LimbKernel,
     ObserverPublic,
     SessionNotFresh,
     disclose_residue,
-    observer_update,
     recover_encrypted_state,
     residue_first_column,
     step_encrypted,
@@ -54,8 +52,8 @@ def zero_batch(public, nrows, N=64, t=0):
     """Batch t with all-zero [first | cancels] limbs of the benchmark's 60
     channels and an all-zero shared block of N words per row."""
     return EncryptedBatch(
-        np.zeros((public.kernel.count, nrows, 1 + 60), dtype=np.int64),
-        np.zeros((nrows, N, 2), dtype=np.uint64), public.kernel, t)
+        np.zeros((public.gain.count, nrows, 1 + 60), dtype=np.int64),
+        np.zeros((nrows, N, 2), dtype=np.uint64), public.gain, t)
 
 
 @pytest.fixture(scope="module")
@@ -274,18 +272,17 @@ class TestLazyCancelState:
     def test_benchmark_session_state_under_the_bound(self, public64,
                                                      bench_enc):
         # the encryptor's [m | cancels] state, rebuilt from the transcript's
-        # masks, stays under the kernel bound at every step and gives back
+        # masks, stays under the limb bound at every step and gives back
         # the recorded cancel columns
-        kernel = public64.kernel
-        bound = ((public64.depth * public64.gain.Gbar.inf_norm() + 1)
-                 << kernel.width)
+        gain = public64.gain
+        bound = (gain.depth * gain.Gbar.inf_norm() + 1) << gain.width
         block, state = public64.cancel_initial(bench_enc.masks[0])
         blocks = [block]
         for mask in bench_enc.masks[1:]:
             block, state = public64.cancel_step(state, mask)
             blocks.append(block)
             assert np.abs(state).max() < bound
-        assert (tuple(tuple(zip(*kernel.join(b))) for b in blocks)
+        assert (tuple(tuple(zip(*gain.join(b))) for b in blocks)
                 == bench_enc.view2.cancels)
 
     def test_cancel_step_refuses_a_column_of_the_wrong_height(self,
@@ -325,13 +322,13 @@ class TestLazyCancelState:
                                        Hbar=ModMatrix(rows, q),
                                        block_sizes=blocks)
             public = ObserverPublic.build(maps, params)
-            kernel = public.kernel
+            gain = public.gain
             seeded = SeededRng(trial)
             session = EncryptorSession(keygen(8, q, seeded), params, public,
                                        rng=seeded)
             batch = session.enc_initial(ModMatrix.column(range(l), q))
             for t in range(4 * l):
-                state = kernel.join(session.cancel_state)
+                state = gain.join(session.cancel_state)
                 cancels = list(zip(*batch.standard_and_cancels()[1]))
                 for j, m in enumerate(public.channels):
                     degrees.add(m.nu)
@@ -360,7 +357,7 @@ class TestDigitPlaneResidue:
         """(state, public) whose first column and cancel columns hold the
         (L, l, 1 + n_ch) limbs `columns`; the shared block is empty."""
         public = bare_public(q, sizes, Gbar, Hbar)
-        return EncObserverState(columns, Hbar.nrows, public.kernel, N=0, t=0,
+        return EncObserverState(columns, Hbar.nrows, public.gain, N=0, t=0,
                                 window=()), public
 
     @settings(max_examples=120, deadline=None)
@@ -380,18 +377,18 @@ class TestDigitPlaneResidue:
                                         st.sampled_from([hmax, -hmax])),
                               n_ch * l), label="Hbar")
         Hbar = ModMatrix([hs[j * l:(j + 1) * l] for j in range(n_ch)], q)
-        kernel = LimbKernel.build(BlockGain.build(sizes, Gbar))
-        # the kernel's lazy bound on every limb is at least 2^62, so
+        gain = BlockGain.build(sizes, Gbar)
+        # the gain's lazy bound on every limb is at least 2^62, so
         # 2^62 - 1, all ones, maximizes the low 32-bit half
-        bound = (max(sizes) * Gbar.inf_norm() + 1) << kernel.width
+        bound = (max(sizes) * Gbar.inf_norm() + 1) << gain.width
         edges = [2 ** 62 - 1, bound, -bound, bound - 1, 1 - bound, 0]
         limb = st.one_of(st.integers(-bound, bound), st.sampled_from(edges))
         # the first column, then each cancel column, drawn independently
-        columns = [data.draw(filled(limb, kernel.count * l), label=name)
+        columns = [data.draw(filled(limb, gain.count * l), label=name)
                    for name in ["first"] + [f"cancel {j}" for j in
                                             range(n_ch)]]
         columns = np.array(columns, dtype=np.int64).reshape(
-            1 + n_ch, kernel.count, l).transpose(1, 2, 0)
+            1 + n_ch, gain.count, l).transpose(1, 2, 0)
         state, public = self._case(q, sizes, Gbar, Hbar, columns)
         assert (residue_first_column(state, public)
                 == joined_residue_first_column(state, public))
@@ -406,11 +403,11 @@ class TestDigitPlaneResidue:
         hmax = 2 ** 27 - 1 if small else (q.q - 1) // 2
         Gbar = ModMatrix([[1]] * l, q)
         Hbar = ModMatrix([[hmax] * l] * n_ch, q)
-        kernel = LimbKernel.build(BlockGain.build(sizes, Gbar))
+        gain = BlockGain.build(sizes, Gbar)
         # the largest lazy limb below the bound: its low W bits all ones;
         # the first column holds +top and every cancel column -top
-        top = ((max(sizes) * Gbar.inf_norm() + 1) << kernel.width) - 1
-        columns = np.full((kernel.count, l, 1 + n_ch), -top, dtype=np.int64)
+        top = ((max(sizes) * Gbar.inf_norm() + 1) << gain.width) - 1
+        columns = np.full((gain.count, l, 1 + n_ch), -top, dtype=np.int64)
         columns[:, :, 0] = top
         state, public = self._case(q, sizes, Gbar, Hbar, columns)
         expect = joined_residue_first_column(state, public)
@@ -422,7 +419,7 @@ class TestDigitPlaneResidue:
         monkeypatch.setattr(encobs, "digit_budget",
                             lambda n, exact: budget(n, exact) + 1)
         wide = encobs._first_column_dots(columns[:, :, 0], columns[:, :, 1:],
-                                         kernel.width,
+                                         gain.width,
                                          *encobs._row_digits(Hbar))
         assert ModMatrix.column(wide, q) != expect
 
@@ -459,25 +456,34 @@ class TestEncryptedObserver:
             step_encrypted(state, zero_batch(public64, 6, N=4096, t=1),
                            public64)
 
-    def test_limbs_of_another_observer_refused(self, public64, bench_enc):
-        # the same bank over 2^107 - 1 has the same limb width and count,
-        # so only the kernel's modulus tells its batches and states apart
-        other = SystemSetup.from_scenario(bundled_scenario_path(),
-                                          q=2 ** 107 - 1)
-        params = dataclasses.replace(other.params, N=64)
-        foreign = ObserverPublic.build(other.mod_maps, params)
-        assert ((foreign.kernel.width, foreign.kernel.count)
-                == (public64.kernel.width, public64.kernel.count))
-        rng = SeededRng(6)
-        session = EncryptorSession(keygen(64, params.q, rng), params,
-                                   foreign, rng=rng)
-        state = EncObserverState.from_initial(
-            session.enc_initial(ModMatrix.zeros(24, 1, params.q)))
-        batch = session.enc_input(ModMatrix.zeros(6, 1, params.q))
-        with pytest.raises(encobs.EncObsError, match="another observer"):
-            step_encrypted(bench_enc.states[0], batch, public64)
-        with pytest.raises(encobs.EncObsError, match="another observer"):
-            residue_first_column(state, public64)
+    def test_limbs_of_another_observer_refused(self, bench_setup, public64,
+                                               bench_enc):
+        # two other observers with the same limb width and count: the same
+        # bank over 2^107 - 1, and the benchmark maps with one Gbar entry
+        # raised by 1, so only the gain tells their batches and states apart
+        over_q = SystemSetup.from_scenario(bundled_scenario_path(),
+                                           q=2 ** 107 - 1)
+        rows = [list(row) for row in bench_setup.mod_maps.Gbar.rows]
+        rows[0][0] += 1
+        one_entry = dataclasses.replace(
+            bench_setup.mod_maps, Gbar=ModMatrix(rows, public64.q))
+        for setup, maps in ((over_q, over_q.mod_maps),
+                            (bench_setup, one_entry)):
+            params = dataclasses.replace(setup.params, N=64)
+            foreign = ObserverPublic.build(maps, params)
+            assert foreign.gain != public64.gain
+            assert ((foreign.gain.width, foreign.gain.count)
+                    == (public64.gain.width, public64.gain.count) == (42, 3))
+            rng = SeededRng(6)
+            session = EncryptorSession(keygen(64, params.q, rng), params,
+                                       foreign, rng=rng)
+            state = EncObserverState.from_initial(
+                session.enc_initial(ModMatrix.zeros(24, 1, params.q)))
+            batch = session.enc_input(ModMatrix.zeros(6, 1, params.q))
+            with pytest.raises(encobs.EncObsError, match="another observer"):
+                step_encrypted(bench_enc.states[0], batch, public64)
+            with pytest.raises(encobs.EncObsError, match="another observer"):
+                residue_first_column(state, public64)
 
     def test_step_matches_dense_channel_product(self, bench_setup, public64,
                                                  bench_enc):
@@ -600,7 +606,7 @@ class TestDisclosureAndRecovery:
             return EncryptedBatch._write(ciphertext(((top,) * (N + 1),)
                                                     * nrows, q),
                                          ((top,) * nrows,) * 60,
-                                         public.kernel, t)
+                                         public.gain, t)
 
         sk = SecretKey([top] * N, q)
         state = EncObserverState.from_initial(batch(24, 0))
@@ -736,7 +742,7 @@ class TestWindowRecovery:
                        for batch in again.window)
             # the decryption itself is exact, not only its rounding
             for state, key in ((live, sk), (again, fresh)):
-                first = public.kernel.join(state.body[:, :, :1])
+                first = public.gain.join(state.body[:, :, :1])
                 shared = encobs._shared_key_product(state, key)
                 assert ModMatrix.column(
                     [f - s for (f,), s in zip(first, shared)], public.q
@@ -744,7 +750,7 @@ class TestWindowRecovery:
 
     @pytest.mark.parametrize("bank", UNEVEN_BLOCKS + ["benchmark"])
     def test_recursion_executors_equal_dense(self, bench_setup, bank):
-        # one BlockGain steps limbs (observer_update) and Python ints
+        # one BlockGain steps limbs (step) and Python ints
         # (step_ints), both against dense Fbar Z + Gbar V, for more steps
         # than the largest block
         q = bench_setup.params.q
@@ -754,7 +760,7 @@ class TestWindowRecovery:
                 bench_setup.mod_maps.Gbar
         else:
             sizes, Gbar = bank, uneven_gain(q, bank, rng)
-        kernel = LimbKernel.build(BlockGain.build(sizes, Gbar))
+        gain = BlockGain.build(sizes, Gbar)
         Fbar = build_fbar(sizes, q)
         half = (q.q - 1) // 2
 
@@ -763,17 +769,17 @@ class TestWindowRecovery:
                 [rng.randint(-half, half) for _ in range(nrows)], q)
 
         Z = column(Gbar.nrows)
-        ints, limbs = Z.column_entries(), kernel.split(Z.rows)
+        ints, limbs = Z.column_entries(), gain.split(Z.rows)
         for t in range(max(sizes) + 2):
             V = column(Gbar.ncols)
             Z = Fbar @ Z + Gbar @ V
-            ints = kernel.gain.step_ints(ints, V.column_entries())
-            limbs = observer_update(limbs, kernel.split(V.rows), kernel.gain)
+            ints = gain.step_ints(ints, V.column_entries())
+            limbs = gain.step(limbs, gain.split(V.rows))
             assert ModMatrix.column(ints, q) == Z, t
-            assert ModMatrix(kernel.join(limbs), q) == Z, t
+            assert ModMatrix(gain.join(limbs), q) == Z, t
         # Fbar^b = 0, so recovery may replay from zero b batches back
         for _ in range(max(sizes)):
-            ints = kernel.gain.step_ints(ints, (0,) * Gbar.ncols)
+            ints = gain.step_ints(ints, (0,) * Gbar.ncols)
         assert not any(ints)
 
     @pytest.mark.parametrize("sizes", UNEVEN_BLOCKS)
@@ -794,7 +800,7 @@ class TestWindowRecovery:
                     for _ in range(nrows)]
             cancel = tuple(rng.randint(-99, 99) for _ in range(nrows))
             return EncryptedBatch._write(ciphertext(rows, q), [cancel],
-                                         public.kernel, t)
+                                         public.gain, t)
 
         sk = keygen(16, q, SeededRng(l))
         phi = ModMatrix.identity(l, q)
@@ -803,7 +809,7 @@ class TestWindowRecovery:
             if t:
                 state = step_encrypted(state, batch(Gbar.ncols, t), public)
             dec = dense_decrypt(channel(full_state(state, public), 0), sk)
-            first = public.kernel.join(state.body[:, :, :1])
+            first = public.gain.join(state.body[:, :, :1])
             shared = encobs._shared_key_product(state, sk)
             assert ModMatrix.column(
                 [f - s for (f,), s in zip(first, shared)], q) == dec, t
@@ -896,8 +902,8 @@ class TestWindowRecovery:
             for key in (sk, other):
                 recover_encrypted_state(state, 0, key, params, phi)
             inputs = [b for b in state.window if b.body.shape[1] == 6]
-            assert len(state.window) <= public64.depth
-            assert len(inputs) <= public64.depth
+            assert len(state.window) <= public64.gain.depth
+            assert len(inputs) <= public64.gain.depth
         del batch
         gc.collect()
         held = {id(b) for b in state.window}
@@ -907,7 +913,7 @@ class TestWindowRecovery:
 
     def test_state_holds_only_first_and_cancel_columns(self, bench_setup):
         _, public, batches, states = cloud_run(bench_setup, 4096, 20, 2)
-        L = public.kernel.count
+        L = public.gain.count
         for state in states:
             assert state.body.shape == (L, 24, 1 + 60)
         # the initial state holds the batch's first and cancel columns
@@ -923,7 +929,7 @@ class TestWindowRecovery:
         second = session.enc_input(ModMatrix.zeros(6, 1, params.q))
         std, cancels = second.standard_and_cancels()
         written = encobs.EncryptedBatch._write(std, cancels,
-                                               public64.kernel, 1)
+                                               public64.gain, 1)
         # the words are shared, never copied
         assert written.shared is std.shared is second.shared
         for batch in (first, second, written):
@@ -1028,8 +1034,8 @@ def test_seeded_ciphertexts_match_golden_digests(bench_setup, N):
     states after them, and the batches' standard ciphertexts."""
     _, public, batches, states = cloud_run(bench_setup, N, 5, 3)
     for batch in batches:
-        # the encryptor's limbs stay below 2^W, the kernel's input bound
-        assert int(np.abs(batch.body).max()) < 2 ** batch.kernel.width
+        # the encryptor's limbs stay below 2^W, the gain's input bound
+        assert int(np.abs(batch.body).max()) < 2 ** batch.gain.width
     assert golden_digests(batches, states, public) == GOLDEN[N]
     assert golden_digests(batches, states, public,
                           Ciphertext.to_bytes) == GOLDEN_WIRE[N]

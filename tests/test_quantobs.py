@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cipherobs.encobs import EncObsError, LimbKernel, ObserverPublic, \
-    observer_update
+from cipherobs.encobs import ObserverPublic
 from cipherobs.modring import ModMatrix, Modulus
 from cipherobs.obsdesign import build_bank, residue_map
 from cipherobs.pipeline import BENCH_LIFT, BENCH_Q, SystemSetup, \
@@ -109,13 +108,13 @@ class TestStepQuantized:
 MODULI = (Modulus(101), Modulus(2 ** 61 - 1), Modulus(BENCH_Q))
 
 
-def _edge_values(q: Modulus, kernel: LimbKernel):
+def _edge_values(q: Modulus, gain: BlockGain):
     """0, +-1, +-(q-1)/2 and the values at and next to +-2^(kW), where a
     limb would carry, all reduced into the centred range."""
     half = (q.q - 1) // 2
     edges = {0, 1, -1, half, -half}
-    for k in range(1, kernel.count + 1):
-        for v in ((1 << (kernel.width * k)) + e for e in (-1, 0, 1)):
+    for k in range(1, gain.count + 1):
+        for v in ((1 << (gain.width * k)) + e for e in (-1, 0, 1)):
             edges |= {v, -v}
     return sorted({q.cmod(v) for v in edges})
 
@@ -158,8 +157,8 @@ class TestObserverUpdate:
         N = data.draw(st.integers(1, 5), label="N")
         w = data.draw(st.sampled_from([1, 2, n_ch + N + n_ch]), label="width")
         Gbar = ModMatrix(_gain(data, sizes, h), q, ncols=h)
-        kernel = LimbKernel.build(BlockGain.build(sizes, Gbar))
-        entry = st.one_of(st.sampled_from(_edge_values(q, kernel)),
+        gain = BlockGain.build(sizes, Gbar)
+        entry = st.one_of(st.sampled_from(_edge_values(q, gain)),
                           st.integers(-half, half))
 
         def matrix(nrows, ncols):
@@ -169,16 +168,15 @@ class TestObserverUpdate:
                               for i in range(nrows)], q, ncols=ncols)
 
         Z = matrix(l, w)
-        assert kernel.join(kernel.split(Z.rows)) == Z.rows
+        assert gain.join(gain.split(Z.rows)) == Z.rows
         Fbar = build_fbar(sizes, q)
-        limbs = kernel.split(Z.rows)
+        limbs = gain.split(Z.rows)
         for _ in range(data.draw(st.integers(1, 3), label="steps")):
             V = matrix(h, w)
             dense = Fbar @ Z + Gbar @ V
-            limbs = observer_update(limbs, kernel.split(V.rows),
-                                    kernel.gain)
+            limbs = gain.step(limbs, gain.split(V.rows))
             Z = dense
-        assert ModMatrix(kernel.join(limbs), q, ncols=w) == Z
+        assert ModMatrix(gain.join(limbs), q, ncols=w) == Z
 
     # (block sizes, Gbar rows): zero columns, blocks without a nonzero and
     # column spans that cross blocks or hold interior zeros
@@ -195,13 +193,12 @@ class TestObserverUpdate:
 
     @pytest.mark.parametrize("case", EDGE_GAINS)
     def test_block_terms_of_edge_gains(self, case):
-        # the dense gain steps limbs (observer_update) and Python ints
-        # (step_ints, on G's nonzeros alone) as the dense Z_q product does
+        # the dense gain steps limbs (step) and Python ints (step_ints, on
+        # G's nonzeros alone) as the dense Z_q product does
         sizes, rows = self.EDGE_GAINS[case]
         q = Modulus(BENCH_Q)
         Gbar = ModMatrix(rows, q)
-        kernel = LimbKernel.build(BlockGain.build(sizes, Gbar))
-        gain = kernel.gain
+        gain = BlockGain.build(sizes, Gbar)
         assert gain.G.dtype == np.int64 and gain.G.tolist() == rows
         assert gain._entries == tuple((i, k, g) for i, row in enumerate(rows)
                                       for k, g in enumerate(row) if g)
@@ -211,14 +208,14 @@ class TestObserverUpdate:
         Z = ModMatrix([[rng.randint(-half, half) for _ in range(3)]
                        for _ in rows], q)
         # step_ints steps the first column
-        limbs, ints = kernel.split(Z.rows), Z.column_entries()
+        limbs, ints = gain.split(Z.rows), Z.column_entries()
         for t in range(max(sizes) + 1):
             V = ModMatrix([[rng.randint(-half, half) for _ in range(3)]
                            for _ in rows[0]], q)
-            limbs = observer_update(limbs, kernel.split(V.rows), gain)
+            limbs = gain.step(limbs, gain.split(V.rows))
             ints = gain.step_ints(ints, V.column_entries())
             Z = Fbar @ Z + Gbar @ V
-            assert ModMatrix(kernel.join(limbs), q) == Z, t
+            assert ModMatrix(gain.join(limbs), q) == Z, t
             assert ModMatrix.column(ints, q).column_entries() == \
                 Z.column_entries(), t
 
@@ -245,7 +242,7 @@ class TestObserverUpdate:
         *_, ks, _, cancel_gain = public._chain_ends
         assert {m.k for m in public.channels} == {0}
         assert ks.tolist() == [0] * 60
-        G = public.kernel.gain.G
+        G = public.gain.G
         assert np.array_equal(cancel_gain, np.repeat(G[:, :1], 60, axis=1))
 
     @pytest.mark.parametrize("q", MODULI[1:], ids=["2^61-1", "2^109-31"])
@@ -256,12 +253,11 @@ class TestObserverUpdate:
         g = (2 ** (63 - width) - 2) // b_max
         row = [g // h] * (h - 1) + [g - (g // h) * (h - 1)]
         Gbar = ModMatrix([row] * sum(sizes), q)
-        kernel = LimbKernel.build(BlockGain.build(sizes, Gbar))
-        assert kernel.width == width
-        assert kernel.count == -(-q.q.bit_length() // width)
+        gain = BlockGain.build(sizes, Gbar)
+        assert gain.width == width
+        assert gain.count == -(-q.q.bit_length() // width)
         bigger = ModMatrix([row[:-1] + [row[-1] + 1]] * sum(sizes), q)
-        assert (LimbKernel.build(BlockGain.build(sizes, bigger)).width
-                == width - 1)
+        assert BlockGain.build(sizes, bigger).width == width - 1
 
         bound = (b_max * g + 1) * 2 ** width
         assert bound < 2 ** 63
@@ -269,24 +265,24 @@ class TestObserverUpdate:
         Z = ModMatrix([[top]] * sum(sizes), q)
         V = ModMatrix([[top]] * h, q)
         Fbar = build_fbar(sizes, q)
-        limbs = kernel.split(Z.rows)
-        v_limbs = kernel.split(V.rows)
+        limbs = gain.split(Z.rows)
+        v_limbs = gain.split(V.rows)
         for _ in range(3 * b_max):
-            limbs = observer_update(limbs, v_limbs, kernel.gain)
+            limbs = gain.step(limbs, v_limbs)
             Z = Fbar @ Z + Gbar @ V
             assert int(np.abs(limbs).max()) < bound
-        assert ModMatrix(kernel.join(limbs), q) == Z
+        assert ModMatrix(gain.join(limbs), q) == Z
 
     def test_gain_without_a_limb_width_raises(self):
         q = Modulus(BENCH_Q)
         Gbar = ModMatrix([[2 ** 62]], q)
-        with pytest.raises(EncObsError):
-            LimbKernel.build(BlockGain.build((1,), Gbar))
+        with pytest.raises(QuantError):
+            BlockGain.build((1,), Gbar).width
 
     def test_quantized_mode_needs_no_limb_width(self, bench_setup):
         # quantized mode steps in exact ints and never builds the int64 G,
-        # so it accepts a gain entry beyond int64; only the encrypted
-        # observer's kernel refuses it, before it builds G
+        # so it accepts a gain entry beyond int64; only the limb recursion
+        # (its width, which G reads first) refuses it, before it builds G
         q = Modulus(BENCH_Q)
         Gbar = ModMatrix([[2 ** 100], [1]], q)
         maps = dataclasses.replace(bench_setup.mod_maps, Gbar=Gbar,
@@ -298,8 +294,9 @@ class TestObserverUpdate:
         assert "G" not in vars(maps.gain)
         public = ObserverPublic.build(maps, bench_setup.params)
         assert public.gain is maps.gain
-        with pytest.raises(EncObsError):
-            public.kernel
+        for name in ("width", "G"):
+            with pytest.raises(QuantError):
+                getattr(public.gain, name)
         assert "G" not in vars(maps.gain)
 
     def test_block_sizes_must_cover_the_state(self):
@@ -307,9 +304,8 @@ class TestObserverUpdate:
         zeros = np.zeros
         # a recursion of blocks (1, 1) refuses a 3-row state
         gain = BlockGain.build((1, 1), ModMatrix.zeros(2, 1, q))
-        with pytest.raises(EncObsError):
-            observer_update(zeros((1, 3, 2), np.int64),
-                            zeros((1, 1, 2), np.int64), gain)
+        with pytest.raises(QuantError):
+            gain.step(zeros((1, 3, 2), np.int64), zeros((1, 1, 2), np.int64))
         with pytest.raises(QuantError):
             step_quantized(ModMatrix.zeros(3, 1, q), ModMatrix.zeros(1, 1, q),
                            gain)

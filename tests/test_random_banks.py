@@ -3,10 +3,12 @@ the quantized one, and the view transformations on every recorded run.
 
 Sparse plants give banks of uneven blocks, since a sensor that reads few
 states has a short observability chain; dense plants give even banks.
-Every plant has m >= 2 inputs driven by a small random feedback gain, k = 1
-and one attack segment on a random sensor.  Both views of every run go
-through their bytes, so the codec sees uneven ciphertext heights at
-N = 16.
+Every plant has m >= 2 inputs driven by a small random feedback gain, and
+k attack segments on k distinct random sensors: k = 1 on the sparse and
+dense sets, and k = 2 on a set of dense plants with p = 5, whose banks
+stack ten 3-sensor subsets.  Both views of every run go through their
+bytes, so the codec sees uneven ciphertext heights at N = 16, and the
+key holder recovers every state rebuilt from the parsed View 2.
 """
 
 import dataclasses
@@ -14,6 +16,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from cipherobs.encobs import recover_encrypted_state
 from cipherobs.obsdesign import DesignError
 from cipherobs.pipeline import BENCH_LIFT, BENCH_Q, SystemSetup, \
     run_encrypted_mode, run_quantized_mode
@@ -49,27 +52,35 @@ def dense_plant(rng: np.random.Generator, n: int, m: int,
                                K=0.1 * rng.normal(size=(m, n)))
 
 
-def random_attack(rng: np.random.Generator, p: int) -> AttackScenario:
-    """One constant attack of 2 to 5 steps on a random sensor (0-based)."""
-    start = int(rng.integers(2, STEPS // 2))
-    return AttackScenario((AttackSegment(
-        sensor=int(rng.integers(0, p)), start=start,
-        end=start + int(rng.integers(2, 6)),
-        value=float(rng.choice([-1, 1]) * rng.uniform(0.5, 3))),))
+def random_attack(rng: np.random.Generator, p: int,
+                  k: int = 1) -> AttackScenario:
+    """One constant attack of 2 to 5 steps on each of k distinct random
+    sensors (0-based); a segment drawn for a sensor already attacked is
+    dropped."""
+    segments = {}
+    while len(segments) < k:
+        start = int(rng.integers(2, STEPS // 2))
+        segment = AttackSegment(
+            sensor=int(rng.integers(0, p)), start=start,
+            end=start + int(rng.integers(2, 6)),
+            value=float(rng.choice([-1, 1]) * rng.uniform(0.5, 3)))
+        segments.setdefault(segment.sensor, segment)
+    return AttackScenario(tuple(segments.values()))
 
 
-def random_setups(seed: int, make, inputs, count: int):
+def random_setups(seed: int, make, inputs, count: int, k: int = 1):
     """The first `count` draws of `make` that are stable and whose bank the
-    design accepts, as setups at N = 16; n and p are 3 to 5, m is drawn
+    design accepts, as setups at N = 16 with k attacked sensors; n is 3 to
+    5, p is 2k + 1 to 5 (a bank needs more than 2k sensors), and m is drawn
     from `inputs`."""
     rng = np.random.default_rng(seed)
     setups = []
     for _ in range(4 * count):
         n, m, p = (int(rng.integers(3, 6)), int(rng.choice(inputs)),
-                   int(rng.integers(3, 6)))
+                   int(rng.integers(2 * k + 1, 6)))
         try:
             plant = make(rng, n, m, p)
-            bundle = ScenarioBundle(plant, random_attack(rng, p), k=1)
+            bundle = ScenarioBundle(plant, random_attack(rng, p, k), k=k)
             setups.append(SystemSetup.from_bundle(
                 bundle, s1=1e-4, s2=1e-4, lift=BENCH_LIFT, q=BENCH_Q, N=16,
                 Delta=19.2, eps=0.3))
@@ -90,15 +101,23 @@ def dense_setups():
     return random_setups(5, dense_plant, (2, 3), 30)
 
 
+@pytest.fixture(scope="module")
+def two_sensor_setups():
+    return random_setups(11, dense_plant, (2, 3), 8, k=2)
+
+
 def assert_encrypted_equals_quantized(setup: SystemSetup, plant: int):
     """The encrypted run's residue norms and flags equal the quantized
     run's at every step, and its estimate errors wherever a step is not
     flagged (recovery is exact only while the criterion holds); both views
     parse back from their bytes, byte for byte, and f1 and f2 map the
-    parsed views onto the recorded ones."""
-    quantized = run_quantized_mode(setup, STEPS).records
+    parsed views onto the recorded ones.  Channel 0 recovered from every
+    state rebuilt from the parsed View 2 equals the quantized estimate at
+    every step that is not flagged: those states hold new batch objects,
+    so the run's key computes each A sk from the parsed words."""
+    qrun = run_quantized_mode(setup, STEPS)
     run = run_encrypted_mode(setup, STEPS, seed=plant, record_views=True)
-    for quant, enc in zip(quantized, run.records):
+    for quant, enc in zip(qrun.records, run.records):
         where = (plant, quant.step, setup.bank.block_sizes)
         assert (enc.residue_norm, enc.detected) == \
             (quant.residue_norm, quant.detected), where
@@ -113,6 +132,12 @@ def assert_encrypted_equals_quantized(setup: SystemSetup, plant: int):
         run.view1, plant
     assert f1_view1_to_view2(view1, run.public, setup.params) == \
         run.view2, plant
+    phi = setup.mod_maps.PhiPinvBar
+    for quant, xbar, state in zip(qrun.records, qrun.xbars,
+                                  view2.states(run.public)):
+        if not quant.detected:
+            assert recover_encrypted_state(state, 0, run.sk, setup.params,
+                                           phi) == xbar, (plant, quant.step)
 
 
 def test_sparse_plants_with_uneven_banks(sparse_setups):
@@ -125,10 +150,21 @@ def test_dense_plants(dense_setups):
         assert_encrypted_equals_quantized(setup, i)
 
 
+def test_dense_plants_with_two_attacked_sensors(two_sensor_setups):
+    for i, setup in enumerate(two_sensor_setups):
+        assert_encrypted_equals_quantized(setup, i)
+
+
 def test_draws_cover_mimo_uneven_banks_and_detections(sparse_setups,
-                                                      dense_setups):
-    setups = sparse_setups + dense_setups
+                                                      dense_setups,
+                                                      two_sensor_setups):
+    setups = sparse_setups + dense_setups + two_sensor_setups
     assert all(s.bundle.model.m >= 2 for s in setups)
+    # k = 2 plants: five sensors, two of them attacked, ten 3-sensor subsets
+    for s in two_sensor_setups:
+        assert (s.bundle.k, s.bundle.model.C.shape[0]) == (2, 5)
+        assert len({seg.sensor for seg in s.bundle.attacks.segments}) == 2
+        assert s.mod_maps.Hbar.nrows == 10 * s.bundle.model.A.shape[0]
     assert any(s.bundle.model.m == 3 for s in dense_setups)
     spreads = [max(s.bank.block_sizes) - min(s.bank.block_sizes)
                for s in sparse_setups]
