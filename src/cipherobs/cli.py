@@ -232,14 +232,14 @@ def _suite_zeroing(seed: int, setup: SystemSetup) -> list:
 
 def _suite_encrypted(setup: SystemSetup, seed: int) -> list:
     """A recorded encrypted run: every state rebuilt from its View 2 must
-    recover the quantized estimate, and the views must map onto each
-    other."""
+    recover the quantized estimate, and the views must parse back from
+    their bytes and map onto each other."""
     failures = []
     steps = 12
     try:
         run = run_encrypted_mode(_at_dim(setup, 32), steps, seed=seed,
                                  record_views=True)
-    except encobs.EncObsError as exc:
+    except (encobs.EncObsError, quantobs.QuantError) as exc:
         return [str(exc)]
     v2, public = run.view2, run.public
     # states 0..steps, so every recorded batch is decrypted
@@ -250,9 +250,13 @@ def _suite_encrypted(setup: SystemSetup, seed: int) -> list:
                 state, 0, run.sk, setup.params,
                 setup.mod_maps.PhiPinvBar) != xbar:
             failures.append(f"recovery from View 2 mismatch at step {t}")
-    if secviews.f2_view2_to_view1(v2, public, setup.params) != run.view1:
+    view1 = secviews.View1.from_bytes(run.view1.to_bytes(), public.q)
+    view2 = secviews.View2.from_bytes(v2.to_bytes())
+    if (view1, view2) != (run.view1, v2):
+        failures.append("the views do not parse back from their bytes")
+    if secviews.f2_view2_to_view1(view2, public, setup.params) != run.view1:
         failures.append("view roundtrip: f2 does not reproduce view 1")
-    if secviews.f1_view1_to_view2(run.view1, public, setup.params) != v2:
+    if secviews.f1_view1_to_view2(view1, public, setup.params) != v2:
         failures.append("view roundtrip: f1 does not reproduce view 2")
     return failures
 

@@ -11,41 +11,35 @@ that difference.
 
 The observer is one recursion, `Z' = Fbar Z + Gbar V`, the
 `quantobs.BlockGain` that quantized mode steps too (`ModularMaps.gain`).
-It owns the int64 limbs too: it splits, steps (one shift and one `G @ V`
-per step) and joins them, at a limb width it derives from Gbar.
-Each batch holds the limbs of `[first | cancels]` (the standard
-ciphertext's first column, then every channel's cancel column) beside the
-randomness block A, kept as the sampler's uint64 words.  The observer
-state is narrow: `step_encrypted` steps only the limbs, the only columns
-a residue reads.  The state's shared block S_t = Fbar S_(t-1) + Gbar A_t
-is a function of the public randomness alone, and Fbar^b = 0 for the
-largest block size b, so the state keeps references to its last b
-batches instead (`EncObserverState.window`), and recovery replays their
-A sk to S_t sk.  A batch's step index refuses a missed, repeated or
-reordered batch.
+It owns the int64 limbs too: it cuts them from words, splits, steps (one
+shift and one `G @ V` per step) and joins them, at a limb width it
+derives from Gbar.  A batch holds uint64 words and the limbs of
+`[first | cancels]` cut once from them (`EncryptedBatch`).  The observer
+state is narrow: `step_encrypted` steps only those limbs, the only
+columns a residue reads.  The state's shared block
+S_t = Fbar S_(t-1) + Gbar A_t is a function of the public randomness
+alone, and Fbar^b = 0 for the largest block size b, so the state keeps
+references to its last b batches instead (`EncObserverState.window`), and
+recovery replays their A sk to S_t sk.  A batch's step index refuses a
+missed, repeated or reordered batch.
 The cancellation (`ObserverPublic.cancel_initial` and `cancel_step`) steps
 `[m | cancels]`, the same narrow layout, through the same recursion, and
 after step 0 cancels channel j with one scalar c_j at one row k_j, which it
-steps as one outer product, G[:, k_j] times c_j.  It and the residue take
-their per-channel dot products from `_first_column_dots`.  One decryption,
-first - S_t sk, serves every channel.
+steps as one outer product, G[:, k_j] times c_j.  It returns the cancel
+columns as words and steps the limbs a batch cuts from them.  It and the
+residue take their exact per-channel dot products on half limbs from
+`_first_column_dots`.  One decryption, first - S_t sk, serves every
+channel; recovery replays the key's cached A sk in Python ints
+(`BlockGain.step_ints`).
 
-Python ints appear only for the first and cancel columns when View 2
-reads or writes a batch (A stays words, also on the wire), for the
-cancellation's scalars, in the residue's sums, and in recovery.  The
-residue is summed exactly in one int64 einsum of the 32-bit halves of the
-first and cancel columns' limbs against digits of Hbar, on differences
-that stay below 2^32, and joined by `modring.join_digit_sums`.  Recovery
-takes each batch's A sk mod q from the key's per-batch cache, which the
-encrypting key holds from encryption on (`SecretKey.seed_products`) and
-any other key computes once (`cached_products`), and replays the window's
-values through the recursion in Python ints (`BlockGain.step_ints`).
-This module is the only one that knows the batch layout.
-
-A run is recorded only as its batches: `standard_and_cancels` reads what
-View 2 holds of one, and `EncryptedBatch._write` turns that back into
-batch t, so the transcript rebuilds every encrypted state
-(`secviews.View2.states`).
+Python ints appear only for first columns, the cancellation's scalars,
+the residue's sums and recovery.  Cancel columns stay words from the
+cancellation through batches and View 2 to the wire and back; only
+`modified_channels` joins them, to form first - cancel_j.  This module is
+the only one that knows the batch layout.  A run is recorded only as its
+batches: View 2 holds the words `standard_and_cancels` reads of one, and
+a batch of those words is batch t again, so the transcript rebuilds every
+encrypted state (`secviews.View2.states`).
 """
 
 from __future__ import annotations
@@ -53,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -67,7 +61,7 @@ from .lwe import (
 )
 from .modring import DimensionMismatch, ModMatrix, Modulus, \
     ModulusMismatch, digit_budget, fixed_digits, half_limbs, \
-    join_digit_sums, split_limbs
+    join_digit_sums, join_limbs
 from .quantobs import BlockGain, ModularMaps, QuantParams
 from .zerodyn import ChannelMaps, channel_maps
 
@@ -150,21 +144,26 @@ class ObserverPublic:
         has chain coordinates known_j (default 0).  Every T2_j x comes from
         one product with the stacked T2_j, and each V2_j is applied on its
         nonzero rows only (one row when nu_j = 1).  Returns (block, state):
-        the (L, l, n_ch) limbs of the cancel columns, and the
-        (L, l, 1 + n_ch) limbs of the state [x | cancels] that
-        `cancel_step` steps.
+        the (n_ch, l, nw) words of the cancel columns, channel-major, and
+        the (L, l, 1 + n_ch) limbs of the state [x | cancels] that
+        `cancel_step` steps, its cancel limbs cut from those words.
         """
-        q, gain = self.q, self.gain
+        gain = self.gain
         T2, V2 = self._chains
         chains = iter((T2 @ x).column_entries())
-        cancels = [[0] * self.n_channels for _ in range(x.nrows)]
+        at, values = [], []     # (j, i) and the entry, on V2_j's rows i
         for j, (m, rows) in enumerate(zip(self.channels, V2)):
             tilde = [next(chains) - (known[j][i] if known else 0)
                      for i in range(m.nu)]
             for i, row in rows:
-                cancels[i][j] = q.cmod(sum(map(mul, row, tilde)))
-        block = gain.split(cancels)
-        return block, np.concatenate([gain.split(x.rows), block], axis=2)
+                at.append((j, i))
+                values.append(sum(map(mul, row, tilde)))
+        words = words_of(self.q, values)
+        block = np.zeros((self.n_channels, x.nrows, words.shape[1]),
+                         dtype=np.uint64)
+        block[tuple(np.array(at, dtype=np.intp).reshape(-1, 2).T)] = words
+        return block, np.concatenate(
+            [gain.split(x.rows), gain.cut(block).transpose(0, 2, 1)], axis=2)
 
     def cancel_step(self, state: np.ndarray, x: ModMatrix, known=None):
         """One step of every channel's cancellation of the input column x.
@@ -174,9 +173,9 @@ class ObserverPublic:
         added to the first column alone; then the chain's bottom is
         tilde_j = R_j (m' - cancel_j') - known_j, and channel j
         cancels c_j = s_j tilde_j at row k_j.  Returns (block, state'): the
-        (L, h, n_ch) limbs of the columns c_j e_k_j, and the state with
+        (n_ch, h, nw) words of the columns c_j e_k_j, and the state with
         `Gbar @ block` added to its cancel columns as one outer product,
-        G[:, k_j] times the limbs of c_j.
+        G[:, k_j] times the limbs of c_j's words, the limbs a batch cuts.
         """
         gain, n_ch = self.gain, self.n_channels
         if x.nrows != gain.Gbar.ncols:
@@ -186,12 +185,11 @@ class ObserverPublic:
         body[:, :, :1] += gain.G @ gain.split(x.rows)
         dots = _first_column_dots(body[:, :, 0], body[:, :, 1:],
                                   gain.width, e, planes)
-        c = split_limbs([self.q.cmod(s * (a - b))
-                         for s, a, b in zip(ss, dots, known or (0,) * n_ch)],
-                        gain.width, gain.count)
-        body[:, :, 1:] += cancel_gain * c[:, None, :]
-        block = np.zeros((gain.count, x.nrows, n_ch), dtype=np.int64)
-        block[:, ks, np.arange(n_ch)] = c
+        c = words_of(self.q, [s * (a - b) for s, a, b
+                              in zip(ss, dots, known or (0,) * n_ch)])
+        body[:, :, 1:] += cancel_gain * gain.cut(c)[:, None, :]
+        block = np.zeros((n_ch, x.nrows, c.shape[1]), dtype=np.uint64)
+        block[np.arange(n_ch), ks] = c
         return block, body
 
 
@@ -207,65 +205,55 @@ def _row_digits(rows: ModMatrix) -> Tuple[int, np.ndarray]:
 
 class EncryptedBatch:
     """Per-step modified ciphertexts for all channels, batch `t` of a run
-    (0 for the initial one), each part in the form its reader takes.
-
-    `body` is the (L, rows, 1 + n_ch) int64 limb stack of `gain` of
-    `[first | cancels]`, channel j's cancel column at 1 + j, every limb
-    below 2^W in absolute value, the recursion's input bound: the cloud
-    steps it whole.  `shared` is the randomness block A that every channel
-    shares, as the (rows, N, nw) uint64 words the sampler drew, values in
-    [0, q): only `SecretKey.products` reads it.  Both are read-only once
-    the batch holds them, so the key's cache of the batch's A sk never
-    goes stale; A is never joined into Python ints.  The layout stays
-    inside this module: other modules write a batch with `_write` and read
-    one with `standard_and_cancels`.
+    (0 for the initial one), as the sampler's and the wire's uint64 words
+    of values in [0, q): the standard ciphertext's (rows, nw) `first`
+    column, every channel's cancel column, (n_ch, rows, nw) `cancels`,
+    channel-major as View 2 records them, and the randomness block A that
+    every channel shares, (rows, N, nw) `shared`, which only
+    `SecretKey.products` reads.  `body` is the (L, rows, 1 + n_ch) limb
+    stack of `[first | cancels]` that `gain` cuts from the words once,
+    every limb in [0, 2^W), the recursion's input bound: the cloud steps
+    it whole.  Every part is read-only, so the key's cache of the batch's
+    A sk never goes stale.
     """
 
-    def __init__(self, body: np.ndarray, shared: np.ndarray,
-                 gain: BlockGain, t: int):
-        body.setflags(write=False)
-        shared.setflags(write=False)
-        self.body, self.shared, self.gain, self.t = body, shared, gain, t
+    def __init__(self, first: np.ndarray, cancels: np.ndarray,
+                 shared: np.ndarray, gain: BlockGain, t: int):
+        for part in (first, cancels, shared):
+            part.setflags(write=False)
+        self.first, self.cancels, self.shared = first, cancels, shared
+        self.gain, self.t = gain, t
+        self.body = gain.cut(np.concatenate(
+            [first[:, None], cancels.transpose(1, 0, 2)], axis=1))
+        self.body.setflags(write=False)
 
     @property
     def n_channels(self) -> int:
-        return self.body.shape[-1] - 1
+        return len(self.cancels)
 
     @property
     def N(self) -> int:
         return self.shared.shape[1]
 
-    def standard_and_cancels(self) -> Tuple[Ciphertext,
-                                            Tuple[Tuple[int, ...], ...]]:
-        """The standard ciphertext, sharing the batch's A, and every cancel
-        column in centred Python ints: what View 2 records of a batch."""
-        q = self.gain.Gbar.modulus
-        first, *cancels = zip(*self.gain.join(self.body))
-        return (Ciphertext(q, words_of(q, first), self.shared),
-                tuple(tuple(map(q.cmod, c)) for c in cancels))
-
-    @classmethod
-    def _write(cls, std: Ciphertext, cancels: Sequence[Tuple[int, ...]],
-               gain: BlockGain, t: int) -> "EncryptedBatch":
-        """Batch t of the standard ciphertext `std`, sharing its A, and the
-        cancel columns."""
-        return cls(gain.split([(f,) + c for f, c
-                               in zip(std.first_column(), zip(*cancels))]),
-                   std.shared, gain, t)
+    def standard_and_cancels(self) -> Tuple[Ciphertext, np.ndarray]:
+        """The standard ciphertext, sharing the batch's words, and the
+        cancel words: what View 2 records of a batch."""
+        return (Ciphertext(self.gain.Gbar.modulus, self.first, self.shared),
+                self.cancels)
 
 
 def modified_channels(std_ct: Ciphertext,
-                      cancels: Sequence[Tuple[int, ...]]
-                      ) -> Tuple[Ciphertext, ...]:
+                      cancels: np.ndarray) -> Tuple[Ciphertext, ...]:
     """Channel j's modified ciphertext [first - cancel_j | shared | cancel_j]
-    for each cancel column cancel_j of the standard ciphertext `std_ct`:
-    the two columns are new words, and every channel shares A."""
+    for each cancel column cancel_j, (n_ch, h, nw) words, of the standard
+    ciphertext `std_ct`: the first columns are new words, and every channel
+    shares A."""
     q, first = std_ct.q, std_ct.first_column()
-    words = words_of(q, [v for cancel in cancels
-                         for v in [f - a for f, a in zip(first, cancel)]
-                         + list(cancel)])
-    return tuple(Ciphertext(q, w[0], std_ct.shared, w[1]) for w in
-                 words.reshape(len(cancels), 2, std_ct.h, words.shape[1]))
+    values = join_limbs(cancels.reshape(-1, cancels.shape[-1]).T, 64)
+    firsts = words_of(q, [f - a for f, a in zip(first * len(cancels),
+                                                values)])
+    return tuple(Ciphertext(q, f, std_ct.shared, c)
+                 for f, c in zip(firsts.reshape(cancels.shape), cancels))
 
 
 class EncryptorSession:
@@ -274,7 +262,7 @@ class EncryptorSession:
     `cancel_state` holds the (L, l, 1 + n_ch) limbs of the `[m | cancels]`
     state of `ObserverPublic`'s cancellation driven by the masks, so
     m - cancel_j is the mask part of channel j's observer state; each
-    step's cancel block goes into the batch as it is.  The session is fresh
+    step's cancel words go into the batch as they are.  The session is fresh
     exactly while `cancel_state` is None.  The batches are the only record
     of the run: the session keeps no mask, error or ciphertext.
     """
@@ -298,13 +286,12 @@ class EncryptorSession:
         if v.nrows != nrows:
             raise EncObsError(f"message has {v.nrows} rows, the observer "
                               f"takes {nrows}")
-        gain = self.public.gain
         enc = encrypt_with_artifacts(v.scale(self.params.lift), self.sk,
                                      self.noise, self.rng)
         block, self.cancel_state = cancel(enc.mask)
         batch = EncryptedBatch(
-            np.concatenate([gain.split(enc.first.rows), block], axis=2),
-            enc.randomness, gain, self.t + 1)
+            words_of(self.public.q, enc.first.column_entries()), block,
+            enc.randomness, self.public.gain, self.t + 1)
         self.t = batch.t
         self.sk.seed_products(batch, enc.key_product)
         return batch

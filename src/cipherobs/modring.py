@@ -167,10 +167,6 @@ class Modulus:
         return f"Modulus({self.q})"
 
 
-def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(map(mul, a, b))
-
-
 def _reduce_rows(rows, q: int):
     """Convert every entry with int() and reduce it to the centered range."""
     twoq = 2 * q
@@ -322,10 +318,8 @@ def mat_mul_mod(A: ModMatrix, B: ModMatrix) -> ModMatrix:
         return ModMatrix.zeros(A.nrows, B.ncols, A.modulus)
     twoq = 2 * q
     bcols = tuple(zip(*B.rows))
-    rows = tuple(
-        tuple((s := _dot(ar, bc)) - ((2 * s + q) // twoq) * q for bc in bcols)
-        for ar in A.rows
-    )
+    rows = tuple(tuple((s := sum(map(mul, ar, bc))) - ((2 * s + q) // twoq) * q
+                       for bc in bcols) for ar in A.rows)
     return ModMatrix(rows, A.modulus, ncols=B.ncols, _reduced=True)
 
 
@@ -398,21 +392,21 @@ _SPLIT_CHUNK = 4096
 
 
 def words_to_limbs(words: np.ndarray, width: int, count: int) -> np.ndarray:
-    """The low `width * count` bits of each row of uint64 words (least
-    significant word first) cut into `count` fields of `width` bits, as a
-    (count, n) int64 array of values in [0, 2^width).  Every field must
-    start inside the words; bits above the top word read as zero.
+    """The low `width * count` bits of each value of (..., nw) uint64 words
+    (least significant word first) cut into `count` fields of `width` bits,
+    as a (count, ...) int64 array of values in [0, 2^width).  Every field
+    must start inside the words; bits above the top word read as zero.
     1 <= width <= 62."""
-    columns = np.ascontiguousarray(words.T)
+    columns = np.ascontiguousarray(words.reshape(-1, words.shape[-1]).T)
     mask = np.uint64((1 << width) - 1)
-    out = np.empty((count, len(words)), dtype=np.int64)
+    out = np.empty((count, columns.shape[1]), dtype=np.int64)
     for k in range(count):
         i, o = divmod(width * k, 64)
         field = columns[i] >> np.uint64(o)
         if o + width > 64 and i + 1 < len(columns):
             field |= columns[i + 1] << np.uint64(64 - o)
         np.bitwise_and(field, mask, out=out[k].view(np.uint64))
-    return out
+    return out.reshape((count,) + words.shape[:-1])
 
 
 def split_limbs(values: Sequence[int], width: int, count: int) -> np.ndarray:
@@ -466,17 +460,12 @@ def digit_budget(n: int, exact: int) -> int:
     return exact - (n - 1).bit_length()
 
 
-def _fixed_count(bits: int, e: int) -> int:
-    """How many `fixed_digits` of width e hold integers below 2^bits."""
-    return 1 if bits <= e else -(-(bits + 1) // e)
-
-
 def fixed_digits(values: Sequence[int], bits: int, e: int) -> np.ndarray:
     """Signed base-2^e digits of integers below 2^bits in absolute value,
     each below 2^e in absolute value, as a (P, n) int64 array with values
     == sum(out[p] << (e p)): the values themselves when bits <= e, else
     their `split_limbs` of width e."""
-    count = _fixed_count(bits, e)
+    count = 1 if bits <= e else -(-(bits + 1) // e)
     return split_limbs(values, e if count > 1 else bits + 1, count)
 
 

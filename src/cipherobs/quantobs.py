@@ -21,7 +21,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .modring import ModMatrix, Modulus, join_limbs, split_limbs
+from .modring import ModMatrix, Modulus, join_limbs, split_limbs, \
+    words_to_limbs
 from .obsdesign import ObserverBank, ResidueMaps, round_half_up, calibrate_M
 
 __all__ = [
@@ -91,8 +92,9 @@ class BlockGain:
     steps one column of Python ints on Gbar's nonzero entries alone (48 of
     144 on the benchmark), so quantized mode takes any Gbar and never
     builds `G` or a limb width.  `step` steps int64 limb stacks, which
-    `split` makes and `join` reads back: an entry x is held as `count`
-    limbs of `width` W with x = sum_k limb_k 2^(W k) (mod q).
+    `split` makes of Python ints, `cut` of uint64 words and `join` reads
+    back: an entry x is held as `count` limbs of `width` W with
+    x = sum_k limb_k 2^(W k) (mod q).
 
     Fbar is nilpotent, so every state entry is a sum of at most b = `depth`
     Gbar V terms plus one initial entry.  With input limbs below 2^W in
@@ -154,6 +156,10 @@ class BlockGain:
         flat = [a for row in rows for a in row]
         return split_limbs(flat, self.width, self.count).reshape(
             self.count, len(rows), ncols)
+
+    def cut(self, words: np.ndarray) -> np.ndarray:
+        """Limbs (L, ...) of (..., nw) words in [0, q), each in [0, 2^W)."""
+        return words_to_limbs(words, self.width, self.count)
 
     def join(self, limbs: np.ndarray) -> Tuple[Tuple[int, ...], ...]:
         """Rows of Python ints congruent mod q to the matrix a limb stack

@@ -6,7 +6,9 @@ sees.  Channel j's modified ciphertext is the standard one with its first
 column split as `[first - cancel_j | shared | cancel_j]`, so View 2 holds
 each step's standard ciphertext and the channels' cancel columns once, and
 both views serialize as standard ciphertexts plus one list of Z_q values
-per step, in `lwe`'s fixed-width encoding.  Both transformations below use
+per step, in `lwe`'s fixed-width encoding.  The cancel columns stay the
+uint64 words that the cancellation makes and the wire carries, never
+Python ints.  Both transformations below use
 only the public maps, ciphertexts and disclosed residues (never the secret
 key), and reproduce the other view bit for bit, which is the operational
 content of the equivalence claim: neither party learns more than the
@@ -20,6 +22,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Tuple
+
+import numpy as np
 
 from .encobs import EncObserverState, EncryptedBatch, ObserverPublic, \
     disclose_residue, modified_channels, residue_first_column, step_encrypted
@@ -66,13 +70,12 @@ def _write(magic: bytes, counts: Tuple[int, int],
            cts: Sequence[Ciphertext], lists) -> bytes:
     """Both views' encoding: magic, two uint32 counts, the size-prefixed
     ciphertexts, then one value list over the first ciphertext's modulus
-    per entry of `lists`."""
+    per word array of `lists`."""
     parts = [magic, struct.pack("<II", *counts)]
     for ct in cts:
         blob = ct.to_bytes()
         parts += [struct.pack("<I", len(blob)), blob]
-    q = cts[0].q
-    parts += [pack_words(q, words_of(q, values)) for values in lists]
+    parts += [pack_words(cts[0].q, words) for words in lists]
     return b"".join(parts)
 
 
@@ -85,9 +88,9 @@ def _read_header(buf: bytes, magic: bytes) -> Tuple[int, int]:
 
 
 def _read_body(buf: bytes, n_cts: int, n_lists: int, q: Modulus | None):
-    """Strict inverse of `_write` past the header -> (ciphertexts, lists).
-    The ciphertexts must be standard, over one modulus and one N, and every
-    list value must be below that modulus.  Each ciphertext's
+    """Strict inverse of `_write` past the header -> (ciphertexts, word
+    lists).  The ciphertexts must be standard, over one modulus and one N,
+    and every list value must be below that modulus.  Each ciphertext's
     modulus is compared with q, or else with the first one's, before any
     primality test, so a transcript naming many primes costs one at most."""
     offset = _HEADER_LEN
@@ -106,7 +109,7 @@ def _read_body(buf: bytes, n_cts: int, n_lists: int, q: Modulus | None):
         _check_ciphertexts(cts, q, cts[0].N)
         for _ in range(n_lists):
             words, offset = read_values(buf, offset, q)
-            lists.append(centred(q, words))
+            lists.append(words)
     except LweError as exc:
         raise ViewError(f"malformed transcript entry: {exc}") from exc
     if offset != len(buf):
@@ -127,27 +130,40 @@ class View1:
     residues: Tuple[ModMatrix, ...]
 
     def to_bytes(self) -> bytes:
+        q = self.init_ct.q
         return _write(b"VIEW1", (len(self.input_cts), len(self.residues)),
                       (self.init_ct,) + self.input_cts,
-                      [r.column_entries() for r in self.residues])
+                      [words_of(q, r.column_entries()) for r in self.residues])
 
     @classmethod
     def from_bytes(cls, buf: bytes, q: Modulus) -> "View1":
         n_inputs, n_res = _read_header(buf, b"VIEW1")
         cts, lists = _read_body(buf, n_inputs + 1, n_res, q)
         return cls(init_ct=cts[0], input_cts=tuple(cts[1:]),
-                   residues=tuple(ModMatrix(((v,) for v in vals), q, ncols=1,
-                                            _reduced=True) for vals in lists))
+                   residues=tuple(ModMatrix(((v,) for v in centred(q, words)),
+                                            q, ncols=1, _reduced=True)
+                                  for words in lists))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class View2:
     """Each step's standard ciphertext (step 0 holds the initial state)
-    and every channel's cancel column for it.  `init_cts` and `input_cts`
-    write the channels' modified ciphertexts from them."""
+    and every channel's cancel column for it, as one read-only
+    (n_ch, h, nw) word array per step.  `init_cts` and `input_cts` write
+    the channels' modified ciphertexts from them."""
 
     standard_cts: Tuple[Ciphertext, ...]
-    cancels: Tuple[Tuple[Tuple[int, ...], ...], ...]   # [step][channel]
+    cancels: Tuple[np.ndarray, ...]   # [step]: (channel, row, word)
+
+    def __post_init__(self):
+        for words in self.cancels:
+            words.setflags(write=False)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, View2)
+                and self.standard_cts == other.standard_cts
+                and len(self.cancels) == len(other.cancels)
+                and all(map(np.array_equal, self.cancels, other.cancels)))
 
     @property
     def init_cts(self) -> Tuple[Ciphertext, ...]:
@@ -161,10 +177,9 @@ class View2:
 
     def states(self, public: ObserverPublic) -> Iterator[EncObserverState]:
         """Every encrypted state of the recorded run, stepped by the deployed
-        `step_encrypted` on the batches `EncryptedBatch._write` rebuilds."""
-        for t, (ct, cancels) in enumerate(zip(self.standard_cts,
-                                              self.cancels)):
-            batch = EncryptedBatch._write(ct, cancels, public.gain, t)
+        `step_encrypted` on the batches of the recorded words."""
+        for t, (ct, c) in enumerate(zip(self.standard_cts, self.cancels)):
+            batch = EncryptedBatch(ct.first, c, ct.shared, public.gain, t)
             state = (step_encrypted(state, batch, public) if t
                      else EncObserverState.from_initial(batch))
             yield state
@@ -172,20 +187,18 @@ class View2:
     def to_bytes(self) -> bytes:
         return _write(b"VIEW2", (len(self.cancels[0]),
                                  len(self.standard_cts) - 1),
-                      self.standard_cts,
-                      [[a for c in step for a in c] for step in self.cancels])
+                      self.standard_cts, self.cancels)
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "View2":
         n_ch, n_steps = _read_header(buf, b"VIEW2")
         cts, lists = _read_body(buf, n_steps + 1, n_steps + 1, None)
-        if any(len(vals) != n_ch * ct.h for ct, vals in zip(cts, lists)):
+        if any(len(words) != n_ch * ct.h for ct, words in zip(cts, lists)):
             raise ViewError("cancel count is not the channel count times "
                             "the ciphertext rows")
-        # zip over h references to one iterator cuts the list into
-        # consecutive h-tuples, one per channel
         return cls(standard_cts=tuple(cts), cancels=tuple(
-            tuple(zip(*[iter(vals)] * ct.h)) for ct, vals in zip(cts, lists)))
+            words.reshape(n_ch, ct.h, words.shape[1])
+            for ct, words in zip(cts, lists)))
 
 
 def _check_public(cts: Sequence[Ciphertext], public: ObserverPublic):
@@ -208,7 +221,7 @@ def f2_view2_to_view1(v2: View2, public: ObserverPublic,
     """
     _check_public(v2.standard_cts, public)
     if len(v2.cancels) != len(v2.standard_cts) or any(
-            len(step) != public.n_channels or any(len(c) != ct.h for c in step)
+            step.shape != (public.n_channels,) + ct.first.shape
             for ct, step in zip(v2.standard_cts, v2.cancels)):
         raise ViewError("cancel columns do not match the channel count and "
                         "the ciphertext rows")
@@ -229,7 +242,8 @@ def f1_view1_to_view2(v1: View1, public: ObserverPublic,
     H_j F^i G = 0 for i < nu_j - 1, T2_j Z_0 is the lifted residues of steps
     0..nu_j - 1, and after input step t the chain's bottom is
     H_j F^(nu_j - 1) Z_{t+1} = H_j Z_{t+nu_j}, the lifted residue of step
-    t + nu_j.
+    t + nu_j.  View 2's cancel columns are the words the cancellation
+    returns.
     """
     steps = len(v1.input_cts)
     q = public.q
@@ -258,5 +272,4 @@ def f1_view1_to_view2(v1: View1, public: ObserverPublic,
             [lifted[t + m.nu][j] for j, m in enumerate(channels)])
         blocks.append(block)
     return View2(standard_cts=(v1.init_ct,) + v1.input_cts,
-                 cancels=tuple(tuple(zip(*public.gain.join(b)))
-                               for b in blocks))
+                 cancels=tuple(blocks))

@@ -16,7 +16,7 @@ from cipherobs.encobs import EncObserverState, EncryptedBatch, \
 from cipherobs.lwe import _CT_MAGIC, Ciphertext, CiphertextKind, LweError, \
     TestRng, centred, keygen, wire_layout, words_of
 from cipherobs.modring import DimensionMismatch, ModMatrix, ModRingError, \
-    Modulus, _echelon, inverse_mod, pivot_columns, words_to_limbs
+    Modulus, _echelon, inverse_mod, pivot_columns
 from cipherobs.obsdesign import run_reference_observer
 from cipherobs.pipeline import BENCH_Q, EncryptedRun, run_quantized_mode
 from cipherobs.plantsim import AttackScenario, PlantModel, run_closed_loop
@@ -173,11 +173,7 @@ def full_limbs(batch: EncryptedBatch) -> np.ndarray:
     """The (L, rows, 1 + n_ch + N) limbs of a batch's whole matrix
     `[first | cancels | shared]`: its shared words cut into the gain's
     limbs beside its `body`."""
-    gain, words = batch.gain, batch.shared
-    rows, N, nw = words.shape
-    shared = words_to_limbs(words.reshape(-1, nw), gain.width,
-                            gain.count).reshape(gain.count, rows, N)
-    return np.concatenate([batch.body, shared], axis=2)
+    return np.concatenate([batch.body, batch.gain.cut(batch.shared)], axis=2)
 
 
 def full_state(state: EncObserverState, public) -> EncryptedBatch:
@@ -203,10 +199,10 @@ def full_state(state: EncObserverState, public) -> EncryptedBatch:
     n = state.body.shape[2]
     if not np.array_equal(body[:, :, :n], state.body):
         raise AssertionError("the narrow state differs from its replay")
-    rows = [tuple(map(public.q.cmod, row)) for row in public.gain.join(body)]
-    return EncryptedBatch._write(
-        ciphertext([row[:1] + row[n:] for row in rows], public.q),
-        tuple(zip(*(row[1:n] for row in rows))), public.gain, state.t)
+    rows = public.gain.join(body)
+    std = ciphertext([row[:1] + row[n:] for row in rows], public.q)
+    return EncryptedBatch(std.first, cancel_words(public.q, tuple(zip(*(
+        row[1:n] for row in rows)))), std.shared, public.gain, state.t)
 
 
 def ciphertext(rows, q: Modulus, modified: bool = False) -> Ciphertext:
@@ -218,6 +214,24 @@ def ciphertext(rows, q: Modulus, modified: bool = False) -> Ciphertext:
         len(rows), len(rows[0]), wire_layout(q)[1])
     return Ciphertext(q, words[:, 0], words[:, 1:len(rows[0]) - modified],
                       words[:, -1] if modified else None)
+
+
+def cancel_words(q: Modulus, columns) -> np.ndarray:
+    """The (n_ch, h, nw) words of cancel columns given as Python ints,
+    [channel][row], each taken mod q: View 2's form of one step."""
+    columns = [tuple(c) for c in columns]
+    h = len(columns[0]) if columns else 0
+    return words_of(q, [a for c in columns for a in c]).reshape(
+        len(columns), h, wire_layout(q)[1])
+
+
+def cancel_ints(q: Modulus, words: np.ndarray) -> Tuple[Tuple[int, ...],
+                                                        ...]:
+    """One step's (n_ch, h, nw) cancel words as centred Python ints,
+    [channel][row] (test oracle)."""
+    n_ch, h, nw = words.shape
+    flat = centred(q, words.reshape(-1, nw))
+    return tuple(tuple(flat[j * h:(j + 1) * h]) for j in range(n_ch))
 
 
 def ct_matrix(ct: Ciphertext) -> ModMatrix:
@@ -244,7 +258,7 @@ def channel(body: EncryptedBatch, j: int):
     """Channel j's modified ciphertext of a batch or a full state, from
     `modified_channels`."""
     std, cancels = body.standard_and_cancels()
-    return modified_channels(std, (cancels[j],))[0]
+    return modified_channels(std, cancels[j:j + 1])[0]
 
 
 def dense_decrypt(ct, sk) -> ModMatrix:
@@ -390,8 +404,8 @@ def f1_zero_dynamics(v1, public, params):
                      + ct.S3 @ ct.SigmaDag.scale(msg_tilde))
 
     return View2(standard_cts=(v1.init_ct,) + v1.input_cts,
-                 cancels=(tuple(init_cancels),)
-                 + tuple(map(tuple, step_cancels)))
+                 cancels=tuple(cancel_words(q, columns) for columns
+                               in [init_cancels] + step_cancels))
 
 
 # -- linear algebra over Z_q --------------------------------------------------
@@ -681,7 +695,8 @@ def reference_view_bytes(view) -> bytes:
         magic = b"VIEW2"
         counts = (len(view.cancels[0]), len(view.standard_cts) - 1)
         cts = view.standard_cts
-        lists = [[a for c in step for a in c] for step in view.cancels]
+        lists = [centred(cts[0].q, step.reshape(-1, step.shape[-1]))
+                 for step in view.cancels]
     blobs = [reference_ct_bytes(ct) for ct in cts]
     return b"".join([magic, struct.pack("<II", *counts)]
                     + [struct.pack("<I", len(b)) + b for b in blobs]

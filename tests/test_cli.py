@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -263,6 +264,18 @@ class TestVerify:
                             off_by_one_from_step_2)
         assert cli._suite_encrypted(bench_setup, 11) == [
             "disclosure mismatch at step 2"]
+
+    def test_gain_without_a_limb_width_fails_the_suite(self, bench_setup):
+        # a Gbar entry of 2^100 leaves no int64 limb width: the suite lists
+        # the QuantError as its failure instead of raising it
+        maps = bench_setup.mod_maps
+        rows = [list(row) for row in maps.Gbar.rows]
+        rows[0][0] = 2 ** 100
+        setup = dataclasses.replace(bench_setup, mod_maps=dataclasses.replace(
+            maps, Gbar=ModMatrix(rows, maps.Gbar.modulus)))
+        failures = cli._suite_encrypted(setup, 11)
+        assert len(failures) == 1
+        assert failures[0].startswith("no int64 limb width fits Gbar")
 
     def test_gbar_mutation_trips_the_zeroing_suite(self, bench_setup,
                                                    monkeypatch):

@@ -31,7 +31,8 @@ from cipherobs.quantobs import BlockGain
 from cipherobs.secviews import View2
 from cipherobs.zerodyn import RelativeDegreeUndefined, channel_maps
 from .helpers import ValueSource, build_fbar, build_transform, \
-    cancellation_init, cancellation_step, channel, ciphertext, cloud_run, \
+    cancel_ints, cancel_words, cancellation_init, cancellation_step, \
+    channel, ciphertext, cloud_run, \
     ct_matrix, decrypt_channel_state, dense_decrypt, dense_normal_form, \
     encrypted_residue, error_trajectory, full_state, \
     joined_residue_first_column, last_column, reference_ct_bytes, \
@@ -49,10 +50,11 @@ class ZeroMaskRng(ValueSource):
 
 
 def zero_batch(public, nrows, N=64, t=0):
-    """Batch t with all-zero [first | cancels] limbs of the benchmark's 60
+    """Batch t with all-zero [first | cancels] words of the benchmark's 60
     channels and an all-zero shared block of N words per row."""
     return EncryptedBatch(
-        np.zeros((public.gain.count, nrows, 1 + 60), dtype=np.int64),
+        np.zeros((nrows, 2), dtype=np.uint64),
+        np.zeros((60, nrows, 2), dtype=np.uint64),
         np.zeros((nrows, N, 2), dtype=np.uint64), public.gain, t)
 
 
@@ -282,8 +284,8 @@ class TestLazyCancelState:
             block, state = public64.cancel_step(state, mask)
             blocks.append(block)
             assert np.abs(state).max() < bound
-        assert (tuple(tuple(zip(*gain.join(b))) for b in blocks)
-                == bench_enc.view2.cancels)
+        assert len(blocks) == len(bench_enc.view2.cancels)
+        assert all(map(np.array_equal, blocks, bench_enc.view2.cancels))
 
     def test_cancel_step_refuses_a_column_of_the_wrong_height(self,
                                                               public64):
@@ -329,7 +331,8 @@ class TestLazyCancelState:
             batch = session.enc_initial(ModMatrix.column(range(l), q))
             for t in range(4 * l):
                 state = gain.join(session.cancel_state)
-                cancels = list(zip(*batch.standard_and_cancels()[1]))
+                cancels = list(zip(*cancel_ints(
+                    q, batch.standard_and_cancels()[1])))
                 for j, m in enumerate(public.channels):
                     degrees.add(m.nu)
                     cancelled = ModMatrix.column(
@@ -603,10 +606,10 @@ class TestDisclosureAndRecovery:
         public = ObserverPublic.build(bench_setup.mod_maps, params)
 
         def batch(nrows, t):
-            return EncryptedBatch._write(ciphertext(((top,) * (N + 1),)
-                                                    * nrows, q),
-                                         ((top,) * nrows,) * 60,
-                                         public.gain, t)
+            std = ciphertext(((top,) * (N + 1),) * nrows, q)
+            return EncryptedBatch(std.first,
+                                  cancel_words(q, ((top,) * nrows,) * 60),
+                                  std.shared, public.gain, t)
 
         sk = SecretKey([top] * N, q)
         state = EncObserverState.from_initial(batch(24, 0))
@@ -799,8 +802,9 @@ class TestWindowRecovery:
             rows = [tuple(q.cmod(rng.randrange(q.q)) for _ in range(17))
                     for _ in range(nrows)]
             cancel = tuple(rng.randint(-99, 99) for _ in range(nrows))
-            return EncryptedBatch._write(ciphertext(rows, q), [cancel],
-                                         public.gain, t)
+            std = ciphertext(rows, q)
+            return EncryptedBatch(std.first, cancel_words(q, [cancel]),
+                                  std.shared, public.gain, t)
 
         sk = keygen(16, q, SeededRng(l))
         phi = ModMatrix.identity(l, q)
@@ -928,16 +932,19 @@ class TestWindowRecovery:
         first = session.enc_initial(ModMatrix.zeros(24, 1, params.q))
         second = session.enc_input(ModMatrix.zeros(6, 1, params.q))
         std, cancels = second.standard_and_cancels()
-        written = encobs.EncryptedBatch._write(std, cancels,
-                                               public64.gain, 1)
+        written = encobs.EncryptedBatch(std.first, cancels, std.shared,
+                                        public64.gain, 1)
         # the words are shared, never copied
         assert written.shared is std.shared is second.shared
+        assert written.cancels is cancels is second.cancels
         for batch in (first, second, written):
             # the shared block is the sampler's words: 2 per 109-bit value
             assert batch.shared.dtype == np.uint64
             assert batch.shared.shape == (batch.body.shape[1], 64, 2)
-            with pytest.raises(ValueError):
-                batch.body[0, 0, 0] = 1
+            assert batch.cancels.shape == (60, batch.body.shape[1], 2)
+            for part in (batch.body, batch.first, batch.cancels):
+                with pytest.raises(ValueError):
+                    part[0, 0] = 1
             with pytest.raises(ValueError):
                 batch.shared[...] += 1
 
@@ -1054,8 +1061,11 @@ class TestTranscriptReplay:
         replayed = replay_states(run.view2, run.public)
         assert len(replayed) == len(states) == steps + 1
         for t, (got, cloud) in enumerate(zip(replayed, states)):
-            assert (full_state(got, run.public).standard_and_cancels()
-                    == full_state(cloud, public).standard_and_cancels()), t
+            (std, cancels), (cloud_std, cloud_cancels) = (
+                full_state(got, run.public).standard_and_cancels(),
+                full_state(cloud, public).standard_and_cancels())
+            assert std == cloud_std, t
+            assert np.array_equal(cancels, cloud_cancels), t
 
     def test_changed_cancel_entry_changes_the_disclosure(self, bench_setup,
                                                          bench_enc):
@@ -1064,12 +1074,11 @@ class TestTranscriptReplay:
         public, view2 = bench_enc.public, bench_enc.view2
         t, j = 3, 7
         k = public.channels[j].k
-        cancels = [list(step) for step in view2.cancels]
-        column = list(cancels[t][j])
-        column[k] += 1
-        cancels[t][j] = tuple(column)
-        changed = dataclasses.replace(view2, cancels=tuple(map(tuple,
-                                                               cancels)))
+        columns = [list(c) for c in cancel_ints(public.q, view2.cancels[t])]
+        columns[j][k] += 1
+        cancels = list(view2.cancels)
+        cancels[t] = cancel_words(public.q, columns)
+        changed = dataclasses.replace(view2, cancels=tuple(cancels))
         disclosed = [disclose_residue(residue_first_column(state, public),
                                       bench_setup.params)
                      for state in replay_states(changed, public)[:t + 1]]

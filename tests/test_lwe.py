@@ -497,9 +497,10 @@ class TestModifiedDecrypt:
         sk = keygen(6, QBIG, rng)
         std = standard_ct(ModMatrix.column(rng.uniforms(QBIG, 4), QBIG), sk,
                           rng)
-        cancels = [tuple(rng.uniforms(QBIG, 4)) for _ in range(3)]
-        for modified in modified_channels(std, cancels):
+        cancels = rng.uniform_words(QBIG, 3, 4)
+        for modified, cancel in zip(modified_channels(std, cancels), cancels):
             assert modified.kind is CiphertextKind.MODIFIED
+            assert np.array_equal(modified.cancel, cancel)
             assert dense_decrypt(modified, sk) == dense_decrypt(std, sk)
 
     def test_standard_has_no_cancel_column(self):

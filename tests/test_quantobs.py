@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cipherobs.encobs import ObserverPublic
+from cipherobs.lwe import words_of
 from cipherobs.modring import ModMatrix, Modulus
 from cipherobs.obsdesign import build_bank, residue_map
 from cipherobs.pipeline import BENCH_LIFT, BENCH_Q, SystemSetup, \
@@ -245,8 +246,14 @@ class TestObserverUpdate:
         G = public.gain.G
         assert np.array_equal(cancel_gain, np.repeat(G[:, :1], 60, axis=1))
 
-    @pytest.mark.parametrize("q", MODULI[1:], ids=["2^61-1", "2^109-31"])
-    def test_worst_case_limbs_stay_under_the_bound(self, q):
+    @pytest.mark.parametrize("q, form", [
+        pytest.param(q, form, id=name + suffix)
+        for form, suffix in (("centred", ""), ("words", "-words"))
+        for q, name in zip(MODULI[1:], ("2^61-1", "2^109-31"))])
+    def test_worst_case_limbs_stay_under_the_bound(self, q, form):
+        # the inputs as `split` makes them of the centred (q - 1) / 2 and
+        # as `cut` makes them of the words of q - 1 (nw = 1 and 2), whose
+        # limbs are all nonnegative
         sizes, h, width = (6, 4, 1), 3, 42
         b_max = max(sizes)
         # the largest row sum that still leaves a limb width of 42 bits
@@ -261,12 +268,18 @@ class TestObserverUpdate:
 
         bound = (b_max * g + 1) * 2 ** width
         assert bound < 2 ** 63
-        top = (q.q - 1) // 2
+        top = (q.q - 1) // 2 if form == "centred" else q.q - 1
         Z = ModMatrix([[top]] * sum(sizes), q)
         V = ModMatrix([[top]] * h, q)
         Fbar = build_fbar(sizes, q)
-        limbs = gain.split(Z.rows)
-        v_limbs = gain.split(V.rows)
+        if form == "centred":
+            limbs, v_limbs = gain.split(Z.rows), gain.split(V.rows)
+        else:
+            word = words_of(q, [top])
+            assert word.shape == (1, -(-q.q.bit_length() // 64))
+            limbs = gain.cut(np.repeat(word[None], sum(sizes), axis=0))
+            v_limbs = gain.cut(np.repeat(word[None], h, axis=0))
+            assert 0 <= int(limbs.min()) and int(limbs.max()) < 2 ** width
         for _ in range(3 * b_max):
             limbs = gain.step(limbs, v_limbs)
             Z = Fbar @ Z + Gbar @ V

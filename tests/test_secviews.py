@@ -4,17 +4,19 @@ import itertools
 import struct
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cipherobs import encobs, secviews
+from cipherobs import encobs, lwe, modring, quantobs, secviews
 from cipherobs.encobs import EncObserverState, EncryptorSession, ObserverPublic
 from cipherobs.lwe import Ciphertext, CiphertextKind, LweError, SecretKey, \
     pack_words, words_of
 from cipherobs.lwe import TestRng as SeededRng
 from cipherobs.modring import ModMatrix, Modulus, _is_probable_prime
-from cipherobs.pipeline import run_encrypted_mode
+from cipherobs.pipeline import SystemSetup, bundled_scenario_path, \
+    run_encrypted_mode
 from cipherobs.quantobs import BlockGain, QuantParams
 from cipherobs.secviews import (
     HorizonTooShort,
@@ -27,8 +29,9 @@ from cipherobs.secviews import (
 from cipherobs.zerodyn import channel_maps
 
 from .helpers import HUGE_PRIME, MALFORMED_INT_LISTS, build_fbar, \
-    ciphertext, ct_blob, ct_matrix, f1_zero_dynamics, \
-    many_moduli_view2_blob, reference_ct_bytes, reference_view_bytes
+    cancel_ints, cancel_words, ciphertext, ct_blob, ct_matrix, \
+    f1_zero_dynamics, many_moduli_view2_blob, reference_ct_bytes, \
+    reference_view_bytes
 
 
 def _tiny_public(q: Modulus, block_sizes, Gr, Hr, N):
@@ -261,7 +264,68 @@ class TestConsistencyChecks:
             f1_view1_to_view2(bench_enc.view1, other, bench_setup.params)
 
 
+# a 131-bit prime: 3 words per value and 4 limbs of the benchmark's 42
+P131 = 2 ** 131 - 69
+
+
 class TestTranscriptSerialization:
+    def test_views_roundtrip_at_three_words_per_value(self):
+        setup = SystemSetup.from_scenario(bundled_scenario_path(), q=P131,
+                                          N=16)
+        assert setup.mod_maps.gain.count == 4
+        run = run_encrypted_mode(setup, 4, seed=3, record_views=True)
+        assert run.view2.cancels[0].shape == (60, 24, 3)
+        view1 = View1.from_bytes(run.view1.to_bytes(), setup.params.q)
+        view2 = View2.from_bytes(run.view2.to_bytes())
+        assert view1 == run.view1 and view2 == run.view2
+        assert f2_view2_to_view1(view2, run.public, setup.params) == view1
+        assert f1_view1_to_view2(view1, run.public, setup.params) == view2
+
+    def test_audit_pass_joins_no_cancel_entry(self, bench_setup,
+                                              monkeypatch):
+        # one audit pass of a 4-step N = 64 transcript: only first columns,
+        # residues and the c_j scalars may pass through Python ints, one
+        # column per call at most, and fewer values in all than the
+        # transcript's cancel columns hold
+        run = run_encrypted_mode(bench_setup, 4, seed=8, record_views=True)
+        public, params = run.public, bench_setup.params
+
+        def audit():
+            view1 = View1.from_bytes(run.view1.to_bytes(), params.q)
+            view2 = View2.from_bytes(run.view2.to_bytes())
+            return (f2_view2_to_view1(view2, public, params),
+                    f1_view1_to_view2(view1, public, params))
+
+        audit()     # the public's cached digits are built once
+        calls = {}
+        # how many values one call converts
+        for name, size in (
+                ("split_limbs", lambda values, *_: len(values)),
+                ("join_limbs", lambda limbs, *_: limbs.shape[-1]),
+                ("centred", lambda q, words: len(words))):
+            original = getattr(modring if name != "centred" else lwe, name)
+
+            def counted(*args, _sizes=calls.setdefault(name, []),
+                        _size=size, _original=original):
+                _sizes.append(_size(*args))
+                return _original(*args)
+
+            for module in (modring, lwe, quantobs, encobs, secviews):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        assert audit() == (run.view1, run.view2)
+        steps = len(run.view2.standard_cts)
+        firsts = sum(ct.h for ct in run.view2.standard_cts)
+        residues = steps * public.n_channels
+        scalars = (steps - 1) * public.n_channels
+        # every row of a standard ciphertext has one cancel entry a channel
+        assert firsts + residues + scalars < firsts * public.n_channels
+        assert calls["centred"] and calls["split_limbs"]
+        for name, sizes in calls.items():
+            assert max(sizes, default=0) <= max(public.gain.Gbar.nrows,
+                                                public.n_channels), name
+            assert sum(sizes) <= firsts + residues + scalars, name
+
     def test_view1_roundtrip(self, bench_setup, bench_enc):
         blob = bench_enc.view1.to_bytes()
         back = View1.from_bytes(blob, bench_setup.params.q)
@@ -354,8 +418,8 @@ class TestStrictTranscriptParsing:
         assert blob[-5:-1] == struct.pack("<I", 1)
         for wire in range(11):
             changed = blob[:-1] + bytes([wire])
-            assert View2.from_bytes(changed).cancels[-1] == (
-                (Q11.cmod(wire),),)
+            assert cancel_ints(Q11, View2.from_bytes(changed).cancels[-1]) \
+                == ((Q11.cmod(wire),),)
             assert View2.from_bytes(changed).to_bytes() == changed
         for bad in (11, 16, 255):
             with pytest.raises(ViewError, match="not below q"):
@@ -366,11 +430,11 @@ class TestStrictTranscriptParsing:
         build, message = MALFORMED_INT_LISTS[name]
         record = build(Q11.q)
         view1, view2 = tiny_views
-        last_lists = (view1.residues[-1].column_entries(),
-                      [a for c in view2.cancels[-1] for a in c])
-        for view, last, parse in zip(tiny_views, last_lists, _parsers()):
+        tails = (pack_words(Q11, words_of(
+            Q11, view1.residues[-1].column_entries())),
+                 pack_words(Q11, view2.cancels[-1]))
+        for view, tail, parse in zip(tiny_views, tails, _parsers()):
             blob = view.to_bytes()
-            tail = pack_words(Q11, words_of(Q11, last))
             assert blob.endswith(tail)
             with pytest.raises(ViewError, match=f"{message}$"):
                 parse(blob[:-len(tail)] + record)
@@ -407,8 +471,8 @@ class TestStrictTranscriptParsing:
             struct.pack_into("<I", blob, 5, n_ch)
             with pytest.raises(ViewError, match="cancel count"):
                 View2.from_bytes(bytes(blob))
-        extra = dataclasses.replace(view2, cancels=view2.cancels[:-1]
-                                    + (view2.cancels[-1] + ((1,),),))
+        extra = dataclasses.replace(view2, cancels=view2.cancels[:-1] + (
+            np.concatenate([view2.cancels[-1], cancel_words(Q11, [(1,)])]),))
         with pytest.raises(ViewError, match="cancel count"):
             View2.from_bytes(extra.to_bytes())
 
