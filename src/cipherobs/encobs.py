@@ -11,7 +11,7 @@ that difference.
 
 The observer is one recursion, `Z' = Fbar Z + Gbar V`, the
 `quantobs.BlockGain` that quantized mode steps too (`ModularMaps.gain`).
-It owns the int64 limbs too: it cuts them from words, splits, steps (one
+It owns the int64 limbs too: it cuts them from words, steps them (one
 shift and one `G @ V` per step) and joins them, at a limb width it
 derives from Gbar.  A batch holds uint64 words and the limbs of
 `[first | cancels]` cut once from them (`EncryptedBatch`).  The observer
@@ -22,19 +22,19 @@ alone, and Fbar^b = 0 for the largest block size b, so the state keeps
 references to its last b batches instead (`EncObserverState.window`), and
 recovery replays their A sk to S_t sk.  A batch's step index refuses a
 missed, repeated or reordered batch.
-The cancellation (`ObserverPublic.cancel_initial` and `cancel_step`) steps
-`[m | cancels]`, the same narrow layout, through the same recursion, and
-after step 0 cancels channel j with one scalar c_j at one row k_j, which it
-steps as one outer product, G[:, k_j] times c_j.  It returns the cancel
-columns as words and steps the limbs a batch cuts from them.  It and the
-residue take their exact per-channel dot products on half limbs from
-`_first_column_dots`.  One decryption, first - S_t sk, serves every
-channel; recovery replays the key's cached A sk in Python ints
-(`BlockGain.step_ints`).
+The cancellation (`ObserverPublic.cancel_initial` and `cancel_step`) takes
+the words of the column it cancels and steps `[m | cancels]`, the same
+narrow layout, through the same recursion; after step 0 it cancels channel
+j with one scalar c_j at one row k_j, stepped as one outer product,
+G[:, k_j] times c_j.  It returns the cancel columns as words and steps the
+limbs a batch cuts from them.  It and the residue take their exact
+per-channel dot products on half limbs from `_first_column_dots`.  One
+decryption, first - S_t sk, serves every channel; recovery replays the
+key's cached A sk in Python ints (`BlockGain.step_ints`).
 
-Python ints appear only for first columns, the cancellation's scalars,
-the residue's sums and recovery.  Cancel columns stay words from the
-cancellation through batches and View 2 to the wire and back; only
+Python ints appear only for the encryptor's columns, the cancellation's
+scalars, the residue's sums and recovery.  Cancel columns stay words from
+the cancellation through batches and View 2 to the wire and back; only
 `modified_channels` joins them, to form first - cancel_j.  This module is
 the only one that knows the batch layout.  A run is recorded only as its
 batches: View 2 holds the words `standard_and_cancels` reads of one, and
@@ -117,14 +117,10 @@ class ObserverPublic:
         return _row_digits(self.Hbar)
 
     @cached_property
-    def _chains(self):
-        """Every T2_j stacked into one matrix, and each V2_j as the
-        (row, entries) pairs of its nonzero rows."""
-        T2 = ModMatrix(tuple(row for m in self.channels for row in m.T2.rows),
-                       self.q, ncols=self.gain.Gbar.nrows, _reduced=True)
-        V2 = tuple(tuple((i, row) for i, row in enumerate(m.V2.rows)
-                         if any(row)) for m in self.channels)
-        return T2, V2
+    def _v2_rows(self):
+        """Each V2_j as the (row, entries) pairs of its nonzero rows."""
+        return tuple(tuple((i, row) for i, row in enumerate(m.V2.rows)
+                           if any(row)) for m in self.channels)
 
     @cached_property
     def _chain_ends(self):
@@ -137,36 +133,45 @@ class ObserverPublic:
         return (_row_digits(R), ks, tuple(m.s for m in self.channels),
                 self.gain.G[:, ks])
 
-    def cancel_initial(self, x: ModMatrix, known=None):
-        """Every channel's initial cancellation of the column x.
+    def cancel_initial(self, x: np.ndarray, known=None):
+        """Every channel's initial cancellation of the column x, given as
+        its (l, nw) words of values in [0, q).
 
         Channel j's cancel column is V2_j (T2_j x - known_j), so x minus it
-        has chain coordinates known_j (default 0).  Every T2_j x comes from
-        one product with the stacked T2_j, and each V2_j is applied on its
-        nonzero rows only (one row when nu_j = 1).  Returns (block, state):
-        the (n_ch, l, nw) words of the cancel columns, channel-major, and
-        the (L, l, 1 + n_ch) limbs of the state [x | cancels] that
-        `cancel_step` steps, its cancel limbs cut from those words.
+        has chain coordinates known_j (default 0).  T2_j stacks the rows
+        H_j F^k, k < nu_j, so T2_j x is read off the Hbar products of the
+        block shifts F^k x (`_first_column_dots`, against zero cancels),
+        and each V2_j is applied on its nonzero rows only.  Returns
+        (block, state): the (n_ch, l, nw) words of the cancel columns,
+        channel-major, and the (L, l, 1 + n_ch) limbs of the state
+        [x | cancels] that `cancel_step` steps, all cut from words.
         """
         gain = self.gain
-        T2, V2 = self._chains
-        chains = iter((T2 @ x).column_entries())
+        if x.shape[0] != gain.Gbar.nrows:
+            raise EncObsError("dimension mismatch in cancellation")
+        first = shifted = gain.cut(x[:, None])
+        zeros = np.zeros(first.shape[:2] + (self.n_channels,), np.int64)
+        chains = []     # chains[k][j] = H_j F^k x, not reduced
+        for _ in range(max((m.nu for m in self.channels), default=0)):
+            chains.append(_first_column_dots(shifted[:, :, 0], zeros,
+                                             gain.width, *self._hbar_digits))
+            shifted = gain.shift(shifted)
         at, values = [], []     # (j, i) and the entry, on V2_j's rows i
-        for j, (m, rows) in enumerate(zip(self.channels, V2)):
-            tilde = [next(chains) - (known[j][i] if known else 0)
-                     for i in range(m.nu)]
+        for j, (m, rows) in enumerate(zip(self.channels, self._v2_rows)):
+            tilde = [chains[k][j] - (known[j][k] if known else 0)
+                     for k in range(m.nu)]
             for i, row in rows:
                 at.append((j, i))
                 values.append(sum(map(mul, row, tilde)))
         words = words_of(self.q, values)
-        block = np.zeros((self.n_channels, x.nrows, words.shape[1]),
-                         dtype=np.uint64)
+        block = np.zeros((self.n_channels,) + x.shape, dtype=np.uint64)
         block[tuple(np.array(at, dtype=np.intp).reshape(-1, 2).T)] = words
         return block, np.concatenate(
-            [gain.split(x.rows), gain.cut(block).transpose(0, 2, 1)], axis=2)
+            [first, gain.cut(block).transpose(0, 2, 1)], axis=2)
 
-    def cancel_step(self, state: np.ndarray, x: ModMatrix, known=None):
-        """One step of every channel's cancellation of the input column x.
+    def cancel_step(self, state: np.ndarray, x: np.ndarray, known=None):
+        """One step of every channel's cancellation of the input column x,
+        given as its (h, nw) words of values in [0, q).
 
         `state` is [m | cancels], so channel j's cancelled state m - cancel_j
         has zero chain coordinates.  It steps with [x | 0], so Gbar x is
@@ -178,17 +183,17 @@ class ObserverPublic:
         G[:, k_j] times the limbs of c_j's words, the limbs a batch cuts.
         """
         gain, n_ch = self.gain, self.n_channels
-        if x.nrows != gain.Gbar.ncols:
+        if x.shape[0] != gain.Gbar.ncols:
             raise EncObsError("dimension mismatch in cancellation step")
         (e, planes), ks, ss, cancel_gain = self._chain_ends
         body = gain.shift(state)
-        body[:, :, :1] += gain.G @ gain.split(x.rows)
+        body[:, :, :1] += gain.G @ gain.cut(x[:, None])
         dots = _first_column_dots(body[:, :, 0], body[:, :, 1:],
                                   gain.width, e, planes)
         c = words_of(self.q, [s * (a - b) for s, a, b
                               in zip(ss, dots, known or (0,) * n_ch)])
         body[:, :, 1:] += cancel_gain * gain.cut(c)[:, None, :]
-        block = np.zeros((n_ch, x.nrows, c.shape[1]), dtype=np.uint64)
+        block = np.zeros((n_ch,) + x.shape, dtype=np.uint64)
         block[np.arange(n_ch), ks] = c
         return block, body
 
@@ -288,7 +293,8 @@ class EncryptorSession:
                               f"takes {nrows}")
         enc = encrypt_with_artifacts(v.scale(self.params.lift), self.sk,
                                      self.noise, self.rng)
-        block, self.cancel_state = cancel(enc.mask)
+        block, self.cancel_state = cancel(
+            words_of(self.public.q, enc.mask.column_entries()))
         batch = EncryptedBatch(
             words_of(self.public.q, enc.first.column_entries()), block,
             enc.randomness, self.public.gain, self.t + 1)

@@ -513,18 +513,18 @@ def keygen(N: int, q: Modulus, rng) -> SecretKey:
 class Encryption:
     """A standard encryption [m + b, A] mod q with its artifacts.
 
-    `first` is the column m + b, `mask` is b = A sk + e, `error` is e and
-    `key_product` is A sk mod q, centred, the key's cache entry for A.
+    `first` is the column m + b, `mask` is b = A sk + e and `key_product`
+    is A sk mod q, centred, the key's cache entry for A (e is their
+    difference, which no caller reads).
     `randomness` is A as the sampler drew it: the read-only (h, N, nw)
     uint64 words of `_RandomSource.uniform_words`, values in [0, q).  The
-    mask, error and key product are for the trusted encryptor role that
-    derives the cancellation terms; they must never leave the encrypting
-    process or be serialized alongside the ciphertext.
+    mask and key product are for the trusted encryptor role that derives
+    the cancellation terms; they must never leave the encrypting process or
+    be serialized alongside the ciphertext.
     """
 
     first: ModMatrix
     mask: ModMatrix
-    error: ModMatrix
     randomness: np.ndarray
     key_product: Tuple[int, ...]
 
@@ -543,5 +543,4 @@ def encrypt_with_artifacts(m: ModMatrix, sk: SecretKey, noise: NoiseParams,
     b = [s + ei for s, ei in zip(key_product, e)]
     return Encryption(
         first=ModMatrix.column([v + bi for (v,), bi in zip(m.rows, b)], sk.q),
-        mask=ModMatrix.column(b, sk.q), error=ModMatrix.column(e, sk.q),
-        randomness=A, key_product=key_product)
+        mask=ModMatrix.column(b, sk.q), randomness=A, key_product=key_product)

@@ -9,9 +9,9 @@ Elimination routines use a fixed pivot rule (first nonzero entry scanning
 top-to-bottom, left-to-right) so that pivot columns and inverses are
 bit-reproducible across runs.
 
-`split_limbs` and `join_limbs` convert between Python ints and exact signed
-int64 limbs, the form in which numpy kernels compute over Z_q, and
-`words_to_limbs` cuts uint64 words into limbs.  Exact dot products of int64
+`words_to_limbs` cuts uint64 words into exact int64 limbs, the form in
+which numpy kernels compute over Z_q, and `join_limbs` joins limbs back
+into Python ints; `split_limbs` cuts signed ints into such limbs.  Exact dot products of int64
 limbs and fixed integers (a key, a map's rows) meet the limbs' 32-bit halves
 (`half_limbs`), or differences of halves, which stay below 2^32 too, with
 the fixed integers' `fixed_digits`, as narrow as the accumulator's exact
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 from typing import Iterable, List, Sequence
 
 import numpy as np
@@ -125,12 +125,12 @@ def _is_probable_prime(n: int) -> bool:
 class Modulus:
     """A verified prime modulus with centered reduction.
 
-    The reduction maps any integer a to a - floor((a + q/2)/q) * q, which
-    lands in [-q/2, q/2).  For odd primes that interval is the symmetric
-    range [-(q-1)/2, (q-1)/2].
+    The reduction takes a mod q and subtracts q above q >> 1, so it lands
+    in [-(q-1)/2, (q-1)/2]: one `%` per value, equal to the floor formula
+    a - floor((a + q/2)/q) q for odd q.  `ModMatrix` reduces by this rule.
     """
 
-    __slots__ = ("q", "_twoq")
+    __slots__ = ("q", "_half")
 
     def __init__(self, q: int):
         if q < 3:
@@ -141,14 +141,14 @@ class Modulus:
         if not _is_probable_prime(q):
             raise PrimalityError(f"modulus {q} failed the primality test")
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "_twoq", 2 * q)
+        object.__setattr__(self, "_half", q >> 1)
 
     def __setattr__(self, *_):
         raise AttributeError("Modulus is immutable")
 
     def cmod(self, a: int) -> int:
-        q = self.q
-        return a - ((2 * a + q) // self._twoq) * q
+        a %= self.q
+        return a - self.q if a > self._half else a
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse of a in the centered range."""
@@ -169,9 +169,9 @@ class Modulus:
 
 def _reduce_rows(rows, q: int):
     """Convert every entry with int() and reduce it to the centered range."""
-    twoq = 2 * q
+    half = q >> 1
     return tuple(
-        tuple((a := int(x)) - ((2 * a + q) // twoq) * q for x in row)
+        tuple(a - q if (a := int(x) % q) > half else a for x in row)
         for row in rows
     )
 
@@ -186,14 +186,12 @@ class ModMatrix:
 
     __slots__ = ("rows", "nrows", "ncols", "modulus")
 
-    def __init__(self, rows: Iterable[Iterable[int]], modulus: Modulus,
-                 ncols: int | None = None, _reduced: bool = False):
+    def __new__(cls, rows: Iterable[Iterable[int]], modulus: Modulus,
+                ncols: int | None = None, _reduced: bool = False):
         # Rows built inside the library with _reduced=True already hold
         # centered ints; everything else is converted and reduced here.
-        if _reduced:
-            rows = tuple(map(tuple, rows))
-        else:
-            rows = _reduce_rows(rows, modulus.q)
+        rows = (tuple(map(tuple, rows)) if _reduced
+                else _reduce_rows(rows, modulus.q))
         if rows:
             ncols_found = len(rows[0])
             if any(len(r) != ncols_found for r in rows):
@@ -203,10 +201,18 @@ class ModMatrix:
             ncols = ncols_found
         elif ncols is None:
             ncols = 0
+        return cls._trusted(rows, ncols, modulus)
+
+    @classmethod
+    def _trusted(cls, rows: tuple, ncols: int, modulus: Modulus):
+        """A matrix of tuple rows of `ncols` reduced ints, unchecked: every
+        matrix is made here."""
+        self = object.__new__(cls)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "modulus", modulus)
+        return self
 
     def __setattr__(self, *_):
         raise AttributeError("ModMatrix is immutable")
@@ -215,17 +221,19 @@ class ModMatrix:
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int, modulus: Modulus) -> "ModMatrix":
-        return cls(((0,) * ncols,) * nrows, modulus, ncols=ncols, _reduced=True)
+        return cls._trusted(((0,) * ncols,) * nrows, ncols, modulus)
 
     @classmethod
     def identity(cls, n: int, modulus: Modulus) -> "ModMatrix":
         rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        return cls(rows, modulus, ncols=n, _reduced=True)
+        return cls._trusted(rows, n, modulus)
 
     @classmethod
     def column(cls, entries: Iterable[int], modulus: Modulus) -> "ModMatrix":
-        return cls(tuple((modulus.cmod(int(a)),) for a in entries), modulus,
-                   ncols=1, _reduced=True)
+        """`entries` converted with int() and reduced in one list pass."""
+        q, half = modulus.q, modulus._half
+        return cls._trusted(tuple([(a - q if (a := int(x) % q) > half
+                                    else a,) for x in entries]), 1, modulus)
 
     # -- shape helpers -----------------------------------------------------
 
@@ -237,21 +245,19 @@ class ModMatrix:
         return self.ncols == 1
 
     def column_entries(self, j: int = 0):
-        return tuple(r[j] for r in self.rows)
+        return tuple(map(itemgetter(j), self.rows))
 
     def flat(self):
         return tuple(a for row in self.rows for a in row)
 
     def row(self, i: int) -> "ModMatrix":
-        return ModMatrix((self.rows[i],), self.modulus,
-                         ncols=self.ncols, _reduced=True)
+        return self._trusted((self.rows[i],), self.ncols, self.modulus)
 
     def vstack(self, other: "ModMatrix") -> "ModMatrix":
         self._check_mod(other)
         if self.ncols != other.ncols:
             raise DimensionMismatch("vstack needs equal column counts")
-        return ModMatrix(self.rows + other.rows, self.modulus,
-                         ncols=self.ncols, _reduced=True)
+        return self._trusted(self.rows + other.rows, self.ncols, self.modulus)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -313,14 +319,13 @@ def mat_mul_mod(A: ModMatrix, B: ModMatrix) -> ModMatrix:
     A._check_mod(B)
     if A.ncols != B.nrows:
         raise DimensionMismatch(f"matmul {A.shape} x {B.shape}")
-    q = A.modulus.q
     if A.ncols == 0:
         return ModMatrix.zeros(A.nrows, B.ncols, A.modulus)
-    twoq = 2 * q
+    q, half = A.modulus.q, A.modulus._half
     bcols = tuple(zip(*B.rows))
-    rows = tuple(tuple((s := sum(map(mul, ar, bc))) - ((2 * s + q) // twoq) * q
-                       for bc in bcols) for ar in A.rows)
-    return ModMatrix(rows, A.modulus, ncols=B.ncols, _reduced=True)
+    rows = tuple(tuple(s - q if (s := sum(map(mul, ar, bc)) % q) > half
+                       else s for bc in bcols) for ar in A.rows)
+    return ModMatrix._trusted(rows, B.ncols, A.modulus)
 
 
 def _echelon(rows, q: int, reduce_up: bool):
@@ -463,10 +468,11 @@ def digit_budget(n: int, exact: int) -> int:
 def fixed_digits(values: Sequence[int], bits: int, e: int) -> np.ndarray:
     """Signed base-2^e digits of integers below 2^bits in absolute value,
     each below 2^e in absolute value, as a (P, n) int64 array with values
-    == sum(out[p] << (e p)): the values themselves when bits <= e, else
-    their `split_limbs` of width e."""
-    count = 1 if bits <= e else -(-(bits + 1) // e)
-    return split_limbs(values, e if count > 1 else bits + 1, count)
+    == sum(out[p] << (e p)): the values themselves, converted straight to
+    int64, when bits <= e, else their `split_limbs` of width e."""
+    if bits <= e:
+        return np.array(values, dtype=np.int64).reshape(1, -1)
+    return split_limbs(values, e, -(-(bits + 1) // e))
 
 
 def join_digit_sums(sums: np.ndarray, width: int, e: int) -> List[int]:

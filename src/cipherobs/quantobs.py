@@ -21,8 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .modring import ModMatrix, Modulus, join_limbs, split_limbs, \
-    words_to_limbs
+from .modring import ModMatrix, Modulus, join_limbs, words_to_limbs
 from .obsdesign import ObserverBank, ResidueMaps, round_half_up, calibrate_M
 
 __all__ = [
@@ -91,14 +90,13 @@ class BlockGain:
     It is the only code that steps the recursion, in two forms.  `step_ints`
     steps one column of Python ints on Gbar's nonzero entries alone (48 of
     144 on the benchmark), so quantized mode takes any Gbar and never
-    builds `G` or a limb width.  `step` steps int64 limb stacks, which
-    `split` makes of Python ints, `cut` of uint64 words and `join` reads
-    back: an entry x is held as `count` limbs of `width` W with
-    x = sum_k limb_k 2^(W k) (mod q).
+    builds `G` or a limb width.  `step` steps int64 limb stacks, which only
+    `cut` makes, of words in [0, q), and `join` reads back: an entry x is
+    held as `count` limbs of `width` W, x = sum_k limb_k 2^(W k) (mod q).
 
     Fbar is nilpotent, so every state entry is a sum of at most b = `depth`
-    Gbar V terms plus one initial entry.  With input limbs below 2^W in
-    absolute value, every state limb therefore stays within
+    Gbar V terms plus one initial entry.  With input limbs in [0, 2^W),
+    as `cut` makes them, every state limb therefore stays within
     (b ||Gbar||_inf + 1) 2^W for any number of steps.  W is the largest
     width that keeps this bound under 2^63, so the recursion never carries
     between limbs or reduces; values are reduced mod q only when joined.
@@ -149,13 +147,6 @@ class BlockGain:
         G = np.array(self.Gbar.rows, dtype=np.int64).reshape(self.Gbar.shape)
         G.setflags(write=False)
         return G
-
-    def split(self, rows: Sequence[Sequence[int]]) -> np.ndarray:
-        """Limb stack (L, rows, cols) of a matrix of centred entries."""
-        ncols = len(rows[0]) if rows else 0
-        flat = [a for row in rows for a in row]
-        return split_limbs(flat, self.width, self.count).reshape(
-            self.count, len(rows), ncols)
 
     def cut(self, words: np.ndarray) -> np.ndarray:
         """Limbs (L, ...) of (..., nw) words in [0, q), each in [0, 2^W)."""
@@ -307,7 +298,7 @@ def detect(rbar: ModMatrix, t: int, params: QuantParams) -> DetectResult:
     rational arithmetic over the float parameters.  `lhs` and `threshold`
     report the same comparison in floats.
     """
-    max_abs = rbar.max_abs()
+    max_abs = max(map(abs, rbar.column_entries()), default=0)
     # the threshold changes only at l_max, so later steps share one cutoff
     flag = max_abs > _flag_cutoff(params, min(t, params.l_max))
     return DetectResult(flag=flag, lhs=params.resolution * max_abs,

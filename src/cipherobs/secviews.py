@@ -27,9 +27,9 @@ import numpy as np
 
 from .encobs import EncObserverState, EncryptedBatch, ObserverPublic, \
     disclose_residue, modified_channels, residue_first_column, step_encrypted
-from .lwe import Ciphertext, CiphertextKind, LweError, centred, \
-    pack_words, read_values, words_of
-from .modring import ModMatrix, Modulus
+from .lwe import Ciphertext, CiphertextKind, LweError, pack_words, \
+    read_values, words_of
+from .modring import ModMatrix, Modulus, join_limbs
 from .quantobs import QuantParams
 
 __all__ = [
@@ -140,8 +140,7 @@ class View1:
         n_inputs, n_res = _read_header(buf, b"VIEW1")
         cts, lists = _read_body(buf, n_inputs + 1, n_res, q)
         return cls(init_ct=cts[0], input_cts=tuple(cts[1:]),
-                   residues=tuple(ModMatrix(((v,) for v in centred(q, words)),
-                                            q, ncols=1, _reduced=True)
+                   residues=tuple(ModMatrix.column(join_limbs(words.T, 64), q)
                                   for words in lists))
 
 
@@ -246,7 +245,6 @@ def f1_view1_to_view2(v1: View1, public: ObserverPublic,
     returns.
     """
     steps = len(v1.input_cts)
-    q = public.q
     channels = public.channels
     nu_max = max(m.nu for m in channels)
     if len(v1.residues) < steps + nu_max:
@@ -255,20 +253,20 @@ def f1_view1_to_view2(v1: View1, public: ObserverPublic,
             f"need residues through step {needed} to reconstruct all "
             f"{steps} input steps (have {len(v1.residues)})")
     _check_public((v1.init_ct,) + v1.input_cts, public)
-    if any(r.modulus != q or r.shape != (len(channels), 1)
+    if any(r.modulus != public.q or r.shape != (len(channels), 1)
            for r in v1.residues):
         raise ViewError("residues do not match the public maps")
 
-    # lifted[t][j] = lift * residue of channel j at step t
-    lifted = [[q.cmod(params.lift * a) for a in r.column_entries()]
+    # lifted[t][j] = lift * residue of channel j at step t, unreduced
+    lifted = [[params.lift * a for a in r.column_entries()]
               for r in v1.residues]
     block, state = public.cancel_initial(
-        ModMatrix.column(v1.init_ct.first_column(), q),
+        v1.init_ct.first,
         [[lifted[t][j] for t in range(m.nu)] for j, m in enumerate(channels)])
     blocks = [block]
     for t, ct in enumerate(v1.input_cts):
         block, state = public.cancel_step(
-            state, ModMatrix.column(ct.first_column(), q),
+            state, ct.first,
             [lifted[t + m.nu][j] for j, m in enumerate(channels)])
         blocks.append(block)
     return View2(standard_cts=(v1.init_ct,) + v1.input_cts,

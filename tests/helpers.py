@@ -37,6 +37,12 @@ class ValueSource:
             rows, count, wire_layout(q)[1])
 
 
+def floor_cmod(a: int, q: int) -> int:
+    """Centred reduction by the floor formula a - floor((a + q/2)/q) q
+    (test oracle for `Modulus.cmod`)."""
+    return a - ((2 * a + q) // (2 * q)) * q
+
+
 def egcd_inverse(a: int, q: int) -> int:
     """Modular inverse via the extended Euclidean algorithm (test oracle)."""
     old_r, r = a % q, q
@@ -223,6 +229,19 @@ def cancel_words(q: Modulus, columns) -> np.ndarray:
     h = len(columns[0]) if columns else 0
     return words_of(q, [a for c in columns for a in c]).reshape(
         len(columns), h, wire_layout(q)[1])
+
+
+def column_words(column: ModMatrix) -> np.ndarray:
+    """The (rows, nw) words of a column's entries mod q: the form in which
+    the cancellation takes a column."""
+    return words_of(column.modulus, column.column_entries())
+
+
+def matrix_limbs(gain, M: ModMatrix) -> np.ndarray:
+    """The (L, rows, cols) limbs `gain.cut` makes of the words of M's
+    entries mod q, each in [0, 2^W)."""
+    return gain.cut(words_of(M.modulus, M.flat()).reshape(
+        M.nrows, M.ncols, -1))
 
 
 def cancel_ints(q: Modulus, words: np.ndarray) -> Tuple[Tuple[int, ...],

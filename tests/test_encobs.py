@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cipherobs import encobs
+from cipherobs import encobs, modring
 from cipherobs.encobs import (
     EncObserverState,
     EncryptedBatch,
@@ -21,22 +21,23 @@ from cipherobs.encobs import (
     residue_first_column,
     step_encrypted,
 )
-from cipherobs.lwe import Ciphertext, LweError, SecretKey, keygen
+from cipherobs.lwe import Ciphertext, LweError, SecretKey, keygen, \
+    wire_layout
 from cipherobs.lwe import TestRng as SeededRng
 from cipherobs.modring import DimensionMismatch, ModMatrix, Modulus, \
     ModulusMismatch
 from cipherobs.pipeline import SystemSetup, bundled_scenario_path, \
     run_encrypted_mode, run_quantized_mode
-from cipherobs.quantobs import BlockGain
+from cipherobs.quantobs import BlockGain, detect
 from cipherobs.secviews import View2
 from cipherobs.zerodyn import RelativeDegreeUndefined, channel_maps
 from .helpers import ValueSource, build_fbar, build_transform, \
     cancel_ints, cancel_words, cancellation_init, cancellation_step, \
-    channel, ciphertext, cloud_run, \
+    channel, ciphertext, cloud_run, column_words, \
     ct_matrix, decrypt_channel_state, dense_decrypt, dense_normal_form, \
     encrypted_residue, error_trajectory, full_state, \
-    joined_residue_first_column, last_column, reference_ct_bytes, \
-    replay_states, sigma_dag, transcript_masks
+    joined_residue_first_column, last_column, matrix_limbs, \
+    reference_ct_bytes, replay_states, sigma_dag, transcript_masks
 
 
 class ZeroMaskRng(ValueSource):
@@ -278,10 +279,11 @@ class TestLazyCancelState:
         # the recorded cancel columns
         gain = public64.gain
         bound = (gain.depth * gain.Gbar.inf_norm() + 1) << gain.width
-        block, state = public64.cancel_initial(bench_enc.masks[0])
+        block, state = public64.cancel_initial(
+            column_words(bench_enc.masks[0]))
         blocks = [block]
         for mask in bench_enc.masks[1:]:
-            block, state = public64.cancel_step(state, mask)
+            block, state = public64.cancel_step(state, column_words(mask))
             blocks.append(block)
             assert np.abs(state).max() < bound
         assert len(blocks) == len(bench_enc.view2.cancels)
@@ -289,11 +291,14 @@ class TestLazyCancelState:
 
     def test_cancel_step_refuses_a_column_of_the_wrong_height(self,
                                                               public64):
-        q = public64.q
-        _, state = public64.cancel_initial(ModMatrix.zeros(24, 1, q))
+        nw = wire_layout(public64.q)[1]
+        _, state = public64.cancel_initial(np.zeros((24, nw), np.uint64))
         for h in (5, 7):
             with pytest.raises(encobs.EncObsError):
-                public64.cancel_step(state, ModMatrix.zeros(h, 1, q))
+                public64.cancel_step(state, np.zeros((h, nw), np.uint64))
+        for l in (23, 25):
+            with pytest.raises(encobs.EncObsError):
+                public64.cancel_initial(np.zeros((l, nw), np.uint64))
 
     def test_cancelled_states_have_zero_chain_coordinates(self, bench_setup):
         # random block-shift observers over q = 101 with sparse gains and
@@ -506,6 +511,49 @@ class TestEncryptedObserver:
             dense = (Fbar @ ct_matrix(channel(full, j))
                      + public64.gain.Gbar @ ct_matrix(channel(in_batch, j)))
             assert ct_matrix(channel(nxt, j)) == dense
+
+    def test_a_step_reduces_each_value_once(self, bench_setup, public64,
+                                            monkeypatch):
+        # one enc-n64 step, encryptor to recovery, after the first (which
+        # builds the public's cached maps): values enter limbs only as
+        # words, so nothing is split, and every ModMatrix the step makes is
+        # a column reduced in one pass by `column`, none by the row-wise
+        # constructor
+        params = dataclasses.replace(bench_setup.params, N=64)
+        rng = SeededRng(5)
+        sk = keygen(64, params.q, rng)
+        session = EncryptorSession(sk, params, public64, rng=rng)
+        qrun = run_quantized_mode(bench_setup, 3)
+        state = EncObserverState.from_initial(
+            session.enc_initial(qrun.zbars[0]))
+        state = step_encrypted(state, session.enc_input(qrun.vbars[0]),
+                               public64)
+        calls = dict.fromkeys(("split_limbs", "_reduce_rows", "column",
+                               "_trusted"), 0)
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        for name in ("split_limbs", "_reduce_rows"):
+            monkeypatch.setattr(modring, name,
+                                counted(name, getattr(modring, name)))
+        for name in ("column", "_trusted"):
+            monkeypatch.setattr(ModMatrix, name, classmethod(
+                counted(name, getattr(ModMatrix, name).__func__)))
+        batch = session.enc_input(qrun.vbars[1])
+        state = step_encrypted(state, batch, public64)
+        disclosed = disclose_residue(residue_first_column(state, public64),
+                                     params)
+        flag = detect(disclosed, 2, params).flag
+        xhat = recover_encrypted_state(state, 0, sk, params,
+                                       bench_setup.mod_maps.PhiPinvBar)
+        assert (disclosed, xhat) == (qrun.rbars[2], qrun.xbars[2])
+        assert not flag
+        assert calls["split_limbs"] == calls["_reduce_rows"] == 0
+        assert calls["column"] > 0 and calls["_trusted"] == calls["column"]
 
     def test_residue_first_column_consistency(self, public64, bench_enc):
         for t in (0, 10, 49):
@@ -772,12 +820,12 @@ class TestWindowRecovery:
                 [rng.randint(-half, half) for _ in range(nrows)], q)
 
         Z = column(Gbar.nrows)
-        ints, limbs = Z.column_entries(), gain.split(Z.rows)
+        ints, limbs = Z.column_entries(), matrix_limbs(gain, Z)
         for t in range(max(sizes) + 2):
             V = column(Gbar.ncols)
             Z = Fbar @ Z + Gbar @ V
             ints = gain.step_ints(ints, V.column_entries())
-            limbs = gain.step(limbs, gain.split(V.rows))
+            limbs = gain.step(limbs, matrix_limbs(gain, V))
             assert ModMatrix.column(ints, q) == Z, t
             assert ModMatrix(gain.join(limbs), q) == Z, t
         # Fbar^b = 0, so recovery may replay from zero b batches back

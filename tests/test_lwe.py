@@ -53,6 +53,11 @@ def encrypt_joined(m, sk, rng):
     return enc, ModMatrix(joined(enc.randomness), sk.q, ncols=sk.N)
 
 
+def error_of(enc):
+    """An encryption's error e, mask - key_product."""
+    return enc.mask - ModMatrix.column(enc.key_product, enc.mask.modulus)
+
+
 def standard_ct(m, sk, rng):
     """The standard ciphertext [m + b | A] of `encrypt_with_artifacts`, A
     being the sampler's words."""
@@ -271,7 +276,8 @@ class TestUniforms:
               "min": lambda: SecretKey([-half] * N, q)}[key]()
         m = ModMatrix.column(rng.uniforms(q, h), q)
         enc, A = encrypt_joined(m, sk, rng)
-        b, e = enc.mask, enc.error
+        b, e = enc.mask, error_of(enc)
+        assert e.max_abs() <= NOISE.bound
         assert b == A @ ModMatrix.column(sk.entries(), q) + e
         assert enc.first == m + b
 
@@ -291,7 +297,7 @@ class TestUniforms:
         assert dk == digit_budget(N, 53) - 32 == 9
         assert N * 2 ** (32 + 9) == 2 ** 53
         assert A == ModMatrix([[-1] * N] * h, q)
-        dense = A @ ModMatrix.column(sk.entries(), q) + enc.error
+        dense = A @ ModMatrix.column(sk.entries(), q) + error_of(enc)
         assert enc.mask == dense
         assert enc.first == m + dense
 
@@ -312,7 +318,7 @@ class TestUniforms:
         m = ModMatrix.column([5], q)
         enc, A = encrypt_joined(m, sk, ScriptedSource([chunk], 0))
         assert sk._digits[0] == 10
-        dense = A @ ModMatrix.column(sk.entries(), q) + enc.error
+        dense = A @ ModMatrix.column(sk.entries(), q) + error_of(enc)
         assert enc.mask != dense
 
 

@@ -13,6 +13,7 @@ from cipherobs.modring import (
     Modulus,
     ModulusMismatch,
     NotFullRowRank,
+    mat_mul_mod,
     PrimalityError,
     SingularMatrix,
     digit_budget,
@@ -24,12 +25,23 @@ from cipherobs.modring import (
 from cipherobs.modring import _is_probable_prime, _reduce_rows
 from cipherobs.pipeline import BENCH_Q
 from .helpers import HUGE_PRIME, ZeroRow, centered_difference_check, \
-    complete_basis, egcd_inverse, random_mod_matrix, rank_mod, \
+    complete_basis, egcd_inverse, floor_cmod, random_mod_matrix, rank_mod, \
     right_inverse_row
 
 Q5 = Modulus(5)
 Q7 = Modulus(7)
 Q101 = Modulus(101)
+ORACLE_MODULI = (Modulus(3), Q5, Q101, Modulus(BENCH_Q))
+
+
+def reduction_cases(q: Modulus):
+    """Integers that reach every branch of a centred reduction mod q: up to
+    2^230 in absolute value, the range's edges +-(q-1)/2 and the values
+    +-(q+1)/2 just past them, and multiples of q."""
+    h = q.q >> 1
+    return st.one_of(st.integers(-2 ** 230, 2 ** 230),
+                     st.sampled_from([h, -h, h + 1, -h - 1]),
+                     st.integers(-2 ** 120, 2 ** 120).map(lambda k: k * q.q))
 
 
 class TestModulus:
@@ -285,6 +297,28 @@ class TestMatrixBasics:
         M = ModMatrix([[3, -4]], q101)
         assert M.scale(-1) == -M
         assert (M.scale(2)).rows == ((6, -8),)
+
+    @given(q=st.sampled_from(ORACLE_MODULI), data=st.data())
+    def test_reductions_equal_the_floor_formula(self, q, data):
+        # `cmod`, `column` (of Python ints and of int64 entries) and the
+        # sums of `mat_mul_mod` reduce with one `%` each, as the floor
+        # formula a - floor((a + q/2)/q) q does
+        values = data.draw(st.lists(reduction_cases(q), min_size=1,
+                                    max_size=12))
+        oracle = tuple(floor_cmod(a, q.q) for a in values)
+        assert tuple(map(q.cmod, values)) == oracle
+        assert ModMatrix.column(values, q).column_entries() == oracle
+        narrow = [a for a in values if -2 ** 63 <= a < 2 ** 63]
+        assert ModMatrix.column(np.array(narrow, dtype=np.int64),
+                                q).column_entries() == tuple(
+            floor_cmod(a, q.q) for a in narrow)
+        # products of reduced entries, and a row of ones that sums them to
+        # +-(q+1)/2 and past
+        A = ModMatrix([values, [1] * len(values)], q)
+        B = ModMatrix([[a, 1] for a in reversed(values)], q)
+        assert mat_mul_mod(A, B).rows == tuple(
+            tuple(floor_cmod(sum(x * y for x, y in zip(row, col)), q.q)
+                  for col in zip(*B.rows)) for row in A.rows)
 
     @pytest.mark.parametrize("q", [Q101, Modulus(BENCH_Q)])
     def test_one_pass_column_equals_the_generic_reduction(self, q):

@@ -29,7 +29,7 @@ from cipherobs.quantobs import (
     validate_params,
 )
 from .helpers import CalibrationReport, build_fbar, calibrate_quantization, \
-    random_stable_plant, recover_plain_estimate
+    matrix_limbs, random_stable_plant, recover_plain_estimate
 
 
 class TestQuantize:
@@ -169,13 +169,13 @@ class TestObserverUpdate:
                               for i in range(nrows)], q, ncols=ncols)
 
         Z = matrix(l, w)
-        assert gain.join(gain.split(Z.rows)) == Z.rows
+        limbs = matrix_limbs(gain, Z)
+        assert ModMatrix(gain.join(limbs), q, ncols=w) == Z
         Fbar = build_fbar(sizes, q)
-        limbs = gain.split(Z.rows)
         for _ in range(data.draw(st.integers(1, 3), label="steps")):
             V = matrix(h, w)
             dense = Fbar @ Z + Gbar @ V
-            limbs = gain.step(limbs, gain.split(V.rows))
+            limbs = gain.step(limbs, matrix_limbs(gain, V))
             Z = dense
         assert ModMatrix(gain.join(limbs), q, ncols=w) == Z
 
@@ -209,11 +209,11 @@ class TestObserverUpdate:
         Z = ModMatrix([[rng.randint(-half, half) for _ in range(3)]
                        for _ in rows], q)
         # step_ints steps the first column
-        limbs, ints = gain.split(Z.rows), Z.column_entries()
+        limbs, ints = matrix_limbs(gain, Z), Z.column_entries()
         for t in range(max(sizes) + 1):
             V = ModMatrix([[rng.randint(-half, half) for _ in range(3)]
                            for _ in rows[0]], q)
-            limbs = gain.step(limbs, gain.split(V.rows))
+            limbs = gain.step(limbs, matrix_limbs(gain, V))
             ints = gain.step_ints(ints, V.column_entries())
             Z = Fbar @ Z + Gbar @ V
             assert ModMatrix(gain.join(limbs), q) == Z, t
@@ -251,9 +251,8 @@ class TestObserverUpdate:
         for form, suffix in (("centred", ""), ("words", "-words"))
         for q, name in zip(MODULI[1:], ("2^61-1", "2^109-31"))])
     def test_worst_case_limbs_stay_under_the_bound(self, q, form):
-        # the inputs as `split` makes them of the centred (q - 1) / 2 and
-        # as `cut` makes them of the words of q - 1 (nw = 1 and 2), whose
-        # limbs are all nonnegative
+        # the inputs as `cut` makes them of the words of the centred
+        # (q - 1) / 2 and of q - 1 (nw = 1 and 2): limbs in [0, 2^W)
         sizes, h, width = (6, 4, 1), 3, 42
         b_max = max(sizes)
         # the largest row sum that still leaves a limb width of 42 bits
@@ -272,14 +271,11 @@ class TestObserverUpdate:
         Z = ModMatrix([[top]] * sum(sizes), q)
         V = ModMatrix([[top]] * h, q)
         Fbar = build_fbar(sizes, q)
-        if form == "centred":
-            limbs, v_limbs = gain.split(Z.rows), gain.split(V.rows)
-        else:
-            word = words_of(q, [top])
-            assert word.shape == (1, -(-q.q.bit_length() // 64))
-            limbs = gain.cut(np.repeat(word[None], sum(sizes), axis=0))
-            v_limbs = gain.cut(np.repeat(word[None], h, axis=0))
-            assert 0 <= int(limbs.min()) and int(limbs.max()) < 2 ** width
+        word = words_of(q, [top])
+        assert word.shape == (1, -(-q.q.bit_length() // 64))
+        limbs = gain.cut(np.repeat(word[None], sum(sizes), axis=0))
+        v_limbs = gain.cut(np.repeat(word[None], h, axis=0))
+        assert 0 <= int(limbs.min()) and int(limbs.max()) < 2 ** width
         for _ in range(3 * b_max):
             limbs = gain.step(limbs, v_limbs)
             Z = Fbar @ Z + Gbar @ V

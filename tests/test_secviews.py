@@ -286,7 +286,8 @@ class TestTranscriptSerialization:
         # one audit pass of a 4-step N = 64 transcript: only first columns,
         # residues and the c_j scalars may pass through Python ints, one
         # column per call at most, and fewer values in all than the
-        # transcript's cancel columns hold
+        # transcript's cancel columns hold; words are the only way values
+        # enter limbs, so nothing is split
         run = run_encrypted_mode(bench_setup, 4, seed=8, record_views=True)
         public, params = run.public, bench_setup.params
 
@@ -320,7 +321,7 @@ class TestTranscriptSerialization:
         scalars = (steps - 1) * public.n_channels
         # every row of a standard ciphertext has one cancel entry a channel
         assert firsts + residues + scalars < firsts * public.n_channels
-        assert calls["centred"] and calls["split_limbs"]
+        assert calls["join_limbs"] and calls["split_limbs"] == []
         for name, sizes in calls.items():
             assert max(sizes, default=0) <= max(public.gain.Gbar.nrows,
                                                 public.n_channels), name
