@@ -13,15 +13,15 @@ The observer is one recursion, `Z' = Fbar Z + Gbar V`, the
 `quantobs.BlockGain` that quantized mode steps too (`ModularMaps.gain`).
 It owns the int64 limbs too: it cuts them from words, steps them (one
 shift and one `G @ V` per step) and joins them, at a limb width it
-derives from Gbar.  A batch holds uint64 words and the limbs of
-`[first | cancels]` cut once from them (`EncryptedBatch`).  The observer
-state is narrow: `step_encrypted` steps only those limbs, the only
-columns a residue reads.  The state's shared block
-S_t = Fbar S_(t-1) + Gbar A_t is a function of the public randomness
-alone, and Fbar^b = 0 for the largest block size b, so the state keeps
-references to its last b batches instead (`EncObserverState.window`), and
-recovery replays their A sk to S_t sk.  A batch's step index refuses a
-missed, repeated or reordered batch.
+derives from Gbar.  A batch holds the encryption's standard ciphertext,
+the cancel words and the limbs of `[first | cancels]` cut once from them
+(`EncryptedBatch`).  The observer state is narrow: `step_encrypted` steps
+only those limbs, the only columns a residue reads.  The state's shared
+block S_t = Fbar S_(t-1) + Gbar A_t is a function of the public
+randomness alone, and Fbar^b = 0 for the largest block size b, so the
+state keeps references to its last b batches instead
+(`EncObserverState.window`), and recovery replays their A sk to S_t sk.
+A batch's step index refuses a missed, repeated or reordered batch.
 The cancellation (`ObserverPublic.cancel_initial` and `cancel_step`) takes
 the words of the column it cancels and steps `[m | cancels]`, the same
 narrow layout, through the same recursion; after step 0 it cancels channel
@@ -37,8 +37,8 @@ scalars, the residue's sums and recovery.  Cancel columns stay words from
 the cancellation through batches and View 2 to the wire and back; only
 `modified_channels` joins them, to form first - cancel_j.  This module is
 the only one that knows the batch layout.  A run is recorded only as its
-batches: View 2 holds the words `standard_and_cancels` reads of one, and
-a batch of those words is batch t again, so the transcript rebuilds every
+batches: View 2 records each one's `Ciphertext` and cancel words, and a
+batch of those is batch t again, so the transcript rebuilds every
 encrypted state (`secviews.View2.states`).
 """
 
@@ -105,8 +105,10 @@ class ObserverPublic:
         gain = maps.gain
         channels = tuple(channel_maps(maps.Hbar.row(j), gain.Fbar, gain.Gbar)
                          for j in range(maps.Hbar.nrows))
-        return cls(q=gain.Gbar.modulus, N=params.N, gain=gain,
-                   Hbar=maps.Hbar, channels=channels)
+        public = cls(q=gain.Gbar.modulus, N=params.N, gain=gain,
+                     Hbar=maps.Hbar, channels=channels)
+        public._chain_ends   # made at set-up, so no step builds it
+        return public
 
     @property
     def n_channels(self) -> int:
@@ -126,9 +128,10 @@ class ObserverPublic:
     def _chain_ends(self):
         """`_row_digits` of the rows R_j = H_j F^(nu_j - 1), the last rows
         of the T2_j, every channel's k_j and s_j, and the (l, n_ch) gain
-        columns G[:, k_j]: a cancel block is nonzero only at rows k_j."""
-        R = ModMatrix(tuple(m.T2.rows[-1] for m in self.channels), self.q,
-                      ncols=self.gain.Gbar.nrows, _reduced=True)
+        columns G[:, k_j]: a cancel block is nonzero only at rows k_j.
+        `build` makes them, so `cancel_step` only reads them."""
+        R = ModMatrix._trusted(tuple(m.T2.rows[-1] for m in self.channels),
+                               self.gain.Gbar.nrows, self.q)
         ks = np.array([m.k for m in self.channels], dtype=np.intp)
         return (_row_digits(R), ks, tuple(m.s for m in self.channels),
                 self.gain.G[:, ks])
@@ -211,25 +214,26 @@ def _row_digits(rows: ModMatrix) -> Tuple[int, np.ndarray]:
 class EncryptedBatch:
     """Per-step modified ciphertexts for all channels, batch `t` of a run
     (0 for the initial one), as the sampler's and the wire's uint64 words
-    of values in [0, q): the standard ciphertext's (rows, nw) `first`
-    column, every channel's cancel column, (n_ch, rows, nw) `cancels`,
-    channel-major as View 2 records them, and the randomness block A that
-    every channel shares, (rows, N, nw) `shared`, which only
-    `SecretKey.products` reads.  `body` is the (L, rows, 1 + n_ch) limb
-    stack of `[first | cancels]` that `gain` cuts from the words once,
-    every limb in [0, 2^W), the recursion's input bound: the cloud steps
-    it whole.  Every part is read-only, so the key's cache of the batch's
-    A sk never goes stale.
+    of values in [0, q): the standard ciphertext `ct` of the encryption,
+    whose randomness block A every channel shares and only
+    `SecretKey.products` reads, and every channel's cancel column,
+    (n_ch, rows, nw) `cancels`, channel-major as View 2 records them.
+    `body` is the (L, rows, 1 + n_ch) limb stack of `[first | cancels]`
+    that `gain` cuts from the words once, every limb in [0, 2^W), the
+    recursion's input bound: the cloud steps it whole.  Every part is
+    read-only, so the key's cache of the batch's A sk never goes stale.
     """
 
-    def __init__(self, first: np.ndarray, cancels: np.ndarray,
-                 shared: np.ndarray, gain: BlockGain, t: int):
-        for part in (first, cancels, shared):
-            part.setflags(write=False)
-        self.first, self.cancels, self.shared = first, cancels, shared
-        self.gain, self.t = gain, t
+    def __init__(self, ct: Ciphertext, cancels: np.ndarray, gain: BlockGain,
+                 t: int):
+        if ct.q != gain.Gbar.modulus:
+            raise EncObsError("ciphertext modulus differs from the gain's")
+        if cancels.shape[1:] != ct.first.shape:
+            raise EncObsError("cancel columns do not fit the ciphertext")
+        cancels.setflags(write=False)
+        self.ct, self.cancels, self.gain, self.t = ct, cancels, gain, t
         self.body = gain.cut(np.concatenate(
-            [first[:, None], cancels.transpose(1, 0, 2)], axis=1))
+            [ct.first[:, None], cancels.transpose(1, 0, 2)], axis=1))
         self.body.setflags(write=False)
 
     @property
@@ -238,13 +242,7 @@ class EncryptedBatch:
 
     @property
     def N(self) -> int:
-        return self.shared.shape[1]
-
-    def standard_and_cancels(self) -> Tuple[Ciphertext, np.ndarray]:
-        """The standard ciphertext, sharing the batch's words, and the
-        cancel words: what View 2 records of a batch."""
-        return (Ciphertext(self.gain.Gbar.modulus, self.first, self.shared),
-                self.cancels)
+        return self.ct.N
 
 
 def modified_channels(std_ct: Ciphertext,
@@ -293,11 +291,8 @@ class EncryptorSession:
                               f"takes {nrows}")
         enc = encrypt_with_artifacts(v.scale(self.params.lift), self.sk,
                                      self.noise, self.rng)
-        block, self.cancel_state = cancel(
-            words_of(self.public.q, enc.mask.column_entries()))
-        batch = EncryptedBatch(
-            words_of(self.public.q, enc.first.column_entries()), block,
-            enc.randomness, self.public.gain, self.t + 1)
+        block, self.cancel_state = cancel(enc.mask)
+        batch = EncryptedBatch(enc.ct, block, self.public.gain, self.t + 1)
         self.t = batch.t
         self.sk.seed_products(batch, enc.key_product)
         return batch
@@ -424,7 +419,7 @@ def _shared_key_product(state: EncObserverState, sk: SecretKey) -> List[int]:
     recursion from A_0 sk while the initial batch is in the window and from
     zero after (the window then holds the last b batches, and Fbar^b = 0)."""
     gain = state.gain
-    products = [sk.cached_products(batch, batch.shared)
+    products = [sk.cached_products(batch, batch.ct.shared)
                 for batch in state.window]
     if len(products) == state.t + 1:    # A_0 is still in the window
         shared, products = list(products[0]), products[1:]

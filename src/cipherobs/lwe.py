@@ -15,18 +15,17 @@ the seedable `TestRng` for reproducible runs; the latter is explicitly not
 for production use.  Uniform vectors come from a rejection sampler on the
 source's `randbytes` (`_RandomSource.uniform_words`), so every entry is
 exactly uniform on Z_q, and stay in little-endian uint64 words,
-nw = ceil(bits / 64) per value; `uniforms` centres the same draw into
-Python ints.
-
-Ciphertexts keep the randomness A as those words, read-only, also on the
-wire: the cloud never reads A, so it is never joined into Python ints or
-cut into the observer's limbs.  The mask A sk is a float64 matrix product
-(`SecretKey.products`) of the words' 32-bit halves against the key's
-signed dk-bit digits, exact whatever order BLAS sums in; keys longer than
-`MAX_N` = 2^20 leave no digit bit and are refused.  The key caches each
-batch's A sk mod q, held weakly by batch (`cached_products`): the
-encryption's own for a batch it encrypted, one product otherwise;
-`zeroize` wipes the digits and empties that cache.
+nw = ceil(bits / 64) per value.  Ciphertexts and keys are held once, as
+such words: A read-only as the sampler drew it, also on the wire (the
+cloud never joins it into ints or cuts it into limbs), and a key as its
+own (N, nw) words, the sampler's row at keygen.  The mask A sk is a
+float64 matrix product (`SecretKey.products`) of the words' 32-bit halves
+against dk-bit digits cut from the key's words, exact whatever order BLAS
+sums in; keys longer than `MAX_N` = 2^20 leave no digit bit and are
+refused.  The key caches each batch's A sk mod q, held weakly by batch
+(`cached_products`): the encryption's own for a batch it encrypted, one
+product otherwise; `zeroize` wipes the words and digits and empties that
+cache.
 
 Keys and ciphertexts serialize as a magic, the modulus (a uint16 byte
 count and its magnitude), a fixed-width header and one value list.  Every
@@ -49,12 +48,13 @@ import struct
 import weakref
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from operator import add
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from .modring import DimensionMismatch, ModMatrix, Modulus, PrimalityError, \
-    digit_budget, fixed_digits, join_digit_sums, join_limbs
+    digit_budget, join_digit_sums, join_limbs, words_to_limbs
 
 __all__ = [
     "MAX_N",
@@ -157,11 +157,6 @@ class _RandomSource:
                     redraws.append((r, n - len(kept)))
             queue.extendleft(reversed(redraws))
         return out
-
-    def uniforms(self, q: Modulus, count: int) -> list:
-        """`count` values exactly uniform on centred Z_q: one row of the
-        word draw, centred."""
-        return centred(q, self.uniform_words(q, 1, count)[0])
 
     def error(self, noise: NoiseParams) -> int:
         while True:
@@ -310,67 +305,79 @@ def _read_payload(buf: bytes, offset: int, q: Modulus) -> np.ndarray:
 
 
 class SecretKey:
-    """LWE secret key: an N-vector over centered Z_q.
+    """LWE secret key: an N-vector over Z_q, held as its own copy of the
+    (N, nw) uint64 words of values in [0, q), the sampler's and the wire's
+    form; `entries` centres them.
 
-    `products` computes with the key cut into signed dk-bit digits, cut
-    once and kept as a float64 array: dk is what the float64 budget of a
-    length-N dot product leaves beside 32-bit halves of words.  The key also
-    caches A sk mod q per owner of a read-only randomness block A (an
+    `products` computes with the words cut into unsigned dk-bit digits,
+    cut once and kept as a float64 array: dk is what the float64 budget of
+    a length-N dot product leaves beside 32-bit halves of words.  The key
+    also caches A sk mod q per owner of a read-only randomness block A (an
     encrypted batch), in a `weakref.WeakKeyDictionary`: an entry lives as
     long as its owner, so the cache holds no more than the live batches.
     `encobs.EncryptorSession` seeds the entry of each batch it encrypts
     (`seed_products`); no other module touches the cache.
-    `zeroize()` overwrites and drops both the stored entries and those
-    digits and empties the cache; callers that keep the key's bytes
-    (`to_bytes`) are expected to erase them as part of the same contract.
+    `zeroize()` overwrites and drops both the words and those digits and
+    empties the cache; callers that keep the key's bytes (`to_bytes`) are
+    expected to erase them as part of the same contract.
     """
 
-    def __init__(self, entries: Sequence[int], q: Modulus):
-        self._entries = [q.cmod(int(v)) for v in entries]
+    def __init__(self, words: np.ndarray, q: Modulus):
+        nw = wire_layout(q)[1]
+        if getattr(words, "dtype", None) != np.uint64 or words.ndim != 2 \
+                or words.shape[1] != nw or not len(words):
+            raise LweError(f"secret key is not N >= 1 values of {nw} "
+                           f"uint64 words")
+        below = _below(words, q)
+        if below is not None and not below.all():
+            raise LweError("secret key value not below q")
+        self._words = words.copy()
         self.q = q
         self._digits = None     # (dk, N x P float64 digits), on first use
         self._owned_products = weakref.WeakKeyDictionary()
 
-    def _live(self) -> list:
-        if self._entries is None:
+    def _live(self) -> np.ndarray:
+        if self._words is None:
             raise LweError("secret key has been zeroized")
-        return self._entries
+        return self._words
 
     @property
     def N(self) -> int:
         return len(self._live())
 
     def entries(self) -> Tuple[int, ...]:
-        return tuple(self._live())
+        """The key's values, centred."""
+        return tuple(centred(self.q, self._live()))
 
     def _key_digits(self) -> Tuple[int, np.ndarray]:
-        """(dk, digits): the key's `fixed_digits` of width
-        dk = `digit_budget(N, 53)` - 32 as an N x P float64 array, with
-        key == sum(digits[:, p] << (dk p)), all below 2^dk in absolute
-        value.  LweError when N > `MAX_N` leaves no digit bit."""
-        entries = self._live()
+        """(dk, digits): the key's words cut into ceil(bits(q) / dk) digits
+        of dk = `digit_budget(N, 53)` - 32 bits, an N x P float64 array in
+        [0, 2^dk) that sums to the key's values in [0, q).  LweError when
+        N > `MAX_N` leaves no digit bit."""
+        words = self._live()
         if self._digits is None:
-            dk = digit_budget(len(entries), 53) - 32
+            dk = digit_budget(len(words), 53) - 32
             if dk < 1:
                 raise LweError(f"key products are exact only for "
-                               f"N <= {MAX_N}, got N = {len(entries)}")
-            digits = fixed_digits(entries, self.q.q.bit_length() - 1, dk)
+                               f"N <= {MAX_N}, got N = {len(words)}")
+            digits = words_to_limbs(words, dk,
+                                    -(-self.q.q.bit_length() // dk))
             self._digits = (dk, digits.T.astype(np.float64))
             digits[...] = 0
         return self._digits
 
     def products(self, words: np.ndarray) -> List[int]:
-        """The exact integers A sk, one per row, for a matrix A held as the
-        (rows, N, nw) uint64 words A = sum(words[..., k] << (64 k)), as
-        `_RandomSource.uniform_words` draws them.
+        """The exact integers A sk, sk's values taken in [0, q), one per
+        row, for a matrix A held as the (rows, N, nw) uint64 words
+        A = sum(words[..., k] << (64 k)), as `uniform_words` draws them.
 
         The words' 32-bit halves, read through a `<u4` view and all in
         [0, 2^32), meet the key's digits in float64 products of 2 nw rows
         per row of A, one per row block of at most `_PRODUCT_BLOCK`
-        halves.  Each of their sums has N terms below 2^32 2^dk in
-        absolute value, so every partial sum is an integer below 2^53 and
-        the product is exact for any summation order, blocking or thread
-        split; only the sums are joined as Python ints.
+        halves.  Each of their sums has N terms in [0, 2^32 2^dk), so
+        every partial sum is an integer below 2^53 and the product is
+        exact for any summation order, blocking or thread split; only the
+        sums are joined as Python ints.
         """
         dk, key = self._key_digits()
         rows, N, nw = words.shape
@@ -402,28 +409,24 @@ class SecretKey:
 
     def zeroize(self):
         self._owned_products.clear()
-        if self._entries is not None:
-            for i in range(len(self._entries)):
-                self._entries[i] = 0
-            self._entries = None
+        if self._words is not None:
+            self._words[...] = 0
+            self._words = None
         if self._digits is not None:
             self._digits[1][...] = 0
             self._digits = None
 
     def to_bytes(self) -> bytes:
-        """Magic, modulus, then the entries as one value list."""
+        """Magic, modulus, then the key's words as one value list."""
         return b"".join([_KEY_MAGIC, _pack_modulus(self.q),
-                         pack_words(self.q, words_of(self.q, self.entries()))])
+                         pack_words(self.q, self._live())])
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "SecretKey":
         if buf[:4] != _KEY_MAGIC:
             raise LweError("not a secret key blob")
         q, offset = _read_modulus(buf, 4)
-        entries = centred(q, _read_payload(buf, offset, q))
-        if not entries:
-            raise LweError("secret key length is not N >= 1")
-        return cls(entries, q)
+        return cls(_read_payload(buf, offset, q), q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -503,44 +506,43 @@ class Ciphertext:
 
 
 def keygen(N: int, q: Modulus, rng) -> SecretKey:
-    """Uniform secret key over centered Z_q^N from the supplied source."""
+    """Uniform secret key over Z_q^N: one row of the source's word draw."""
     if N < 1:
         raise LweError("N must be >= 1")
-    return SecretKey(rng.uniforms(q, N), q)
+    return SecretKey(rng.uniform_words(q, 1, N)[0], q)
 
 
 @dataclass(frozen=True, eq=False)
 class Encryption:
-    """A standard encryption [m + b, A] mod q with its artifacts.
+    """A standard encryption [m + b | A] mod q with its artifacts.
 
-    `first` is the column m + b, `mask` is b = A sk + e and `key_product`
+    `ct` is the standard ciphertext, whose randomness A is the sampler's
+    read-only (h, N, nw) words (`_RandomSource.uniform_words`).  `mask` is
+    b = A sk + e as (h, nw) words of values in [0, q), and `key_product`
     is A sk mod q, centred, the key's cache entry for A (e is their
-    difference, which no caller reads).
-    `randomness` is A as the sampler drew it: the read-only (h, N, nw)
-    uint64 words of `_RandomSource.uniform_words`, values in [0, q).  The
-    mask and key product are for the trusted encryptor role that derives
-    the cancellation terms; they must never leave the encrypting process or
-    be serialized alongside the ciphertext.
+    difference, which no caller reads).  The mask and key product are for
+    the trusted encryptor role that derives the cancellation terms; they
+    must never leave the encrypting process or be serialized alongside the
+    ciphertext.
     """
 
-    first: ModMatrix
-    mask: ModMatrix
-    randomness: np.ndarray
+    ct: Ciphertext
+    mask: np.ndarray
     key_product: Tuple[int, ...]
 
 
 def encrypt_with_artifacts(m: ModMatrix, sk: SecretKey, noise: NoiseParams,
                            rng) -> Encryption:
-    """Encrypt the column m, keeping A as the sampler's words."""
+    """Encrypt the column m, keeping A as the sampler's words; each value
+    of m + b and of b is reduced once, into its words."""
     if not m.is_column():
         raise DimensionMismatch("message must be a column vector")
     if m.modulus != sk.q:
         raise LweError("message modulus differs from key modulus")
-    A = rng.uniform_words(sk.q, m.nrows, sk.N)
-    A.setflags(write=False)
+    q, A = sk.q, rng.uniform_words(sk.q, m.nrows, sk.N)
     e = [rng.error(noise) for _ in range(m.nrows)]
-    key_product = tuple(map(sk.q.cmod, sk.products(A)))
-    b = [s + ei for s, ei in zip(key_product, e)]
+    key_product = tuple(map(q.cmod, sk.products(A)))
+    b = list(map(add, key_product, e))
     return Encryption(
-        first=ModMatrix.column([v + bi for (v,), bi in zip(m.rows, b)], sk.q),
-        mask=ModMatrix.column(b, sk.q), randomness=A, key_product=key_product)
+        ct=Ciphertext(q, words_of(q, map(add, m.column_entries(), b)), A),
+        mask=words_of(q, b), key_product=key_product)

@@ -187,11 +187,8 @@ class ModMatrix:
     __slots__ = ("rows", "nrows", "ncols", "modulus")
 
     def __new__(cls, rows: Iterable[Iterable[int]], modulus: Modulus,
-                ncols: int | None = None, _reduced: bool = False):
-        # Rows built inside the library with _reduced=True already hold
-        # centered ints; everything else is converted and reduced here.
-        rows = (tuple(map(tuple, rows)) if _reduced
-                else _reduce_rows(rows, modulus.q))
+                ncols: int | None = None):
+        rows = _reduce_rows(rows, modulus.q)
         if rows:
             ncols_found = len(rows[0])
             if any(len(r) != ncols_found for r in rows):
@@ -206,7 +203,7 @@ class ModMatrix:
     @classmethod
     def _trusted(cls, rows: tuple, ncols: int, modulus: Modulus):
         """A matrix of tuple rows of `ncols` reduced ints, unchecked: every
-        matrix is made here."""
+        matrix is made here, by callers that hold such rows too."""
         self = object.__new__(cls)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "nrows", len(rows))

@@ -222,7 +222,7 @@ def run_encrypted_mode(setup: SystemSetup, steps: int, *,
         run.records.append(_record(t, disclosed, xrec, setup, traj,
                                    "encrypted"))
         if record_views:
-            recorded.append(batch.standard_and_cancels())
+            recorded.append((batch.ct, batch.cancels))
             residues.append(disclosed)
         batch = session.enc_input(qrun.vbars[t])
         state = encobs.step_encrypted(state, batch, public)
@@ -230,7 +230,7 @@ def run_encrypted_mode(setup: SystemSetup, steps: int, *,
 
     if record_views:
         # residues one step past the final input, for transcript completeness
-        recorded.append(batch.standard_and_cancels())
+        recorded.append((batch.ct, batch.cancels))
         residues.append(encobs.disclose_residue(
             encobs.residue_first_column(state, public), params))
         standard_cts, cancels = zip(*recorded)

@@ -164,9 +164,9 @@ class BlockGain:
     def Fbar(self) -> ModMatrix:
         """The block lower shift as an explicit l x l Z_q matrix."""
         l, starts = self.Gbar.nrows, set(self.starts)
-        return ModMatrix(tuple(tuple(int(c == i - 1 and i not in starts)
-                                     for c in range(l)) for i in range(l)),
-                         self.Gbar.modulus, ncols=l, _reduced=True)
+        return ModMatrix._trusted(tuple(
+            tuple(int(c == i - 1 and i not in starts) for c in range(l))
+            for i in range(l)), l, self.Gbar.modulus)
 
     def shift(self, Z: np.ndarray) -> np.ndarray:
         """Fbar Z on a limb stack (L, l, w), as a new stack."""

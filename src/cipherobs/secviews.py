@@ -178,7 +178,7 @@ class View2:
         """Every encrypted state of the recorded run, stepped by the deployed
         `step_encrypted` on the batches of the recorded words."""
         for t, (ct, c) in enumerate(zip(self.standard_cts, self.cancels)):
-            batch = EncryptedBatch(ct.first, c, ct.shared, public.gain, t)
+            batch = EncryptedBatch(ct, c, public.gain, t)
             state = (step_encrypted(state, batch, public) if t
                      else EncObserverState.from_initial(batch))
             yield state

@@ -95,14 +95,13 @@ def channel_maps(Hj: ModMatrix, Fbar: ModMatrix, Gbar: ModMatrix) -> ChannelMaps
     rows, Sigma = _output_chain(Hj, Fbar, Gbar)
     q = Gbar.modulus
     l, nu = Fbar.nrows, len(rows)
-    T2 = ModMatrix(tuple(r.rows[0] for r in rows), q, ncols=l, _reduced=True)
+    T2 = ModMatrix._trusted(tuple(r.rows[0] for r in rows), l, q)
     pivots = pivot_columns(T2)
-    Pinv = inverse_mod(ModMatrix(tuple(tuple(row[c] for c in pivots)
-                                       for row in T2.rows), q, ncols=nu,
-                                 _reduced=True))
+    Pinv = inverse_mod(ModMatrix._trusted(
+        tuple(tuple(row[c] for c in pivots) for row in T2.rows), nu, q))
     at = {c: k for k, c in enumerate(pivots)}
-    V2 = ModMatrix(tuple(Pinv.rows[at[i]] if i in at else (0,) * nu
-                         for i in range(l)), q, ncols=nu, _reduced=True)
+    V2 = ModMatrix._trusted(tuple(Pinv.rows[at[i]] if i in at else (0,) * nu
+                                  for i in range(l)), nu, q)
     k = next(i for i, a in enumerate(Sigma.rows[0]) if a)
     return ChannelMaps(nu=nu, T2=T2, Sigma=Sigma, k=k,
                        s=q.inv(Sigma.rows[0][k]), V2=V2)

@@ -14,7 +14,7 @@ from cipherobs.encobs import EncObserverState, EncryptedBatch, \
     EncryptorSession, ObserverPublic, disclose_residue, modified_channels, \
     residue_first_column, step_encrypted
 from cipherobs.lwe import _CT_MAGIC, Ciphertext, CiphertextKind, LweError, \
-    TestRng, centred, keygen, wire_layout, words_of
+    SecretKey, TestRng, centred, keygen, wire_layout, words_of
 from cipherobs.modring import DimensionMismatch, ModMatrix, ModRingError, \
     Modulus, _echelon, inverse_mod, pivot_columns
 from cipherobs.obsdesign import run_reference_observer
@@ -24,6 +24,17 @@ from cipherobs.quantobs import quantize_initial, quantize_input, \
     residue_quantized, step_quantized
 from cipherobs.secviews import View1, View2
 from cipherobs.zerodyn import RelativeDegreeUndefined, channel_maps
+
+
+def secret_key(values: Sequence[int], q: Modulus) -> SecretKey:
+    """The key of the given values, each taken mod q into its words."""
+    return SecretKey(words_of(q, values), q)
+
+
+def centred_draw(source, q: Modulus, count: int) -> List[int]:
+    """`count` values exactly uniform on centred Z_q: one row of the
+    source's word draw, centred."""
+    return centred(q, source.uniform_words(q, 1, count)[0])
 
 
 class ValueSource:
@@ -113,7 +124,7 @@ def build_fbar(block_sizes: Sequence[int], q: Modulus) -> ModMatrix:
         for h in range(1, li):
             rows[o + h][o + h - 1] = 1
         o += li
-    return ModMatrix(rows, q, ncols=l, _reduced=True)
+    return ModMatrix._trusted(tuple(map(tuple, rows)), l, q)
 
 
 def gain_blocks(gain) -> Tuple[int, ...]:
@@ -167,6 +178,13 @@ def cloud_run(setup, N: int, seed: int, steps: int):
     return sk, public, batches, states
 
 
+def recorded_view2(batches: Sequence[EncryptedBatch]) -> View2:
+    """The View 2 a run records of its batches: each one's standard
+    ciphertext and cancel words."""
+    return View2(standard_cts=tuple(b.ct for b in batches),
+                 cancels=tuple(b.cancels for b in batches))
+
+
 def replay_states(view2: View2, public) -> List[EncObserverState]:
     """Every encrypted state of a recorded run, rebuilt from its View 2
     with the deployed `step_encrypted` (`View2.states`), each with the
@@ -179,7 +197,8 @@ def full_limbs(batch: EncryptedBatch) -> np.ndarray:
     """The (L, rows, 1 + n_ch + N) limbs of a batch's whole matrix
     `[first | cancels | shared]`: its shared words cut into the gain's
     limbs beside its `body`."""
-    return np.concatenate([batch.body, batch.gain.cut(batch.shared)], axis=2)
+    return np.concatenate([batch.body, batch.gain.cut(batch.ct.shared)],
+                          axis=2)
 
 
 def full_state(state: EncObserverState, public) -> EncryptedBatch:
@@ -206,9 +225,15 @@ def full_state(state: EncObserverState, public) -> EncryptedBatch:
     if not np.array_equal(body[:, :, :n], state.body):
         raise AssertionError("the narrow state differs from its replay")
     rows = public.gain.join(body)
-    std = ciphertext([row[:1] + row[n:] for row in rows], public.q)
-    return EncryptedBatch(std.first, cancel_words(public.q, tuple(zip(*(
-        row[1:n] for row in rows)))), std.shared, public.gain, state.t)
+    return batch_of(ciphertext([row[:1] + row[n:] for row in rows], public.q),
+                    tuple(zip(*(row[1:n] for row in rows))), public.gain,
+                    state.t)
+
+
+def batch_of(ct: Ciphertext, cancels, gain, t: int) -> EncryptedBatch:
+    """Batch t of the standard ciphertext `ct` and cancel columns given as
+    Python ints, [channel][row], each taken mod q."""
+    return EncryptedBatch(ct, cancel_words(ct.q, cancels), gain, t)
 
 
 def ciphertext(rows, q: Modulus, modified: bool = False) -> Ciphertext:
@@ -261,9 +286,8 @@ def ct_matrix(ct: Ciphertext) -> ModMatrix:
     words = np.concatenate(parts, axis=1)
     h, width, nw = words.shape
     flat = centred(ct.q, words.reshape(-1, nw))
-    return ModMatrix(tuple(tuple(flat[i * width:(i + 1) * width])
-                           for i in range(h)), ct.q, ncols=width,
-                     _reduced=True)
+    return ModMatrix._trusted(tuple(tuple(flat[i * width:(i + 1) * width])
+                                    for i in range(h)), width, ct.q)
 
 
 def transcript_masks(standard_cts, messages, lift: int) -> List[ModMatrix]:
@@ -276,8 +300,7 @@ def transcript_masks(standard_cts, messages, lift: int) -> List[ModMatrix]:
 def channel(body: EncryptedBatch, j: int):
     """Channel j's modified ciphertext of a batch or a full state, from
     `modified_channels`."""
-    std, cancels = body.standard_and_cancels()
-    return modified_channels(std, cancels[j:j + 1])[0]
+    return modified_channels(body.ct, body.cancels[j:j + 1])[0]
 
 
 def dense_decrypt(ct, sk) -> ModMatrix:
@@ -447,7 +470,7 @@ def complete_basis(T2: ModMatrix) -> ModMatrix:
         tuple(1 if j == c else 0 for j in range(l))
         for c in range(l) if c not in pivot_set
     )
-    return ModMatrix(rows, T2.modulus, ncols=l, _reduced=True)
+    return ModMatrix._trusted(rows, l, T2.modulus)
 
 
 def centered_difference_check(a: int, b: int, mod: Modulus) -> bool:
@@ -528,11 +551,10 @@ def build_transform(Hj: ModMatrix, Fbar: ModMatrix, Gbar: ModMatrix,
     pivots = pivot_columns(m.T2)
     free = [c for c in range(l) if c not in pivots]
     eye = ModMatrix.identity(l, q)
-    T1 = ModMatrix(tuple(eye.rows[c] for c in free), q, ncols=l,
-                   _reduced=True)
-    V1 = ModMatrix(tuple(tuple(row[c] for c in free)
-                         for row in (eye - m.V2 @ m.T2).rows),
-                   q, ncols=l - nu, _reduced=True)
+    T1 = ModMatrix._trusted(tuple(eye.rows[c] for c in free), l, q)
+    V1 = ModMatrix._trusted(tuple(tuple(row[c] for c in free)
+                                  for row in (eye - m.V2 @ m.T2).rows),
+                            l - nu, q)
     T1F = T1 @ Fbar
     S1 = T1F @ V1
     S3 = T1 @ Gbar

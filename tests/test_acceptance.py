@@ -25,7 +25,7 @@ from cipherobs.secviews import f1_view1_to_view2, f2_view2_to_view1
 from cipherobs.zerodyn import RelativeDegreeUndefined
 from .helpers import build_fbar, build_transform, cancellation_init, \
     cancellation_step, channel, dense_decrypt, error_trajectory, full_state, random_channel, \
-    random_stable_plant, simulate_channel
+    random_stable_plant, secret_key, simulate_channel
 from .test_secviews import ZeroErrorRng, _run_tiny_session, _tiny_params, \
     _tiny_public
 
@@ -280,13 +280,12 @@ def test_criterion_8_view_roundtrips(bench_setup, bench_enc):
                            bench_setup.params)
     bench_ok = v1 == bench_enc.view1 and v2 == bench_enc.view2
 
-    from cipherobs.lwe import SecretKey
     import itertools
     q11 = Modulus(11)
     public = _tiny_public(q11, (3,), [[1], [0], [1]], [[2, 0, 1]],
                           N=1)
     params = _tiny_params(q11, N=1, lift=2)
-    sk = SecretKey([3], q11)
+    sk = secret_key([3], q11)
     tiny_ok = True
     for a, b in itertools.product(range(11), repeat=2):
         vbars = [ModMatrix.column([v], q11) for v in (a, b, a, b, a, b)]

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from cipherobs import encobs, modring
 from cipherobs.encobs import (
     EncObserverState,
-    EncryptedBatch,
     EncryptorSession,
     ObserverPublic,
     SessionNotFresh,
@@ -29,15 +28,15 @@ from cipherobs.modring import DimensionMismatch, ModMatrix, Modulus, \
 from cipherobs.pipeline import SystemSetup, bundled_scenario_path, \
     run_encrypted_mode, run_quantized_mode
 from cipherobs.quantobs import BlockGain, detect
-from cipherobs.secviews import View2
 from cipherobs.zerodyn import RelativeDegreeUndefined, channel_maps
-from .helpers import ValueSource, build_fbar, build_transform, \
+from .helpers import ValueSource, batch_of, build_fbar, build_transform, \
     cancel_ints, cancel_words, cancellation_init, cancellation_step, \
     channel, ciphertext, cloud_run, column_words, \
     ct_matrix, decrypt_channel_state, dense_decrypt, dense_normal_form, \
     encrypted_residue, error_trajectory, full_state, \
     joined_residue_first_column, last_column, matrix_limbs, \
-    reference_ct_bytes, replay_states, sigma_dag, transcript_masks
+    recorded_view2, reference_ct_bytes, replay_states, secret_key, \
+    sigma_dag, transcript_masks
 
 
 class ZeroMaskRng(ValueSource):
@@ -53,10 +52,30 @@ class ZeroMaskRng(ValueSource):
 def zero_batch(public, nrows, N=64, t=0):
     """Batch t with all-zero [first | cancels] words of the benchmark's 60
     channels and an all-zero shared block of N words per row."""
-    return EncryptedBatch(
-        np.zeros((nrows, 2), dtype=np.uint64),
-        np.zeros((60, nrows, 2), dtype=np.uint64),
-        np.zeros((nrows, N, 2), dtype=np.uint64), public.gain, t)
+    return batch_of(ciphertext(((0,) * (N + 1),) * nrows, public.q),
+                    ((0,) * nrows,) * 60, public.gain, t)
+
+
+def count_matrix_calls(monkeypatch) -> dict:
+    """Counts of the calls, from now on, of `split_limbs`, the row-wise
+    reduction `_reduce_rows`, `ModMatrix.column` and `ModMatrix._trusted`,
+    which makes every matrix."""
+    calls = dict.fromkeys(("split_limbs", "_reduce_rows", "column",
+                           "_trusted"), 0)
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in ("split_limbs", "_reduce_rows"):
+        monkeypatch.setattr(modring, name,
+                            counted(name, getattr(modring, name)))
+    for name in ("column", "_trusted"):
+        monkeypatch.setattr(ModMatrix, name, classmethod(
+            counted(name, getattr(ModMatrix, name).__func__)))
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -203,7 +222,7 @@ class TestModifiedCompatibility:
         for t in range(5):
             batches.append(session.enc_input(qrun.vbars[t]))
         for batch in batches:
-            std_plain = dense_decrypt(batch.standard_and_cancels()[0], sk)
+            std_plain = dense_decrypt(batch.ct, sk)
             for j in (0, 7, 59):
                 assert dense_decrypt(channel(batch, j), sk) == std_plain
 
@@ -213,7 +232,7 @@ class TestModifiedCompatibility:
         sk = keygen(64, params.q, rng)
         session = EncryptorSession(sk, params, public64, rng=rng)
         batch = session.enc_initial(ModMatrix.column(range(24), params.q))
-        std_first = batch.standard_and_cancels()[0].first_column()
+        std_first = batch.ct.first_column()
         q = params.q
         for j in (0, 31):
             ct = channel(batch, j)
@@ -223,7 +242,7 @@ class TestModifiedCompatibility:
 
     def test_zero_mask_degenerate_session(self, bench_setup, public64):
         params = dataclasses.replace(bench_setup.params, N=64)
-        sk = SecretKey([1] * 64, params.q)
+        sk = secret_key([1] * 64, params.q)
         session = EncryptorSession(sk, params, public64, rng=ZeroMaskRng())
         z0 = ModMatrix.column(range(24), params.q)
         batch = session.enc_initial(z0)
@@ -248,7 +267,7 @@ class TestModifiedCompatibility:
         for t in range(4):
             batches.append(session.enc_input(qrun.vbars[t]))
         masks = transcript_masks(
-            [batch.standard_and_cancels()[0] for batch in batches],
+            [batch.ct for batch in batches],
             qrun.zbars[:1] + qrun.vbars, params.lift)
         Fbar = build_fbar(bench_setup.mod_maps.block_sizes, params.q)
         for j in (0, 17, 59):
@@ -337,7 +356,7 @@ class TestLazyCancelState:
             for t in range(4 * l):
                 state = gain.join(session.cancel_state)
                 cancels = list(zip(*cancel_ints(
-                    q, batch.standard_and_cancels()[1])))
+                    q, batch.cancels)))
                 for j, m in enumerate(public.channels):
                     degrees.add(m.nu)
                     cancelled = ModMatrix.column(
@@ -512,48 +531,47 @@ class TestEncryptedObserver:
                      + public64.gain.Gbar @ ct_matrix(channel(in_batch, j)))
             assert ct_matrix(channel(nxt, j)) == dense
 
-    def test_a_step_reduces_each_value_once(self, bench_setup, public64,
+    def test_a_step_reduces_each_value_once(self, bench_setup,
                                             monkeypatch):
-        # one enc-n64 step, encryptor to recovery, after the first (which
-        # builds the public's cached maps): values enter limbs only as
-        # words, so nothing is split, and every ModMatrix the step makes is
-        # a column reduced in one pass by `column`, none by the row-wise
-        # constructor
+        # the first enc-n64 step, encryptor to recovery, of a public and a
+        # session just set up, so a map first built inside the step would
+        # show: values enter limbs only as words, so nothing is split, and
+        # every ModMatrix the step makes is a column reduced in one pass by
+        # `column`, none by the row-wise constructor
         params = dataclasses.replace(bench_setup.params, N=64)
+        public = ObserverPublic.build(bench_setup.mod_maps, params)
         rng = SeededRng(5)
         sk = keygen(64, params.q, rng)
-        session = EncryptorSession(sk, params, public64, rng=rng)
-        qrun = run_quantized_mode(bench_setup, 3)
+        session = EncryptorSession(sk, params, public, rng=rng)
+        qrun = run_quantized_mode(bench_setup, 2)
         state = EncObserverState.from_initial(
             session.enc_initial(qrun.zbars[0]))
-        state = step_encrypted(state, session.enc_input(qrun.vbars[0]),
-                               public64)
-        calls = dict.fromkeys(("split_limbs", "_reduce_rows", "column",
-                               "_trusted"), 0)
-
-        def counted(name, original):
-            def wrapper(*args):
-                calls[name] += 1
-                return original(*args)
-            return wrapper
-
-        for name in ("split_limbs", "_reduce_rows"):
-            monkeypatch.setattr(modring, name,
-                                counted(name, getattr(modring, name)))
-        for name in ("column", "_trusted"):
-            monkeypatch.setattr(ModMatrix, name, classmethod(
-                counted(name, getattr(ModMatrix, name).__func__)))
-        batch = session.enc_input(qrun.vbars[1])
-        state = step_encrypted(state, batch, public64)
-        disclosed = disclose_residue(residue_first_column(state, public64),
+        calls = count_matrix_calls(monkeypatch)
+        batch = session.enc_input(qrun.vbars[0])
+        state = step_encrypted(state, batch, public)
+        disclosed = disclose_residue(residue_first_column(state, public),
                                      params)
-        flag = detect(disclosed, 2, params).flag
+        flag = detect(disclosed, 1, params).flag
         xhat = recover_encrypted_state(state, 0, sk, params,
                                        bench_setup.mod_maps.PhiPinvBar)
-        assert (disclosed, xhat) == (qrun.rbars[2], qrun.xbars[2])
+        assert (disclosed, xhat) == (qrun.rbars[1], qrun.xbars[1])
         assert not flag
         assert calls["split_limbs"] == calls["_reduce_rows"] == 0
         assert calls["column"] > 0 and calls["_trusted"] == calls["column"]
+
+    def test_enc_input_builds_only_the_lifted_message(self, bench_setup,
+                                                      public64, monkeypatch):
+        # the encryption's first column and mask go straight into words:
+        # the one ModMatrix of an enc step is the lifted message
+        params = dataclasses.replace(bench_setup.params, N=64)
+        rng = SeededRng(6)
+        session = EncryptorSession(keygen(64, params.q, rng), params,
+                                   public64, rng=rng)
+        session.enc_initial(ModMatrix.zeros(24, 1, params.q))
+        v = ModMatrix.column([1, 2, 3, 4, 5, 6], params.q)
+        calls = count_matrix_calls(monkeypatch)
+        session.enc_input(v)
+        assert calls["_trusted"] == calls["column"] == 1
 
     def test_residue_first_column_consistency(self, public64, bench_enc):
         for t in (0, 10, 49):
@@ -654,12 +672,10 @@ class TestDisclosureAndRecovery:
         public = ObserverPublic.build(bench_setup.mod_maps, params)
 
         def batch(nrows, t):
-            std = ciphertext(((top,) * (N + 1),) * nrows, q)
-            return EncryptedBatch(std.first,
-                                  cancel_words(q, ((top,) * nrows,) * 60),
-                                  std.shared, public.gain, t)
+            return batch_of(ciphertext(((top,) * (N + 1),) * nrows, q),
+                            ((top,) * nrows,) * 60, public.gain, t)
 
-        sk = SecretKey([top] * N, q)
+        sk = secret_key([top] * N, q)
         state = EncObserverState.from_initial(batch(24, 0))
         for t in range(3):
             for j in (0, 59):
@@ -724,7 +740,7 @@ class TestDisclosureAndRecovery:
 
     def test_zero_mask_recovery_trivial(self, bench_setup, public64):
         params = dataclasses.replace(bench_setup.params, N=64)
-        sk = SecretKey([0] * 64, params.q)
+        sk = secret_key([0] * 64, params.q)
         session = EncryptorSession(sk, params, public64, rng=ZeroMaskRng())
         qrun = run_quantized_mode(bench_setup, 4)
         state = EncObserverState.from_initial(
@@ -774,7 +790,7 @@ class TestWindowRecovery:
         sk, public, batches, states = cloud_run(bench_setup, N, 17, steps)
         params = bench_setup.params
         phi = bench_setup.mod_maps.PhiPinvBar
-        view2 = View2(*zip(*(b.standard_and_cancels() for b in batches)))
+        view2 = recorded_view2(batches)
         fresh = SecretKey.from_bytes(sk.to_bytes())
         replayed = replay_states(view2, public)
         for t, (live, again) in enumerate(zip(states, replayed)):
@@ -850,9 +866,7 @@ class TestWindowRecovery:
             rows = [tuple(q.cmod(rng.randrange(q.q)) for _ in range(17))
                     for _ in range(nrows)]
             cancel = tuple(rng.randint(-99, 99) for _ in range(nrows))
-            std = ciphertext(rows, q)
-            return EncryptedBatch(std.first, cancel_words(q, [cancel]),
-                                  std.shared, public.gain, t)
+            return batch_of(ciphertext(rows, q), [cancel], public.gain, t)
 
         sk = keygen(16, q, SeededRng(l))
         phi = ModMatrix.identity(l, q)
@@ -918,7 +932,7 @@ class TestWindowRecovery:
         other = SecretKey.from_bytes(sk.to_bytes())
         for batch in batches:
             assert sk._owned_products[batch] == tuple(
-                map(public.q.cmod, other.products(batch.shared)))
+                map(public.q.cmod, other.products(batch.ct.shared)))
 
     def test_zeroize_empties_the_cache(self, bench_setup):
         sk, public, batches, states = cloud_run(bench_setup, 64, 18, 8)
@@ -932,7 +946,7 @@ class TestWindowRecovery:
             recover_encrypted_state(states[-1], 0, sk, params, phi)
         with pytest.raises(LweError):
             sk.cached_products(states[-1].window[-1],
-                               states[-1].window[-1].shared)
+                               states[-1].window[-1].ct.shared)
 
     def test_retention_is_bounded(self, bench_setup, bench_qrun, public64):
         # 300 steps keeping only the current state: it references at most
@@ -979,22 +993,39 @@ class TestWindowRecovery:
                                    public64, rng=rng)
         first = session.enc_initial(ModMatrix.zeros(24, 1, params.q))
         second = session.enc_input(ModMatrix.zeros(6, 1, params.q))
-        std, cancels = second.standard_and_cancels()
-        written = encobs.EncryptedBatch(std.first, cancels, std.shared,
+        written = encobs.EncryptedBatch(second.ct, second.cancels,
                                         public64.gain, 1)
-        # the words are shared, never copied
-        assert written.shared is std.shared is second.shared
-        assert written.cancels is cancels is second.cancels
+        # the ciphertext and the words are shared, never copied
+        assert written.ct is second.ct
+        assert written.cancels is second.cancels
         for batch in (first, second, written):
             # the shared block is the sampler's words: 2 per 109-bit value
-            assert batch.shared.dtype == np.uint64
-            assert batch.shared.shape == (batch.body.shape[1], 64, 2)
+            assert batch.ct.shared.dtype == np.uint64
+            assert batch.ct.shared.shape == (batch.body.shape[1], 64, 2)
             assert batch.cancels.shape == (60, batch.body.shape[1], 2)
-            for part in (batch.body, batch.first, batch.cancels):
+            for part in (batch.body, batch.ct.first, batch.cancels):
                 with pytest.raises(ValueError):
                     part[0, 0] = 1
             with pytest.raises(ValueError):
-                batch.shared[...] += 1
+                batch.ct.shared[...] += 1
+
+
+class TestBatchParts:
+    def test_ciphertext_of_another_modulus_refused(self, public64):
+        # a 61-bit q has one word per value, like none of the gain's
+        q = Modulus(2 ** 61 - 1)
+        with pytest.raises(encobs.EncObsError, match="modulus"):
+            batch_of(ciphertext(((1, 2),) * 6, q), ((0,) * 6,) * 60,
+                     public64.gain, 1)
+
+    @pytest.mark.parametrize("rows", [5, 7])
+    def test_cancel_rows_must_be_the_ciphertexts(self, public64, rows):
+        # refused with a typed error, not numpy's ValueError from joining
+        # the columns
+        ct = ciphertext(((1, 2),) * 6, public64.q)
+        with pytest.raises(encobs.EncObsError, match="cancel columns"):
+            batch_of(ct, ((0,) * rows,) * 60, public64.gain, 1)
+        assert batch_of(ct, ((0,) * 6,) * 60, public64.gain, 1).N == 1
 
 
 class TestWhiteBoxErrorBudget:
@@ -1078,7 +1109,7 @@ def golden_digests(batches, states, public, encode=reference_ct_bytes):
         digests[name] = h.hexdigest()
     h = hashlib.sha256()
     for batch in batches:
-        h.update(encode(batch.standard_and_cancels()[0]))
+        h.update(encode(batch.ct))
     digests["standard"] = h.hexdigest()
     return digests
 
@@ -1109,11 +1140,9 @@ class TestTranscriptReplay:
         replayed = replay_states(run.view2, run.public)
         assert len(replayed) == len(states) == steps + 1
         for t, (got, cloud) in enumerate(zip(replayed, states)):
-            (std, cancels), (cloud_std, cloud_cancels) = (
-                full_state(got, run.public).standard_and_cancels(),
-                full_state(cloud, public).standard_and_cancels())
-            assert std == cloud_std, t
-            assert np.array_equal(cancels, cloud_cancels), t
+            got, cloud = full_state(got, run.public), full_state(cloud, public)
+            assert got.ct == cloud.ct, t
+            assert np.array_equal(got.cancels, cloud.cancels), t
 
     def test_changed_cancel_entry_changes_the_disclosure(self, bench_setup,
                                                          bench_enc):

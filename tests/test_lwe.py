@@ -1,3 +1,4 @@
+import hashlib
 import operator
 import os
 import random
@@ -32,8 +33,9 @@ from cipherobs.modring import DimensionMismatch, ModMatrix, Modulus, \
     digit_budget, join_limbs
 from cipherobs.pipeline import BENCH_Q
 from .helpers import HUGE_PRIME, MALFORMED_INT_LISTS, ValueSource, \
-    ciphertext, ct_blob, ct_head, ct_matrix, dense_decrypt, last_column, \
-    modulus_bytes, reference_pack_values, reference_read_values, value_list
+    centred_draw, ciphertext, ct_blob, ct_head, ct_matrix, dense_decrypt, \
+    last_column, modulus_bytes, reference_pack_values, \
+    reference_read_values, secret_key, value_list
 
 Q97 = Modulus(97)
 QBIG = Modulus(2 ** 61 - 1)
@@ -50,21 +52,28 @@ def encrypt_joined(m, sk, rng):
     """`encrypt_with_artifacts` -> (the encryption, its randomness A joined
     from the sampler's words into a matrix over Z_q)."""
     enc = encrypt_with_artifacts(m, sk, NOISE, rng)
-    return enc, ModMatrix(joined(enc.randomness), sk.q, ncols=sk.N)
+    return enc, ModMatrix(joined(enc.ct.shared), sk.q, ncols=sk.N)
+
+
+def first_of(enc):
+    """An encryption's first column m + b as a column over Z_q."""
+    return ModMatrix.column(enc.ct.first_column(), enc.ct.q)
+
+
+def mask_of(enc):
+    """An encryption's mask b, from its words, as a column over Z_q."""
+    return ModMatrix.column(lwe.centred(enc.ct.q, enc.mask), enc.ct.q)
 
 
 def error_of(enc):
     """An encryption's error e, mask - key_product."""
-    return enc.mask - ModMatrix.column(enc.key_product, enc.mask.modulus)
+    return mask_of(enc) - ModMatrix.column(enc.key_product, enc.ct.q)
 
 
 def standard_ct(m, sk, rng):
     """The standard ciphertext [m + b | A] of `encrypt_with_artifacts`, A
     being the sampler's words."""
-    enc = encrypt_with_artifacts(m, sk, NOISE, rng)
-    return Ciphertext(sk.q, words_of(sk.q, enc.first.column_entries()),
-                      enc.randomness)
-
+    return encrypt_with_artifacts(m, sk, NOISE, rng).ct
 
 
 class StubRng(ValueSource):
@@ -144,25 +153,25 @@ class ScriptedSource(_RandomSource):
 class TestUniforms:
     @pytest.mark.parametrize("q", [Q97, QBIG, Q109])
     def test_values_in_centred_range(self, q):
-        values = SeededRng(20).uniforms(q, 5000)
+        values = centred_draw(SeededRng(20), q, 5000)
         assert len(values) == 5000
         assert all(abs(v) <= (q.q - 1) // 2 for v in values)
 
     def test_every_residue_of_q97_appears(self):
         # 97 needs a 7-bit mask, so about a quarter of the draws are rejected
-        values = SeededRng(21).uniforms(Q97, 20_000)
+        values = centred_draw(SeededRng(21), Q97, 20_000)
         assert set(values) == set(range(-48, 49))
 
     def test_rejected_values_never_appear(self):
         # masked to 7 bits: 97 and 127 (from 0xff) are >= q; 0x80 | 48 is 48
         source = _RandomSource(ScriptedRandom(
             [bytes([97, 0xff, 10, 96]), bytes([0x80 | 48, 110]), bytes([49])]))
-        assert source.uniforms(Q97, 4) == [10, -1, 48, -48]
+        assert centred_draw(source, Q97, 4) == [10, -1, 48, -48]
         assert source._rng.requests == [4, 2, 1]
 
     def test_requests_at_most_4096_values(self):
         source = _RandomSource(CountingRandom(22))
-        values = source.uniforms(Q109, 10_000)
+        values = centred_draw(source, Q109, 10_000)
         assert len(values) == 10_000
         # 14 bytes per 109-bit value; a rejection here has odds 31 / 2^109
         assert source._rng.requests == [4096 * 14, 4096 * 14, 1808 * 14]
@@ -182,7 +191,7 @@ class TestUniforms:
         chunks = [b"".join(v.to_bytes(14, "little") for v in chunk)
                   for chunk in draws]
         source = _RandomSource(ScriptedRandom(chunks))
-        assert source.uniforms(Q109, 3) == [-1, tie - q, 7]
+        assert centred_draw(source, Q109, 3) == [-1, tie - q, 7]
         assert source._rng.requests == [3 * 14, 2 * 14, 14]
         source = _RandomSource(ScriptedRandom(chunks))
         words = source.uniform_words(Q109, 1, 3)
@@ -228,7 +237,7 @@ class TestUniforms:
 
     def test_seeded_draws_are_reproducible(self):
         a, b = SeededRng(23), SeededRng(23)
-        assert a.uniforms(Q109, 5000) == b.uniforms(Q109, 5000)
+        assert centred_draw(a, Q109, 5000) == centred_draw(b, Q109, 5000)
         assert [a.error(NOISE) for _ in range(10)] == \
             [b.error(NOISE) for _ in range(10)]
 
@@ -240,7 +249,7 @@ class TestUniforms:
             return bytes(n)
 
         monkeypatch.setattr(ssl, "RAND_bytes", fake_rand_bytes)
-        assert SecureRng().uniforms(QBIG, 5000) == [0] * 5000
+        assert centred_draw(SecureRng(), QBIG, 5000) == [0] * 5000
         assert calls == [4096 * 8, 904 * 8]
 
     def test_test_rng_runs_never_import_ssl(self):
@@ -272,14 +281,14 @@ class TestUniforms:
         rng = SeededRng(seed)
         half = (q.q - 1) // 2
         sk = {"random": lambda: keygen(N, q, rng),
-              "max": lambda: SecretKey([half] * N, q),
-              "min": lambda: SecretKey([-half] * N, q)}[key]()
-        m = ModMatrix.column(rng.uniforms(q, h), q)
+              "max": lambda: secret_key([half] * N, q),
+              "min": lambda: secret_key([-half] * N, q)}[key]()
+        m = ModMatrix.column(centred_draw(rng, q, h), q)
         enc, A = encrypt_joined(m, sk, rng)
-        b, e = enc.mask, error_of(enc)
+        b, e = mask_of(enc), error_of(enc)
         assert e.max_abs() <= NOISE.bound
         assert b == A @ ModMatrix.column(sk.entries(), q) + e
-        assert enc.first == m + b
+        assert first_of(enc) == m + b
 
     @pytest.mark.parametrize("sign", [1, -1], ids=["max", "min"])
     def test_mask_exact_at_the_digit_bound(self, sign):
@@ -288,7 +297,7 @@ class TestUniforms:
         q, N, h = Q109, 4096, 2
         top = q.q - 1
         chunk = top.to_bytes(14, "little") * N
-        sk = SecretKey([sign * (q.q - 1) // 2] * N, q)
+        sk = secret_key([sign * (q.q - 1) // 2] * N, q)
         m = ModMatrix.column([5] * h, q)
         enc, A = encrypt_joined(m, sk, ScriptedSource([chunk] * h, 3))
         # 32-bit halves of the words against 9-bit key digits fill the
@@ -298,8 +307,8 @@ class TestUniforms:
         assert N * 2 ** (32 + 9) == 2 ** 53
         assert A == ModMatrix([[-1] * N] * h, q)
         dense = A @ ModMatrix.column(sk.entries(), q) + error_of(enc)
-        assert enc.mask == dense
-        assert enc.first == m + dense
+        assert mask_of(enc) == dense
+        assert first_of(enc) == m + dense
 
     def test_one_more_digit_bit_overflows(self, monkeypatch):
         # a float64 budget one bit wider, 10-bit key digits: word 0 of
@@ -314,12 +323,12 @@ class TestUniforms:
                  + (q.q - 32).to_bytes(14, "little") * (N - 1))
         low = 1023 * ((N - 1) * (2 ** 32 - 63) + 2 ** 32 - 64)
         assert low > 2 ** 53 and low % 2
-        sk = SecretKey([(q.q - 1) // 2] * N, q)
+        sk = secret_key([(q.q - 1) // 2] * N, q)
         m = ModMatrix.column([5], q)
         enc, A = encrypt_joined(m, sk, ScriptedSource([chunk], 0))
         assert sk._digits[0] == 10
         dense = A @ ModMatrix.column(sk.entries(), q) + error_of(enc)
-        assert enc.mask != dense
+        assert mask_of(enc) != dense
 
 
 class TestKeyProducts:
@@ -345,15 +354,17 @@ class TestKeyProducts:
 
     @staticmethod
     def _expect(words, sk):
-        return [sum(map(operator.mul, row, sk.entries()))
-                for row in joined(words)]
+        # the exact product with the key's values mod q, which the digits
+        # cut from the key's words give
+        key = [v % sk.q.q for v in sk.entries()]
+        return [sum(map(operator.mul, row, key)) for row in joined(words)]
 
     @pytest.mark.parametrize("N", [4096, 4097])
     @pytest.mark.parametrize("kind", ["top", "bottom", "mixed", "odd"])
     @pytest.mark.parametrize("sign", [1, -1], ids=["max", "min"])
     def test_equals_the_python_int_product(self, N, kind, sign):
         q = Q109
-        sk = SecretKey([sign * (q.q - 1) // 2] * N, q)
+        sk = secret_key([sign * (q.q - 1) // 2] * N, q)
         words = self._words(kind, N)
         assert sk.products(words) == self._expect(words, sk)
         dk, key = sk._digits
@@ -367,7 +378,7 @@ class TestKeyProducts:
         # block is 3 rows of 109-bit values at N = 4096 and 2 at N = 4097,
         # so 2 to 4 rows end on a block edge or one row past it
         assert lwe._PRODUCT_BLOCK // (4 * N) == (3 if N == 4096 else 2)
-        sk = SecretKey([(Q109.q - 1) // 2] * N, Q109)
+        sk = secret_key([(Q109.q - 1) // 2] * N, Q109)
         words = SeededRng(N + rows).uniform_words(Q109, rows, N)
         assert sk.products(words) == self._expect(words, sk)
 
@@ -379,7 +390,7 @@ class TestKeyProducts:
                             lambda n, exact: budget(n, exact) + 1)
         N = 4096
         assert 1023 * (N * (2 ** 32 - 1) - 1) > 2 ** 53
-        sk = SecretKey([(Q109.q - 1) // 2] * N, Q109)
+        sk = secret_key([(Q109.q - 1) // 2] * N, Q109)
         words = self._words("odd", N)
         assert sk.products(words) != self._expect(words, sk)
         assert sk._digits[0] == 10
@@ -388,7 +399,7 @@ class TestKeyProducts:
     def test_plane_products_per_limb(self, N):
         # both 32-bit halves of a word, the sampler's 64-bit limb, against
         # every key digit, in one float64 product
-        sk = SecretKey([1] * N, Q109)
+        sk = secret_key([1] * N, Q109)
         dk, key = sk._key_digits()
         assert dk == digit_budget(N, 53) - 32
         assert key.dtype == np.float64
@@ -405,21 +416,65 @@ class TestKeyProducts:
         assert sk.products(words) == self._expect(words, sk)
 
     def test_no_rows(self):
-        sk = SecretKey([1] * 8, Q109)
+        sk = secret_key([1] * 8, Q109)
         assert sk.products(np.zeros((0, 8, 2), dtype=np.uint64)) == []
 
     def test_key_past_the_float_budget_refused(self):
         # N = 2^20 leaves 1-bit key digits and N = 2^20 + 1 none
         assert digit_budget(lwe.MAX_N, 53) - 32 == 1
         assert digit_budget(lwe.MAX_N + 1, 53) - 32 == 0
-        sk = SecretKey([1] * (lwe.MAX_N + 1), Q109)
+        sk = secret_key([1] * (lwe.MAX_N + 1), Q109)
         words = np.zeros((1, lwe.MAX_N + 1, 2), dtype=np.uint64)
         with pytest.raises(LweError, match=f"N <= {2 ** 20}"):
             sk.products(words)
         assert sk._digits is None
 
 
+# sha256 of `keygen(N, Q109, TestRng(0)).to_bytes()`, recorded before the
+# key was held as its words
+KEY_GOLDEN = {
+    64: "7ca83ab71aff98c814ee0213ae2b13ee9fbe6988980de1ed0ba454f11d2923a6",
+    4096: "27d7ceb15e8373bf0d8e795bc7a030a86d6fffac5327cb8dc117f99b9e0b7743",
+}
+
+
 class TestKeygen:
+    @pytest.mark.parametrize("N", sorted(KEY_GOLDEN))
+    def test_seeded_key_bytes(self, N):
+        blob = keygen(N, Q109, SeededRng(0)).to_bytes()
+        assert hashlib.sha256(blob).hexdigest() == KEY_GOLDEN[N]
+        assert SecretKey.from_bytes(blob).to_bytes() == blob
+
+    def test_key_is_the_sampler_row(self):
+        # keygen draws one row of words and the key keeps a copy of it
+        words = SeededRng(8).uniform_words(Q109, 1, 16)[0]
+        sk = keygen(16, Q109, SeededRng(8))
+        assert np.array_equal(sk._words, words)
+        assert sk.entries() == tuple(lwe.centred(Q109, words))
+
+    def test_key_keeps_its_own_words(self):
+        words = words_of(Q97, [1, 2, 3])
+        sk = SecretKey(words, Q97)
+        words[...] = 0
+        assert sk.entries() == (1, 2, 3)
+
+    @pytest.mark.parametrize("bad", ["rows", "nw", "int64", "list", "empty",
+                                     "q", "top"])
+    def test_key_words_refused(self, bad):
+        # only (N, nw) uint64 words of values below q, N >= 1, make a key
+        q = Q109
+        words = words_of(q, [1, 2, 3])
+        words = {"rows": words[None], "nw": words[:, :1],
+                 "int64": words.astype(np.int64), "list": words.tolist(),
+                 "empty": words[:0], "q": words_of(q, [1, q.q - 1, 0]),
+                 "top": words.copy()}[bad]
+        if bad == "q":
+            words[1] = [q.q % 2 ** 64, q.q >> 64]
+        if bad == "top":
+            words[2, 1] = 2 ** 64 - 1
+        with pytest.raises(LweError):
+            SecretKey(words, q)
+
     def test_forced_value(self):
         sk = keygen(1, Q97, StubRng([123]))
         assert sk.entries() == (Q97.cmod(123),)
@@ -449,29 +504,45 @@ class TestEncryptDecrypt:
         rng = SeededRng(1)
         sk = keygen(16, QBIG, rng)
         for _ in range(50):
-            m = ModMatrix.column(rng.uniforms(QBIG, 3), QBIG)
+            m = ModMatrix.column(centred_draw(rng, QBIG, 3), QBIG)
             ct = standard_ct(m, sk, rng)
             err = dense_decrypt(ct, sk) - m
             assert err.max_abs() <= 19
 
     def test_forced_zero_randomness(self):
-        sk = SecretKey([5, 7], Q97)
+        sk = secret_key([5, 7], Q97)
         m = ModMatrix.column([11], Q97)
         ct = standard_ct(m, sk, StubRng([0, 0]))
         assert ct_matrix(ct).rows == ((11, 0, 0),)
         assert dense_decrypt(ct, sk).column_entries() == (11,)
 
     def test_worked_example(self):
-        sk = SecretKey([3], Q97)
+        sk = secret_key([3], Q97)
         enc, A = encrypt_joined(ModMatrix.column([5], Q97), sk,
                                StubRng([10], error_value=1))
         assert A.rows == ((10,),)
-        assert enc.mask.column_entries() == (31,)
-        assert enc.first.column_entries() == (36,)     # m + A sk + e
+        assert mask_of(enc).column_entries() == (31,)
+        assert first_of(enc).column_entries() == (36,)     # m + A sk + e
+
+    def test_encryption_is_its_ciphertext_and_mask_words(self):
+        # the standard ciphertext over the sampler's A, and the mask b as
+        # its own words, no array held twice
+        rng = SeededRng(9)
+        sk = keygen(8, Q109, rng)
+        m = ModMatrix.column([5, -6, 7], Q109)
+        enc = encrypt_with_artifacts(m, sk, NOISE, rng)
+        assert enc.ct.kind is CiphertextKind.STANDARD
+        assert enc.ct.shared.shape == (3, 8, 2) and enc.mask.shape == (3, 2)
+        parts = (enc.ct.first, enc.ct.shared, enc.mask)
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(parts)
+                       for b in parts[i + 1:])
+        assert first_of(enc) == m + mask_of(enc)
+        assert mask_of(enc) - error_of(enc) == ModMatrix.column(
+            enc.key_product, Q109)
 
     def test_empty_message(self):
         sk = keygen(3, Q97, SeededRng(0))
-        assert SeededRng(1).uniforms(Q97, 0) == []
+        assert centred_draw(SeededRng(1), Q97, 0) == []
         ct = standard_ct(ModMatrix.column([], Q97), sk, SeededRng(1))
         assert (ct.h, ct.N) == (0, 3)
         assert ct_matrix(ct).shape == (0, 4)
@@ -501,7 +572,7 @@ class TestModifiedDecrypt:
         # (`modified_channels`) leaves the decryption unchanged
         rng = SeededRng(2)
         sk = keygen(6, QBIG, rng)
-        std = standard_ct(ModMatrix.column(rng.uniforms(QBIG, 4), QBIG), sk,
+        std = standard_ct(ModMatrix.column(centred_draw(rng, QBIG, 4), QBIG), sk,
                           rng)
         cancels = rng.uniform_words(QBIG, 3, 4)
         for modified, cancel in zip(modified_channels(std, cancels), cancels):
@@ -545,11 +616,13 @@ class TestSerialization:
     def test_zeroize(self):
         sk = keygen(4, Q97, SeededRng(16))
         m = ModMatrix.column([1], Q97)
-        words = encrypt_with_artifacts(m, sk, NOISE, SeededRng(17)).randomness
+        words = encrypt_with_artifacts(m, sk, NOISE, SeededRng(17)).ct.shared
         _, digits = sk._digits
-        assert digits.any()
+        key = sk._words
+        assert digits.any() and key.any()
         sk.zeroize()
         assert sk._digits is None and not digits.any()
+        assert sk._words is None and not key.any()
         with pytest.raises(LweError):
             sk.entries()
         with pytest.raises(LweError):
@@ -665,7 +738,7 @@ class TestStrictParsing:
         assert modified.to_bytes() == (blob[:12] + b"\x01" + blob[13:17]
                                        + b"\x03\x00\x00\x00" + blob[21:]
                                        + b"\x02\x00")
-        key = SecretKey([-1, 5], q)
+        key = secret_key([-1, 5], q)
         assert key.to_bytes() == (b"COSK" + b"\x02\x00\xff\x1f"
                                   + b"\x02\x00\x00\x00\xfe\x1f\x05\x00")
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cipherobs import encobs, lwe, modring, quantobs, secviews
 from cipherobs.encobs import EncObserverState, EncryptorSession, ObserverPublic
-from cipherobs.lwe import Ciphertext, CiphertextKind, LweError, SecretKey, \
+from cipherobs.lwe import Ciphertext, CiphertextKind, LweError, \
     pack_words, words_of
 from cipherobs.lwe import TestRng as SeededRng
 from cipherobs.modring import ModMatrix, Modulus, _is_probable_prime
@@ -30,8 +30,8 @@ from cipherobs.zerodyn import channel_maps
 
 from .helpers import HUGE_PRIME, MALFORMED_INT_LISTS, build_fbar, \
     cancel_ints, cancel_words, ciphertext, ct_blob, ct_matrix, \
-    f1_zero_dynamics, many_moduli_view2_blob, reference_ct_bytes, \
-    reference_view_bytes
+    f1_zero_dynamics, many_moduli_view2_blob, recorded_view2, \
+    reference_ct_bytes, reference_view_bytes, secret_key
 
 
 def _tiny_public(q: Modulus, block_sizes, Gr, Hr, N):
@@ -70,11 +70,10 @@ def _run_tiny_session(public, params, sk, rng, zbar_ini, vbars):
         state = encobs.step_encrypted(state, batch, public)
     r1 = encobs.residue_first_column(state, public)
     disclosed.append(encobs.disclose_residue(r1, params))
-    standard_cts, cancels = zip(*(batch.standard_and_cancels() for batch
-                                  in [init_batch] + input_batches))
-    view1 = View1(init_ct=standard_cts[0], input_cts=standard_cts[1:],
+    view2 = recorded_view2([init_batch] + input_batches)
+    view1 = View1(init_ct=view2.standard_cts[0],
+                  input_cts=view2.standard_cts[1:],
                   residues=tuple(disclosed))
-    view2 = View2(standard_cts=standard_cts, cancels=cancels)
     return view1, view2
 
 
@@ -163,7 +162,7 @@ class TestTinyExhaustive:
     def test_roundtrip_over_all_initial_states(self):
         # zero error terms, horizon 6: sweep the full initial-state cube
         public, params = self._make()
-        sk = SecretKey([3], self.Q11)
+        sk = secret_key([3], self.Q11)
         vbars = [ModMatrix.column([v], self.Q11) for v in (1, 4, 0, 2, 3, 1)]
         for ini in itertools.product(range(11), repeat=3):
             rng = ZeroErrorRng(hash(ini) % 100000)
@@ -176,7 +175,7 @@ class TestTinyExhaustive:
     def test_roundtrip_over_input_patterns(self):
         # sweep two-value input patterns against a fixed initial state
         public, params = self._make()
-        sk = SecretKey([5], self.Q11)
+        sk = secret_key([5], self.Q11)
         z0 = ModMatrix.column([1, 7, 2], self.Q11)
         for a, b in itertools.product(range(11), repeat=2):
             vals = [a, b, a, b, a, b]
@@ -189,7 +188,7 @@ class TestTinyExhaustive:
 
     def test_roundtrip_composition_identity(self):
         public, params = self._make()
-        sk = SecretKey([7], self.Q11)
+        sk = secret_key([7], self.Q11)
         z0 = ModMatrix.column([4, 0, 9], self.Q11)
         vbars = [ModMatrix.column([v], self.Q11) for v in (2, 8, 10, 1, 6, 0)]
         view1, view2 = _run_tiny_session(public, params, sk,
@@ -223,7 +222,7 @@ class TestHigherRelativeDegree:
 
     def test_full_reconstruction_needs_more_residues(self):
         public, params = self._make()
-        sk = SecretKey([2], self.Q13)
+        sk = secret_key([2], self.Q13)
         z0 = ModMatrix.column([3, 1, 4], self.Q13)
         vbars = [ModMatrix.column([v, 13 - v], self.Q13)
                  for v in (1, 5, 9, 2, 6)]
@@ -234,7 +233,7 @@ class TestHigherRelativeDegree:
 
     def test_partial_reconstruction_bit_exact(self):
         public, params = self._make()
-        sk = SecretKey([2], self.Q13)
+        sk = secret_key([2], self.Q13)
         z0 = ModMatrix.column([3, 1, 4], self.Q13)
         vbars = [ModMatrix.column([v, (3 * v) % 13], self.Q13)
                  for v in (1, 5, 9, 2, 6)]
@@ -337,7 +336,7 @@ class TestTranscriptSerialization:
         public = _tiny_public(q, (3,), [[1], [0], [1]], [[2, 0, 1]],
                               N=1)
         params = _tiny_params(q, N=1, lift=2)
-        sk = SecretKey([3], q)
+        sk = secret_key([3], q)
         vbars = [ModMatrix.column([v], q) for v in (1, 2, 3)]
         _, view2 = _run_tiny_session(public, params, sk, ZeroErrorRng(1),
                                      ModMatrix.column([1, 2, 3], q), vbars)
@@ -355,7 +354,7 @@ def tiny_views():
                           N=1)
     params = _tiny_params(Q11, N=1, lift=2)
     vbars = [ModMatrix.column([v], Q11) for v in (4, 7)]
-    return _run_tiny_session(public, params, SecretKey([3], Q11),
+    return _run_tiny_session(public, params, secret_key([3], Q11),
                              ZeroErrorRng(2), ModMatrix.column([1, 2, 3], Q11),
                              vbars)
 
@@ -539,7 +538,7 @@ def _nu2_views(z0, pairs, key, seed, N=1):
     steps its residues cover."""
     public, params = _nu2_observer(N)
     vbars = [ModMatrix.column(p, Q13) for p in pairs]
-    view1, view2 = _run_tiny_session(public, params, SecretKey(key, Q13),
+    view1, view2 = _run_tiny_session(public, params, secret_key(key, Q13),
                                      ZeroErrorRng(seed),
                                      ModMatrix.column(z0, Q13), vbars)
     view1 = View1(init_ct=view1.init_ct, input_cts=view1.input_cts[:-1],
