@@ -16,8 +16,8 @@ from .lwe import Ciphertext, CiphertextKind, NoiseParams, SecretKey, \
     SecureRng, TestRng, keygen
 from .zerodyn import ChannelMaps, channel_maps
 from .encobs import EncryptorSession, EncObserverState, ObserverPublic, \
-    disclose_residue, recover_encrypted_state, residue_first_column, \
-    step_encrypted
+    cloud_states, disclose_residue, recover_encrypted_state, \
+    residue_first_column, step_encrypted
 from .secviews import View1, View2, f1_view1_to_view2, f2_view2_to_view1
 from .pipeline import SystemSetup, bundled_scenario_path, run_encrypted_mode, \
     run_quantized_mode, run_reference_mode

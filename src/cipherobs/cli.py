@@ -13,6 +13,7 @@ import math
 import sys
 import time
 from collections import Counter
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -184,12 +185,10 @@ def _zeroing_failures(name: str, maps, params, seed: int) -> list:
     rng = TestRng(seed)
     session = encobs.EncryptorSession(keygen(public.N, q, rng), params,
                                       public, rng=rng)
-    state = encobs.EncObserverState.from_initial(
-        session.enc_initial(ModMatrix.zeros(l, 1, q)))
-    for t in range(4 * l + 1):
-        if t:
-            batch = session.enc_input(ModMatrix.zeros(h, 1, q))
-            state = encobs.step_encrypted(state, batch, public)
+    batches = chain([session.enc_initial(ModMatrix.zeros(l, 1, q))],
+                    map(session.enc_input, repeat(ModMatrix.zeros(h, 1, q),
+                                                  4 * l)))
+    for t, (_, state) in enumerate(encobs.cloud_states(batches, public)):
         if not encobs.residue_first_column(state, public).is_zero():
             return [f"{name}: the mask reached the residue at step {t}"]
     return []

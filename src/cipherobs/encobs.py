@@ -21,8 +21,9 @@ block S_t = Fbar S_(t-1) + Gbar A_t is a function of the public
 randomness alone, and Fbar^b = 0 for the largest block size b, so the
 state keeps references to its last b batches instead
 (`EncObserverState.window`), and recovery replays their A sk to S_t sk.
-A batch's step index refuses a missed, repeated or reordered batch.
-The cancellation (`ObserverPublic.cancel_initial` and `cancel_step`) takes
+A batch's step index refuses a missed, repeated or reordered batch, and
+`cloud_states` is the one loop that starts and steps states.  The
+cancellation (`ObserverPublic.cancel_initial` and `cancel_step`) takes
 the words of the column it cancels and steps `[m | cancels]`, the same
 narrow layout, through the same recursion; after step 0 it cancels channel
 j with one scalar c_j at one row k_j, stepped as one outer product,
@@ -38,8 +39,8 @@ the cancellation through batches and View 2 to the wire and back; only
 `modified_channels` joins them, to form first - cancel_j.  This module is
 the only one that knows the batch layout.  A run is recorded only as its
 batches: View 2 records each one's `Ciphertext` and cancel words, and a
-batch of those is batch t again, so the transcript rebuilds every
-encrypted state (`secviews.View2.states`).
+batch of those is batch t again, so the same loop over the transcript's
+batches rebuilds every encrypted state (`secviews.View2.states`).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
-from typing import List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -74,6 +75,7 @@ __all__ = [
     "EncryptorSession",
     "EncObserverState",
     "step_encrypted",
+    "cloud_states",
     "residue_first_column",
     "disclose_residue",
     "recover_encrypted_state",
@@ -274,9 +276,7 @@ class EncryptorSession:
                  public: ObserverPublic, rng=None):
         if sk.N != public.N:
             raise EncObsError("secret key length differs from configured N")
-        self.sk = sk
-        self.params = params
-        self.public = public
+        self.sk, self.params, self.public = sk, params, public
         self.noise = NoiseParams(params.Delta)
         self.rng = rng if rng is not None else SecureRng()
         self.cancel_state: Optional[np.ndarray] = None
@@ -378,6 +378,18 @@ def step_encrypted(state: EncObserverState, batch: EncryptedBatch,
     return EncObserverState(gain.step(state.body, batch.body),
                             state.n_channels, gain, N=state.N, t=state.t + 1,
                             window=(state.window + (batch,))[-gain.depth:])
+
+
+def cloud_states(batches: Iterable[EncryptedBatch], public: ObserverPublic
+                 ) -> Iterator[Tuple[EncryptedBatch, EncObserverState]]:
+    """(batch t, state t) for each batch t of a run: the state starts from
+    batch 0 and `step_encrypted` steps it on each later batch, drawn from
+    `batches` only once the caller asks for its state."""
+    state = None
+    for batch in batches:
+        state = (EncObserverState.from_initial(batch) if state is None
+                 else step_encrypted(state, batch, public))
+        yield batch, state
 
 
 def _first_column_dots(first: np.ndarray, cancels: np.ndarray, width: int,

@@ -389,10 +389,6 @@ def pivot_columns(T2: ModMatrix) -> List[int]:
     return pivots
 
 
-# values converted per pass of `split_limbs`; bounds its temporary bytes
-_SPLIT_CHUNK = 4096
-
-
 def words_to_limbs(words: np.ndarray, width: int, count: int) -> np.ndarray:
     """The low `width * count` bits of each value of (..., nw) uint64 words
     (least significant word first) cut into `count` fields of `width` bits,
@@ -421,13 +417,9 @@ def split_limbs(values: Sequence[int], width: int, count: int) -> np.ndarray:
     `int.to_bytes` raises OverflowError otherwise.  1 <= width <= 62.
     """
     stride = 8 * -(-width * count // 64)
-    out = np.empty((count, len(values)), dtype=np.int64)
-    for start in range(0, len(values), _SPLIT_CHUNK):
-        part = values[start:start + _SPLIT_CHUNK]
-        buf = b"".join([v.to_bytes(stride, "little", signed=True)
-                        for v in part])
-        out[:, start:start + len(part)] = words_to_limbs(
-            np.frombuffer(buf, "<u8").reshape(-1, stride // 8), width, count)
+    buf = b"".join([v.to_bytes(stride, "little", signed=True) for v in values])
+    out = words_to_limbs(np.frombuffer(buf, "<u8").reshape(-1, stride // 8),
+                         width, count)
     top = out[count - 1]
     top -= (top >> (width - 1)) << width
     return out

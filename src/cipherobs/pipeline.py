@@ -11,6 +11,7 @@ from __future__ import annotations
 import importlib.resources
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import List, Optional
 
 import numpy as np
@@ -179,7 +180,7 @@ class EncryptedRun:
     sk: SecretKey
     view1: Optional[secviews.View1] = None
     view2: Optional[secviews.View2] = None
-    setup_s: float = 0.0    # wall time from keygen to the encrypted state
+    setup_s: float = 0.0    # wall time from keygen to the initial batch
     steps_s: float = 0.0    # wall time of the step loop
 
 
@@ -190,14 +191,14 @@ def run_encrypted_mode(setup: SystemSetup, steps: int, *,
 
     The run aborts with `EncObsError` on the first step where the disclosed
     residue deviates from the plaintext quantized observer (this never
-    happens when the implementation is correct).  `record_views` records
+    happens when the implementation is correct).  The cloud steps the
+    encryptor's batches in `encobs.cloud_states`.  `record_views` records
     the run's transcript: each batch's standard ciphertext and cancel
     columns as it is produced (View 2), and the disclosed residues beside
     the standard ciphertexts (View 1).  Every state is rebuilt from View 2.
     """
     qrun = run_quantized_mode(setup, steps)
     t0 = time.perf_counter()
-    traj = qrun.trajectory
     params = setup.params
     rng = TestRng(seed) if seed is not None else SecureRng()
     sk = keygen(params.N, params.q, rng)
@@ -205,34 +206,31 @@ def run_encrypted_mode(setup: SystemSetup, steps: int, *,
     session = encobs.EncryptorSession(sk, params, public, rng=rng)
 
     zbar_ini = quantobs.quantize_initial(setup.zhat_ini, params)
-    batch = session.enc_initial(zbar_ini)
-    state = encobs.EncObserverState.from_initial(batch)
+    batches = chain([session.enc_initial(zbar_ini)],
+                    map(session.enc_input, qrun.vbars))
 
     run = EncryptedRun(records=[], public=public, sk=sk)
     recorded, residues = [], []   # what View 2 and View 1 hold of step t
     t1 = time.perf_counter()
     run.setup_s = t1 - t0
-    for t in range(steps):
+    for t, (batch, state) in enumerate(encobs.cloud_states(batches, public)):
+        if t == steps and not record_views:
+            break   # the state past the final input only completes the views
         disclosed = encobs.disclose_residue(
             encobs.residue_first_column(state, public), params)
-        if disclosed != qrun.rbars[t]:
-            raise encobs.EncObsError(f"disclosure mismatch at step {t}")
-        xrec = encobs.recover_encrypted_state(state, 0, sk, params,
-                                              setup.mod_maps.PhiPinvBar)
-        run.records.append(_record(t, disclosed, xrec, setup, traj,
-                                   "encrypted"))
+        if t < steps:
+            if disclosed != qrun.rbars[t]:
+                raise encobs.EncObsError(f"disclosure mismatch at step {t}")
+            xrec = encobs.recover_encrypted_state(
+                state, 0, sk, params, setup.mod_maps.PhiPinvBar)
+            run.records.append(_record(t, disclosed, xrec, setup,
+                                       qrun.trajectory, "encrypted"))
         if record_views:
             recorded.append((batch.ct, batch.cancels))
             residues.append(disclosed)
-        batch = session.enc_input(qrun.vbars[t])
-        state = encobs.step_encrypted(state, batch, public)
     run.steps_s = time.perf_counter() - t1
 
     if record_views:
-        # residues one step past the final input, for transcript completeness
-        recorded.append((batch.ct, batch.cancels))
-        residues.append(encobs.disclose_residue(
-            encobs.residue_first_column(state, public), params))
         standard_cts, cancels = zip(*recorded)
         run.view1 = secviews.View1(init_ct=standard_cts[0],
                                    input_cts=standard_cts[1:],

@@ -26,7 +26,7 @@ from typing import Iterator, Sequence, Tuple
 import numpy as np
 
 from .encobs import EncObserverState, EncryptedBatch, ObserverPublic, \
-    disclose_residue, modified_channels, residue_first_column, step_encrypted
+    cloud_states, disclose_residue, modified_channels, residue_first_column
 from .lwe import Ciphertext, CiphertextKind, LweError, pack_words, \
     read_values, words_of
 from .modring import ModMatrix, Modulus, join_limbs
@@ -175,13 +175,11 @@ class View2:
                          self.cancels[1:]))
 
     def states(self, public: ObserverPublic) -> Iterator[EncObserverState]:
-        """Every encrypted state of the recorded run, stepped by the deployed
-        `step_encrypted` on the batches of the recorded words."""
-        for t, (ct, c) in enumerate(zip(self.standard_cts, self.cancels)):
-            batch = EncryptedBatch(ct, c, public.gain, t)
-            state = (step_encrypted(state, batch, public) if t
-                     else EncObserverState.from_initial(batch))
-            yield state
+        """Every encrypted state of the recorded run: the deployed loop,
+        `cloud_states`, over the batches of the recorded words."""
+        batches = (EncryptedBatch(ct, c, public.gain, t) for t, (ct, c)
+                   in enumerate(zip(self.standard_cts, self.cancels)))
+        return (state for _, state in cloud_states(batches, public))
 
     def to_bytes(self) -> bytes:
         return _write(b"VIEW2", (len(self.cancels[0]),

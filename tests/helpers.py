@@ -5,14 +5,15 @@ import dataclasses
 import random
 import struct
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import mul
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from cipherobs.encobs import EncObserverState, EncryptedBatch, \
-    EncryptorSession, ObserverPublic, disclose_residue, modified_channels, \
-    residue_first_column, step_encrypted
+    EncryptorSession, ObserverPublic, cloud_states, disclose_residue, \
+    modified_channels, residue_first_column
 from cipherobs.lwe import _CT_MAGIC, Ciphertext, CiphertextKind, LweError, \
     SecretKey, TestRng, centred, keygen, wire_layout, words_of
 from cipherobs.modring import DimensionMismatch, ModMatrix, ModRingError, \
@@ -162,20 +163,20 @@ def error_trajectory(errors: Sequence[ModMatrix], gbar_rows, block_sizes,
 
 def cloud_run(setup, N: int, seed: int, steps: int):
     """(sk, public, batches, states) of an encrypted run at LWE dimension N
-    as the cloud holds them: the encryptor driven with TestRng(seed) in the
-    order `run_encrypted_mode(..., seed=seed)` draws, so its batches are
-    the ones that run records."""
+    as the cloud holds them: the encryptor driven with TestRng(seed) through
+    the deployed loop, `cloud_states`, in the order
+    `run_encrypted_mode(..., seed=seed)` draws, so its batches are the ones
+    that run records."""
     params = dataclasses.replace(setup.params, N=N)
     rng = TestRng(seed)
     sk = keygen(N, params.q, rng)
     public = ObserverPublic.build(setup.mod_maps, params)
     session = EncryptorSession(sk, params, public, rng=rng)
-    batches = [session.enc_initial(quantize_initial(setup.zhat_ini, params))]
-    states = [EncObserverState.from_initial(batches[0])]
-    for vbar in run_quantized_mode(setup, steps).vbars:
-        batches.append(session.enc_input(vbar))
-        states.append(step_encrypted(states[-1], batches[-1], public))
-    return sk, public, batches, states
+    batches, states = zip(*cloud_states(chain(
+        [session.enc_initial(quantize_initial(setup.zhat_ini, params))],
+        map(session.enc_input, run_quantized_mode(setup, steps).vbars)),
+        public))
+    return sk, public, list(batches), list(states)
 
 
 def recorded_view2(batches: Sequence[EncryptedBatch]) -> View2:
@@ -187,7 +188,7 @@ def recorded_view2(batches: Sequence[EncryptedBatch]) -> View2:
 
 def replay_states(view2: View2, public) -> List[EncObserverState]:
     """Every encrypted state of a recorded run, rebuilt from its View 2
-    with the deployed `step_encrypted` (`View2.states`), each with the
+    by the deployed loop (`View2.states`), each with the
     batches its shared block depends on (`full_state` rebuilds that
     block)."""
     return list(view2.states(public))

@@ -1,8 +1,12 @@
+import ast
 import dataclasses
 import gc
 import hashlib
 import random
+import tracemalloc
 import weakref
+from itertools import chain, repeat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from cipherobs.encobs import (
     EncryptorSession,
     ObserverPublic,
     SessionNotFresh,
+    cloud_states,
     disclose_residue,
     recover_encrypted_state,
     residue_first_column,
@@ -208,6 +213,43 @@ class TestBatchOrder:
         _, _, batches, _ = run
         with pytest.raises(encobs.EncObsError, match="starts at batch 0"):
             EncObserverState.from_initial(batches[1])
+
+    def test_loop_takes_each_batch_when_its_state_is_asked_for(self, run):
+        _, public, batches, states = run
+        taken = []
+
+        def feed():
+            for batch in batches:
+                taken.append(batch.t)
+                yield batch
+
+        for t, (batch, state) in enumerate(cloud_states(feed(), public)):
+            assert taken == list(range(t + 1))
+            assert batch is batches[t]
+            assert np.array_equal(state.body, states[t].body)
+
+
+def test_only_the_cloud_loop_starts_and_steps_states():
+    # an AST scan of the library: `step_encrypted` and
+    # `EncObserverState.from_initial` are named, called or not, only inside
+    # `encobs.cloud_states`, so no other loop starts or steps a state
+    found = []
+
+    def scan(node, path, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scan(child, path, child.name)
+                continue
+            name = getattr(child, "id", getattr(child, "attr", None))
+            if (isinstance(child, (ast.Name, ast.Attribute))
+                    and name in ("step_encrypted", "from_initial")):
+                found.append((path.name, where, name))
+            scan(child, path, where)
+
+    for path in sorted(Path(encobs.__file__).parent.glob("*.py")):
+        scan(ast.parse(path.read_text()), path, None)
+    assert sorted(found) == [("encobs.py", "cloud_states", "from_initial"),
+                             ("encobs.py", "cloud_states", "step_encrypted")]
 
 
 class TestModifiedCompatibility:
@@ -676,8 +718,8 @@ class TestDisclosureAndRecovery:
                             ((top,) * nrows,) * 60, public.gain, t)
 
         sk = secret_key([top] * N, q)
-        state = EncObserverState.from_initial(batch(24, 0))
-        for t in range(3):
+        for _, state in cloud_states([batch(24, 0), batch(6, 1), batch(6, 2)],
+                                     public):
             for j in (0, 59):
                 scaled = phi @ decrypt_channel_state(state, public, j, sk)
                 expect = ModMatrix.column(
@@ -685,7 +727,6 @@ class TestDisclosureAndRecovery:
                      for v in scaled.column_entries()], q)
                 assert recover_encrypted_state(state, j, sk, params,
                                                phi) == expect
-            state = step_encrypted(state, batch(6, t + 1), public)
 
     def test_key_of_another_modulus_rejected_typed(self, bench_setup,
                                                    bench_enc):
@@ -743,9 +784,9 @@ class TestDisclosureAndRecovery:
         sk = secret_key([0] * 64, params.q)
         session = EncryptorSession(sk, params, public64, rng=ZeroMaskRng())
         qrun = run_quantized_mode(bench_setup, 4)
-        state = EncObserverState.from_initial(
-            session.enc_initial(qrun.zbars[0]))
-        for t in range(3):
+        batches = chain([session.enc_initial(qrun.zbars[0])],
+                        map(session.enc_input, qrun.vbars[:2]))
+        for t, (_, state) in enumerate(cloud_states(batches, public64)):
             # with zero masks and zero errors the first column is exactly
             # the lifted plaintext state
             lifted = qrun.zbars[t].scale(params.lift).column_entries()
@@ -754,8 +795,6 @@ class TestDisclosureAndRecovery:
             rec = recover_encrypted_state(state, 0, sk, params,
                                           bench_setup.mod_maps.PhiPinvBar)
             assert rec == qrun.xbars[t]
-            state = step_encrypted(state, session.enc_input(qrun.vbars[t]),
-                                   public64)
 
 
 # observer banks whose blocks are shorter than the largest by up to 5 rows
@@ -870,10 +909,9 @@ class TestWindowRecovery:
 
         sk = keygen(16, q, SeededRng(l))
         phi = ModMatrix.identity(l, q)
-        state = EncObserverState.from_initial(batch(l, 0))
-        for t in range(2 * depth + 2):
-            if t:
-                state = step_encrypted(state, batch(Gbar.ncols, t), public)
+        batches = (batch(Gbar.ncols if t else l, t)
+                   for t in range(2 * depth + 2))
+        for t, (_, state) in enumerate(cloud_states(batches, public)):
             dec = dense_decrypt(channel(full_state(state, public), 0), sk)
             first = public.gain.join(state.body[:, :, :1])
             shared = encobs._shared_key_product(state, sk)
@@ -914,15 +952,12 @@ class TestWindowRecovery:
             return ModMatrix.column(
                 [rng.randrange(q.q) for _ in range(nrows)], q)
 
-        state = EncObserverState.from_initial(
-            session.enc_initial(column(maps.Gbar.nrows)))
-        for t in range(30):
+        batches = chain([session.enc_initial(column(maps.Gbar.nrows))],
+                        (session.enc_input(column(maps.Gbar.ncols))
+                         for _ in range(30)))
+        for t, (_, state) in enumerate(cloud_states(batches, public)):
             assert np.array_equal(session.cancel_state[:, :, 1:],
                                   state.body[:, :, 1:]), t
-            state = step_encrypted(
-                state, session.enc_input(column(maps.Gbar.ncols)), public)
-        assert np.array_equal(session.cancel_state[:, :, 1:],
-                              state.body[:, :, 1:])
 
     @pytest.mark.parametrize("N", [64, 4096])
     def test_encryptor_seeds_the_key_product(self, bench_setup, N):
@@ -958,13 +993,12 @@ class TestWindowRecovery:
         sk = keygen(64, params.q, rng)
         other = SecretKey.from_bytes(sk.to_bytes())
         session = EncryptorSession(sk, params, public64, rng=rng)
-        batch = session.enc_initial(bench_qrun.zbars[0])
-        state = EncObserverState.from_initial(batch)
-        made = [weakref.ref(batch)]
-        for t in range(300):
-            batch = session.enc_input(bench_qrun.vbars[t % 50])
+        batches = chain([session.enc_initial(bench_qrun.zbars[0])],
+                        (session.enc_input(bench_qrun.vbars[t % 50])
+                         for t in range(300)))
+        made = []
+        for batch, state in cloud_states(batches, public64):
             made.append(weakref.ref(batch))
-            state = step_encrypted(state, batch, public64)
             for key in (sk, other):
                 recover_encrypted_state(state, 0, key, params, phi)
             inputs = [b for b in state.window if b.body.shape[1] == 6]
@@ -976,6 +1010,33 @@ class TestWindowRecovery:
         assert {id(ref()) for ref in made if ref() is not None} == held
         for key in (sk, other):
             assert {id(b) for b in key._owned_products.keys()} == held
+
+    def test_traced_memory_stays_flat_over_a_long_run(self, bench_setup,
+                                                       public64):
+        # 600 zero steps through the deployed loop, recovering channel 0 at
+        # each: after step 100 the traced memory grows by less than 1 MB
+        # (a loop that kept every batch would grow about 11 MB)
+        params = dataclasses.replace(bench_setup.params, N=64)
+        phi = bench_setup.mod_maps.PhiPinvBar
+        rng = SeededRng(29)
+        sk = keygen(64, params.q, rng)
+        session = EncryptorSession(sk, params, public64, rng=rng)
+        zero = ModMatrix.zeros
+        batches = chain([session.enc_initial(zero(24, 1, params.q))],
+                        map(session.enc_input,
+                            repeat(zero(6, 1, params.q), 600)))
+        traced = []     # at steps 100 and 600, while the loop still runs
+        tracemalloc.start()
+        try:
+            for t, (_, state) in enumerate(cloud_states(batches, public64)):
+                assert recover_encrypted_state(state, 0, sk, params,
+                                               phi).is_zero(), t
+                if t in (100, 600):
+                    traced.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert len(traced) == 2
+        assert traced[1] - traced[0] < 2 ** 20, traced
 
     def test_state_holds_only_first_and_cancel_columns(self, bench_setup):
         _, public, batches, states = cloud_run(bench_setup, 4096, 20, 2)

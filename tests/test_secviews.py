@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cipherobs import encobs, lwe, modring, quantobs, secviews
-from cipherobs.encobs import EncObserverState, EncryptorSession, ObserverPublic
+from cipherobs.encobs import EncryptorSession, ObserverPublic
 from cipherobs.lwe import Ciphertext, CiphertextKind, LweError, \
     pack_words, words_of
 from cipherobs.lwe import TestRng as SeededRng
@@ -58,19 +58,14 @@ class ZeroErrorRng(SeededRng):
 
 def _run_tiny_session(public, params, sk, rng, zbar_ini, vbars):
     session = EncryptorSession(sk, params, public, rng=rng)
-    init_batch = session.enc_initial(zbar_ini)
-    state = EncObserverState.from_initial(init_batch)
-    disclosed = []
-    input_batches = []
-    for vbar in vbars:
+    batches, disclosed = [], []
+    for batch, state in encobs.cloud_states(itertools.chain(
+            [session.enc_initial(zbar_ini)], map(session.enc_input, vbars)),
+            public):
+        batches.append(batch)
         r1 = encobs.residue_first_column(state, public)
         disclosed.append(encobs.disclose_residue(r1, params))
-        batch = session.enc_input(vbar)
-        input_batches.append(batch)
-        state = encobs.step_encrypted(state, batch, public)
-    r1 = encobs.residue_first_column(state, public)
-    disclosed.append(encobs.disclose_residue(r1, params))
-    view2 = recorded_view2([init_batch] + input_batches)
+    view2 = recorded_view2(batches)
     view1 = View1(init_ct=view2.standard_cts[0],
                   input_cts=view2.standard_cts[1:],
                   residues=tuple(disclosed))
