@@ -123,7 +123,7 @@ def cmd_design(args) -> int:
     print(f"relative degrees: {summary}")
     print(f"init_error={setup.params.init_error:.9g}  "
           f"signal_bound={setup.params.signal_bound:.9g}")
-    report = validate_params(setup.params, setup.maps.Gbar)
+    report = validate_params(setup.params, setup.mod_maps)
     for line in report.lines():
         print(line)
     return 0 if report.all_pass else 1
@@ -131,7 +131,7 @@ def cmd_design(args) -> int:
 
 def cmd_simulate(args) -> int:
     setup = _setup_from_args(args)
-    report = validate_params(setup.params, setup.maps.Gbar)
+    report = validate_params(setup.params, setup.mod_maps)
     if args.mode == "encrypted" and not report.all_pass:
         print("parameter bounds failed; refusing encrypted run", file=sys.stderr)
         for line in report.lines():

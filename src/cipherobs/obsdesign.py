@@ -41,7 +41,7 @@ __all__ = [
 
 RANK_TOL = 1e-9
 CONSISTENCY_TOL = 1e-6
-M_SAFETY = 1.2      # calibrated signal bound over the largest observed signal
+M_SAFETY = 1.2      # signal bound over the largest observed signal
 
 
 class DesignError(Exception):
@@ -160,9 +160,7 @@ class ObserverBank:
     """All per-sensor decompositions plus the stacked observer data.
 
     `subsets` lists every (p-k)-subset of sensors in lexicographic order;
-    kappa is the largest infinity norm over the stored pseudo-inverses and
-    kappa_spectral the same maximum in the spectral norm (used only by the
-    calibrated scale-factor bound).
+    kappa is the largest infinity norm over the stored pseudo-inverses.
     """
 
     model: PlantModel
@@ -175,7 +173,6 @@ class ObserverBank:
     Phi_pinv: np.ndarray
     subset_pinvs: Dict[Tuple[int, ...], np.ndarray]
     kappa: float
-    kappa_spectral: float
     block_sizes: Tuple[int, ...]
     offsets: Tuple[int, ...]
     l_total: int
@@ -239,7 +236,6 @@ def build_bank(model: PlantModel, k: int) -> ObserverBank:
     subsets = tuple(itertools.combinations(range(p), p - k))
     Phi_pinv = _pinv_full_column(Phi)
     kappa = float(np.linalg.norm(Phi_pinv, np.inf))
-    kappa_spectral = float(np.linalg.norm(Phi_pinv, 2))
     subset_pinvs: Dict[Tuple[int, ...], np.ndarray] = {}
     for subset in subsets:
         PhiL = np.vstack([partials[i].Phi for i in subset])
@@ -252,12 +248,11 @@ def build_bank(model: PlantModel, k: int) -> ObserverBank:
         pinv.setflags(write=False)
         subset_pinvs[subset] = pinv
         kappa = max(kappa, float(np.linalg.norm(pinv, np.inf)))
-        kappa_spectral = max(kappa_spectral, float(np.linalg.norm(pinv, 2)))
 
     return ObserverBank(
         model=model, k=k, partials=partials, subsets=subsets, Phi=Phi,
         L_gain=L_gain, G_real=G_real, Phi_pinv=Phi_pinv,
-        subset_pinvs=subset_pinvs, kappa=kappa, kappa_spectral=kappa_spectral,
+        subset_pinvs=subset_pinvs, kappa=kappa,
         block_sizes=block_sizes, offsets=offsets, l_total=l_total,
         l_max=max(block_sizes), n_r=n * len(subsets),
     )
@@ -366,7 +361,7 @@ def design_report(bank: ObserverBank) -> str:
         lines.append(f"sensor {part.index + 1}: l_i={part.l_i}  f=[{coeffs}]")
     lines.append(f"l={bank.l_total}  l_max={bank.l_max}  "
                  f"subsets={len(bank.subsets)}  n_r={bank.n_r}")
-    lines.append(f"kappa(inf)={bank.kappa:.9g}  kappa(2)={bank.kappa_spectral:.9g}")
+    lines.append(f"kappa(inf)={bank.kappa:.9g}")
     subsets = " ".join("{" + ",".join(str(i + 1) for i in s) + "}"
                        for s in bank.subsets)
     lines.append(f"subset order: {subsets}")

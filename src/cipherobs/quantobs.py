@@ -2,8 +2,10 @@
 residue, the detection criterion and parameter validation.
 
 The observer state lives in the centered range of a large prime q.  All
-parameter inequalities are evaluated with exact rational arithmetic so that
-pass/fail verdicts do not depend on floating-point rounding.
+parameter inequalities are evaluated exactly, in rationals and Python ints,
+so that pass/fail verdicts do not depend on floating-point rounding.  The
+lift bound is the exact worst case of the recovery error over every error
+sequence the sampler can draw (`ModularMaps.recovery_error`).
 
 The observer recursion `Z' = Fbar Z + Gbar V` has one owner, the
 `BlockGain` that `ModularMaps.gain` builds: `step_quantized` steps it on one
@@ -17,10 +19,12 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import gcd
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .lwe import NoiseParams
 from .modring import ModMatrix, Modulus, join_limbs, words_to_limbs
 from .obsdesign import ObserverBank, ResidueMaps, round_half_up, calibrate_M
 
@@ -51,10 +55,9 @@ class QuantError(Exception):
 class QuantParams:
     """Scales, modulus and the synthesis constants entering the bounds.
 
-    kappa / init_error / signal_bound are the largest pseudo-inverse gain,
-    the worst per-sensor initial estimation error, and the attack-free
-    supremum of the observer signals; kappa_spectral is the same gain in
-    the 2-norm, used only by the calibrated lift bound.
+    kappa / init_error / signal_bound are the largest pseudo-inverse gain
+    (infinity norm), the worst per-sensor initial estimation error, and the
+    attack-free supremum of the observer signals.
     """
 
     s1: float
@@ -65,7 +68,6 @@ class QuantParams:
     Delta: float
     eps: float
     kappa: float
-    kappa_spectral: float
     init_error: float
     signal_bound: float
     l_max: int
@@ -228,6 +230,29 @@ class ModularMaps:
         """The observer recursion of these maps, built once."""
         return BlockGain.build(self.block_sizes, self.Gbar)
 
+    def recovery_error(self, bound: int) -> int:
+        """W, the largest |PhiPinvBar E_t| over every step t and every
+        encryption error of absolute value at most `bound`, exact.
+
+        The state t decrypts to lift z_t + E_t, with
+        E_t = Fbar^t e_0 + sum_(k<t) Fbar^k Gbar e_(t-k), so each entry of
+        PhiPinvBar E_t is a sum of independent errors times integer
+        coefficients: its largest absolute value is `bound` times their
+        1-norm, reached by `bound` times their signs.  Each error's
+        coefficient column is stepped by the recursion itself; every
+        column is zero after b = `gain.depth` steps (Fbar^b = 0), so steps
+        past b repeat step b.
+        """
+        gain, (l, h), q = self.gain, self.Gbar.shape, self.Gbar.modulus
+        inputs = ModMatrix.identity(h, q).rows
+        cols, worst = ModMatrix.identity(l, q).rows, 0
+        for _ in range(gain.depth + 1):
+            worst = max(worst, *(sum(abs(sum(map(mul, row, c))) for c in cols)
+                                 for row in self.PhiPinvBar.rows))
+            cols = ([gain.step_ints(c, [0] * h) for c in cols]
+                    + [gain.step_ints([0] * l, e) for e in inputs])
+        return bound * worst
+
 
 def quantize_initial(zhat_ini: Sequence[float], params: QuantParams) -> ModMatrix:
     """Scale the observer initial value by 1/(s1 s2), round, and reduce."""
@@ -307,10 +332,15 @@ def detect(rbar: ModMatrix, t: int, params: QuantParams) -> DetectResult:
 
 @dataclass(frozen=True)
 class BoundCheck:
+    """The strict inequality lhs > rhs, evaluated exactly."""
+
     name: str
     lhs: Fraction
     rhs: Fraction
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.lhs > self.rhs
 
     @property
     def margin(self) -> float:
@@ -323,8 +353,7 @@ class BoundCheck:
 @dataclass(frozen=True)
 class ParamReport:
     modulus_bound: BoundCheck          # q vs overflow bound
-    lift_bound: BoundCheck             # lift vs calibrated noise budget
-    lift_bound_strict: BoundCheck      # lift vs worst-case noise budget
+    lift_bound: BoundCheck             # lift vs 2 W, the exact worst case
     modulus_lift_bound: BoundCheck     # q vs lift * (overflow bound + 1/2)
     lift_coprime: bool
     gbar_norm: int
@@ -337,7 +366,7 @@ class ParamReport:
     def lines(self):
         out = []
         for chk in (self.modulus_bound, self.lift_bound,
-                    self.lift_bound_strict, self.modulus_lift_bound):
+                    self.modulus_lift_bound):
             verdict = "pass" if chk.passed else "FAIL"
             out.append(f"{chk.name}: {verdict} (margin {chk.margin:.4g})")
         out.append("lift coprime to q: " + ("yes" if self.lift_coprime else "NO"))
@@ -345,62 +374,28 @@ class ParamReport:
         return out
 
 
-def _overflow_rhs(params: QuantParams, kappa: Fraction) -> Fraction:
-    s1 = Fraction(params.s1)
-    s2 = Fraction(params.s2)
-    M = Fraction(params.signal_bound)
-    zt = Fraction(params.init_error)
-    eps = Fraction(params.eps)
-    return 2 * (kappa * (M + 2 * zt) + 2 * eps) / (s1 * s1 * s2)
-
-
-def _lift_rhs(params: QuantParams, kappa: Fraction, noise: Fraction,
-              gbar_norm: int) -> Fraction:
-    s1 = Fraction(params.s1)
-    return (2 * (kappa / s1 + Fraction(params.l_total, 2))
-            * (1 + params.l_max * gbar_norm) * noise)
-
-
-def validate_params(params: QuantParams,
-                    Gbar: Sequence[Sequence[int]]) -> ParamReport:
-    """Exact rational evaluation of the three parameter inequalities for
-    the integer gain rows `ResidueMaps.Gbar`.
+def validate_params(params: QuantParams, maps: ModularMaps) -> ParamReport:
+    """Exact evaluation of the three parameter inequalities for the
+    deployed maps.
 
     The modulus bounds use the worst-case pseudo-inverse gain (infinity
-    norm).  The lift bound is reported twice: the strict worst-case form
-    (infinity-norm gain, full error bound) is informational, while the
-    calibrated form (spectral gain, one-sigma error scale) is the one the
-    benchmark parameters were selected against and the one that gates runs.
+    norm).  The lift bound is lift > 2 W, W = `maps.recovery_error` of the
+    sampler's error bound: every error sequence the sampler can draw then
+    leaves the recovery rounding exact at every step.
     """
-    gnorm = max(sum(abs(a) for a in row) for row in Gbar)
-    kappa_inf = Fraction(params.kappa)
-    kappa_2 = Fraction(params.kappa_spectral)
-    delta = Fraction(params.Delta)
-    sigma = delta / 6
-
-    q = Fraction(params.q.q)
-    lift = Fraction(params.lift)
-
-    overflow = _overflow_rhs(params, kappa_inf)
-    chk_q = BoundCheck("modulus overflow bound", q, overflow, q > overflow)
-
-    strict_rhs = _lift_rhs(params, kappa_inf, delta, gnorm)
-    chk_lift_strict = BoundCheck("lift noise budget (worst case)",
-                                 lift, strict_rhs, lift > strict_rhs)
-    calib_rhs = _lift_rhs(params, kappa_2, sigma, gnorm)
-    chk_lift = BoundCheck("lift noise budget (calibrated)",
-                          lift, calib_rhs, lift > calib_rhs)
-
-    combined = lift * (overflow + Fraction(1, 2))
-    chk_ql = BoundCheck("modulus-lift bound", q, combined, q > combined)
-
+    q, lift = Fraction(params.q.q), Fraction(params.lift)
+    s1, s2, M, zt, eps, kappa = map(Fraction, (
+        params.s1, params.s2, params.signal_bound, params.init_error,
+        params.eps, params.kappa))
+    overflow = 2 * (kappa * (M + 2 * zt) + 2 * eps) / (s1 * s1 * s2)
+    budget = 2 * maps.recovery_error(NoiseParams(params.Delta).bound)
     return ParamReport(
-        modulus_bound=chk_q,
-        lift_bound=chk_lift,
-        lift_bound_strict=chk_lift_strict,
-        modulus_lift_bound=chk_ql,
+        modulus_bound=BoundCheck("modulus overflow bound", q, overflow),
+        lift_bound=BoundCheck("lift noise budget", lift, Fraction(budget)),
+        modulus_lift_bound=BoundCheck("modulus-lift bound", q,
+                                      lift * (overflow + Fraction(1, 2))),
         lift_coprime=params.lift_inverse is not None,
-        gbar_norm=int(gnorm),
+        gbar_norm=maps.Gbar.inf_norm(),
     )
 
 
@@ -408,14 +403,14 @@ def make_params(bank: ObserverBank, *, s1: float, s2: float, lift: int,
                 q: Modulus, N: int, Delta: float, eps: float) -> QuantParams:
     """Fill a QuantParams from a bank for an observer started at zhat = 0.
 
-    The signal bound is calibrated over 10 l_max attack-free steps, and the
+    The signal bound is measured over 10 l_max attack-free steps, and the
     initial estimation error is computed exactly from the known plant
     initial state.
     """
     zhat_ini = np.zeros(bank.l_total)
     return QuantParams(
         s1=s1, s2=s2, lift=lift, q=q, N=N, Delta=Delta, eps=eps,
-        kappa=bank.kappa, kappa_spectral=bank.kappa_spectral,
+        kappa=bank.kappa,
         init_error=bank.ztilde_ini(bank.model.x_ini, zhat_ini),
         signal_bound=calibrate_M(bank, bank.model, 10 * bank.l_max),
         l_max=bank.l_max, l_total=bank.l_total,

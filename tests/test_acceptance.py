@@ -251,24 +251,29 @@ def test_criterion_6b_zeroing_converse_exhaustive():
 
 def test_criterion_7_lwe_properties(bench_setup, bench_enc):
     """The error bound on every encryption of the benchmark run, and the
-    white-box error budget."""
+    white-box error budget: at every step the projected error the run drew
+    is at most W, the exact worst case the parameter gate reports, which
+    is below lift/2."""
     bound = NoiseParams(bench_setup.params.Delta).bound
     bound_ok = all(e.max_abs() <= bound for e in bench_enc.errors)
     errs = error_trajectory(bench_enc.errors,
                             bench_setup.maps.Gbar,
                             bench_setup.bank.block_sizes, 49)
     half = bench_setup.params.lift // 2
-    budget_ok = True
+    W = validate_params(bench_setup.params,
+                        bench_setup.mod_maps).lift_bound.rhs / 2
+    budget_ok = W < half
     worst = 0
     for e in errs:
         for row in bench_setup.maps.PhiPinvBar:
             val = abs(sum(a * b for a, b in zip(row, e)))
             worst = max(worst, val)
-            if val >= half:
+            if val > W:
                 budget_ok = False
     _report(7, f"LWE error bound on {len(bench_enc.errors)} encryptions, "
             "error budget", bound_ok and budget_ok,
-            f"max projected error {worst:.3e} < lift/2 = {half:.3e}")
+            f"max projected error {worst:.3e} <= W = {float(W):.3e} "
+            f"< lift/2 = {half:.3e}")
 
 
 def test_criterion_8_view_roundtrips(bench_setup, bench_enc):
@@ -304,10 +309,9 @@ def test_criterion_9_parameter_validation(bench_setup):
     exact rational evaluation."""
     import dataclasses
     params = dataclasses.replace(bench_setup.params, N=4096)
-    report = validate_params(params, bench_setup.maps.Gbar)
+    report = validate_params(params, bench_setup.mod_maps)
     ok = report.all_pass
     _report(9, "benchmark parameter tuple passes the bound inequalities", ok,
             f"overflow margin {report.modulus_bound.margin:.3g}, "
-            f"lift margin {report.lift_bound.margin:.3g} (calibrated; "
-            f"worst-case form {report.lift_bound_strict.margin:.3g}), "
-            f"combined margin {report.modulus_lift_bound.margin:.3g}")
+            f"lift margin {report.lift_bound.margin:.3g} (exact worst "
+            f"case), combined margin {report.modulus_lift_bound.margin:.3g}")

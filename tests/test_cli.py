@@ -52,7 +52,18 @@ class TestDesign:
         assert "l_max=6" in out
         assert "n_r=60" in out
         assert "nu=1: 60 channels" in out
-        assert "lift noise budget (calibrated): pass" in out
+        assert "lift noise budget: pass (margin 1.64)" in out
+        assert "kappa(2)" not in out
+        assert sum("noise budget" in line for line in out.splitlines()) == 1
+
+    def test_paper_lift_fails_the_exact_budget(self, capsys):
+        # the paper's lift 2^44 is below twice the exact worst case of the
+        # recovery error, so design fails and an encrypted run is refused
+        assert main(["design", "--lift", str(2 ** 44)]) == 1
+        assert "lift noise budget: FAIL (margin 0.82)" \
+            in capsys.readouterr().out
+        assert main(["simulate", "--mode", "encrypted", "--steps", "2",
+                     "--lift", str(2 ** 44)]) == 2
 
     def test_invalid_sparsity_rejected(self, tmp_path, capsys):
         raw = json.loads(bundled_scenario_path().read_text())

@@ -1117,6 +1117,50 @@ class TestWhiteBoxErrorBudget:
         for e in errs:
             assert max(abs(v) for v in e) <= bound
 
+    @pytest.mark.parametrize("lift, exact",
+                             [(2 ** 44, False), (2 ** 45, True)])
+    def test_worst_case_errors_round_recovery(self, bench_setup, lift, exact):
+        # every input error is 19 times the sign of its coefficient in the
+        # worst row i of PhiPinvBar E_T at T = 8 >= b = 6, and the initial
+        # errors are zero (Fbar^8 = 0).  Row i of PhiPinvBar E_T is then
+        # the exact worst case W = 1.2195 lift/2 at the paper's lift 2^44,
+        # where recovery rounds row i one too high, and 0.61 lift/2 at the
+        # default lift 2^45, where it is exact
+        params = dataclasses.replace(bench_setup.params, lift=lift)
+        maps, q, T = bench_setup.mod_maps, params.q, 8
+        fbar, fkg, coeffs = build_fbar(maps.block_sizes, q), maps.Gbar, []
+        for _ in range(T):    # coeffs[k] = PhiPinvBar Fbar^k Gbar
+            coeffs.append(maps.PhiPinvBar @ fkg)
+            fkg = fbar @ fkg
+        norms = [sum(abs(c) for C in coeffs for c in C.rows[i])
+                 for i in range(maps.PhiPinvBar.nrows)]
+        i = norms.index(max(norms))
+        assert 19 * norms[i] == maps.recovery_error(19)
+        errors = [0] * maps.Gbar.nrows + [
+            19 * ((c > 0) - (c < 0))
+            for j in range(1, T + 1) for c in coeffs[T - j].rows[i]]
+
+        class WorstErrorRng(SeededRng):
+            def error(self, noise):
+                assert noise.bound == 19
+                return errors.pop(0)
+
+        rng = WorstErrorRng(3)
+        qrun = run_quantized_mode(bench_setup, T + 1)
+        sk = keygen(64, q, rng)
+        public = ObserverPublic.build(maps, params)
+        session = EncryptorSession(sk, params, public, rng=rng)
+        *_, (_, state) = cloud_states(chain(
+            [session.enc_initial(qrun.zbars[0])],
+            map(session.enc_input, qrun.vbars[:T])), public)
+        assert state.t == T and not errors
+        got = recover_encrypted_state(state, 0, sk, params, maps.PhiPinvBar)
+        assert (got == qrun.xbars[T]) == exact
+        if not exact:
+            off = got - qrun.xbars[T]
+            assert off == ModMatrix.column(
+                [int(r == i) for r in range(off.nrows)], q)
+
     def test_projected_error_under_half_lift(self, bench_setup, bench_enc):
         errs = error_trajectory(bench_enc.errors,
                                 bench_setup.maps.Gbar,
@@ -1176,10 +1220,11 @@ def golden_digests(batches, states, public, encode=reference_ct_bytes):
 
 
 @pytest.mark.parametrize("N", sorted(GOLDEN))
-def test_seeded_ciphertexts_match_golden_digests(bench_setup, N):
+def test_seeded_ciphertexts_match_golden_digests(paper_lift_setup, N):
     """Channels 0 and 59 of the initial and 3 input batches and of the
-    states after them, and the batches' standard ciphertexts."""
-    _, public, batches, states = cloud_run(bench_setup, N, 5, 3)
+    states after them, and the batches' standard ciphertexts, at the
+    paper's lift 2^44 that they were recorded at."""
+    _, public, batches, states = cloud_run(paper_lift_setup, N, 5, 3)
     for batch in batches:
         # the encryptor's limbs stay below 2^W, the gain's input bound
         assert int(np.abs(batch.body).max()) < 2 ** batch.gain.width

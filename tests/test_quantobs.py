@@ -1,5 +1,7 @@
 import dataclasses
 import decimal
+import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cipherobs.encobs import ObserverPublic
-from cipherobs.lwe import words_of
+from cipherobs.lwe import NoiseParams, words_of
 from cipherobs.modring import ModMatrix, Modulus
 from cipherobs.obsdesign import build_bank, residue_map
 from cipherobs.pipeline import BENCH_LIFT, BENCH_Q, SystemSetup, \
@@ -480,7 +482,7 @@ class TestOverflowFreedom:
 
 class TestValidateParams:
     def test_benchmark_parameters_pass(self, bench_setup):
-        report = validate_params(bench_setup.params, bench_setup.maps.Gbar)
+        report = validate_params(bench_setup.params, bench_setup.mod_maps)
         assert report.modulus_bound.passed
         assert report.lift_bound.passed
         assert report.modulus_lift_bound.passed
@@ -489,27 +491,78 @@ class TestValidateParams:
 
     def test_tiny_modulus_fails_overflow_bound(self, bench_setup):
         p = dataclasses.replace(bench_setup.params, q=Modulus(3))
-        report = validate_params(p, bench_setup.maps.Gbar)
+        report = validate_params(p, bench_setup.mod_maps)
         assert not report.modulus_bound.passed
 
     def test_unit_lift_fails_noise_budget(self, bench_setup):
         p = dataclasses.replace(bench_setup.params, lift=1)
-        report = validate_params(p, bench_setup.maps.Gbar)
+        report = validate_params(p, bench_setup.mod_maps)
         assert not report.lift_bound.passed
-        assert not report.lift_bound_strict.passed
+        assert not report.all_pass
 
     def test_margins_are_rational_exact(self, bench_setup):
-        report = validate_params(bench_setup.params, bench_setup.maps.Gbar)
+        report = validate_params(bench_setup.params, bench_setup.mod_maps)
         assert report.modulus_bound.lhs == BENCH_Q
         assert report.modulus_bound.margin > 1
-        assert len(report.lines()) == 6
+        bound = NoiseParams(bench_setup.params.Delta).bound
+        assert report.lift_bound.rhs == \
+            2 * bench_setup.mod_maps.recovery_error(bound)
+        assert len(report.lines()) == 5
 
     def test_strict_worst_case_budget_reported(self, bench_setup):
-        # the worst-case lift budget is informational for the benchmark
-        # parameter set; the calibrated budget is the gating check
-        report = validate_params(bench_setup.params, bench_setup.maps.Gbar)
-        assert report.lift_bound_strict.margin < 1
-        assert report.lift_bound.margin > 1
+        # the exact worst case gates runs: W is 1.2195 lift/2 at the
+        # paper's lift 2^44, so the default lift is 2^45, the smallest
+        # power of two above 2 W
+        params = bench_setup.params
+        report = validate_params(params, bench_setup.mod_maps)
+        W = bench_setup.mod_maps.recovery_error(19)
+        assert report.lift_bound.rhs == 2 * W
+        assert 2 ** 44 < 2 * W < 2 ** 45 == params.lift == BENCH_LIFT
+        assert f"{report.lift_bound.margin:.4g}" == "1.64"
+        assert f"{report.modulus_lift_bound.margin:.4g}" == "30.65"
+        paper = validate_params(dataclasses.replace(params, lift=2 ** 44),
+                                bench_setup.mod_maps)
+        assert not paper.lift_bound.passed and not paper.all_pass
+        assert f"{paper.lift_bound.margin:.4g}" == "0.82"
+
+
+class TestRecoveryError:
+    # blocks (2, 1), h = 1: l = 3, b = 2, and PhiPinvBar has 2 rows
+    GBAR = [[3], [-2], [5]]
+    PHI_PINV_BAR = [[1, -4, 2], [-3, 1, 6]]
+
+    def _maps(self):
+        q = Modulus(101)
+        return ModularMaps(Gbar=ModMatrix(self.GBAR, q),
+                           Hbar=ModMatrix([[0, 0, 0]], q),
+                           PhiPinvBar=ModMatrix(self.PHI_PINV_BAR, q),
+                           block_sizes=(2, 1))
+
+    def test_equals_brute_force_over_every_error_sequence(self):
+        # the largest |PhiPinvBar E_t| over every error sequence in
+        # [-B, B] and every step t <= b + 1 (b = 2), from the plain
+        # recursion E_t = Fbar E_(t-1) + Gbar e_t with E_0 = e_0
+        B, errs = 2, range(-2, 3)
+
+        def shift(E):
+            return [0, E[0], 0]    # Fbar of blocks (2, 1)
+
+        worst = 0
+        for e0 in itertools.product(errs, repeat=3):
+            for inputs in itertools.product(errs, repeat=3):
+                E = list(e0)
+                for t in range(4):
+                    if t:
+                        E = [s + g * inputs[t - 1]
+                             for s, (g,) in zip(shift(E), self.GBAR)]
+                    worst = max(worst, *(abs(sum(map(operator.mul, row, E)))
+                                         for row in self.PHI_PINV_BAR))
+        assert self._maps().recovery_error(B) == worst
+
+    def test_scales_with_the_error_bound(self):
+        maps = self._maps()
+        assert maps.recovery_error(0) == 0
+        assert maps.recovery_error(19) == 19 * maps.recovery_error(1)
 
 
 class TestCalibration:
@@ -551,10 +604,10 @@ class TestSoundnessRandomPlants:
             maps = residue_map(bank, 1e-4)
             params = make_params(bank, s1=1e-4, s2=1e-4, lift=BENCH_LIFT,
                                  q=q, N=16, Delta=19.2, eps=0.3)
-            report = validate_params(params, maps.Gbar)
+            mod_maps = ModularMaps.from_integer(maps, bank, q)
+            report = validate_params(params, mod_maps)
             if not report.modulus_bound.passed:
                 continue
-            mod_maps = ModularMaps.from_integer(maps, bank, q)
             traj = run_closed_loop(plant, AttackScenario(), 30)
             zbar = quantize_initial(np.zeros(bank.l_total), params)
             for t in range(30):

@@ -45,8 +45,8 @@ def _tiny_public(q: Modulus, block_sizes, Gr, Hr, N):
 
 def _tiny_params(q: Modulus, N: int, lift: int) -> QuantParams:
     return QuantParams(s1=1.0, s2=1.0, lift=lift, q=q, N=N, Delta=0.0,
-                       eps=0.3, kappa=1.0, kappa_spectral=1.0,
-                       init_error=0.0, signal_bound=1.0, l_max=3, l_total=3)
+                       eps=0.3, kappa=1.0, init_error=0.0,
+                       signal_bound=1.0, l_max=3, l_total=3)
 
 
 class ZeroErrorRng(SeededRng):
@@ -123,9 +123,10 @@ TRANSCRIPT_WIRE = {
 }
 
 
-def test_seeded_transcript_matches_golden_digests(bench_setup):
-    run = run_encrypted_mode(bench_setup, 4, seed=5, record_views=True)
-    params = bench_setup.params
+def test_seeded_transcript_matches_golden_digests(paper_lift_setup):
+    # recorded at the paper's lift 2^44
+    run = run_encrypted_mode(paper_lift_setup, 4, seed=5, record_views=True)
+    params = paper_lift_setup.params
 
     def digests(view1, view2):
         blobs = {"view1": reference_view_bytes(view1),
