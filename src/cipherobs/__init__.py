@@ -14,7 +14,7 @@ from .quantobs import QuantParams, detect, make_params, quantize_initial, \
     quantize_input, residue_quantized, step_quantized, validate_params
 from .lwe import Ciphertext, CiphertextKind, NoiseParams, SecretKey, \
     SecureRng, TestRng, keygen
-from .zerodyn import ChannelMaps, channel_maps
+from .zerodyn import ChannelMaps, all_channel_maps, channel_maps
 from .encobs import EncryptorSession, EncObserverState, ObserverPublic, \
     cloud_states, disclose_residue, recover_encrypted_state, \
     residue_first_column, step_encrypted

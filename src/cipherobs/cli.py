@@ -194,25 +194,30 @@ def _zeroing_failures(name: str, maps, params, seed: int) -> list:
     return []
 
 
+def _zeroing_draw(rng, q: Modulus):
+    """A random block-shift observer over q: its block sizes, a gain with
+    about half its rows zero, and 1 to 3 sparse residue rows."""
+    blocks = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 3)))
+    l, h = sum(blocks), rng.choice([2, 3])
+    G = ModMatrix([[rng.randrange(q.q) for _ in range(h)]
+                   if rng.random() < 0.5 else [0] * h for _ in range(l)], q)
+    return blocks, G, ModMatrix([[rng.choice([0, rng.randrange(q.q)])
+                                  for _ in range(l)]
+                                 for _ in range(rng.randint(1, 3))], q)
+
+
 def _suite_zeroing(seed: int, setup: SystemSetup) -> list:
     """Output zeroing of the deployed cancellation on random block-shift
-    observers over q = 101 at N = 8 (sparse gains and residue rows, so some
-    channels have nu > 1) and on the benchmark observer at N = 16.  Residue
-    rows without a relative degree are dropped; a draw is skipped only
-    when no row is left."""
+    observers over q = 101 at N = 8 (`_zeroing_draw`, so some channels have
+    nu > 1) and on the benchmark observer at N = 16.  Residue rows without a
+    relative degree are dropped; a draw is skipped only when no row is left."""
     import random as pyrandom
     failures = []
     q = Modulus(101)
     params = dataclasses.replace(setup.params, q=q, N=8)
     rng = pyrandom.Random(seed)
     for trial in range(20):
-        blocks = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 3)))
-        l, h = sum(blocks), rng.choice([2, 3])
-        G = ModMatrix([[rng.randrange(101) for _ in range(h)]
-                       if rng.random() < 0.5 else [0] * h
-                       for _ in range(l)], q)
-        H = ModMatrix([[rng.choice([0, rng.randrange(101)]) for _ in range(l)]
-                       for _ in range(rng.randint(1, 3))], q)
+        blocks, G, H = _zeroing_draw(rng, q)
         maps, rows = dataclasses.replace(setup.mod_maps, Gbar=G,
                                          block_sizes=blocks), []
         for row in H.rows:

@@ -64,7 +64,7 @@ from .modring import DimensionMismatch, ModMatrix, Modulus, \
     ModulusMismatch, digit_budget, fixed_digits, half_limbs, \
     join_digit_sums, join_limbs
 from .quantobs import BlockGain, ModularMaps, QuantParams
-from .zerodyn import ChannelMaps, channel_maps
+from .zerodyn import ChannelMaps, all_channel_maps
 
 __all__ = [
     "EncObsError",
@@ -103,12 +103,12 @@ class ObserverPublic:
 
     @classmethod
     def build(cls, maps: ModularMaps, params: QuantParams) -> "ObserverPublic":
-        """The public data for `maps` at the LWE dimension `params.N`."""
+        """The public data for `maps` at the LWE dimension `params.N`: the
+        maps of every channel, built in one pass over Hbar."""
         gain = maps.gain
-        channels = tuple(channel_maps(maps.Hbar.row(j), gain.Fbar, gain.Gbar)
-                         for j in range(maps.Hbar.nrows))
         public = cls(q=gain.Gbar.modulus, N=params.N, gain=gain,
-                     Hbar=maps.Hbar, channels=channels)
+                     Hbar=maps.Hbar, channels=all_channel_maps(
+                         maps.Hbar, gain.Fbar, gain.Gbar))
         public._chain_ends   # made at set-up, so no step builds it
         return public
 

@@ -36,13 +36,11 @@ __all__ = [
     "DimensionMismatch",
     "ModulusMismatch",
     "SingularMatrix",
-    "NotFullRowRank",
     "Modulus",
     "ModMatrix",
     "MAX_MODULUS_BITS",
     "mat_mul_mod",
     "inverse_mod",
-    "pivot_columns",
     "words_to_limbs",
     "split_limbs",
     "join_limbs",
@@ -70,10 +68,6 @@ class ModulusMismatch(ModRingError):
 
 
 class SingularMatrix(ModRingError):
-    pass
-
-
-class NotFullRowRank(ModRingError):
     pass
 
 
@@ -377,16 +371,6 @@ def inverse_mod(A: ModMatrix) -> ModMatrix:
     if len(pivots) < n or pivots != list(range(n)):
         raise SingularMatrix(f"matrix of rank {len(pivots)} < {n}")
     return ModMatrix(tuple(tuple(row[n:]) for row in red), A.modulus)
-
-
-def pivot_columns(T2: ModMatrix) -> List[int]:
-    """Pivot columns of a full-row-rank T2, ascending: one per row, and T2
-    restricted to them is invertible."""
-    _, pivots = _echelon(T2.rows, T2.modulus.q, reduce_up=False)
-    if len(pivots) < T2.nrows:
-        raise NotFullRowRank(
-            f"rank {len(pivots)} < {T2.nrows} rows; cannot complete basis")
-    return pivots
 
 
 def words_to_limbs(words: np.ndarray, width: int, count: int) -> np.ndarray:

@@ -61,8 +61,17 @@ def round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
 
 
-def _round_matrix(M: np.ndarray) -> Tuple[Tuple[int, ...], ...]:
-    return tuple(tuple(round_half_up(v) for v in row) for row in np.atleast_2d(M))
+def _round_matrix(M: np.ndarray) -> np.ndarray:
+    """`round_half_up` of every entry as int64, each below 2^62 in absolute
+    value so that Hbar's differences fit too."""
+    R = np.floor(np.atleast_2d(M) + 0.5)
+    if not np.all(np.abs(R) < 2.0 ** 62):
+        raise DesignError("a scaled observer map does not fit int64; raise s1")
+    return R.astype(np.int64)
+
+
+def _rows(M: np.ndarray) -> Tuple[Tuple[int, ...], ...]:
+    return tuple(map(tuple, M.tolist()))
 
 
 def _observability(A: np.ndarray, Ci: np.ndarray) -> Tuple[int, np.ndarray]:
@@ -150,6 +159,12 @@ def canonical_decomposition(A: np.ndarray, Ci: np.ndarray,
                            Fbar=Fbar, Phi=Phi)
 
 
+def _rank(M: np.ndarray) -> int:
+    """Rank of M at RANK_TOL times max(1, ||M||_2), both from one SVD."""
+    s = np.linalg.svd(M, compute_uv=False)
+    return int(np.count_nonzero(s > RANK_TOL * max(1.0, s.max())))
+
+
 def _pinv_full_column(M: np.ndarray) -> np.ndarray:
     """Moore-Penrose inverse (M^T M)^-1 M^T for full-column-rank M."""
     return np.linalg.solve(M.T @ M, M.T)
@@ -161,6 +176,8 @@ class ObserverBank:
 
     `subsets` lists every (p-k)-subset of sensors in lexicographic order;
     kappa is the largest infinity norm over the stored pseudo-inverses.
+    Built once: each subset's gather (its sensors' rows of the stacked
+    state) and the rows Fbar shifts into (all but each block's first).
     """
 
     model: PlantModel
@@ -172,6 +189,8 @@ class ObserverBank:
     G_real: np.ndarray            # [Phi B, L_gain]
     Phi_pinv: np.ndarray
     subset_pinvs: Dict[Tuple[int, ...], np.ndarray]
+    subset_gathers: Dict[Tuple[int, ...], np.ndarray]
+    shift_rows: np.ndarray
     kappa: float
     block_sizes: Tuple[int, ...]
     offsets: Tuple[int, ...]
@@ -180,24 +199,20 @@ class ObserverBank:
     n_r: int
 
     def __post_init__(self):
-        for arr in (self.Phi, self.L_gain, self.G_real, self.Phi_pinv):
+        for arr in (self.Phi, self.L_gain, self.G_real, self.Phi_pinv,
+                    self.shift_rows, *self.subset_gathers.values()):
             arr.setflags(write=False)
 
     def z_slice(self, i: int) -> slice:
         return slice(self.offsets[i], self.offsets[i] + self.block_sizes[i])
 
     def subset_indices(self, subset: Tuple[int, ...]) -> Tuple[int, ...]:
-        idx = []
-        for i in subset:
-            idx.extend(range(self.offsets[i], self.offsets[i] + self.block_sizes[i]))
-        return tuple(idx)
+        return tuple(self.subset_gathers[subset].tolist())
 
     def apply_shift(self, z: np.ndarray) -> np.ndarray:
         """Fbar @ z for stacked vectors: a downward shift inside each block."""
         out = np.zeros_like(z)
-        for i, li in enumerate(self.block_sizes):
-            o = self.offsets[i]
-            out[o + 1:o + li] = z[o:o + li - 1]
+        out[self.shift_rows] = z[self.shift_rows - 1]
         return out
 
     def ztilde_ini(self, x_ini: np.ndarray, zhat_ini: np.ndarray) -> float:
@@ -226,7 +241,7 @@ def build_bank(model: PlantModel, k: int) -> ObserverBank:
     offsets = tuple(int(v) for v in np.cumsum((0,) + block_sizes[:-1]))
     l_total = sum(block_sizes)
     Phi = np.vstack([part.Phi for part in partials])
-    if np.linalg.matrix_rank(Phi, tol=RANK_TOL * max(1.0, np.linalg.norm(Phi, 2))) < n:
+    if _rank(Phi) < n:
         raise RedundancyViolation("full stacked map Phi lost column rank")
     L_gain = np.zeros((l_total, p))
     for i, part in enumerate(partials):
@@ -237,10 +252,10 @@ def build_bank(model: PlantModel, k: int) -> ObserverBank:
     Phi_pinv = _pinv_full_column(Phi)
     kappa = float(np.linalg.norm(Phi_pinv, np.inf))
     subset_pinvs: Dict[Tuple[int, ...], np.ndarray] = {}
+    blocks = [np.arange(o, o + li) for o, li in zip(offsets, block_sizes)]
     for subset in subsets:
         PhiL = np.vstack([partials[i].Phi for i in subset])
-        rank = np.linalg.matrix_rank(
-            PhiL, tol=RANK_TOL * max(1.0, np.linalg.norm(PhiL, 2)))
+        rank = _rank(PhiL)
         if rank < n:
             raise RedundancyViolation(
                 f"subset {tuple(i + 1 for i in subset)} has rank {rank} < {n}")
@@ -252,7 +267,10 @@ def build_bank(model: PlantModel, k: int) -> ObserverBank:
     return ObserverBank(
         model=model, k=k, partials=partials, subsets=subsets, Phi=Phi,
         L_gain=L_gain, G_real=G_real, Phi_pinv=Phi_pinv,
-        subset_pinvs=subset_pinvs, kappa=kappa,
+        subset_pinvs=subset_pinvs,
+        subset_gathers={s: np.concatenate([blocks[i] for i in s])
+                        for s in subsets},
+        shift_rows=np.concatenate([b[1:] for b in blocks]), kappa=kappa,
         block_sizes=block_sizes, offsets=offsets, l_total=l_total,
         l_max=max(block_sizes), n_r=n * len(subsets),
     )
@@ -275,25 +293,21 @@ class ResidueMaps:
 
 
 def residue_map(bank: ObserverBank, s1: float) -> ResidueMaps:
-    """Scale the real observer matrices by 1/s1 and round to integers."""
+    """Scale the real observer matrices by 1/s1 and round to integers, on
+    int64 arrays: subset L's block of Hbar is -PhiPinvBar plus L's rounded
+    pseudo-inverse added at L's gather."""
     if not 0 < s1 <= 1:
         raise DesignError(f"s1 must lie in (0, 1], got {s1}")
-    Gbar = _round_matrix(bank.G_real / s1)
-    PhiPinvBar = _round_matrix(bank.Phi_pinv / s1)
-    subset_bars: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], ...]] = {}
-    hrows = []
-    full = np.array(PhiPinvBar, dtype=object)
-    for subset in bank.subsets:
-        bar = _round_matrix(bank.subset_pinvs[subset] / s1)
-        subset_bars[subset] = bar
-        idx = bank.subset_indices(subset)
-        block = [[-int(v) for v in row] for row in full]
-        for r, row in enumerate(bar):
-            for c_local, c_global in enumerate(idx):
-                block[r][c_global] += int(row[c_local])
-        hrows.extend(tuple(row) for row in block)
-    return ResidueMaps(s1=s1, Gbar=Gbar, Hbar=tuple(hrows),
-                       PhiPinvBar=PhiPinvBar, subset_pinv_bars=subset_bars)
+    full = _round_matrix(bank.Phi_pinv / s1)
+    bars = {subset: _round_matrix(bank.subset_pinvs[subset] / s1)
+            for subset in bank.subsets}
+    H = np.tile(-full, (len(bank.subsets), 1))
+    for r, subset in enumerate(bank.subsets):
+        H[r * len(full):(r + 1) * len(full), bank.subset_gathers[subset]] \
+            += bars[subset]
+    return ResidueMaps(s1=s1, Gbar=_rows(_round_matrix(bank.G_real / s1)),
+                       Hbar=_rows(H), PhiPinvBar=_rows(full),
+                       subset_pinv_bars={s: _rows(b) for s, b in bars.items()})
 
 
 @dataclass
@@ -308,7 +322,8 @@ class ReferenceRun:
 
 def run_reference_observer(bank: ObserverBank, trajectory: Trajectory,
                            zhat_ini: np.ndarray) -> ReferenceRun:
-    """Iterate the stacked deadbeat observer on a recorded trajectory."""
+    """Iterate the stacked deadbeat observer on a recorded trajectory; each
+    subset reads its estimate through the gather the bank holds."""
     zhat = np.asarray(zhat_ini, dtype=float).ravel().copy()
     if zhat.shape != (bank.l_total,):
         raise DesignError(f"zhat_ini must have length {bank.l_total}")
@@ -318,8 +333,7 @@ def run_reference_observer(bank: ObserverBank, trajectory: Trajectory,
         per_subset = {}
         stacked = []
         for subset in bank.subsets:
-            zL = zhat[list(bank.subset_indices(subset))]
-            xL = bank.subset_pinvs[subset] @ zL
+            xL = bank.subset_pinvs[subset] @ zhat[bank.subset_gathers[subset]]
             per_subset[subset] = xL
             stacked.append(xL - xh)
         run.zhat.append(zhat.copy())
@@ -343,12 +357,8 @@ def calibrate_M(bank: ObserverBank, model: PlantModel, horizon: int) -> float:
         raise DesignError(f"horizon {horizon} < 10 * l_max = {10 * bank.l_max}")
     traj = run_closed_loop(model, AttackScenario(), horizon)
     run = run_reference_observer(bank, traj, np.zeros(bank.l_total))
-    worst = 0.0
-    for rh, zh in zip(run.rhat, run.zhat):
-        worst = max(worst,
-                    float(np.max(np.abs(rh))) if rh.size else 0.0,
-                    float(np.max(np.abs(zh))) if zh.size else 0.0)
-    return M_SAFETY * worst
+    return M_SAFETY * float(max(np.max(np.abs(run.rhat), initial=0.0),
+                                np.max(np.abs(run.zhat), initial=0.0)))
 
 
 def design_report(bank: ObserverBank) -> str:

@@ -10,10 +10,11 @@ zero; the encrypted observer applies exactly that to its mask
 observer's own recursion), so the mask adds nothing to the residue's first
 column.
 
-`channel_maps` builds what that cancellation reads in closed form: the chain
-rows T2, whose last row H F^(nu-1) reads the chain's bottom, Sigma, V2, and
-Sigma's right inverse s e_k, s = Sigma[k]^-1 for Sigma's first nonzero
-entry Sigma[k].
+`all_channel_maps` builds what that cancellation reads, for every row of
+the residue map at once, in closed form: the chain rows T2, whose last row
+H F^(nu-1) reads the chain's bottom, Sigma, V2, and Sigma's right inverse
+s e_k, s = Sigma[k]^-1 for Sigma's first nonzero entry Sigma[k].
+`channel_maps` is its one-row call.
 """
 
 from __future__ import annotations
@@ -21,17 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .modring import (
-    DimensionMismatch,
-    ModMatrix,
-    inverse_mod,
-    pivot_columns,
-)
+from .modring import DimensionMismatch, ModMatrix, _echelon
 
 __all__ = [
     "ZeroDynError",
     "RelativeDegreeUndefined",
     "ChannelMaps",
+    "all_channel_maps",
     "channel_maps",
 ]
 
@@ -44,22 +41,27 @@ class RelativeDegreeUndefined(ZeroDynError):
     """Raised when every Markov parameter of the channel vanishes."""
 
 
-def _output_chain(Hj: ModMatrix, Fbar: ModMatrix,
-                  Gbar: ModMatrix) -> Tuple[List[ModMatrix], ModMatrix]:
-    """The rows H F^k for k < nu and the first nonzero Markov parameter
-    Sigma = H F^(nu-1) G.
+def _output_chains(H: ModMatrix, Fbar: ModMatrix,
+                   Gbar: ModMatrix) -> Tuple[List[list], List[tuple]]:
+    """Per row H_j of H, the rows H_j F^k for k < nu_j and the first
+    nonzero Markov parameter Sigma_j = H_j F^(nu_j - 1) G, taken with one
+    product per depth over the rows whose depth is still unknown.
 
     The search stops at the state dimension: by Cayley-Hamilton, once the
     first l Markov parameters vanish they vanish forever.
     """
-    if Hj.nrows != 1:
-        raise DimensionMismatch("channel output map must be a single row")
-    rows = [Hj]
+    chains, sigmas = [[row] for row in H.rows], [None] * H.nrows
+    todo, rows = list(range(H.nrows)), H
     for _ in range(Fbar.nrows):
-        sigma = rows[-1] @ Gbar
-        if not sigma.is_zero():
-            return rows, sigma
-        rows.append(rows[-1] @ Fbar)
+        for j, sigma in zip(todo, (rows @ Gbar).rows):
+            sigmas[j] = sigma if any(sigma) else None
+        todo = [j for j in todo if sigmas[j] is None]
+        if not todo:
+            return chains, sigmas
+        rows = ModMatrix._trusted(tuple(chains[j][-1] for j in todo),
+                                  H.ncols, H.modulus) @ Fbar
+        for j, row in zip(todo, rows.rows):
+            chains[j].append(row)
     raise RelativeDegreeUndefined(
         "all Markov parameters vanish; the channel never sees the input")
 
@@ -82,26 +84,40 @@ class ChannelMaps:
     V2: ModMatrix        # l x nu
 
 
-def channel_maps(Hj: ModMatrix, Fbar: ModMatrix, Gbar: ModMatrix) -> ChannelMaps:
-    """Closed-form cancellation maps of the channel (Hj, Fbar, Gbar); raises
-    RelativeDegreeUndefined when it has no relative degree.
+def all_channel_maps(H: ModMatrix, Fbar: ModMatrix,
+                     Gbar: ModMatrix) -> Tuple[ChannelMaps, ...]:
+    """Closed-form cancellation maps of the channels (H_j, Fbar, Gbar), one
+    per row H_j of H; raises RelativeDegreeUndefined when a row has no
+    relative degree.
 
     T1 (from the basis completion) is the unit rows of the non-pivot
     columns of T2, so with P = T2 restricted to its pivot columns, the
     inverse of [T1; T2] has P^-1 on the pivot rows of its last nu columns
     and zeros on the other rows: V2 needs one nu x nu inverse, not an
-    l x l one.
+    l x l one.  One elimination of [T2 | I] gives both: a relative degree
+    makes T2's rows independent, so every pivot lies in T2, and the right
+    half E of the result has E T2 = its left half, so E P = I.
     """
-    rows, Sigma = _output_chain(Hj, Fbar, Gbar)
-    q = Gbar.modulus
-    l, nu = Fbar.nrows, len(rows)
-    T2 = ModMatrix._trusted(tuple(r.rows[0] for r in rows), l, q)
-    pivots = pivot_columns(T2)
-    Pinv = inverse_mod(ModMatrix._trusted(
-        tuple(tuple(row[c] for c in pivots) for row in T2.rows), nu, q))
-    at = {c: k for k, c in enumerate(pivots)}
-    V2 = ModMatrix._trusted(tuple(Pinv.rows[at[i]] if i in at else (0,) * nu
-                                  for i in range(l)), nu, q)
-    k = next(i for i, a in enumerate(Sigma.rows[0]) if a)
-    return ChannelMaps(nu=nu, T2=T2, Sigma=Sigma, k=k,
-                       s=q.inv(Sigma.rows[0][k]), V2=V2)
+    q, l = Gbar.modulus, Fbar.nrows
+    out = []
+    for rows, sigma in zip(*_output_chains(H, Fbar, Gbar)):
+        nu = len(rows)
+        reduced, pivots = _echelon(
+            [row + (0,) * i + (1,) + (0,) * (nu - 1 - i)
+             for i, row in enumerate(rows)], q.q, reduce_up=True)
+        Pinv = ModMatrix((row[l:] for row in reduced), q, ncols=nu).rows
+        at = dict(zip(pivots, Pinv))
+        k = next(i for i, a in enumerate(sigma) if a)
+        out.append(ChannelMaps(
+            nu=nu, T2=ModMatrix._trusted(tuple(rows), l, q),
+            Sigma=ModMatrix._trusted((sigma,), len(sigma), q), k=k,
+            s=q.inv(sigma[k]), V2=ModMatrix._trusted(tuple(
+                at.get(i, (0,) * nu) for i in range(l)), nu, q)))
+    return tuple(out)
+
+
+def channel_maps(Hj: ModMatrix, Fbar: ModMatrix, Gbar: ModMatrix) -> ChannelMaps:
+    """`all_channel_maps` of the single row Hj."""
+    if Hj.nrows != 1:
+        raise DimensionMismatch("channel output map must be a single row")
+    return all_channel_maps(Hj, Fbar, Gbar)[0]

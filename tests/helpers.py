@@ -17,14 +17,15 @@ from cipherobs.encobs import EncObserverState, EncryptedBatch, \
 from cipherobs.lwe import _CT_MAGIC, Ciphertext, CiphertextKind, LweError, \
     SecretKey, TestRng, centred, keygen, wire_layout, words_of
 from cipherobs.modring import DimensionMismatch, ModMatrix, ModRingError, \
-    Modulus, _echelon, inverse_mod, pivot_columns
-from cipherobs.obsdesign import run_reference_observer
+    Modulus, _echelon, inverse_mod
+from cipherobs.obsdesign import ReferenceRun, run_reference_observer
 from cipherobs.pipeline import BENCH_Q, EncryptedRun, run_quantized_mode
 from cipherobs.plantsim import AttackScenario, PlantModel, run_closed_loop
 from cipherobs.quantobs import quantize_initial, quantize_input, \
     residue_quantized, step_quantized
 from cipherobs.secviews import View1, View2
-from cipherobs.zerodyn import RelativeDegreeUndefined, channel_maps
+from cipherobs.zerodyn import ChannelMaps, RelativeDegreeUndefined, \
+    channel_maps
 
 
 def secret_key(values: Sequence[int], q: Modulus) -> SecretKey:
@@ -459,6 +460,21 @@ def rank_mod(A: ModMatrix) -> int:
     return len(pivots)
 
 
+class NotFullRowRank(ModRingError):
+    pass
+
+
+def pivot_columns(T2: ModMatrix) -> List[int]:
+    """Pivot columns of a full-row-rank T2, ascending: one per row, and T2
+    restricted to them is invertible (oracle for the pivots that
+    `zerodyn.all_channel_maps` reads off one elimination of [T2 | I])."""
+    _, pivots = _echelon(T2.rows, T2.modulus.q, reduce_up=False)
+    if len(pivots) < T2.nrows:
+        raise NotFullRowRank(
+            f"rank {len(pivots)} < {T2.nrows} rows; cannot complete basis")
+    return pivots
+
+
 def complete_basis(T2: ModMatrix) -> ModMatrix:
     """Standard-basis completion of a full-row-rank T2 to a basis of Z_q^l.
 
@@ -494,6 +510,44 @@ def centered_difference_check(a: int, b: int, mod: Modulus) -> bool:
 
 
 # -- zero-dynamics normal form: the oracle for the deployed cancellation -----
+
+# observer banks whose blocks are shorter than the largest by up to 5 rows
+UNEVEN_BLOCKS = [(2, 6), (4, 6), (1, 3, 6), (6, 1, 4), (3, 3)]
+
+
+def uneven_gain(q, sizes, rng):
+    """A random l x 3 gain with small entries for blocks `sizes`."""
+    return ModMatrix([[rng.randint(-9, 9) for _ in range(3)]
+                      for _ in range(sum(sizes))], q)
+
+
+def per_row_channel_maps(Hj: ModMatrix, Fbar: ModMatrix,
+                         Gbar: ModMatrix) -> ChannelMaps:
+    """One channel's maps built on its own: a Markov search of one product
+    per depth for this row alone, `pivot_columns` of T2 and `inverse_mod`
+    of T2 on its pivots (oracle for `zerodyn.all_channel_maps`, which takes
+    each depth's product over every row still searching and one
+    elimination of [T2 | I] per row)."""
+    rows = [Hj]
+    for _ in range(Fbar.nrows):
+        Sigma = rows[-1] @ Gbar
+        if not Sigma.is_zero():
+            break
+        rows.append(rows[-1] @ Fbar)
+    else:
+        raise RelativeDegreeUndefined("all Markov parameters vanish")
+    q = Gbar.modulus
+    l, nu = Fbar.nrows, len(rows)
+    T2 = ModMatrix._trusted(tuple(r.rows[0] for r in rows), l, q)
+    pivots = pivot_columns(T2)
+    Pinv = inverse_mod(ModMatrix._trusted(
+        tuple(tuple(row[c] for c in pivots) for row in T2.rows), nu, q))
+    at = {c: k for k, c in enumerate(pivots)}
+    V2 = ModMatrix._trusted(tuple(Pinv.rows[at[i]] if i in at else (0,) * nu
+                                  for i in range(l)), nu, q)
+    k = next(i for i, a in enumerate(Sigma.rows[0]) if a)
+    return ChannelMaps(nu=nu, T2=T2, Sigma=Sigma, k=k,
+                       s=q.inv(Sigma.rows[0][k]), V2=V2)
 
 @dataclass(frozen=True)
 class CancellationState:
@@ -609,6 +663,48 @@ def cancellation_step(ct: ChannelTransform, state: CancellationState,
 
 
 # -- whole-state oracles of the encrypted and quantized observers ------------
+
+def per_step_reference_observer(bank, trajectory,
+                                zhat_ini: np.ndarray) -> ReferenceRun:
+    """The stacked deadbeat observer with each subset's rows gathered, and
+    Fbar's shift taken, block by block at every step (oracle for
+    `obsdesign.run_reference_observer`, which reads the gathers and shift
+    rows the bank holds).  The matvecs are the same, in the same order."""
+    zhat = np.asarray(zhat_ini, dtype=float).ravel().copy()
+    run = ReferenceRun(zhat=[], xhat=[], rhat=[], subset_estimates=[])
+    for t in range(len(trajectory)):
+        xh = bank.Phi_pinv @ zhat
+        per_subset, stacked = {}, []
+        for subset in bank.subsets:
+            idx = []
+            for i in subset:
+                idx.extend(range(bank.offsets[i],
+                                 bank.offsets[i] + bank.block_sizes[i]))
+            xL = bank.subset_pinvs[subset] @ zhat[idx]
+            per_subset[subset] = xL
+            stacked.append(xL - xh)
+        run.zhat.append(zhat.copy())
+        run.xhat.append(xh)
+        run.rhat.append(np.concatenate(stacked))
+        run.subset_estimates.append(per_subset)
+        v = np.concatenate([trajectory.u[t], trajectory.y[t]])
+        shifted = np.zeros_like(zhat)
+        for o, li in zip(bank.offsets, bank.block_sizes):
+            shifted[o + 1:o + li] = zhat[o:o + li - 1]
+        zhat = shifted + bank.G_real @ v
+    return run
+
+
+def assert_reference_runs_equal(got: ReferenceRun, want: ReferenceRun):
+    """Every zhat, xhat, rhat and subset estimate equal, bit for bit."""
+    assert len(got.zhat) == len(want.zhat)
+    for t, (a, b) in enumerate(zip(got.subset_estimates,
+                                   want.subset_estimates)):
+        for name in ("zhat", "xhat", "rhat"):
+            assert np.array_equal(getattr(got, name)[t],
+                                  getattr(want, name)[t]), (name, t)
+        assert list(a) == list(b), t
+        assert all(np.array_equal(a[s], b[s]) for s in b), t
 
 def encrypted_residue(state, public) -> Tuple[ModMatrix, ModMatrix]:
     """Stacked per-channel residue rows and their first column.

@@ -56,6 +56,22 @@ class TestDesign:
         assert "kappa(2)" not in out
         assert sum("noise budget" in line for line in out.splitlines()) == 1
 
+    def test_set_up_lines_are_pinned(self, capsys):
+        # channel degrees, calibration and the whole parameter report:
+        # every set-up result these lines print keeps its value
+        assert main(["design"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index("relative degrees: nu=1: 60 channels")
+        assert lines[start:] == [
+            "relative degrees: nu=1: 60 channels",
+            "init_error=1.1430892  signal_bound=6.45038811",
+            "modulus overflow bound: pass (margin 1.078e+15)",
+            "lift noise budget: pass (margin 1.64)",
+            "modulus-lift bound: pass (margin 30.65)",
+            "lift coprime to q: yes",
+            "gbar inf norm: 262173",
+        ]
+
     def test_paper_lift_fails_the_exact_budget(self, capsys):
         # the paper's lift 2^44 is below twice the exact worst case of the
         # recovery error, so design fails and an encrypted run is refused

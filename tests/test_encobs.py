@@ -34,14 +34,14 @@ from cipherobs.pipeline import SystemSetup, bundled_scenario_path, \
     run_encrypted_mode, run_quantized_mode
 from cipherobs.quantobs import BlockGain, detect
 from cipherobs.zerodyn import RelativeDegreeUndefined, channel_maps
-from .helpers import ValueSource, batch_of, build_fbar, build_transform, \
-    cancel_ints, cancel_words, cancellation_init, cancellation_step, \
-    channel, ciphertext, cloud_run, column_words, \
+from .helpers import UNEVEN_BLOCKS, ValueSource, batch_of, build_fbar, \
+    build_transform, cancel_ints, cancel_words, cancellation_init, \
+    cancellation_step, channel, ciphertext, cloud_run, column_words, \
     ct_matrix, decrypt_channel_state, dense_decrypt, dense_normal_form, \
     encrypted_residue, error_trajectory, full_state, \
     joined_residue_first_column, last_column, matrix_limbs, \
     recorded_view2, reference_ct_bytes, replay_states, secret_key, \
-    sigma_dag, transcript_masks
+    sigma_dag, transcript_masks, uneven_gain
 
 
 class ZeroMaskRng(ValueSource):
@@ -795,16 +795,6 @@ class TestDisclosureAndRecovery:
             rec = recover_encrypted_state(state, 0, sk, params,
                                           bench_setup.mod_maps.PhiPinvBar)
             assert rec == qrun.xbars[t]
-
-
-# observer banks whose blocks are shorter than the largest by up to 5 rows
-UNEVEN_BLOCKS = [(2, 6), (4, 6), (1, 3, 6), (6, 1, 4), (3, 3)]
-
-
-def uneven_gain(q, sizes, rng):
-    """A random l x 3 gain with small entries for blocks `sizes`."""
-    return ModMatrix([[rng.randint(-9, 9) for _ in range(3)]
-                      for _ in range(sum(sizes))], q)
 
 
 def rounded_decryption(dec, params, phi):

@@ -12,7 +12,6 @@ from cipherobs.modring import (
     ModMatrix,
     Modulus,
     ModulusMismatch,
-    NotFullRowRank,
     mat_mul_mod,
     PrimalityError,
     SingularMatrix,
@@ -24,9 +23,9 @@ from cipherobs.modring import (
 )
 from cipherobs.modring import _is_probable_prime, _reduce_rows
 from cipherobs.pipeline import BENCH_Q
-from .helpers import HUGE_PRIME, ZeroRow, centered_difference_check, \
-    complete_basis, egcd_inverse, floor_cmod, random_mod_matrix, rank_mod, \
-    right_inverse_row
+from .helpers import HUGE_PRIME, NotFullRowRank, ZeroRow, \
+    centered_difference_check, complete_basis, egcd_inverse, floor_cmod, \
+    random_mod_matrix, rank_mod, right_inverse_row
 
 Q5 = Modulus(5)
 Q7 = Modulus(7)

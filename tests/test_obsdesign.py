@@ -17,7 +17,8 @@ from cipherobs.obsdesign import (
     run_reference_observer,
 )
 from cipherobs.plantsim import AttackScenario, PlantModel, run_closed_loop
-from .helpers import random_stable_plant
+from .helpers import assert_reference_runs_equal, \
+    per_step_reference_observer, random_stable_plant
 
 
 class TestObservabilityIndex:
@@ -214,6 +215,29 @@ class TestReferenceObserver:
         clean = max(np.max(np.abs(ref.rhat[t])) for t in range(10, 25))
         assert attacked > 0.5
         assert clean < 1e-6
+
+
+@pytest.mark.parametrize("start", ["zero", "random"])
+@pytest.mark.parametrize("trajectory", ["calibration", "attack"])
+def test_reference_oracle_on_the_benchmark_bank(bench_setup, trajectory,
+                                                start):
+    # the bank's gathers and shift rows against the per-step oracle, bit
+    # for bit: on calibrate_M's attack-free run and on the attacked run
+    bank, bundle = bench_setup.bank, bench_setup.bundle
+    traj = (run_closed_loop(bundle.model, AttackScenario(), 10 * bank.l_max)
+            if trajectory == "calibration"
+            else run_closed_loop(bundle.model, bundle.attacks, 50))
+    zhat_ini = (np.zeros(bank.l_total) if start == "zero"
+                else np.random.default_rng(3).normal(size=bank.l_total))
+    assert_reference_runs_equal(
+        run_reference_observer(bank, traj, zhat_ini),
+        per_step_reference_observer(bank, traj, zhat_ini))
+
+
+def test_scale_past_int64_is_a_design_error(bench_setup):
+    # the rounded maps are int64: a scale whose maps overflow it is refused
+    with pytest.raises(DesignError, match="int64"):
+        residue_map(bench_setup.bank, 1e-30)
 
 
 class TestCalibrateM:

@@ -16,15 +16,18 @@ import dataclasses
 import numpy as np
 import pytest
 
+from cipherobs import cli
 from cipherobs.encobs import recover_encrypted_state
+from cipherobs.obsdesign import run_reference_observer
 from cipherobs.obsdesign import DesignError
 from cipherobs.pipeline import BENCH_LIFT, BENCH_Q, SystemSetup, \
     run_encrypted_mode, run_quantized_mode
 from cipherobs.plantsim import AttackScenario, AttackSegment, PlantError, \
-    PlantModel, ScenarioBundle
+    PlantModel, ScenarioBundle, run_closed_loop
 from cipherobs.secviews import View1, View2, f1_view1_to_view2, \
     f2_view2_to_view1
-from .helpers import random_stable_plant
+from .helpers import assert_reference_runs_equal, \
+    per_step_reference_observer, random_stable_plant
 
 STEPS = 20
 
@@ -175,3 +178,33 @@ def test_draws_cover_mimo_uneven_banks_and_detections(sparse_setups,
                if any(r.detected for r in run_quantized_mode(s, STEPS)
                       .records)]
     assert len(flagged) >= len(setups) // 2
+
+
+def test_verify_suites_on_every_plant(sparse_setups, dense_setups,
+                                      two_sensor_setups):
+    # `cipherobs verify`'s deadbeat and output-zeroing suites on each
+    # plant's own setup, at its N = 16; the third suite, recovery and the
+    # views, is what the tests above run on every plant
+    setups = sparse_setups + dense_setups + two_sensor_setups
+    for i, setup in enumerate(setups):
+        assert cli._suite_deadbeat(setup) == [], i
+        assert cli._zeroing_failures(f"plant {i}", setup.mod_maps,
+                                     setup.params, i) == [], i
+
+
+def test_reference_oracle_on_random_banks(sparse_setups, dense_setups,
+                                          two_sensor_setups):
+    # the set-up's reference run (the bank's gathers and shift rows)
+    # equals the per-step oracle, bit for bit, on the calibration run and
+    # the attacked run, from zero and from a random observer state
+    rng = np.random.default_rng(13)
+    for setup in sparse_setups + dense_setups + two_sensor_setups:
+        bank, bundle = setup.bank, setup.bundle
+        for traj in (run_closed_loop(bundle.model, AttackScenario(),
+                                     10 * bank.l_max),
+                     run_closed_loop(bundle.model, bundle.attacks, STEPS)):
+            for zhat_ini in (np.zeros(bank.l_total),
+                             rng.normal(size=bank.l_total)):
+                assert_reference_runs_equal(
+                    run_reference_observer(bank, traj, zhat_ini),
+                    per_step_reference_observer(bank, traj, zhat_ini))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from operator import add
@@ -6,14 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cipherobs import cli
 from cipherobs.modring import ModMatrix, Modulus
 from cipherobs.zerodyn import (
+    ChannelMaps,
     RelativeDegreeUndefined,
+    all_channel_maps,
     channel_maps,
 )
-from .helpers import build_fbar, build_transform, cancellation_init, \
-    cancellation_step, dense_normal_form, random_channel, random_mod_matrix, sigma_dag, \
-    simulate_channel
+from .helpers import UNEVEN_BLOCKS, build_fbar, build_transform, \
+    cancellation_init, cancellation_step, dense_normal_form, \
+    per_row_channel_maps, random_channel, random_mod_matrix, sigma_dag, \
+    simulate_channel, uneven_gain
 
 Q101 = Modulus(101)
 Q5 = Modulus(5)
@@ -216,6 +221,66 @@ class TestClosedFormMaps:
         for build in (channel_maps, build_transform):
             with pytest.raises(RelativeDegreeUndefined):
                 build(H, F, G)
+
+
+def assert_equal_per_row_oracle(H, F, G):
+    """`all_channel_maps` of every row of H equals the per-row oracle,
+    field for field; returns the maps."""
+    got = all_channel_maps(H, F, G)
+    assert len(got) == H.nrows
+    for j, maps in enumerate(got):
+        want = per_row_channel_maps(H.row(j), F, G)
+        for field in dataclasses.fields(ChannelMaps):
+            assert getattr(maps, field.name) == getattr(want, field.name), \
+                (j, field.name)
+    return got
+
+
+def test_channel_maps_oracle_on_the_benchmark(bench_setup):
+    maps = bench_setup.mod_maps
+    got = assert_equal_per_row_oracle(maps.Hbar, maps.gain.Fbar,
+                                      maps.gain.Gbar)
+    assert len(got) == 60
+
+
+@pytest.mark.parametrize("sizes", UNEVEN_BLOCKS)
+def test_channel_maps_oracle_on_uneven_gains(bench_setup, sizes):
+    # every unit row and three random rows of small entries
+    q = bench_setup.params.q
+    rng = random.Random(repr(sizes))
+    l = sum(sizes)
+    H = ModMatrix(ModMatrix.identity(l, q).rows
+                  + tuple(tuple(rng.randint(-9, 9) for _ in range(l))
+                          for _ in range(3)), q)
+    assert_equal_per_row_oracle(H, build_fbar(sizes, q),
+                                uneven_gain(q, sizes, rng))
+
+
+def test_channel_maps_oracle_on_random_q101_banks():
+    # the zeroing suite's draws with a channel of nu > 1: the rows with a
+    # relative degree against the oracle, and all rows raising when one
+    # has none
+    rng = random.Random(23)
+    done, undefined = 0, 0
+    while done < 20:
+        blocks, G, H = cli._zeroing_draw(rng, Q101)
+        F = build_fbar(blocks, Q101)
+        degrees = {}
+        for j in range(H.nrows):
+            try:
+                degrees[j] = per_row_channel_maps(H.row(j), F, G).nu
+            except RelativeDegreeUndefined:
+                pass
+        if max(degrees.values(), default=0) < 2:
+            continue
+        if len(degrees) < H.nrows:
+            undefined += 1
+            with pytest.raises(RelativeDegreeUndefined):
+                all_channel_maps(H, F, G)
+        assert_equal_per_row_oracle(
+            ModMatrix([H.rows[j] for j in degrees], Q101), F, G)
+        done += 1
+    assert undefined > 0
 
 
 class TestSimulateChannel:
