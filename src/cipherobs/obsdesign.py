@@ -177,7 +177,7 @@ class ObserverBank:
     `subsets` lists every (p-k)-subset of sensors in lexicographic order;
     kappa is the largest infinity norm over the stored pseudo-inverses.
     Built once: each subset's gather (its sensors' rows of the stacked
-    state) and the rows Fbar shifts into (all but each block's first).
+    state), in `subsets` order.
     """
 
     model: PlantModel
@@ -190,7 +190,6 @@ class ObserverBank:
     Phi_pinv: np.ndarray
     subset_pinvs: Dict[Tuple[int, ...], np.ndarray]
     subset_gathers: Dict[Tuple[int, ...], np.ndarray]
-    shift_rows: np.ndarray
     kappa: float
     block_sizes: Tuple[int, ...]
     offsets: Tuple[int, ...]
@@ -200,7 +199,7 @@ class ObserverBank:
 
     def __post_init__(self):
         for arr in (self.Phi, self.L_gain, self.G_real, self.Phi_pinv,
-                    self.shift_rows, *self.subset_gathers.values()):
+                    *self.subset_gathers.values()):
             arr.setflags(write=False)
 
     def z_slice(self, i: int) -> slice:
@@ -208,12 +207,6 @@ class ObserverBank:
 
     def subset_indices(self, subset: Tuple[int, ...]) -> Tuple[int, ...]:
         return tuple(self.subset_gathers[subset].tolist())
-
-    def apply_shift(self, z: np.ndarray) -> np.ndarray:
-        """Fbar @ z for stacked vectors: a downward shift inside each block."""
-        out = np.zeros_like(z)
-        out[self.shift_rows] = z[self.shift_rows - 1]
-        return out
 
     def ztilde_ini(self, x_ini: np.ndarray, zhat_ini: np.ndarray) -> float:
         """Largest per-sensor initial estimation error max_i |z_i(0) - zhat_i(0)|."""
@@ -267,10 +260,9 @@ def build_bank(model: PlantModel, k: int) -> ObserverBank:
     return ObserverBank(
         model=model, k=k, partials=partials, subsets=subsets, Phi=Phi,
         L_gain=L_gain, G_real=G_real, Phi_pinv=Phi_pinv,
-        subset_pinvs=subset_pinvs,
+        subset_pinvs=subset_pinvs, kappa=kappa,
         subset_gathers={s: np.concatenate([blocks[i] for i in s])
                         for s in subsets},
-        shift_rows=np.concatenate([b[1:] for b in blocks]), kappa=kappa,
         block_sizes=block_sizes, offsets=offsets, l_total=l_total,
         l_max=max(block_sizes), n_r=n * len(subsets),
     )
@@ -320,29 +312,37 @@ class ReferenceRun:
     subset_estimates: list  # per step: dict subset -> xhat_subset
 
 
+def _reference_arrays(bank: ObserverBank, trajectory: Trajectory,
+                      zhat_ini: np.ndarray):
+    """zhat, xhat, each subset's estimate and rhat, one row per step; each
+    readout is one matmul over the stack of steps, the same matvec per step."""
+    zhat = np.asarray(zhat_ini, dtype=float).ravel()
+    if zhat.shape != (bank.l_total,):
+        raise DesignError(f"zhat_ini must have length {bank.l_total}")
+    V = np.hstack([np.reshape(trajectory.u, (len(trajectory), bank.model.m)),
+                   np.reshape(trajectory.y, (len(trajectory), bank.model.p))])
+    gv = np.matmul(bank.G_real, V[:-1, :, None])[..., 0]
+    Z = np.tile(zhat, (len(trajectory), 1))
+    # Fbar's shift, by block position over all steps; block starts read 0.0
+    starts, sizes = np.array(bank.offsets), np.array(bank.block_sizes)
+    for h in range(bank.l_max):
+        rows = starts[sizes > h] + h
+        Z[1:, rows] = (Z[:-1, rows - 1] if h else 0.0) + gv[:, rows]
+    xhat = np.matmul(bank.Phi_pinv, Z[..., None])[..., 0]
+    subset_xhat = [np.matmul(bank.subset_pinvs[s], Z[:, g, None])[..., 0]
+                   for s, g in bank.subset_gathers.items()]
+    rhat = np.concatenate([xL - xhat for xL in subset_xhat], axis=1)
+    return Z, xhat, subset_xhat, rhat
+
+
 def run_reference_observer(bank: ObserverBank, trajectory: Trajectory,
                            zhat_ini: np.ndarray) -> ReferenceRun:
     """Iterate the stacked deadbeat observer on a recorded trajectory; each
     subset reads its estimate through the gather the bank holds."""
-    zhat = np.asarray(zhat_ini, dtype=float).ravel().copy()
-    if zhat.shape != (bank.l_total,):
-        raise DesignError(f"zhat_ini must have length {bank.l_total}")
-    run = ReferenceRun(zhat=[], xhat=[], rhat=[], subset_estimates=[])
-    for t in range(len(trajectory)):
-        xh = bank.Phi_pinv @ zhat
-        per_subset = {}
-        stacked = []
-        for subset in bank.subsets:
-            xL = bank.subset_pinvs[subset] @ zhat[bank.subset_gathers[subset]]
-            per_subset[subset] = xL
-            stacked.append(xL - xh)
-        run.zhat.append(zhat.copy())
-        run.xhat.append(xh)
-        run.rhat.append(np.concatenate(stacked))
-        run.subset_estimates.append(per_subset)
-        v = np.concatenate([trajectory.u[t], trajectory.y[t]])
-        zhat = bank.apply_shift(zhat) + bank.G_real @ v
-    return run
+    Z, xhat, subset_xhat, rhat = _reference_arrays(bank, trajectory, zhat_ini)
+    return ReferenceRun(zhat=list(Z), xhat=list(xhat), rhat=list(rhat),
+                        subset_estimates=[dict(zip(bank.subsets, xs))
+                                          for xs in zip(*subset_xhat)])
 
 
 def calibrate_M(bank: ObserverBank, model: PlantModel, horizon: int) -> float:
@@ -356,9 +356,9 @@ def calibrate_M(bank: ObserverBank, model: PlantModel, horizon: int) -> float:
     if horizon < 10 * bank.l_max:
         raise DesignError(f"horizon {horizon} < 10 * l_max = {10 * bank.l_max}")
     traj = run_closed_loop(model, AttackScenario(), horizon)
-    run = run_reference_observer(bank, traj, np.zeros(bank.l_total))
-    return M_SAFETY * float(max(np.max(np.abs(run.rhat), initial=0.0),
-                                np.max(np.abs(run.zhat), initial=0.0)))
+    Z, _, _, rhat = _reference_arrays(bank, traj, np.zeros(bank.l_total))
+    return M_SAFETY * float(max(np.max(np.abs(rhat), initial=0.0),
+                                np.max(np.abs(Z), initial=0.0)))
 
 
 def design_report(bank: ObserverBank) -> str:

@@ -18,7 +18,7 @@ from cipherobs.lwe import _CT_MAGIC, Ciphertext, CiphertextKind, LweError, \
     SecretKey, TestRng, centred, keygen, wire_layout, words_of
 from cipherobs.modring import DimensionMismatch, ModMatrix, ModRingError, \
     Modulus, _echelon, inverse_mod
-from cipherobs.obsdesign import ReferenceRun, run_reference_observer
+from cipherobs.obsdesign import M_SAFETY, ReferenceRun, run_reference_observer
 from cipherobs.pipeline import BENCH_Q, EncryptedRun, run_quantized_mode
 from cipherobs.plantsim import AttackScenario, PlantModel, run_closed_loop
 from cipherobs.quantobs import quantize_initial, quantize_input, \
@@ -666,10 +666,11 @@ def cancellation_step(ct: ChannelTransform, state: CancellationState,
 
 def per_step_reference_observer(bank, trajectory,
                                 zhat_ini: np.ndarray) -> ReferenceRun:
-    """The stacked deadbeat observer with each subset's rows gathered, and
-    Fbar's shift taken, block by block at every step (oracle for
-    `obsdesign.run_reference_observer`, which reads the gathers and shift
-    rows the bank holds).  The matvecs are the same, in the same order."""
+    """The stacked deadbeat observer one step at a time, with each subset's
+    rows gathered, and Fbar's shift taken, block by block at every step
+    (oracle for `obsdesign.run_reference_observer`, which runs the whole
+    trajectory: the state by block position over all steps, and each
+    matvec as one matmul over the stack of steps)."""
     zhat = np.asarray(zhat_ini, dtype=float).ravel().copy()
     run = ReferenceRun(zhat=[], xhat=[], rhat=[], subset_estimates=[])
     for t in range(len(trajectory)):
@@ -695,16 +696,32 @@ def per_step_reference_observer(bank, trajectory,
     return run
 
 
+def per_step_signal_bound(bank) -> float:
+    """`obsdesign.calibrate_M` at its horizon of 10 l_max, from the per-step
+    oracle: M_SAFETY times the largest |rhat| or |zhat| of the attack-free
+    run started at zhat = 0."""
+    traj = run_closed_loop(bank.model, AttackScenario(), 10 * bank.l_max)
+    run = per_step_reference_observer(bank, traj, np.zeros(bank.l_total))
+    return M_SAFETY * float(max(np.max(np.abs(run.rhat), initial=0.0),
+                                np.max(np.abs(run.zhat), initial=0.0)))
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal float64 arrays bit for bit, so -0.0 differs from 0.0."""
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def assert_reference_runs_equal(got: ReferenceRun, want: ReferenceRun):
     """Every zhat, xhat, rhat and subset estimate equal, bit for bit."""
     assert len(got.zhat) == len(want.zhat)
+    assert len(got.subset_estimates) == len(want.subset_estimates)
     for t, (a, b) in enumerate(zip(got.subset_estimates,
                                    want.subset_estimates)):
         for name in ("zhat", "xhat", "rhat"):
-            assert np.array_equal(getattr(got, name)[t],
-                                  getattr(want, name)[t]), (name, t)
+            assert same_bits(getattr(got, name)[t],
+                             getattr(want, name)[t]), (name, t)
         assert list(a) == list(b), t
-        assert all(np.array_equal(a[s], b[s]) for s in b), t
+        assert all(same_bits(a[s], b[s]) for s in b), t
 
 def encrypted_residue(state, public) -> Tuple[ModMatrix, ModMatrix]:
     """Stacked per-channel residue rows and their first column.

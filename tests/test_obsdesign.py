@@ -16,9 +16,10 @@ from cipherobs.obsdesign import (
     round_half_up,
     run_reference_observer,
 )
-from cipherobs.plantsim import AttackScenario, PlantModel, run_closed_loop
+from cipherobs.plantsim import AttackScenario, PlantModel, Trajectory, \
+    run_closed_loop
 from .helpers import assert_reference_runs_equal, \
-    per_step_reference_observer, random_stable_plant
+    per_step_reference_observer, per_step_signal_bound, random_stable_plant
 
 
 class TestObservabilityIndex:
@@ -221,8 +222,8 @@ class TestReferenceObserver:
 @pytest.mark.parametrize("trajectory", ["calibration", "attack"])
 def test_reference_oracle_on_the_benchmark_bank(bench_setup, trajectory,
                                                 start):
-    # the bank's gathers and shift rows against the per-step oracle, bit
-    # for bit: on calibrate_M's attack-free run and on the attacked run
+    # the whole-run observer against the per-step oracle, bit for bit: on
+    # calibrate_M's attack-free run and on the attacked run
     bank, bundle = bench_setup.bank, bench_setup.bundle
     traj = (run_closed_loop(bundle.model, AttackScenario(), 10 * bank.l_max)
             if trajectory == "calibration"
@@ -232,6 +233,58 @@ def test_reference_oracle_on_the_benchmark_bank(bench_setup, trajectory,
     assert_reference_runs_equal(
         run_reference_observer(bank, traj, zhat_ini),
         per_step_reference_observer(bank, traj, zhat_ini))
+
+
+def test_calibrate_M_reference_oracle_on_the_benchmark_bank(bench_setup):
+    # the signal bound read off the whole-run arrays is the per-step
+    # oracle's, bit for bit, and the value the benchmark has always had
+    bank = bench_setup.bank
+    got = calibrate_M(bank, bank.model, 10 * bank.l_max)
+    assert got.hex() == per_step_signal_bound(bank).hex()
+    assert got == 6.450388105858854
+
+
+def one_state_block_bank():
+    """A 3-sensor bank with blocks of sizes 1, 2 and 2 (k = 1): sensor 1
+    reads an eigenvector of A, so its chain stops at one state."""
+    plant = PlantModel(A=np.array([[0.5, 0.0], [1.0, 0.3]]),
+                       B=np.array([[1.0], [0.5]]),
+                       C=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+                       K=np.array([[-0.2, 0.1]]), x_ini=np.array([1.0, -2.0]))
+    return build_bank(plant, 1)
+
+
+@pytest.mark.parametrize("case", ["empty", "one step", "one-state block"])
+def test_reference_oracle_on_edge_trajectories(bench_setup, case):
+    # runs where the recursion's step slices are empty or short, and a
+    # block whose only row is its first, against the per-step oracle; some
+    # starting entries are -0.0, which the first step must keep
+    bank = bench_setup.bank
+    rng = np.random.default_rng(5)
+    if case == "empty":
+        traj = Trajectory()
+    elif case == "one step":
+        traj = run_closed_loop(bank.model, bench_setup.bundle.attacks, 1)
+    else:
+        bank = one_state_block_bank()
+        assert bank.block_sizes == (1, 2, 2)
+        traj = run_closed_loop(bank.model, AttackScenario(), 12)
+    zhat_ini = rng.normal(size=bank.l_total)
+    zhat_ini[::3] = -0.0
+    got = run_reference_observer(bank, traj, zhat_ini)
+    assert len(got.zhat) == len(got.rhat) == len(traj)
+    assert_reference_runs_equal(
+        got, per_step_reference_observer(bank, traj, zhat_ini))
+
+
+@pytest.mark.parametrize("steps", [0, 1, 5])
+def test_wrong_length_zhat_ini_is_a_design_error(bench_setup, steps):
+    bank = bench_setup.bank
+    traj = (run_closed_loop(bank.model, AttackScenario(), steps) if steps
+            else Trajectory())
+    for zhat_ini in (np.zeros(bank.l_total - 1), np.zeros(bank.l_total + 1)):
+        with pytest.raises(DesignError, match="zhat_ini"):
+            run_reference_observer(bank, traj, zhat_ini)
 
 
 def test_scale_past_int64_is_a_design_error(bench_setup):

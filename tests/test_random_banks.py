@@ -18,8 +18,8 @@ import pytest
 
 from cipherobs import cli
 from cipherobs.encobs import recover_encrypted_state
-from cipherobs.obsdesign import run_reference_observer
-from cipherobs.obsdesign import DesignError
+from cipherobs.obsdesign import DesignError, calibrate_M, \
+    run_reference_observer
 from cipherobs.pipeline import BENCH_LIFT, BENCH_Q, SystemSetup, \
     run_encrypted_mode, run_quantized_mode
 from cipherobs.plantsim import AttackScenario, AttackSegment, PlantError, \
@@ -27,7 +27,7 @@ from cipherobs.plantsim import AttackScenario, AttackSegment, PlantError, \
 from cipherobs.secviews import View1, View2, f1_view1_to_view2, \
     f2_view2_to_view1
 from .helpers import assert_reference_runs_equal, \
-    per_step_reference_observer, random_stable_plant
+    per_step_reference_observer, per_step_signal_bound, random_stable_plant
 
 STEPS = 20
 
@@ -194,9 +194,9 @@ def test_verify_suites_on_every_plant(sparse_setups, dense_setups,
 
 def test_reference_oracle_on_random_banks(sparse_setups, dense_setups,
                                           two_sensor_setups):
-    # the set-up's reference run (the bank's gathers and shift rows)
-    # equals the per-step oracle, bit for bit, on the calibration run and
-    # the attacked run, from zero and from a random observer state
+    # the set-up's reference run, on the whole trajectory at once, equals
+    # the per-step oracle bit for bit, on the calibration run and the
+    # attacked run, from zero and from a random observer state
     rng = np.random.default_rng(13)
     for setup in sparse_setups + dense_setups + two_sensor_setups:
         bank, bundle = setup.bank, setup.bundle
@@ -208,3 +208,16 @@ def test_reference_oracle_on_random_banks(sparse_setups, dense_setups,
                 assert_reference_runs_equal(
                     run_reference_observer(bank, traj, zhat_ini),
                     per_step_reference_observer(bank, traj, zhat_ini))
+
+
+def test_calibrate_M_reference_oracle_on_random_banks(sparse_setups,
+                                                     dense_setups,
+                                                     two_sensor_setups):
+    # each plant's signal bound, read off the whole-run arrays, is the
+    # per-step oracle's bit for bit, and is the one its setup holds
+    for i, setup in enumerate(sparse_setups + dense_setups
+                              + two_sensor_setups):
+        bank = setup.bank
+        got = calibrate_M(bank, bank.model, 10 * bank.l_max)
+        assert got.hex() == per_step_signal_bound(bank).hex(), i
+        assert got.hex() == setup.params.signal_bound.hex(), i
