@@ -128,14 +128,20 @@ class ObserverPublic:
 
     @cached_property
     def _chain_ends(self):
-        """`_row_digits` of the rows R_j = H_j F^(nu_j - 1), the last rows
-        of the T2_j, every channel's k_j and s_j, and the (l, n_ch) gain
-        columns G[:, k_j]: a cancel block is nonzero only at rows k_j.
-        `build` makes them, so `cancel_step` only reads them."""
-        R = ModMatrix._trusted(tuple(m.T2.rows[-1] for m in self.channels),
-                               self.gain.Gbar.nrows, self.q)
+        """Hbar's digit planes with row j shifted left nu_j - 1 times within
+        Fbar's blocks, (row Fbar)[c] = row[c + 1] unless c + 1 starts a
+        block: the planes of R_j = H_j F^(nu_j - 1), T2_j's last row.  Then
+        every k_j and s_j, and the (l, n_ch) gain columns G[:, k_j]: a
+        cancel block is nonzero only at rows k_j.  `build` makes them."""
+        e, planes = self._hbar_digits
+        planes = planes.copy()
+        ends = [s - 1 for s in self.gain.starts[1:]] + [-1]     # blocks' ends
+        for j, m in enumerate(self.channels):
+            for _ in range(m.nu - 1):
+                planes[:, j, :-1] = planes[:, j, 1:]
+                planes[:, j, ends] = 0
         ks = np.array([m.k for m in self.channels], dtype=np.intp)
-        return (_row_digits(R), ks, tuple(m.s for m in self.channels),
+        return ((e, planes), ks, tuple(m.s for m in self.channels),
                 self.gain.G[:, ks])
 
     def cancel_initial(self, x: np.ndarray, known=None):

@@ -185,8 +185,7 @@ class ObserverBank:
     partials: Tuple[PartialObserver, ...]
     subsets: Tuple[Tuple[int, ...], ...]
     Phi: np.ndarray
-    L_gain: np.ndarray
-    G_real: np.ndarray            # [Phi B, L_gain]
+    G_real: np.ndarray            # [Phi B, L]: sensor i's f in block i
     Phi_pinv: np.ndarray
     subset_pinvs: Dict[Tuple[int, ...], np.ndarray]
     subset_gathers: Dict[Tuple[int, ...], np.ndarray]
@@ -198,7 +197,7 @@ class ObserverBank:
     n_r: int
 
     def __post_init__(self):
-        for arr in (self.Phi, self.L_gain, self.G_real, self.Phi_pinv,
+        for arr in (self.Phi, self.G_real, self.Phi_pinv,
                     *self.subset_gathers.values()):
             arr.setflags(write=False)
 
@@ -259,8 +258,8 @@ def build_bank(model: PlantModel, k: int) -> ObserverBank:
 
     return ObserverBank(
         model=model, k=k, partials=partials, subsets=subsets, Phi=Phi,
-        L_gain=L_gain, G_real=G_real, Phi_pinv=Phi_pinv,
-        subset_pinvs=subset_pinvs, kappa=kappa,
+        G_real=G_real, Phi_pinv=Phi_pinv, subset_pinvs=subset_pinvs,
+        kappa=kappa,
         subset_gathers={s: np.concatenate([blocks[i] for i in s])
                         for s in subsets},
         block_sizes=block_sizes, offsets=offsets, l_total=l_total,

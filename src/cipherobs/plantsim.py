@@ -153,7 +153,7 @@ def run_closed_loop(model: PlantModel, attacks: AttackScenario,
         traj.u.append(u)
         traj.y.append(y)
         traj.a.append(a)
-        x = step_plant(model, x, u)
+        x = model.A @ x + model.B @ u     # `step_plant`, unchecked
     return traj
 
 

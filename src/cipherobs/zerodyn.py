@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .modring import DimensionMismatch, ModMatrix, _echelon
+from .modring import DimensionMismatch, ModMatrix
 
 __all__ = [
     "ZeroDynError",
@@ -84,6 +84,30 @@ class ChannelMaps:
     V2: ModMatrix        # l x nu
 
 
+def _chain_inverse(rows, q: int):
+    """Pivot columns of independent rows T2 over F_q and P^-1 centred, P = T2
+    on them, as `modring._echelon([T2 | I], q, reduce_up=True)` gives them:
+    Gauss-Jordan under its pivot rule, updating T2 only right of a pivot and
+    while a later one reads it (nu = 1: one scan, one inverse)."""
+    nu, l, half = len(rows), len(rows[0]), q >> 1
+    rows, pivots, c = [list(row) for row in rows], [], -1
+    inv = [[int(i == k) for k in range(nu)] for i in range(nu)]
+    for r in range(nu):
+        c, i = next((d, i) for d in range(c + 1, l) for i in range(r, nu)
+                    if rows[i][d])      # reduced entries: nonzero mod q
+        rows[r], rows[i], inv[r], inv[i] = rows[i], rows[r], inv[i], inv[r]
+        s, tail = pow(rows[r][c], -1, q), slice(c + 1, l if r + 1 < nu else 0)
+        inv[r] = [a * s % q for a in inv[r]]
+        rows[r][tail] = [a * s % q for a in rows[r][tail]]
+        for j in range(nu):
+            if j != r and (f := rows[j][c]):
+                inv[j] = [(a - f * b) % q for a, b in zip(inv[j], inv[r])]
+                rows[j][tail] = [(a - f * b) % q for a, b
+                                 in zip(rows[j][tail], rows[r][tail])]
+        pivots.append(c)
+    return pivots, [tuple(a - q if a > half else a for a in v) for v in inv]
+
+
 def all_channel_maps(H: ModMatrix, Fbar: ModMatrix,
                      Gbar: ModMatrix) -> Tuple[ChannelMaps, ...]:
     """Closed-form cancellation maps of the channels (H_j, Fbar, Gbar), one
@@ -91,28 +115,24 @@ def all_channel_maps(H: ModMatrix, Fbar: ModMatrix,
     relative degree.
 
     T1 (from the basis completion) is the unit rows of the non-pivot
-    columns of T2, so with P = T2 restricted to its pivot columns, the
-    inverse of [T1; T2] has P^-1 on the pivot rows of its last nu columns
-    and zeros on the other rows: V2 needs one nu x nu inverse, not an
-    l x l one.  One elimination of [T2 | I] gives both: a relative degree
-    makes T2's rows independent, so every pivot lies in T2, and the right
-    half E of the result has E T2 = its left half, so E P = I.
+    columns of T2, so with P = T2 on its pivot columns, [T1; T2]^-1 has
+    P^-1 on the pivot rows of its last nu columns and zeros elsewhere: V2
+    needs one nu x nu inverse (`_chain_inverse`), whose pivots all lie in
+    T2, as a relative degree makes T2's rows independent.
     """
-    q, l = Gbar.modulus, Fbar.nrows
-    out = []
+    q, l, out = Gbar.modulus, Fbar.nrows, []
     for rows, sigma in zip(*_output_chains(H, Fbar, Gbar)):
         nu = len(rows)
-        reduced, pivots = _echelon(
-            [row + (0,) * i + (1,) + (0,) * (nu - 1 - i)
-             for i, row in enumerate(rows)], q.q, reduce_up=True)
-        Pinv = ModMatrix((row[l:] for row in reduced), q, ncols=nu).rows
-        at = dict(zip(pivots, Pinv))
+        pivots, Pinv = _chain_inverse(rows, q.q)
+        V2 = [(0,) * nu] * l
+        for c, row in zip(pivots, Pinv):
+            V2[c] = row
         k = next(i for i, a in enumerate(sigma) if a)
         out.append(ChannelMaps(
             nu=nu, T2=ModMatrix._trusted(tuple(rows), l, q),
             Sigma=ModMatrix._trusted((sigma,), len(sigma), q), k=k,
-            s=q.inv(sigma[k]), V2=ModMatrix._trusted(tuple(
-                at.get(i, (0,) * nu) for i in range(l)), nu, q)))
+            s=q.inv(sigma[k]),
+            V2=ModMatrix._trusted(tuple(V2), nu, q)))
     return tuple(out)
 
 

@@ -20,7 +20,8 @@ from cipherobs.modring import DimensionMismatch, ModMatrix, ModRingError, \
     Modulus, _echelon, inverse_mod
 from cipherobs.obsdesign import M_SAFETY, ReferenceRun, run_reference_observer
 from cipherobs.pipeline import BENCH_Q, EncryptedRun, run_quantized_mode
-from cipherobs.plantsim import AttackScenario, PlantModel, run_closed_loop
+from cipherobs.plantsim import AttackScenario, PlantModel, Trajectory, \
+    run_closed_loop, step_plant
 from cipherobs.quantobs import quantize_initial, quantize_input, \
     residue_quantized, step_quantized
 from cipherobs.secviews import View1, View2
@@ -549,6 +550,28 @@ def per_row_channel_maps(Hj: ModMatrix, Fbar: ModMatrix,
     return ChannelMaps(nu=nu, T2=T2, Sigma=Sigma, k=k,
                        s=q.inv(Sigma.rows[0][k]), V2=V2)
 
+
+def echelon_chain_inverse(rows, q: Modulus):
+    """(pivots, P^-1, V2) of a channel's independent chain rows T2 read off
+    one elimination of [T2 | I] (oracle for `zerodyn._chain_inverse`, and
+    for V2, which places P^-1's rows at the pivot rows of l zero rows)."""
+    nu, l = len(rows), len(rows[0])
+    reduced, pivots = _echelon(
+        [tuple(row) + (0,) * i + (1,) + (0,) * (nu - 1 - i)
+         for i, row in enumerate(rows)], q.q, reduce_up=True)
+    Pinv = ModMatrix((row[l:] for row in reduced), q, ncols=nu).rows
+    at = dict(zip(pivots, Pinv))
+    return pivots, list(Pinv), tuple(at.get(i, (0,) * nu) for i in range(l))
+
+
+def joined_planes(e: int, planes: np.ndarray) -> Tuple[Tuple[int, ...], ...]:
+    """The rows that (P, n, l) digit planes of width e hold, as Python ints:
+    sum(planes[p] << (e p))."""
+    joined = sum(planes[p].astype(object) << (e * p)
+                 for p in range(len(planes)))
+    return tuple(tuple(int(a) for a in row) for row in joined)
+
+
 @dataclass(frozen=True)
 class CancellationState:
     """Zero-dynamics state of one channel's mask cancellation."""
@@ -694,6 +717,22 @@ def per_step_reference_observer(bank, trajectory,
             shifted[o + 1:o + li] = zhat[o:o + li - 1]
         zhat = shifted + bank.G_real @ v
     return run
+
+
+def per_step_closed_loop(model: PlantModel, attacks: AttackScenario,
+                         steps: int) -> Trajectory:
+    """The closed loop with each state update taken by the checked
+    `step_plant` (oracle for `plantsim.run_closed_loop`)."""
+    traj, x = Trajectory(), model.x_ini.copy()
+    for t in range(steps):
+        u = model.K @ x
+        a = attacks.vector_at(t, model.p)
+        traj.x.append(x)
+        traj.u.append(u)
+        traj.y.append(model.C @ x + a)
+        traj.a.append(a)
+        x = step_plant(model, x, u)
+    return traj
 
 
 def per_step_signal_bound(bank) -> float:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cipherobs import encobs, modring
+from cipherobs import cli, encobs, modring
 from cipherobs.encobs import (
     EncObserverState,
     EncryptorSession,
@@ -29,16 +29,17 @@ from cipherobs.lwe import Ciphertext, LweError, SecretKey, keygen, \
     wire_layout
 from cipherobs.lwe import TestRng as SeededRng
 from cipherobs.modring import DimensionMismatch, ModMatrix, Modulus, \
-    ModulusMismatch
+    ModulusMismatch, SingularMatrix, inverse_mod
 from cipherobs.pipeline import SystemSetup, bundled_scenario_path, \
     run_encrypted_mode, run_quantized_mode
 from cipherobs.quantobs import BlockGain, detect
-from cipherobs.zerodyn import RelativeDegreeUndefined, channel_maps
+from cipherobs.zerodyn import RelativeDegreeUndefined, all_channel_maps, \
+    channel_maps
 from .helpers import UNEVEN_BLOCKS, ValueSource, batch_of, build_fbar, \
     build_transform, cancel_ints, cancel_words, cancellation_init, \
     cancellation_step, channel, ciphertext, cloud_run, column_words, \
     ct_matrix, decrypt_channel_state, dense_decrypt, dense_normal_form, \
-    encrypted_residue, error_trajectory, full_state, \
+    encrypted_residue, error_trajectory, full_state, joined_planes, \
     joined_residue_first_column, last_column, matrix_limbs, \
     recorded_view2, reference_ct_bytes, replay_states, secret_key, \
     sigma_dag, transcript_masks, uneven_gain
@@ -409,6 +410,85 @@ class TestLazyCancelState:
                                        enumerate(cancels) if i != m.k)
                 batch = session.enc_input(ModMatrix.column(range(h), q))
         assert {1, 2, 3} <= degrees
+
+
+def public_of(sizes, Gbar, H):
+    """An ObserverPublic at N = 16 with the channel maps of every row of H."""
+    gain = BlockGain.build(sizes, Gbar)
+    return ObserverPublic(q=Gbar.modulus, N=16, gain=gain, Hbar=H,
+                          channels=all_channel_maps(H, gain.Fbar, Gbar))
+
+
+def assert_chain_ends_are_t2_rows(public):
+    """The rows that `_chain_ends`' digit planes join to are the last rows
+    of the T2_j, R_j = H_j F^(nu_j - 1); returns the largest nu_j."""
+    (e, planes), *_ = public._chain_ends
+    assert e == public._hbar_digits[0]
+    assert joined_planes(e, planes) == tuple(m.T2.rows[-1]
+                                             for m in public.channels)
+    return max(m.nu for m in public.channels)
+
+
+def left_null_rows(rng, G: ModMatrix, count: int) -> list:
+    """`count` rows x with x G = 0: -g M^-1 on three rows of G that form an
+    invertible M and 1 on a fourth, g; their entries span all of Z_q."""
+    rows = []
+    while len(rows) < count:
+        *at, i = rng.sample(range(G.nrows), 4)
+        try:
+            M_inv = inverse_mod(ModMatrix([G.rows[a] for a in at], G.modulus))
+        except SingularMatrix:
+            continue
+        x = [0] * G.nrows
+        x[i] = 1
+        for a, v in zip(at, (ModMatrix([G.rows[i]], G.modulus)
+                             @ M_inv).rows[0]):
+            x[a] = -v
+        rows.append(x)
+    return rows
+
+
+class TestChainEnds:
+    def test_benchmark_chain_ends_are_hbar_planes(self, public64):
+        # every benchmark channel has nu = 1: R is Hbar, plane for plane
+        assert assert_chain_ends_are_t2_rows(public64) == 1
+        assert np.array_equal(public64._chain_ends[0][1],
+                              public64._hbar_digits[1])
+
+    @pytest.mark.parametrize("sizes", UNEVEN_BLOCKS)
+    def test_uneven_gains(self, bench_setup, sizes):
+        # unit rows and small random rows (nu = 1 on this dense gain), and
+        # rows of G's left null space, whose entries are as wide as q and
+        # whose nu is 2 or more, so Hbar has more planes than R needs
+        q = bench_setup.params.q
+        rng = random.Random(repr(sizes))
+        l, G = sum(sizes), uneven_gain(q, sizes, rng)
+        H = ModMatrix(ModMatrix.identity(l, q).rows
+                      + tuple(tuple(rng.randint(-9, 9) for _ in range(l))
+                              for _ in range(3))
+                      + tuple(map(tuple, left_null_rows(rng, G, 3))), q)
+        public = public_of(sizes, G, H)
+        assert assert_chain_ends_are_t2_rows(public) >= 2
+        assert len(public._hbar_digits[1]) > 1
+
+    def test_zeroing_draws(self):
+        # the zeroing suite's banks over q = 101, on their rows with a
+        # relative degree, until 5 banks have a channel of nu = 3
+        q, rng, deepest = Modulus(101), random.Random(41), []
+        while deepest.count(3) < 5 and len(deepest) < 2000:
+            blocks, G, H = cli._zeroing_draw(rng, q)
+            F = build_fbar(blocks, q)
+            rows = []
+            for row in H.rows:
+                try:
+                    channel_maps(ModMatrix([row], q), F, G)
+                except RelativeDegreeUndefined:
+                    continue
+                rows.append(row)
+            if rows:
+                deepest.append(assert_chain_ends_are_t2_rows(
+                    public_of(blocks, G, ModMatrix(rows, q))))
+        assert deepest.count(3) == 5 and 2 in deepest, deepest
 
 
 def filled(elements, n):

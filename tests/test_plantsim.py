@@ -14,6 +14,7 @@ from cipherobs.plantsim import (
     step_plant,
 )
 from cipherobs.pipeline import bundled_scenario_path
+from .helpers import per_step_closed_loop, same_bits
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +138,21 @@ class TestRunClosedLoop:
     def test_steps_must_be_positive(self, bench_bundle):
         with pytest.raises(PlantError):
             run_closed_loop(bench_bundle.model, AttackScenario(), 0)
+
+    @pytest.mark.parametrize("attacked", [True, False])
+    def test_closed_loop_oracle(self, bench_bundle, attacked):
+        # the benchmark's attacked run of 50 steps, and the attack-free
+        # run of calibrate_M's 60 steps
+        attacks = bench_bundle.attacks if attacked else AttackScenario()
+        steps = 50 if attacked else 60
+        got = run_closed_loop(bench_bundle.model, attacks, steps)
+        want = per_step_closed_loop(bench_bundle.model, attacks, steps)
+        for name in ("x", "u", "y", "a"):
+            rows = getattr(got, name)
+            assert len(rows) == steps, name
+            assert all(same_bits(a, b) for a, b in
+                       zip(rows, getattr(want, name))), name
+        assert any(a.any() for a in got.a) == attacked
 
     def test_bounded_state(self, bench_bundle):
         m = bench_bundle.model

@@ -224,7 +224,7 @@ class TestObserverUpdate:
 
     def test_benchmark_gain_has_48_nonzeros(self, bench_setup):
         # Phi B's column has nonzeros in every one of the 5 blocks and each
-        # sensor's column of L_gain in its own block alone: 48 of the
+        # sensor's injection column f_i in its own block alone: 48 of the
         # 24 x 6 entries, the ones step_ints reads
         maps = bench_setup.mod_maps
         gain = maps.gain

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+from collections import Counter
 from operator import add
 
 import pytest
@@ -8,17 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cipherobs import cli
-from cipherobs.modring import ModMatrix, Modulus
+from cipherobs.modring import ModMatrix, Modulus, SingularMatrix, \
+    inverse_mod
 from cipherobs.zerodyn import (
     ChannelMaps,
     RelativeDegreeUndefined,
+    _chain_inverse,
     all_channel_maps,
     channel_maps,
 )
 from .helpers import UNEVEN_BLOCKS, build_fbar, build_transform, \
     cancellation_init, cancellation_step, dense_normal_form, \
-    per_row_channel_maps, random_channel, random_mod_matrix, sigma_dag, \
-    simulate_channel, uneven_gain
+    echelon_chain_inverse, per_row_channel_maps, random_channel, \
+    random_mod_matrix, sigma_dag, simulate_channel, uneven_gain
 
 Q101 = Modulus(101)
 Q5 = Modulus(5)
@@ -281,6 +284,78 @@ def test_channel_maps_oracle_on_random_q101_banks():
             ModMatrix([H.rows[j] for j in degrees], Q101), F, G)
         done += 1
     assert undefined > 0
+
+
+PIVOT_MODULI = [pytest.param(Modulus(q), id=name) for q, name in (
+    (3, "3"), (5, "5"), (7, "7"), (101, "101"), (2 ** 109 - 31, "2^109-31"))]
+
+
+def sparse_channel(rng: random.Random, q: Modulus):
+    """A random (H, F, G): a general F with a random share of zeros, G with
+    one nonzero row and H with one or two nonzero entries: about one in 16
+    of those with a relative degree reaches nu >= 4, while a dense
+    `random_channel` at q = 101 reaches nu = 2 on fewer than one in 100."""
+    l, h = rng.randint(3, 8), rng.randint(1, 3)
+    density = rng.choice([0.15, 0.25, 0.4])
+    F = ModMatrix([[rng.randrange(q.q) if rng.random() < density else 0
+                    for _ in range(l)] for _ in range(l)], q)
+    g = rng.randrange(l)
+    G = ModMatrix([[rng.randrange(q.q) for _ in range(h)] if i == g
+                   else [0] * h for i in range(l)], q)
+    H = [0] * l
+    for c in rng.sample(range(l), rng.choice([1, 1, 2])):
+        H[c] = rng.randrange(1, q.q)
+    return ModMatrix([H], q), F, G
+
+
+def assert_chain_inverse_oracle(H, F, G) -> int:
+    """The pivots and P^-1 of H's chain rows and the V2 of
+    `all_channel_maps` equal the [T2 | I] elimination's; returns nu."""
+    maps = all_channel_maps(H, F, G)[0]
+    pivots, Pinv, V2 = echelon_chain_inverse(maps.T2.rows, F.modulus)
+    assert _chain_inverse(maps.T2.rows, F.modulus.q) == (pivots, Pinv)
+    assert maps.V2.rows == V2
+    return maps.nu
+
+
+@pytest.mark.parametrize("q", PIVOT_MODULI)
+def test_chain_inverse_oracle_on_sparse_channels(q):
+    # at least 300 channels with a relative degree, 10 of them nu >= 4
+    rng = random.Random(q.q)
+    degrees = Counter()
+    for _ in range(20000):
+        try:
+            degrees[min(assert_chain_inverse_oracle(
+                *sparse_channel(rng, q)), 4)] += 1
+        except RelativeDegreeUndefined:
+            continue
+        if degrees[4] >= 10 and degrees.total() >= 300:
+            break
+    assert degrees[4] >= 10 and degrees.total() >= 300, degrees
+    assert degrees[2] and degrees[3], degrees
+
+
+@pytest.mark.parametrize("q", PIVOT_MODULI)
+def test_chain_inverse_oracle_on_shift_chains(q):
+    # one lower-shift block of l, the input at its top and the output at
+    # its bottom, so nu = l and T2's rows are the unit rows from the bottom
+    # up; then the same chain in a random basis S, which makes T2 dense
+    rng = random.Random(-q.q)
+    for l in range(1, 9):
+        F = build_fbar((l,), q)
+        G = ModMatrix([[rng.randrange(1, q.q)]] + [[0]] * (l - 1), q)
+        H = ModMatrix([[0] * (l - 1) + [rng.randrange(1, q.q)]], q)
+        assert assert_chain_inverse_oracle(H, F, G) == l
+        while True:
+            S = ModMatrix([[rng.randrange(q.q) for _ in range(l)]
+                           for _ in range(l)], q)
+            try:
+                S_inv = inverse_mod(S)
+            except SingularMatrix:
+                continue
+            break
+        assert assert_chain_inverse_oracle(
+            H @ S_inv, S @ F @ S_inv, S @ G) == l
 
 
 class TestSimulateChannel:
